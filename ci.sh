@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus lints, as run before every merge.
 #
-#   ./ci.sh          # build + tests + clippy
-#   ./ci.sh --bench  # also run the parallel_scale throughput bench
+#   ./ci.sh          # build + tests + clippy + smokes
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -34,7 +33,7 @@ cargo run --release -q -p capmaestro-bench --bin alloc -- \
 cargo run --release -q -p capmaestro-bench --bin policies -- \
     --smoke --out BENCH_policies_smoke.json
 
-# Fleet-stepping smoke: the sharded, event-driven slab pipeline (1 Hz
+# Fleet-stepping smoke: the event-driven slab pipeline (1 Hz
 # sample + fused step-and-sense + control rounds) on a 128-server rig in
 # both stepping modes; exits non-zero on degenerate throughput.
 cargo run --release -q -p capmaestro-bench --bin fleet -- --smoke
@@ -184,8 +183,11 @@ wait "$AGENT1_PID" 2>/dev/null || true
 rm -f "$ROOM_FIFO" "$ROOM_LOG"
 echo "ci: distributed control-plane smoke ok"
 
-if [[ "${1:-}" == "--bench" ]]; then
-    cargo run --release -p capmaestro-bench --bin parallel_scale
-fi
+# Perf-ledger smoke: the four benchmark workloads on small rigs (~20 s);
+# exits non-zero unless the seed-1 simulation digests match
+# benchmark/expected/*.smoke.seed1.digest and the operator-storm
+# exactly-once / replay checks hold.
+benchmark/run.sh --smoke > /dev/null
+echo "ci: perf-ledger smoke ok"
 
 echo "ci: ok"

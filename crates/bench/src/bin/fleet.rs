@@ -11,12 +11,10 @@
 //! - **full-rebuild** — every server stepped and re-sensed every second
 //!   (the differential-test reference, and the pre-slab cost model).
 //!
-//! Both are sharded across the farm's configured thread count. The rig
-//! holds demand constant (the paper's Table 4 sizing with seeded
+//! The rig holds demand constant (the paper's Table 4 sizing with seeded
 //! per-server utilization), so after the node managers settle the fleet
 //! quiesces and the event-driven mode shows its steady-state cost.
-//! Results go to `BENCH_fleet.json`, including the honest host CPU count
-//! the shards actually had available.
+//! Results go to `BENCH_fleet.json`, with the host CPU count.
 //!
 //! ```text
 //! cargo run --release -p capmaestro-bench --bin fleet \
@@ -110,7 +108,6 @@ fn run_periods(
 
 struct Sample {
     servers: usize,
-    threads: usize,
     periods: u32,
     /// Simulated seconds per wall second, event-driven.
     event_steps_per_sec: f64,
@@ -127,10 +124,9 @@ struct Sample {
     servers_per_sec: f64,
 }
 
-fn measure(config: &DataCenterRigConfig, threads: usize, periods: u32) -> Sample {
+fn measure(config: &DataCenterRigConfig, periods: u32) -> Sample {
     let mut sample = Sample {
         servers: 0,
-        threads,
         periods,
         event_steps_per_sec: 0.0,
         full_steps_per_sec: 0.0,
@@ -144,7 +140,6 @@ fn measure(config: &DataCenterRigConfig, threads: usize, periods: u32) -> Sample
         let mut farm = rig.farm;
         let mut plane = rig.plane;
         let mut buf = SenseBuffer::new();
-        farm.set_parallelism(threads);
         farm.set_event_driven(event_driven);
         sample.servers = farm.len();
         run_periods(&mut plane, &mut farm, &mut buf, WARMUP_PERIODS);
@@ -182,14 +177,13 @@ fn render_json(samples: &[Sample]) -> String {
     for (i, s) in samples.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"servers\": {}, \"threads\": {}, \"periods\": {}, \
+            "    {{\"servers\": {}, \"periods\": {}, \
              \"event_driven_steps_per_sec\": {:.2}, \
              \"full_rebuild_steps_per_sec\": {:.2}, \"speedup\": {:.3}, \
              \"event_driven_step_us\": {:.1}, \"full_rebuild_step_us\": {:.1}, \
              \"step_speedup\": {:.2}, \
              \"rounds_per_sec\": {:.2}, \"servers_per_sec\": {:.0}}}",
             s.servers,
-            s.threads,
             s.periods,
             s.event_steps_per_sec,
             s.full_steps_per_sec,
@@ -211,7 +205,7 @@ fn render_json(samples: &[Sample]) -> String {
 /// (finite, nonzero) throughput. Returns the process exit code.
 fn smoke() -> i32 {
     let config = config_for(8, 2, 2, 2, 16);
-    let s = measure(&config, 2, 4);
+    let s = measure(&config, 4);
     println!(
         "smoke: {} servers, {:.1} event-driven steps/s, {:.1} full-rebuild \
          steps/s, {:.1} rounds/s, {:.0} servers/s on {} host cpus",
@@ -246,17 +240,15 @@ fn main() {
 
     banner(
         "Fleet stepping",
-        "event-driven sharded slab stepping vs full rebuild at fleet scale",
+        "event-driven slab stepping vs full rebuild at fleet scale",
     );
 
     if args.flag("smoke") {
         std::process::exit(smoke());
     }
 
-    let threads = host_cpus();
     let mut table = Table::new(vec![
         "Servers",
-        "Threads",
         "Event steps/s",
         "Full steps/s",
         "Step µs (ev/full)",
@@ -271,10 +263,9 @@ fn main() {
         [(128, 2, 8, 8, 32), (630, 2, 9, 35, 40), (2520, 6, 20, 21, 40)]
     {
         let config = config_for(racks, tpf, rpp, cdus, spr);
-        let s = measure(&config, threads, periods);
+        let s = measure(&config, periods);
         table.row(vec![
             s.servers.to_string(),
-            s.threads.to_string(),
             format!("{:.1}", s.event_steps_per_sec),
             format!("{:.1}", s.full_steps_per_sec),
             format!("{:.0}/{:.0}", s.event_step_us, s.full_step_us),

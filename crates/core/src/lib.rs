@@ -56,7 +56,6 @@ pub mod estimator;
 pub mod metrics;
 pub mod obs;
 pub mod oplog;
-pub mod par;
 pub mod plane;
 pub mod policy;
 pub mod spo;
@@ -85,10 +84,7 @@ pub use plane::{
     BudgetSource, ControlPlane, Farm, PlaneConfig, RoundReport, StalenessConfig,
 };
 pub use policy::{CappingPolicy, GlobalPriority, LocalPriority, NoPriority, PolicyKind};
-pub use spo::{
-    optimize_stranded_power, optimize_stranded_power_iterated, optimize_stranded_power_par,
-    SpoOutcome,
-};
+pub use spo::{optimize_stranded_power, SpoOutcome};
 pub use tree::{Allocation, ControlTree, SupplyInput};
 pub use workers::{
     ChannelTransport, DeploymentConfig, DownMsg, RackAssignment, RackWorker, RoundOutcome,

@@ -278,14 +278,23 @@ impl<'a> Reader<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                Some(&lead) => {
+                    // Consume one UTF-8 character, validating only its own
+                    // bytes: re-checking the whole remaining input here
+                    // made parsing quadratic in document size.
+                    let width = match lead {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let c = self
+                        .bytes
+                        .get(self.pos..self.pos + width)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    s.push_str(c);
+                    self.pos += width;
                 }
             }
         }
@@ -486,6 +495,40 @@ mod tests {
         };
         let back = parse(&snapshot(&snap)).expect("round trip");
         assert_eq!(back.gauges[0].value, f64::INFINITY);
+    }
+
+    /// A fleet-sized `/v1/report` body (one `dc_cap_watts` gauge per
+    /// server, > 1 MB) parses back equal, in time linear in its size.
+    #[test]
+    fn fleet_sized_report_round_trips_in_linear_time() {
+        let snap = MetricsSnapshot {
+            counters: vec![CounterSample {
+                name: "capmaestro_report_servers_capped".to_string(),
+                value: 20_000,
+            }],
+            gauges: (0..20_000u32)
+                .map(|id| GaugeSample {
+                    name: format!("capmaestro_report_dc_cap_watts{{server=\"{id}\"}}"),
+                    value: 270.0 + f64::from(id) * 0.0625,
+                })
+                .chain([GaugeSample {
+                    name: "non-ascii label: µ €  𝄞".to_string(),
+                    value: -0.5,
+                }])
+                .collect(),
+            histograms: vec![],
+        };
+        let text = snapshot(&snap);
+        assert!(text.len() >= 1 << 20, "only {} bytes", text.len());
+        let start = std::time::Instant::now();
+        assert_eq!(parse(&text).expect("round trip"), snap);
+        // The quadratic reader needed minutes for a megabyte.
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(10),
+            "parsing {} bytes took {:?}",
+            text.len(),
+            start.elapsed()
+        );
     }
 
     #[test]

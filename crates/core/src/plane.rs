@@ -23,9 +23,8 @@ use crate::alloc::{Allocator, AllocatorKind};
 use crate::capping::CappingController;
 use crate::estimator::{DemandEstimator, SampleFate};
 use crate::obs::{names, null_recorder, PhaseTimer, Recorder, RoundPhase};
-use crate::par::{par_for_each_mut, par_map, par_map_mut, par_map_range};
 use crate::policy::{CappingPolicy, PolicyKind};
-use crate::spo::{optimize_stranded_power_in, optimize_stranded_power_par_with, SpoScratch};
+use crate::spo::{optimize_stranded_power_in, SpoScratch};
 use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 
 /// The population of servers under management, keyed by id.
@@ -36,31 +35,16 @@ use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 /// [`ServerRef`] / [`ServerMut`] views that mirror the old `&Server` /
 /// `&mut Server` surface; iteration order is id order, as before.
 ///
-/// The farm carries the thread-count knob for the per-second hot path:
-/// [`Farm::set_parallelism`] shards [`Farm::step_all`] and the sensing
-/// sweeps across scoped threads at 64-server bitmap-word boundaries, and
-/// the control plane's estimate phase fans out the same way. Stepping is
-/// **event-driven** by default: servers at the exact `f64` fixed point of
-/// their settling filter are skipped (see [`ServerSlab`]), which is a
-/// bitwise no-op by construction. Results are bit-identical for every
-/// thread count and for event-driven on/off — servers are independent and
-/// all outputs stay in id order.
-#[derive(Debug)]
+/// Stepping is **event-driven** by default: servers at the exact `f64`
+/// fixed point of their settling filter are skipped (see [`ServerSlab`]),
+/// which is a bitwise no-op by construction. Results are bit-identical
+/// for event-driven on/off — servers are independent and all outputs stay
+/// in id order.
+#[derive(Debug, Default)]
 pub struct Farm {
     /// Sorted server ids; position i maps to slab slot i.
     ids: Vec<ServerId>,
     slab: ServerSlab,
-    parallelism: usize,
-}
-
-impl Default for Farm {
-    fn default() -> Self {
-        Farm {
-            ids: Vec::new(),
-            slab: ServerSlab::new(),
-            parallelism: 1,
-        }
-    }
 }
 
 impl Farm {
@@ -69,22 +53,10 @@ impl Farm {
         Farm::default()
     }
 
-    /// Sets how many threads the hot-path sweeps (stepping, sensing,
-    /// demand estimation) may fan out across. Clamped to at least 1;
-    /// 1 (the default) keeps everything on the calling thread.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallelism = threads.max(1);
-    }
-
-    /// The configured hot-path thread count.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
     /// Enables or disables event-driven stepping (on by default).
     /// Disabling forces every server to be stepped every tick — the
-    /// sequential full-rebuild reference path the differential tests
-    /// compare against. Trajectories are bitwise identical either way.
+    /// full-rebuild reference path the differential tests compare
+    /// against. Trajectories are bitwise identical either way.
     pub fn set_event_driven(&mut self, enabled: bool) {
         self.slab.set_event_driven(enabled);
     }
@@ -161,37 +133,22 @@ impl Farm {
     }
 
     /// Advances every server by `dt`, event-driven (quiescent servers are
-    /// skipped bit-exactly) and sharded across the configured thread
-    /// count.
+    /// skipped bit-exactly).
     pub fn step_all(&mut self, dt: Seconds) {
-        self.slab.begin_step(dt);
-        let threads = self.parallelism;
-        if threads <= 1 {
-            self.slab.full_shard().step(dt);
-        } else {
-            let mut shards = self.slab.shards_mut(threads);
-            par_for_each_mut(&mut shards, threads, |shard| shard.step(dt));
-        }
+        self.slab.step(dt);
     }
 
-    /// Reads every server's sensors, in id order, sharded across the
-    /// configured thread count. Allocates the result vector; hot-path
-    /// callers should prefer [`Farm::sense_into`].
+    /// Reads every server's sensors, in id order. Allocates the result
+    /// vector; hot-path callers should prefer [`Farm::sense_into`].
     pub fn sense_all(&self) -> Vec<(ServerId, SensorSnapshot)> {
-        let n = self.ids.len();
-        if self.parallelism <= 1 {
-            return self.iter().map(|(id, s)| (id, s.sense())).collect();
-        }
-        par_map_range(n, self.parallelism, |i| {
-            (self.ids[i], self.slab.view(i).sense())
-        })
+        self.iter().map(|(id, s)| (id, s.sense())).collect()
     }
 
     /// Refreshes the slab's cached snapshots (only stale ones are
     /// recomputed) and syncs `buf` to them, reusing its allocations — the
     /// zero-steady-state-allocation replacement for [`Farm::sense_all`].
     pub fn sense_into(&mut self, buf: &mut SenseBuffer) {
-        self.refresh_snaps();
+        self.slab.refresh();
         self.sync_buffer(buf);
     }
 
@@ -200,43 +157,9 @@ impl Farm {
     /// simulation engine. Quiescent servers cost ~zero: no stepping
     /// arithmetic, no re-sensing, no buffer write.
     pub fn step_and_sense_into(&mut self, dt: Seconds, buf: &mut SenseBuffer) {
-        self.slab.begin_step(dt);
-        self.slab.begin_refresh();
-        let threads = self.parallelism;
-        if threads <= 1 {
-            let mut shard = self.slab.full_shard();
-            shard.step(dt);
-            shard.refresh();
-        } else {
-            let mut shards = self.slab.shards_mut(threads);
-            par_for_each_mut(&mut shards, threads, |shard| {
-                shard.step(dt);
-                shard.refresh();
-            });
-        }
+        self.slab.step(dt);
+        self.slab.refresh();
         self.sync_buffer(buf);
-    }
-
-    /// Advances every server by `dt` and reads its sensors in the same
-    /// sweep, returning snapshots in id order. Allocates the result
-    /// vector; hot-path callers should prefer
-    /// [`Farm::step_and_sense_into`].
-    pub fn step_and_sense_all(&mut self, dt: Seconds) -> Vec<(ServerId, SensorSnapshot)> {
-        let mut buf = SenseBuffer::new();
-        self.step_and_sense_into(dt, &mut buf);
-        buf.entries
-    }
-
-    /// Refreshes every stale cached snapshot, sharded.
-    fn refresh_snaps(&mut self) {
-        self.slab.begin_refresh();
-        let threads = self.parallelism;
-        if threads <= 1 {
-            self.slab.full_shard().refresh();
-        } else {
-            let mut shards = self.slab.shards_mut(threads);
-            par_for_each_mut(&mut shards, threads, |shard| shard.refresh());
-        }
     }
 
     /// Syncs a [`SenseBuffer`] to the slab's (just-refreshed) snapshot
@@ -1092,10 +1015,7 @@ impl ControlPlane {
 
     /// Records one per-second sensor sample for every server (throttle
     /// level and total AC power), feeding the demand estimators through
-    /// plausibility screening and updating the telemetry cache. Sensing
-    /// fans out across the farm's configured thread count; the estimator
-    /// updates stay in id order, so the result is thread-count
-    /// independent.
+    /// plausibility screening and updating the telemetry cache.
     pub fn record_sample(&mut self, farm: &Farm) {
         self.record_snapshots(farm, &farm.sense_all());
     }
@@ -1124,52 +1044,6 @@ impl ControlPlane {
     pub fn record_snapshots(&mut self, farm: &Farm, snaps: &[(ServerId, SensorSnapshot)]) {
         let recorder = Arc::clone(&self.config.recorder);
         let _sense_timer = PhaseTimer::start(&*recorder, RoundPhase::Sense.metric_name());
-        let threads = farm.parallelism();
-        // The estimator updates are independent per server, so when the
-        // farm is configured multi-threaded and the batch is in strict id
-        // order (the shape `sense_all` produces), the screening fans out
-        // across threads; telemetry/freshness bookkeeping stays sequential
-        // in batch order, so the result is thread-count independent.
-        let sorted_unique = snaps.windows(2).all(|w| w[0].0 < w[1].0);
-        if threads > 1 && sorted_unique && snaps.len() > 1 {
-            let mut ests: Vec<DemandEstimator> = snaps
-                .iter()
-                .map(|(id, _)| self.estimators.remove(id).unwrap_or_default())
-                .collect();
-            let mut items: Vec<(usize, &mut DemandEstimator)> =
-                ests.iter_mut().enumerate().collect();
-            let fates: Vec<SampleFate> = par_map_mut(&mut items, threads, |(i, est)| {
-                let (id, snap) = &snaps[*i];
-                match farm.get(*id).map(|s| s.config().model()) {
-                    Some(model) => est.push_screened(
-                        snap.throttle,
-                        snap.total_ac,
-                        model.idle(),
-                        model.cap_max(),
-                    ),
-                    // Unknown server: no envelope to screen against.
-                    None => {
-                        est.push(snap.throttle, snap.total_ac);
-                        SampleFate::Accepted
-                    }
-                }
-            });
-            drop(items);
-            for (((id, snap), est), fate) in snaps.iter().zip(ests).zip(fates) {
-                self.estimators.insert(*id, est);
-                if fate == SampleFate::Accepted {
-                    // clone_from reuses the stored snapshot's allocations.
-                    match self.telemetry.entry(*id) {
-                        Entry::Occupied(mut e) => e.get_mut().clone_from(snap),
-                        Entry::Vacant(e) => {
-                            e.insert(snap.clone());
-                        }
-                    }
-                    self.fresh.insert(*id);
-                }
-            }
-            return;
-        }
         for (id, snap) in snaps {
             let estimator = self.estimators.entry(*id).or_default();
             let fate = match farm.get(*id).map(|s| s.config().model()) {
@@ -1234,16 +1108,12 @@ impl ControlPlane {
     /// [`RoundReport`] and returning it (cached semantics: the report is
     /// also available afterwards via [`ControlPlane::last_report`]).
     ///
-    /// In the sequential case (farm parallelism 1) a steady-state round
-    /// performs **no heap allocation**: demand and stale maps, root
-    /// budgets, the policy object, per-tree gather states (reused
-    /// incrementally — only subtrees with a dirtied leaf are
+    /// A steady-state round performs **no heap allocation**: demand and
+    /// stale maps, root budgets, the policy object, per-tree gather states
+    /// (reused incrementally — only subtrees with a dirtied leaf are
     /// re-summarized), SPO routes/overlays, and the report buffers all
-    /// live in the plane's round context. The per-server phases and the
-    /// per-tree allocation fan out across the farm's configured thread
-    /// count ([`Farm::set_parallelism`]); every cross-item combination
-    /// step runs sequentially in deterministic order, so the round's
-    /// decisions are bit-identical for every thread count.
+    /// live in the plane's round context. Every phase runs on the calling
+    /// thread in id / tree-index order.
     ///
     /// When a [`Recorder`] is attached ([`PlaneConfig::with_recorder`] /
     /// [`ControlPlane::set_recorder`]), the round reports per-phase wall
@@ -1253,7 +1123,6 @@ impl ControlPlane {
     /// that is computed and the round is bit-identical to an
     /// uninstrumented one.
     pub fn round(&mut self, farm: &mut Farm) -> &RoundReport {
-        let threads = farm.parallelism();
         let recorder = Arc::clone(&self.config.recorder);
         let recorder: &dyn Recorder = &*recorder;
         recorder.counter_add(names::ROUNDS_TOTAL, 1);
@@ -1291,52 +1160,26 @@ impl ControlPlane {
         let fail_safe = self.staleness.fail_safe_demand;
 
         // 1. Refresh every tree's leaf inputs from estimates and the
-        //    servers' live PSU state. Estimates are independent per
-        //    server; each tree's refresh is independent per tree. A stale
-        //    server's demand is its fail-safe value, not a frozen
-        //    estimate. The refresh value-compares against the tree's
-        //    stored inputs, so unchanged leaves stay clean and the gather
-        //    below reuses their cached metrics.
+        //    servers' live PSU state. A stale server's demand is its
+        //    fail-safe value, not a frozen estimate. The refresh
+        //    value-compares against the tree's stored inputs, so unchanged
+        //    leaves stay clean and the gather below reuses their cached
+        //    metrics.
         self.ctx.demands.clear();
-        if threads <= 1 {
-            for (id, server) in farm.iter() {
-                let model = server.config().model();
-                let demand = if self.ctx.stale.contains(&id) {
-                    fail_safe
-                        .unwrap_or_else(|| model.cap_min())
-                        .clamp(model.cap_min(), model.cap_max())
-                } else {
-                    self.estimators
-                        .get(&id)
-                        .and_then(|e| e.estimate_with_idle(model.idle()))
-                        .or_else(|| self.telemetry.get(&id).map(|snap| snap.total_ac))
-                        .unwrap_or_else(|| server.sense().total_ac)
-                };
-                self.ctx.demands.insert(id, demand);
-            }
-        } else {
-            let farm_ref = &*farm;
-            let estimators = &self.estimators;
-            let telemetry = &self.telemetry;
-            let stale_ref = &self.ctx.stale;
-            let computed = par_map_range(farm_ref.len(), threads, |i| {
-                let id = farm_ref.ids()[i];
-                let server = farm_ref.server_at(i);
-                let model = server.config().model();
-                if stale_ref.contains(&id) {
-                    let demand = fail_safe
-                        .unwrap_or_else(|| model.cap_min())
-                        .clamp(model.cap_min(), model.cap_max());
-                    return (id, demand);
-                }
-                let estimate = estimators
+        for (id, server) in farm.iter() {
+            let model = server.config().model();
+            let demand = if self.ctx.stale.contains(&id) {
+                fail_safe
+                    .unwrap_or_else(|| model.cap_min())
+                    .clamp(model.cap_min(), model.cap_max())
+            } else {
+                self.estimators
                     .get(&id)
                     .and_then(|e| e.estimate_with_idle(model.idle()))
-                    .or_else(|| telemetry.get(&id).map(|snap| snap.total_ac))
-                    .unwrap_or_else(|| server.sense().total_ac);
-                (id, estimate)
-            });
-            self.ctx.demands.extend(computed);
+                    .or_else(|| self.telemetry.get(&id).map(|snap| snap.total_ac))
+                    .unwrap_or_else(|| server.sense().total_ac)
+            };
+            self.ctx.demands.insert(id, demand);
         }
         drop(estimate_timer);
         if recorder.enabled() {
@@ -1374,22 +1217,14 @@ impl ControlPlane {
                     }
                 });
             };
-            if threads <= 1 {
-                for tree in &mut self.trees {
-                    refresh(tree);
-                }
-            } else {
-                par_for_each_mut(&mut self.trees, threads, refresh);
+            for tree in &mut self.trees {
+                refresh(tree);
             }
         }
         drop(gather_timer);
 
-        // 2. Allocate (with or without the stranded-power pass). The trees
-        //    are independent within each allocation pass, so both the
-        //    plain path and the two SPO passes allocate concurrently; the
-        //    split *within* each tree and the SPO strand detection stay
-        //    sequential, keeping the round bit-identical for every thread
-        //    count.
+        // 2. Allocate (with or without the stranded-power pass), tree by
+        //    tree into the round context's reusable states.
         let trees = &self.trees;
         let RoundContext {
             stale,
@@ -1425,65 +1260,36 @@ impl ControlPlane {
             .1
             .as_ref();
         report.stranded_reclaimed = if self.config.spo {
-            if threads <= 1 {
-                optimize_stranded_power_in(
-                    trees,
-                    root_budgets,
-                    policy_dyn,
-                    allocator_dyn,
-                    spo,
-                    &mut report.allocations,
-                    recorder,
-                )
-            } else {
-                // The fused parallel SPO does both passes in one sweep;
-                // the whole sweep is attributed to the SPO span.
-                let spo_timer =
-                    PhaseTimer::start(recorder, RoundPhase::Spo.metric_name());
-                let outcome = optimize_stranded_power_par_with(
-                    trees,
-                    root_budgets,
-                    policy_dyn,
-                    allocator_dyn,
-                    threads,
-                );
-                drop(spo_timer);
-                recorder.observe(RoundPhase::Allocate.metric_name(), 0.0);
-                let total = outcome.total_stranded();
-                report.allocations = outcome.second;
-                total
-            }
+            optimize_stranded_power_in(
+                trees,
+                root_budgets,
+                policy_dyn,
+                allocator_dyn,
+                spo,
+                &mut report.allocations,
+                recorder,
+            )
         } else {
             let allocate_timer =
                 PhaseTimer::start(recorder, RoundPhase::Allocate.metric_name());
-            if threads <= 1 {
-                let n = trees.len();
-                if plain_states.len() != n {
-                    plain_states.clear();
-                    plain_states.resize_with(n, TreeRoundState::new);
-                }
-                if report.allocations.len() != n {
-                    report.allocations.clear();
-                    report.allocations.resize_with(n, Allocation::default);
-                }
-                for i in 0..n {
-                    trees[i].allocate_in(
-                        root_budgets[i],
-                        policy_dyn,
-                        allocator_dyn,
-                        &mut plain_states[i],
-                        None,
-                        &mut report.allocations[i],
-                    );
-                }
-            } else {
-                let pairs: Vec<(&ControlTree, Watts)> = trees
-                    .iter()
-                    .zip(root_budgets.iter().copied())
-                    .collect();
-                report.allocations = par_map(&pairs, threads, |&(t, b)| {
-                    t.allocate_with(b, policy_dyn, allocator_dyn)
-                });
+            let n = trees.len();
+            if plain_states.len() != n {
+                plain_states.clear();
+                plain_states.resize_with(n, TreeRoundState::new);
+            }
+            if report.allocations.len() != n {
+                report.allocations.clear();
+                report.allocations.resize_with(n, Allocation::default);
+            }
+            for i in 0..n {
+                trees[i].allocate_in(
+                    root_budgets[i],
+                    policy_dyn,
+                    allocator_dyn,
+                    &mut plain_states[i],
+                    None,
+                    &mut report.allocations[i],
+                );
             }
             drop(allocate_timer);
             // SPO is off: record an explicit zero so the phase series
@@ -1498,9 +1304,7 @@ impl ControlPlane {
             );
             // Dirty-tracking effectiveness: how many tree nodes the
             // incremental gather actually re-summarized vs skipped. The
-            // states accumulate across rounds, so report deltas. (The
-            // parallel paths rebuild allocations from scratch and keep no
-            // gather state; their totals simply stay flat.)
+            // states accumulate across rounds, so report deltas.
             let (summarized, skipped) = if self.config.spo {
                 spo.gather_stats()
             } else {
@@ -1524,7 +1328,7 @@ impl ControlPlane {
         // 3. Enforce: pair every server's working supplies' budgets with
         //    its last *delivered* telemetry (never a direct sensor read —
         //    faults must affect enforcement too), then run the stateful
-        //    capping controllers sequentially in id order. Stale servers
+        //    capping controllers in id order. Stale servers
         //    bypass their feedback controller entirely: their cap is
         //    clamped straight to the fail-safe demand.
         let enforce_timer = PhaseTimer::start(recorder, RoundPhase::Enforce.metric_name());
@@ -1547,130 +1351,64 @@ impl ControlPlane {
         dc_caps.clear();
         let controllers = &mut self.controllers;
         let telemetry = &self.telemetry;
-        if threads <= 1 {
-            farm.for_each_mut(|_, id, mut server| {
-                let model = server.config().model();
-                if stale.contains(&id) {
-                    let demand_ac = fail_safe
-                        .unwrap_or_else(|| model.cap_min())
-                        .clamp(model.cap_min(), model.cap_max());
-                    let efficiency = server.bank().efficiency();
-                    let controller = controllers.entry(id).or_insert_with(|| {
-                        CappingController::new(model.cap_min(), model.cap_max(), efficiency)
-                    });
-                    let cap = controller.force_dc_cap(demand_ac * efficiency);
-                    server.set_dc_cap(cap);
-                    dc_caps.insert(id, cap);
-                    failsafe_caps += 1;
-                    return;
-                }
-                // Count the working supplies an allocation covers; servers
-                // outside every tree keep their previous cap, exactly like
-                // the collected (parallel) path.
-                let mut covered = 0usize;
-                for (idx, share) in server.bank().effective_shares_iter().enumerate() {
-                    if share.as_f64() <= 0.0 {
-                        continue;
-                    }
-                    if supply_slots.contains_key(&(id, SupplyIndex(idx as u8))) {
-                        covered += 1;
-                    }
-                }
-                if covered == 0 {
-                    return;
-                }
-                let mut fallback = None;
-                let snap: &SensorSnapshot = match telemetry.get(&id) {
-                    Some(snap) => snap,
-                    None => fallback.get_or_insert_with(|| server.sense()),
-                };
+        farm.for_each_mut(|_, id, mut server| {
+            let model = server.config().model();
+            if stale.contains(&id) {
+                let demand_ac = fail_safe
+                    .unwrap_or_else(|| model.cap_min())
+                    .clamp(model.cap_min(), model.cap_max());
+                let efficiency = server.bank().efficiency();
                 let controller = controllers.entry(id).or_insert_with(|| {
-                    CappingController::new(
-                        model.cap_min(),
-                        model.cap_max(),
-                        server.bank().efficiency(),
-                    )
+                    CappingController::new(model.cap_min(), model.cap_max(), efficiency)
                 });
-                let cap = controller.update_pairs(
-                    server
-                        .bank()
-                        .effective_shares_iter()
-                        .enumerate()
-                        .filter_map(|(idx, share)| {
-                            if share.as_f64() <= 0.0 {
-                                return None;
-                            }
-                            budget_for(id, SupplyIndex(idx as u8))
-                                .map(|b| (b, snap.supply_ac[idx]))
-                        }),
-                );
+                let cap = controller.force_dc_cap(demand_ac * efficiency);
                 server.set_dc_cap(cap);
                 dc_caps.insert(id, cap);
+                failsafe_caps += 1;
+                return;
+            }
+            // Count the working supplies an allocation covers; servers
+            // outside every tree keep their previous cap.
+            let mut covered = 0usize;
+            for (idx, share) in server.bank().effective_shares_iter().enumerate() {
+                if share.as_f64() <= 0.0 {
+                    continue;
+                }
+                if supply_slots.contains_key(&(id, SupplyIndex(idx as u8))) {
+                    covered += 1;
+                }
+            }
+            if covered == 0 {
+                return;
+            }
+            let mut fallback = None;
+            let snap: &SensorSnapshot = match telemetry.get(&id) {
+                Some(snap) => snap,
+                None => fallback.get_or_insert_with(|| server.sense()),
+            };
+            let controller = controllers.entry(id).or_insert_with(|| {
+                CappingController::new(
+                    model.cap_min(),
+                    model.cap_max(),
+                    server.bank().efficiency(),
+                )
             });
-        } else {
-            let farm_ref = &*farm;
-            let stale_ref = &*stale;
-            let mut sensed: Vec<Option<(Vec<Watts>, Vec<Watts>)>> =
-                par_map_range(farm_ref.len(), threads, |i| {
-                    let id = farm_ref.ids()[i];
-                    let server = farm_ref.server_at(i);
-                    if stale_ref.contains(&id) {
-                        return None;
-                    }
-                    let snap = telemetry
-                        .get(&id)
-                        .cloned()
-                        .unwrap_or_else(|| server.sense());
-                    let shares = server.bank().effective_shares();
-                    let mut budgets = Vec::new();
-                    let mut measured = Vec::new();
-                    for (idx, share) in shares.iter().enumerate() {
+            let cap = controller.update_pairs(
+                server
+                    .bank()
+                    .effective_shares_iter()
+                    .enumerate()
+                    .filter_map(|(idx, share)| {
                         if share.as_f64() <= 0.0 {
-                            continue;
+                            return None;
                         }
-                        if let Some(b) = budget_for(id, SupplyIndex(idx as u8)) {
-                            budgets.push(b);
-                            measured.push(snap.supply_ac[idx]);
-                        }
-                    }
-                    if budgets.is_empty() {
-                        None
-                    } else {
-                        Some((budgets, measured))
-                    }
-                });
-            farm.for_each_mut(|idx, id, mut server| {
-                let work = sensed[idx].take();
-                let model = server.config().model();
-                if stale.contains(&id) {
-                    let demand_ac = fail_safe
-                        .unwrap_or_else(|| model.cap_min())
-                        .clamp(model.cap_min(), model.cap_max());
-                    let efficiency = server.bank().efficiency();
-                    let controller = controllers.entry(id).or_insert_with(|| {
-                        CappingController::new(model.cap_min(), model.cap_max(), efficiency)
-                    });
-                    let cap = controller.force_dc_cap(demand_ac * efficiency);
-                    server.set_dc_cap(cap);
-                    dc_caps.insert(id, cap);
-                    failsafe_caps += 1;
-                    return;
-                }
-                let Some((budgets, measured)) = work else {
-                    return;
-                };
-                let controller = controllers.entry(id).or_insert_with(|| {
-                    CappingController::new(
-                        model.cap_min(),
-                        model.cap_max(),
-                        server.bank().efficiency(),
-                    )
-                });
-                let cap = controller.update(&budgets, &measured);
-                server.set_dc_cap(cap);
-                dc_caps.insert(id, cap);
-            });
-        }
+                        budget_for(id, SupplyIndex(idx as u8))
+                            .map(|b| (b, snap.supply_ac[idx]))
+                    }),
+            );
+            server.set_dc_cap(cap);
+            dc_caps.insert(id, cap);
+        });
         drop(enforce_timer);
         if failsafe_caps > 0 || recorder.enabled() {
             recorder.counter_add(names::FAILSAFE_CAPS_TOTAL, failsafe_caps);
@@ -1804,6 +1542,47 @@ mod tests {
             ptr_before,
             "re-copy must reuse the entry's existing allocation"
         );
+    }
+
+    /// The fused per-second sweep is the separate calls, bit for bit:
+    /// `step_and_sense_into` ≡ `step_all` + `sense_into`, across seconds
+    /// in which servers are mid-transient, freshly capped, and quiescent.
+    #[test]
+    fn step_and_sense_into_matches_step_all_then_sense_into() {
+        let (topo, mut fused, _) = fig2_plane(PolicyKind::GlobalPriority);
+        let (_, mut separate, _) = fig2_plane(PolicyKind::GlobalPriority);
+        let sa = topo.server_by_name("SA").unwrap();
+        let sb = topo.server_by_name("SB").unwrap();
+        let mut fused_buf = SenseBuffer::new();
+        let mut separate_buf = SenseBuffer::new();
+        let dt = Seconds::new(1.0);
+        for second in 0..24 {
+            for farm in [&mut fused, &mut separate] {
+                match second {
+                    2 => farm.get_mut(sa).unwrap().set_offered_demand(Watts::new(260.0)),
+                    9 => farm.get_mut(sb).unwrap().set_dc_cap(Watts::new(300.0)),
+                    _ => {}
+                }
+            }
+            fused.step_and_sense_into(dt, &mut fused_buf);
+            separate.step_all(dt);
+            separate.sense_into(&mut separate_buf);
+            assert_eq!(fused_buf.entries().len(), separate_buf.entries().len());
+            for ((id_a, a), (id_b, b)) in
+                fused_buf.entries().iter().zip(separate_buf.entries())
+            {
+                assert_eq!(id_a, id_b);
+                assert_eq!(a.total_ac.as_f64().to_bits(), b.total_ac.as_f64().to_bits());
+                assert_eq!(a.throttle.as_f64().to_bits(), b.throttle.as_f64().to_bits());
+                assert_eq!(a.supply_ac.len(), b.supply_ac.len());
+                for (p_a, p_b) in a.supply_ac.iter().zip(&b.supply_ac) {
+                    assert_eq!(p_a.as_f64().to_bits(), p_b.as_f64().to_bits());
+                }
+            }
+        }
+        // The transients were real: SA moved off its settled 420 W.
+        let sa_slot = fused.index_of(sa).unwrap();
+        assert!(fused_buf.entries()[sa_slot].1.total_ac < Watts::new(400.0));
     }
 
     #[test]

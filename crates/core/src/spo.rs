@@ -15,9 +15,8 @@ use std::collections::HashMap;
 use capmaestro_topology::{ServerId, SupplyIndex};
 use capmaestro_units::Watts;
 
-use crate::alloc::{Allocator, WaterfallAllocator};
+use crate::alloc::Allocator;
 use crate::obs::{PhaseTimer, Recorder, RoundPhase};
-use crate::par::{par_for_each_mut, par_map};
 use crate::policy::CappingPolicy;
 use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 
@@ -134,11 +133,18 @@ fn achievable_consumption(view: &ServerView) -> Watts {
 ///
 /// `trees` and `root_budgets` are parallel: tree `i` allocates
 /// `root_budgets[i]`. All trees must cover the same control period — in a
-/// redundant data center they are the per-feed trees of one phase.
+/// redundant data center they are the per-feed trees of one phase. Both
+/// passes split budgets with `allocator`, the same one the plain
+/// allocation rounds use.
+///
+/// This is the from-scratch reference (it clones the trees for pass 2);
+/// the control plane's hot path is [`optimize_stranded_power_in`], which
+/// is bit-identical to it.
 ///
 /// # Examples
 ///
 /// ```
+/// use capmaestro_core::alloc::WaterfallAllocator;
 /// use capmaestro_core::policy::GlobalPriority;
 /// use capmaestro_core::spo::optimize_stranded_power;
 /// use capmaestro_core::tree::{ControlTree, SupplyInput};
@@ -170,6 +176,7 @@ fn achievable_consumption(view: &ServerView) -> Watts {
 ///     &trees,
 ///     &[Watts::new(700.0), Watts::new(700.0)],
 ///     &GlobalPriority::new(),
+///     &WaterfallAllocator,
 /// );
 /// // The split mismatch strands power on the first pass…
 /// assert!(outcome.total_stranded() > Watts::ZERO);
@@ -179,22 +186,6 @@ fn achievable_consumption(view: &ServerView) -> Watts {
 ///
 /// Panics if the slices have different lengths.
 pub fn optimize_stranded_power(
-    trees: &[ControlTree],
-    root_budgets: &[Watts],
-    policy: &dyn CappingPolicy,
-) -> SpoOutcome {
-    optimize_stranded_power_with(trees, root_budgets, policy, &WaterfallAllocator)
-}
-
-/// [`optimize_stranded_power`] with an explicit budget-split
-/// [`Allocator`] — both SPO passes run the same allocator the plain
-/// allocation rounds use, so policy selection stays consistent across a
-/// round.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn optimize_stranded_power_with(
     trees: &[ControlTree],
     root_budgets: &[Watts],
     policy: &dyn CappingPolicy,
@@ -234,73 +225,10 @@ pub fn optimize_stranded_power_with(
     }
 }
 
-/// [`optimize_stranded_power`] with both allocation passes (and the
-/// per-tree input adjustment between them) fanned out across `threads`
-/// scoped threads. Trees allocate independently within each pass; the
-/// strand detection that couples them stays sequential, so the outcome is
-/// bit-identical to the sequential version for every thread count.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn optimize_stranded_power_par(
-    trees: &[ControlTree],
-    root_budgets: &[Watts],
-    policy: &(dyn CappingPolicy + Sync),
-    threads: usize,
-) -> SpoOutcome {
-    optimize_stranded_power_par_with(trees, root_budgets, policy, &WaterfallAllocator, threads)
-}
-
-/// [`optimize_stranded_power_par`] with an explicit budget-split
-/// [`Allocator`]. Bit-identical to [`optimize_stranded_power_with`] on the
-/// same inputs for every thread count.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn optimize_stranded_power_par_with(
-    trees: &[ControlTree],
-    root_budgets: &[Watts],
-    policy: &(dyn CappingPolicy + Sync),
-    allocator: &dyn Allocator,
-    threads: usize,
-) -> SpoOutcome {
-    if threads <= 1 {
-        return optimize_stranded_power_with(trees, root_budgets, policy, allocator);
-    }
-    assert_eq!(
-        trees.len(),
-        root_budgets.len(),
-        "one root budget per tree is required"
-    );
-    let allocate_all = |ts: &[ControlTree]| -> Vec<Allocation> {
-        let pairs: Vec<(&ControlTree, Watts)> =
-            ts.iter().zip(root_budgets.iter().copied()).collect();
-        par_map(&pairs, threads, |&(t, b)| t.allocate_with(b, policy, allocator))
-    };
-
-    let first = allocate_all(trees);
-    let (stranded, adjusted) = detect_strands(trees, &first);
-    let mut trees2: Vec<ControlTree> = trees.to_vec();
-    let adjusted_ref = &adjusted;
-    par_for_each_mut(&mut trees2, threads, |tree| {
-        shrink_stranded_inputs(tree, adjusted_ref);
-    });
-    let second = allocate_all(&trees2);
-
-    SpoOutcome {
-        first,
-        second,
-        stranded,
-    }
-}
-
 /// Finds stranded budget per supply after a first-pass allocation. The
 /// detection couples trees (a dual-corded server's supplies live in
-/// different trees), so it runs sequentially in both SPO variants.
-/// Returns `(stranded amount, achievable consumption)` keyed by supply,
-/// the latter only for supplies worth shrinking.
+/// different trees). Returns `(stranded amount, achievable consumption)`
+/// keyed by supply, the latter only for supplies worth shrinking.
 #[allow(clippy::type_complexity)]
 fn detect_strands(
     trees: &[ControlTree],
@@ -327,8 +255,7 @@ fn detect_strands(
 }
 
 /// Shrinks a tree's stranded leaves' demand/constraint to their achievable
-/// consumption (the pass-2 input adjustment). Writes only to `tree`, so
-/// trees can be adjusted concurrently.
+/// consumption (the pass-2 input adjustment).
 fn shrink_stranded_inputs(
     tree: &mut ControlTree,
     adjusted: &HashMap<(ServerId, SupplyIndex), Watts>,
@@ -455,7 +382,7 @@ impl SpoScratch {
 /// `second` (buffers reused) and returns the total stranded power detected
 /// in the first pass, summed in `(server, supply)` order.
 ///
-/// Bit-identical to [`optimize_stranded_power_with`] on the same inputs.
+/// Bit-identical to [`optimize_stranded_power`] on the same inputs.
 ///
 /// The caller must call [`SpoScratch::invalidate`] whenever the tree set
 /// changes between rounds.
@@ -587,75 +514,10 @@ pub fn optimize_stranded_power_in(
     total
 }
 
-/// Iterates [`optimize_stranded_power`] until no further stranded power is
-/// found (or `max_rounds` is hit) — an extension beyond the paper, which
-/// runs the optimization exactly once per control period. Re-budgeting can
-/// strand *new* power (a supply that gained budget may now be limited by
-/// its sibling), so a fixpoint can recover slightly more than one pass.
-///
-/// Returns the outcome of the final round plus the number of rounds run.
-///
-/// # Panics
-///
-/// Panics if `max_rounds` is zero or the slices have different lengths.
-pub fn optimize_stranded_power_iterated(
-    trees: &[ControlTree],
-    root_budgets: &[Watts],
-    policy: &dyn crate::policy::CappingPolicy,
-    max_rounds: usize,
-) -> (SpoOutcome, usize) {
-    assert!(max_rounds > 0, "at least one SPO round is required");
-    let mut current: Vec<ControlTree> = trees.to_vec();
-    let mut rounds = 0;
-    loop {
-        let outcome = optimize_stranded_power(&current, root_budgets, policy);
-        rounds += 1;
-        if outcome.total_stranded() <= STRAND_EPSILON || rounds >= max_rounds {
-            return (outcome, rounds);
-        }
-        // Carry the shrunken inputs forward: rebuild the trees with the
-        // adjusted demands/constraints by re-running the adjustment the
-        // same way optimize_stranded_power did internally.
-        let views = collect_server_views(&current, &outcome.first);
-        let mut adjusted = std::collections::HashMap::new();
-        for (&server, view) in &views {
-            let actual = achievable_consumption(view);
-            for &(_, supply, share, budget) in &view.supplies {
-                let usable = actual * share;
-                if budget.saturating_sub(usable) > STRAND_EPSILON {
-                    adjusted.insert((server, supply), actual);
-                }
-            }
-        }
-        for tree in &mut current {
-            let spec_len = tree.spec().len();
-            for idx in 0..spec_len {
-                let Some(leaf) = tree.spec().node(idx).leaf else {
-                    continue;
-                };
-                let Some(&actual) = adjusted.get(&(leaf.server, leaf.supply)) else {
-                    continue;
-                };
-                let Some(&input) = tree.input_at(idx) else {
-                    continue;
-                };
-                tree.set_supply_input(
-                    leaf.server,
-                    leaf.supply,
-                    crate::tree::SupplyInput {
-                        demand: actual,
-                        cap_max: actual.max(input.cap_min),
-                        ..input
-                    },
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::WaterfallAllocator;
     use crate::policy::GlobalPriority;
     use capmaestro_topology::presets::figure7a_rig;
     use capmaestro_topology::Topology;
@@ -710,7 +572,12 @@ mod tests {
     fn detects_and_reclaims_stranded_power() {
         let (topo, trees) = fig7a_trees();
         let budgets = vec![Watts::new(700.0), Watts::new(700.0)];
-        let outcome = optimize_stranded_power(&trees, &budgets, &GlobalPriority::new());
+        let outcome = optimize_stranded_power(
+            &trees,
+            &budgets,
+            &GlobalPriority::new(),
+            &WaterfallAllocator,
+        );
 
         // Something must be stranded: SC/SD splits cannot match the
         // independent X/Y allocations exactly.
@@ -732,7 +599,12 @@ mod tests {
     fn high_priority_server_is_unaffected() {
         let (topo, trees) = fig7a_trees();
         let budgets = vec![Watts::new(700.0), Watts::new(700.0)];
-        let outcome = optimize_stranded_power(&trees, &budgets, &GlobalPriority::new());
+        let outcome = optimize_stranded_power(
+            &trees,
+            &budgets,
+            &GlobalPriority::new(),
+            &WaterfallAllocator,
+        );
         let sa = topo.server_by_name("SA").unwrap();
         let before = outcome
             .initial_supply_budget(sa, SupplyIndex::FIRST)
@@ -748,7 +620,12 @@ mod tests {
     fn feed_budgets_still_respected_after_spo() {
         let (_, trees) = fig7a_trees();
         let budgets = vec![Watts::new(700.0), Watts::new(700.0)];
-        let outcome = optimize_stranded_power(&trees, &budgets, &GlobalPriority::new());
+        let outcome = optimize_stranded_power(
+            &trees,
+            &budgets,
+            &GlobalPriority::new(),
+            &WaterfallAllocator,
+        );
         for (alloc, budget) in outcome.second.iter().zip(&budgets) {
             assert!(
                 alloc.total_leaf_budget() <= *budget + Watts::new(1e-6),
@@ -776,6 +653,7 @@ mod tests {
             &[tree],
             &[Watts::new(1240.0)],
             &GlobalPriority::new(),
+            &WaterfallAllocator,
         );
         assert_eq!(outcome.total_stranded(), Watts::ZERO);
         // Second pass equals the first.
@@ -783,61 +661,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_spo_is_bit_identical_to_sequential() {
-        let (_, trees) = fig7a_trees();
-        let budgets = vec![Watts::new(700.0), Watts::new(700.0)];
-        let policy = GlobalPriority::new();
-        let seq = optimize_stranded_power(&trees, &budgets, &policy);
-        for threads in [1, 2, 3, 8] {
-            let par = optimize_stranded_power_par(&trees, &budgets, &policy, threads);
-            assert_eq!(seq.first, par.first, "pass-1 mismatch at {threads} threads");
-            assert_eq!(seq.second, par.second, "pass-2 mismatch at {threads} threads");
-            assert_eq!(seq.stranded, par.stranded);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "one root budget per tree")]
     fn mismatched_lengths_panic() {
         let (_, trees) = fig7a_trees();
-        let _ = optimize_stranded_power(&trees, &[Watts::new(700.0)], &GlobalPriority::new());
-    }
-
-    #[test]
-    fn iterated_spo_reaches_a_fixpoint() {
-        let (_, trees) = fig7a_trees();
-        let budgets = vec![Watts::new(700.0), Watts::new(700.0)];
-        let (outcome, rounds) = optimize_stranded_power_iterated(
+        let _ = optimize_stranded_power(
             &trees,
-            &budgets,
+            &[Watts::new(700.0)],
             &GlobalPriority::new(),
-            5,
-        );
-        assert!((1..=5).contains(&rounds));
-        // At the fixpoint (or cap), budgets still respect the feeds.
-        for (alloc, budget) in outcome.second.iter().zip(&budgets) {
-            assert!(alloc.total_leaf_budget() <= *budget + Watts::new(1e-6));
-        }
-        // A single extra round never *loses* served power vs one pass.
-        let single = optimize_stranded_power(&trees, &budgets, &GlobalPriority::new());
-        let views_single = collect_server_views(&trees, &single.second);
-        let views_iter = collect_server_views(&trees, &outcome.second);
-        let served_single: Watts =
-            views_single.values().map(achievable_consumption).sum();
-        let served_iter: Watts =
-            views_iter.values().map(achievable_consumption).sum();
-        assert!(served_iter >= served_single - Watts::new(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one SPO round")]
-    fn zero_rounds_rejected() {
-        let (_, trees) = fig7a_trees();
-        let _ = optimize_stranded_power_iterated(
-            &trees,
-            &[Watts::new(700.0), Watts::new(700.0)],
-            &GlobalPriority::new(),
-            0,
+            &WaterfallAllocator,
         );
     }
 
@@ -870,7 +701,7 @@ mod tests {
                     });
                 }
             }
-            let expected = optimize_stranded_power(&trees, budgets, &policy);
+            let expected = optimize_stranded_power(&trees, budgets, &policy, &WaterfallAllocator);
             let total = optimize_stranded_power_in(
                 &trees,
                 budgets,
@@ -893,7 +724,12 @@ mod tests {
     fn spo_never_reduces_total_served_power() {
         let (_, trees) = fig7a_trees();
         let budgets = vec![Watts::new(700.0), Watts::new(700.0)];
-        let outcome = optimize_stranded_power(&trees, &budgets, &GlobalPriority::new());
+        let outcome = optimize_stranded_power(
+            &trees,
+            &budgets,
+            &GlobalPriority::new(),
+            &WaterfallAllocator,
+        );
         let views1 = collect_server_views(&trees, &outcome.first);
         let total_before: Watts = views1.values().map(achievable_consumption).sum();
         // Recompute achievable consumption under the second allocation with

@@ -50,5 +50,5 @@ pub use partitions::{PartitionSet, VirtualPartition};
 pub use power_model::{PowerCurve, ServerPowerModel};
 pub use psu::{PowerSupply, PsuBank, SupplyState};
 pub use server::{SensorSnapshot, Server, ServerConfig};
-pub use slab::{ServerMut, ServerRef, ServerSlab, SlabShard};
+pub use slab::{ServerMut, ServerRef, ServerSlab};
 pub use telemetry::{CleanSensePath, SenseInterposer};

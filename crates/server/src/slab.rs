@@ -2,7 +2,7 @@
 //!
 //! [`ServerSlab`] holds the state of every server in a farm as parallel
 //! lanes (one `Vec` per field) instead of a map of [`Server`] structs.
-//! Three things fall out of that layout:
+//! Two things fall out of that layout:
 //!
 //! - **Cache-friendly sweeps.** Stepping touches `achieved_ac`,
 //!   `offered_ac`, and the node-manager lane contiguously instead of
@@ -16,11 +16,6 @@
 //!   Skipping is *bitwise exact*: the active bit is cleared only when
 //!   `approach(cur, target, dt)` returns `cur` bit-for-bit, and any
 //!   mutation that could move the target sets the bit again.
-//! - **Word-aligned sharding.** [`ServerSlab::shards_mut`] splits the
-//!   lanes at 64-server boundaries into independent [`SlabShard`]s, so
-//!   worker threads never write the same bitmap word and the parallel
-//!   step is race-free by construction (and bitwise identical to the
-//!   sequential sweep, because every server's update is independent).
 //!
 //! The per-server arithmetic is shared with [`Server`] via
 //! `server::physics`, which is what makes the slab path provably
@@ -80,11 +75,11 @@ pub struct ServerSlab {
     active: Vec<u64>,
     /// Bit i set ⇔ `snaps[i]` reflects the current server state.
     snap_ok: Vec<u64>,
-    /// Cached sensor readings, refreshed lazily (see `refresh` on shards).
+    /// Cached sensor readings, refreshed lazily (see [`ServerSlab::refresh`]).
     snaps: Vec<SensorSnapshot>,
     /// Generation at which each cached snapshot last changed.
     changed_gen: Vec<u64>,
-    /// Monotone refresh generation (bumped by [`ServerSlab::begin_refresh`]).
+    /// Monotone refresh generation (bumped by [`ServerSlab::refresh`]).
     generation: u64,
     /// Bumped whenever slots are added or shifted.
     layout_gen: u64,
@@ -240,100 +235,83 @@ impl ServerSlab {
         ServerMut { slab: self, idx }
     }
 
-    /// Prepares a step pass: a `dt` different from the previous step
-    /// re-activates every server (fixed points are only stable under a
-    /// constant `dt`).
-    pub fn begin_step(&mut self, dt: Seconds) {
+    /// Steps every active server by `dt` (every server when event-driven
+    /// stepping is off). A server whose achieved power lands bit-identical
+    /// to its previous value has reached the settling filter's fixed point
+    /// and is deactivated; one whose power moved has its cached snapshot
+    /// invalidated. A `dt` different from the previous step re-activates
+    /// every server first (fixed points are only stable under a constant
+    /// `dt`).
+    pub fn step(&mut self, dt: Seconds) {
+        self.begin_step(dt);
+        let n = self.len();
+        for wi in 0..self.active.len() {
+            let lane_base = wi * WORD_BITS;
+            let valid = word_mask(n - lane_base.min(n));
+            let mut pending = if self.event_driven {
+                self.active[wi] & valid
+            } else {
+                valid
+            };
+            while pending != 0 {
+                let b = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let i = lane_base + b;
+                let cur = self.achieved_ac[i];
+                let next = if !self.powered[i] {
+                    Watts::ZERO
+                } else {
+                    let target = physics::target_ac(
+                        self.configs[i].model(),
+                        &self.node_managers[i],
+                        &self.banks[i],
+                        self.offered_ac[i],
+                    );
+                    self.node_managers[i].approach(cur, target, dt)
+                };
+                if next.as_f64().to_bits() == cur.as_f64().to_bits() {
+                    self.active[wi] &= !(1u64 << b);
+                } else {
+                    self.achieved_ac[i] = next;
+                    self.snap_ok[wi] &= !(1u64 << b);
+                }
+            }
+        }
+    }
+
+    /// Recomputes every stale cached snapshot in place (reusing each
+    /// snapshot's `supply_ac` allocation) and stamps it with a fresh
+    /// refresh generation.
+    pub fn refresh(&mut self) {
+        self.generation += 1;
+        let n = self.len();
+        for wi in 0..self.snap_ok.len() {
+            let lane_base = wi * WORD_BITS;
+            let valid = word_mask(n - lane_base.min(n));
+            let mut stale = !self.snap_ok[wi] & valid;
+            self.snap_ok[wi] |= stale;
+            while stale != 0 {
+                let b = stale.trailing_zeros() as usize;
+                stale &= stale - 1;
+                let i = lane_base + b;
+                physics::sense_into(
+                    self.configs[i].model(),
+                    &self.banks[i],
+                    self.offered_ac[i],
+                    self.achieved_ac[i],
+                    &mut self.snaps[i],
+                );
+                self.changed_gen[i] = self.generation;
+            }
+        }
+    }
+
+    /// A `dt` different from the previous step re-activates every server.
+    fn begin_step(&mut self, dt: Seconds) {
         let dt_f = dt.as_f64();
         if self.last_dt.to_bits() != dt_f.to_bits() {
             self.last_dt = dt_f;
             self.mark_all_active();
-        }
-    }
-
-    /// Prepares a snapshot-refresh pass: bumps the refresh generation that
-    /// freshly refreshed snapshots are stamped with.
-    pub fn begin_refresh(&mut self) {
-        self.generation += 1;
-    }
-
-    /// Splits the slab into at most `max_shards` independent mutable
-    /// shards at 64-server boundaries, so no two shards share a bitmap
-    /// word. Run [`SlabShard::step`] / [`SlabShard::refresh`] on each —
-    /// sequentially or from one thread per shard; results are identical.
-    pub fn shards_mut(&mut self, max_shards: usize) -> Vec<SlabShard<'_>> {
-        let n = self.len();
-        let words = self.active.len();
-        let shard_count = max_shards.clamp(1, words.max(1));
-        let chunk_words = words.div_ceil(shard_count).max(1);
-
-        let event_driven = self.event_driven;
-        let generation = self.generation;
-        let configs: &[ServerConfig] = &self.configs;
-        let banks: &[PsuBank] = &self.banks;
-        let node_managers: &[NodeManager] = &self.node_managers;
-        let offered_ac: &[Watts] = &self.offered_ac;
-        let powered: &[bool] = &self.powered;
-
-        let mut achieved: &mut [Watts] = &mut self.achieved_ac;
-        let mut snaps: &mut [SensorSnapshot] = &mut self.snaps;
-        let mut gens: &mut [u64] = &mut self.changed_gen;
-        let mut active: &mut [u64] = &mut self.active;
-        let mut snap_ok: &mut [u64] = &mut self.snap_ok;
-
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut lo = 0usize;
-        while lo < n {
-            let take_words = active.len().min(chunk_words);
-            let take = (take_words * WORD_BITS).min(n - lo);
-            let (a, rest) = achieved.split_at_mut(take);
-            achieved = rest;
-            let (s, rest) = snaps.split_at_mut(take);
-            snaps = rest;
-            let (g, rest) = gens.split_at_mut(take);
-            gens = rest;
-            let (aw, rest) = active.split_at_mut(take_words);
-            active = rest;
-            let (ow, rest) = snap_ok.split_at_mut(take_words);
-            snap_ok = rest;
-            shards.push(SlabShard {
-                lo,
-                configs,
-                banks,
-                node_managers,
-                offered_ac,
-                powered,
-                achieved_ac: a,
-                snaps: s,
-                changed_gen: g,
-                active: aw,
-                snap_ok: ow,
-                event_driven,
-                generation,
-            });
-            lo += take;
-        }
-        shards
-    }
-
-    /// The whole slab as a single shard, built on the stack — the
-    /// allocation-free equivalent of `shards_mut(1)` for single-threaded
-    /// hot paths (the shard struct only borrows lane slices).
-    pub fn full_shard(&mut self) -> SlabShard<'_> {
-        SlabShard {
-            lo: 0,
-            configs: &self.configs,
-            banks: &self.banks,
-            node_managers: &self.node_managers,
-            offered_ac: &self.offered_ac,
-            powered: &self.powered,
-            achieved_ac: &mut self.achieved_ac,
-            snaps: &mut self.snaps,
-            changed_gen: &mut self.changed_gen,
-            active: &mut self.active,
-            snap_ok: &mut self.snap_ok,
-            event_driven: self.event_driven,
-            generation: self.generation,
         }
     }
 
@@ -421,98 +399,6 @@ impl ServerSlab {
         // the sensed per-supply loads.
         self.touch(i);
         &mut self.banks[i]
-    }
-}
-
-/// One word-aligned mutable shard of a [`ServerSlab`] (see
-/// [`ServerSlab::shards_mut`]). Immutable lanes are full-slab slices
-/// indexed globally; mutable lanes cover only this shard's slot range.
-#[derive(Debug)]
-pub struct SlabShard<'a> {
-    /// First global slot index covered (a multiple of 64).
-    lo: usize,
-    configs: &'a [ServerConfig],
-    banks: &'a [PsuBank],
-    node_managers: &'a [NodeManager],
-    offered_ac: &'a [Watts],
-    powered: &'a [bool],
-    achieved_ac: &'a mut [Watts],
-    snaps: &'a mut [SensorSnapshot],
-    changed_gen: &'a mut [u64],
-    active: &'a mut [u64],
-    snap_ok: &'a mut [u64],
-    event_driven: bool,
-    generation: u64,
-}
-
-impl SlabShard<'_> {
-    /// Steps every active server in this shard by `dt` (every server when
-    /// event-driven stepping is off). A server whose achieved power lands
-    /// bit-identical to its previous value has reached the settling
-    /// filter's fixed point and is deactivated; one whose power moved has
-    /// its cached snapshot invalidated.
-    pub fn step(&mut self, dt: Seconds) {
-        let n = self.achieved_ac.len();
-        for wi in 0..self.active.len() {
-            let lane_base = wi * WORD_BITS;
-            let valid = word_mask(n - lane_base.min(n));
-            let mut pending = if self.event_driven {
-                self.active[wi] & valid
-            } else {
-                valid
-            };
-            while pending != 0 {
-                let b = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let l = lane_base + b;
-                let g = self.lo + l;
-                let cur = self.achieved_ac[l];
-                let next = if !self.powered[g] {
-                    Watts::ZERO
-                } else {
-                    let target = physics::target_ac(
-                        self.configs[g].model(),
-                        &self.node_managers[g],
-                        &self.banks[g],
-                        self.offered_ac[g],
-                    );
-                    self.node_managers[g].approach(cur, target, dt)
-                };
-                if next.as_f64().to_bits() == cur.as_f64().to_bits() {
-                    self.active[wi] &= !(1u64 << b);
-                } else {
-                    self.achieved_ac[l] = next;
-                    self.snap_ok[wi] &= !(1u64 << b);
-                }
-            }
-        }
-    }
-
-    /// Recomputes every stale cached snapshot in this shard in place
-    /// (reusing each snapshot's `supply_ac` allocation) and stamps it with
-    /// the current refresh generation.
-    pub fn refresh(&mut self) {
-        let n = self.achieved_ac.len();
-        for wi in 0..self.snap_ok.len() {
-            let lane_base = wi * WORD_BITS;
-            let valid = word_mask(n - lane_base.min(n));
-            let mut stale = !self.snap_ok[wi] & valid;
-            self.snap_ok[wi] |= stale;
-            while stale != 0 {
-                let b = stale.trailing_zeros() as usize;
-                stale &= stale - 1;
-                let l = lane_base + b;
-                let g = self.lo + l;
-                physics::sense_into(
-                    self.configs[g].model(),
-                    &self.banks[g],
-                    self.offered_ac[g],
-                    self.achieved_ac[l],
-                    &mut self.snaps[l],
-                );
-                self.changed_gen[l] = self.generation;
-            }
-        }
     }
 }
 
@@ -729,13 +615,6 @@ mod tests {
         slab
     }
 
-    fn step_seq(slab: &mut ServerSlab, dt: Seconds) {
-        slab.begin_step(dt);
-        for shard in &mut slab.shards_mut(1) {
-            shard.step(dt);
-        }
-    }
-
     #[test]
     fn slab_step_matches_server_step_bitwise() {
         let mut reference: Vec<Server> = (0..130)
@@ -757,7 +636,7 @@ mod tests {
             for s in &mut reference {
                 s.step(dt);
             }
-            step_seq(&mut slab, dt);
+            slab.step(dt);
             for (i, s) in reference.iter().enumerate() {
                 assert_eq!(
                     slab.view(i).achieved_ac().as_f64().to_bits(),
@@ -773,7 +652,7 @@ mod tests {
         let dt = Seconds::new(1.0);
         // Step to the fixed point: every server must eventually deactivate.
         for _ in 0..200 {
-            step_seq(&mut slab, dt);
+            slab.step(dt);
         }
         assert!(slab.active.iter().all(|&w| w == 0), "fleet not quiescent");
         // Re-commanding identical state keeps it quiescent.
@@ -790,7 +669,7 @@ mod tests {
     fn dt_change_reactivates_everything() {
         let mut slab = slab_of(10);
         for _ in 0..200 {
-            step_seq(&mut slab, Seconds::new(1.0));
+            slab.step(Seconds::new(1.0));
         }
         assert!(slab.active.iter().all(|&w| w == 0));
         slab.begin_step(Seconds::new(0.5));
@@ -801,41 +680,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_step_matches_sequential_bitwise() {
-        let dt = Seconds::new(1.0);
-        let mut seq = slab_of(333);
-        let mut sharded = seq.clone();
-        for round in 0..30 {
-            if round == 10 {
-                // Dirty a previously-quiescent server mid-run.
-                seq.view_mut(100).set_dc_cap(Watts::new(180.0));
-                sharded.view_mut(100).set_dc_cap(Watts::new(180.0));
-            }
-            step_seq(&mut seq, dt);
-            sharded.begin_step(dt);
-            for shard in &mut sharded.shards_mut(4) {
-                shard.step(dt);
-            }
-            for i in 0..seq.len() {
-                assert_eq!(
-                    seq.view(i).achieved_ac().as_f64().to_bits(),
-                    sharded.view(i).achieved_ac().as_f64().to_bits()
-                );
-            }
-            assert_eq!(seq.active, sharded.active);
-        }
-    }
-
-    #[test]
     fn cached_sense_matches_fresh_sense() {
         let mut slab = slab_of(67);
         let dt = Seconds::new(1.0);
-        slab.begin_step(dt);
-        slab.begin_refresh();
-        for shard in &mut slab.shards_mut(2) {
-            shard.step(dt);
-            shard.refresh();
-        }
+        slab.step(dt);
+        slab.refresh();
         for i in 0..slab.len() {
             let cached = slab.view(i).sense();
             // Recompute from scratch through the Server reference path.

@@ -487,6 +487,7 @@ impl InvariantTracker {
 
         // Per-tree checks.
         let budgets = plane.root_budgets_now();
+        let mut seen: HashSet<ServerId> = HashSet::new();
         for (i, (tree, budget)) in
             plane.trees().iter().zip(budgets).enumerate()
         {
@@ -537,11 +538,12 @@ impl InvariantTracker {
             // coexisting with a lower-priority peer that holds both cap
             // and draw above the floor (i.e. budget that could have been
             // shifted up), sustained.
-            let mut entries: Vec<(ServerId, Priority, f64, bool)> = Vec::new();
+            // One entry per server, however many of its supplies the tree
+            // holds.
+            let mut entries: Vec<(Priority, f64, bool)> = Vec::new();
+            seen.clear();
             for (_, leaf) in spec.leaves() {
-                if exempt.contains(&leaf.server)
-                    || entries.iter().any(|e| e.0 == leaf.server)
-                {
+                if exempt.contains(&leaf.server) || !seen.insert(leaf.server) {
                     continue;
                 }
                 let Some(server) = farm.get(leaf.server) else {
@@ -560,17 +562,16 @@ impl InvariantTracker {
                 let draw_headroom = server.sense().total_ac
                     > model.cap_min() + self.config.low_headroom;
                 entries.push((
-                    leaf.server,
                     priority,
                     server.throttle().as_f64(),
                     cap_headroom && draw_headroom,
                 ));
             }
-            let inverted = entries.iter().any(|&(_, ph, throttle, _)| {
+            let inverted = entries.iter().any(|&(ph, throttle, _)| {
                 throttle > self.config.high_throttle_eps
                     && entries
                         .iter()
-                        .any(|&(_, pl, _, headroom)| pl < ph && headroom)
+                        .any(|&(pl, _, headroom)| pl < ph && headroom)
             });
             let ctr = self.inversion_s.entry(i).or_insert(0);
             if inverted {

@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use capmaestro_core::obs::{names, PhaseTimer};
 use capmaestro_core::oplog::ReconcilePlan;
-use capmaestro_core::par::par_map;
 use capmaestro_core::plane::{ControlPlane, Farm, RoundReport, SenseBuffer};
 use capmaestro_server::{SenseInterposer, SensorSnapshot, ServerRef};
 use capmaestro_topology::{BreakerSim, BreakerState, FeedId, NodeId, Phase, ServerId, SupplyIndex, Topology};
@@ -176,7 +175,7 @@ struct LoadIndex {
     slots: HashMap<(FeedId, NodeId, Phase), usize>,
     /// Per key: the contributing outlet indices, in outlet order. Each
     /// key's loads are summed in exactly this order, which keeps the
-    /// parallel accumulation bit-identical to the sequential push-up.
+    /// accumulation bit-identical to the per-outlet push-up.
     contributors: Vec<Vec<u32>>,
 }
 
@@ -509,15 +508,6 @@ impl Engine {
         }
     }
 
-    /// Sets how many threads the per-second hot path (stepping, sensing,
-    /// load accumulation, trace recording, and the control plane's
-    /// estimate phase) fans out across. The simulation is bit-identical
-    /// for every thread count; see [`Farm::set_parallelism`].
-    pub fn set_parallelism(&mut self, threads: usize) -> &mut Self {
-        self.farm.set_parallelism(threads);
-        self
-    }
-
     /// Enables or disables the farm's event-driven stepping (on by
     /// default). Disabling forces the full-rebuild sweep every second —
     /// the differential-test baseline; trajectories are bit-identical
@@ -799,10 +789,8 @@ impl Engine {
 
     /// Per-key load right now, indexed by [`LoadIndex`] slot: the sum of
     /// supply powers at outlet descendants, kept per phase because breaker
-    /// ratings are per phase. The per-outlet loads are cheap snapshot
-    /// lookups; the per-key sums fan out across threads (keys are
-    /// disjoint, and each key sums its contributions in outlet order, so
-    /// the result is bit-identical for every thread count).
+    /// ratings are per phase. Each key sums its contributions in outlet
+    /// order.
     fn node_loads(&self, snaps: &[(ServerId, SensorSnapshot)]) -> Vec<Watts> {
         let outlet_loads: Vec<Watts> = self
             .load_index
@@ -815,17 +803,17 @@ impl Engine {
                 .unwrap_or(Watts::ZERO)
             })
             .collect();
-        par_map(
-            &self.load_index.contributors,
-            self.farm.parallelism(),
-            |outlets| {
+        self.load_index
+            .contributors
+            .iter()
+            .map(|outlets| {
                 let mut total = Watts::ZERO;
                 for &oi in outlets {
                     total += outlet_loads[oi as usize];
                 }
                 total
-            },
-        )
+            })
+            .collect()
     }
 
     fn record(&mut self, snaps: &[(ServerId, SensorSnapshot)], loads: &[Watts]) {

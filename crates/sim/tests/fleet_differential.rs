@@ -1,9 +1,9 @@
-//! Fleet-scale stepping differentials: the event-driven, sharded hot
-//! path (struct-of-arrays slab, dirty bitmaps, incremental sense
-//! buffers) must be **bitwise identical** to the sequential full-rebuild
-//! sweep — on the paper's small Fig. 2 priority rig under seeded chaos,
-//! and on a ≥10k-server data center where most of the fleet has
-//! quiesced before mid-run faults dirty previously-quiescent servers.
+//! Fleet-scale stepping differentials: the event-driven hot path
+//! (struct-of-arrays slab, dirty bitmaps, incremental sense buffers)
+//! must be **bitwise identical** to the full-rebuild sweep — on the
+//! paper's small Fig. 2 priority rig under seeded chaos, and on a
+//! ≥10k-server data center where most of the fleet has quiesced before
+//! mid-run faults dirty previously-quiescent servers.
 
 use std::collections::HashMap;
 use std::fmt::Debug;
@@ -19,19 +19,18 @@ use capmaestro_topology::presets::DataCenterParams;
 use capmaestro_topology::{FeedId, ServerId, SupplyIndex};
 use capmaestro_units::Watts;
 
-/// The reference engine: sequential, full-rebuild stepping (every server
-/// stepped and re-sensed every second, no dirty-bit skipping).
+/// The reference engine: full-rebuild stepping (every server stepped and
+/// re-sensed every second, no dirty-bit skipping).
 fn full_rebuild(rig: Rig) -> Engine {
     let mut engine = Engine::new(rig);
-    engine.set_event_driven(false).set_parallelism(1);
+    engine.set_event_driven(false);
     engine
 }
 
-/// The fleet engine under test: event-driven stepping sharded across
-/// `threads` workers.
-fn event_driven(rig: Rig, threads: usize) -> Engine {
+/// The fleet engine under test: event-driven stepping.
+fn event_driven(rig: Rig) -> Engine {
     let mut engine = Engine::new(rig);
-    engine.set_event_driven(true).set_parallelism(threads);
+    engine.set_event_driven(true);
     engine
 }
 
@@ -88,8 +87,8 @@ fn assert_final_rounds_identical(seq: &mut Engine, fleet: &mut Engine) {
 /// Fig. 2 priority rig under a seeded chaos plan (telemetry faults and
 /// feed flaps) plus scripted demand/priority changes landing *after* the
 /// node managers have converged — the events that dirty a quiescent
-/// server. Event-driven + 4-way sharding must match the sequential
-/// full-rebuild run bit for bit.
+/// server. Event-driven stepping must match the full-rebuild run bit for
+/// bit.
 #[test]
 fn fig2_rig_under_seeded_chaos_is_bitwise_identical() {
     let seconds = 160;
@@ -114,7 +113,7 @@ fn fig2_rig_under_seeded_chaos_is_bitwise_identical() {
     };
 
     let mut seq = full_rebuild(priority_rig(RigConfig::table2()));
-    let mut fleet = event_driven(priority_rig(RigConfig::table2()), 4);
+    let mut fleet = event_driven(priority_rig(RigConfig::table2()));
     for engine in [&mut seq, &mut fleet] {
         engine.schedule_chaos(&chaos);
         // By second 100 the four servers have long quiesced; these dirty
@@ -137,7 +136,7 @@ fn fig2_rig_under_seeded_chaos_is_bitwise_identical() {
 /// quiesces within the node managers' ~6 s settling; mid-run events then
 /// fail a supply on one previously-quiescent server and re-target
 /// another's demand, on top of a seeded telemetry-chaos plan. The
-/// event-driven sharded run must stay bitwise identical throughout.
+/// event-driven run must stay bitwise identical throughout.
 #[test]
 fn ten_thousand_server_rig_is_bitwise_identical() {
     let config = DataCenterRigConfig {
@@ -178,7 +177,7 @@ fn ten_thousand_server_rig_is_bitwise_identical() {
     let dirty_demand = servers[2 * servers.len() / 3];
 
     let mut seq = full_rebuild(rig);
-    let mut fleet = event_driven(datacenter_rig(&config), 5);
+    let mut fleet = event_driven(datacenter_rig(&config));
     for engine in [&mut seq, &mut fleet] {
         engine.schedule_chaos(&chaos);
         // t = 12: converged fleet; these two servers went quiescent

@@ -10,6 +10,7 @@
 //! cargo run --example stranded_power
 //! ```
 
+use capmaestro::core::alloc::WaterfallAllocator;
 use capmaestro::core::policy::GlobalPriority;
 use capmaestro::core::spo::optimize_stranded_power;
 use capmaestro::sim::scenarios::{stranded_rig, RigConfig, STRANDED_RIG_X_SHARES};
@@ -43,7 +44,12 @@ fn main() {
         });
     }
     let budgets = vec![Watts::new(700.0), Watts::new(700.0)];
-    let outcome = optimize_stranded_power(&trees, &budgets, &GlobalPriority::new());
+    let outcome = optimize_stranded_power(
+        &trees,
+        &budgets,
+        &GlobalPriority::new(),
+        &WaterfallAllocator,
+    );
 
     println!("stranded power found in the first pass:");
     for ((server, supply), watts) in &outcome.stranded {

@@ -172,3 +172,43 @@ fn display_messages_are_lowercase_without_trailing_punctuation() {
     assert!(msg.chars().next().unwrap().is_lowercase());
     assert!(!msg.ends_with('.'));
 }
+
+/// The public-function budget: `pub fn` declarations under `crates/*/src`
+/// and `src/`. The surface may shrink freely (lower the number when it
+/// does); growing it past the budget needs a deliberate edit here, so it
+/// cannot regrow silently.
+const PUB_FN_BUDGET: usize = 729;
+
+fn count_pub_fns(dir: &std::path::Path) -> usize {
+    let mut count = 0;
+    for entry in std::fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("readable dir entry").path();
+        if path.is_dir() {
+            count += count_pub_fns(&path);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            count += std::fs::read_to_string(&path)
+                .expect("readable source file")
+                .lines()
+                .filter(|line| line.trim_start().starts_with("pub fn "))
+                .count();
+        }
+    }
+    count
+}
+
+#[test]
+fn public_fn_count_stays_within_budget() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut total = count_pub_fns(&root.join("src"));
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        let src = krate.expect("readable dir entry").path().join("src");
+        if src.is_dir() {
+            total += count_pub_fns(&src);
+        }
+    }
+    assert!(
+        total <= PUB_FN_BUDGET,
+        "{total} `pub fn`s exceed the budget of {PUB_FN_BUDGET}: remove surface \
+         elsewhere, or raise the budget deliberately in this test"
+    );
+}
