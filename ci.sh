@@ -135,14 +135,16 @@ cargo run --release -q -p capmaestro-bench --bin partition -- \
     --smoke --out BENCH_partition_smoke.json
 
 # Distributed control-plane smoke: capmaestrod as room controller plus
-# two rack-agent processes over real sockets. Kill one agent and the
+# two rack-agent processes over real sockets, splitting budgets with a
+# non-default allocator on both sides of the cut. Kill one agent and the
 # fail-safe gauge must rise; restart it and the gauge must clear. Every
 # step is wall-clock bounded so a wedged fleet fails CI instead of
 # hanging it.
 ROOM_LOG=$(mktemp); ROOM_FIFO=$(mktemp -u)
 mkfifo "$ROOM_FIFO"
 timeout 180s ./target/release/capmaestrod \
-    --agents 2 --rig racks:2:2 --addr 127.0.0.1:0 --agent-addr 127.0.0.1:0 \
+    --agents 2 --rig racks:2:2 --policy fair_share \
+    --addr 127.0.0.1:0 --agent-addr 127.0.0.1:0 \
     --accel 0 --quit-on-stdin --wall-limit-s 150 \
     <"$ROOM_FIFO" >"$ROOM_LOG" 2>&1 &
 ROOM_PID=$!

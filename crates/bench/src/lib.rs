@@ -2,7 +2,7 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper;
 //! this library holds the tiny bits they share (CLI parsing, headers).
-//! Performance benchmarks live in `benches/` (criterion).
+//! Performance benchmarks live in the repository's `benchmark/` package.
 
 #![warn(missing_docs)]
 

@@ -22,8 +22,6 @@ pub struct NodeContext {
     /// `true` when every child of this node is a capping controller
     /// (server power supply) — the "local group" boundary of Dynamo.
     pub is_leaf_parent: bool,
-    /// Distance from the root (root = 0).
-    pub depth: usize,
 }
 
 /// Whether a node works with full priority levels or a single merged level.
@@ -165,11 +163,9 @@ mod tests {
 
     const LEAF_PARENT: NodeContext = NodeContext {
         is_leaf_parent: true,
-        depth: 3,
     };
     const UPPER: NodeContext = NodeContext {
         is_leaf_parent: false,
-        depth: 1,
     };
 
     #[test]

@@ -103,7 +103,7 @@ pub struct TreeArena {
     children: Vec<u32>,
     /// `(start, end)` into `children` per node.
     child_range: Vec<(u32, u32)>,
-    /// Policy context (depth, leaf-parent flag) per node.
+    /// Policy context (leaf-parent flag) per node.
     ctx: Vec<NodeContext>,
     /// Shifting-controller power limit per node.
     limits: Vec<Option<Watts>>,
@@ -118,21 +118,14 @@ impl TreeArena {
         let mut child_range = Vec::with_capacity(n);
         let mut ctx = Vec::with_capacity(n);
         let mut limits = Vec::with_capacity(n);
-        let mut depths = vec![0usize; n];
         for idx in 0..n {
             let node = spec.node(idx);
-            if let Some(p) = node.parent {
-                depths[idx] = depths[p] + 1;
-            }
             let start = children.len() as u32;
             children.extend(node.children.iter().map(|&c| c as u32));
             child_range.push((start, children.len() as u32));
             let is_leaf_parent = !node.children.is_empty()
                 && node.children.iter().all(|&c| spec.node(c).is_leaf());
-            ctx.push(NodeContext {
-                is_leaf_parent,
-                depth: depths[idx],
-            });
+            ctx.push(NodeContext { is_leaf_parent });
             limits.push(node.limit);
         }
         TreeArena {
@@ -281,6 +274,19 @@ impl Allocation {
     }
 }
 
+/// How a node takes part in the walk; see [`ControlTree::pin`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pin {
+    /// Summarized from its children (or its leaf input), budget split.
+    Free,
+    /// Summary supplied from outside and unchanged since the last gather.
+    Held,
+    /// Summary supplied from outside and changed since the last gather.
+    Changed,
+    /// Below a pinned node: outside the walk.
+    Below,
+}
+
 /// Reusable per-tree round state for [`ControlTree::allocate_in`]: the
 /// cached per-node [`PriorityMetrics`] with their dirty/generation
 /// bookkeeping, plus every scratch buffer the gather and budget-down passes
@@ -290,10 +296,9 @@ impl Allocation {
 pub struct TreeRoundState {
     valid: bool,
     policy_name: String,
-    /// Name of the [`Allocator`] the cached budget-down scratch last
-    /// served; an allocator swap invalidates the state like a policy swap.
-    allocator_name: String,
     metrics: Vec<PriorityMetrics>,
+    /// Per-node [`Pin`]; empty (all free) until the first pin.
+    pins: Vec<Pin>,
     dirty: Vec<bool>,
     seen_gens: Vec<u64>,
     last_leaves: Vec<Option<(SupplyInput, Priority)>>,
@@ -325,6 +330,10 @@ impl TreeRoundState {
     /// `capmaestro_tree_nodes_{summarized,dirty_skipped}_total` counters.
     pub fn gather_stats(&self) -> (u64, u64) {
         (self.summarized, self.skipped)
+    }
+
+    fn pin_at(&self, idx: usize) -> Pin {
+        self.pins.get(idx).copied().unwrap_or(Pin::Free)
     }
 }
 
@@ -411,7 +420,8 @@ impl ControlTree {
         self.generations[idx] = self.generation;
     }
 
-    fn set_input_at(&mut self, idx: usize, input: SupplyInput) {
+    /// Sets the input of the leaf at spec node `idx`.
+    pub(crate) fn set_input_at(&mut self, idx: usize, input: SupplyInput) {
         if self.inputs[idx] != Some(input) {
             self.inputs[idx] = Some(input);
             self.bump(idx);
@@ -543,25 +553,14 @@ impl ControlTree {
         out
     }
 
-    /// Incremental, allocation-free variant of [`ControlTree::allocate`].
-    ///
-    /// Gathers metrics with dirty-tracking — only subtrees with a dirtied
-    /// descendant (generation-stamp or value change on a leaf input /
-    /// priority, or an `overlay` difference) are re-summarized; clean nodes
-    /// reuse the [`PriorityMetrics`] cached in `state` — then runs the
-    /// budget-down pass through `allocator` into `out`, reusing its
-    /// buffers. Performs no heap allocation once `state` and `out` are
+    /// Incremental, allocation-free variant of [`ControlTree::allocate`]:
+    /// [`ControlTree::gather_in`] then [`ControlTree::budget_in`] over the
+    /// same `state`. Performs no heap allocation once `state` and `out` are
     /// warm.
-    ///
-    /// `overlay`, when present, is a spec-indexed slice of per-leaf input
-    /// replacements (used by the stranded-power optimizer's second pass):
-    /// `Some(input)` at a leaf overrides the tree's stored input for this
-    /// call only, without touching the tree.
     ///
     /// # Panics
     ///
-    /// Panics if the tree is empty, any leaf lacks an input, or `overlay`
-    /// is present with a length other than `spec().len()`.
+    /// Panics as either half does.
     pub fn allocate_in(
         &self,
         root_budget: Watts,
@@ -571,23 +570,66 @@ impl ControlTree {
         overlay: Option<&[Option<SupplyInput>]>,
         out: &mut Allocation,
     ) {
+        self.gather_in(policy, state, overlay);
+        self.budget_in(root_budget, policy, allocator, state, out);
+    }
+
+    /// Pins node `idx` to a summary supplied from outside (a rack's
+    /// reported, stale-held or fail-safe metrics at the room; an absent
+    /// leaf at the rack): [`ControlTree::gather_in`] takes `summary` as the
+    /// node's metrics without descending below it, and
+    /// [`ControlTree::budget_in`] budgets the node without splitting it.
+    /// Re-pinning an equal summary leaves the node clean.
+    pub fn pin(&self, state: &mut TreeRoundState, idx: usize, summary: &PriorityMetrics) {
+        let n = self.spec.len();
+        state.metrics.resize_with(n, PriorityMetrics::default);
+        state.pins.resize(n, Pin::Free);
+        if matches!(state.pins[idx], Pin::Free | Pin::Below) {
+            let mut below: Vec<u32> = self.arena.children_of(idx).to_vec();
+            while let Some(c) = below.pop() {
+                state.pins[c as usize] = Pin::Below;
+                below.extend_from_slice(self.arena.children_of(c as usize));
+            }
+        } else if state.metrics[idx] == *summary {
+            return;
+        }
+        state.metrics[idx].copy_from(summary);
+        state.pins[idx] = Pin::Changed;
+    }
+
+    /// The gather-up half of a round (paper §4.3.1), with dirty-tracking:
+    /// only subtrees with a dirtied descendant (generation-stamp or value
+    /// change on a leaf input / priority, an `overlay` difference, or a
+    /// re-pinned summary) are re-summarized; clean nodes reuse the
+    /// [`PriorityMetrics`] cached in `state`. Returns the root's summary.
+    ///
+    /// `overlay`, when present, is a spec-indexed slice of per-leaf input
+    /// replacements (used by the stranded-power optimizer's second pass):
+    /// `Some(input)` at a leaf overrides the tree's stored input for this
+    /// call only, without touching the tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree is empty, any leaf the walk reaches lacks an
+    /// input, or `overlay` is present with a length other than
+    /// `spec().len()`.
+    pub fn gather_in<'s>(
+        &self,
+        policy: &dyn CappingPolicy,
+        state: &'s mut TreeRoundState,
+        overlay: Option<&[Option<SupplyInput>]>,
+    ) -> &'s PriorityMetrics {
         assert!(!self.spec.is_empty(), "cannot allocate over an empty tree");
         let n = self.spec.len();
         if let Some(o) = overlay {
             assert_eq!(o.len(), n, "overlay must be spec-indexed");
         }
-        // (Re)shape the state and invalidate on tree, policy, or allocator
-        // change.
-        if state.metrics.len() != n
-            || state.policy_name != policy.name()
-            || state.allocator_name != allocator.name()
-        {
+        // (Re)shape the state and invalidate on tree or policy change;
+        // pinned summaries survive (they are inputs, not results).
+        if state.dirty.len() != n || state.policy_name != policy.name() {
             state.valid = false;
             state.policy_name.clear();
             state.policy_name.push_str(policy.name());
-            state.allocator_name.clear();
-            state.allocator_name.push_str(allocator.name());
-            state.metrics.clear();
             state.metrics.resize_with(n, PriorityMetrics::default);
             state.dirty.clear();
             state.dirty.resize(n, true);
@@ -599,6 +641,15 @@ impl ControlTree {
 
         // Gather with dirty-tracking, children (higher indices) first.
         for idx in (0..n).rev() {
+            match state.pin_at(idx) {
+                Pin::Free => {}
+                Pin::Below => continue,
+                pin => {
+                    state.dirty[idx] = !state.valid || pin == Pin::Changed;
+                    state.pins[idx] = Pin::Held;
+                    continue;
+                }
+            }
             let node = self.spec.node(idx);
             if let Some(leaf) = &node.leaf {
                 let base = self.inputs[idx];
@@ -661,8 +712,30 @@ impl ControlTree {
             }
         }
         state.valid = true;
+        &state.metrics[self.spec.root()]
+    }
 
-        // Budget-down pass.
+    /// The budget-down half of a round (paper §4.3.2): distributes
+    /// `root_budget` (clamped by the root's own limit) over the summaries
+    /// the last [`ControlTree::gather_in`] left in `state`, splitting at
+    /// every unpinned internal node through `allocator`, into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` has not been gathered over this tree.
+    pub fn budget_in(
+        &self,
+        root_budget: Watts,
+        policy: &dyn CappingPolicy,
+        allocator: &dyn Allocator,
+        state: &mut TreeRoundState,
+        out: &mut Allocation,
+    ) {
+        let n = self.spec.len();
+        assert!(
+            state.valid && state.dirty.len() == n,
+            "budget_in needs a gathered state"
+        );
         let root = self.spec.root();
         out.node_budgets.clear();
         out.node_budgets.resize(n, Watts::ZERO);
@@ -672,6 +745,7 @@ impl ControlTree {
 
         let TreeRoundState {
             metrics,
+            pins,
             children_scratch,
             alloc_scratch,
             split_budgets,
@@ -679,7 +753,7 @@ impl ControlTree {
         } = state;
         for idx in 0..n {
             let children = self.arena.children_of(idx);
-            if children.is_empty() {
+            if children.is_empty() || pins.get(idx).is_some_and(|&p| p != Pin::Free) {
                 continue;
             }
             let visibility = policy.visibility(self.arena.context(idx));
@@ -728,12 +802,6 @@ impl ControlTree {
             out.leaf_index = Arc::clone(leaf_index);
         }
         out.unallocated = unallocated;
-    }
-
-    /// The distinct priority levels present among this tree's leaves,
-    /// descending.
-    pub fn priority_levels(&self) -> Vec<Priority> {
-        self.spec.priority_levels_desc()
     }
 }
 
@@ -935,14 +1003,5 @@ mod tests {
         assert_eq!(local[0].level_count(), 1);
         let nop = tree.gather(&NoPriority::new());
         assert_eq!(nop[0].level_count(), 1);
-    }
-
-    #[test]
-    fn priority_levels_listed() {
-        let (_, tree) = fig2_tree();
-        assert_eq!(
-            tree.priority_levels(),
-            vec![Priority::HIGH, Priority::LOW]
-        );
     }
 }

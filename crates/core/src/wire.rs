@@ -22,13 +22,14 @@ use capmaestro_units::Watts;
 use core::fmt;
 use std::error::Error;
 
+use crate::alloc::AllocatorKind;
 use crate::metrics::{MetricEntry, PriorityMetrics};
 use crate::workers::{CutId, DownMsg, UpMsg};
 
 /// Protocol version carried in every payload. Bump on any schema change;
 /// decoders reject other versions outright (agents and controllers are
 /// deployed together, so there is no cross-version negotiation).
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Upper bound on a single frame's payload, in bytes. Generous for the
 /// schema (a 100k-leaf metrics report is still far below it) while
@@ -58,7 +59,7 @@ pub enum WireError {
         got: u8,
     },
     /// A field held a semantically invalid value (non-finite or negative
-    /// watts, unordered priority levels).
+    /// watts, unordered priority levels, an unknown allocator tag).
     BadValue {
         /// What was wrong.
         what: &'static str,
@@ -460,9 +461,14 @@ pub fn encode_down(msg: &DownMsg) -> Vec<u8> {
             put_u32(&mut out, narrow(*workers_total));
             out
         }
-        DownMsg::Gather { round } => {
+        DownMsg::Gather { round, allocator } => {
             let mut out = header(down_tag::GATHER);
             put_u64(&mut out, *round);
+            out.push(match allocator {
+                AllocatorKind::Waterfall => 0,
+                AllocatorKind::Waterfilling => 1,
+                AllocatorKind::FairShare => 2,
+            });
             out
         }
         DownMsg::Budgets { round, budgets } => {
@@ -499,6 +505,16 @@ pub fn decode_down(payload: &[u8]) -> Result<DownMsg, WireError> {
         },
         down_tag::GATHER => DownMsg::Gather {
             round: r.take_u64()?,
+            allocator: match r.take_u8()? {
+                0 => AllocatorKind::Waterfall,
+                1 => AllocatorKind::Waterfilling,
+                2 => AllocatorKind::FairShare,
+                _ => {
+                    return Err(WireError::BadValue {
+                        what: "unknown allocator tag",
+                    })
+                }
+            },
         },
         down_tag::BUDGETS => {
             let round = r.take_u64()?;
@@ -584,7 +600,10 @@ mod tests {
     fn down_messages_round_trip() {
         let msgs = vec![
             DownMsg::Welcome { workers_total: 4 },
-            DownMsg::Gather { round: 7 },
+            DownMsg::Gather {
+                round: 7,
+                allocator: AllocatorKind::FairShare,
+            },
             DownMsg::Budgets {
                 round: 7,
                 budgets: vec![((0, 1), Watts::new(618.25)), ((0, 4), Watts::new(0.0))],
@@ -614,7 +633,10 @@ mod tests {
 
     #[test]
     fn framing_round_trips_and_reports_incompleteness() {
-        let payload = encode_down(&DownMsg::Gather { round: 3 });
+        let payload = encode_down(&DownMsg::Gather {
+            round: 3,
+            allocator: AllocatorKind::Waterfall,
+        });
         let framed = frame(&payload);
         // Partial prefixes: incomplete, not an error.
         for cut in 0..framed.len() {

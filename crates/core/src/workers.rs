@@ -9,17 +9,22 @@
 //!
 //! This module reproduces that deployment behind a [`Transport`] seam. The
 //! default [`ChannelTransport`] runs one OS thread per rack worker with
-//! crossbeam channels as the transport; `capmaestro-serve` provides a
+//! `std::sync::mpsc` channels as the transport; `capmaestro-serve` provides a
 //! socket transport where each rack worker is a separate OS process
 //! connecting outbound to the room controller, speaking the [`crate::wire`]
 //! codec. The *cut* between room and rack workers is the set of leaf-parent
 //! nodes of each control tree (the CDU-level shifting controllers).
-//! Decisions are identical to the synchronous [`crate::plane::ControlPlane`]
-//! running the same policy without SPO — a property the tests assert — but
+//! Both sides compute with the one §4.3 walk in [`crate::tree`]: a rack
+//! gathers and splits each of its cut subtrees as a small [`ControlTree`]
+//! of its own, and the room walks the upper tree with every cut node
+//! *pinned* ([`ControlTree::pin`]) to the summary its rack reported (or the
+//! stale-held / fail-safe stand-in). Decisions are therefore bit-identical
+//! to the synchronous [`crate::plane::ControlPlane`] running the same
+//! policy and allocator without SPO — a property the tests assert — but
 //! sensing, metrics computation, and cap enforcement run concurrently per
 //! rack, and identically across transports:
 //!
-//! - the shared rack-side math lives in [`RackWorker`], used verbatim by
+//! - the shared rack-side state lives in [`RackWorker`], used verbatim by
 //!   the channel threads and the agent binary;
 //! - the room waits for [`UpMsg::Enforced`] acks before the world advances,
 //!   so stepping strictly follows enforcement on every transport;
@@ -29,23 +34,23 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
-use capmaestro_topology::{Priority, ServerId, SupplyIndex};
+use capmaestro_topology::{ControlTreeSpec, Priority, ServerId, SpecNode, SupplyIndex};
 use capmaestro_units::{Ratio, Seconds, Watts};
 
-use crate::budget::{split_budget, split_budget_into, SplitScratch};
+use crate::alloc::AllocatorKind;
 use crate::capping::CappingController;
 use crate::estimator::DemandEstimator;
-use crate::metrics::{LeafInput, PriorityMetrics};
+use crate::metrics::PriorityMetrics;
 use crate::obs::{names, null_recorder, Recorder};
-use crate::policy::{CappingPolicy, NodeContext, PolicyKind, PriorityVisibility};
-use crate::tree::ControlTree;
+use crate::policy::{CappingPolicy, PolicyKind};
+use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 
 /// Identifies a cut node: `(tree index, spec node index)`.
 pub type CutId = (usize, usize);
@@ -112,24 +117,10 @@ impl DeploymentConfig {
         self
     }
 
-    /// Returns the config with the respawn backoff base replaced.
-    #[must_use]
-    pub fn with_respawn_backoff(mut self, backoff: Duration) -> Self {
-        self.respawn_backoff = backoff;
-        self
-    }
-
     /// Returns the config with the stale-hold round budget replaced.
     #[must_use]
     pub fn with_stale_after_rounds(mut self, rounds: u64) -> Self {
         self.stale_after_rounds = rounds;
-        self
-    }
-
-    /// Returns the config with the advance timeout replaced.
-    #[must_use]
-    pub fn with_advance_timeout(mut self, timeout: Duration) -> Self {
-        self.advance_timeout = timeout;
         self
     }
 
@@ -214,6 +205,9 @@ pub enum DownMsg {
     Gather {
         /// The round being gathered.
         round: u64,
+        /// The allocator this round's budgets are split with, on both
+        /// sides of the cut.
+        allocator: AllocatorKind,
     },
     /// Budgets for this round's cut nodes; split, enforce, and ack with
     /// [`UpMsg::Enforced`].
@@ -276,8 +270,8 @@ pub fn rack_assignments(trees: &[ControlTree], worker_count: usize) -> Vec<RackA
     let mut claimed: HashSet<ServerId> = HashSet::new();
     let mut rr = 0usize;
     for (t, tree) in trees.iter().enumerate() {
-        for cut in cut_nodes(tree) {
-            let spec = tree.spec();
+        let spec = tree.spec();
+        for cut in (0..spec.len()).filter(|&i| tree.arena().context(i).is_leaf_parent) {
             let worker = rr % worker_count;
             let mut leaves: Vec<LeafBinding> = Vec::new();
             for &c in &spec.node(cut).children {
@@ -457,7 +451,7 @@ pub trait Transport: Send + fmt::Debug {
 }
 
 /// The default in-process transport: one OS thread per rack worker,
-/// crossbeam channels for messages, a [`SharedFarm`] for the world.
+/// `std::sync::mpsc` channels for messages, a [`SharedFarm`] for the world.
 #[derive(Debug)]
 pub struct ChannelTransport {
     /// The world shared with the worker threads.
@@ -482,39 +476,43 @@ pub struct ChannelTransport {
 
 impl ChannelTransport {
     /// Spawns one worker thread per assignment over the shared farm.
-    pub fn spawn(
+    pub(crate) fn spawn(
         trees: Vec<ControlTree>,
         policy: PolicyKind,
         farm: SharedFarm,
         assignments: Vec<RackAssignment>,
     ) -> Self {
-        let (up_tx, from_workers) = unbounded::<UpMsg>();
-        let mut to_workers = Vec::with_capacity(assignments.len());
-        let mut handles = Vec::with_capacity(assignments.len());
-        for (w, assignment) in assignments.iter().enumerate() {
-            let (down_tx, down_rx) = unbounded::<DownMsg>();
-            to_workers.push(Some(down_tx));
-            handles.push(spawn_worker_thread(
-                w,
-                assignment.clone(),
-                trees.clone(),
-                policy,
-                Arc::clone(&farm),
-                up_tx.clone(),
-                down_rx,
-                false,
-            ));
-        }
-        ChannelTransport {
+        let (up_tx, from_workers) = channel::<UpMsg>();
+        let mut transport = ChannelTransport {
             farm,
-            handles,
-            to_workers,
+            handles: Vec::with_capacity(assignments.len()),
+            to_workers: Vec::with_capacity(assignments.len()),
             from_workers,
             up_tx,
             trees,
             policy,
             assignments,
+        };
+        for w in 0..transport.assignments.len() {
+            let down_tx = transport.spawn_worker_thread(w, false);
+            transport.to_workers.push(Some(down_tx));
         }
+        transport
+    }
+
+    /// Spawns worker `worker`'s thread around a fresh [`RackWorker`] and
+    /// returns the sender that reaches it.
+    fn spawn_worker_thread(&mut self, worker: usize, respawned: bool) -> Sender<DownMsg> {
+        let (down_tx, down_rx) = channel::<DownMsg>();
+        let rack = RackWorker::new(self.assignments[worker].clone(), &self.trees, self.policy);
+        let (farm, up) = (Arc::clone(&self.farm), self.up_tx.clone());
+        let suffix = if respawned { "-respawn" } else { "" };
+        let handle = thread::Builder::new()
+            .name(format!("rack-worker-{worker}{suffix}"))
+            .spawn(move || rack_worker_loop(worker, rack, farm, up, down_rx))
+            .expect("spawning a rack worker thread");
+        self.handles.push(handle);
+        down_tx
     }
 }
 
@@ -575,18 +573,7 @@ impl Transport for ChannelTransport {
         if worker >= self.to_workers.len() || self.is_alive(worker) {
             return false;
         }
-        let (down_tx, down_rx) = unbounded::<DownMsg>();
-        self.handles.push(spawn_worker_thread(
-            worker,
-            self.assignments[worker].clone(),
-            self.trees.clone(),
-            self.policy,
-            Arc::clone(&self.farm),
-            self.up_tx.clone(),
-            down_rx,
-            true,
-        ));
-        self.to_workers[worker] = Some(down_tx);
+        self.to_workers[worker] = Some(self.spawn_worker_thread(worker, true));
         true
     }
 
@@ -600,23 +587,77 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// Spawns one rack worker thread running [`rack_worker_loop`].
-#[allow(clippy::too_many_arguments)]
-fn spawn_worker_thread(
-    worker: usize,
-    assignment: RackAssignment,
-    trees: Vec<ControlTree>,
-    policy: PolicyKind,
-    farm: SharedFarm,
-    up: Sender<UpMsg>,
-    down: Receiver<DownMsg>,
-    respawned: bool,
-) -> JoinHandle<()> {
-    let suffix = if respawned { "-respawn" } else { "" };
-    thread::Builder::new()
-        .name(format!("rack-worker-{worker}{suffix}"))
-        .spawn(move || rack_worker_loop(worker, assignment, trees, policy, farm, up, down))
-        .expect("spawning a rack worker thread")
+/// The subtree under one cut as a control tree of its own — the cut node
+/// (keeping its limit) at index 0 over its leaves, leaf `k` at spec index
+/// `k + 1` and leaf slot `k` — with the warm state of its walk. Racks
+/// gather and split through it every round; the room gathers it once, over
+/// [`LeafStatic`] inputs, for the cut's fail-safe summary.
+#[derive(Debug)]
+struct CutWalk {
+    /// The cut subtree.
+    tree: ControlTree,
+    /// The walk's reused round state.
+    state: TreeRoundState,
+    /// The walk's reused budget output.
+    out: Allocation,
+    /// Whether the current round's `Budgets` covered this cut.
+    budgeted: bool,
+}
+
+impl CutWalk {
+    /// Lifts `cut` and the leaves bound under it out of `tree`.
+    fn new(tree: &ControlTree, cut: usize, leaves: &[LeafBinding]) -> Self {
+        let spec = tree.spec();
+        let mut sub = ControlTreeSpec::new(spec.feed(), spec.phase());
+        sub.push_node(SpecNode {
+            parent: None,
+            children: (1..=leaves.len()).collect(),
+            ..spec.node(cut).clone()
+        });
+        for &(leaf_idx, _, _) in leaves {
+            sub.push_node(SpecNode {
+                parent: Some(0),
+                ..spec.node(leaf_idx).clone()
+            });
+        }
+        CutWalk {
+            tree: ControlTree::new(sub),
+            state: TreeRoundState::new(),
+            out: Allocation::default(),
+            budgeted: false,
+        }
+    }
+
+    /// Sets leaf `k`'s input for the next gather; `None` (nothing is known
+    /// about the leaf) pins it to an empty summary, and no budget, for good.
+    fn set_leaf(&mut self, k: usize, input: Option<SupplyInput>) {
+        match input {
+            Some(input) => self.tree.set_input_at(k + 1, input),
+            None => self.tree.pin(&mut self.state, k + 1, &PriorityMetrics::empty()),
+        }
+    }
+
+    /// Gathers the subtree and returns the cut's summary.
+    fn gather(&mut self, policy: &dyn CappingPolicy) -> &PriorityMetrics {
+        self.tree.gather_in(policy, &mut self.state, None)
+    }
+}
+
+/// What the room holds per cut node between rounds.
+#[derive(Debug)]
+struct CutSlot {
+    /// The cut.
+    id: CutId,
+    /// The cut's summary with every leaf demanding only its `cap_min`,
+    /// gathered once at spawn from the [`LeafStatic`] table: it depends
+    /// only on statics and policy, and a room controller over sockets has
+    /// no farm to re-read.
+    failsafe: PriorityMetrics,
+    /// The freshest summary the cut's rack reported (stale-hold).
+    last: PriorityMetrics,
+    /// The round `last` answered, driving the stale-hold → fail-safe
+    /// degradation; `None` until the first report.
+    last_round: Option<u64>,
 }
 
 /// The distributed deployment: a room worker (caller thread) plus rack
@@ -634,22 +675,19 @@ pub struct WorkerDeployment {
     root_budgets: Vec<Watts>,
     /// The capping policy every controller runs.
     policy: PolicyKind,
+    /// The budget-split allocator of the next round, room and racks alike.
+    allocator: AllocatorKind,
     /// Deployment tunables.
     config: DeploymentConfig,
     /// The rack workers.
     transport: Box<dyn Transport>,
-    /// Cut node ids per tree, in spec order.
-    cuts_per_tree: Vec<Vec<usize>>,
+    /// Per tree, the upper walk's reused state and output. Every cut node
+    /// is pinned in it, so the walk stops at the cuts.
+    walks: Vec<(TreeRoundState, Allocation)>,
+    /// Every cut node (leaf parent) of every tree, ascending by id.
+    cuts: Vec<CutSlot>,
     /// Each worker's static responsibility.
     assignments: Vec<RackAssignment>,
-    /// Fail-safe metrics per cut, precomputed at spawn from the
-    /// [`LeafStatic`] table (every leaf demanding only `cap_min`).
-    failsafe_metrics: HashMap<CutId, PriorityMetrics>,
-    /// Freshest metrics seen per cut node (stale-hold fault tolerance).
-    last_cut_metrics: HashMap<CutId, PriorityMetrics>,
-    /// The round at which each cut node last reported, driving the
-    /// stale-hold → fail-safe degradation.
-    last_report_round: HashMap<CutId, u64>,
     /// Consecutive respawn attempts per worker since it last reported.
     respawn_attempts: Vec<u32>,
     /// Earliest instant the next respawn attempt per worker is allowed.
@@ -657,18 +695,6 @@ pub struct WorkerDeployment {
     /// Liveness observed at the last round start, for counting
     /// worker-driven reconnects (socket agents) as respawns.
     was_alive: Vec<bool>,
-}
-
-/// Returns the leaf-parent (cut) node indices of a tree spec.
-fn cut_nodes(tree: &ControlTree) -> Vec<usize> {
-    let spec = tree.spec();
-    (0..spec.len())
-        .filter(|&idx| {
-            let node = spec.node(idx);
-            !node.children.is_empty()
-                && node.children.iter().all(|&c| spec.node(c).is_leaf())
-        })
-        .collect()
 }
 
 impl WorkerDeployment {
@@ -712,7 +738,7 @@ impl WorkerDeployment {
     /// the socket transport enters through. `assignments` must match what
     /// the transport's workers were configured with (both sides compute
     /// [`rack_assignments`] from the same trees), and `statics` feeds the
-    /// fail-safe metrics precomputation.
+    /// fail-safe summaries.
     ///
     /// # Panics
     ///
@@ -742,40 +768,85 @@ impl WorkerDeployment {
             root_budgets.len(),
             "one root budget per control tree is required"
         );
-        let cuts_per_tree: Vec<Vec<usize>> = trees.iter().map(cut_nodes).collect();
-        let failsafe_metrics = build_failsafe_metrics(&trees, &assignments, statics, policy);
+        let mut cuts = Vec::new();
+        let mut walks = Vec::with_capacity(trees.len());
+        for (t, tree) in trees.iter().enumerate() {
+            let mut state = TreeRoundState::new();
+            let is_cut = |i: usize| tree.arena().context(i).is_leaf_parent;
+            for idx in 0..tree.spec().len() {
+                if is_cut(idx) {
+                    cuts.push(CutSlot {
+                        id: (t, idx),
+                        failsafe: PriorityMetrics::empty(),
+                        last: PriorityMetrics::empty(),
+                        last_round: None,
+                    });
+                } else if tree.spec().node(idx).is_leaf()
+                    && !tree.spec().node(idx).parent.is_some_and(is_cut)
+                {
+                    // A leaf directly under the upper tree (no CDU level)
+                    // has no rack to report it: it is budgeted nothing —
+                    // deployments should avoid this, but stay total.
+                    tree.pin(&mut state, idx, &PriorityMetrics::empty());
+                }
+            }
+            walks.push((state, Allocation::default()));
+        }
+        let gather_policy = policy.policy();
+        for (cut, leaves) in assignments.iter().flat_map(|a| &a.cuts) {
+            let Ok(slot) = cuts.binary_search_by_key(cut, |c| c.id) else {
+                continue;
+            };
+            let mut walk = CutWalk::new(&trees[cut.0], cut.1, leaves);
+            for (k, &(leaf_idx, _, _)) in leaves.iter().enumerate() {
+                let input = statics.get(&(*cut, leaf_idx)).map(|s| SupplyInput {
+                    demand: s.cap_min,
+                    cap_min: s.cap_min,
+                    cap_max: s.cap_max,
+                    share: s.share,
+                });
+                walk.set_leaf(k, input);
+            }
+            cuts[slot].failsafe = walk.gather(gather_policy.as_ref()).clone();
+        }
         let worker_count = transport.worker_count();
         let now = Instant::now();
         WorkerDeployment {
             trees,
             root_budgets,
             policy,
+            allocator: AllocatorKind::default(),
             config,
             transport,
-            cuts_per_tree,
+            walks,
+            cuts,
             assignments,
-            failsafe_metrics,
-            last_cut_metrics: HashMap::new(),
-            last_report_round: HashMap::new(),
             respawn_attempts: vec![0; worker_count],
             respawn_not_before: vec![now; worker_count],
             was_alive: vec![true; worker_count],
         }
     }
 
-    /// The deployment's configuration.
-    pub fn config(&self) -> &DeploymentConfig {
-        &self.config
-    }
-
     /// Number of rack workers.
-    pub fn worker_count(&self) -> usize {
+    fn worker_count(&self) -> usize {
         self.transport.worker_count()
     }
 
     /// The per-worker assignments (cuts, leaf bindings, owned servers).
     pub fn assignments(&self) -> &[RackAssignment] {
         &self.assignments
+    }
+
+    /// The budget-split allocator the next round runs.
+    pub fn allocator(&self) -> AllocatorKind {
+        self.allocator
+    }
+
+    /// Switches the budget-split allocator for every subsequent round —
+    /// at the room's upper-tree walk and, named in each round's
+    /// [`DownMsg::Gather`], at every rack's cut split.
+    pub fn set_allocator(&mut self, kind: AllocatorKind) {
+        self.allocator = kind;
     }
 
     /// Replaces the per-tree root budgets, applied from the next round.
@@ -818,118 +889,66 @@ impl WorkerDeployment {
         let n = self.transport.worker_count();
 
         // Phase 1: gather.
-        let mut expected = 0usize;
-        for w in 0..n {
-            if self.transport.send(w, DownMsg::Gather { round }) {
-                expected += 1;
-            }
-        }
-        let deadline = Instant::now() + self.config.gather_timeout;
-        let mut reported = vec![false; n];
-        let mut answers = 0usize;
-        while answers < expected {
-            if Instant::now() >= deadline {
-                break;
-            }
-            let Some(msg) = self.transport.recv_deadline(deadline) else {
-                break; // timeout or all workers gone
-            };
-            // Acks and heartbeats from earlier phases are drained here
-            // without counting toward the gather.
-            if let UpMsg::Metrics {
-                worker,
-                round: r,
-                metrics,
-            } = msg
-            {
-                if worker >= n {
-                    continue;
-                }
-                self.note_metrics(worker, r, metrics);
-                // A late answer to an earlier round is cached above but
-                // does not count as answering *this* gather.
-                if r == round && !reported[worker] {
-                    reported[worker] = true;
-                    answers += 1;
-                }
-            }
-        }
-        if answers < expected {
+        let gather = DownMsg::Gather {
+            round,
+            allocator: self.allocator,
+        };
+        let mut pending: Vec<bool> = (0..n)
+            .map(|w| self.transport.send(w, gather.clone()))
+            .collect();
+        if self.await_workers(round, &mut pending, false) > 0 {
             self.config
                 .recorder
                 .counter_add(names::WORKER_GATHER_TIMEOUTS_TOTAL, 1);
         }
 
-        // Phase 2: the room worker allocates over each tree's upper part,
-        // treating cut nodes as pseudo-leaves with the freshest metrics it
-        // holds — or fail-safe metrics for cuts past the staleness
-        // threshold.
-        let (effective, failsafe_cuts) = self.effective_cut_metrics(round);
-        let policy = self.policy.policy();
-        let mut cut_budgets: Vec<(CutId, Watts)> = Vec::new();
-        for (t, tree) in self.trees.iter().enumerate() {
-            let budgets = room_allocate_upper(
-                tree,
-                &self.cuts_per_tree[t],
-                |cut| {
-                    effective
-                        .get(&(t, cut))
-                        .cloned()
-                        .unwrap_or_else(PriorityMetrics::empty)
-                },
-                self.root_budgets[t],
-                policy.as_ref(),
-            );
-            for (cut, b) in budgets {
-                cut_budgets.push(((t, cut), b));
+        // Phase 2: the room walks each tree's upper part, every cut node
+        // pinned to the metrics the room trusts for it this round: the
+        // freshest report while within `stale_after_rounds`, the fail-safe
+        // summary beyond — a dead worker's frozen report is
+        // indistinguishable from a stuck sensor, so after the bridge the
+        // room stops believing it.
+        let mut failsafe_cuts: Vec<CutId> = Vec::new();
+        for cut in &self.cuts {
+            let fresh = cut
+                .last_round
+                .is_some_and(|r| round.saturating_sub(r) < self.config.stale_after_rounds);
+            if !fresh {
+                failsafe_cuts.push(cut.id);
             }
+            let (t, idx) = cut.id;
+            let trusted = if fresh { &cut.last } else { &cut.failsafe };
+            self.trees[t].pin(&mut self.walks[t].0, idx, trusted);
         }
-        // Trees and cuts are walked in ascending order, so this is a
-        // no-op sort guaranteeing the documented invariant.
-        cut_budgets.sort_unstable_by_key(|&(c, _)| c);
+        if self.config.recorder.enabled() {
+            self.config
+                .recorder
+                .gauge_set(names::WORKER_FAILSAFE_CUTS, failsafe_cuts.len() as f64);
+        }
+        let (policy, allocator) = (self.policy.policy(), self.allocator.allocator());
+        for (t, tree) in self.trees.iter().enumerate() {
+            let (state, out) = &mut self.walks[t];
+            let root_budget = self.root_budgets[t];
+            tree.allocate_in(root_budget, policy.as_ref(), allocator.as_ref(), state, None, out);
+        }
+        let cut_budgets: Vec<(CutId, Watts)> = self
+            .cuts
+            .iter()
+            .map(|c| (c.id, self.walks[c.id.0].1.node_budget(c.id.1)))
+            .collect();
 
         // Phase 3: enforce (dead workers silently miss their budgets;
         // their servers hold the last cap they were given — fail-safe),
         // then wait for Enforced acks so the world never advances under
         // half-applied budgets. Without the ack barrier, stepping racing
         // a worker's farm write made round results nondeterministic.
-        let mut awaiting = vec![false; n];
-        let mut waiting = 0usize;
-        for (w, slot) in awaiting.iter_mut().enumerate() {
-            let msg = DownMsg::Budgets {
-                round,
-                budgets: cut_budgets.clone(),
-            };
-            if self.transport.send(w, msg) {
-                *slot = true;
-                waiting += 1;
-            }
-        }
-        let ack_deadline = Instant::now() + self.config.gather_timeout;
-        while waiting > 0 {
-            if Instant::now() >= ack_deadline {
-                break;
-            }
-            let Some(msg) = self.transport.recv_deadline(ack_deadline) else {
-                break;
-            };
-            match msg {
-                UpMsg::Enforced { worker, round: r }
-                    if r == round && worker < n && awaiting[worker] =>
-                {
-                    awaiting[worker] = false;
-                    waiting -= 1;
-                }
-                UpMsg::Metrics {
-                    worker,
-                    round: r,
-                    metrics,
-                } if worker < n => {
-                    self.note_metrics(worker, r, metrics);
-                }
-                _ => {}
-            }
-        }
+        let mut pending: Vec<bool> = (0..n)
+            .map(|w| {
+                let budgets = cut_budgets.clone();
+                self.transport.send(w, DownMsg::Budgets { round, budgets })
+            })
+            .collect();
+        self.await_workers(round, &mut pending, true);
 
         RoundOutcome {
             round,
@@ -938,7 +957,41 @@ impl WorkerDeployment {
         }
     }
 
+    /// Receives until every `pending` worker (one a message of this phase
+    /// reached) has answered `round` — with [`UpMsg::Enforced`] when `acks`,
+    /// with [`UpMsg::Metrics`] otherwise — or the gather timeout ran out;
+    /// returns how many never did. Metrics of any round are cached as they
+    /// pass (a late answer to an earlier round does not count as answering
+    /// this one); acks and heartbeats of other phases are drained.
+    fn await_workers(&mut self, round: u64, pending: &mut [bool], acks: bool) -> usize {
+        let mut waiting = pending.iter().filter(|&&p| p).count();
+        let deadline = Instant::now() + self.config.gather_timeout;
+        while waiting > 0 && Instant::now() < deadline {
+            let Some(msg) = self.transport.recv_deadline(deadline) else {
+                break; // timeout or all workers gone
+            };
+            let answered = match msg {
+                UpMsg::Metrics {
+                    worker,
+                    round: r,
+                    metrics,
+                } if worker < pending.len() => {
+                    self.note_metrics(worker, r, metrics);
+                    (!acks && r == round).then_some(worker)
+                }
+                UpMsg::Enforced { worker, round: r } if acks && r == round => Some(worker),
+                _ => None,
+            };
+            if let Some(slot) = answered.and_then(|w| pending.get_mut(w)).filter(|p| **p) {
+                *slot = false;
+                waiting -= 1;
+            }
+        }
+        waiting
+    }
+
     /// Caches a worker's reported metrics and resets its respawn ladder.
+    /// Reports naming no cut of this deployment are dropped.
     fn note_metrics(
         &mut self,
         worker: usize,
@@ -947,8 +1000,10 @@ impl WorkerDeployment {
     ) {
         self.respawn_attempts[worker] = 0;
         for (cut, m) in metrics {
-            self.last_cut_metrics.insert(cut, m);
-            self.last_report_round.insert(cut, round);
+            if let Ok(slot) = self.cuts.binary_search_by_key(&cut, |c| c.id) {
+                self.cuts[slot].last = m;
+                self.cuts[slot].last_round = Some(round);
+            }
         }
     }
 
@@ -968,50 +1023,6 @@ impl WorkerDeployment {
             }
             self.was_alive[w] = alive;
         }
-    }
-
-    /// The metrics the room worker will trust per cut node at `round`:
-    /// the freshest report while within `stale_after_rounds`, fail-safe
-    /// metrics (every leaf pinned to its `cap_min` demand, from the
-    /// spawn-time [`LeafStatic`] table) beyond — a dead worker's frozen
-    /// report is indistinguishable from a stuck sensor, so after the
-    /// bridge the room stops believing it. Returns the effective metrics
-    /// and the sorted list of fail-safe cuts.
-    fn effective_cut_metrics(
-        &self,
-        round: u64,
-    ) -> (HashMap<CutId, PriorityMetrics>, Vec<CutId>) {
-        let mut out = HashMap::new();
-        let mut failsafe: Vec<CutId> = Vec::new();
-        for assignment in &self.assignments {
-            for (cut, _) in &assignment.cuts {
-                let fresh_enough = self
-                    .last_report_round
-                    .get(cut)
-                    .is_some_and(|&r| round.saturating_sub(r) < self.config.stale_after_rounds);
-                if fresh_enough {
-                    if let Some(m) = self.last_cut_metrics.get(cut) {
-                        out.insert(*cut, m.clone());
-                        continue;
-                    }
-                }
-                failsafe.push(*cut);
-                out.insert(
-                    *cut,
-                    self.failsafe_metrics
-                        .get(cut)
-                        .cloned()
-                        .unwrap_or_else(PriorityMetrics::empty),
-                );
-            }
-        }
-        failsafe.sort_unstable();
-        if self.config.recorder.enabled() {
-            self.config
-                .recorder
-                .gauge_set(names::WORKER_FAILSAFE_CUTS, failsafe.len() as f64);
-        }
-        (out, failsafe)
     }
 
     /// Whether a worker is currently reachable over the transport.
@@ -1087,361 +1098,151 @@ impl WorkerDeployment {
     }
 }
 
-/// Precomputes each cut's fail-safe metrics (every leaf demanding only
-/// its `cap_min`) from the spawn-time statics table. Computed once: the
-/// fail-safe summary depends only on statics and policy visibility, so
-/// recomputing it per round bought nothing and required farm access the
-/// socket controller does not have.
-fn build_failsafe_metrics(
-    trees: &[ControlTree],
-    assignments: &[RackAssignment],
-    statics: &HashMap<(CutId, usize), LeafStatic>,
-    policy: PolicyKind,
-) -> HashMap<CutId, PriorityMetrics> {
-    let policy = policy.policy();
-    let mut out = HashMap::new();
-    for assignment in assignments {
-        for (cut, leaves) in &assignment.cuts {
-            let (t, cut_idx) = *cut;
-            let spec = trees[t].spec();
-            let mut children = Vec::with_capacity(leaves.len());
-            for &(leaf_idx, _, _) in leaves {
-                let Some(s) = statics.get(&(*cut, leaf_idx)) else {
-                    continue;
-                };
-                children.push(PriorityMetrics::from_leaf(&LeafInput {
-                    demand: s.cap_min,
-                    cap_min: s.cap_min,
-                    cap_max: s.cap_max,
-                    share: s.share,
-                    priority: s.priority,
-                }));
-            }
-            let ctx = NodeContext {
-                is_leaf_parent: true,
-                depth: 0,
-            };
-            let children = match policy.visibility(ctx) {
-                PriorityVisibility::Full => children,
-                PriorityVisibility::Blind => {
-                    children.iter().map(PriorityMetrics::collapsed).collect()
-                }
-            };
-            out.insert(
-                *cut,
-                PriorityMetrics::aggregate(children.iter(), spec.node(cut_idx).limit),
-            );
-        }
-    }
-    out
-}
+/// One of a server's leaves under a rack's cuts: `(walk, leaf slot, supply)`.
+type BoundLeaf = (usize, usize, SupplyIndex);
 
-/// Room-side allocation over the upper part of one tree: every node except
-/// strict descendants of cut nodes, with cut nodes as pseudo-leaves.
-/// Returns `(cut node, budget)` pairs.
-fn room_allocate_upper(
-    tree: &ControlTree,
-    cuts: &[usize],
-    mut metrics_of_cut: impl FnMut(usize) -> PriorityMetrics,
-    root_budget: Watts,
-    policy: &dyn CappingPolicy,
-) -> Vec<(usize, Watts)> {
-    let spec = tree.spec();
-    let n = spec.len();
-    let is_cut: Vec<bool> = {
-        let mut v = vec![false; n];
-        for &c in cuts {
-            v[c] = true;
-        }
-        v
-    };
-    // A node is "upper" if no proper ancestor is a cut node.
-    let mut upper = vec![false; n];
-    for idx in 0..n {
-        match spec.node(idx).parent {
-            None => upper[idx] = true,
-            Some(p) => upper[idx] = upper[p] && !is_cut[p],
-        }
-    }
-
-    // Gather metrics bottom-up over upper nodes.
-    let mut metrics: Vec<Option<PriorityMetrics>> = vec![None; n];
-    let mut depths = vec![0usize; n];
-    for idx in 0..n {
-        if let Some(p) = spec.node(idx).parent {
-            depths[idx] = depths[p] + 1;
-        }
-    }
-    for idx in (0..n).rev() {
-        if !upper[idx] {
-            continue;
-        }
-        if is_cut[idx] {
-            metrics[idx] = Some(metrics_of_cut(idx));
-            continue;
-        }
-        if spec.node(idx).is_leaf() {
-            // A leaf directly under the upper tree (no CDU level): treat
-            // it as its own cut with empty metrics — deployments should
-            // avoid this, but stay total.
-            metrics[idx] = Some(PriorityMetrics::empty());
-            continue;
-        }
-        let ctx = NodeContext {
-            is_leaf_parent: false,
-            depth: depths[idx],
-        };
-        let visibility = policy.visibility(ctx);
-        let children: Vec<PriorityMetrics> = spec
-            .node(idx)
-            .children
-            .iter()
-            .map(|&c| {
-                let m = metrics[c].clone().expect("children computed first");
-                match visibility {
-                    PriorityVisibility::Full => m,
-                    PriorityVisibility::Blind => m.collapsed(),
-                }
-            })
-            .collect();
-        metrics[idx] = Some(PriorityMetrics::aggregate(
-            children.iter(),
-            spec.node(idx).limit,
-        ));
-    }
-
-    // Budget top-down to the cut nodes.
-    let mut budgets = vec![Watts::ZERO; n];
-    let root = spec.root();
-    let root_limit = spec.node(root).limit.unwrap_or(root_budget);
-    budgets[root] = root_budget.min(root_limit);
-    let mut out = Vec::with_capacity(cuts.len());
-    for idx in 0..n {
-        if !upper[idx] {
-            continue;
-        }
-        if is_cut[idx] {
-            out.push((idx, budgets[idx]));
-            continue;
-        }
-        let node = spec.node(idx);
-        if node.children.is_empty() {
-            continue;
-        }
-        let ctx = NodeContext {
-            is_leaf_parent: false,
-            depth: depths[idx],
-        };
-        let visibility = policy.visibility(ctx);
-        let children_metrics: Vec<PriorityMetrics> = node
-            .children
-            .iter()
-            .map(|&c| {
-                let m = metrics[c].clone().expect("computed");
-                match visibility {
-                    PriorityVisibility::Full => m,
-                    PriorityVisibility::Blind => m.collapsed(),
-                }
-            })
-            .collect();
-        let split = split_budget(budgets[idx], &children_metrics);
-        for (&child, b) in node.children.iter().zip(&split.budgets) {
-            budgets[child] = *b;
-        }
-    }
-    out
-}
-
-/// The rack-side controller state and math, shared verbatim by the
-/// in-process worker threads and the out-of-process agent binary — the
-/// transports can only differ in *when* messages arrive, never in what a
-/// gather or an enforcement computes.
+/// The rack-side controller state, shared verbatim by the in-process
+/// worker threads and the out-of-process agent binary — the transports can
+/// only differ in *when* messages arrive, never in what a gather or an
+/// enforcement computes. The §4.3 math itself is the [`crate::tree`] walk
+/// over each owned cut's subtree.
+#[derive(Debug)]
 pub struct RackWorker {
     /// The cuts and leaves this worker answers for.
     assignment: RackAssignment,
-    /// The control trees (for specs and node limits).
-    trees: Vec<ControlTree>,
     /// The capping policy (visibility decisions).
-    policy: Box<dyn CappingPolicy + Send + Sync>,
+    policy: PolicyKind,
+    /// The allocator the last [`DownMsg::Gather`] named.
+    allocator: AllocatorKind,
+    /// One subtree walk per owned cut, aligned with `assignment.cuts`.
+    walks: Vec<CutWalk>,
+    /// Every server bound under an owned cut with its leaves, in
+    /// first-bound order.
+    servers: Vec<(ServerId, Vec<BoundLeaf>)>,
     /// Per-server demand estimators, built up over gathers.
     estimators: HashMap<ServerId, DemandEstimator>,
     /// Per-server capping controllers, built on first enforcement.
     controllers: HashMap<ServerId, CappingController>,
-    /// Leaf metrics computed during gather, reused at budget time.
-    leaf_metrics: HashMap<(CutId, usize), PriorityMetrics>,
-    /// Budgets accumulated per server across this worker's cut nodes.
-    round_budgets: HashMap<ServerId, Vec<(SupplyIndex, Watts)>>,
-    /// Reusable budget-split scratch: the worker is long-lived, so the
-    /// per-cut split borrows this instead of allocating every round.
-    split_scratch: SplitScratch,
-    /// Reusable budget-split output buffer.
-    split_budgets: Vec<Watts>,
-}
-
-impl fmt::Debug for RackWorker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RackWorker")
-            .field("cuts", &self.assignment.cuts.len())
-            .field("owned", &self.assignment.owned.len())
-            .field("estimators", &self.estimators.len())
-            .field("controllers", &self.controllers.len())
-            .finish_non_exhaustive()
-    }
+    /// Whether any gather has run: budgets can only be split over
+    /// gathered metrics.
+    gathered: bool,
 }
 
 impl RackWorker {
-    /// Builds the rack-side state for one assignment. Estimators and
-    /// controllers start empty — exactly like a fresh VM — and rebuild
-    /// from the first gather.
-    pub fn new(assignment: RackAssignment, trees: Vec<ControlTree>, policy: PolicyKind) -> Self {
+    /// Builds the rack-side state for one assignment, keeping only the
+    /// assignment's own cut subtrees of `trees` (owned or borrowed).
+    /// Estimators and controllers start empty — exactly like a fresh VM —
+    /// and rebuild from the first gather.
+    pub fn new(
+        assignment: RackAssignment,
+        trees: impl AsRef<[ControlTree]>,
+        policy: PolicyKind,
+    ) -> Self {
+        let trees = trees.as_ref();
+        let mut walks = Vec::with_capacity(assignment.cuts.len());
+        let mut servers: Vec<(ServerId, Vec<BoundLeaf>)> = Vec::new();
+        let mut server_slot: HashMap<ServerId, usize> = HashMap::new();
+        for (w, ((t, cut), leaves)) in assignment.cuts.iter().enumerate() {
+            walks.push(CutWalk::new(&trees[*t], *cut, leaves));
+            for (k, &(_, server, supply)) in leaves.iter().enumerate() {
+                let slot = *server_slot.entry(server).or_insert_with(|| {
+                    servers.push((server, Vec::new()));
+                    servers.len() - 1
+                });
+                servers[slot].1.push((w, k, supply));
+            }
+        }
         RackWorker {
             assignment,
-            trees,
-            policy: policy.policy(),
+            policy,
+            allocator: AllocatorKind::default(),
+            walks,
+            servers,
             estimators: HashMap::new(),
             controllers: HashMap::new(),
-            leaf_metrics: HashMap::new(),
-            round_budgets: HashMap::new(),
-            split_scratch: SplitScratch::default(),
-            split_budgets: Vec::new(),
+            gathered: false,
         }
     }
 
-    /// The worker's assignment.
-    pub fn assignment(&self) -> &RackAssignment {
-        &self.assignment
+    /// Selects the allocator [`RackWorker::enforce`] splits cut budgets
+    /// with — the one the room named in [`DownMsg::Gather`].
+    pub fn set_allocator(&mut self, kind: AllocatorKind) {
+        self.allocator = kind;
     }
 
     /// Senses this worker's servers, feeds the demand estimators, and
     /// summarizes each owned cut's metrics (paper §4.3.1, level-1 + first
     /// aggregation).
     pub fn gather(&mut self, farm: &crate::plane::Farm) -> Vec<(CutId, PriorityMetrics)> {
-        self.leaf_metrics.clear();
-        self.round_budgets.clear();
+        self.gathered = true;
+        let policy = self.policy.policy();
         let mut out = Vec::with_capacity(self.assignment.cuts.len());
-        for (cut, leaves) in &self.assignment.cuts {
-            let (t, cut_idx) = *cut;
-            let spec = self.trees[t].spec();
-            let mut children = Vec::with_capacity(leaves.len());
-            for &(leaf_idx, server, _) in leaves {
-                let leaf = spec.node(leaf_idx).leaf.expect("leaf");
-                let Some(srv) = farm.get(server) else {
-                    continue;
-                };
-                let snap = srv.sense();
-                let est = self.estimators.entry(server).or_default();
-                est.push(snap.throttle, snap.total_ac);
-                let model = srv.config().model();
-                let demand = est
-                    .estimate_with_idle(model.idle())
-                    .unwrap_or(snap.total_ac)
-                    .clamp(model.idle(), model.cap_max());
-                let shares = srv.bank().effective_shares();
-                let share = shares
-                    .get(leaf.supply.index())
-                    .copied()
-                    .unwrap_or(Ratio::ZERO);
-                let m = PriorityMetrics::from_leaf(&LeafInput {
-                    demand: demand.max(model.cap_min()),
-                    cap_min: model.cap_min(),
-                    cap_max: model.cap_max(),
-                    share,
-                    priority: leaf.priority,
+        for ((cut, leaves), walk) in self.assignment.cuts.iter().zip(&mut self.walks) {
+            for (k, &(_, server, supply)) in leaves.iter().enumerate() {
+                let input = farm.get(server).map(|srv| {
+                    let snap = srv.sense();
+                    let est = self.estimators.entry(server).or_default();
+                    est.push(snap.throttle, snap.total_ac);
+                    let model = srv.config().model();
+                    let demand = est
+                        .estimate_with_idle(model.idle())
+                        .unwrap_or(snap.total_ac)
+                        .clamp(model.idle(), model.cap_max());
+                    SupplyInput {
+                        demand,
+                        cap_min: model.cap_min(),
+                        cap_max: model.cap_max(),
+                        share: srv.bank().effective_share(supply.index()),
+                    }
                 });
-                self.leaf_metrics.insert((*cut, leaf_idx), m.clone());
-                children.push(m);
+                walk.set_leaf(k, input);
             }
-            let ctx = NodeContext {
-                is_leaf_parent: true,
-                depth: 0,
-            };
-            let children = match self.policy.visibility(ctx) {
-                PriorityVisibility::Full => children,
-                PriorityVisibility::Blind => {
-                    children.iter().map(PriorityMetrics::collapsed).collect()
-                }
-            };
-            let aggregated =
-                PriorityMetrics::aggregate(children.iter(), spec.node(cut_idx).limit);
-            out.push((*cut, aggregated));
+            out.push((*cut, walk.gather(policy.as_ref()).clone()));
         }
         out
     }
 
-    /// Splits the room's cut budgets down to leaves (using the metrics
-    /// cached by the preceding [`RackWorker::gather`]) and drives the
-    /// capping controllers onto the farm.
+    /// Splits the room's cut budgets (sorted by cut id) down to leaves,
+    /// over the metrics of the preceding [`RackWorker::gather`], and
+    /// drives the capping controllers onto the farm.
     pub fn enforce(&mut self, farm: &mut crate::plane::Farm, budgets: &[(CutId, Watts)]) {
-        // Split each of our cut budgets to leaves.
-        for (cut, leaves) in &self.assignment.cuts {
-            let Some(&(_, budget)) = budgets.iter().find(|(c, _)| c == cut) else {
-                continue;
-            };
-            let children_metrics: Vec<PriorityMetrics> = leaves
-                .iter()
-                .map(|&(leaf_idx, _, _)| {
-                    self.leaf_metrics
-                        .get(&(*cut, leaf_idx))
-                        .cloned()
-                        .unwrap_or_else(PriorityMetrics::empty)
-                })
-                .collect();
-            let ctx = NodeContext {
-                is_leaf_parent: true,
-                depth: 0,
-            };
-            let children_metrics: Vec<PriorityMetrics> = match self.policy.visibility(ctx) {
-                PriorityVisibility::Full => children_metrics,
-                PriorityVisibility::Blind => children_metrics
-                    .iter()
-                    .map(PriorityMetrics::collapsed)
-                    .collect(),
-            };
-            split_budget_into(
-                budget,
-                &children_metrics,
-                &mut self.split_scratch,
-                &mut self.split_budgets,
-            );
-            for (&(_, server, supply), b) in leaves.iter().zip(&self.split_budgets) {
-                self.round_budgets
-                    .entry(server)
-                    .or_default()
-                    .push((supply, *b));
+        if !self.gathered {
+            // A fresh worker joined mid-round: its first message is this
+            // round's budgets, with nothing gathered to split them over.
+            self.gather(farm);
+        }
+        let (policy, allocator) = (self.policy.policy(), self.allocator.allocator());
+        for ((cut, _), walk) in self.assignment.cuts.iter().zip(&mut self.walks) {
+            let found = budgets.binary_search_by_key(cut, |&(c, _)| c);
+            walk.budgeted = found.is_ok();
+            if let Ok(i) = found {
+                let CutWalk { tree, state, out, .. } = walk;
+                tree.budget_in(budgets[i].1, policy.as_ref(), allocator.as_ref(), state, out);
             }
         }
         // Enforce caps on our servers.
-        for (&server, supply_budgets) in &self.round_budgets {
-            let Some(mut srv) = farm.get_mut(server) else {
+        let walks = &self.walks;
+        for (server, leaves) in &self.servers {
+            let Some(mut srv) = farm.get_mut(*server) else {
                 continue;
             };
             let snap = srv.sense();
-            let covered = supply_budgets
-                .iter()
-                .filter(|&&(supply, _)| {
-                    srv.bank().effective_share(supply.index()).as_f64() > 0.0
-                })
-                .count();
-            if covered == 0 {
+            let live = |&&(w, _, supply): &&BoundLeaf| {
+                walks[w].budgeted && srv.bank().effective_share(supply.index()).as_f64() > 0.0
+            };
+            if !leaves.iter().any(|l| live(&l)) {
                 continue;
             }
             let model = srv.config().model();
-            let controller = self.controllers.entry(server).or_insert_with(|| {
+            let controller = self.controllers.entry(*server).or_insert_with(|| {
                 CappingController::new(
                     model.cap_min(),
                     model.cap_max(),
                     srv.bank().efficiency(),
                 )
             });
-            let cap = controller.update_pairs(supply_budgets.iter().filter_map(
-                |&(supply, b)| {
-                    let idx = supply.index();
-                    if srv.bank().effective_share(idx).as_f64() > 0.0 {
-                        Some((b, snap.supply_ac[idx]))
-                    } else {
-                        None
-                    }
-                },
+            let cap = controller.update_pairs(leaves.iter().filter(live).map(
+                |&(w, slot, supply)| (walks[w].out.leaf_budget(slot), snap.supply_ac[supply.index()]),
             ));
             srv.set_dc_cap(cap);
         }
@@ -1449,23 +1250,21 @@ impl RackWorker {
 }
 
 /// The channel-transport rack worker body: wraps a [`RackWorker`] around
-/// the shared farm and the crossbeam message loop.
+/// the shared farm and the channel message loop.
 fn rack_worker_loop(
     worker: usize,
-    assignment: RackAssignment,
-    trees: Vec<ControlTree>,
-    policy: PolicyKind,
+    mut rack: RackWorker,
     farm: SharedFarm,
     up: Sender<UpMsg>,
     down: Receiver<DownMsg>,
 ) {
-    let mut rack = RackWorker::new(assignment, trees, policy);
     while let Ok(msg) = down.recv() {
         // The room side being gone is a normal shutdown order, not a
         // rack-worker bug: exit the loop instead of panicking (and
         // aborting the whole process in release builds).
         match msg {
-            DownMsg::Gather { round } => {
+            DownMsg::Gather { round, allocator } => {
+                rack.set_allocator(allocator);
                 let metrics = {
                     let farm = farm.read();
                     rack.gather(&farm)
@@ -1503,38 +1302,47 @@ mod tests {
     use super::*;
     use crate::plane::Farm;
     use capmaestro_server::{Server, ServerConfig};
-    use capmaestro_topology::presets::figure2_feed;
+    use capmaestro_topology::presets::{figure2_feed, racks_feed};
+    use capmaestro_topology::Topology;
 
-    fn fig2_shared_farm() -> (capmaestro_topology::Topology, SharedFarm, Vec<ControlTree>) {
-        let topo = figure2_feed();
-        let trees: Vec<ControlTree> = topo
-            .control_tree_specs()
-            .into_iter()
-            .map(ControlTree::new)
-            .collect();
+    /// A settled single-corded farm over `topo`, the `i`-th server offered
+    /// `demand_of(i)` watts.
+    fn farm_over(topo: &Topology, demand_of: impl Fn(usize) -> f64) -> Farm {
         let mut farm = Farm::new();
-        for (id, _) in topo.servers() {
+        for (i, (id, _)) in topo.servers().enumerate() {
             let mut server = Server::new(ServerConfig::paper_default().single_corded());
-            server.set_offered_demand(Watts::new(420.0));
+            server.set_offered_demand(Watts::new(demand_of(i)));
             server.settle();
             farm.insert(id, server);
         }
-        (topo, Arc::new(RwLock::new(farm)), trees)
+        farm
     }
 
-    #[test]
-    fn cut_nodes_are_leaf_parents() {
-        let (_, _, trees) = fig2_shared_farm();
-        let cuts = cut_nodes(&trees[0]);
-        // Fig. 2: left and right CBs.
-        assert_eq!(cuts.len(), 2);
-        for cut in cuts {
-            let node = trees[0].spec().node(cut);
-            assert!(node
-                .children
-                .iter()
-                .all(|&c| trees[0].spec().node(c).is_leaf()));
-        }
+    fn trees_of(topo: &Topology) -> Vec<ControlTree> {
+        topo.control_tree_specs()
+            .into_iter()
+            .map(ControlTree::new)
+            .collect()
+    }
+
+    fn fig2_shared_farm() -> (Topology, SharedFarm, Vec<ControlTree>) {
+        let topo = figure2_feed();
+        let (farm, trees) = (farm_over(&topo, |_| 420.0), trees_of(&topo));
+        (topo, shared_farm(farm), trees)
+    }
+
+    /// The Fig. 2 rig under a two-worker Global Priority deployment.
+    fn fig2_deployment(config: DeploymentConfig) -> (Topology, SharedFarm, WorkerDeployment) {
+        let (topo, farm, trees) = fig2_shared_farm();
+        let deployment = WorkerDeployment::spawn(
+            trees,
+            vec![Watts::new(1240.0)],
+            PolicyKind::GlobalPriority,
+            Arc::clone(&farm),
+            2,
+            config,
+        );
+        (topo, farm, deployment)
     }
 
     #[test]
@@ -1542,6 +1350,15 @@ mod tests {
         let (topo, _, trees) = fig2_shared_farm();
         let assignments = rack_assignments(&trees, 2);
         assert!(assignments_server_disjoint(&assignments));
+        // Fig. 2's cuts are its two leaf parents: the left and right CBs.
+        let cuts: Vec<CutId> = assignments
+            .iter()
+            .flat_map(|a| a.cuts.iter().map(|(c, _)| *c))
+            .collect();
+        assert_eq!(cuts.len(), 2);
+        assert!(cuts
+            .iter()
+            .all(|&(t, c)| trees[t].arena().context(c).is_leaf_parent));
         // Every server is owned exactly once across workers.
         let mut owned: Vec<ServerId> = assignments
             .iter()
@@ -1557,15 +1374,7 @@ mod tests {
 
     #[test]
     fn distributed_rounds_protect_high_priority() {
-        let (topo, farm, trees) = fig2_shared_farm();
-        let mut deployment = WorkerDeployment::spawn(
-            trees,
-            vec![Watts::new(1240.0)],
-            PolicyKind::GlobalPriority,
-            Arc::clone(&farm),
-            2,
-            DeploymentConfig::default(),
-        );
+        let (topo, farm, mut deployment) = fig2_deployment(DeploymentConfig::default());
         deployment.run_rounds(10, 8);
         deployment.shutdown();
 
@@ -1585,62 +1394,55 @@ mod tests {
     #[test]
     fn distributed_matches_synchronous_budgets() {
         // The same scenario through the threaded deployment and the
-        // synchronous plane (SPO off) must produce the same cut budgets.
-        let (topo, farm, trees) = fig2_shared_farm();
+        // synchronous plane (SPO off) is the same walk over the same
+        // inputs: cut budgets must agree to the bit, under every
+        // allocator, on the Fig. 2 rig and on a racks rig.
+        for topo in [figure2_feed(), racks_feed(5, 3)] {
+            let demand_of = |i: usize| 350.0 + 23.0 * (i % 6) as f64;
+            let root_budgets = vec![Watts::new(310.0 * topo.server_count() as f64)];
+            for kind in AllocatorKind::ALL {
+                let mut sync_farm = farm_over(&topo, demand_of);
+                let mut plane = crate::plane::ControlPlane::new(
+                    trees_of(&topo),
+                    root_budgets.clone(),
+                    crate::plane::PlaneConfig::default()
+                        .with_policy(PolicyKind::GlobalPriority)
+                        .with_allocator(kind)
+                        .with_spo(false)
+                        .with_control_period(Seconds::new(8.0)),
+                );
+                plane.record_sample(&sync_farm);
+                let report = plane.round(&mut sync_farm).clone();
 
-        // Synchronous reference.
-        let mut sync_farm = Farm::new();
-        for (id, _) in topo.servers() {
-            let mut server = Server::new(ServerConfig::paper_default().single_corded());
-            server.set_offered_demand(Watts::new(420.0));
-            server.settle();
-            sync_farm.insert(id, server);
-        }
-        let mut plane = crate::plane::ControlPlane::new(
-            trees.clone(),
-            vec![Watts::new(1240.0)],
-            crate::plane::PlaneConfig::default()
-                .with_policy(PolicyKind::GlobalPriority)
-                .with_spo(false)
-                .with_control_period(Seconds::new(8.0)),
-        );
-        plane.record_sample(&sync_farm);
-        let report = plane.round(&mut sync_farm).clone();
+                let mut deployment = WorkerDeployment::spawn(
+                    trees_of(&topo),
+                    root_budgets.clone(),
+                    PolicyKind::GlobalPriority,
+                    shared_farm(farm_over(&topo, demand_of)),
+                    2,
+                    DeploymentConfig::default(),
+                );
+                deployment.set_allocator(kind);
+                let outcome = deployment.run_round(0);
+                deployment.shutdown();
 
-        let mut deployment = WorkerDeployment::spawn(
-            trees.clone(),
-            vec![Watts::new(1240.0)],
-            PolicyKind::GlobalPriority,
-            Arc::clone(&farm),
-            2,
-            DeploymentConfig::default(),
-        );
-        let outcome = deployment.run_round(0);
-        deployment.shutdown();
-
-        assert!(outcome.failsafe_cuts.is_empty());
-        // Compare the budgets at each cut node (left/right CB).
-        for ((t, cut), budget) in outcome.cut_budgets {
-            assert_eq!(t, 0);
-            let reference = report.allocations[0].node_budget(cut);
-            assert!(
-                budget.approx_eq(reference, Watts::new(1e-6)),
-                "cut {cut}: distributed {budget} vs sync {reference}"
-            );
+                assert!(outcome.failsafe_cuts.is_empty());
+                assert!(!outcome.cut_budgets.is_empty());
+                for ((t, cut), budget) in outcome.cut_budgets {
+                    let reference = report.allocations[t].node_budget(cut);
+                    assert_eq!(
+                        budget.as_f64().to_bits(),
+                        reference.as_f64().to_bits(),
+                        "{kind}, cut {cut}: distributed {budget} vs sync {reference}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn round_outcome_is_sorted_and_queryable() {
-        let (_, farm, trees) = fig2_shared_farm();
-        let mut deployment = WorkerDeployment::spawn(
-            trees,
-            vec![Watts::new(1240.0)],
-            PolicyKind::GlobalPriority,
-            Arc::clone(&farm),
-            2,
-            DeploymentConfig::default(),
-        );
+        let (_, _, mut deployment) = fig2_deployment(DeploymentConfig::default());
         let outcome = deployment.run_round(0);
         deployment.shutdown();
         let mut sorted = outcome.cut_budgets.clone();
@@ -1663,15 +1465,7 @@ mod tests {
         // be applied to the farm when run_round returns, so advancing the
         // world never races enforcement (the determinism bug the socket
         // transport would have amplified).
-        let (_, farm, trees) = fig2_shared_farm();
-        let mut deployment = WorkerDeployment::spawn(
-            trees,
-            vec![Watts::new(1240.0)],
-            PolicyKind::GlobalPriority,
-            Arc::clone(&farm),
-            2,
-            DeploymentConfig::default(),
-        );
+        let (_, farm, mut deployment) = fig2_deployment(DeploymentConfig::default());
         deployment.run_round(0);
         {
             let farm = farm.read();
@@ -1687,23 +1481,23 @@ mod tests {
 
     #[test]
     fn dead_worker_does_not_stall_the_room() {
-        let (_, farm, trees) = fig2_shared_farm();
-        let mut deployment = WorkerDeployment::spawn(
-            trees,
-            vec![Watts::new(1240.0)],
-            PolicyKind::GlobalPriority,
-            Arc::clone(&farm),
-            2,
-            DeploymentConfig::default(),
-        );
+        let (_, _, mut deployment) = fig2_deployment(DeploymentConfig::default());
         // A healthy first round caches every cut's metrics.
         let healthy = deployment.run_round(0);
         assert_eq!(healthy.cut_budgets.len(), 2);
 
         // Kill one rack worker; the next round must still produce budgets
-        // for ALL cut nodes, from the stale cache, without hanging.
+        // for ALL cut nodes, from the stale cache, without hanging — and
+        // without waiting out the gather timeout on a worker known dead
+        // (regression: its Sender used to stay in place, so `send(Gather)`
+        // kept succeeding). The survivor answers in microseconds.
         deployment.kill_worker(0);
+        let start = Instant::now();
         let degraded = deployment.run_round(1);
+        assert!(
+            start.elapsed() < deployment.config.gather_timeout / 2,
+            "dead worker still counted as expected"
+        );
         assert_eq!(
             degraded.cut_budgets.len(),
             2,
@@ -1716,36 +1510,6 @@ mod tests {
                 "cut {cut:?} budget changed {budget} -> {after} with frozen metrics"
             );
         }
-        deployment.shutdown();
-    }
-
-    #[test]
-    fn killed_worker_rounds_skip_the_gather_timeout() {
-        // Regression: kill_worker used to leave the dead worker's Sender in
-        // place, so `send(Gather)` kept succeeding and every subsequent
-        // round blocked for the full gather timeout waiting on a reply the
-        // dead worker could never produce.
-        let (_, farm, trees) = fig2_shared_farm();
-        let mut deployment = WorkerDeployment::spawn(
-            trees,
-            vec![Watts::new(1240.0)],
-            PolicyKind::GlobalPriority,
-            Arc::clone(&farm),
-            2,
-            DeploymentConfig::default(),
-        );
-        deployment.run_round(0);
-        deployment.kill_worker(0);
-        let start = std::time::Instant::now();
-        let degraded = deployment.run_round(1);
-        let elapsed = start.elapsed();
-        assert_eq!(degraded.cut_budgets.len(), 2);
-        // The surviving worker answers in microseconds; leave generous CI
-        // slack while staying far below the 500 ms stale-hold timeout.
-        assert!(
-            elapsed < deployment.config().gather_timeout / 2,
-            "degraded round took {elapsed:?}; dead worker still counted as expected"
-        );
         deployment.shutdown();
     }
 
@@ -1778,14 +1542,6 @@ mod tests {
         );
     }
 
-    /// Steps the shared farm `seconds` simulated seconds.
-    fn step_farm(farm: &SharedFarm, seconds: u32) {
-        let mut farm = farm.write();
-        for _ in 0..seconds {
-            farm.step_all(Seconds::new(1.0));
-        }
-    }
-
     /// The combined stuck-sensor + dead-worker acceptance scenario: a dead
     /// worker's frozen metrics ARE a stuck sensor from the room's point of
     /// view. The affected cut must be stale-held first, clamped to
@@ -1793,25 +1549,16 @@ mod tests {
     /// budgeting within 2 rounds of `respawn_worker`.
     #[test]
     fn stuck_metrics_degrade_to_fail_safe_and_recover_on_respawn() {
-        let (_, farm, trees) = fig2_shared_farm();
-        let config = DeploymentConfig {
+        let (_, farm, mut deployment) = fig2_deployment(DeploymentConfig {
             respawn_backoff: Duration::from_millis(1),
             ..DeploymentConfig::default()
-        };
-        let mut deployment = WorkerDeployment::spawn(
-            trees,
-            vec![Watts::new(1240.0)],
-            PolicyKind::GlobalPriority,
-            Arc::clone(&farm),
-            2,
-            config,
-        );
+        });
         // Healthy rounds: estimators converge, budgets settle.
         let mut round = 0u64;
         let mut healthy = None;
         for _ in 0..6 {
             healthy = Some(deployment.run_round(round));
-            step_farm(&farm, 8);
+            deployment.advance(8);
             round += 1;
         }
         let healthy = healthy.expect("six healthy rounds ran");
@@ -1833,9 +1580,9 @@ mod tests {
         }
 
         // Stale-hold bridge: budgets stay at the frozen (healthy) values.
-        for _ in 0..deployment.config().stale_after_rounds - 1 {
+        for _ in 0..deployment.config.stale_after_rounds - 1 {
             let held = deployment.run_round(round);
-            step_farm(&farm, 8);
+            deployment.advance(8);
             round += 1;
             assert!(
                 held.budget(dead_cut)
@@ -1853,7 +1600,7 @@ mod tests {
         // each leaf demands only cap_min (270 W), so the cut's budget
         // collapses to ~Σ cap_min of its leaves.
         let degraded = deployment.run_round(round);
-        step_farm(&farm, 8);
+        deployment.advance(8);
         round += 1;
         assert!(
             degraded.failsafe_cuts.contains(&dead_cut),
@@ -1891,7 +1638,7 @@ mod tests {
         let mut recovered = None;
         for _ in 0..2 {
             recovered = Some(deployment.run_round(round));
-            step_farm(&farm, 8);
+            deployment.advance(8);
             round += 1;
         }
         let recovered = recovered.expect("two recovery rounds ran");
@@ -1913,18 +1660,10 @@ mod tests {
 
     #[test]
     fn respawn_respects_backoff_and_aliveness() {
-        let (_, farm, trees) = fig2_shared_farm();
-        let mut deployment = WorkerDeployment::spawn(
-            trees,
-            vec![Watts::new(1240.0)],
-            PolicyKind::GlobalPriority,
-            Arc::clone(&farm),
-            2,
-            DeploymentConfig {
-                respawn_backoff: Duration::from_secs(3600),
-                ..DeploymentConfig::default()
-            },
-        );
+        let (_, _, mut deployment) = fig2_deployment(DeploymentConfig {
+            respawn_backoff: Duration::from_secs(3600),
+            ..DeploymentConfig::default()
+        });
         // Alive workers cannot be respawned; out-of-range is rejected.
         assert!(!deployment.respawn_worker(0));
         assert!(!deployment.respawn_worker(99));
@@ -1943,15 +1682,7 @@ mod tests {
 
     #[test]
     fn never_reported_cut_is_budgeted_fail_safe_not_empty() {
-        let (_, farm, trees) = fig2_shared_farm();
-        let mut deployment = WorkerDeployment::spawn(
-            trees,
-            vec![Watts::new(1240.0)],
-            PolicyKind::GlobalPriority,
-            Arc::clone(&farm),
-            2,
-            DeploymentConfig::default(),
-        );
+        let (_, _, mut deployment) = fig2_deployment(DeploymentConfig::default());
         // Kill worker 0 before any round: its cuts never report.
         deployment.kill_worker(0);
         let outcome = deployment.run_round(0);
@@ -1970,15 +1701,7 @@ mod tests {
 
     #[test]
     fn set_root_budgets_applies_next_round() {
-        let (_, farm, trees) = fig2_shared_farm();
-        let mut deployment = WorkerDeployment::spawn(
-            trees,
-            vec![Watts::new(1240.0)],
-            PolicyKind::GlobalPriority,
-            Arc::clone(&farm),
-            2,
-            DeploymentConfig::default(),
-        );
+        let (_, _, mut deployment) = fig2_deployment(DeploymentConfig::default());
         let wide = deployment.run_round(0);
         deployment.set_root_budgets(vec![Watts::new(1100.0)]);
         let narrow = deployment.run_round(1);

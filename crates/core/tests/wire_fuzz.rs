@@ -20,7 +20,7 @@ use capmaestro_core::wire::{
     decode_down, decode_up, encode_down, encode_up, frame, split_frame, WireError,
     MAX_FRAME_BYTES, WIRE_VERSION,
 };
-use capmaestro_core::{DownMsg, UpMsg};
+use capmaestro_core::{AllocatorKind, DownMsg, UpMsg};
 use capmaestro_topology::Priority;
 use capmaestro_units::{Ratio, Watts};
 
@@ -89,7 +89,10 @@ fn down_message(pick: usize, a: u64, budgets: &[(usize, usize, f64)]) -> DownMsg
         0 => DownMsg::Welcome {
             workers_total: (a % 10_000) as usize,
         },
-        1 => DownMsg::Gather { round: a },
+        1 => DownMsg::Gather {
+            round: a,
+            allocator: AllocatorKind::ALL[(a % 3) as usize],
+        },
         2 => DownMsg::Budgets {
             round: a,
             budgets: budgets
@@ -368,4 +371,26 @@ fn regression_unsorted_priority_levels_are_rejected() {
             what: "priority levels must be strictly descending"
         })
     );
+}
+
+/// The allocator byte on `Gather` is input like any other: a tag naming
+/// no allocator is a BadValue, and a version-1 `Gather` (no byte at all,
+/// old version) is refused at the version check, not misread.
+#[test]
+fn unknown_allocator_tag_and_old_wire_version_are_rejected() {
+    let mut payload = encode_down(&DownMsg::Gather {
+        round: 9,
+        allocator: AllocatorKind::FairShare,
+    });
+    *payload.last_mut().unwrap() = 3;
+    assert_eq!(
+        decode_down(&payload),
+        Err(WireError::BadValue {
+            what: "unknown allocator tag"
+        })
+    );
+    let mut v1 = vec![1, 2]; // version 1, down tag: Gather
+    le64(&mut v1, 9); // round
+    assert_eq!(decode_down(&v1), Err(WireError::BadVersion { got: 1 }));
+    assert_eq!(WIRE_VERSION, 2);
 }

@@ -119,7 +119,6 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, String> {
     let mut established_once = false;
     let mut attempts = 0u64;
     let mut backoff = config.reconnect_base;
-    let trace = std::env::var("CAPM_AGENT_TRACE").is_ok_and(|v| v == "1");
     loop {
         match connect(config) {
             Ok(stream) => {
@@ -130,19 +129,7 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, String> {
                 established_once = true;
                 attempts = 0;
                 backoff = config.reconnect_base;
-                if trace {
-                    eprintln!("[agent {}] connected", config.worker);
-                }
-                let end = serve_connection(stream, config, &mut worker, &mut farm, &mut report, &mut session);
-                if trace {
-                    let what = match &end {
-                        SessionEnd::Shutdown => "shutdown".to_string(),
-                        SessionEnd::ConnectionLost => "connection lost".to_string(),
-                        SessionEnd::FleetMismatch(e) => format!("fleet mismatch: {e}"),
-                    };
-                    eprintln!("[agent {}] session ended: {what}", config.worker);
-                }
-                match end {
+                match serve_connection(stream, config, &mut worker, &mut farm, &mut report, &mut session) {
                     SessionEnd::Shutdown => return Ok(report),
                     SessionEnd::ConnectionLost => {}
                     SessionEnd::FleetMismatch(e) => return Err(e),
@@ -150,12 +137,9 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, String> {
             }
             Err(e) => {
                 attempts += 1;
-                if trace {
-                    eprintln!("[agent {}] connect failed (attempt {attempts}): {e}", config.worker);
-                }
                 if config.max_connect_attempts.is_some_and(|max| attempts >= max) {
                     return Err(format!(
-                        "gave up connecting to {} after {attempts} attempts",
+                        "gave up connecting to {} after {attempts} attempts: {e}",
                         config.addr
                     ));
                 }
@@ -242,7 +226,8 @@ fn serve_connection(
         };
         match msg {
             None => {} // heartbeat tick
-            Some(DownMsg::Gather { round }) => {
+            Some(DownMsg::Gather { round, allocator }) => {
+                worker.set_allocator(allocator);
                 let metrics = worker.gather(farm);
                 let up = encode_up(&UpMsg::Metrics {
                     worker: config.worker,

@@ -47,7 +47,8 @@ pub struct DaemonConfig {
     /// Whether the rig runs with supply-priority overdraw (SPO) on.
     pub spo: bool,
     /// The budget-split allocator the control plane races at every tree
-    /// node (`--policy`; the paper's waterfall by default).
+    /// node, in engine and room mode alike (`--policy`; the paper's
+    /// waterfall by default).
     pub allocator: AllocatorKind,
     /// Quit when stdin closes or delivers a `quit` line.
     pub quit_on_stdin: bool,
@@ -121,7 +122,7 @@ OPTIONS:
     --workers N        http worker threads (default 2)
     --no-spo           disable supply-priority overdraw in the rig
     --policy NAME      budget-split allocator: waterfall (default),
-                       waterfilling, or fair_share (engine mode only)
+                       waterfilling, or fair_share
     --quit-on-stdin    exit when stdin closes or receives a 'quit' line
     --wall-limit-s N   hard wall-clock stop after N seconds
     --oplog PATH       persist the operator event log to PATH (replayed on
@@ -249,13 +250,6 @@ pub fn drive_second(engine: &mut Engine, state: &ServeState) -> bool {
 /// simulated seconds executed.
 pub fn run(config: &DaemonConfig) -> Result<u64, String> {
     if config.agents > 0 {
-        if config.allocator != AllocatorKind::Waterfall {
-            return Err(format!(
-                "--policy {} is not supported with --agents: the distributed \
-                 rack workers run the paper's waterfall only",
-                config.allocator
-            ));
-        }
         return run_room(config);
     }
     let rig = priority_rig(
@@ -360,43 +354,12 @@ pub fn run(config: &DaemonConfig) -> Result<u64, String> {
 /// fail-safe metrics this round — a partitioned, frozen, or dead agent
 /// after the stale-hold window — and recovers when the agent reconnects.
 fn run_room(config: &DaemonConfig) -> Result<u64, String> {
-    let spec = config.rig.unwrap_or(RigSpec::Racks {
-        racks: config.agents,
-        servers_per_rack: 2,
-    });
-    let rig = build_rig(spec);
-    let trees_total = rig.trees.len();
-    let assignments = rig_assignments(&rig, config.agents);
-    // The farm is built only to capture the per-leaf fail-safe statics;
-    // the servers themselves live in the agents.
-    let statics = {
-        let farm = build_farm(&rig.topo);
-        leaf_statics(&rig.trees, &assignments, &farm)
-    };
-
     let registry = Arc::new(MetricsRegistry::new());
-    let transport = SocketTransport::bind(
-        SocketTransportConfig::new(config.agents).with_addr(config.agent_addr.clone()),
-    )
-    .map_err(|e| format!("bind agent listener {}: {e}", config.agent_addr))?;
-    // ci.sh and the tests parse this line for the agent port.
-    println!("capmaestrod: agents connect to {}", transport.local_addr());
-
-    // The controller's view of the declared budgets, reconciled against
-    // the oplog every round.
-    let mut live_budgets = rig.root_budgets.clone();
-    let mut deployment = WorkerDeployment::with_transport(
-        rig.trees,
-        rig.root_budgets,
-        PolicyKind::GlobalPriority,
-        assignments,
-        &statics,
-        Box::new(transport),
-        DeploymentConfig::default().with_recorder(registry.clone()),
-    );
+    let (mut deployment, mut live_budgets) = room_deployment(config, registry.clone())?;
+    let trees_total = live_budgets.len();
 
     let mut state = ServeState::new(registry.clone(), 1)
-        .with_policy_label(AllocatorKind::Waterfall.name())
+        .with_policy_label(config.allocator.name())
         .with_budgets_only();
     if let Some(path) = &config.oplog {
         let (log, recovery) = OpLog::open(path)
@@ -465,6 +428,46 @@ fn run_room(config: &DaemonConfig) -> Result<u64, String> {
     server.shutdown();
     deployment.shutdown();
     Ok(rounds)
+}
+
+/// Binds the agent listener and builds the room's [`WorkerDeployment`]
+/// over it, running `config.allocator`. Also returns the controller's view
+/// of the declared root budgets, reconciled against the oplog every round.
+fn room_deployment(
+    config: &DaemonConfig,
+    registry: Arc<MetricsRegistry>,
+) -> Result<(WorkerDeployment, Vec<capmaestro_units::Watts>), String> {
+    let spec = config.rig.unwrap_or(RigSpec::Racks {
+        racks: config.agents,
+        servers_per_rack: 2,
+    });
+    let rig = build_rig(spec);
+    let assignments = rig_assignments(&rig, config.agents);
+    // The farm is built only to capture the per-leaf fail-safe statics;
+    // the servers themselves live in the agents.
+    let statics = {
+        let farm = build_farm(&rig.topo);
+        leaf_statics(&rig.trees, &assignments, &farm)
+    };
+    let transport = SocketTransport::bind(
+        SocketTransportConfig::new(config.agents).with_addr(config.agent_addr.clone()),
+    )
+    .map_err(|e| format!("bind agent listener {}: {e}", config.agent_addr))?;
+    // ci.sh and the tests parse this line for the agent port.
+    println!("capmaestrod: agents connect to {}", transport.local_addr());
+
+    let live_budgets = rig.root_budgets.clone();
+    let mut deployment = WorkerDeployment::with_transport(
+        rig.trees,
+        rig.root_budgets,
+        PolicyKind::GlobalPriority,
+        assignments,
+        &statics,
+        Box::new(transport),
+        DeploymentConfig::default().with_recorder(registry),
+    );
+    deployment.set_allocator(config.allocator);
+    Ok((deployment, live_budgets))
 }
 
 /// Write the full retained timeline to `path` (when `--trace` was
@@ -647,13 +650,16 @@ mod tests {
     }
 
     #[test]
-    fn non_waterfall_policy_is_rejected_in_room_mode() {
+    fn policy_reaches_the_room_deployment() {
         let config = DaemonConfig {
             agents: 2,
             allocator: AllocatorKind::FairShare,
             ..DaemonConfig::default()
         };
-        let err = run(&config).expect_err("room mode is waterfall-only");
-        assert!(err.contains("--agents"), "error explains the conflict: {err}");
+        let (deployment, budgets) =
+            room_deployment(&config, Arc::new(MetricsRegistry::new())).expect("ephemeral bind");
+        assert_eq!(deployment.allocator(), AllocatorKind::FairShare);
+        assert_eq!(budgets.len(), 1, "racks:2:2 is one single-corded feed");
+        deployment.shutdown();
     }
 }

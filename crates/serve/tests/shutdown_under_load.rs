@@ -227,10 +227,12 @@ fn deployment_worker_respawn_path_survives_kill_and_shutdown() {
         PolicyKind::GlobalPriority,
         shared,
         2,
-        DeploymentConfig::default()
-            .with_gather_timeout(Duration::from_millis(200))
-            .with_respawn_backoff(Duration::from_millis(1))
-            .with_recorder(registry.clone()),
+        DeploymentConfig {
+            gather_timeout: Duration::from_millis(200),
+            respawn_backoff: Duration::from_millis(1),
+            recorder: registry.clone(),
+            ..DeploymentConfig::default()
+        },
     );
 
     deployment.run_round(0);

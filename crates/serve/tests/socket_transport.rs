@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use capmaestro_core::wire::{encode_up, frame};
 use capmaestro_core::workers::leaf_statics;
-use capmaestro_core::{DeploymentConfig, PolicyKind, UpMsg, WorkerDeployment};
+use capmaestro_core::{AllocatorKind, DeploymentConfig, PolicyKind, UpMsg, WorkerDeployment};
 use capmaestro_serve::agent::{run_agent, AgentConfig};
 use capmaestro_serve::rig::{build_farm, build_rig, rig_assignments, RigSpec};
 use capmaestro_serve::socket::{SocketTransport, SocketTransportConfig};
@@ -271,6 +271,14 @@ fn spawn_agent_process(addr: &str, worker: usize, workers: usize, spec: RigSpec,
 
 #[test]
 fn socket_processes_match_channel_transport_bitwise() {
+    for allocator in [AllocatorKind::Waterfall, AllocatorKind::FairShare] {
+        socket_matches_channel_bitwise(allocator);
+    }
+}
+
+/// One socket-vs-channel differential run under `allocator`, which both
+/// deployments name to their racks in every `Gather`.
+fn socket_matches_channel_bitwise(allocator: AllocatorKind) {
     let spec = RigSpec::Racks {
         racks: 4,
         servers_per_rack: 3,
@@ -292,6 +300,7 @@ fn socket_processes_match_channel_transport_bitwise() {
             workers,
             DeploymentConfig::default(),
         );
+        deployment.set_allocator(allocator);
         let mut lines = Vec::new();
         for round in 0..rounds {
             lines.push(deployment.run_round(round).wire_line());
@@ -313,6 +322,7 @@ fn socket_processes_match_channel_transport_bitwise() {
     // Subject: the same deployment logic over agent *processes*.
     let config = DeploymentConfig::default().with_gather_timeout(Duration::from_secs(5));
     let (mut deployment, addr) = socket_deployment(spec, workers, config);
+    deployment.set_allocator(allocator);
     let children: Vec<Child> = (0..workers)
         .map(|w| spawn_agent_process(&addr, w, workers, spec, seed))
         .collect();
@@ -351,6 +361,6 @@ fn socket_processes_match_channel_transport_bitwise() {
 
     assert_eq!(
         lines, reference,
-        "socket rounds must be bit-identical to channel rounds"
+        "{allocator}: socket rounds must be bit-identical to channel rounds"
     );
 }

@@ -177,7 +177,7 @@ fn display_messages_are_lowercase_without_trailing_punctuation() {
 /// and `src/`. The surface may shrink freely (lower the number when it
 /// does); growing it past the budget needs a deliberate edit here, so it
 /// cannot regrow silently.
-const PUB_FN_BUDGET: usize = 729;
+const PUB_FN_BUDGET: usize = 728;
 
 fn count_pub_fns(dir: &std::path::Path) -> usize {
     let mut count = 0;
