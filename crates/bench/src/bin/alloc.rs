@@ -112,7 +112,7 @@ fn measure(racks: usize, rpp: usize, cdus: usize, spr: usize, rounds: u32) -> Sa
     let nodes: usize = plane.trees().iter().map(|t| t.arena().len()).sum();
 
     for _ in 0..WARMUP_ROUNDS {
-        plane.record_sample(&farm);
+        plane.sample(&mut farm);
         plane.round(&mut farm);
         farm.step_all(Seconds::new(1.0));
     }
@@ -121,7 +121,7 @@ fn measure(racks: usize, rpp: usize, cdus: usize, spr: usize, rounds: u32) -> Sa
     let mut incremental = Duration::ZERO;
     let mut allocs: u64 = 0;
     for _ in 0..rounds {
-        plane.record_sample(&farm);
+        plane.sample(&mut farm);
         let before = ALLOCS.load(Ordering::Relaxed);
         let start = Instant::now();
         plane.round(&mut farm);
@@ -134,7 +134,7 @@ fn measure(racks: usize, rpp: usize, cdus: usize, spr: usize, rounds: u32) -> Sa
     // the rebuild to the round (that is the pre-refactor cost model).
     let mut full = Duration::ZERO;
     for _ in 0..rounds {
-        plane.record_sample(&farm);
+        plane.sample(&mut farm);
         let start = Instant::now();
         plane.reset_round_cache();
         plane.round(&mut farm);
@@ -201,8 +201,8 @@ fn smoke() -> i32 {
     let mut steady_allocs = 0u64;
     const ROUNDS: u32 = 60;
     for round in 0..ROUNDS {
-        plane_a.record_sample(&farm_a);
-        plane_b.record_sample(&farm_b);
+        plane_a.sample(&mut farm_a);
+        plane_b.sample(&mut farm_b);
 
         let before = ALLOCS.load(Ordering::Relaxed);
         plane_a.round(&mut farm_a);
@@ -263,13 +263,13 @@ fn smoke() -> i32 {
     const INSTRUMENT_WARMUP: u32 = 2;
     const INSTRUMENT_ROUNDS: u32 = 20;
     for _ in 0..INSTRUMENT_WARMUP {
-        plane_a.record_sample(&farm_a);
+        plane_a.sample(&mut farm_a);
         plane_a.round(&mut farm_a);
         farm_a.step_all(Seconds::new(1.0));
     }
     let mut instrumented_allocs = 0u64;
     for _ in 0..INSTRUMENT_ROUNDS {
-        plane_a.record_sample(&farm_a);
+        plane_a.sample(&mut farm_a);
         let before = ALLOCS.load(Ordering::Relaxed);
         plane_a.round(&mut farm_a);
         instrumented_allocs += ALLOCS.load(Ordering::Relaxed) - before;
@@ -297,7 +297,7 @@ fn smoke() -> i32 {
 
     // Phase 3: the zero-alloc sense path. `ControlPlane::sample` syncs
     // the farm's snapshot slab into the plane's persistent scratch
-    // buffer (replacing the allocating `sense_all`), and the engine's
+    // buffer, and the engine's
     // fused step-and-sense writes into a reused `SenseBuffer`. Once both
     // buffers are warm, a full 1 Hz sense+step second must not allocate.
     let mut sense_buf = capmaestro_core::plane::SenseBuffer::new();

@@ -57,13 +57,13 @@ fn rounds_per_config(racks: usize, rpp: usize, cdus: usize, spr: usize, workers:
     let mut farm = rig.farm;
     let mut plane = rig.plane;
     plane.set_recorder(registry.clone());
-    plane.record_sample(&farm);
+    plane.sample(&mut farm);
     let start = Instant::now();
     const ROUNDS: u32 = 5;
     for _ in 0..ROUNDS {
         plane.round(&mut farm);
         farm.step_all(Seconds::new(1.0));
-        plane.record_sample(&farm);
+        plane.sample(&mut farm);
     }
     let sync_ms = start.elapsed().as_secs_f64() * 1000.0 / ROUNDS as f64;
 

@@ -53,6 +53,7 @@ pub mod alloc;
 pub mod budget;
 pub mod capping;
 pub mod estimator;
+mod leaf;
 pub mod metrics;
 pub mod obs;
 pub mod oplog;

@@ -1,17 +1,18 @@
 //! The CapMaestro control-plane service (paper §5).
 //!
 //! [`ControlPlane`] is the synchronous "integral service": every second it
-//! records sensor samples ([`ControlPlane::record_sample`]), and every
+//! records sensor samples ([`ControlPlane::sample`]), and every
 //! control period (8 s in the paper) it runs one full round
 //! ([`ControlPlane::round`]): estimate demands, gather metrics up every
 //! control tree, allocate budgets down, optionally reclaim stranded power,
-//! and command per-server DC caps through the capping controllers.
+//! and command per-server DC caps through the capping controllers. The
+//! per-server part of that — estimate, stale-hold, fail-safe, PI cap — is
+//! the crate-private `leaf` state machine; this module drives it.
 //!
 //! The multi-threaded rack-/room-worker deployment of §5 lives in
 //! [`crate::workers`]; it produces the same decisions, distributed.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -20,8 +21,7 @@ use capmaestro_topology::{FeedId, ServerId, SupplyIndex};
 use capmaestro_units::{Seconds, Watts};
 
 use crate::alloc::{Allocator, AllocatorKind};
-use crate::capping::CappingController;
-use crate::estimator::{DemandEstimator, SampleFate};
+use crate::leaf::LeafTable;
 use crate::obs::{names, null_recorder, PhaseTimer, Recorder, RoundPhase};
 use crate::policy::{CappingPolicy, PolicyKind};
 use crate::spo::{optimize_stranded_power_in, SpoScratch};
@@ -138,15 +138,9 @@ impl Farm {
         self.slab.step(dt);
     }
 
-    /// Reads every server's sensors, in id order. Allocates the result
-    /// vector; hot-path callers should prefer [`Farm::sense_into`].
-    pub fn sense_all(&self) -> Vec<(ServerId, SensorSnapshot)> {
-        self.iter().map(|(id, s)| (id, s.sense())).collect()
-    }
-
-    /// Refreshes the slab's cached snapshots (only stale ones are
-    /// recomputed) and syncs `buf` to them, reusing its allocations — the
-    /// zero-steady-state-allocation replacement for [`Farm::sense_all`].
+    /// Reads every server's sensors, in id order: refreshes the slab's
+    /// cached snapshots (only stale ones are recomputed) and syncs `buf` to
+    /// them, reusing its allocations — no steady-state allocation.
     pub fn sense_into(&mut self, buf: &mut SenseBuffer) {
         self.slab.refresh();
         self.sync_buffer(buf);
@@ -547,15 +541,12 @@ pub enum BudgetSource {
 }
 
 /// Reusable buffers for the per-round hot path (the "RoundContext" of the
-/// round-pipeline design): the stale-server set, the demand map, resolved
-/// root budgets, the cached capping-policy object, per-tree round states
-/// for the plain allocation path, the SPO scratch, and the round report
-/// itself. [`ControlPlane::round`] borrows these instead of
-/// allocating, so a steady-state sequential round performs no heap
-/// allocation.
+/// round-pipeline design): resolved root budgets, the cached
+/// capping-policy object, per-tree round states for the plain allocation
+/// path, the SPO scratch, and the round report itself.
+/// [`ControlPlane::round`] borrows these instead of allocating, so a
+/// steady-state sequential round performs no heap allocation.
 struct RoundContext {
-    stale: HashSet<ServerId>,
-    demands: HashMap<ServerId, Watts>,
     /// Sensing scratch for [`ControlPlane::sample`] — reused every second
     /// so steady-state sampling allocates nothing.
     snaps: SenseBuffer,
@@ -582,8 +573,6 @@ struct RoundContext {
 impl Default for RoundContext {
     fn default() -> Self {
         RoundContext {
-            stale: HashSet::new(),
-            demands: HashMap::new(),
             snaps: SenseBuffer::new(),
             root_budgets: Vec::new(),
             tree_demands: Vec::new(),
@@ -702,7 +691,7 @@ fn resolve_root_budgets_into(
 ///     farm.insert(id, server);
 /// }
 /// let mut plane = ControlPlane::new(trees, vec![Watts::new(1240.0)], PlaneConfig::default());
-/// plane.record_sample(&farm);
+/// plane.sample(&mut farm);
 /// let report = plane.round(&mut farm);
 /// let sa = topo.server_by_name("SA").unwrap();
 /// // The high-priority server is budgeted its full demand.
@@ -713,8 +702,8 @@ pub struct ControlPlane {
     trees: Vec<ControlTree>,
     budget_source: BudgetSource,
     config: PlaneConfig,
-    controllers: HashMap<ServerId, CappingController>,
-    estimators: HashMap<ServerId, DemandEstimator>,
+    /// Per-server control state, indexed by the farm's server slot.
+    leaves: LeafTable,
     /// Dynamic priority overrides, e.g. from a job scheduler (§7's
     /// "coordination of job scheduling with power management").
     priority_overrides: HashMap<ServerId, capmaestro_topology::Priority>,
@@ -724,17 +713,6 @@ pub struct ControlPlane {
     /// The topology's static priorities, snapshotted at construction so
     /// cleared overrides fall back correctly.
     static_priorities: HashMap<ServerId, capmaestro_topology::Priority>,
-    /// The staleness watchdog configuration.
-    staleness: StalenessConfig,
-    /// Last *plausible* snapshot delivered per server — the only sensor
-    /// data the plane ever acts on. Enforcement reads this cache, not the
-    /// server directly, so a fault layer interposing on delivery affects
-    /// every consumer consistently.
-    telemetry: HashMap<ServerId, SensorSnapshot>,
-    /// Servers that delivered a plausible reading since the last round.
-    fresh: HashSet<ServerId>,
-    /// Consecutive rounds without a plausible reading, per server.
-    stale_rounds: HashMap<ServerId, u32>,
     /// Reusable round buffers (see [`RoundContext`]).
     ctx: RoundContext,
 }
@@ -783,20 +761,14 @@ impl ControlPlane {
                 static_priorities.insert(leaf.server, leaf.priority);
             }
         }
-        let staleness = config.staleness;
         ControlPlane {
             trees,
             budget_source,
             config,
-            controllers: HashMap::new(),
-            estimators: HashMap::new(),
+            leaves: LeafTable::default(),
             priority_overrides: HashMap::new(),
             parked: Vec::new(),
             static_priorities,
-            staleness,
-            telemetry: HashMap::new(),
-            fresh: HashSet::new(),
-            stale_rounds: HashMap::new(),
             ctx: RoundContext::default(),
         }
     }
@@ -813,13 +785,7 @@ impl ControlPlane {
             config.stale_after_rounds >= 1,
             "stale_after_rounds must be at least 1"
         );
-        self.staleness = config;
         self.config.staleness = config;
-    }
-
-    /// The staleness watchdog configuration.
-    pub fn staleness(&self) -> StalenessConfig {
-        self.staleness
     }
 
     /// Replaces the instrumentation sink (e.g. attaching a
@@ -834,24 +800,16 @@ impl ControlPlane {
         &self.config.recorder
     }
 
-    /// Servers currently declared stale (no plausible telemetry for at
-    /// least `stale_after_rounds` rounds), in id order.
+    /// Servers the last round declared stale (no plausible telemetry for
+    /// at least `stale_after_rounds` rounds), in id order.
     pub fn stale_servers(&self) -> Vec<ServerId> {
-        let mut ids: Vec<ServerId> = self
-            .stale_rounds
-            .iter()
-            .filter(|(_, &ctr)| ctr >= self.staleness.stale_after_rounds)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids
+        self.leaves.stale_ids().collect()
     }
 
-    /// Whether a server is currently declared stale.
-    pub fn is_stale(&self, id: ServerId) -> bool {
-        self.stale_rounds
-            .get(&id)
-            .is_some_and(|&ctr| ctr >= self.staleness.stale_after_rounds)
+    /// How many servers the last round declared stale — the O(1) count
+    /// behind [`ControlPlane::stale_servers`].
+    pub fn stale_count(&self) -> usize {
+        self.leaves.stale_count()
     }
 
     /// The per-tree root budgets the next round would resolve (the fixed
@@ -1014,17 +972,10 @@ impl ControlPlane {
     }
 
     /// Records one per-second sensor sample for every server (throttle
-    /// level and total AC power), feeding the demand estimators through
-    /// plausibility screening and updating the telemetry cache.
-    pub fn record_sample(&mut self, farm: &Farm) {
-        self.record_snapshots(farm, &farm.sense_all());
-    }
-
-    /// Records one per-second sensor sample for every server, like
-    /// [`ControlPlane::record_sample`], but sensing through the farm's
-    /// snapshot cache into a plane-owned scratch buffer: quiescent servers
-    /// are not re-sensed and the steady state performs **no heap
-    /// allocation** (the `alloc --smoke` gate covers this path).
+    /// level and total AC power), sensing through the farm's snapshot cache
+    /// into a plane-owned scratch buffer: quiescent servers are not
+    /// re-sensed and the steady state performs **no heap allocation** (the
+    /// `alloc --smoke` gate covers this path).
     pub fn sample(&mut self, farm: &mut Farm) {
         let mut buf = std::mem::take(&mut self.ctx.snaps);
         farm.sense_into(&mut buf);
@@ -1035,54 +986,32 @@ impl ControlPlane {
     /// Feeds already-delivered sensor snapshots to the demand estimators —
     /// the path for callers (like the simulation engine) that sensed the
     /// farm this second anyway, possibly through a fault-injecting
-    /// interposer. A reading absent from `snaps` models a dropped reading.
+    /// interposer. A reading absent from `snaps` models a dropped reading;
+    /// one for a server the farm does not hold is ignored.
     ///
-    /// Each reading is screened against the server's power envelope
-    /// ([`DemandEstimator::push_screened`]); implausible readings are
-    /// discarded and do **not** count as a telemetry refresh, so a sensor
-    /// returning garbage degrades exactly like a silent one.
+    /// Each reading is screened against the server's power envelope;
+    /// implausible readings are discarded and do **not** count as a
+    /// telemetry refresh, so a sensor returning garbage degrades exactly
+    /// like a silent one.
     pub fn record_snapshots(&mut self, farm: &Farm, snaps: &[(ServerId, SensorSnapshot)]) {
         let recorder = Arc::clone(&self.config.recorder);
         let _sense_timer = PhaseTimer::start(&*recorder, RoundPhase::Sense.metric_name());
+        self.leaves.fit(farm.ids().iter().copied());
+        // Readings come in id order, so a reading's slot is almost always
+        // the one after its predecessor's; search only when it is not.
+        let mut next = 0;
         for (id, snap) in snaps {
-            let estimator = self.estimators.entry(*id).or_default();
-            let fate = match farm.get(*id).map(|s| s.config().model()) {
-                Some(model) => estimator.push_screened(
-                    snap.throttle,
-                    snap.total_ac,
-                    model.idle(),
-                    model.cap_max(),
-                ),
-                // Unknown server: no envelope to screen against.
-                None => {
-                    estimator.push(snap.throttle, snap.total_ac);
-                    SampleFate::Accepted
-                }
+            let slot = if farm.ids().get(next) == Some(id) {
+                next
+            } else if let Some(slot) = farm.index_of(*id) {
+                slot
+            } else {
+                continue;
             };
-            if fate == SampleFate::Accepted {
-                // clone_from reuses the stored snapshot's allocations.
-                match self.telemetry.entry(*id) {
-                    Entry::Occupied(mut e) => e.get_mut().clone_from(snap),
-                    Entry::Vacant(e) => {
-                        e.insert(snap.clone());
-                    }
-                }
-                self.fresh.insert(*id);
-            }
+            next = slot + 1;
+            let model = farm.server_at(slot).config().model();
+            self.leaves.leaf_mut(slot).observe(snap, model);
         }
-    }
-
-    /// The current demand estimate for a server (measured power when the
-    /// estimator has no better answer yet).
-    pub fn demand_estimate(&self, id: ServerId, farm: &Farm) -> Watts {
-        let (idle, fallback) = farm
-            .get(id)
-            .map(|s| (s.config().model().idle(), s.sense().total_ac))
-            .unwrap_or((Watts::ZERO, Watts::ZERO));
-        self.estimators
-            .get(&id)
-            .and_then(|e| e.estimate_with_idle(idle))
-            .unwrap_or(fallback)
     }
 
     /// The report of the last completed round, if any round has run since
@@ -1108,11 +1037,12 @@ impl ControlPlane {
     /// [`RoundReport`] and returning it (cached semantics: the report is
     /// also available afterwards via [`ControlPlane::last_report`]).
     ///
-    /// A steady-state round performs **no heap allocation**: demand and
-    /// stale maps, root budgets, the policy object, per-tree gather states
-    /// (reused incrementally — only subtrees with a dirtied leaf are
-    /// re-summarized), SPO routes/overlays, and the report buffers all
-    /// live in the plane's round context. Every phase runs on the calling
+    /// A steady-state round performs **no heap allocation**: per-server
+    /// state is a dense slot-indexed table, and root budgets, the policy
+    /// object, per-tree gather states (reused incrementally — only
+    /// subtrees with a dirtied leaf are re-summarized), SPO
+    /// routes/overlays, and the report buffers all live in the plane's
+    /// round context. Every phase runs on the calling
     /// thread in id / tree-index order.
     ///
     /// When a [`Recorder`] is attached ([`PlaneConfig::with_recorder`] /
@@ -1129,69 +1059,37 @@ impl ControlPlane {
         let estimate_timer =
             PhaseTimer::start(recorder, RoundPhase::Estimate.metric_name());
 
-        // 0. Staleness bookkeeping: servers that delivered a plausible
-        //    reading since the last round reset their counter; the rest
-        //    age one round. A server crossing the threshold has its
-        //    estimator cleared — whatever the window held predates the
-        //    outage, and an empty window lets `estimate_with_idle` rebuild
-        //    the demand from the first post-recovery samples.
-        for &id in farm.ids() {
-            if self.fresh.contains(&id) {
-                self.stale_rounds.insert(id, 0);
-            } else {
-                let ctr = self.stale_rounds.entry(id).or_insert(0);
-                *ctr += 1;
-                if *ctr == self.staleness.stale_after_rounds {
-                    if let Some(est) = self.estimators.get_mut(&id) {
-                        est.clear();
-                    }
-                }
-            }
-        }
-        self.fresh.clear();
-        let threshold = self.staleness.stale_after_rounds;
-        self.ctx.stale.clear();
-        self.ctx.stale.extend(
-            self.stale_rounds
-                .iter()
-                .filter(|(_, &ctr)| ctr >= threshold)
-                .map(|(&id, _)| id),
-        );
-        let fail_safe = self.staleness.fail_safe_demand;
-
-        // 1. Refresh every tree's leaf inputs from estimates and the
-        //    servers' live PSU state. A stale server's demand is its
-        //    fail-safe value, not a frozen estimate. The refresh
-        //    value-compares against the tree's stored inputs, so unchanged
-        //    leaves stay clean and the gather below reuses their cached
-        //    metrics.
-        self.ctx.demands.clear();
-        for (id, server) in farm.iter() {
+        // 0. Age every leaf one round (fresh → stale-hold → fail-safe) and
+        //    settle the demand each server is budgeted from: a stale
+        //    server's is its fail-safe value, not a frozen estimate.
+        let StalenessConfig {
+            stale_after_rounds,
+            fail_safe_demand: fail_safe,
+        } = self.config.staleness;
+        self.leaves.fit(farm.ids().iter().copied());
+        self.leaves.age(stale_after_rounds);
+        for (slot, (_, server)) in farm.iter().enumerate() {
             let model = server.config().model();
-            let demand = if self.ctx.stale.contains(&id) {
-                fail_safe
-                    .unwrap_or_else(|| model.cap_min())
-                    .clamp(model.cap_min(), model.cap_max())
-            } else {
-                self.estimators
-                    .get(&id)
-                    .and_then(|e| e.estimate_with_idle(model.idle()))
-                    .or_else(|| self.telemetry.get(&id).map(|snap| snap.total_ac))
-                    .unwrap_or_else(|| server.sense().total_ac)
-            };
-            self.ctx.demands.insert(id, demand);
+            self.leaves
+                .leaf_mut(slot)
+                .refresh_demand(model, fail_safe, || server.sense().total_ac);
         }
         drop(estimate_timer);
         if recorder.enabled() {
-            recorder.gauge_set(names::STALE_SERVERS, self.ctx.stale.len() as f64);
+            recorder.gauge_set(names::STALE_SERVERS, self.leaves.stale_count() as f64);
         }
+
+        // 1. Refresh every tree's leaf inputs from those demands and the
+        //    servers' live PSU state. The refresh value-compares against
+        //    the tree's stored inputs, so unchanged leaves stay clean and
+        //    the gather below reuses their cached metrics.
         let gather_timer = PhaseTimer::start(recorder, RoundPhase::Gather.metric_name());
         {
             let overrides = &self.priority_overrides;
             let statics = &self.static_priorities;
             let farm_ref = &*farm;
-            let demands = &self.ctx.demands;
-            let refresh = |tree: &mut ControlTree| {
+            let leaves = &self.leaves;
+            for tree in &mut self.trees {
                 if !overrides.is_empty() {
                     tree.set_priorities_with(|server| {
                         overrides.get(&server).copied().unwrap_or_else(|| {
@@ -1203,22 +1101,18 @@ impl ControlPlane {
                     });
                 }
                 tree.set_inputs_with(|server, supply| {
-                    let srv = farm_ref
-                        .get(server)
+                    let slot = farm_ref
+                        .index_of(server)
                         .unwrap_or_else(|| panic!("tree references unknown {server}"));
+                    let srv = farm_ref.server_at(slot);
                     let model = srv.config().model();
-                    let share = srv.bank().effective_share(supply.index());
-                    let demand = demands.get(&server).copied().unwrap_or(model.idle());
                     SupplyInput {
-                        demand: demand.clamp(model.idle(), model.cap_max()),
+                        demand: leaves.leaf(slot).demand,
                         cap_min: model.cap_min(),
                         cap_max: model.cap_max(),
-                        share,
+                        share: srv.bank().effective_share(supply.index()),
                     }
                 });
-            };
-            for tree in &mut self.trees {
-                refresh(tree);
             }
         }
         drop(gather_timer);
@@ -1227,7 +1121,6 @@ impl ControlPlane {
         //    tree into the round context's reusable states.
         let trees = &self.trees;
         let RoundContext {
-            stale,
             root_budgets,
             tree_demands,
             phase_members,
@@ -1325,14 +1218,13 @@ impl ControlPlane {
         }
         report.refresh_supply_index();
 
-        // 3. Enforce: pair every server's working supplies' budgets with
-        //    its last *delivered* telemetry (never a direct sensor read —
-        //    faults must affect enforcement too), then run the stateful
-        //    capping controllers in id order. Stale servers
-        //    bypass their feedback controller entirely: their cap is
-        //    clamped straight to the fail-safe demand.
+        // 3. Enforce, in id order: each leaf pairs its working supplies'
+        //    budgets with its last *delivered* telemetry (never a direct
+        //    sensor read — faults must affect enforcement too) and steps
+        //    its capping controller; a stale leaf's cap is clamped straight
+        //    to the fail-safe demand. Servers outside every tree keep their
+        //    previous cap.
         let enforce_timer = PhaseTimer::start(recorder, RoundPhase::Enforce.metric_name());
-        let mut failsafe_caps: u64 = 0;
         let RoundReport {
             allocations,
             dc_caps,
@@ -1341,75 +1233,30 @@ impl ControlPlane {
         } = report;
         let allocations = &*allocations;
         let supply_slots = &*supply_slots;
-        // One hash probe per (server, supply) instead of a linear scan
-        // across every tree's allocation (the index was refreshed above).
-        let budget_for = |id: ServerId, supply: SupplyIndex| {
-            supply_slots
-                .get(&(id, supply))
-                .map(|&(tree, slot)| allocations[tree as usize].leaf_budget(slot as usize))
-        };
         dc_caps.clear();
-        let controllers = &mut self.controllers;
-        let telemetry = &self.telemetry;
-        farm.for_each_mut(|_, id, mut server| {
+        let leaves = &mut self.leaves;
+        farm.for_each_mut(|slot, id, mut server| {
             let model = server.config().model();
-            if stale.contains(&id) {
-                let demand_ac = fail_safe
-                    .unwrap_or_else(|| model.cap_min())
-                    .clamp(model.cap_min(), model.cap_max());
-                let efficiency = server.bank().efficiency();
-                let controller = controllers.entry(id).or_insert_with(|| {
-                    CappingController::new(model.cap_min(), model.cap_max(), efficiency)
+            let bank = server.bank();
+            // One hash probe per working supply (the index was refreshed
+            // above), not a scan across every tree's allocation.
+            let budgets = bank
+                .effective_shares_iter()
+                .enumerate()
+                .filter(|(_, share)| share.as_f64() > 0.0)
+                .filter_map(|(idx, _)| {
+                    let &(tree, leaf) = supply_slots.get(&(id, SupplyIndex(idx as u8)))?;
+                    Some((idx, allocations[tree as usize].leaf_budget(leaf as usize)))
                 });
-                let cap = controller.force_dc_cap(demand_ac * efficiency);
+            let (leaf, efficiency) = (leaves.leaf_mut(slot), bank.efficiency());
+            let cap = leaf.command(model, efficiency, fail_safe, budgets, || server.sense());
+            if let Some(cap) = cap {
                 server.set_dc_cap(cap);
                 dc_caps.insert(id, cap);
-                failsafe_caps += 1;
-                return;
             }
-            // Count the working supplies an allocation covers; servers
-            // outside every tree keep their previous cap.
-            let mut covered = 0usize;
-            for (idx, share) in server.bank().effective_shares_iter().enumerate() {
-                if share.as_f64() <= 0.0 {
-                    continue;
-                }
-                if supply_slots.contains_key(&(id, SupplyIndex(idx as u8))) {
-                    covered += 1;
-                }
-            }
-            if covered == 0 {
-                return;
-            }
-            let mut fallback = None;
-            let snap: &SensorSnapshot = match telemetry.get(&id) {
-                Some(snap) => snap,
-                None => fallback.get_or_insert_with(|| server.sense()),
-            };
-            let controller = controllers.entry(id).or_insert_with(|| {
-                CappingController::new(
-                    model.cap_min(),
-                    model.cap_max(),
-                    server.bank().efficiency(),
-                )
-            });
-            let cap = controller.update_pairs(
-                server
-                    .bank()
-                    .effective_shares_iter()
-                    .enumerate()
-                    .filter_map(|(idx, share)| {
-                        if share.as_f64() <= 0.0 {
-                            return None;
-                        }
-                        budget_for(id, SupplyIndex(idx as u8))
-                            .map(|b| (b, snap.supply_ac[idx]))
-                    }),
-            );
-            server.set_dc_cap(cap);
-            dc_caps.insert(id, cap);
         });
         drop(enforce_timer);
+        let failsafe_caps = leaves.stale_count() as u64;
         if failsafe_caps > 0 || recorder.enabled() {
             recorder.counter_add(names::FAILSAFE_CAPS_TOTAL, failsafe_caps);
         }
@@ -1443,11 +1290,14 @@ impl ControlPlane {
                     crate::obs::trace::BUDGET_ALLOC_W,
                     allocations[i].total_leaf_budget().as_f64(),
                 );
-                let leaves = tree.arena().leaf_index();
+                let index = tree.arena().leaf_index();
                 let mut measured = 0.0f64;
-                for slot in 0..leaves.len() {
-                    let (id, supply) = leaves.pair(slot);
-                    if let Some(snap) = telemetry.get(&id) {
+                for slot in 0..index.len() {
+                    let (id, supply) = index.pair(slot);
+                    let delivered = farm
+                        .index_of(id)
+                        .and_then(|s| leaves.leaf(s).delivered.as_ref());
+                    if let Some(snap) = delivered {
                         measured += snap.supply_ac[supply.index()].as_f64();
                     }
                 }
@@ -1494,7 +1344,7 @@ mod tests {
     fn run_periods(plane: &mut ControlPlane, farm: &mut Farm, periods: usize) {
         for _ in 0..periods {
             for _ in 0..8 {
-                plane.record_sample(farm);
+                plane.sample(farm);
                 farm.step_all(Seconds::new(1.0));
             }
             plane.round(farm);
@@ -1511,8 +1361,9 @@ mod tests {
         let mut buf = SenseBuffer::new();
         farm.sense_into(&mut buf);
         assert_eq!(buf.entries().len(), farm.len());
-        let fresh = farm.sense_all();
-        assert_eq!(buf.entries(), fresh.as_slice());
+        for ((id, snap), (farm_id, server)) in buf.entries().iter().zip(farm.iter()) {
+            assert_eq!((*id, snap), (farm_id, &server.sense()));
+        }
 
         // Corrupt one synced entry, then sync again with nothing changed
         // in the farm: the corruption must survive, proving the sync
@@ -1651,7 +1502,7 @@ mod tests {
     #[test]
     fn round_report_exposes_budgets() {
         let (topo, mut farm, mut plane) = fig2_plane(PolicyKind::GlobalPriority);
-        plane.record_sample(&farm);
+        plane.sample(&mut farm);
         let report = plane.round(&mut farm).clone();
         let sa = topo.server_by_name("SA").unwrap();
         assert!(report.supply_budget(sa, SupplyIndex::FIRST).is_some());
@@ -1711,7 +1562,7 @@ mod tests {
             assert!(covered > 0, "{when}: rig should cover some supplies");
         };
 
-        plane.record_sample(&farm);
+        plane.sample(&mut farm);
         let report = plane.round(&mut farm).clone();
         check(&report, &servers, "initial round");
 
@@ -1725,7 +1576,7 @@ mod tests {
                 bank.fail_supply(1);
             }
         });
-        plane.record_sample(&farm);
+        plane.sample(&mut farm);
         let report = plane.round(&mut farm).clone();
         check(&report, &servers, "post-failover round");
     }
@@ -1738,7 +1589,7 @@ mod tests {
         run_periods(&mut plane, &mut farm, 12);
         let sb = topo.server_by_name("SB").unwrap();
         let measured = farm.get(sb).unwrap().sense().total_ac;
-        let estimate = plane.demand_estimate(sb, &farm);
+        let estimate = plane.leaves.leaf(farm.index_of(sb).unwrap()).demand;
         assert!(
             estimate > measured + Watts::new(20.0),
             "estimate {estimate} should exceed measured {measured}"
@@ -1779,7 +1630,7 @@ mod tests {
                 .with_policy(PolicyKind::GlobalPriority)
                 .with_spo(false),
         );
-        plane.record_sample(&farm);
+        plane.sample(&mut farm);
         let report = plane.round(&mut farm).clone();
         // Both feeds' allocations together must not exceed the shared
         // phase budget.
@@ -1801,7 +1652,7 @@ mod tests {
                 bank.fail_supply(1);
             }
         });
-        plane.record_sample(&farm);
+        plane.sample(&mut farm);
         let report = plane.round(&mut farm).clone();
         let total_after: Watts = report
             .allocations
@@ -1816,122 +1667,58 @@ mod tests {
         );
     }
 
-    /// Runs `periods` control periods during which `dark` servers deliver
-    /// no telemetry (their snapshots are withheld from the plane).
-    fn run_periods_with_dropped(
-        plane: &mut ControlPlane,
-        farm: &mut Farm,
-        periods: usize,
-        dark: &[ServerId],
-    ) {
-        for _ in 0..periods {
+    /// The ladder itself is unit-tested in `leaf`; this proves the plane
+    /// drives it: the configured threshold and fail-safe demand apply, a
+    /// dropped reading and a garbage one both count as missing, the forced
+    /// cap lands on the farm, and returning telemetry recovers.
+    #[test]
+    fn telemetry_faults_walk_the_ladder_through_the_plane() {
+        let (topo, mut farm, mut plane) = fig2_plane(PolicyKind::GlobalPriority);
+        let sa = topo.server_by_name("SA").unwrap();
+        let sb = topo.server_by_name("SB").unwrap();
+        plane.set_staleness(
+            StalenessConfig::default()
+                .with_stale_after_rounds(2)
+                .with_fail_safe_demand(Some(Watts::new(300.0))),
+        );
+        run_periods(&mut plane, &mut farm, 4);
+        let healthy_cap = farm.get(sb).unwrap().dc_cap().unwrap();
+
+        // SB goes dark and SA's sensor reads 25× too high (screened out).
+        let mut sensed = SenseBuffer::new();
+        let mut faulty_period = |plane: &mut ControlPlane, farm: &mut Farm| {
             for _ in 0..8 {
-                let snaps: Vec<(ServerId, SensorSnapshot)> = farm
-                    .sense_all()
-                    .into_iter()
-                    .filter(|(id, _)| !dark.contains(id))
+                farm.sense_into(&mut sensed);
+                let snaps: Vec<(ServerId, SensorSnapshot)> = sensed
+                    .entries()
+                    .iter()
+                    .filter(|(id, _)| *id != sb)
+                    .map(|(id, snap)| match *id == sa {
+                        true => (*id, snap.scaled(25.0)),
+                        false => (*id, snap.clone()),
+                    })
                     .collect();
                 plane.record_snapshots(farm, &snaps);
                 farm.step_all(Seconds::new(1.0));
             }
             plane.round(farm);
-        }
-    }
+        };
+        faulty_period(&mut plane, &mut farm);
+        assert_eq!(plane.stale_count(), 0, "stale-hold bridge, not yet stale");
+        faulty_period(&mut plane, &mut farm);
+        assert_eq!(plane.stale_servers(), vec![sa, sb]);
+        assert_eq!(plane.stale_count(), 2);
+        let forced = Watts::new(300.0) * farm.get(sb).unwrap().bank().efficiency();
+        assert_eq!(farm.get(sb).unwrap().dc_cap(), Some(forced));
 
-    #[test]
-    fn dropped_telemetry_degrades_to_fail_safe_cap() {
-        let (topo, mut farm, mut plane) = fig2_plane(PolicyKind::GlobalPriority);
-        let sb = topo.server_by_name("SB").unwrap();
-        run_periods(&mut plane, &mut farm, 4);
-        assert!(!plane.is_stale(sb));
-
-        // SB's readings stop being delivered. For stale_after_rounds − 1
-        // rounds the plane stale-holds on the last estimate…
-        run_periods_with_dropped(&mut plane, &mut farm, 2, &[sb]);
-        assert!(!plane.is_stale(sb), "stale-hold bridge, not yet stale");
-
-        // …then SB is declared stale and clamped to fail-safe (cap_min).
-        run_periods_with_dropped(&mut plane, &mut farm, 2, &[sb]);
-        assert!(plane.is_stale(sb));
-        assert_eq!(plane.stale_servers(), vec![sb]);
-        let model = farm.get(sb).unwrap().config().model();
-        let eff = farm.get(sb).unwrap().bank().efficiency();
-        let dc_cap = farm.get(sb).unwrap().dc_cap().unwrap();
-        assert!(
-            (dc_cap.as_f64() - (model.cap_min() * eff).as_f64()).abs() < 1e-9,
-            "stale server should be clamped to cap_min DC, got {dc_cap}"
-        );
-    }
-
-    #[test]
-    fn stale_server_rejoins_budgeting_after_telemetry_returns() {
-        let (topo, mut farm, mut plane) = fig2_plane(PolicyKind::GlobalPriority);
-        let sb = topo.server_by_name("SB").unwrap();
-        run_periods(&mut plane, &mut farm, 4);
-        let healthy_cap = farm.get(sb).unwrap().dc_cap().unwrap();
-
-        run_periods_with_dropped(&mut plane, &mut farm, 4, &[sb]);
-        assert!(plane.is_stale(sb));
-
-        // Telemetry returns: freshness clears on the next round, and the
-        // cleared estimator re-learns the demand within two rounds.
+        // Telemetry returns: fresh at the next round, and the cleared
+        // estimator re-learns the demand within two.
         run_periods(&mut plane, &mut farm, 2);
-        assert!(!plane.is_stale(sb));
+        assert_eq!(plane.stale_count(), 0);
         let recovered_cap = farm.get(sb).unwrap().dc_cap().unwrap();
         assert!(
-            (recovered_cap.as_f64() - healthy_cap.as_f64()).abs()
-                < 0.02 * healthy_cap.as_f64(),
+            (recovered_cap.as_f64() - healthy_cap.as_f64()).abs() < 0.02 * healthy_cap.as_f64(),
             "cap should recover within 2% of {healthy_cap}, got {recovered_cap}"
-        );
-    }
-
-    #[test]
-    fn implausible_readings_count_as_missing_telemetry() {
-        let (topo, mut farm, mut plane) = fig2_plane(PolicyKind::GlobalPriority);
-        let sb = topo.server_by_name("SB").unwrap();
-        run_periods(&mut plane, &mut farm, 2);
-        // SB's sensor goes insane: 10 kW readings, screened out.
-        for _ in 0..4 {
-            for _ in 0..8 {
-                let snaps: Vec<(ServerId, SensorSnapshot)> = farm
-                    .sense_all()
-                    .into_iter()
-                    .map(|(id, snap)| {
-                        if id == sb {
-                            (id, snap.scaled(25.0))
-                        } else {
-                            (id, snap)
-                        }
-                    })
-                    .collect();
-                plane.record_snapshots(&farm, &snaps);
-                farm.step_all(Seconds::new(1.0));
-            }
-            plane.round(&mut farm);
-        }
-        assert!(
-            plane.is_stale(sb),
-            "garbage readings must degrade like silence"
-        );
-    }
-
-    #[test]
-    fn fail_safe_demand_is_configurable() {
-        let (topo, mut farm, mut plane) = fig2_plane(PolicyKind::GlobalPriority);
-        let sb = topo.server_by_name("SB").unwrap();
-        plane.set_staleness(
-            StalenessConfig::default()
-                .with_stale_after_rounds(1)
-                .with_fail_safe_demand(Some(Watts::new(300.0))),
-        );
-        run_periods(&mut plane, &mut farm, 2);
-        run_periods_with_dropped(&mut plane, &mut farm, 2, &[sb]);
-        assert!(plane.is_stale(sb));
-        let eff = farm.get(sb).unwrap().bank().efficiency();
-        let dc_cap = farm.get(sb).unwrap().dc_cap().unwrap();
-        assert!(
-            (dc_cap.as_f64() - (Watts::new(300.0) * eff).as_f64()).abs() < 1e-9,
-            "configured fail-safe demand should set the cap, got {dc_cap}"
         );
     }
 

@@ -45,8 +45,7 @@ use capmaestro_topology::{ControlTreeSpec, Priority, ServerId, SpecNode, SupplyI
 use capmaestro_units::{Ratio, Seconds, Watts};
 
 use crate::alloc::AllocatorKind;
-use crate::capping::CappingController;
-use crate::estimator::DemandEstimator;
+use crate::leaf::LeafTable;
 use crate::metrics::PriorityMetrics;
 use crate::obs::{names, null_recorder, Recorder};
 use crate::policy::{CappingPolicy, PolicyKind};
@@ -1117,12 +1116,11 @@ pub struct RackWorker {
     /// One subtree walk per owned cut, aligned with `assignment.cuts`.
     walks: Vec<CutWalk>,
     /// Every server bound under an owned cut with its leaves, in
-    /// first-bound order.
+    /// first-bound order; a server's position is its slot.
     servers: Vec<(ServerId, Vec<BoundLeaf>)>,
-    /// Per-server demand estimators, built up over gathers.
-    estimators: HashMap<ServerId, DemandEstimator>,
-    /// Per-server capping controllers, built on first enforcement.
-    controllers: HashMap<ServerId, CappingController>,
+    /// Per-server control state, by slot, laid out by the first gather:
+    /// read from the rack's own sensors, so never screened and never stale.
+    leaves: LeafTable,
     /// Whether any gather has run: budgets can only be split over
     /// gathered metrics.
     gathered: bool,
@@ -1158,8 +1156,7 @@ impl RackWorker {
             allocator: AllocatorKind::default(),
             walks,
             servers,
-            estimators: HashMap::new(),
-            controllers: HashMap::new(),
+            leaves: LeafTable::default(),
             gathered: false,
         }
     }
@@ -1175,31 +1172,33 @@ impl RackWorker {
     /// aggregation).
     pub fn gather(&mut self, farm: &crate::plane::Farm) -> Vec<(CutId, PriorityMetrics)> {
         self.gathered = true;
-        let policy = self.policy.policy();
-        let mut out = Vec::with_capacity(self.assignment.cuts.len());
-        for ((cut, leaves), walk) in self.assignment.cuts.iter().zip(&mut self.walks) {
-            for (k, &(_, server, supply)) in leaves.iter().enumerate() {
-                let input = farm.get(server).map(|srv| {
-                    let snap = srv.sense();
-                    let est = self.estimators.entry(server).or_default();
-                    est.push(snap.throttle, snap.total_ac);
+        // Laid out by the first gather, not at construction: the caller's
+        // rig-wide trees are freed by then, so the table fills their hole
+        // instead of raising the process's peak memory.
+        self.leaves.fit(self.servers.iter().map(|(id, _)| *id));
+        for (slot, (server, bound)) in self.servers.iter().enumerate() {
+            let sensed = farm.get(*server).map(|srv| (srv, srv.sense()));
+            for &(w, k, supply) in bound {
+                // One observation per bound leaf: a server dual-corded
+                // under this rack advances its window twice a gather.
+                let input = sensed.as_ref().map(|(srv, snap)| {
                     let model = srv.config().model();
-                    let demand = est
-                        .estimate_with_idle(model.idle())
-                        .unwrap_or(snap.total_ac)
-                        .clamp(model.idle(), model.cap_max());
+                    let leaf = self.leaves.leaf_mut(slot);
+                    leaf.observe_local(snap);
                     SupplyInput {
-                        demand,
+                        demand: leaf.refresh_demand(model, None, || snap.total_ac),
                         cap_min: model.cap_min(),
                         cap_max: model.cap_max(),
                         share: srv.bank().effective_share(supply.index()),
                     }
                 });
-                walk.set_leaf(k, input);
+                self.walks[w].set_leaf(k, input);
             }
-            out.push((*cut, walk.gather(policy.as_ref()).clone()));
         }
-        out
+        let policy = self.policy.policy();
+        let cuts = self.assignment.cuts.iter().zip(&mut self.walks);
+        cuts.map(|((cut, _), walk)| (*cut, walk.gather(policy.as_ref()).clone()))
+            .collect()
     }
 
     /// Splits the room's cut budgets (sorted by cut id) down to leaves,
@@ -1222,29 +1221,22 @@ impl RackWorker {
         }
         // Enforce caps on our servers.
         let walks = &self.walks;
-        for (server, leaves) in &self.servers {
+        for (slot, (server, bound)) in self.servers.iter().enumerate() {
             let Some(mut srv) = farm.get_mut(*server) else {
                 continue;
             };
-            let snap = srv.sense();
-            let live = |&&(w, _, supply): &&BoundLeaf| {
-                walks[w].budgeted && srv.bank().effective_share(supply.index()).as_f64() > 0.0
-            };
-            if !leaves.iter().any(|l| live(&l)) {
-                continue;
+            let bank = srv.bank();
+            let budgets = bound
+                .iter()
+                .filter(|&&(w, _, supply)| {
+                    walks[w].budgeted && bank.effective_share(supply.index()).as_f64() > 0.0
+                })
+                .map(|&(w, k, supply)| (supply.index(), walks[w].out.leaf_budget(k)));
+            let (leaf, model) = (self.leaves.leaf_mut(slot), srv.config().model());
+            let cap = leaf.command(model, bank.efficiency(), None, budgets, || srv.sense());
+            if let Some(cap) = cap {
+                srv.set_dc_cap(cap);
             }
-            let model = srv.config().model();
-            let controller = self.controllers.entry(*server).or_insert_with(|| {
-                CappingController::new(
-                    model.cap_min(),
-                    model.cap_max(),
-                    srv.bank().efficiency(),
-                )
-            });
-            let cap = controller.update_pairs(leaves.iter().filter(live).map(
-                |&(w, slot, supply)| (walks[w].out.leaf_budget(slot), snap.supply_ac[supply.index()]),
-            ));
-            srv.set_dc_cap(cap);
         }
     }
 }
@@ -1395,8 +1387,9 @@ mod tests {
     fn distributed_matches_synchronous_budgets() {
         // The same scenario through the threaded deployment and the
         // synchronous plane (SPO off) is the same walk over the same
-        // inputs: cut budgets must agree to the bit, under every
-        // allocator, on the Fig. 2 rig and on a racks rig.
+        // inputs and the same leaf-control step under it: cut budgets and
+        // every server's commanded DC cap must agree to the bit, under
+        // every allocator, on the Fig. 2 rig and on a racks rig.
         for topo in [figure2_feed(), racks_feed(5, 3)] {
             let demand_of = |i: usize| 350.0 + 23.0 * (i % 6) as f64;
             let root_budgets = vec![Watts::new(310.0 * topo.server_count() as f64)];
@@ -1411,20 +1404,28 @@ mod tests {
                         .with_spo(false)
                         .with_control_period(Seconds::new(8.0)),
                 );
-                plane.record_sample(&sync_farm);
+                plane.sample(&mut sync_farm);
                 let report = plane.round(&mut sync_farm).clone();
 
+                let farm = shared_farm(farm_over(&topo, demand_of));
                 let mut deployment = WorkerDeployment::spawn(
                     trees_of(&topo),
                     root_budgets.clone(),
                     PolicyKind::GlobalPriority,
-                    shared_farm(farm_over(&topo, demand_of)),
+                    Arc::clone(&farm),
                     2,
                     DeploymentConfig::default(),
                 );
                 deployment.set_allocator(kind);
                 let outcome = deployment.run_round(0);
                 deployment.shutdown();
+
+                assert_eq!(report.dc_caps.len(), topo.server_count());
+                for (id, server) in farm.read().iter() {
+                    let cap = server.dc_cap().map(|w| w.as_f64().to_bits());
+                    let reference = report.dc_caps.get(&id).map(|w| w.as_f64().to_bits());
+                    assert_eq!(cap, reference, "{kind}, {id}: distributed vs sync DC cap");
+                }
 
                 assert!(outcome.failsafe_cuts.is_empty());
                 assert!(!outcome.cut_budgets.is_empty());

@@ -348,7 +348,7 @@ impl ServeState {
         {
             let mut health = self.health_lock();
             health.sim_seconds = engine.now_s();
-            health.stale_servers = engine.plane().stale_servers().len();
+            health.stale_servers = engine.plane().stale_count();
             health.trees = engine.plane().trees().len();
             if round_ran {
                 health.rounds_total += 1;

@@ -557,14 +557,6 @@ impl Engine {
         &self.faults
     }
 
-    /// Forces sensing through the interposition path even with no faults
-    /// active. Differential tests use this to prove the slow path is
-    /// bit-identical to the direct one.
-    pub fn set_force_interposition(&mut self, force: bool) -> &mut Self {
-        self.force_interposition = force;
-        self
-    }
-
     /// The current simulation second (seconds fully stepped so far).
     pub fn now_s(&self) -> u64 {
         self.time_s
@@ -1095,7 +1087,7 @@ mod tests {
         let reference = plain.run(200);
         let mut chaos = Engine::new(priority_rig(RigConfig::table2()));
         chaos.schedule_chaos(&crate::faults::ChaosPlan::empty());
-        chaos.set_force_interposition(true);
+        chaos.force_interposition = true;
         let observed = chaos.run(200);
         assert_traces_identical(&reference, &observed);
 
@@ -1104,7 +1096,7 @@ mod tests {
         let reference = plain.run(120);
         let mut chaos = Engine::new(stranded_rig(RigConfig::table3()));
         chaos.schedule_chaos(&crate::faults::ChaosPlan::empty());
-        chaos.set_force_interposition(true);
+        chaos.force_interposition = true;
         let observed = chaos.run(120);
         assert_traces_identical(&reference, &observed);
     }
