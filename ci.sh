@@ -45,8 +45,9 @@ cargo run --release -q -p capmaestro-bench --bin fleet -- --smoke
 cargo run --release -q --example observability -- --check
 
 # Serving-mode smoke: boot capmaestrod on an ephemeral port (flat-out
-# stepping, quit-on-stdin for a clean shutdown), curl all four endpoints,
-# run the daemon's own --probe (which validates the Prometheus payload,
+# stepping, quit-on-stdin for a clean shutdown), curl all four endpoints
+# under /v1, run the daemon's own --probe (which also covers the
+# deprecated unversioned aliases, validates the Prometheus payload,
 # round-trips the report JSON, and POSTs a budget), then shut down via
 # stdin. Everything is wall-clock bounded so a wedged daemon fails CI
 # instead of hanging it.
@@ -66,10 +67,10 @@ for _ in $(seq 1 100); do
 done
 DAEMON_ADDR=$(sed -n 's|.*http://||p' "$DAEMON_LOG" | head -1)
 [[ -n "$DAEMON_ADDR" ]] || { echo "ci: capmaestrod never announced its port" >&2; cat "$DAEMON_LOG" >&2; exit 1; }
-curl -fsS --max-time 10 "http://$DAEMON_ADDR/metrics"  > /dev/null
-curl -fsS --max-time 10 "http://$DAEMON_ADDR/healthz"  > /dev/null
-curl -fsS --max-time 10 "http://$DAEMON_ADDR/report"   > /dev/null
-curl -fsS --max-time 10 -X POST --data '[1240]' "http://$DAEMON_ADDR/budget" > /dev/null
+curl -fsS --max-time 10 "http://$DAEMON_ADDR/v1/metrics"  > /dev/null
+curl -fsS --max-time 10 "http://$DAEMON_ADDR/v1/healthz"  > /dev/null
+curl -fsS --max-time 10 "http://$DAEMON_ADDR/v1/report"   > /dev/null
+curl -fsS --max-time 10 -X POST --data '[1240]' "http://$DAEMON_ADDR/v1/budget" > /dev/null
 timeout 60s ./target/release/capmaestrod --probe "$DAEMON_ADDR"
 
 # Versioned-API smoke: declare a tree budget through /v1 with an
@@ -162,7 +163,7 @@ spawn_ci_agent() {
 }
 await_failsafe_gauge() { # $1: awk condition on the gauge value, $2: description
     for _ in $(seq 1 120); do
-        v=$(curl -fsS --max-time 5 "http://$ROOM_HTTP/metrics" \
+        v=$(curl -fsS --max-time 5 "http://$ROOM_HTTP/v1/metrics" \
             | awk '$1 == "capmaestro_worker_failsafe_cuts" {print $2}')
         if [[ -n "$v" ]] && awk -v v="$v" "BEGIN{exit !(v $1)}"; then return 0; fi
         sleep 0.25

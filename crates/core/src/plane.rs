@@ -372,7 +372,7 @@ impl StalenessConfig {
 }
 
 /// What one control round decided.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RoundReport {
     /// Final allocation per tree (post-SPO when enabled).
     pub allocations: Vec<Allocation>,
@@ -391,6 +391,29 @@ pub struct RoundReport {
     /// a matching stamp means the slot layout is unchanged and the index
     /// can be reused without rebuilding.
     index_stamp: Vec<usize>,
+}
+
+// Manual impl so `clone_from` is field-wise: a held copy refreshed every
+// round (the serving state's `/v1/report` source) reuses its maps and
+// vectors instead of allocating a fresh report.
+impl Clone for RoundReport {
+    fn clone(&self) -> Self {
+        RoundReport {
+            allocations: self.allocations.clone(),
+            stranded_reclaimed: self.stranded_reclaimed,
+            dc_caps: self.dc_caps.clone(),
+            supply_slots: self.supply_slots.clone(),
+            index_stamp: self.index_stamp.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.allocations.clone_from(&source.allocations);
+        self.stranded_reclaimed = source.stranded_reclaimed;
+        self.dc_caps.clone_from(&source.dc_caps);
+        self.supply_slots.clone_from(&source.supply_slots);
+        self.index_stamp.clone_from(&source.index_stamp);
+    }
 }
 
 impl RoundReport {

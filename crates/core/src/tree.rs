@@ -175,12 +175,32 @@ impl TreeArena {
 /// a dense slot-indexed vector keyed by the tree's shared [`LeafIndex`], so
 /// lookups by `(server, supply)` are one hash probe into a prebuilt map
 /// rather than a per-round-built one.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Allocation {
     node_budgets: Vec<Watts>,
     leaf_budgets: Vec<Watts>,
     leaf_index: Arc<LeafIndex>,
     unallocated: Watts,
+}
+
+// Manual impl so `clone_from` reuses the budget vectors — a copy of the
+// round report refreshed every round then allocates nothing.
+impl Clone for Allocation {
+    fn clone(&self) -> Self {
+        Allocation {
+            node_budgets: self.node_budgets.clone(),
+            leaf_budgets: self.leaf_budgets.clone(),
+            leaf_index: Arc::clone(&self.leaf_index),
+            unallocated: self.unallocated,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.node_budgets.clone_from(&source.node_budgets);
+        self.leaf_budgets.clone_from(&source.leaf_budgets);
+        self.leaf_index.clone_from(&source.leaf_index);
+        self.unallocated = source.unallocated;
+    }
 }
 
 impl Default for Allocation {

@@ -223,9 +223,9 @@ pub fn parse_args(args: &[String]) -> Result<DaemonCommand, String> {
     Ok(DaemonCommand::Run(config))
 }
 
-/// Steps the engine trace is reset at, bounding daemon memory: the
-/// in-engine `Trace` grows per simulated second and nothing reads it in
-/// serving mode.
+/// Steps between engine trace resets and `--trace` file writes. Serving
+/// steps record no series, so the reset only bounds the engine's event
+/// logs (breaker trips, lost servers, stranded watts per round).
 const TRACE_RESET_PERIOD: u64 = 3600;
 
 /// Advance the engine by one simulated second and publish the result.

@@ -2,7 +2,9 @@
 //!
 //! HTTP handlers never touch the engine. Reads go through state the
 //! engine thread copies out after every step ([`ServeState::publish`]);
-//! mutations go through the operator event log: a handler validates the
+//! the `/v1/report` body is rendered from that copy by the first reader
+//! after each round, not by the engine thread. Mutations go through the
+//! operator event log: a handler validates the
 //! request against the published capability view, appends an
 //! [`Op`] to the [`OpLog`] (idempotency-keyed, file-backed when the
 //! daemon runs with `--oplog`), and answers with the event's sequence
@@ -15,13 +17,14 @@
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use capmaestro_core::obs::{json, names, prometheus, MetricsRegistry, Recorder};
+use capmaestro_core::obs::{json, names, prometheus, MetricsRegistry, MetricsSnapshot, Recorder};
 use capmaestro_core::oplog::{
     plan, AppendOutcome, DesiredState, Envelope, Op, OpLog, OplogError,
 };
+use capmaestro_core::plane::RoundReport;
 use capmaestro_sim::Engine;
 use capmaestro_topology::ServerId;
 use capmaestro_units::Watts;
@@ -232,6 +235,29 @@ struct OperatorCaps {
     budgets_only: bool,
 }
 
+/// The latest round's `/v1/report`, as published at the round boundary.
+#[derive(Debug)]
+struct PublishedReport {
+    /// The round's decisions; `None` when the body was rendered at
+    /// publish time (the room controller's registry snapshot).
+    report: Option<RoundReport>,
+    /// The policy label current at publish time.
+    label: Option<&'static str>,
+    /// The rendered body, filled by the first reader of this round.
+    body: OnceLock<String>,
+}
+
+impl PublishedReport {
+    /// The body, rendered on first call. A room publish sets the body
+    /// itself, so only an engine round's report renders here.
+    fn body(&self) -> &str {
+        self.body.get_or_init(|| {
+            let snap = self.report.as_ref().map(RoundReport::metrics_snapshot);
+            render_report(self.label, &snap.unwrap_or_default())
+        })
+    }
+}
+
 /// Shared state published by the engine thread and read by handlers.
 #[derive(Debug)]
 pub struct ServeState {
@@ -251,8 +277,11 @@ pub struct ServeState {
     /// `"policy"` field of `/v1/report`. Behind a lock because a
     /// `SetAllocator` event changes it at a round boundary.
     policy_label: Mutex<Option<&'static str>>,
-    /// Pre-rendered JSON of the latest `RoundReport`'s metrics snapshot.
-    report_json: RwLock<Option<String>>,
+    /// The latest round's report. The engine thread holds this lock only
+    /// to swap or refill the slot; readers clone the `Arc` and render
+    /// outside it. When no reader holds last round's copy, publishing
+    /// refills it in place, reusing its buffers.
+    report: Mutex<Option<Arc<PublishedReport>>>,
     /// Health fields behind one short-lived lock.
     health: Mutex<HealthInner>,
     /// The append-only operator event log.
@@ -278,7 +307,7 @@ impl ServeState {
             budget_min: Watts::new(1.0),
             budget_max: Watts::new(10_000_000.0),
             policy_label: Mutex::new(None),
-            report_json: RwLock::new(None),
+            report: Mutex::new(None),
             health: Mutex::new(HealthInner::default()),
             oplog: Mutex::new(OpLog::in_memory()),
             desired: Mutex::new(DesiredState::default()),
@@ -340,10 +369,19 @@ impl ServeState {
         self.health.lock().unwrap_or_else(|p| p.into_inner())
     }
 
+    fn report_lock(&self) -> MutexGuard<'_, Option<Arc<PublishedReport>>> {
+        self.report.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn policy_label(&self) -> Option<&'static str> {
+        *self.policy_label.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Publish the engine's current state. Called by the engine thread
     /// after every step; `round_ran` marks steps that fired a control
-    /// round (those also refresh the `/v1/report` payload, the health
-    /// round clock, and the operator capability view).
+    /// round (those also refresh the health round clock, the operator
+    /// capability view, and the `/v1/report` source: a copy of the round
+    /// report plus the policy label current now, rendered on first read).
     pub fn publish(&self, engine: &Engine, round_ran: bool) {
         {
             let mut health = self.health_lock();
@@ -374,23 +412,28 @@ impl ServeState {
                 }
             }
             if let Some(report) = engine.last_round_report() {
-                let rendered = self.render_report(&report.metrics_snapshot());
-                let mut slot = self.report_json.write().unwrap_or_else(|p| p.into_inner());
-                *slot = Some(rendered);
+                let label = self.policy_label();
+                let mut slot = self.report_lock();
+                match slot.as_mut().and_then(Arc::get_mut) {
+                    // No reader holds last round's copy: refill it.
+                    Some(published) => {
+                        match &mut published.report {
+                            Some(held) => held.clone_from(report),
+                            None => published.report = Some(report.clone()),
+                        }
+                        published.label = label;
+                        published.body.take();
+                    }
+                    None => {
+                        *slot = Some(Arc::new(PublishedReport {
+                            report: Some(report.clone()),
+                            label,
+                            body: OnceLock::new(),
+                        }));
+                    }
+                }
             }
         }
-    }
-
-    /// Render a report snapshot, folding the active policy label in as a
-    /// real top-level `"policy"` field.
-    fn render_report(&self, snap: &capmaestro_core::obs::MetricsSnapshot) -> String {
-        let label = *self.policy_label.lock().unwrap_or_else(|p| p.into_inner());
-        let mut out = String::new();
-        match label {
-            Some(name) => json::snapshot_with_fields_into(&mut out, &[("policy", name)], snap),
-            None => json::snapshot_into(&mut out, snap),
-        }
-        out
     }
 
     /// Publish one distributed-deployment round: the room-controller
@@ -408,9 +451,13 @@ impl ServeState {
             health.rounds_total += 1;
             health.last_round = Some(Instant::now());
         }
-        let rendered = self.render_report(&self.registry.snapshot());
-        let mut slot = self.report_json.write().unwrap_or_else(|p| p.into_inner());
-        *slot = Some(rendered);
+        let label = self.policy_label();
+        let body = render_report(label, &self.registry.snapshot());
+        *self.report_lock() = Some(Arc::new(PublishedReport {
+            report: None,
+            label,
+            body: OnceLock::from(body),
+        }));
     }
 
     /// The current health view, as `GET /v1/healthz` reports it.
@@ -433,11 +480,11 @@ impl ServeState {
     }
 
     /// The latest `/v1/report` JSON payload, if any round has completed.
+    /// The first call after a round renders it (outside any lock the
+    /// engine thread takes) and caches it for the rest of that round.
     pub fn report_json(&self) -> Option<String> {
-        self.report_json
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+        let published = self.report_lock().clone()?;
+        Some(published.body().to_owned())
     }
 
     /// Render the `/v1/metrics` Prometheus page from the live registry.
@@ -688,6 +735,17 @@ impl ServeState {
             None
         }
     }
+}
+
+/// Render a report snapshot, folding the policy label in as a real
+/// top-level `"policy"` field.
+fn render_report(label: Option<&'static str>, snap: &MetricsSnapshot) -> String {
+    let mut out = String::new();
+    match label {
+        Some(name) => json::snapshot_with_fields_into(&mut out, &[("policy", name)], snap),
+        None => json::snapshot_into(&mut out, snap),
+    }
+    out
 }
 
 /// Append one envelope as a JSON object.

@@ -838,47 +838,8 @@ mod tests {
     /// the tracker must report it (trips are never exempt).
     #[test]
     fn uncapped_overload_is_flagged_as_breaker_trip() {
-        use capmaestro_core::plane::{ControlPlane, PlaneConfig};
-        use capmaestro_core::tree::ControlTree;
-        use capmaestro_server::{Server, ServerConfig};
-        use capmaestro_topology::{CircuitBreaker, DeviceKind, Phase, PowerDevice, Priority};
-        use capmaestro_units::Watts;
-
-        let mut b = TopologyBuilder::new();
-        let root = b.add_feed(
-            FeedId::A,
-            PowerDevice::new("Rack CB", DeviceKind::Cdu)
-                .with_breaker(CircuitBreaker::with_default_derating(Watts::new(700.0))),
-        );
-        for name in ["S1", "S2"] {
-            b.single_corded_server(name, Priority::LOW, FeedId::A, root, Phase::L1)
-                .unwrap();
-        }
-        let topology = b.build().unwrap();
-        let trees: Vec<ControlTree> = topology
-            .control_tree_specs()
-            .into_iter()
-            .map(ControlTree::new)
-            .collect();
-        let mut farm = Farm::new();
-        for (id, _) in topology.servers() {
-            let mut server = Server::new(ServerConfig::paper_default().single_corded());
-            server.set_offered_demand(Watts::new(420.0));
-            server.settle();
-            farm.insert(id, server);
-        }
-        let plane = ControlPlane::new(
-            trees,
-            vec![Watts::new(560.0)],
-            PlaneConfig::default(),
-        );
-        let rig = crate::scenarios::Rig {
-            topology,
-            farm,
-            plane,
-        };
         let mut engine = crate::engine::Engine::with_config(
-            rig,
+            crate::scenarios::overloaded_breaker_rig(),
             crate::engine::EngineConfig {
                 control_enabled: false,
                 ..Default::default()

@@ -3,10 +3,12 @@
 //! Advances the world at 1 Hz: servers draw power with node-manager
 //! settling, the control plane senses every second and re-budgets every
 //! control period, breaker thermal models integrate stress, and scripted
-//! [`Event`]s inject failures or workload changes. Everything observable is
-//! recorded into a [`Trace`] for the figure-regeneration harnesses.
+//! [`Event`]s inject failures or workload changes. The figure-regeneration
+//! harnesses step through [`Engine::run`], which records every observable
+//! series into a [`Trace`]; the serving path steps through
+//! [`Engine::step`], which records only the event logs.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use capmaestro_core::obs::{names, PhaseTimer};
@@ -75,13 +77,15 @@ pub enum Event {
     StopFlap(FeedId),
 }
 
-/// Everything the engine recorded, one sample per simulated second.
+/// Everything the engine recorded.
 ///
 /// The per-series maps (`server_power`, `supply_power`, `throttle`,
-/// `dc_cap`, `node_load`) are filled from batched append buffers that the
-/// engine flushes when a run completes (or after every [`Engine::step`]);
-/// the event logs (`trips`, `lost_servers`, `stranded`) and `seconds` are
-/// always live.
+/// `dc_cap`, `node_load`) hold one sample for every second stepped by
+/// [`Engine::run`] / [`Engine::run_observed`], filled from batched append
+/// buffers flushed when the run returns. Seconds stepped by
+/// [`Engine::step`] record no series. The event logs (`trips`,
+/// `lost_servers`, `stranded`) and `seconds` are live under every entry
+/// point.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Total AC power per server.
@@ -214,6 +218,31 @@ impl LoadIndex {
         }
     }
 
+    /// Fills `loads` with this second's per-key load, indexed by slot:
+    /// the sum of supply powers at outlet descendants, kept per phase
+    /// because breaker ratings are per phase. Each key sums its
+    /// contributions in outlet order. `outlet_loads` is scratch.
+    fn fill_loads(
+        &self,
+        snaps: &[(ServerId, SensorSnapshot)],
+        outlet_loads: &mut Vec<Watts>,
+        loads: &mut Vec<Watts>,
+    ) {
+        outlet_loads.clear();
+        outlet_loads.extend(self.outlets.iter().map(|&(slot, supply)| {
+            slot.and_then(|s| snaps[s as usize].1.supply_ac.get(supply as usize).copied())
+                .unwrap_or(Watts::ZERO)
+        }));
+        loads.clear();
+        loads.extend(self.contributors.iter().map(|outlets| {
+            let mut total = Watts::ZERO;
+            for &oi in outlets {
+                total += outlet_loads[oi as usize];
+            }
+            total
+        }));
+    }
+
     /// The load at a key this second, if any outlet feeds it.
     fn load_at(
         &self,
@@ -226,12 +255,12 @@ impl LoadIndex {
 
 /// Batched trace recording: per-second samples land in dense,
 /// slot-indexed append buffers (pure `Vec` pushes — no hashing on the
-/// per-second path), which are flushed into the [`Trace`] maps once per
-/// run (or per manual [`Engine::step`]). The slot layout mirrors the
-/// farm's snapshot sweep order and the topology's limited nodes, both of
-/// which are fixed for the engine's lifetime; if either ever changes the
-/// recorder flushes and relearns the layout, so series stay keyed
-/// correctly.
+/// per-second path), which are flushed into the [`Trace`] maps when a
+/// run returns; only [`Engine::run_observed`] feeds it. The slot layout
+/// mirrors the farm's snapshot sweep order and the topology's limited
+/// nodes, both of which are fixed for the engine's lifetime; if either
+/// ever changes the recorder flushes and relearns the layout, so series
+/// stay keyed correctly.
 #[derive(Debug, Default)]
 struct TraceRecorder {
     ready: bool,
@@ -416,11 +445,17 @@ pub struct Engine {
     plane: ControlPlane,
     config: EngineConfig,
     breakers: Vec<((FeedId, NodeId, Phase), BreakerSim)>,
-    events: Vec<(u64, Event)>,
+    /// Pending events, sorted by second; same-second events keep their
+    /// scheduling order.
+    events: VecDeque<(u64, Event)>,
     time_s: u64,
     trace: Trace,
     last_caps: HashMap<ServerId, f64>,
     load_index: LoadIndex,
+    /// Per-outlet scratch for [`LoadIndex::fill_loads`].
+    outlet_loads: Vec<Watts>,
+    /// The last stepped second's per-key loads, by [`LoadIndex`] slot.
+    loads: Vec<Watts>,
     faults: FaultLayer,
     /// Route sensing through the fault layer even when it is quiet
     /// (differential-test knob proving the slow path is a true no-op).
@@ -492,11 +527,13 @@ impl Engine {
             plane,
             config,
             breakers,
-            events: Vec::new(),
+            events: VecDeque::new(),
             time_s: 0,
             trace: Trace::default(),
             last_caps: HashMap::new(),
             load_index,
+            outlet_loads: Vec::new(),
+            loads: Vec::new(),
             faults: FaultLayer::new(0),
             force_interposition: false,
             recorder: TraceRecorder::default(),
@@ -517,10 +554,12 @@ impl Engine {
         self
     }
 
-    /// Schedules an event at an absolute simulation second.
+    /// Schedules an event at an absolute simulation second, after every
+    /// event already scheduled for that second. An event scheduled in the
+    /// past applies at the next step.
     pub fn schedule(&mut self, at_s: u64, event: Event) -> &mut Self {
-        self.events.push((at_s, event));
-        self.events.sort_by_key(|(t, _)| *t);
+        let at = self.events.partition_point(|(t, _)| *t <= at_s);
+        self.events.insert(at, (at_s, event));
         self
     }
 
@@ -625,9 +664,9 @@ impl Engine {
     }
 
     /// Drops everything recorded so far and resets the trace to empty
-    /// (series layouts are relearned on the next step). A long-running
-    /// daemon calls this periodically so an unbounded serving run does
-    /// not accumulate an unbounded trace.
+    /// (series layouts are relearned on the next run). A long-running
+    /// daemon calls this periodically to bound the event logs; since
+    /// [`Engine::step`] records no series, that costs only their drop.
     pub fn reset_trace(&mut self) {
         self.recorder = TraceRecorder::default();
         let seconds = self.time_s;
@@ -779,40 +818,13 @@ impl Engine {
         }
     }
 
-    /// Per-key load right now, indexed by [`LoadIndex`] slot: the sum of
-    /// supply powers at outlet descendants, kept per phase because breaker
-    /// ratings are per phase. Each key sums its contributions in outlet
-    /// order.
-    fn node_loads(&self, snaps: &[(ServerId, SensorSnapshot)]) -> Vec<Watts> {
-        let outlet_loads: Vec<Watts> = self
-            .load_index
-            .outlets
-            .iter()
-            .map(|&(slot, supply)| {
-                slot.and_then(|s| {
-                    snaps[s as usize].1.supply_ac.get(supply as usize).copied()
-                })
-                .unwrap_or(Watts::ZERO)
-            })
-            .collect();
-        self.load_index
-            .contributors
-            .iter()
-            .map(|outlets| {
-                let mut total = Watts::ZERO;
-                for &oi in outlets {
-                    total += outlet_loads[oi as usize];
-                }
-                total
-            })
-            .collect()
-    }
-
-    fn record(&mut self, snaps: &[(ServerId, SensorSnapshot)], loads: &[Watts]) {
-        // Per-server and per-node series go into the recorder's dense
-        // append buffers — one plain push per sample, no hashing. The
-        // displayed node load aggregates the phases (safety checks use
-        // the per-phase values against the per-phase ratings).
+    /// Appends the second just stepped to the series recorder, from the
+    /// sweep's snapshots and loads. Per-server and per-node series go into
+    /// dense append buffers — one plain push per sample, no hashing. The
+    /// displayed node load aggregates the phases (safety checks use the
+    /// per-phase values against the per-phase ratings).
+    fn record_series(&mut self) {
+        let snaps = self.snaps_buf.entries();
         if !self.recorder.matches(snaps) {
             self.recorder.flush(&mut self.trace);
             self.recorder.rebuild(
@@ -822,11 +834,13 @@ impl Engine {
                 &mut self.trace.node_names,
             );
         }
-        self.recorder.push_second(snaps, &self.last_caps, loads);
+        self.recorder
+            .push_second(snaps, &self.last_caps, &self.loads);
     }
 
-    /// Runs the simulation for `seconds`, returning the accumulated trace.
-    /// May be called repeatedly to continue a run.
+    /// Runs the simulation for `seconds`, returning the accumulated trace
+    /// with every series sample of those seconds. May be called repeatedly
+    /// to continue a run.
     pub fn run(&mut self, seconds: u64) -> Trace {
         self.run_observed(seconds, |_| {})
     }
@@ -841,24 +855,27 @@ impl Engine {
     ) -> Trace {
         for _ in 0..seconds {
             self.step_second();
+            self.record_series();
             observer(self);
         }
         self.recorder.flush(&mut self.trace);
         self.trace.clone()
     }
 
-    /// Advances the simulation by exactly one second and flushes the
-    /// recorded series — the manual-stepping alternative to
-    /// [`Engine::run`] for harnesses that mutate engine internals (e.g.
-    /// [`Engine::plane_mut`]) between seconds.
+    /// Advances the simulation by exactly one second, recording only the
+    /// event logs (`trips`, `lost_servers`, `stranded`) and `seconds` —
+    /// no series. This is the serving path (`serve::daemon::drive_second`),
+    /// and the manual-stepping alternative to [`Engine::run`] for harnesses
+    /// that read engine state, or mutate it (e.g. [`Engine::plane_mut`]),
+    /// between seconds.
     pub fn step(&mut self) {
         self.step_second();
-        self.recorder.flush(&mut self.trace);
     }
 
     /// Advances the world by one second: events, sensing (through the
-    /// fault layer when it is active), control, physics, breakers,
-    /// recording.
+    /// fault layer when it is active), control, physics, breakers, and
+    /// the event logs. Leaves the sweep's snapshots in `snaps_buf` and its
+    /// loads in `loads` for [`Engine::record_series`].
     fn step_second(&mut self) {
         let recorder = Arc::clone(self.plane.recorder());
         // Publish the logical clock so trace events carry simulated (not
@@ -868,11 +885,7 @@ impl Engine {
         let _step_timer = PhaseTimer::start(&*recorder, names::SIM_STEP_SECONDS);
         {
             // Apply due events.
-            while let Some((t, _)) = self.events.first() {
-                if *t > self.time_s {
-                    break;
-                }
-                let (_, event) = self.events.remove(0);
+            while let Some((_, event)) = self.events.pop_front_if(|(t, _)| *t <= self.time_s) {
                 self.apply_event(event);
             }
 
@@ -918,19 +931,20 @@ impl Engine {
 
             // Physics. One fused sweep steps every server and reads its
             // sensors; the snapshots feed the load accumulation, the
-            // breaker models, and the trace without re-sensing. Each
-            // breaker's thermal model runs on its own phase's load
+            // breaker models, and the series recorder without re-sensing.
+            // Each breaker's thermal model runs on its own phase's load
             // (ratings are per phase). The sweep writes into a persistent
             // buffer that only re-copies snapshots of servers the slab
             // marked changed — a converged fleet costs no copies.
             let mut snaps = std::mem::take(&mut self.snaps_buf);
             self.farm.step_and_sense_into(Seconds::new(1.0), &mut snaps);
-            let loads = self.node_loads(snaps.entries());
+            self.load_index
+                .fill_loads(snaps.entries(), &mut self.outlet_loads, &mut self.loads);
             let mut tripped_now: Vec<(FeedId, NodeId, Phase)> = Vec::new();
             for ((feed, node, phase), sim) in &mut self.breakers {
                 let load = self
                     .load_index
-                    .load_at(&loads, (*feed, *node, *phase))
+                    .load_at(&self.loads, (*feed, *node, *phase))
                     .unwrap_or(Watts::ZERO);
                 let before = sim.state();
                 let after = sim.step(load, Seconds::new(1.0));
@@ -985,7 +999,7 @@ impl Engine {
                 }
             }
             // Trips changed the victims' PSU state after the sweep;
-            // refresh their snapshots so the trace records post-trip
+            // refresh their snapshots so the series record post-trip
             // sensor readings, exactly as a fresh sense would.
             if !resensed.is_empty() {
                 for (id, snap) in snaps.entries_mut().iter_mut() {
@@ -997,8 +1011,6 @@ impl Engine {
                 }
             }
 
-            // Record.
-            self.record(snaps.entries(), &loads);
             self.snaps_buf = snaps;
             self.time_s += 1;
             self.trace.seconds = self.time_s;
@@ -1015,8 +1027,8 @@ impl Engine {
 
     /// Immutable view of everything recorded so far. The event logs
     /// (`trips`, `lost_servers`, `stranded`) are live every second; the
-    /// per-series maps are complete at [`Engine::run`] /
-    /// [`Engine::run_observed`] boundaries and after [`Engine::step`].
+    /// per-series maps hold the seconds stepped by [`Engine::run`] /
+    /// [`Engine::run_observed`] and are complete when those return.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
@@ -1397,6 +1409,79 @@ mod tests {
         );
         let sa_after = Trace::tail_mean(&trace.server_power[&sa], 20);
         assert!(sa_after < 300.0, "demoted-by-comparison SA should yield: {sa_after}");
+    }
+
+    #[test]
+    fn same_second_events_apply_in_schedule_order_and_past_events_next_step() {
+        let rig = priority_rig(RigConfig::table2());
+        let sa = rig.server("SA");
+        let mut engine = Engine::new(rig);
+        let demand = |engine: &Engine| engine.server(sa).expect("SA").offered_demand();
+        // Scheduled out of time order; the two t=5 events land in the
+        // order they were scheduled, so the later one wins.
+        engine.schedule(5, Event::SetDemand(sa, Watts::new(300.0)));
+        engine.schedule(3, Event::SetDemand(sa, Watts::new(250.0)));
+        engine.schedule(5, Event::SetDemand(sa, Watts::new(200.0)));
+        for _ in 0..5 {
+            engine.step();
+        }
+        assert_eq!(demand(&engine), Watts::new(250.0));
+        engine.step();
+        assert_eq!(demand(&engine), Watts::new(200.0));
+        // An event scheduled in the past applies at the next step.
+        engine.schedule(1, Event::SetDemand(sa, Watts::new(350.0)));
+        assert_eq!(demand(&engine), Watts::new(200.0));
+        engine.step();
+        assert_eq!(demand(&engine), Watts::new(350.0));
+    }
+
+    /// `step` is the serving path: after N of them the series maps are
+    /// empty, while the event logs and the clock match a recorded run of
+    /// the same N seconds.
+    #[test]
+    fn step_records_the_event_logs_but_no_series() {
+        // SPO reclaims stranded watts, and SB goes dark with feed B.
+        let stranded = || {
+            let mut engine = Engine::new(stranded_rig(RigConfig::table3().with_spo(true)));
+            engine.schedule(40, Event::FailFeed(FeedId::B));
+            engine
+        };
+        // Uncapped, the overloaded breaker trips.
+        let overloaded = || {
+            Engine::with_config(
+                crate::scenarios::overloaded_breaker_rig(),
+                EngineConfig {
+                    control_enabled: false,
+                    ..EngineConfig::default()
+                },
+            )
+        };
+        let builds: [&dyn Fn() -> Engine; 2] = [&stranded, &overloaded];
+        let mut logged = [0, 0, 0];
+        for build in builds {
+            let reference = build().run(200);
+            let mut stepped = build();
+            for _ in 0..200 {
+                stepped.step();
+            }
+            let trace = stepped.trace();
+            assert!(trace.server_power.is_empty());
+            assert!(trace.supply_power.is_empty());
+            assert!(trace.throttle.is_empty());
+            assert!(trace.dc_cap.is_empty());
+            assert!(trace.node_load.is_empty());
+            assert_eq!(trace.seconds, 200);
+            assert_eq!(trace.trips, reference.trips);
+            assert_eq!(trace.lost_servers, reference.lost_servers);
+            assert_eq!(trace.stranded, reference.stranded);
+            logged[0] += trace.trips.len();
+            logged[1] += trace.lost_servers.len();
+            logged[2] += trace.stranded.iter().filter(|(_, w)| *w > 0.0).count();
+        }
+        assert!(
+            logged.iter().all(|&n| n > 0),
+            "every log saw an entry: {logged:?}"
+        );
     }
 
     #[test]

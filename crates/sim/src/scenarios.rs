@@ -182,6 +182,46 @@ pub fn stranded_rig(config: RigConfig) -> Rig {
     }
 }
 
+/// Two single-corded 420 W servers on one 700 W-rated breaker under a
+/// 560 W budget. Run uncapped (`control_enabled: false`), the 20 %
+/// sustained overload trips the UL 489 thermal model in ~106 s.
+#[cfg(test)]
+pub(crate) fn overloaded_breaker_rig() -> Rig {
+    use capmaestro_topology::{
+        CircuitBreaker, DeviceKind, FeedId, Phase, PowerDevice, TopologyBuilder,
+    };
+
+    let mut b = TopologyBuilder::new();
+    let root = b.add_feed(
+        FeedId::A,
+        PowerDevice::new("Rack CB", DeviceKind::Cdu)
+            .with_breaker(CircuitBreaker::with_default_derating(Watts::new(700.0))),
+    );
+    for name in ["S1", "S2"] {
+        b.single_corded_server(name, Priority::LOW, FeedId::A, root, Phase::L1)
+            .expect("valid attachment");
+    }
+    let topology = b.build().expect("valid topology");
+    let trees: Vec<ControlTree> = topology
+        .control_tree_specs()
+        .into_iter()
+        .map(ControlTree::new)
+        .collect();
+    let mut farm = Farm::new();
+    for (id, _) in topology.servers() {
+        let mut server = Server::new(ServerConfig::paper_default().single_corded());
+        server.set_offered_demand(Watts::new(420.0));
+        server.settle();
+        farm.insert(id, server);
+    }
+    let plane = ControlPlane::new(trees, vec![Watts::new(560.0)], PlaneConfig::default());
+    Rig {
+        topology,
+        farm,
+        plane,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

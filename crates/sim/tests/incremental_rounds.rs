@@ -53,10 +53,12 @@ fn assert_traces_identical(inc: &Trace, full: &Trace) {
 
 /// Runs the engine second by second, discarding the plane's cached
 /// `RoundContext` (arena round state, reusable buffers, dirty stamps)
-/// after every second so each control round rebuilds from scratch.
+/// after every second so each control round rebuilds from scratch. Each
+/// second goes through `run(1)`, the series-recording entry point, so the
+/// returned trace carries every series sample to compare.
 fn run_rebuilding_every_second(engine: &mut Engine, seconds: u64) -> Trace {
     for _ in 0..seconds {
-        engine.step();
+        engine.run(1);
         engine.plane_mut().reset_round_cache();
     }
     engine.trace().clone()
