@@ -11,10 +11,6 @@ cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings \
     -D clippy::large_stack_arrays -D clippy::needless_collect
 
-# Trace-export lane: the exporter's unit tests plus the property layer
-# (round-trip, ring eviction, parser totality) run as part of tier 1.
-cargo test -q -p capmaestro-core trace
-
 # Deterministic chaos smoke: seeded telemetry faults against both rigs,
 # invariant-checked every simulated second; exits non-zero on violation.
 cargo run --release -q -p capmaestro-bench --bin chaos -- \
@@ -46,10 +42,9 @@ cargo run --release -q --example observability -- --check
 
 # Serving-mode smoke: boot capmaestrod on an ephemeral port (flat-out
 # stepping, quit-on-stdin for a clean shutdown), curl all four endpoints
-# under /v1, run the daemon's own --probe (which also covers the
-# deprecated unversioned aliases, validates the Prometheus payload,
-# round-trips the report JSON, and POSTs a budget), then shut down via
-# stdin. Everything is wall-clock bounded so a wedged daemon fails CI
+# under /v1, run the daemon's own --probe (which validates the
+# Prometheus payload, round-trips the report JSON, POSTs a budget, and
+# replays an idempotent PUT), then shut down via stdin. Everything is wall-clock bounded so a wedged daemon fails CI
 # instead of hanging it.
 cargo build --release -q -p capmaestro-serve --bin capmaestrod
 DAEMON_LOG=$(mktemp); DAEMON_FIFO=$(mktemp -u); DAEMON_OPLOG=$(mktemp -u)

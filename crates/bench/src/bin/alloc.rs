@@ -26,7 +26,8 @@
 //! every round, verifying bit-identical caps and zero steady-state
 //! allocations, exiting nonzero on any mismatch. The smoke then attaches
 //! a live `MetricsRegistry` and proves the instrumented hot path is
-//! *still* allocation-free once the registry is warm.
+//! *still* allocation-free once the registry is warm, under every
+//! allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -34,6 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use capmaestro_bench::{banner, Args};
+use capmaestro_core::alloc::AllocatorKind;
 use capmaestro_core::obs::{MetricsRegistry, RoundPhase};
 use capmaestro_sim::report::Table;
 use capmaestro_sim::scenarios::{datacenter_rig, DataCenterRigConfig};
@@ -182,7 +184,8 @@ fn render_json(samples: &[Sample]) -> String {
 /// bit-identical caps, budgets, and stranded power each round, (b) zero
 /// steady-state allocations inside `ControlPlane::round`, and (c) zero
 /// allocations per round with a live `MetricsRegistry` attached once its
-/// metric cells are registered. Returns the process exit code.
+/// metric cells are registered, for each allocator in turn. Returns the
+/// process exit code.
 fn smoke() -> i32 {
     let config = config_for(8, 2, 2, 16);
     let rig_a = datacenter_rig(&config);
@@ -255,33 +258,37 @@ fn smoke() -> i32 {
     }
 
     // Phase 2: attach a live registry and prove the *instrumented* hot
-    // path is still allocation-free. The first instrumented rounds
-    // register every metric cell (that allocates, by design); after the
-    // re-warm the registry is append-only and rounds must be clean.
+    // path is still allocation-free under every allocator. The first
+    // instrumented rounds register every metric cell and warm the new
+    // policy's scratch (that allocates, by design); after the re-warm the
+    // registry is append-only and rounds must be clean.
     let registry = std::sync::Arc::new(MetricsRegistry::new());
     plane_a.set_recorder(registry.clone());
     const INSTRUMENT_WARMUP: u32 = 2;
     const INSTRUMENT_ROUNDS: u32 = 20;
-    for _ in 0..INSTRUMENT_WARMUP {
-        plane_a.sample(&mut farm_a);
-        plane_a.round(&mut farm_a);
-        farm_a.step_all(Seconds::new(1.0));
-    }
-    let mut instrumented_allocs = 0u64;
-    for _ in 0..INSTRUMENT_ROUNDS {
-        plane_a.sample(&mut farm_a);
-        let before = ALLOCS.load(Ordering::Relaxed);
-        plane_a.round(&mut farm_a);
-        instrumented_allocs += ALLOCS.load(Ordering::Relaxed) - before;
-        farm_a.step_all(Seconds::new(1.0));
-    }
-    println!(
-        "smoke: {instrumented_allocs} heap allocations over \
-         {INSTRUMENT_ROUNDS} registry-instrumented rounds"
-    );
-    if instrumented_allocs > 0 {
-        eprintln!("FAIL: instrumented rounds allocated on the hot path.");
-        return 1;
+    for kind in AllocatorKind::ALL {
+        plane_a.set_allocator(kind);
+        for _ in 0..INSTRUMENT_WARMUP {
+            plane_a.sample(&mut farm_a);
+            plane_a.round(&mut farm_a);
+            farm_a.step_all(Seconds::new(1.0));
+        }
+        let mut instrumented_allocs = 0u64;
+        for _ in 0..INSTRUMENT_ROUNDS {
+            plane_a.sample(&mut farm_a);
+            let before = ALLOCS.load(Ordering::Relaxed);
+            plane_a.round(&mut farm_a);
+            instrumented_allocs += ALLOCS.load(Ordering::Relaxed) - before;
+            farm_a.step_all(Seconds::new(1.0));
+        }
+        println!(
+            "smoke: {instrumented_allocs} heap allocations over \
+             {INSTRUMENT_ROUNDS} registry-instrumented {kind} rounds"
+        );
+        if instrumented_allocs > 0 {
+            eprintln!("FAIL: instrumented {kind} rounds allocated on the hot path.");
+            return 1;
+        }
     }
     // Sanity: the registry actually saw the rounds it instrumented.
     let snap = registry.snapshot();

@@ -70,7 +70,7 @@ pub fn snapshot_into(out: &mut String, snap: &MetricsSnapshot) {
 
 /// Like [`snapshot_into`], but with extra top-level string fields
 /// rendered (escaped) before the metric arrays — how the serving layer
-/// folds its `"policy"` label into `/report` as a genuine JSON field.
+/// folds its `"policy"` label into `/v1/report` as a genuine JSON field.
 /// [`parse`] looks fields up by name, so documents with extras still
 /// round-trip.
 pub fn snapshot_with_fields_into(

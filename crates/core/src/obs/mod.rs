@@ -295,7 +295,7 @@ pub mod names {
     /// wrong method, malformed body, out-of-bounds budget).
     pub const SERVE_CLIENT_ERRORS_TOTAL: &str =
         "capmaestro_serve_client_errors_total";
-    /// Counter: accepted `POST /budget` updates staged for the next
+    /// Counter: accepted `POST /v1/budget` updates staged for the next
     /// round boundary.
     pub const SERVE_BUDGET_UPDATES_TOTAL: &str =
         "capmaestro_serve_budget_updates_total";

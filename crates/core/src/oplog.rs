@@ -72,7 +72,7 @@ pub enum Op {
         watts: Watts,
     },
     /// Declare every tree's root budget at once (the legacy
-    /// `POST /budget` surface; equivalent to one [`Op::SetTreeBudget`]
+    /// `POST /v1/budget` surface; equivalent to one [`Op::SetTreeBudget`]
     /// per element).
     SetRootBudgets(
         /// Per-tree budgets, in tree order.

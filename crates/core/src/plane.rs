@@ -61,11 +61,6 @@ impl Farm {
         self.slab.set_event_driven(enabled);
     }
 
-    /// Whether event-driven stepping is enabled.
-    pub fn event_driven(&self) -> bool {
-        self.slab.event_driven()
-    }
-
     /// Adds (or replaces) a server.
     pub fn insert(&mut self, id: ServerId, server: Server) {
         match self.ids.binary_search(&id) {
@@ -493,7 +488,7 @@ impl RoundReport {
 
     /// Encode the report as a [`MetricsSnapshot`](crate::obs::MetricsSnapshot)
     /// so it can ride the existing `obs::json` exporter/parser pair: the
-    /// serving subsystem's `GET /report` renders this snapshot with
+    /// serving subsystem's `GET /v1/report` renders this snapshot with
     /// [`json::snapshot`](crate::obs::json::snapshot) and clients round-trip
     /// it through [`json::parse`](crate::obs::json::parse).
     ///

@@ -35,11 +35,9 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-use parking_lot::RwLock;
 
 use capmaestro_topology::{ControlTreeSpec, Priority, ServerId, SpecNode, SupplyIndex};
 use capmaestro_units::{Ratio, Seconds, Watts};
@@ -132,12 +130,27 @@ impl DeploymentConfig {
 }
 
 /// A farm shared between rack workers, guarded by a read-write lock —
-/// the stand-in for the IPMI transport to real hardware.
-pub type SharedFarm = Arc<RwLock<crate::plane::Farm>>;
+/// the stand-in for the IPMI transport to real hardware. Clones share one
+/// farm. A holder that panics does not poison it: the next guard takes
+/// the farm as that holder left it.
+#[derive(Debug, Clone)]
+pub struct SharedFarm(Arc<RwLock<crate::plane::Farm>>);
+
+impl SharedFarm {
+    /// Shared read access, blocking until no writer holds the farm.
+    pub fn read(&self) -> RwLockReadGuard<'_, crate::plane::Farm> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive write access, blocking until no one else holds the farm.
+    pub fn write(&self) -> RwLockWriteGuard<'_, crate::plane::Farm> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// Wraps a [`crate::plane::Farm`] for sharing with rack workers.
 pub fn shared_farm(farm: crate::plane::Farm) -> SharedFarm {
-    Arc::new(RwLock::new(farm))
+    SharedFarm(Arc::new(RwLock::new(farm)))
 }
 
 /// Rack → room messages. Public because the socket transport serializes
@@ -504,7 +517,7 @@ impl ChannelTransport {
     fn spawn_worker_thread(&mut self, worker: usize, respawned: bool) -> Sender<DownMsg> {
         let (down_tx, down_rx) = channel::<DownMsg>();
         let rack = RackWorker::new(self.assignments[worker].clone(), &self.trees, self.policy);
-        let (farm, up) = (Arc::clone(&self.farm), self.up_tx.clone());
+        let (farm, up) = (self.farm.clone(), self.up_tx.clone());
         let suffix = if respawned { "-respawn" } else { "" };
         let handle = thread::Builder::new()
             .name(format!("rack-worker-{worker}{suffix}"))
@@ -1330,11 +1343,25 @@ mod tests {
             trees,
             vec![Watts::new(1240.0)],
             PolicyKind::GlobalPriority,
-            Arc::clone(&farm),
+            farm.clone(),
             2,
             config,
         );
         (topo, farm, deployment)
+    }
+
+    #[test]
+    fn shared_farm_recovers_from_a_poisoned_lock() {
+        let (_, farm, _) = fig2_shared_farm();
+        let servers = farm.read().len();
+        let holder = farm.clone();
+        let _ = thread::spawn(move || {
+            let _guard = holder.write();
+            panic!("poison the lock");
+        })
+        .join();
+        assert_eq!(farm.write().len(), servers);
+        assert_eq!(farm.read().len(), servers);
     }
 
     #[test]
@@ -1412,7 +1439,7 @@ mod tests {
                     trees_of(&topo),
                     root_budgets.clone(),
                     PolicyKind::GlobalPriority,
-                    Arc::clone(&farm),
+                    farm.clone(),
                     2,
                     DeploymentConfig::default(),
                 );

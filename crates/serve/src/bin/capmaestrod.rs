@@ -1,8 +1,8 @@
 //! `capmaestrod` — the CapMaestro serving daemon.
 //!
 //! Runs the paper's Table 2 priority rig behind the in-tree HTTP
-//! observability endpoint (`/metrics`, `/healthz`, `/report`,
-//! `POST /budget`). See `capmaestrod --help` and DESIGN.md "Serving
+//! `/v1` endpoints (`/v1/metrics`, `/v1/healthz`, `/v1/report`,
+//! `POST /v1/budget`, …). See `capmaestrod --help` and DESIGN.md "Serving
 //! mode".
 
 use std::process::ExitCode;

@@ -136,11 +136,10 @@ OPTIONS:
     --rig SPEC         rig both sides build: fig2 or racks:R:S (room mode;
                        default racks:<agents>:2)
     --probe ADDR       smoke-check a running daemon: scrape and validate
-                       the /v1 surface and the deprecated aliases, then
-                       drive an idempotent budget mutation through the
-                       event log
+                       the /v1 surface, then drive an idempotent budget
+                       mutation through the event log
 
-ENDPOINTS (see also the deprecated unversioned aliases):
+ENDPOINTS:
     GET   /v1/metrics               Prometheus text exposition
     GET   /v1/healthz               liveness + oplog head / applied seq
     GET   /v1/report                JSON snapshot of the latest round
@@ -349,7 +348,7 @@ pub fn run(config: &DaemonConfig) -> Result<u64, String> {
 /// [`WorkerDeployment`] rounds over a [`SocketTransport`] listener whose
 /// address is announced on stdout (`capmaestrod: agents connect to ...`).
 /// One loop iteration is one control round plus one simulated second of
-/// agent-side world time. `/healthz` reports `degraded` with a non-zero
+/// agent-side world time. `/v1/healthz` reports `degraded` with a non-zero
 /// `stale_racks` count whenever any agent's cuts were budgeted from
 /// fail-safe metrics this round — a partitioned, frozen, or dead agent
 /// after the stale-hold window — and recovers when the agent reconnects.
@@ -519,55 +518,42 @@ fn spawn_stdin_watcher(shutdown: ShutdownHandle) {
 pub fn probe(addr: &str) -> Result<String, String> {
     let mut transcript = String::new();
 
-    let metrics = client::get(addr, "/metrics")?;
+    let metrics = client::get(addr, "/v1/metrics")?;
     if metrics.status != 200 {
-        return Err(format!("/metrics answered {}", metrics.status));
+        return Err(format!("/v1/metrics answered {}", metrics.status));
     }
     let page = metrics.body_str()?;
     let samples = prometheus::validate(page)
-        .map_err(|e| format!("/metrics payload does not validate: {e}"))?;
-    transcript.push_str(&format!("/metrics: 200, {samples} valid sample lines\n"));
+        .map_err(|e| format!("/v1/metrics payload does not validate: {e}"))?;
+    transcript.push_str(&format!("/v1/metrics: 200, {samples} valid sample lines\n"));
 
-    let health = client::get(addr, "/healthz")?;
+    let health = client::get(addr, "/v1/healthz")?;
     if health.status != 200 {
         return Err(format!(
-            "/healthz answered {}: {}",
+            "/v1/healthz answered {}: {}",
             health.status,
             health.body_str().unwrap_or("<binary>")
         ));
     }
-    transcript.push_str(&format!("/healthz: 200, {}", health.body_str()?));
+    transcript.push_str(&format!("/v1/healthz: 200, {}", health.body_str()?));
 
-    let report = client::get(addr, "/report")?;
+    let report = client::get(addr, "/v1/report")?;
     if report.status != 200 {
-        return Err(format!("/report answered {}", report.status));
+        return Err(format!("/v1/report answered {}", report.status));
     }
     json::parse(report.body_str()?)
-        .map_err(|e| format!("/report payload does not parse as json: {e}"))?;
-    transcript.push_str("/report: 200, parses as a metrics snapshot\n");
+        .map_err(|e| format!("/v1/report payload does not parse as json: {e}"))?;
+    transcript.push_str("/v1/report: 200, parses as a metrics snapshot\n");
 
-    if metrics.header("deprecation") != Some("true") {
-        return Err("legacy /metrics is missing the Deprecation header".into());
-    }
-    let v1_metrics = client::get(addr, "/v1/metrics")?;
-    if v1_metrics.status != 200 || v1_metrics.header("deprecation").is_some() {
-        return Err(format!(
-            "/v1/metrics answered {} (deprecation: {:?})",
-            v1_metrics.status,
-            v1_metrics.header("deprecation")
-        ));
-    }
-    transcript.push_str("/v1/metrics: 200, legacy alias carries Deprecation: true\n");
-
-    let budget = client::post(addr, "/budget", b"[1240]")?;
+    let budget = client::post(addr, "/v1/budget", b"[1240]")?;
     if budget.status != 200 {
         return Err(format!(
-            "POST /budget answered {}: {}",
+            "POST /v1/budget answered {}: {}",
             budget.status,
             budget.body_str().unwrap_or("<binary>")
         ));
     }
-    transcript.push_str(&format!("POST /budget: 200, {}", budget.body_str()?));
+    transcript.push_str(&format!("POST /v1/budget: 200, {}", budget.body_str()?));
 
     let key = [("Idempotency-Key", "probe-tree0")];
     let first = client::put(addr, "/v1/trees/0/budget", &key, b"1240")?;
@@ -603,12 +589,12 @@ pub fn probe(addr: &str) -> Result<String, String> {
     }
     transcript.push_str("GET /v1/events: 200, staged mutation is in the log\n");
 
-    let again = client::get(addr, "/metrics")?;
+    let again = client::get(addr, "/v1/metrics")?;
     if again.status != 200 {
-        return Err(format!("second /metrics answered {}", again.status));
+        return Err(format!("second /v1/metrics answered {}", again.status));
     }
     prometheus::validate(again.body_str()?)
-        .map_err(|e| format!("second /metrics payload does not validate: {e}"))?;
+        .map_err(|e| format!("second /v1/metrics payload does not validate: {e}"))?;
     transcript.push_str("probe: all endpoints healthy\n");
     Ok(transcript)
 }

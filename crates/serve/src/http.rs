@@ -295,8 +295,7 @@ pub struct Response {
     /// The `Content-Type` header value.
     pub content_type: &'static str,
     /// Extra response headers (name, value), written verbatim after
-    /// `Content-Type` — e.g. the `Deprecation: true` marker on legacy
-    /// endpoint aliases.
+    /// `Content-Type` — e.g. the `Allow` header of a `405`.
     pub extra_headers: Vec<(&'static str, String)>,
     /// The response body.
     pub body: Vec<u8>,

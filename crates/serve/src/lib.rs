@@ -31,9 +31,8 @@
 //!   `PATCH /v1/groups/{tree}.{node}/priority`,
 //!   `POST /v1/servers/{id}:drain` / `:undrain`, `PUT /v1/allocator` —
 //!   all idempotency-keyed appends to the log, applied at the next round
-//!   boundary. Legacy unversioned paths stay as aliases that answer with
-//!   a `Deprecation: true` header. Failures share one JSON error
-//!   envelope ([`router::ApiError`]).
+//!   boundary. Failures share one JSON error envelope
+//!   ([`router::ApiError`]).
 //! - [`daemon`] — the `capmaestrod` run loop: a seeded [`capmaestro_sim`]
 //!   scenario stepped in real or accelerated time behind the server, plus
 //!   the `--probe` smoke client ci.sh uses.

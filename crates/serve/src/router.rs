@@ -20,11 +20,10 @@
 //! key and the same body answers the original event's sequence number
 //! without appending; the same key with a *different* body is a `409`.
 //!
-//! The unversioned paths (`/metrics`, `/healthz`, `/report`, `/budget`)
-//! remain as aliases answering with a `Deprecation: true` header. Known
-//! paths with the wrong method answer `405` with an `Allow` header
-//! naming the accepted method; unknown paths `404`. Every
-//! error body is the one JSON envelope
+//! Every endpoint lives under `/v1`; any other path answers `404`. Known
+//! paths with the wrong method answer `405` with an `Allow` header naming
+//! the accepted method.
+//! Every error body is the one JSON envelope
 //! `{"error":{"code":...,"message":...}}` ([`ApiError`]), and every 4xx
 //! bumps `capmaestro_serve_client_errors_total`.
 
@@ -280,8 +279,7 @@ impl Router {
         )
     }
 
-    /// `POST /v1/budget` (and the legacy `/budget` alias): a full
-    /// per-tree root-budget vector.
+    /// `POST /v1/budget`: a full per-tree root-budget vector.
     fn budget(&self, request: &Request) -> Response {
         let Ok(body) = std::str::from_utf8(&request.body) else {
             return self.error(ApiError::bad_request("budget body is not valid utf-8"));
@@ -440,18 +438,11 @@ impl Handler for Router {
             ("GET", "/v1/trace") => self.trace(request),
             ("POST", "/v1/budget") => self.budget(request),
             ("PUT", "/v1/allocator") => self.allocator(request),
-            // Legacy aliases: same behavior, plus a deprecation marker.
-            ("GET", "/metrics") => self.metrics().with_header("Deprecation", "true"),
-            ("GET", "/healthz") => self.healthz().with_header("Deprecation", "true"),
-            ("GET", "/report") => self.report().with_header("Deprecation", "true"),
-            ("POST", "/budget") => self.budget(request).with_header("Deprecation", "true"),
             // Known paths, wrong method: 405 + the accepted method.
-            (
-                _,
-                "/v1/metrics" | "/v1/healthz" | "/v1/report" | "/v1/events" | "/v1/trace"
-                | "/metrics" | "/healthz" | "/report",
-            ) => self.method_not_allowed("GET"),
-            (_, "/v1/budget" | "/budget") => self.method_not_allowed("POST"),
+            (_, "/v1/metrics" | "/v1/healthz" | "/v1/report" | "/v1/events" | "/v1/trace") => {
+                self.method_not_allowed("GET")
+            }
+            (_, "/v1/budget") => self.method_not_allowed("POST"),
             (_, "/v1/allocator") => self.method_not_allowed("PUT"),
             _ if path.starts_with("/v1/") => self.route_v1_dynamic(request, path),
             _ => self.error(ApiError::not_found("no such endpoint")),

@@ -510,7 +510,7 @@ impl ServeState {
     }
 
     /// Validate and append a full root-budget vector (the legacy
-    /// `POST /budget` shape: raw watts, one per tree). The event is
+    /// `POST /v1/budget` shape: raw watts, one per tree). The event is
     /// applied by the reconciler at the next round boundary.
     pub fn stage_budgets(
         &self,

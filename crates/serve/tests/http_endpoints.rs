@@ -65,7 +65,7 @@ fn metrics_endpoint_serves_a_valid_prometheus_page() {
     let mut stack = Stack::priority();
     stack.drive(17); // three control rounds at the 8 s period
 
-    let response = client::get(&stack.addr(), "/metrics").expect("scrape /metrics");
+    let response = client::get(&stack.addr(), "/v1/metrics").expect("scrape /v1/metrics");
     assert_eq!(response.status, 200);
     assert_eq!(
         response.header("content-type"),
@@ -85,11 +85,11 @@ fn report_endpoint_round_trips_through_the_json_parser() {
     let mut stack = Stack::priority();
 
     // Before any round: 503, not a broken payload.
-    let early = client::get(&stack.addr(), "/report").expect("early /report");
+    let early = client::get(&stack.addr(), "/v1/report").expect("early /v1/report");
     assert_eq!(early.status, 503);
 
     stack.drive(9); // two rounds (t=0 and t=8)
-    let response = client::get(&stack.addr(), "/report").expect("get /report");
+    let response = client::get(&stack.addr(), "/v1/report").expect("get /v1/report");
     assert_eq!(response.status, 200);
     assert_eq!(response.header("content-type"), Some(json::CONTENT_TYPE));
     let parsed = json::parse(response.body_str().expect("utf-8 body"))
@@ -119,7 +119,7 @@ fn report_carries_the_policy_label_and_still_parses() {
     for _ in 0..9 {
         drive_second(&mut stack.engine, &state);
     }
-    let response = client::get(&addr, "/report").expect("get /report");
+    let response = client::get(&addr, "/v1/report").expect("get /v1/report");
     assert_eq!(response.status, 200);
     let body = response.body_str().expect("utf-8 body");
     assert!(
@@ -144,13 +144,13 @@ fn healthz_reports_ok_then_flips_unhealthy_when_rounds_stall() {
     let addr = server.local_addr().to_string();
 
     // No round yet: unhealthy from the start.
-    let before = client::get(&addr, "/healthz").expect("initial /healthz");
+    let before = client::get(&addr, "/v1/healthz").expect("initial /v1/healthz");
     assert_eq!(before.status, 503);
 
     for _ in 0..9 {
         drive_second(&mut stack.engine, &state);
     }
-    let healthy = client::get(&addr, "/healthz").expect("healthy /healthz");
+    let healthy = client::get(&addr, "/v1/healthz").expect("healthy /v1/healthz");
     assert_eq!(healthy.status, 200);
     let body = healthy.body_str().expect("utf-8 health").to_string();
     assert!(body.contains("\"status\":\"ok\""), "body: {body}");
@@ -158,7 +158,7 @@ fn healthz_reports_ok_then_flips_unhealthy_when_rounds_stall() {
 
     // Stall the engine past the staleness window: the endpoint must flip.
     std::thread::sleep(Duration::from_millis(400));
-    let stalled = client::get(&addr, "/healthz").expect("stalled /healthz");
+    let stalled = client::get(&addr, "/v1/healthz").expect("stalled /v1/healthz");
     assert_eq!(stalled.status, 503);
     let body = stalled.body_str().expect("utf-8 health").to_string();
     assert!(body.contains("\"status\":\"unhealthy\""), "body: {body}");
@@ -174,7 +174,7 @@ fn posted_budget_is_applied_at_the_next_round_boundary() {
     assert_eq!(before[0].as_f64(), 700.0);
 
     let response =
-        client::post(&stack.addr(), "/budget", b"[650, 620]").expect("post /budget");
+        client::post(&stack.addr(), "/v1/budget", b"[650, 620]").expect("post /v1/budget");
     assert_eq!(
         response.status,
         200,
@@ -211,7 +211,7 @@ fn bad_budget_payloads_are_rejected_with_400() {
         (b"{\"watts\": 700}", "not an array"),
         (b"", "empty body"),
     ] {
-        let response = client::post(&addr, "/budget", body).expect("post /budget");
+        let response = client::post(&addr, "/v1/budget", body).expect("post /v1/budget");
         assert_eq!(response.status, 400, "expected 400 for {why}");
     }
     // None of those staged anything.
@@ -227,13 +227,13 @@ fn unknown_paths_and_wrong_methods_get_404_and_405() {
 
     assert_eq!(client::get(&addr, "/nope").expect("404 get").status, 404);
     assert_eq!(
-        client::post(&addr, "/metrics", b"").expect("405 post").status,
+        client::post(&addr, "/v1/metrics", b"").expect("405 post").status,
         405
     );
-    assert_eq!(client::get(&addr, "/budget").expect("405 get").status, 405);
+    assert_eq!(client::get(&addr, "/v1/budget").expect("405 get").status, 405);
     // Query strings route to the path.
     assert_eq!(
-        client::get(&addr, "/healthz?verbose=1")
+        client::get(&addr, "/v1/healthz?verbose=1")
             .expect("query get")
             .status,
         200
@@ -259,7 +259,7 @@ fn concurrent_scrapes_see_complete_valid_expositions_while_engine_steps() {
                 if stop.load(std::sync::atomic::Ordering::Relaxed) {
                     break;
                 }
-                let response = client::get(&addr, "/metrics").expect("scrape under load");
+                let response = client::get(&addr, "/v1/metrics").expect("scrape under load");
                 assert_eq!(response.status, 200);
                 let page = response.body_str().expect("utf-8 page");
                 prometheus::validate(page).expect("complete valid exposition under load");

@@ -1,6 +1,6 @@
 //! Socket-level test of the room-controller daemon: a real `capmaestrod
 //! --agents` process over real `capmaestro-agent` processes, observed
-//! through `/healthz`. Killing an agent must surface as HTTP 200 with
+//! through `/v1/healthz`. Killing an agent must surface as HTTP 200 with
 //! `"degraded":true` and a non-zero `stale_racks` count; restarting the
 //! agent must clear it.
 
@@ -51,13 +51,13 @@ fn read_announcements(stdout: &mut BufReader<ChildStdout>) -> (String, String) {
     (agent_addr.unwrap(), http_addr.unwrap())
 }
 
-/// Polls `/healthz` until `accept` passes on a 200 body, panicking with
+/// Polls `/v1/healthz` until `accept` passes on a 200 body, panicking with
 /// the last body on timeout.
 fn await_health(addr: &str, what: &str, accept: impl Fn(&str) -> bool) -> String {
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut last = String::new();
     while Instant::now() < deadline {
-        if let Ok(resp) = client::get(addr, "/healthz") {
+        if let Ok(resp) = client::get(addr, "/v1/healthz") {
             if resp.status == 200 {
                 let body = resp.body_str().unwrap_or_default().to_string();
                 if accept(&body) {
@@ -70,7 +70,7 @@ fn await_health(addr: &str, what: &str, accept: impl Fn(&str) -> bool) -> String
         }
         thread::sleep(Duration::from_millis(50));
     }
-    panic!("never saw {what}; last /healthz: {last}");
+    panic!("never saw {what}; last /v1/healthz: {last}");
 }
 
 #[test]
@@ -108,7 +108,7 @@ fn healthz_surfaces_degraded_racks_over_sockets() {
     });
 
     // Kill one agent: rounds keep completing (200), but the dead rack
-    // rides the staleness ladder into fail-safe and /healthz says so.
+    // rides the staleness ladder into fail-safe and /v1/healthz says so.
     agent0.kill().expect("kill agent 0");
     agent0.wait().expect("reap agent 0");
     let body = await_health(&http_addr, "a degraded fleet after the kill", |body| {

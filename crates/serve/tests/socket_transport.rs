@@ -6,7 +6,6 @@
 use std::io::Read;
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -296,7 +295,7 @@ fn socket_matches_channel_bitwise(allocator: AllocatorKind) {
             rig.trees,
             rig.root_budgets,
             PolicyKind::GlobalPriority,
-            Arc::clone(&farm),
+            farm.clone(),
             workers,
             DeploymentConfig::default(),
         );

@@ -1,12 +1,12 @@
 //! Socket-level tests of the versioned `/v1` operator API: the event
 //! log behind the mutation endpoints, idempotency keys, round-boundary
-//! reconciliation, the legacy-alias compatibility contract, and the
-//! shared JSON error envelope.
+//! reconciliation, the retired unversioned paths, and the shared JSON
+//! error envelope.
 
 use std::sync::Arc;
 
 use capmaestro_core::obs::trace::{self, TraceRecorder};
-use capmaestro_core::obs::{prometheus, MetricsRegistry, Recorder};
+use capmaestro_core::obs::{MetricsRegistry, Recorder};
 use capmaestro_serve::client;
 use capmaestro_serve::daemon::drive_second;
 use capmaestro_serve::{HttpConfig, HttpServer, Router, ServeState};
@@ -67,51 +67,33 @@ impl Stack {
 }
 
 #[test]
-fn v1_paths_serve_the_same_endpoints_and_legacy_aliases_announce_deprecation() {
+fn unversioned_paths_are_gone_and_answer_404_in_the_envelope() {
     let mut stack = Stack::priority();
     stack.drive(9);
     let addr = stack.addr();
 
-    // Read endpoints: both namespaces answer, only legacy is deprecated.
-    for (legacy, v1) in [
-        ("/metrics", "/v1/metrics"),
-        ("/healthz", "/v1/healthz"),
-        ("/report", "/v1/report"),
-    ] {
-        let old = client::get(&addr, legacy).expect("legacy path");
-        let new = client::get(&addr, v1).expect("v1 path");
-        assert_eq!(old.status, 200, "{legacy}");
-        assert_eq!(new.status, 200, "{v1}");
-        assert_eq!(
-            old.header("deprecation"),
-            Some("true"),
-            "{legacy} must announce its deprecation"
-        );
-        assert_eq!(
-            new.header("deprecation"),
-            None,
-            "{v1} is the blessed path, not deprecated"
-        );
-        assert_eq!(
-            old.header("content-type"),
-            new.header("content-type"),
-            "aliases must serve the same representation"
+    let old = [
+        client::get(&addr, "/metrics").expect("old metrics path"),
+        client::get(&addr, "/healthz").expect("old healthz path"),
+        client::get(&addr, "/report").expect("old report path"),
+        client::post(&addr, "/budget", b"[1240]").expect("old budget path"),
+        client::put(&addr, "/metrics", &[], b"").expect("old path, other method"),
+    ];
+    for response in old {
+        assert_eq!(response.status, 404);
+        let body = response.body_str().expect("utf-8");
+        assert!(
+            body.starts_with("{\"error\":{\"code\":\"not_found\""),
+            "body: {body}"
         );
     }
-    prometheus::validate(
-        client::get(&addr, "/v1/metrics")
-            .expect("v1 metrics")
-            .body_str()
-            .expect("utf-8"),
-    )
-    .expect("v1 metrics page validates");
-
-    // The legacy mutation alias behaves identically and is deprecated.
-    let old_post = client::post(&addr, "/budget", b"[1240]").expect("legacy post");
-    assert_eq!(old_post.status, 200);
-    assert_eq!(old_post.header("deprecation"), Some("true"));
-    let body = old_post.body_str().expect("utf-8");
-    assert!(body.contains("\"status\":\"staged\""), "body: {body}");
+    // The /v1 paths they stood for still serve, and nothing was staged.
+    for path in ["/v1/metrics", "/v1/healthz", "/v1/report"] {
+        let status = client::get(&addr, path).expect("v1 path").status;
+        assert_eq!(status, 200, "{path}");
+    }
+    let events = client::get(&addr, "/v1/events").expect("events");
+    assert!(events.body_str().expect("utf-8").starts_with("{\"head\":0"));
 }
 
 #[test]

@@ -136,11 +136,6 @@ impl ServerSlab {
         self.event_driven = enabled;
     }
 
-    /// Whether event-driven stepping is enabled.
-    pub fn event_driven(&self) -> bool {
-        self.event_driven
-    }
-
     /// The current refresh generation (see [`ServerSlab::changed_since`]).
     pub fn generation(&self) -> u64 {
         self.generation

@@ -470,7 +470,7 @@ pub struct Engine {
     delivered_valid: bool,
     /// Root budgets staged by [`Engine::stage_root_budgets`], applied at
     /// the next control-round boundary (the serving subsystem's
-    /// `POST /budget` path).
+    /// `POST /v1/budget` path).
     staged_budgets: Option<Vec<Watts>>,
     /// Reusable snapshot buffer for the per-second physics sweep.
     /// Incrementally synced from the farm's slab, so a quiescent fleet
@@ -608,7 +608,7 @@ impl Engine {
 
     /// Stages replacement per-tree root budgets to be applied at the
     /// *next* control-round boundary, not mid-period — the thread-safe
-    /// seam behind the serving subsystem's `POST /budget`. A later call
+    /// seam behind the serving subsystem's `POST /v1/budget`. A later call
     /// before the boundary replaces the staged set. Staged budgets whose
     /// count no longer matches the plane's live trees (a feed failed in
     /// between) are discarded rather than applied.
@@ -633,7 +633,7 @@ impl Engine {
 
     /// Applies a reconciliation plan from the operator event log:
     /// budgets are *staged* (they land inside the next [`Engine::step`]
-    /// at the round boundary, exactly like `POST /budget` always has),
+    /// at the round boundary, exactly like `POST /v1/budget` always has),
     /// while priorities, drains, and allocator switches apply to the
     /// plane immediately so the same round allocates with them. Returns
     /// the number of actions taken. An empty plan does nothing at all —

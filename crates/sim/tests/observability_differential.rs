@@ -99,7 +99,7 @@ fn instrumented_rounds_are_bit_identical_to_uninstrumented() {
 }
 
 /// 60 s seeded-chaos soak with the serving stack attached and scraper
-/// threads hammering `/metrics`, `/healthz`, and `/report` the whole
+/// threads hammering `/v1/metrics`, `/v1/healthz`, and `/v1/report` the whole
 /// time, against an unscraped twin of the same plan: serving mode reads
 /// only published copies, so scraping must never perturb a control
 /// decision. Traces must match bit for bit.
@@ -140,7 +140,7 @@ fn scraped_engine_is_bit_identical_to_unscraped_twin() {
 
     let stop = Arc::new(AtomicBool::new(false));
     let mut scrapers = Vec::new();
-    for endpoint in ["/metrics", "/healthz", "/report"] {
+    for endpoint in ["/v1/metrics", "/v1/healthz", "/v1/report"] {
         let addr = addr.clone();
         let stop = stop.clone();
         scrapers.push(std::thread::spawn(move || {
@@ -148,12 +148,12 @@ fn scraped_engine_is_bit_identical_to_unscraped_twin() {
             while !stop.load(Ordering::Relaxed) {
                 let response = client::get(&addr, endpoint).expect("scrape under soak");
                 match endpoint {
-                    "/metrics" => {
+                    "/v1/metrics" => {
                         assert_eq!(response.status, 200);
                         prometheus::validate(response.body_str().expect("utf-8"))
                             .expect("valid exposition during soak");
                     }
-                    // /healthz flips with wall-clock progress and /report
+                    // /v1/healthz flips with wall-clock progress and /v1/report
                     // needs a first round: 200 or 503, never garbage.
                     _ => assert!(response.status == 200 || response.status == 503),
                 }

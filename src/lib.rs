@@ -24,8 +24,8 @@
 //! - [`sim`] — the time-stepped data-center simulator and the Monte-Carlo
 //!   capacity planner,
 //! - [`serve`] — the long-running serving mode: the in-tree HTTP
-//!   observability endpoint (`/metrics`, `/healthz`, `/report`,
-//!   `POST /budget`) and the `capmaestrod` daemon.
+//!   `/v1` endpoints (`/v1/metrics`, `/v1/healthz`, `/v1/report`,
+//!   `POST /v1/budget`, …) and the `capmaestrod` daemon.
 //!
 //! # Quick start
 //!
