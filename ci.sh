@@ -6,7 +6,6 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-cargo test -q
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings \
     -D clippy::large_stack_arrays -D clippy::needless_collect

@@ -154,6 +154,8 @@ pub(crate) struct LeafTable {
     leaves: Vec<LeafControl>,
     /// Leaves in fail-safe as of the last [`LeafTable::age`].
     stale: usize,
+    /// How many times [`LeafTable::fit`] re-laid the table.
+    layout: u64,
 }
 
 impl LeafTable {
@@ -171,6 +173,12 @@ impl LeafTable {
         let moved = self.ids.iter().map(|id| old.remove(id).unwrap_or_default());
         self.leaves.extend(moved);
         self.stale = self.leaves.iter().filter(|leaf| leaf.stale).count();
+        self.layout += 1;
+    }
+
+    /// Identifies the current slot layout: equal values, equal layouts.
+    pub(crate) fn layout(&self) -> u64 {
+        self.layout
     }
 
     /// The record in `slot`.

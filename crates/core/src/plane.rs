@@ -367,25 +367,22 @@ impl StalenessConfig {
 }
 
 /// What one control round decided.
+///
+/// The round pipeline keeps one report and rewrites it in place: the
+/// allocations' buffers are reused, and `dc_caps` is touched only for
+/// servers whose commanded cap changed, so a steady round writes nothing
+/// to it. The report keeps no index of its own: a `(server, supply)`
+/// lookup probes each allocation's [`LeafIndex`](crate::tree::LeafIndex),
+/// and the enforce pass reads budgets through the plane's slot-indexed
+/// lanes.
 #[derive(Debug)]
 pub struct RoundReport {
     /// Final allocation per tree (post-SPO when enabled).
     pub allocations: Vec<Allocation>,
     /// Total stranded power reclaimed this round (zero when SPO is off).
     pub stranded_reclaimed: Watts,
-    /// The DC cap commanded per server.
+    /// The DC cap commanded this round, per server commanded.
     pub dc_caps: HashMap<ServerId, Watts>,
-    /// `(server, supply)` → `(tree, slot)` lookup index over
-    /// `allocations`, so [`RoundReport::supply_budget`] is one hash
-    /// probe instead of a linear scan across every tree. First tree
-    /// wins, matching the scan order it replaces.
-    supply_slots: HashMap<(ServerId, SupplyIndex), (u32, u32)>,
-    /// Identity stamps (leaf-index [`Arc`] addresses, stored as plain
-    /// `usize` so the report stays `Send + Sync`) of the allocations the
-    /// index was built from. The allocations hold those `Arc`s alive, so
-    /// a matching stamp means the slot layout is unchanged and the index
-    /// can be reused without rebuilding.
-    index_stamp: Vec<usize>,
 }
 
 // Manual impl so `clone_from` is field-wise: a held copy refreshed every
@@ -397,8 +394,6 @@ impl Clone for RoundReport {
             allocations: self.allocations.clone(),
             stranded_reclaimed: self.stranded_reclaimed,
             dc_caps: self.dc_caps.clone(),
-            supply_slots: self.supply_slots.clone(),
-            index_stamp: self.index_stamp.clone(),
         }
     }
 
@@ -406,8 +401,6 @@ impl Clone for RoundReport {
         self.allocations.clone_from(&source.allocations);
         self.stranded_reclaimed = source.stranded_reclaimed;
         self.dc_caps.clone_from(&source.dc_caps);
-        self.supply_slots.clone_from(&source.supply_slots);
-        self.index_stamp.clone_from(&source.index_stamp);
     }
 }
 
@@ -418,59 +411,13 @@ impl RoundReport {
             allocations: Vec::new(),
             stranded_reclaimed: Watts::ZERO,
             dc_caps: HashMap::new(),
-            supply_slots: HashMap::new(),
-            index_stamp: Vec::new(),
         }
     }
 
-    /// Whether the lookup index matches the current `allocations`.
-    fn index_is_current(&self) -> bool {
-        self.index_stamp.len() == self.allocations.len()
-            && self
-                .allocations
-                .iter()
-                .zip(&self.index_stamp)
-                .all(|(a, &stamp)| a.leaf_index_stamp() == stamp)
-    }
-
-    /// Rebuilds the `(server, supply)` lookup index if the allocations'
-    /// slot layouts changed; a no-op (stamp comparison only, no
-    /// allocation) in the steady state. Called by the round pipeline
-    /// after every allocation pass.
-    fn refresh_supply_index(&mut self) {
-        if self.index_is_current() {
-            return;
-        }
-        self.supply_slots.clear();
-        self.index_stamp.clear();
-        for (tree, allocation) in self.allocations.iter().enumerate() {
-            self.index_stamp.push(allocation.leaf_index_stamp());
-            let index = allocation.leaf_index();
-            for slot in 0..index.len() {
-                let pair = index.pair(slot);
-                self.supply_slots
-                    .entry(pair)
-                    .or_insert((tree as u32, slot as u32));
-            }
-        }
-    }
-
-    /// The final budget assigned to a supply, if any tree covers it.
-    ///
-    /// Served from the precomputed `(server, supply)` index when it is
-    /// current (always the case for reports produced by
-    /// [`ControlPlane::round`] and their clones); falls back to the
-    /// original linear scan over `allocations` if a caller has replaced
-    /// the allocation set by hand.
+    /// The final budget assigned to a supply, if any tree covers it (the
+    /// first such tree, in tree order): at most one leaf-index probe per
+    /// tree.
     pub fn supply_budget(&self, server: ServerId, supply: SupplyIndex) -> Option<Watts> {
-        if self.index_is_current() {
-            return self
-                .supply_slots
-                .get(&(server, supply))
-                .map(|&(tree, slot)| {
-                    self.allocations[tree as usize].leaf_budget(slot as usize)
-                });
-        }
         self.allocations
             .iter()
             .find_map(|a| a.supply_budget(server, supply))
@@ -580,6 +527,11 @@ struct RoundContext {
     spo: SpoScratch,
     /// Per-tree incremental gather state for the SPO-disabled path.
     plain_states: Vec<TreeRoundState>,
+    /// Per tree, the farm slot of each leaf slot's server: checked against
+    /// the farm's id at that slot on every use, re-resolved on a mismatch.
+    gather_lanes: Vec<Vec<u32>>,
+    /// Where each server's supplies are budgeted, by farm slot.
+    enforce: EnforceLane,
     report: RoundReport,
     /// Whether `report` holds a completed round.
     valid: bool,
@@ -599,6 +551,8 @@ impl Default for RoundContext {
             allocator: None,
             spo: SpoScratch::new(),
             plain_states: Vec::new(),
+            gather_lanes: Vec::new(),
+            enforce: EnforceLane::default(),
             report: RoundReport::empty(),
             valid: false,
             last_gather: (0, 0),
@@ -607,13 +561,80 @@ impl Default for RoundContext {
 }
 
 impl RoundContext {
-    /// Drops the cached incremental allocation state (SPO routes and all
-    /// per-tree round states) — required when the tree set changes.
+    /// Drops the cached incremental allocation state (SPO routes, all
+    /// per-tree round states and the enforce lane) — required when the
+    /// tree set changes.
     fn invalidate_allocation_caches(&mut self) {
         self.spo.invalidate();
         for state in &mut self.plain_states {
             state.invalidate();
         }
+        self.enforce.layout = None;
+    }
+}
+
+/// Where a server supply's budget lives: leaf slot `leaf` of tree `tree`.
+#[derive(Debug, Clone, Copy)]
+struct BudgetedSupply {
+    leaf: u32,
+    tree: u16,
+    supply: SupplyIndex,
+}
+
+/// The enforce pass's slot-indexed view of the round's allocations: per
+/// farm slot, where each of the server's supplies is budgeted, and the cap
+/// the server was last commanded. Rebuilt only when the farm layout or the
+/// tree set changes.
+#[derive(Debug, Default)]
+struct EnforceLane {
+    /// The leaf-table layout the lane was built over; `None` until built
+    /// and after the tree set changed.
+    layout: Option<u64>,
+    /// Server slot `i`'s supplies are `supplies[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    /// By server slot, then supply index; the first tree covering a supply
+    /// wins.
+    supplies: Vec<BudgetedSupply>,
+    /// Per server slot, the cap in `RoundReport::dc_caps` (zero: none; a
+    /// commanded cap is always positive).
+    commanded: Vec<Watts>,
+}
+
+impl EnforceLane {
+    /// Rebuilds the lane over `servers` farm slots from the round's
+    /// (current) gather lanes.
+    fn rebuild(
+        &mut self,
+        layout: u64,
+        servers: usize,
+        trees: &[ControlTree],
+        gather_lanes: &[Vec<u32>],
+    ) {
+        let mut by_slot = Vec::with_capacity(gather_lanes.iter().map(Vec::len).sum());
+        for (t, (tree, lane)) in trees.iter().zip(gather_lanes).enumerate() {
+            let index = tree.arena().leaf_index();
+            let tree = u16::try_from(t).expect("at most 65 536 control trees");
+            by_slot.extend(lane.iter().enumerate().map(|(leaf, &slot)| {
+                let (_, supply) = index.pair(leaf);
+                (slot, BudgetedSupply { leaf: leaf as u32, tree, supply })
+            }));
+        }
+        // Stable: among trees covering the same supply, the first stays first.
+        by_slot.sort_by_key(|&(slot, s)| (slot, s.supply));
+        by_slot.dedup_by_key(|&mut (slot, s)| (slot, s.supply));
+        self.starts.clear();
+        self.starts.resize(servers + 1, 0);
+        for &(slot, _) in &by_slot {
+            self.starts[slot as usize + 1] += 1;
+        }
+        for i in 0..servers {
+            self.starts[i + 1] += self.starts[i];
+        }
+        self.supplies.clear();
+        self.supplies.extend(by_slot.into_iter().map(|(_, s)| s));
+        self.commanded.clear();
+        self.commanded.resize(servers, Watts::ZERO);
+        self.layout = Some(layout);
     }
 }
 
@@ -857,15 +878,12 @@ impl ControlPlane {
         &self.config
     }
 
-    /// Switches the budget-split allocator for every subsequent round.
-    /// Incremental allocation caches are invalidated (the allocator box
-    /// itself is cached per kind, so switching back and forth is cheap).
-    /// A no-op when `kind` is already active.
+    /// Switches the budget-split allocator for every subsequent round. The
+    /// cached summaries stay (they do not depend on the allocator); each
+    /// tree's budget memo is keyed by allocator, so the next round
+    /// re-splits every node.
     pub fn set_allocator(&mut self, kind: AllocatorKind) {
-        if self.config.allocator != kind {
-            self.config.allocator = kind;
-            self.ctx.invalidate_allocation_caches();
-        }
+        self.config.allocator = kind;
     }
 
     /// The managed control trees.
@@ -1058,10 +1076,10 @@ impl ControlPlane {
     /// A steady-state round performs **no heap allocation**: per-server
     /// state is a dense slot-indexed table, and root budgets, the policy
     /// object, per-tree gather states (reused incrementally — only
-    /// subtrees with a dirtied leaf are re-summarized), SPO
-    /// routes/overlays, and the report buffers all live in the plane's
-    /// round context. Every phase runs on the calling
-    /// thread in id / tree-index order.
+    /// subtrees with a dirtied leaf are re-summarized and re-split), SPO
+    /// routes/overlays, the gather and enforce lanes, and the report
+    /// buffers all live in the plane's round context. Every phase runs on
+    /// the calling thread in id / tree-index order.
     ///
     /// When a [`Recorder`] is attached ([`PlaneConfig::with_recorder`] /
     /// [`ControlPlane::set_recorder`]), the round reports per-phase wall
@@ -1107,7 +1125,9 @@ impl ControlPlane {
             let statics = &self.static_priorities;
             let farm_ref = &*farm;
             let leaves = &self.leaves;
-            for tree in &mut self.trees {
+            let lanes = &mut self.ctx.gather_lanes;
+            lanes.resize_with(self.trees.len(), Vec::new);
+            for (tree, lane) in self.trees.iter_mut().zip(lanes) {
                 if !overrides.is_empty() {
                     tree.set_priorities_with(|server| {
                         overrides.get(&server).copied().unwrap_or_else(|| {
@@ -1118,10 +1138,15 @@ impl ControlPlane {
                         })
                     });
                 }
-                tree.set_inputs_with(|server, supply| {
-                    let slot = farm_ref
-                        .index_of(server)
-                        .unwrap_or_else(|| panic!("tree references unknown {server}"));
+                lane.resize(tree.arena().leaf_index().len(), u32::MAX);
+                tree.set_slot_inputs_with(|leaf, server, supply| {
+                    let mut slot = lane[leaf] as usize;
+                    if farm_ref.ids().get(slot) != Some(&server) {
+                        slot = farm_ref
+                            .index_of(server)
+                            .unwrap_or_else(|| panic!("tree references unknown {server}"));
+                        lane[leaf] = slot as u32;
+                    }
                     let srv = farm_ref.server_at(slot);
                     let model = srv.config().model();
                     SupplyInput {
@@ -1146,6 +1171,8 @@ impl ControlPlane {
             allocator,
             spo,
             plain_states,
+            gather_lanes,
+            enforce,
             report,
             valid,
             last_gather,
@@ -1234,43 +1261,55 @@ impl ControlPlane {
             );
             *last_gather = (summarized, skipped);
         }
-        report.refresh_supply_index();
 
         // 3. Enforce, in id order: each leaf pairs its working supplies'
         //    budgets with its last *delivered* telemetry (never a direct
         //    sensor read — faults must affect enforcement too) and steps
         //    its capping controller; a stale leaf's cap is clamped straight
         //    to the fail-safe demand. Servers outside every tree keep their
-        //    previous cap.
+        //    previous cap. Budgets are read through the enforce lane, and
+        //    `dc_caps` is written only where the commanded cap changed.
         let enforce_timer = PhaseTimer::start(recorder, RoundPhase::Enforce.metric_name());
         let RoundReport {
             allocations,
             dc_caps,
-            supply_slots,
             ..
         } = report;
         let allocations = &*allocations;
-        let supply_slots = &*supply_slots;
-        dc_caps.clear();
         let leaves = &mut self.leaves;
+        if enforce.layout != Some(leaves.layout()) {
+            enforce.rebuild(leaves.layout(), farm.len(), trees, gather_lanes);
+            dc_caps.clear();
+        }
+        let EnforceLane {
+            starts,
+            supplies,
+            commanded,
+            ..
+        } = enforce;
         farm.for_each_mut(|slot, id, mut server| {
             let model = server.config().model();
             let bank = server.bank();
-            // One hash probe per working supply (the index was refreshed
-            // above), not a scan across every tree's allocation.
-            let budgets = bank
-                .effective_shares_iter()
-                .enumerate()
-                .filter(|(_, share)| share.as_f64() > 0.0)
-                .filter_map(|(idx, _)| {
-                    let &(tree, leaf) = supply_slots.get(&(id, SupplyIndex(idx as u8)))?;
-                    Some((idx, allocations[tree as usize].leaf_budget(leaf as usize)))
+            let own = &supplies[starts[slot] as usize..starts[slot + 1] as usize];
+            let budgets = own
+                .iter()
+                .filter(|s| bank.effective_share(s.supply.index()).as_f64() > 0.0)
+                .map(|s| {
+                    let budget = allocations[s.tree as usize].leaf_budget(s.leaf as usize);
+                    (s.supply.index(), budget)
                 });
             let (leaf, efficiency) = (leaves.leaf_mut(slot), bank.efficiency());
             let cap = leaf.command(model, efficiency, fail_safe, budgets, || server.sense());
             if let Some(cap) = cap {
                 server.set_dc_cap(cap);
-                dc_caps.insert(id, cap);
+            }
+            let now = cap.unwrap_or(Watts::ZERO);
+            if commanded[slot].as_f64().to_bits() != now.as_f64().to_bits() {
+                commanded[slot] = now;
+                match cap {
+                    Some(cap) => dc_caps.insert(id, cap),
+                    None => dc_caps.remove(&id),
+                };
             }
         });
         drop(enforce_timer);
@@ -1310,12 +1349,9 @@ impl ControlPlane {
                 );
                 let index = tree.arena().leaf_index();
                 let mut measured = 0.0f64;
-                for slot in 0..index.len() {
-                    let (id, supply) = index.pair(slot);
-                    let delivered = farm
-                        .index_of(id)
-                        .and_then(|s| leaves.leaf(s).delivered.as_ref());
-                    if let Some(snap) = delivered {
+                for (leaf, &slot) in gather_lanes[i].iter().enumerate() {
+                    let (_, supply) = index.pair(leaf);
+                    if let Some(snap) = &leaves.leaf(slot as usize).delivered {
                         measured += snap.supply_ac[supply.index()].as_f64();
                     }
                 }
@@ -1532,9 +1568,9 @@ mod tests {
     #[test]
     fn supply_budget_index_matches_linear_scan_across_trees() {
         // Fig. 7a rig: two trees with SC/SD present in BOTH (dual-corded),
-        // so the precomputed index must reproduce the first-tree-wins
-        // semantics of the linear scan it replaced — including after a
-        // feed failure reshapes the tree set and forces a rebuild.
+        // so the enforce lane must reproduce the first-tree-wins semantics
+        // of the linear scan — including after a feed failure reshapes the
+        // tree set and forces a rebuild.
         let topo = figure7a_rig();
         let trees: Vec<ControlTree> = topo
             .control_tree_specs()
@@ -1559,33 +1595,39 @@ mod tests {
             PlaneConfig::default().with_spo(true),
         );
 
-        let check = |report: &RoundReport, servers: &[ServerId], when: &str| {
-            assert!(report.index_is_current(), "{when}: index should be fresh");
+        // Servers are farm slots in id order, so `servers[slot]` is the
+        // server whose supplies the lane holds at `slot`.
+        let check = |plane: &ControlPlane, servers: &[ServerId], when: &str| {
+            let (report, lane) = (&plane.ctx.report, &plane.ctx.enforce);
             let mut covered = 0usize;
-            for &server in servers {
+            for (slot, &server) in servers.iter().enumerate() {
+                let own = &lane.supplies[lane.starts[slot] as usize..lane.starts[slot + 1] as usize];
                 for supply in [SupplyIndex::FIRST, SupplyIndex::SECOND] {
-                    let indexed = report.supply_budget(server, supply);
+                    let laned = own.iter().find(|s| s.supply == supply).map(|s| {
+                        report.allocations[s.tree as usize].leaf_budget(s.leaf as usize)
+                    });
                     let scanned = report
                         .allocations
                         .iter()
                         .find_map(|a| a.supply_budget(server, supply));
                     assert_eq!(
-                        indexed.map(|w| w.as_f64().to_bits()),
+                        laned.map(|w| w.as_f64().to_bits()),
                         scanned.map(|w| w.as_f64().to_bits()),
                         "{when}: {server} {supply:?}"
                     );
-                    covered += usize::from(indexed.is_some());
+                    assert_eq!(report.supply_budget(server, supply), scanned);
+                    covered += usize::from(laned.is_some());
                 }
             }
             assert!(covered > 0, "{when}: rig should cover some supplies");
         };
 
         plane.sample(&mut farm);
-        let report = plane.round(&mut farm).clone();
-        check(&report, &servers, "initial round");
+        plane.round(&mut farm);
+        check(&plane, &servers, "initial round");
 
-        // Feed failure drops a tree: slot layouts change and the cloned
-        // report's index must rebuild rather than serve stale slots.
+        // Feed failure drops a tree: tree indices shift and the lane must
+        // be rebuilt rather than serve stale slots.
         plane.fail_feed(FeedId::B);
         plane.set_root_budgets(vec![Watts::new(1400.0)]);
         farm.for_each_mut(|_, _, mut server| {
@@ -1595,8 +1637,8 @@ mod tests {
             }
         });
         plane.sample(&mut farm);
-        let report = plane.round(&mut farm).clone();
-        check(&report, &servers, "post-failover round");
+        plane.round(&mut farm);
+        check(&plane, &servers, "post-failover round");
     }
 
     #[test]

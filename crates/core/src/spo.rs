@@ -299,19 +299,22 @@ struct RouteServer {
 
 /// Reusable buffers for [`optimize_stranded_power_in`]: precomputed
 /// per-server supply routes, per-tree [`TreeRoundState`]s for both passes,
-/// pass-1 allocations, per-tree input overlays, and strand bookkeeping.
-/// Keep one per control plane and reuse it across rounds; steady-state SPO
-/// then performs no heap allocation.
+/// pass-1 allocations, per-tree input overlays, and the last detection's
+/// stranded total. Keep one per control plane and reuse it across rounds;
+/// steady-state SPO then performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct SpoScratch {
     routes_valid: bool,
+    /// Sorted by server, each server's supplies by supply index: the
+    /// `(server, supply)` order the stranded total is summed in.
     routes: Vec<RouteServer>,
     states1: Vec<TreeRoundState>,
     states2: Vec<TreeRoundState>,
     first: Vec<Allocation>,
     overlays: Vec<Vec<Option<SupplyInput>>>,
-    stranded: HashMap<(ServerId, SupplyIndex), Watts>,
-    sorted_keys: Vec<(ServerId, SupplyIndex)>,
+    /// The stranded total of the detection `overlays` hold; `None` until
+    /// one ran over the current routes.
+    detected: Option<Watts>,
 }
 
 impl SpoScratch {
@@ -325,6 +328,7 @@ impl SpoScratch {
     /// keyed by tree index and leaf slot.
     pub fn invalidate(&mut self) {
         self.routes_valid = false;
+        self.detected = None;
         for s in &mut self.states1 {
             s.invalidate();
         }
@@ -370,7 +374,12 @@ impl SpoScratch {
                 });
             }
         }
+        self.routes.sort_unstable_by_key(|route| route.server);
+        for route in &mut self.routes {
+            route.supplies.sort_by_key(|s| s.supply);
+        }
         self.routes_valid = true;
+        self.detected = None;
     }
 }
 
@@ -382,7 +391,13 @@ impl SpoScratch {
 /// `second` (buffers reused) and returns the total stranded power detected
 /// in the first pass, summed in `(server, supply)` order.
 ///
-/// Bit-identical to [`optimize_stranded_power`] on the same inputs.
+/// When pass 1 changed nothing — no summary recomputed, no budget moved,
+/// in any tree — the strands are those of the last detection: detection is
+/// skipped, its overlays and total reused, and pass 2 runs through the
+/// budget memo.
+///
+/// Bit-identical to [`optimize_stranded_power`] on the same inputs, where
+/// each `(server, supply)` is a leaf of at most one tree.
 ///
 /// The caller must call [`SpoScratch::invalidate`] whenever the tree set
 /// changes between rounds.
@@ -425,6 +440,7 @@ pub fn optimize_stranded_power_in(
     // Allocate phase; strand detection and pass 2 below are the Spo phase.
     let allocate_timer =
         PhaseTimer::start(recorder, RoundPhase::Allocate.metric_name());
+    let mut settled = true;
     for i in 0..n {
         trees[i].allocate_in(
             root_budgets[i],
@@ -434,16 +450,41 @@ pub fn optimize_stranded_power_in(
             None,
             &mut scratch.first[i],
         );
+        settled &= scratch.states1[i].settled();
     }
     drop(allocate_timer);
     let spo_timer = PhaseTimer::start(recorder, RoundPhase::Spo.metric_name());
 
-    // Strand detection over the precomputed routes — the same max/min/mul
-    // operations as `detect_strands`, so the results are bit-identical.
+    let total = match scratch.detected {
+        Some(total) if settled => total,
+        _ => detect_strands_in(trees, scratch),
+    };
+    scratch.detected = Some(total);
+
+    // Pass 2: re-allocate with the shrunken inputs overlaid.
+    for i in 0..n {
+        trees[i].allocate_in(
+            root_budgets[i],
+            policy,
+            allocator,
+            &mut scratch.states2[i],
+            Some(&scratch.overlays[i]),
+            &mut second[i],
+        );
+    }
+    drop(spo_timer);
+    total
+}
+
+/// Strand detection over the precomputed routes into `scratch.overlays` —
+/// the same max/min/mul operations as `detect_strands`, so the results are
+/// bit-identical. Returns the stranded total, summed in route order, which
+/// is `(server, supply)` order.
+fn detect_strands_in(trees: &[ControlTree], scratch: &mut SpoScratch) -> Watts {
     for overlay in &mut scratch.overlays {
         overlay.iter_mut().for_each(|o| *o = None);
     }
-    scratch.stranded.clear();
+    let mut total = Watts::ZERO;
     for rs in &scratch.routes {
         let mut demand = Watts::ZERO;
         let mut cap_min = Watts::ZERO;
@@ -479,7 +520,7 @@ pub fn optimize_stranded_power_in(
             let usable = actual * input.share.as_f64();
             let strand = budget.saturating_sub(usable);
             if strand > STRAND_EPSILON {
-                scratch.stranded.insert((rs.server, s.supply), strand);
+                total += strand;
                 scratch.overlays[s.tree as usize][s.node as usize] = Some(SupplyInput {
                     demand: actual,
                     cap_max: actual.max(input.cap_min),
@@ -488,29 +529,6 @@ pub fn optimize_stranded_power_in(
             }
         }
     }
-
-    // Total stranded, summed in deterministic key order.
-    scratch.sorted_keys.clear();
-    scratch.sorted_keys.extend(scratch.stranded.keys().copied());
-    scratch.sorted_keys.sort_unstable();
-    let total: Watts = scratch
-        .sorted_keys
-        .iter()
-        .map(|k| scratch.stranded[k])
-        .sum();
-
-    // Pass 2: re-allocate with the shrunken inputs overlaid.
-    for i in 0..n {
-        trees[i].allocate_in(
-            root_budgets[i],
-            policy,
-            allocator,
-            &mut scratch.states2[i],
-            Some(&scratch.overlays[i]),
-            &mut second[i],
-        );
-    }
-    drop(spo_timer);
     total
 }
 

@@ -7,8 +7,9 @@
 //! array walks instead of pointer chases and map lookups. Rounds are made
 //! **incremental** by generation-stamped leaf inputs plus a reusable
 //! [`TreeRoundState`]: [`ControlTree::allocate_in`] re-summarizes only
-//! subtrees with a dirtied descendant and performs no heap allocation once
-//! its buffers are warm.
+//! subtrees with a dirtied descendant, re-splits only nodes whose budget or
+//! summary changed, and performs no heap allocation once its buffers are
+//! warm.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -274,13 +275,6 @@ impl Allocation {
         self.unallocated
     }
 
-    /// Opaque identity of the leaf index backing this allocation, used by
-    /// `RoundReport` to detect when its precomputed supply-slot map went
-    /// stale. Stable for as long as the allocation holds the index alive.
-    pub(crate) fn leaf_index_stamp(&self) -> usize {
-        Arc::as_ptr(&self.leaf_index) as usize
-    }
-
     /// Total budget across all leaves.
     ///
     /// Summed in `(server, supply)` order so the result is independent of
@@ -309,9 +303,21 @@ enum Pin {
 
 /// Reusable per-tree round state for [`ControlTree::allocate_in`]: the
 /// cached per-node [`PriorityMetrics`] with their dirty/generation
-/// bookkeeping, plus every scratch buffer the gather and budget-down passes
-/// need. Keep one per (tree, pass) and reuse it across rounds; steady-state
-/// rounds then allocate nothing.
+/// bookkeeping, the budget-down memo, plus every scratch buffer the gather
+/// and budget-down passes need. Keep one per (tree, pass) and reuse it
+/// across rounds; steady-state rounds then allocate nothing.
+///
+/// Both halves of the walk are incremental. [`ControlTree::gather_in`]
+/// re-summarizes only nodes with a dirtied descendant;
+/// [`ControlTree::budget_in`] remembers the node budgets it produced and
+/// re-splits a node only if its own budget changed bit-for-bit or its
+/// summary was recomputed since the previous `budget_in` (however many
+/// gathers ran in between) — an unchanged node's subtree keeps its budgets.
+/// The memo is keyed by the allocator's name and dropped by
+/// [`TreeRoundState::invalidate`], a policy or tree-shape change, and a
+/// change of which nodes are pinned. The result is bit-identical to a fresh
+/// state: a split is a pure function of the node's budget, its children's
+/// summaries and the allocator.
 #[derive(Debug, Default)]
 pub struct TreeRoundState {
     valid: bool,
@@ -322,6 +328,18 @@ pub struct TreeRoundState {
     dirty: Vec<bool>,
     seen_gens: Vec<u64>,
     last_leaves: Vec<Option<(SupplyInput, Priority)>>,
+    /// Node budgets as of the last `budget_in`: the memo.
+    budgets: Vec<Watts>,
+    /// Per node: re-split at the next `budget_in` — set when a gather
+    /// recomputes the node's summary, and by the walk itself when the
+    /// node's budget changes.
+    resplit: Vec<bool>,
+    /// The root split's remainder as of the last `budget_in`.
+    root_leftover: Watts,
+    /// The allocator `budgets` were split with; `None` drops the memo.
+    memo: Option<&'static str>,
+    /// Whether the last `budget_in` re-split nothing.
+    settled: bool,
     children_scratch: Vec<PriorityMetrics>,
     alloc_scratch: AllocScratch,
     split_budgets: Vec<Watts>,
@@ -337,11 +355,20 @@ impl TreeRoundState {
         TreeRoundState::default()
     }
 
-    /// Drops all cached metrics: the next round recomputes every subtree
-    /// from scratch (still bit-identical — used by differential tests and
-    /// the full-recompute benchmark mode).
+    /// Drops all cached metrics and the budget memo: the next round
+    /// recomputes every subtree and re-splits every node from scratch
+    /// (still bit-identical — used by differential tests and the
+    /// full-recompute benchmark mode).
     pub fn invalidate(&mut self) {
         self.valid = false;
+        self.memo = None;
+    }
+
+    /// Whether the last [`ControlTree::budget_in`] re-split nothing: no
+    /// summary was recomputed and no budget changed since the one before,
+    /// so its allocation and every leaf input it covers are unchanged.
+    pub(crate) fn settled(&self) -> bool {
+        self.settled
     }
 
     /// Cumulative `(summarized, dirty_skipped)` node counts across every
@@ -354,6 +381,15 @@ impl TreeRoundState {
 
     fn pin_at(&self, idx: usize) -> Pin {
         self.pins.get(idx).copied().unwrap_or(Pin::Free)
+    }
+}
+
+/// Records `budget` as node `idx`'s, flagging the node for a re-split when
+/// it differs bit-for-bit from the memoized one.
+fn set_budget(budgets: &mut [Watts], resplit: &mut [bool], idx: usize, budget: Watts) {
+    if budgets[idx].as_f64().to_bits() != budget.as_f64().to_bits() {
+        budgets[idx] = budget;
+        resplit[idx] = true;
     }
 }
 
@@ -468,11 +504,19 @@ impl ControlTree {
 
     /// Sets inputs for all leaves from a callback.
     pub fn set_inputs_with(&mut self, mut f: impl FnMut(ServerId, SupplyIndex) -> SupplyInput) {
-        for idx in 0..self.spec.len() {
-            if let Some(leaf) = self.spec.node(idx).leaf {
-                let input = f(leaf.server, leaf.supply);
-                self.set_input_at(idx, input);
-            }
+        self.set_slot_inputs_with(|_, server, supply| f(server, supply));
+    }
+
+    /// Sets inputs for all leaves from a callback given each leaf's slot
+    /// (see [`LeafIndex`]), in slot order.
+    pub(crate) fn set_slot_inputs_with(
+        &mut self,
+        mut f: impl FnMut(usize, ServerId, SupplyIndex) -> SupplyInput,
+    ) {
+        for slot in 0..self.arena.leaf_index.len() {
+            let (server, supply) = self.arena.leaf_index.pair(slot);
+            let input = f(slot, server, supply);
+            self.set_input_at(self.arena.leaf_index.node(slot), input);
         }
     }
 
@@ -599,12 +643,15 @@ impl ControlTree {
     /// leaf at the rack): [`ControlTree::gather_in`] takes `summary` as the
     /// node's metrics without descending below it, and
     /// [`ControlTree::budget_in`] budgets the node without splitting it.
-    /// Re-pinning an equal summary leaves the node clean.
+    /// Re-pinning an equal summary leaves the node clean. A pin takes effect
+    /// at the next gather; pinning a node that was not pinned drops the
+    /// budget memo.
     pub fn pin(&self, state: &mut TreeRoundState, idx: usize, summary: &PriorityMetrics) {
         let n = self.spec.len();
         state.metrics.resize_with(n, PriorityMetrics::default);
         state.pins.resize(n, Pin::Free);
         if matches!(state.pins[idx], Pin::Free | Pin::Below) {
+            state.memo = None;
             let mut below: Vec<u32> = self.arena.children_of(idx).to_vec();
             while let Some(c) = below.pop() {
                 state.pins[c as usize] = Pin::Below;
@@ -648,24 +695,30 @@ impl ControlTree {
         // pinned summaries survive (they are inputs, not results).
         if state.dirty.len() != n || state.policy_name != policy.name() {
             state.valid = false;
+            state.memo = None;
             state.policy_name.clear();
             state.policy_name.push_str(policy.name());
             state.metrics.resize_with(n, PriorityMetrics::default);
             state.dirty.clear();
             state.dirty.resize(n, true);
+            state.resplit.clear();
+            state.resplit.resize(n, true);
             state.seen_gens.clear();
             state.seen_gens.resize(n, 0);
             state.last_leaves.clear();
             state.last_leaves.resize(n, None);
         }
 
-        // Gather with dirty-tracking, children (higher indices) first.
+        // Gather with dirty-tracking, children (higher indices) first. A
+        // recomputed summary also flags its node for the next budget_in.
         for idx in (0..n).rev() {
             match state.pin_at(idx) {
                 Pin::Free => {}
                 Pin::Below => continue,
                 pin => {
-                    state.dirty[idx] = !state.valid || pin == Pin::Changed;
+                    let dirty = !state.valid || pin == Pin::Changed;
+                    state.dirty[idx] = dirty;
+                    state.resplit[idx] |= dirty;
                     state.pins[idx] = Pin::Held;
                     continue;
                 }
@@ -682,6 +735,7 @@ impl ControlTree {
                     || state.seen_gens[idx] != self.generations[idx]
                     || state.last_leaves[idx] != current;
                 state.dirty[idx] = dirty;
+                state.resplit[idx] |= dirty;
                 if dirty {
                     state.summarized += 1;
                     let (input, priority) = current.unwrap_or_else(|| {
@@ -710,6 +764,7 @@ impl ControlTree {
                 let dirty =
                     !state.valid || children.iter().any(|&c| state.dirty[c as usize]);
                 state.dirty[idx] = dirty;
+                state.resplit[idx] |= dirty;
                 if dirty {
                     state.summarized += 1;
                     let blind = matches!(
@@ -740,6 +795,10 @@ impl ControlTree {
     /// the last [`ControlTree::gather_in`] left in `state`, splitting at
     /// every unpinned internal node through `allocator`, into `out`.
     ///
+    /// Memoized against the previous `budget_in` on `state` (see
+    /// [`TreeRoundState`]): only nodes whose budget or summary changed are
+    /// re-split, so a round in which nothing changed splits nothing.
+    ///
     /// # Panics
     ///
     /// Panics if `state` has not been gathered over this tree.
@@ -757,25 +816,42 @@ impl ControlTree {
             "budget_in needs a gathered state"
         );
         let root = self.spec.root();
-        out.node_budgets.clear();
-        out.node_budgets.resize(n, Watts::ZERO);
-        let root_limit = self.arena.limit(root).unwrap_or(root_budget);
-        out.node_budgets[root] = root_budget.min(root_limit);
-        let mut unallocated = root_budget - out.node_budgets[root];
-
         let TreeRoundState {
             metrics,
             pins,
+            budgets,
+            resplit,
+            root_leftover,
+            memo,
+            settled,
             children_scratch,
             alloc_scratch,
             split_budgets,
             ..
         } = state;
-        for idx in 0..n {
-            let children = self.arena.children_of(idx);
-            if children.is_empty() || pins.get(idx).is_some_and(|&p| p != Pin::Free) {
+        if *memo != Some(allocator.name()) || budgets.len() != n {
+            *memo = Some(allocator.name());
+            budgets.clear();
+            budgets.resize(n, Watts::ZERO);
+            resplit.clear();
+            resplit.resize(n, true);
+        }
+        let splits = |idx: usize| {
+            !self.arena.children_of(idx).is_empty()
+                && pins.get(idx).is_none_or(|&p| p == Pin::Free)
+        };
+        let root_limit = self.arena.limit(root).unwrap_or(root_budget);
+        set_budget(budgets, resplit, root, root_budget.min(root_limit));
+        // A recomputed summary dirties every ancestor up to the root, and a
+        // changed budget flags the root or a re-split parent, so a clear
+        // root flag means every flag is clear.
+        *settled = !resplit[root];
+        let walk = if *settled { 0..0 } else { 0..n };
+        for idx in walk {
+            if !std::mem::take(&mut resplit[idx]) || !splits(idx) {
                 continue;
             }
+            let children = self.arena.children_of(idx);
             let visibility = policy.visibility(self.arena.context(idx));
             if children_scratch.len() < children.len() {
                 children_scratch.resize_with(children.len(), PriorityMetrics::default);
@@ -791,26 +867,31 @@ impl ControlTree {
                 }
             }
             let leftover = allocator.split(
-                out.node_budgets[idx],
+                budgets[idx],
                 &children_scratch[..children.len()],
                 alloc_scratch,
                 split_budgets,
             );
-            for (&child, budget) in children.iter().zip(split_budgets.iter()) {
-                out.node_budgets[child as usize] = *budget;
+            for (&child, &budget) in children.iter().zip(split_budgets.iter()) {
+                set_budget(budgets, resplit, child as usize, budget);
             }
             if idx == root {
-                unallocated += leftover;
+                *root_leftover = leftover;
             }
         }
+        let mut unallocated = root_budget - budgets[root];
+        if splits(root) {
+            unallocated += *root_leftover;
+        }
 
-        // Leaf budgets by slot.
+        // Node budgets from the memo, leaf budgets by slot.
         let leaf_index = &self.arena.leaf_index;
         let Allocation {
             node_budgets,
             leaf_budgets,
             ..
         } = out;
+        node_budgets.clone_from(budgets);
         leaf_budgets.clear();
         leaf_budgets.extend(
             leaf_index
@@ -1010,6 +1091,83 @@ mod tests {
         let spec = topo.control_tree_specs().remove(0);
         let tree = ControlTree::new(spec);
         let _ = tree.allocate(Watts::new(1240.0), &GlobalPriority::new());
+    }
+
+    /// The waterfall, counting the splits it is asked for.
+    #[derive(Debug, Default)]
+    struct CountingAllocator(std::sync::atomic::AtomicUsize);
+
+    impl CountingAllocator {
+        /// Splits since the last call.
+        fn take(&self) -> usize {
+            self.0.swap(0, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl Allocator for CountingAllocator {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn split(
+            &self,
+            budget: Watts,
+            children: &[PriorityMetrics],
+            scratch: &mut AllocScratch,
+            budgets: &mut Vec<Watts>,
+        ) -> Watts {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            WaterfallAllocator.split(budget, children, scratch, budgets)
+        }
+    }
+
+    fn assert_bitwise_eq(got: &Allocation, want: &Allocation) {
+        let bits = |w: &[Watts]| w.iter().map(|w| w.as_f64().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.node_budgets), bits(&want.node_budgets));
+        assert_eq!(bits(&got.leaf_budgets), bits(&want.leaf_budgets));
+        assert_eq!(got.unallocated.as_f64().to_bits(), want.unallocated.as_f64().to_bits());
+    }
+
+    #[test]
+    fn warm_budget_walk_re_splits_only_what_changed() {
+        // Four 340 W leaves fit under the 1 400 W root and both 750 W CBs,
+        // so every leaf is budgeted its cap_max whatever its demand.
+        let (topo, mut tree) = fig2_tree();
+        let input = SupplyInput {
+            demand: Watts::new(300.0),
+            cap_max: Watts::new(340.0),
+            ..PAPER_INPUT
+        };
+        tree.set_inputs_with(|_, _| input);
+        let (policy, counting) = (GlobalPriority::new(), CountingAllocator::default());
+        let (mut state, mut out) = (TreeRoundState::new(), Allocation::default());
+        let mut round = |tree: &ControlTree| {
+            tree.allocate_in(Watts::new(1400.0), &policy, &counting, &mut state, None, &mut out);
+            assert_bitwise_eq(&out, &tree.allocate(Watts::new(1400.0), &policy));
+        };
+
+        round(&tree);
+        assert_eq!(counting.take(), 3, "a cold walk splits the root and both CBs");
+        round(&tree);
+        assert_eq!(counting.take(), 0, "an identical round splits nothing");
+
+        // SA's demand moves: its ancestors' summaries are recomputed and
+        // re-split, and hand down unchanged budgets, so the other CB's
+        // subtree is not revisited.
+        let sa = topo.server_by_name("SA").unwrap();
+        tree.set_supply_input(sa, SupplyIndex::FIRST, SupplyInput {
+            demand: Watts::new(320.0),
+            ..input
+        });
+        let index = tree.arena().leaf_index();
+        let leaf = index.node(index.slot(sa, SupplyIndex::FIRST).unwrap());
+        let parent_of = |idx: usize| tree.spec().node(idx).parent;
+        let ancestors = std::iter::successors(parent_of(leaf), |&p| parent_of(p)).count();
+        assert_eq!(ancestors, 2);
+        round(&tree);
+        assert_eq!(counting.take(), ancestors);
+        round(&tree);
+        assert_eq!(counting.take(), 0);
     }
 
     #[test]

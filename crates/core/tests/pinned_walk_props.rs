@@ -7,14 +7,19 @@
 //!   ancestors);
 //! - a deployment whose racks never report budgets every cut from its
 //!   fail-safe summary, which equals a full gather with every demand at
-//!   `cap_min`.
+//!   `cap_min`;
+//! - a warm state's memoized budget-down walk, driven through leaf-input,
+//!   root-budget, allocator and pin changes (and a double gather before one
+//!   budget), budgets every node and leaf bit-identically to a fresh state.
 
 use proptest::prelude::*;
 
 use capmaestro_core::plane::Farm;
 use capmaestro_core::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 use capmaestro_core::workers::shared_farm;
-use capmaestro_core::{AllocatorKind, DeploymentConfig, PolicyKind, WorkerDeployment};
+use capmaestro_core::{
+    AllocatorKind, DeploymentConfig, PolicyKind, PriorityMetrics, WorkerDeployment,
+};
 use capmaestro_server::{Server, ServerConfig};
 use capmaestro_topology::presets::racks_feed;
 use capmaestro_topology::Topology;
@@ -25,6 +30,24 @@ fn trees_of(topo: &Topology) -> Vec<ControlTree> {
         .into_iter()
         .map(ControlTree::new)
         .collect()
+}
+
+fn leaf_input(demand: f64) -> SupplyInput {
+    SupplyInput {
+        demand: Watts::new(demand),
+        cap_min: Watts::new(270.0),
+        cap_max: Watts::new(490.0),
+        share: Ratio::ONE,
+    }
+}
+
+/// Every node budget, every leaf budget and the unallocated remainder, as
+/// bits.
+fn budget_bits(tree: &ControlTree, alloc: &Allocation) -> (Vec<u64>, Vec<u64>, u64) {
+    let bits = |w: Watts| w.as_f64().to_bits();
+    let nodes = (0..tree.spec().len()).map(|i| bits(alloc.node_budget(i)));
+    let leaves = (0..alloc.leaf_index().len()).map(|s| bits(alloc.leaf_budget(s)));
+    (nodes.collect(), leaves.collect(), bits(alloc.unallocated()))
 }
 
 proptest! {
@@ -113,6 +136,78 @@ proptest! {
         prop_assert_eq!(outcome.failsafe_cuts.len(), racks);
         for ((_, cut), budget) in outcome.cut_budgets {
             prop_assert_eq!(budget.as_f64().to_bits(), want.node_budget(cut).as_f64().to_bits());
+        }
+    }
+
+    /// Each step is `(kind, pick, watts)`: 0 changes a few leaf inputs, 1
+    /// the root budget, 2 switches the allocator without invalidating, 3
+    /// changes a leaf and gathers twice before one budget, 4 (re-)pins a
+    /// cut to another cut's summary.
+    #[test]
+    fn memoized_budget_walk_matches_a_fresh_one(
+        racks in 1usize..6,
+        per_rack in 1usize..5,
+        demands in prop::collection::vec(150.0f64..520.0, 24),
+        per_server_budget in 250.0f64..500.0,
+        policy in 0usize..3,
+        steps in prop::collection::vec((0usize..5, 0usize..24, 150.0f64..520.0), 1..12),
+    ) {
+        let mut tree = trees_of(&racks_feed(racks, per_rack)).remove(0);
+        let servers = racks * per_rack;
+        let policy = PolicyKind::ALL[policy].policy();
+        let policy = policy.as_ref();
+        let mut allocator = 0;
+        let mut root_budget = Watts::new(per_server_budget * servers as f64);
+        tree.set_inputs_with(|server, _| leaf_input(demands[server.index() % demands.len()]));
+        let cuts: Vec<usize> = (0..tree.spec().len())
+            .filter(|&i| tree.arena().context(i).is_leaf_parent)
+            .collect();
+        let mut pins: Vec<(usize, PriorityMetrics)> = Vec::new();
+        let (mut warm, mut out) = (TreeRoundState::new(), Allocation::default());
+        let warm_allocator = AllocatorKind::ALL[allocator].allocator();
+        tree.allocate_in(root_budget, policy, warm_allocator.as_ref(), &mut warm, None, &mut out);
+
+        let set_leaf = |tree: &mut ControlTree, k: usize, watts: f64| {
+            let index = tree.arena().leaf_index();
+            let (server, supply) = index.pair(k % index.len());
+            tree.set_supply_input(server, supply, leaf_input(watts));
+        };
+        for (step, &(kind, pick, watts)) in steps.iter().enumerate() {
+            match kind {
+                0 => {
+                    for k in [pick, pick * 7 + 3] {
+                        set_leaf(&mut tree, k, watts);
+                    }
+                }
+                1 => root_budget = Watts::new(watts * servers as f64),
+                2 => allocator = (allocator + 1 + pick % 2) % AllocatorKind::ALL.len(),
+                3 => {}
+                _ => {
+                    let summaries = tree.gather(policy);
+                    let (cut, source) = (cuts[pick % cuts.len()], cuts[(pick / 2) % cuts.len()]);
+                    tree.pin(&mut warm, cut, &summaries[source]);
+                    pins.retain(|(c, _)| *c != cut);
+                    pins.push((cut, summaries[source].clone()));
+                }
+            }
+            let allocator_box = AllocatorKind::ALL[allocator].allocator();
+            let a = allocator_box.as_ref();
+            if kind == 3 {
+                set_leaf(&mut tree, pick, watts);
+                tree.gather_in(policy, &mut warm, None);
+                tree.gather_in(policy, &mut warm, None);
+                tree.budget_in(root_budget, policy, a, &mut warm, &mut out);
+            } else {
+                tree.allocate_in(root_budget, policy, a, &mut warm, None, &mut out);
+            }
+
+            let mut fresh = TreeRoundState::new();
+            for (cut, summary) in &pins {
+                tree.pin(&mut fresh, *cut, summary);
+            }
+            let mut want = Allocation::default();
+            tree.allocate_in(root_budget, policy, a, &mut fresh, None, &mut want);
+            prop_assert_eq!(budget_bits(&tree, &out), budget_bits(&tree, &want), "step {}", step);
         }
     }
 }
