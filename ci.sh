@@ -28,11 +28,6 @@ cargo run --release -q -p capmaestro-bench --bin alloc -- \
 cargo run --release -q -p capmaestro-bench --bin policies -- \
     --smoke --out BENCH_policies_smoke.json
 
-# Fleet-stepping smoke: the event-driven slab pipeline (1 Hz
-# sample + fused step-and-sense + control rounds) on a 128-server rig in
-# both stepping modes; exits non-zero on degenerate throughput.
-cargo run --release -q -p capmaestro-bench --bin fleet -- --smoke
-
 # Observability smoke: 20 instrumented rounds on the Fig. 2 rig, then
 # validate the Prometheus page against the exposition grammar, round-trip
 # the JSON snapshot, and require all six round phases to have been

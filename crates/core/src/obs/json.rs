@@ -2,9 +2,11 @@
 //!
 //! [`snapshot`] serializes a [`MetricsSnapshot`] to pretty-printed
 //! JSON; [`parse`] reads it back, so the ci.sh smoke can assert the
-//! export round-trips losslessly (`parse(snapshot(s)) == s`). The
-//! parser is a tiny hand-rolled recursive-descent JSON reader — there
-//! is deliberately no serde in this workspace.
+//! export round-trips losslessly (`parse(snapshot(s)) == s`). There is
+//! deliberately no serde in this workspace: this module is the one home
+//! of JSON text in `obs` — [`write_str`] is the only string writer and
+//! its lexer the only tokenizer (the trace validator reads through it
+//! too). [`parse`] is recursive descent, bounded at 64 levels of nesting.
 //!
 //! Non-finite floats are not representable in JSON numbers; they are
 //! written as the strings `"+Inf"`, `"-Inf"`, and `"NaN"` and accepted
@@ -35,8 +37,10 @@ fn fmt_f64(out: &mut String, value: f64) {
     }
 }
 
-/// Write a JSON string literal with minimal escaping.
-fn fmt_str(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal, escaping quotes, backslashes
+/// and control characters: the one JSON string writer every exporter and
+/// the serving layer's bodies use.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -57,20 +61,15 @@ fn fmt_str(out: &mut String, s: &str) {
 /// Serialize a snapshot to pretty-printed JSON.
 pub fn snapshot(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    snapshot_into(&mut out, snap);
+    snapshot_with_fields_into(&mut out, &[], snap);
     out
 }
 
 /// Serialize a snapshot into an existing buffer (appending), so a
-/// serving loop can reuse one `String` across exports instead of
-/// allocating a fresh document each time.
-pub fn snapshot_into(out: &mut String, snap: &MetricsSnapshot) {
-    snapshot_with_fields_into(out, &[], snap);
-}
-
-/// Like [`snapshot_into`], but with extra top-level string fields
-/// rendered (escaped) before the metric arrays — how the serving layer
-/// folds its `"policy"` label into `/v1/report` as a genuine JSON field.
+/// serving loop can reuse one `String` across exports. Extra top-level
+/// string `fields` are rendered (escaped) before the metric arrays — how
+/// the serving layer folds its `"policy"` label into `/v1/report` as a
+/// genuine JSON field.
 /// [`parse`] looks fields up by name, so documents with extras still
 /// round-trip.
 pub fn snapshot_with_fields_into(
@@ -81,23 +80,23 @@ pub fn snapshot_with_fields_into(
     out.push('{');
     for (name, value) in fields {
         out.push_str("\n  ");
-        fmt_str(out, name);
+        write_str(out, name);
         out.push_str(": ");
-        fmt_str(out, value);
+        write_str(out, value);
         out.push(',');
     }
     out.push_str("\n  \"counters\": [");
     for (i, c) in snap.counters.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str("    {\"name\": ");
-        fmt_str(out, &c.name);
+        write_str(out, &c.name);
         let _ = write!(out, ", \"value\": {}}}", c.value);
     }
     out.push_str("\n  ],\n  \"gauges\": [");
     for (i, g) in snap.gauges.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str("    {\"name\": ");
-        fmt_str(out, &g.name);
+        write_str(out, &g.name);
         out.push_str(", \"value\": ");
         fmt_f64(out, g.value);
         out.push('}');
@@ -106,7 +105,7 @@ pub fn snapshot_with_fields_into(
     for (i, h) in snap.histograms.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str("    {\"name\": ");
-        fmt_str(out, &h.name);
+        write_str(out, &h.name);
         out.push_str(", \"sum\": ");
         fmt_f64(out, h.sum);
         let _ = write!(out, ", \"count\": {}, \"buckets\": [", h.count);
@@ -140,179 +139,229 @@ enum Value {
     Obj(Vec<(String, Value)>),
 }
 
-/// Recursive-descent JSON reader over a byte slice.
-struct Reader<'a> {
-    /// Input bytes.
-    bytes: &'a [u8],
-    /// Cursor into `bytes`.
+/// The one JSON tokenizer in `obs`: whitespace, punctuation, string and
+/// number tokens over a document, plus the object/array walks built on
+/// them. Every method is total (an error, never a panic), so callers can
+/// face hostile input. [`parse`] builds a value tree with it;
+/// `trace::parse` streams its fixed schema through it.
+pub(super) struct Lexer<'a> {
+    /// The document.
+    text: &'a str,
+    /// Byte offset of the next unread byte; always a char boundary.
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    /// Build an error at the current cursor.
-    fn err(&self, reason: impl Into<String>) -> ParseError {
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `text`.
+    pub(super) fn new(text: &'a str) -> Self {
+        Lexer { text, pos: 0 }
+    }
+
+    /// An error at the current offset.
+    pub(super) fn err(&self, reason: impl Into<String>) -> ParseError {
         ParseError::Json {
             offset: self.pos,
             reason: reason.into(),
         }
     }
 
-    /// Advance past ASCII whitespace.
-    fn skip_ws(&mut self) {
+    /// The next non-whitespace byte, without consuming it.
+    fn peek(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        while bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
+            self.pos += 1;
+        }
+        bytes.get(self.pos).copied()
+    }
+
+    /// Consume `byte` (after whitespace) if it comes next.
+    fn eat(&mut self, byte: u8) -> bool {
+        let next = self.peek() == Some(byte);
+        if next {
+            self.pos += 1;
+        }
+        next
+    }
+
+    /// Consume `byte` (after whitespace) or fail.
+    pub(super) fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
+        if self.eat(byte) {
+            Ok(())
+        } else {
+            Err(self.err(format!("expected {:?}", byte as char)))
+        }
+    }
+
+    /// Consume the literal `word` (`true`, `false`, `null`) at the
+    /// cursor or fail.
+    fn literal(&mut self, word: &str) -> Result<(), ParseError> {
+        if self.text[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(self.err(format!("expected {word:?}")))
+        }
+    }
+
+    /// After a container element: `true` on `,` (another element
+    /// follows), `false` on `close` (the container ended).
+    fn more(&mut self, close: u8) -> Result<bool, ParseError> {
+        if self.eat(b',') {
+            Ok(true)
+        } else if self.eat(close) {
+            Ok(false)
+        } else {
+            Err(self.err(format!("expected ',' or {:?}", close as char)))
+        }
+    }
+
+    /// Walk one object, handing each key to `member`, which must consume
+    /// the value. `{}` is refused unless `allow_empty`.
+    pub(super) fn object(
+        &mut self,
+        allow_empty: bool,
+        mut member: impl FnMut(&mut Self, String) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        self.expect(b'{')?;
+        if allow_empty && self.eat(b'}') {
+            return Ok(());
+        }
+        loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            member(self, key)?;
+            if !self.more(b'}')? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Walk one (possibly empty) array; `element` must consume each
+    /// element.
+    pub(super) fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        self.expect(b'[')?;
+        if self.eat(b']') {
+            return Ok(());
+        }
+        loop {
+            element(self)?;
+            if !self.more(b']')? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// A string literal, unescaped.
+    pub(super) fn string(&mut self) -> Result<String, ParseError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote or backslash whole: both
+            // are ASCII, so the cut always lands on a char boundary.
+            let rest = &self.text[self.pos..];
+            let Some(run) = rest.bytes().position(|b| b == b'"' || b == b'\\') else {
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
+            }
+            let Some(&escape) = self.text.as_bytes().get(self.pos) else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            out.push(match escape {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b't' => '\t',
+                b'r' => '\r',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => {
+                    let c = self
+                        .text
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .and_then(char::from_u32)
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    self.pos += 4;
+                    c
+                }
+                _ => return Err(self.err("unknown escape")),
+            });
+        }
+    }
+
+    /// A number literal's raw text (digits, sign, point, exponent), for
+    /// the caller to parse as the type it needs.
+    pub(super) fn number(&mut self) -> Result<&'a str, ParseError> {
+        self.peek();
+        let start = self.pos;
         while self
-            .bytes
+            .text
+            .as_bytes()
             .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
+            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
         {
             self.pos += 1;
         }
+        if self.pos == start {
+            return Err(self.err("expected number"));
+        }
+        Ok(&self.text[start..self.pos])
     }
 
-    /// Consume `token` or fail.
-    fn expect(&mut self, token: &str) -> Result<(), ParseError> {
-        if self.bytes[self.pos..].starts_with(token.as_bytes()) {
-            self.pos += token.len();
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {token:?}")))
+    /// Require that only whitespace remains.
+    pub(super) fn finish(&mut self) -> Result<(), ParseError> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.err("trailing data")),
         }
     }
+}
 
-    /// Parse one value at the cursor.
-    fn value(&mut self) -> Result<Value, ParseError> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.expect("true").map(|_| Value::Bool(true)),
-            Some(b'f') => self.expect("false").map(|_| Value::Bool(false)),
-            Some(b'n') => self.expect("null").map(|_| Value::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
-        }
+/// Deepest container nesting [`parse`] accepts. Snapshots nest four
+/// deep; the bound keeps a hostile body from overflowing the stack.
+const MAX_DEPTH: usize = 64;
+
+/// Parse one value at `depth` containers deep.
+fn value(lex: &mut Lexer<'_>, depth: usize) -> Result<Value, ParseError> {
+    let next = lex.peek();
+    if matches!(next, Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(lex.err(format!("nested deeper than {MAX_DEPTH}")));
     }
-
-    /// Parse an object (cursor on `{`).
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect("{")?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
+    match next {
+        Some(b'{') => {
+            let mut fields = Vec::new();
+            lex.object(true, |lex, key| {
+                fields.push((key, value(lex, depth + 1)?));
+                Ok(())
+            })?;
+            Ok(Value::Obj(fields))
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(":")?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
+        Some(b'[') => {
+            let mut items = Vec::new();
+            lex.array(|lex| {
+                items.push(value(lex, depth + 1)?);
+                Ok(())
+            })?;
+            Ok(Value::Arr(items))
         }
-    }
-
-    /// Parse an array (cursor on `[`).
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect("[")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
+        Some(b'"') => lex.string().map(Value::Str),
+        Some(b't') => lex.literal("true").map(|()| Value::Bool(true)),
+        Some(b'f') => lex.literal("false").map(|()| Value::Bool(false)),
+        Some(b'n') => lex.literal("null").map(|()| Value::Null),
+        Some(_) => {
+            let text = lex.number()?;
+            text.parse().map(Value::Num).map_err(|_| lex.err("bad number"))
         }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    /// Parse a string literal (cursor on the opening quote).
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect("\"")?;
-        let mut s = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            s.push(hex);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&lead) => {
-                    // Consume one UTF-8 character, validating only its own
-                    // bytes: re-checking the whole remaining input here
-                    // made parsing quadratic in document size.
-                    let width = match lead {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let c = self
-                        .bytes
-                        .get(self.pos..self.pos + width)
-                        .and_then(|b| std::str::from_utf8(b).ok())
-                        .ok_or_else(|| self.err("invalid utf-8"))?;
-                    s.push_str(c);
-                    self.pos += width;
-                }
-            }
-        }
-    }
-
-    /// Parse a number literal.
-    fn number(&mut self) -> Result<Value, ParseError> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| {
-            matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        }) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| self.err("bad number"))
+        None => Err(lex.err("unexpected end of input")),
     }
 }
 
@@ -390,15 +439,9 @@ fn as_objects<'v>(
 /// Parse a JSON snapshot produced by [`snapshot`] back into a
 /// [`MetricsSnapshot`].
 pub fn parse(text: &str) -> Result<MetricsSnapshot, ParseError> {
-    let mut reader = Reader {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let root = reader.value()?;
-    reader.skip_ws();
-    if reader.pos != reader.bytes.len() {
-        return Err(reader.err("trailing data"));
-    }
+    let mut lex = Lexer::new(text);
+    let root = value(&mut lex, 0)?;
+    lex.finish()?;
     let Value::Obj(root) = root else {
         return Err(ParseError::Json {
             offset: 0,
@@ -541,8 +584,12 @@ mod tests {
             "{\"counters\": [{\"name\": \"x\", \"value\": -1}], \
              \"gauges\": [], \"histograms\": []}",
             "{\"counters\": [], \"gauges\": [], \"histograms\": []} trailing",
+            // Nesting past the depth bound is refused, not recursed into
+            // until the stack overflows.
+            "[".repeat(200_000).as_str(),
+            "{\"a\":".repeat(200_000).as_str(),
         ] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
+            assert!(parse(bad).is_err(), "accepted {:?}", &bad[..bad.len().min(64)]);
         }
     }
 }

@@ -31,6 +31,7 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
+use super::json::{write_str, Lexer};
 use super::{names, ParseError, Recorder, RoundPhase};
 
 /// The `Content-Type` an HTTP endpoint should declare for [`render`]ed
@@ -490,25 +491,6 @@ impl Recorder for TraceRecorder {
     }
 }
 
-/// Append `s` as a JSON string literal with the mandatory escapes.
-fn fmt_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Serialize the ring (optionally time-filtered) plus metadata as one
 /// canonical JSON trace document.
 ///
@@ -571,7 +553,7 @@ fn render_document(
     for m in meta {
         sep(&mut out, &mut first);
         out.push_str("{\"name\":");
-        fmt_str(
+        write_str(
             &mut out,
             if m.tid.is_some() {
                 "thread_name"
@@ -585,7 +567,7 @@ fn render_document(
             let _ = write!(out, ",\"tid\":{tid}");
         }
         out.push_str(",\"args\":{\"name\":");
-        fmt_str(&mut out, &m.name);
+        write_str(&mut out, &m.name);
         out.push_str("}}");
     }
     // Second pass: emit, skipping orphaned `E`s the same way.
@@ -613,7 +595,7 @@ fn render_document(
         }
         sep(&mut out, &mut first);
         out.push_str("{\"name\":");
-        fmt_str(&mut out, &event.name);
+        write_str(&mut out, &event.name);
         out.push_str(",\"ph\":\"");
         out.push(match event.kind {
             EventKind::Complete { .. } => 'X',
@@ -679,151 +661,20 @@ impl ParsedTrace {
     }
 }
 
-/// Byte cursor over a trace document; all methods are total (errors,
-/// never panics) so the parser can face hostile input.
-struct Cursor<'a> {
-    /// The document bytes.
-    bytes: &'a [u8],
-    /// Current position.
-    pos: usize,
+/// A non-negative integer token that fits in `u64`.
+fn uint(lex: &mut Lexer<'_>) -> Result<u64, ParseError> {
+    let text = lex.number()?;
+    text.parse()
+        .map_err(|_| lex.err(format!("expected unsigned integer, got {text:?}")))
 }
 
-impl<'a> Cursor<'a> {
-    /// An error at the current offset.
-    fn err(&self, reason: impl Into<String>) -> ParseError {
-        ParseError::Json {
-            offset: self.pos,
-            reason: reason.into(),
-        }
-    }
-
-    /// Skip ASCII whitespace.
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    /// The next non-whitespace byte, without consuming it.
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    /// Consume exactly `expected` (after whitespace) or error.
-    fn expect(&mut self, expected: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(expected) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {:?}", expected as char)))
-        }
-    }
-
-    /// Parse a JSON string literal into an owned string.
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32);
-                            let Some(c) = hex else {
-                                return Err(self.err("bad \\u escape"));
-                            };
-                            self.pos += 4;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-decode from the byte position to keep UTF-8 intact.
-                    let rest = &self.bytes[self.pos - 1..];
-                    let Ok(s) = std::str::from_utf8(&rest[..rest.len().min(4)])
-                        .or_else(|e| match e.valid_up_to() {
-                            0 => Err(e),
-                            n => std::str::from_utf8(&rest[..n]),
-                        })
-                    else {
-                        return Err(self.err("invalid utf-8 in string"));
-                    };
-                    let Some(c) = s.chars().next() else {
-                        return Err(self.err("invalid utf-8 in string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8() - 1;
-                }
-            }
-        }
-    }
-
-    /// Parse a JSON number's raw text.
-    fn number_text(&mut self) -> Result<&'a str, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected number"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number bytes"))
-    }
-
-    /// Parse a non-negative integer that fits in `u64`.
-    fn u64(&mut self) -> Result<u64, ParseError> {
-        let text = self.number_text()?;
-        text.parse::<u64>()
-            .map_err(|_| self.err(format!("expected unsigned integer, got {text:?}")))
-    }
-
-    /// Parse a finite `f64`.
-    fn f64(&mut self) -> Result<f64, ParseError> {
-        let text = self.number_text()?;
-        let value = text
-            .parse::<f64>()
-            .map_err(|_| self.err(format!("expected number, got {text:?}")))?;
-        if !value.is_finite() {
-            return Err(self.err("counter value is not finite"));
-        }
-        Ok(value)
+/// A finite `f64` token.
+fn finite(lex: &mut Lexer<'_>) -> Result<f64, ParseError> {
+    let text = lex.number()?;
+    match text.parse::<f64>() {
+        Ok(value) if value.is_finite() => Ok(value),
+        Ok(_) => Err(lex.err("counter value is not finite")),
+        Err(_) => Err(lex.err(format!("expected number, got {text:?}"))),
     }
 }
 
@@ -849,58 +700,29 @@ struct RawEvent {
 }
 
 /// Parse one event object from the `traceEvents` array.
-fn parse_event(cursor: &mut Cursor<'_>) -> Result<RawEvent, ParseError> {
-    cursor.expect(b'{')?;
+fn parse_event(lex: &mut Lexer<'_>) -> Result<RawEvent, ParseError> {
     let mut raw = RawEvent::default();
-    if cursor.peek() == Some(b'}') {
-        cursor.pos += 1;
-        return Ok(raw);
-    }
-    loop {
-        let key = cursor.string()?;
-        cursor.expect(b':')?;
+    lex.object(true, |lex, key| {
         match key.as_str() {
-            "name" => raw.name = Some(cursor.string()?),
-            "ph" => raw.ph = Some(cursor.string()?),
-            "ts" => raw.ts = Some(cursor.u64()?),
-            "dur" => raw.dur = Some(cursor.u64()?),
-            "pid" => raw.pid = Some(cursor.u64()?),
-            "tid" => raw.tid = Some(cursor.u64()?),
-            "args" => {
-                cursor.expect(b'{')?;
-                loop {
-                    let arg = cursor.string()?;
-                    cursor.expect(b':')?;
-                    match arg.as_str() {
-                        "value" => raw.value = Some(cursor.f64()?),
-                        "name" => raw.args_name = Some(cursor.string()?),
-                        other => {
-                            return Err(
-                                cursor.err(format!("unknown args field {other:?}"))
-                            )
-                        }
-                    }
-                    match cursor.peek() {
-                        Some(b',') => cursor.pos += 1,
-                        Some(b'}') => {
-                            cursor.pos += 1;
-                            break;
-                        }
-                        _ => return Err(cursor.err("expected ',' or '}' in args")),
-                    }
+            "name" => raw.name = Some(lex.string()?),
+            "ph" => raw.ph = Some(lex.string()?),
+            "ts" => raw.ts = Some(uint(lex)?),
+            "dur" => raw.dur = Some(uint(lex)?),
+            "pid" => raw.pid = Some(uint(lex)?),
+            "tid" => raw.tid = Some(uint(lex)?),
+            "args" => lex.object(false, |lex, arg| {
+                match arg.as_str() {
+                    "value" => raw.value = Some(finite(lex)?),
+                    "name" => raw.args_name = Some(lex.string()?),
+                    other => return Err(lex.err(format!("unknown args field {other:?}"))),
                 }
-            }
-            other => return Err(cursor.err(format!("unknown event field {other:?}"))),
+                Ok(())
+            })?,
+            other => return Err(lex.err(format!("unknown event field {other:?}"))),
         }
-        match cursor.peek() {
-            Some(b',') => cursor.pos += 1,
-            Some(b'}') => {
-                cursor.pos += 1;
-                return Ok(raw);
-            }
-            _ => return Err(cursor.err("expected ',' or '}' in event")),
-        }
-    }
+        Ok(())
+    })?;
+    Ok(raw)
 }
 
 /// The largest `pid`/`tid` the validator accepts (synthetic ids are
@@ -918,91 +740,44 @@ const MAX_ID: u64 = u32::MAX as u64;
 /// `Err`, never a panic. The golden and differential tests use this as
 /// their oracle.
 pub fn parse(text: &str) -> Result<ParsedTrace, ParseError> {
-    let mut cursor = Cursor {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    cursor.expect(b'{')?;
+    let mut lex = Lexer::new(text);
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut meta: Vec<MetaEvent> = Vec::new();
     let mut dropped: Option<u64> = None;
     let mut seen_events = false;
-    loop {
-        let key = cursor.string()?;
-        cursor.expect(b':')?;
+    lex.object(false, |lex, key| {
         match key.as_str() {
             "displayTimeUnit" => {
-                let unit = cursor.string()?;
+                let unit = lex.string()?;
                 if unit != "ms" && unit != "ns" {
-                    return Err(cursor.err(format!("unknown displayTimeUnit {unit:?}")));
+                    return Err(lex.err(format!("unknown displayTimeUnit {unit:?}")));
                 }
             }
-            "otherData" => {
-                cursor.expect(b'{')?;
-                loop {
-                    let field = cursor.string()?;
-                    cursor.expect(b':')?;
-                    if field == "droppedEvents" {
-                        let raw = cursor.string()?;
-                        let n = raw.parse::<u64>().map_err(|_| {
-                            cursor.err(format!("droppedEvents is not a count: {raw:?}"))
-                        })?;
-                        dropped = Some(n);
-                    } else {
-                        return Err(
-                            cursor.err(format!("unknown otherData field {field:?}"))
-                        );
-                    }
-                    match cursor.peek() {
-                        Some(b',') => cursor.pos += 1,
-                        Some(b'}') => {
-                            cursor.pos += 1;
-                            break;
-                        }
-                        _ => return Err(cursor.err("expected ',' or '}' in otherData")),
-                    }
+            "otherData" => lex.object(false, |lex, field| {
+                if field != "droppedEvents" {
+                    return Err(lex.err(format!("unknown otherData field {field:?}")));
                 }
-            }
+                let raw = lex.string()?;
+                let n = raw
+                    .parse::<u64>()
+                    .map_err(|_| lex.err(format!("droppedEvents is not a count: {raw:?}")))?;
+                dropped = Some(n);
+                Ok(())
+            })?,
             "traceEvents" => {
                 seen_events = true;
-                cursor.expect(b'[')?;
-                if cursor.peek() == Some(b']') {
-                    cursor.pos += 1;
-                } else {
-                    loop {
-                        let raw = parse_event(&mut cursor)?;
-                        ingest_event(&cursor, raw, &mut events, &mut meta)?;
-                        match cursor.peek() {
-                            Some(b',') => cursor.pos += 1,
-                            Some(b']') => {
-                                cursor.pos += 1;
-                                break;
-                            }
-                            _ => {
-                                return Err(
-                                    cursor.err("expected ',' or ']' in traceEvents")
-                                )
-                            }
-                        }
-                    }
-                }
+                lex.array(|lex| {
+                    let raw = parse_event(lex)?;
+                    ingest_event(lex, raw, &mut events, &mut meta)
+                })?;
             }
-            other => return Err(cursor.err(format!("unknown trace field {other:?}"))),
+            other => return Err(lex.err(format!("unknown trace field {other:?}"))),
         }
-        match cursor.peek() {
-            Some(b',') => cursor.pos += 1,
-            Some(b'}') => {
-                cursor.pos += 1;
-                break;
-            }
-            _ => return Err(cursor.err("expected ',' or '}' at top level")),
-        }
-    }
-    if cursor.peek().is_some() {
-        return Err(cursor.err("trailing bytes after document"));
-    }
+        Ok(())
+    })?;
+    lex.finish()?;
     if !seen_events {
-        return Err(cursor.err("document has no traceEvents array"));
+        return Err(lex.err("document has no traceEvents array"));
     }
     validate(&events)?;
     Ok(ParsedTrace {
@@ -1015,7 +790,7 @@ pub fn parse(text: &str) -> Result<ParsedTrace, ParseError> {
 /// Convert a raw parsed object into a typed event, enforcing per-kind
 /// required fields.
 fn ingest_event(
-    cursor: &Cursor<'_>,
+    lex: &Lexer<'_>,
     raw: RawEvent,
     events: &mut Vec<TraceEvent>,
     meta: &mut Vec<MetaEvent>,
@@ -1023,23 +798,23 @@ fn ingest_event(
     let ph = raw.ph.as_deref().unwrap_or("");
     let name = raw
         .name
-        .ok_or_else(|| cursor.err("event missing name"))?;
+        .ok_or_else(|| lex.err("event missing name"))?;
     let pid = raw
         .pid
         .filter(|&p| p <= MAX_ID)
-        .ok_or_else(|| cursor.err("event missing (or oversized) pid"))? as u32;
+        .ok_or_else(|| lex.err("event missing (or oversized) pid"))? as u32;
     if raw.tid.is_some_and(|t| t > MAX_ID) {
-        return Err(cursor.err("oversized tid"));
+        return Err(lex.err("oversized tid"));
     }
     if ph == "M" {
         if name != "process_name" && name != "thread_name" {
-            return Err(cursor.err(format!("unknown metadata event {name:?}")));
+            return Err(lex.err(format!("unknown metadata event {name:?}")));
         }
         let display = raw
             .args_name
-            .ok_or_else(|| cursor.err("metadata event missing args.name"))?;
+            .ok_or_else(|| lex.err("metadata event missing args.name"))?;
         if (name == "thread_name") != raw.tid.is_some() {
-            return Err(cursor.err("metadata tid must match thread_name/process_name"));
+            return Err(lex.err("metadata tid must match thread_name/process_name"));
         }
         meta.push(MetaEvent {
             pid,
@@ -1050,27 +825,27 @@ fn ingest_event(
     }
     let ts_us = raw
         .ts
-        .ok_or_else(|| cursor.err(format!("{ph:?} event missing ts")))?;
+        .ok_or_else(|| lex.err(format!("{ph:?} event missing ts")))?;
     let kind = match ph {
         "X" => EventKind::Complete {
             dur_us: raw
                 .dur
-                .ok_or_else(|| cursor.err("X event missing dur"))?,
+                .ok_or_else(|| lex.err("X event missing dur"))?,
         },
         "B" => EventKind::Begin,
         "E" => EventKind::End,
         "C" => EventKind::Counter {
             value: raw
                 .value
-                .ok_or_else(|| cursor.err("C event missing args.value"))?,
+                .ok_or_else(|| lex.err("C event missing args.value"))?,
         },
-        other => return Err(cursor.err(format!("unknown event kind {other:?}"))),
+        other => return Err(lex.err(format!("unknown event kind {other:?}"))),
     };
     let tid = match kind {
         EventKind::Counter { .. } => raw.tid.unwrap_or(0) as u32,
         _ => raw
             .tid
-            .ok_or_else(|| cursor.err(format!("{ph:?} event missing tid")))? as u32,
+            .ok_or_else(|| lex.err(format!("{ph:?} event missing tid")))? as u32,
     };
     events.push(TraceEvent {
         name: Cow::Owned(name),

@@ -17,7 +17,8 @@
 //!   yields an empty plan, so a quiescent log leaves the round pipeline
 //!   bit-identical to one that never had a reconciler.
 //!
-//! On disk the log reuses the [`crate::wire`] framing discipline: each
+//! On disk the log is written and read by the [`crate::wire`] codec
+//! itself (its framing, writers, reader and allocator bytes): each
 //! envelope is one length-prefixed frame (`len:u32le payload`), the
 //! payload opens with a version byte and an op tag, integers are
 //! little-endian, and watt quantities are IEEE-754 bit patterns — a
@@ -43,7 +44,9 @@ use capmaestro_units::Watts;
 use crate::alloc::AllocatorKind;
 use crate::plane::{ControlPlane, Farm};
 use crate::tree::TreeArena;
-use crate::wire::{frame, split_frame, WireError};
+use crate::wire::{
+    frame, put_allocator, put_u16, put_u32, put_u64, put_watts, split_frame, Reader, WireError,
+};
 
 /// Envelope schema version carried in every persisted payload. Bump on
 /// any layout change; decoders reject other versions outright.
@@ -148,25 +151,6 @@ mod tag {
     pub const SET_ALLOCATOR: u8 = 6;
 }
 
-/// Stable wire byte for an allocator kind (independent of enum order).
-fn allocator_to_byte(kind: AllocatorKind) -> u8 {
-    match kind {
-        AllocatorKind::Waterfall => 1,
-        AllocatorKind::Waterfilling => 2,
-        AllocatorKind::FairShare => 3,
-    }
-}
-
-/// Inverse of [`allocator_to_byte`].
-fn allocator_from_byte(byte: u8) -> Option<AllocatorKind> {
-    match byte {
-        1 => Some(AllocatorKind::Waterfall),
-        2 => Some(AllocatorKind::Waterfilling),
-        3 => Some(AllocatorKind::FairShare),
-        _ => None,
-    }
-}
-
 /// Serializes an envelope into one frame payload (without the length
 /// prefix — [`crate::wire::frame`] adds that).
 pub fn encode_envelope(envelope: &Envelope) -> Vec<u8> {
@@ -180,21 +164,21 @@ pub fn encode_envelope(envelope: &Envelope) -> Vec<u8> {
         Op::SetServerEnabled { .. } => tag::SET_SERVER_ENABLED,
         Op::SetAllocator(_) => tag::SET_ALLOCATOR,
     });
-    out.extend_from_slice(&envelope.seq.to_le_bytes());
-    out.extend_from_slice(&envelope.at_s.to_le_bytes());
+    put_u64(&mut out, envelope.seq);
+    put_u64(&mut out, envelope.at_s);
     let key = envelope.key.as_deref().unwrap_or("");
     debug_assert!(key.len() <= MAX_KEY_BYTES, "append validates key length");
-    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    put_u16(&mut out, key.len() as u16);
     out.extend_from_slice(key.as_bytes());
     match &envelope.op {
         Op::SetTreeBudget { tree, watts } => {
-            out.extend_from_slice(&tree.to_le_bytes());
-            out.extend_from_slice(&watts.as_f64().to_bits().to_le_bytes());
+            put_u32(&mut out, *tree);
+            put_watts(&mut out, *watts);
         }
         Op::SetRootBudgets(budgets) => {
-            out.extend_from_slice(&(budgets.len() as u32).to_le_bytes());
+            put_u32(&mut out, budgets.len() as u32);
             for w in budgets {
-                out.extend_from_slice(&w.as_f64().to_bits().to_le_bytes());
+                put_watts(&mut out, *w);
             }
         }
         Op::SetGroupPriority {
@@ -202,77 +186,21 @@ pub fn encode_envelope(envelope: &Envelope) -> Vec<u8> {
             node,
             priority,
         } => {
-            out.extend_from_slice(&tree.to_le_bytes());
-            out.extend_from_slice(&node.to_le_bytes());
+            put_u32(&mut out, *tree);
+            put_u32(&mut out, *node);
             out.push(priority.0);
         }
         Op::ClearGroupPriority { tree, node } => {
-            out.extend_from_slice(&tree.to_le_bytes());
-            out.extend_from_slice(&node.to_le_bytes());
+            put_u32(&mut out, *tree);
+            put_u32(&mut out, *node);
         }
         Op::SetServerEnabled { server, enabled } => {
-            out.extend_from_slice(&server.0.to_le_bytes());
+            put_u32(&mut out, server.0);
             out.push(u8::from(*enabled));
         }
-        Op::SetAllocator(kind) => out.push(allocator_to_byte(*kind)),
+        Op::SetAllocator(kind) => put_allocator(&mut out, *kind),
     }
     out
-}
-
-/// A bounds-checked little-endian payload reader (same discipline as the
-/// socket codec's).
-struct Reader<'a> {
-    /// Remaining unread bytes.
-    bytes: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    /// Takes `n` bytes off the front, or fails with `Truncated`.
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.bytes.len() < n {
-            return Err(WireError::Truncated);
-        }
-        let (head, rest) = self.bytes.split_at(n);
-        self.bytes = rest;
-        Ok(head)
-    }
-
-    /// Reads one byte.
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian u16.
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Reads a little-endian u32.
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a little-endian u64.
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    /// Reads watts from an f64 bit pattern, rejecting non-finite or
-    /// negative values.
-    fn watts(&mut self) -> Result<Watts, WireError> {
-        let value = f64::from_bits(self.u64()?);
-        if !value.is_finite() || value < 0.0 {
-            return Err(WireError::BadValue {
-                what: "non-finite or negative watts",
-            });
-        }
-        Ok(Watts::new(value))
-    }
 }
 
 /// Deserializes one envelope payload (the bytes inside a frame).
@@ -281,15 +209,15 @@ impl<'a> Reader<'a> {
 /// never a panic, and element counts are bounds-checked against the
 /// payload before any allocation.
 pub fn decode_envelope(payload: &[u8]) -> Result<Envelope, WireError> {
-    let mut r = Reader { bytes: payload };
-    let version = r.u8()?;
+    let mut r = Reader::new(payload);
+    let version = r.take_u8()?;
     if version != OPLOG_VERSION {
         return Err(WireError::BadVersion { got: version });
     }
-    let tag = r.u8()?;
-    let seq = r.u64()?;
-    let at_s = r.u64()?;
-    let key_len = r.u16()? as usize;
+    let tag = r.take_u8()?;
+    let seq = r.take_u64()?;
+    let at_s = r.take_u64()?;
+    let key_len = r.take_u16()? as usize;
     if key_len > MAX_KEY_BYTES {
         return Err(WireError::BadValue {
             what: "idempotency key too long",
@@ -309,33 +237,29 @@ pub fn decode_envelope(payload: &[u8]) -> Result<Envelope, WireError> {
     };
     let op = match tag {
         tag::SET_TREE_BUDGET => Op::SetTreeBudget {
-            tree: r.u32()?,
-            watts: r.watts()?,
+            tree: r.take_u32()?,
+            watts: r.take_watts()?,
         },
         tag::SET_ROOT_BUDGETS => {
-            let count = r.u32()? as usize;
-            // 8 bytes per element must already be present.
-            if r.bytes.len() < count.saturating_mul(8) {
-                return Err(WireError::Truncated);
-            }
+            let count = r.take_count(8)?;
             let mut budgets = Vec::with_capacity(count);
             for _ in 0..count {
-                budgets.push(r.watts()?);
+                budgets.push(r.take_watts()?);
             }
             Op::SetRootBudgets(budgets)
         }
         tag::SET_GROUP_PRIORITY => Op::SetGroupPriority {
-            tree: r.u32()?,
-            node: r.u32()?,
-            priority: Priority(r.u8()?),
+            tree: r.take_u32()?,
+            node: r.take_u32()?,
+            priority: Priority(r.take_u8()?),
         },
         tag::CLEAR_GROUP_PRIORITY => Op::ClearGroupPriority {
-            tree: r.u32()?,
-            node: r.u32()?,
+            tree: r.take_u32()?,
+            node: r.take_u32()?,
         },
         tag::SET_SERVER_ENABLED => Op::SetServerEnabled {
-            server: ServerId(r.u32()?),
-            enabled: match r.u8()? {
+            server: ServerId(r.take_u32()?),
+            enabled: match r.take_u8()? {
                 0 => false,
                 1 => true,
                 _ => {
@@ -345,18 +269,10 @@ pub fn decode_envelope(payload: &[u8]) -> Result<Envelope, WireError> {
                 }
             },
         },
-        tag::SET_ALLOCATOR => Op::SetAllocator(allocator_from_byte(r.u8()?).ok_or(
-            WireError::BadValue {
-                what: "unknown allocator byte",
-            },
-        )?),
+        tag::SET_ALLOCATOR => Op::SetAllocator(r.take_allocator()?),
         other => return Err(WireError::BadTag { got: other }),
     };
-    if !r.bytes.is_empty() {
-        return Err(WireError::TrailingBytes {
-            extra: r.bytes.len(),
-        });
-    }
+    r.finish()?;
     Ok(Envelope {
         seq,
         at_s,
@@ -853,9 +769,19 @@ pub fn plan(desired: &DesiredState, plane: &ControlPlane, farm: &Farm) -> Reconc
 mod tests {
     use super::*;
 
-    /// Round-trips every op variant through the codec bit-exactly.
+    /// Round-trips every op variant through the codec bit-exactly, and
+    /// pins each encoding to its on-disk bytes: a round trip alone would
+    /// pass if encoder and decoder drifted together.
     #[test]
     fn envelope_codec_round_trips_every_variant() {
+        const ON_DISK: [&str; 6] = [
+            "01010100000000000000000000000000000005006b65792d30030000000000000000629340",
+            "010202000000000000002a000000000000000000020000000000000000e085400000000000da8540",
+            "01030300000000000000540000000000000005006b65792d32000000000200000004",
+            "010404000000000000007e0000000000000000000000000002000000",
+            "01050500000000000000a80000000000000005006b65792d341100000000",
+            "01060600000000000000d200000000000000000003",
+        ];
         let ops = vec![
             Op::SetTreeBudget {
                 tree: 3,
@@ -881,7 +807,10 @@ mod tests {
                 key: (i % 2 == 0).then(|| format!("key-{i}")),
                 op,
             };
-            let decoded = decode_envelope(&encode_envelope(&envelope)).expect("round trip");
+            let bytes = encode_envelope(&envelope);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, ON_DISK[i], "{:?}", envelope.op);
+            let decoded = decode_envelope(&bytes).expect("round trip");
             assert_eq!(decoded, envelope);
         }
     }

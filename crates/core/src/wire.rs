@@ -16,6 +16,11 @@
 //! depend on that. Decoding is total: any byte sequence either yields a
 //! message or a [`WireError`], never a panic, and never allocates more
 //! than the frame it was handed could justify.
+//!
+//! This module is the one home of the workspace's binary encoding: the
+//! operator log ([`crate::oplog`]) frames, writes and reads its envelopes
+//! through the same framing, `put_*` writers, bounds-checked reader and
+//! allocator ↔ byte table.
 
 use capmaestro_topology::Priority;
 use capmaestro_units::Watts;
@@ -29,7 +34,7 @@ use crate::workers::{CutId, DownMsg, UpMsg};
 /// Protocol version carried in every payload. Bump on any schema change;
 /// decoders reject other versions outright (agents and controllers are
 /// deployed together, so there is no cross-version negotiation).
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Upper bound on a single frame's payload, in bytes. Generous for the
 /// schema (a 100k-leaf metrics report is still far below it) while
@@ -141,7 +146,7 @@ pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, WireError> {
 // ---------------------------------------------------------------------------
 
 /// Byte-cursor over a payload; every `take_*` checks bounds.
-struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     /// The payload being decoded.
     buf: &'a [u8],
     /// Next unread byte.
@@ -150,7 +155,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Starts a cursor at the front of `buf`.
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
@@ -160,7 +165,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `n` raw bytes.
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
@@ -170,18 +175,24 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
-    fn take_u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn take_u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
+    /// Reads a little-endian u16.
+    pub(crate) fn take_u16(&mut self) -> Result<u16, WireError> {
+        let b = self.take(2)?;
+        Ok(u16::from_le_bytes([b[0], b[1]]))
+    }
+
     /// Reads a little-endian u32.
-    fn take_u32(&mut self) -> Result<u32, WireError> {
+    pub(crate) fn take_u32(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a little-endian u64.
-    fn take_u64(&mut self) -> Result<u64, WireError> {
+    pub(crate) fn take_u64(&mut self) -> Result<u64, WireError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
@@ -190,7 +201,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a watt quantity, rejecting non-finite or negative values
     /// *before* constructing [`Watts`] (whose constructor asserts).
-    fn take_watts(&mut self) -> Result<Watts, WireError> {
+    pub(crate) fn take_watts(&mut self) -> Result<Watts, WireError> {
         let v = f64::from_bits(self.take_u64()?);
         if !v.is_finite() || v < 0.0 {
             return Err(WireError::BadValue {
@@ -203,7 +214,7 @@ impl<'a> Reader<'a> {
     /// Reads an element count for items of at least `min_item_bytes`
     /// each, bounding it by the bytes actually present so a corrupt
     /// count cannot provoke a huge allocation.
-    fn take_count(&mut self, min_item_bytes: usize) -> Result<usize, WireError> {
+    pub(crate) fn take_count(&mut self, min_item_bytes: usize) -> Result<usize, WireError> {
         let count = self.take_u32()? as usize;
         if count.saturating_mul(min_item_bytes) > self.remaining() {
             return Err(WireError::Truncated);
@@ -211,8 +222,20 @@ impl<'a> Reader<'a> {
         Ok(count)
     }
 
+    /// Reads an allocator byte (see [`put_allocator`]).
+    pub(crate) fn take_allocator(&mut self) -> Result<AllocatorKind, WireError> {
+        match self.take_u8()? {
+            1 => Ok(AllocatorKind::Waterfall),
+            2 => Ok(AllocatorKind::Waterfilling),
+            3 => Ok(AllocatorKind::FairShare),
+            _ => Err(WireError::BadValue {
+                what: "unknown allocator tag",
+            }),
+        }
+    }
+
     /// Asserts the payload was fully consumed.
-    fn finish(self) -> Result<(), WireError> {
+    pub(crate) fn finish(self) -> Result<(), WireError> {
         if self.remaining() != 0 {
             return Err(WireError::TrailingBytes {
                 extra: self.remaining(),
@@ -222,19 +245,35 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Appends a little-endian u16.
+pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
 /// Appends a little-endian u32.
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian u64.
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a watt quantity as its f64 bit pattern.
-fn put_watts(out: &mut Vec<u8>, w: Watts) {
+pub(crate) fn put_watts(out: &mut Vec<u8>, w: Watts) {
     put_u64(out, w.as_f64().to_bits());
+}
+
+/// Appends an allocator as its stable byte, independent of enum order:
+/// 1 waterfall, 2 waterfilling, 3 fair_share. The oplog persists these
+/// bytes on disk, so they never change meaning.
+pub(crate) fn put_allocator(out: &mut Vec<u8>, kind: AllocatorKind) {
+    out.push(match kind {
+        AllocatorKind::Waterfall => 1,
+        AllocatorKind::Waterfilling => 2,
+        AllocatorKind::FairShare => 3,
+    });
 }
 
 /// Narrows a usize field to the u32 the wire carries.
@@ -464,11 +503,7 @@ pub fn encode_down(msg: &DownMsg) -> Vec<u8> {
         DownMsg::Gather { round, allocator } => {
             let mut out = header(down_tag::GATHER);
             put_u64(&mut out, *round);
-            out.push(match allocator {
-                AllocatorKind::Waterfall => 0,
-                AllocatorKind::Waterfilling => 1,
-                AllocatorKind::FairShare => 2,
-            });
+            put_allocator(&mut out, *allocator);
             out
         }
         DownMsg::Budgets { round, budgets } => {
@@ -505,16 +540,7 @@ pub fn decode_down(payload: &[u8]) -> Result<DownMsg, WireError> {
         },
         down_tag::GATHER => DownMsg::Gather {
             round: r.take_u64()?,
-            allocator: match r.take_u8()? {
-                0 => AllocatorKind::Waterfall,
-                1 => AllocatorKind::Waterfilling,
-                2 => AllocatorKind::FairShare,
-                _ => {
-                    return Err(WireError::BadValue {
-                        what: "unknown allocator tag",
-                    })
-                }
-            },
+            allocator: r.take_allocator()?,
         },
         down_tag::BUDGETS => {
             let round = r.take_u64()?;

@@ -373,24 +373,29 @@ fn regression_unsorted_priority_levels_are_rejected() {
     );
 }
 
-/// The allocator byte on `Gather` is input like any other: a tag naming
-/// no allocator is a BadValue, and a version-1 `Gather` (no byte at all,
-/// old version) is refused at the version check, not misread.
+/// The allocator byte on `Gather` is input like any other: a byte naming
+/// no allocator is a BadValue, and a `Gather` from an older wire version
+/// (version 2 numbered the allocators 0/1/2) is refused at the version
+/// check, not misread.
 #[test]
 fn unknown_allocator_tag_and_old_wire_version_are_rejected() {
     let mut payload = encode_down(&DownMsg::Gather {
         round: 9,
         allocator: AllocatorKind::FairShare,
     });
-    *payload.last_mut().unwrap() = 3;
-    assert_eq!(
-        decode_down(&payload),
-        Err(WireError::BadValue {
-            what: "unknown allocator tag"
-        })
-    );
-    let mut v1 = vec![1, 2]; // version 1, down tag: Gather
-    le64(&mut v1, 9); // round
-    assert_eq!(decode_down(&v1), Err(WireError::BadVersion { got: 1 }));
-    assert_eq!(WIRE_VERSION, 2);
+    assert_eq!(payload.last(), Some(&3), "fair_share is allocator byte 3");
+    for unknown in [0, 4] {
+        *payload.last_mut().unwrap() = unknown;
+        assert_eq!(
+            decode_down(&payload),
+            Err(WireError::BadValue {
+                what: "unknown allocator tag"
+            })
+        );
+    }
+    let mut v2 = vec![2, 2]; // version 2, down tag: Gather
+    le64(&mut v2, 9); // round
+    v2.push(1); // version 2's waterfilling byte
+    assert_eq!(decode_down(&v2), Err(WireError::BadVersion { got: 2 }));
+    assert_eq!(WIRE_VERSION, 3);
 }

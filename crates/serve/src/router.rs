@@ -94,7 +94,7 @@ impl ApiError {
         out.push_str("{\"error\":{\"code\":\"");
         out.push_str(self.code);
         out.push_str("\",\"message\":");
-        escape_json_str(&mut out, &self.message);
+        json::write_str(&mut out, &self.message);
         out.push_str("}}\n");
         out
     }
@@ -129,26 +129,6 @@ impl From<&OpRejection> for ApiError {
             OpRejection::Internal(_) => ApiError::new(500, "internal", message),
         }
     }
-}
-
-/// Append `s` as a JSON string literal with the mandatory escapes.
-fn escape_json_str(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// The daemon's [`Handler`]: routes requests onto shared serve state.

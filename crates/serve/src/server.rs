@@ -7,20 +7,24 @@
 //!
 //! Shutdown ordering (also enforced on `Drop`):
 //!
-//! 1. the [`ShutdownHandle`] flag flips — the accept thread stops
-//!    accepting and exits, dropping the listener and the channel sender;
+//! 1. the [`ShutdownHandle`] flag flips and [`HttpServer::shutdown`]
+//!    wakes the accept thread (blocked in `accept`) with one connection
+//!    to its own address — the thread sees the flag, drops that
+//!    connection unserved and exits, dropping the listener and the
+//!    channel sender;
 //! 2. workers drain connections already queued or in flight — the closed
 //!    channel is their exit signal, so no accepted connection is dropped
 //!    without a response;
 //! 3. worker threads are joined, then the caller may drop the engine.
 //!
-//! The accept thread also supervises the pool: a worker killed by a
-//! panicking handler is respawned (counted in
+//! The accept thread also supervises the pool: after each accept, before
+//! the connection is queued, a worker killed by a panicking handler is
+//! respawned (counted in
 //! `capmaestro_serve_worker_respawns_total`), mirroring the
 //! `WorkerDeployment` respawn ladder in `capmaestro-core`.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -116,7 +120,9 @@ impl HttpConfig {
 pub struct ShutdownHandle(Arc<AtomicBool>);
 
 impl ShutdownHandle {
-    /// Ask the server to stop accepting and drain.
+    /// Ask the server to stop: connections accepted from now on are
+    /// closed unserved, and [`HttpServer::shutdown`] (or dropping the
+    /// server) wakes the accept thread, drains and joins.
     pub fn request(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
@@ -126,9 +132,6 @@ impl ShutdownHandle {
         self.0.load(Ordering::SeqCst)
     }
 }
-
-/// How long the accept loop sleeps when the listener has nothing for us.
-const ACCEPT_IDLE: Duration = Duration::from_millis(2);
 
 /// A running HTTP server; dropping it performs a graceful shutdown.
 #[derive(Debug)]
@@ -165,7 +168,6 @@ impl HttpServer {
     /// Bind `config.addr` and start serving `handler`.
     pub fn bind(config: HttpConfig, handler: Arc<dyn Handler>) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = ShutdownHandle::default();
 
@@ -225,6 +227,7 @@ impl HttpServer {
     pub fn shutdown(&mut self) {
         self.shutdown.request();
         if let Some(accept) = self.accept_thread.take() {
+            wake_acceptor(self.local_addr);
             let _ = accept.join();
         }
         if let Some(handles) = self.worker_handles.take() {
@@ -244,6 +247,43 @@ impl Drop for HttpServer {
     }
 }
 
+/// Accept connections on `listener` until `stop` is set, handing each to
+/// `on_accept`. The loop blocks in `accept`; whoever sets `stop` then
+/// wakes it with [`wake_acceptor`]. The flag is checked after every
+/// accept, so the wake connection (and any racing it) is dropped unserved.
+pub(crate) fn accept_until(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    mut on_accept: impl FnMut(TcpStream),
+) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _peer)) => on_accept(stream),
+            // Transient failures (an aborted handshake, descriptor
+            // exhaustion): pause so a persistent one cannot spin.
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+    }
+}
+
+/// Wake an acceptor blocked in [`accept_until`] on `addr` with one
+/// throwaway connection; an unspecified bind address (`0.0.0.0`, `::`)
+/// is reached over loopback.
+pub(crate) fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(if addr.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
+    }
+    let _ = TcpStream::connect(addr);
+}
+
 /// Accept connections until shutdown, supervising the worker pool.
 fn accept_loop(
     listener: TcpListener,
@@ -254,42 +294,22 @@ fn accept_loop(
     handler: &Arc<dyn Handler>,
     pool: &mut [JoinHandle<()>],
 ) {
-    let mut dead: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        if shutdown.is_requested() {
-            break;
-        }
-        // Respawn workers killed by panicking handlers.
+    accept_until(&listener, &shutdown.0, |stream| {
+        // Respawn workers killed by panicking handlers before queueing
+        // more work for the pool.
         for slot in pool.iter_mut() {
             if slot.is_finished() {
-                let fresh = spawn_worker(config, conn_rx, handler);
-                let old = std::mem::replace(slot, fresh);
-                dead.push(old);
+                let dead = std::mem::replace(slot, spawn_worker(config, conn_rx, handler));
+                let _ = dead.join();
                 config
                     .recorder
                     .counter_add(names::SERVE_WORKER_RESPAWNS_TOTAL, 1);
             }
         }
-        for old in dead.drain(..) {
-            let _ = old.join();
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Workers only exit once this sender is dropped, so a
-                // send can only fail after shutdown; drop the connection
-                // unanswered in that case.
-                let _ = conn_tx.send(stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_IDLE);
-            }
-            Err(_) => {
-                // Transient accept errors (e.g. aborted handshakes);
-                // back off briefly and keep serving.
-                std::thread::sleep(ACCEPT_IDLE);
-            }
-        }
-    }
+        // Workers only exit once this sender is dropped, so a send can
+        // only fail after shutdown; drop the connection unanswered then.
+        let _ = conn_tx.send(stream);
+    });
     // Dropping conn_tx here closes the channel: workers finish whatever
     // is queued or in flight, then exit.
 }

@@ -37,9 +37,7 @@ use capmaestro_core::workers::Transport;
 use capmaestro_core::{DownMsg, UpMsg};
 
 use crate::frame::{write_frame, FrameReader};
-
-/// Accept-loop poll interval, mirroring the HTTP server's.
-const ACCEPT_IDLE: Duration = Duration::from_millis(2);
+use crate::server::{accept_until, wake_acceptor};
 
 /// How long a reader thread waits per poll before re-checking shutdown.
 const READER_SLICE: Duration = Duration::from_millis(100);
@@ -165,7 +163,6 @@ impl SocketTransport {
     pub fn bind(config: SocketTransportConfig) -> io::Result<Self> {
         assert!(config.worker_count > 0, "at least one rack worker is required");
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let (up_tx, up_rx) = mpsc::channel();
         let now = Instant::now();
@@ -328,6 +325,7 @@ impl Transport for SocketTransport {
             self.shared.drop_conn(w, None);
         }
         if let Some(handle) = self.accept_handle.take() {
+            wake_acceptor(self.local_addr);
             let _ = handle.join();
         }
         let handles: Vec<_> = {
@@ -356,21 +354,15 @@ fn accept_loop(
     handshake_timeout: Duration,
 ) {
     let mut conn_seq = 0u64;
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                conn_seq += 1;
-                let shared = Arc::clone(&shared);
-                let handle = thread::Builder::new()
-                    .name(format!("socket-agent-{conn_seq}"))
-                    .spawn(move || reader_loop(stream, shared, handshake_timeout))
-                    .expect("spawn socket reader thread");
-                readers.lock().expect("readers lock").push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_IDLE),
-            Err(_) => thread::sleep(ACCEPT_IDLE),
-        }
-    }
+    accept_until(&listener, &shared.shutdown, |stream| {
+        conn_seq += 1;
+        let shared = Arc::clone(&shared);
+        let handle = thread::Builder::new()
+            .name(format!("socket-agent-{conn_seq}"))
+            .spawn(move || reader_loop(stream, shared, handshake_timeout))
+            .expect("spawn socket reader thread");
+        readers.lock().expect("readers lock").push(handle);
+    });
 }
 
 /// Handshakes one inbound connection, registers it, then pumps frames

@@ -741,10 +741,8 @@ impl ServeState {
 /// top-level `"policy"` field.
 fn render_report(label: Option<&'static str>, snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    match label {
-        Some(name) => json::snapshot_with_fields_into(&mut out, &[("policy", name)], snap),
-        None => json::snapshot_into(&mut out, snap),
-    }
+    let policy = label.map(|name| ("policy", name));
+    json::snapshot_with_fields_into(&mut out, policy.as_slice(), snap);
     out
 }
 
@@ -753,7 +751,7 @@ fn envelope_json(out: &mut String, envelope: &Envelope) {
     let _ = write!(out, "{{\"seq\":{},\"at_s\":{}", envelope.seq, envelope.at_s);
     out.push_str(",\"key\":");
     match &envelope.key {
-        Some(key) => escape_json_str(out, key),
+        Some(key) => json::write_str(out, key),
         None => out.push_str("null"),
     }
     out.push_str(",\"op\":");
@@ -804,23 +802,4 @@ fn envelope_json(out: &mut String, envelope: &Envelope) {
         }
     }
     out.push('}');
-}
-
-/// Append `s` as a JSON string literal with the mandatory escapes.
-fn escape_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
