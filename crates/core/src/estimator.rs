@@ -154,6 +154,21 @@ impl DemandEstimator {
         SampleFate::Accepted
     }
 
+    /// Whether [`push_screened`](DemandEstimator::push_screened) of
+    /// `(throttle, power)` would leave the estimator bit-for-bit as it is:
+    /// the window is full of that sample and so is the spike filter's
+    /// three-sample history, so the filter passes it verbatim and the
+    /// window drops an equal sample to take it. Screening is the caller's
+    /// to know.
+    pub(crate) fn saturated_with(&self, throttle: Ratio, power: Watts) -> bool {
+        let sample = (throttle.clamp_fraction().as_f64().to_bits(), power.as_f64().to_bits());
+        let same = |&(t, p): &(f64, Watts)| (t.to_bits(), p.as_f64().to_bits()) == sample;
+        self.window.len() == self.capacity
+            && self.recent.len() == 3
+            && self.window.iter().all(same)
+            && self.recent.iter().all(same)
+    }
+
     /// Number of samples currently in the window.
     pub fn len(&self) -> usize {
         self.window.len()
@@ -470,6 +485,28 @@ mod tests {
         // sample lands in the window verbatim.
         est.push_screened(Ratio::ZERO, Watts::new(300.0), IDLE, CAP_MAX);
         assert_eq!(est.estimate(), Some(Watts::new(300.0)));
+    }
+
+    #[test]
+    fn saturated_window_absorbs_its_own_sample_unchanged() {
+        let mut est = DemandEstimator::with_window(4);
+        let (t, p) = (Ratio::new(0.25), Watts::new(400.0));
+        for _ in 0..3 {
+            est.push_screened(t, p, IDLE, CAP_MAX);
+            assert!(!est.saturated_with(t, p), "window not yet full");
+        }
+        est.push_screened(t, p, IDLE, CAP_MAX);
+        assert!(est.saturated_with(t, p));
+        let before = format!("{est:?}");
+        est.push_screened(t, p, IDLE, CAP_MAX);
+        assert_eq!(format!("{est:?}"), before, "a saturated push is the identity");
+        // Any other sample, even an equal power at another throttle, moves it.
+        assert!(!est.saturated_with(Ratio::new(0.5), p));
+        assert!(!est.saturated_with(t, Watts::new(401.0)));
+        // A plain push fills the window but not the spike filter's history.
+        let mut plain = DemandEstimator::with_window(4);
+        (0..8).for_each(|_| plain.push(t, p));
+        assert!(!plain.saturated_with(t, p));
     }
 
     #[test]

@@ -269,6 +269,10 @@ pub mod names {
     /// Counter: tree nodes skipped by dirty-tracking during gather.
     pub const TREE_NODES_DIRTY_SKIPPED_TOTAL: &str =
         "capmaestro_tree_nodes_dirty_skipped_total";
+    /// Counter: leaves whose capping controller a round ran. A round
+    /// commands only leaves whose inputs may have changed, so a settled
+    /// fleet adds nothing.
+    pub const LEAVES_COMMANDED_TOTAL: &str = "capmaestro_leaves_commanded_total";
     /// Counter: rack workers respawned after a death.
     pub const WORKER_RESPAWNS_TOTAL: &str = "capmaestro_worker_respawns_total";
     /// Counter: distributed gathers that hit the deadline with answers

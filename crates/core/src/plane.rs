@@ -21,7 +21,7 @@ use capmaestro_topology::{FeedId, ServerId, SupplyIndex};
 use capmaestro_units::{Seconds, Watts};
 
 use crate::alloc::{Allocator, AllocatorKind};
-use crate::leaf::LeafTable;
+use crate::leaf::{LeafTable, Moved};
 use crate::obs::{names, null_recorder, PhaseTimer, Recorder, RoundPhase};
 use crate::policy::{CappingPolicy, PolicyKind};
 use crate::spo::{optimize_stranded_power_in, SpoScratch};
@@ -512,12 +512,10 @@ pub enum BudgetSource {
 /// [`ControlPlane::round`] borrows these instead of allocating, so a
 /// steady-state sequential round performs no heap allocation.
 struct RoundContext {
-    /// Sensing scratch for [`ControlPlane::sample`] — reused every second
-    /// so steady-state sampling allocates nothing.
-    snaps: SenseBuffer,
     root_budgets: Vec<Watts>,
-    /// Scratch for the [`BudgetSource::SharedPerPhase`] resolution.
-    tree_demands: Vec<Watts>,
+    /// Per tree, the [`BudgetSource::SharedPerPhase`] demand and the leaf
+    /// generation it was summed at.
+    tree_demands: Vec<(Option<u64>, Watts)>,
     phase_members: Vec<usize>,
     /// The policy object, rebuilt only when the configured kind changes.
     policy: Option<(PolicyKind, Box<dyn CappingPolicy + Send + Sync>)>,
@@ -527,11 +525,8 @@ struct RoundContext {
     spo: SpoScratch,
     /// Per-tree incremental gather state for the SPO-disabled path.
     plain_states: Vec<TreeRoundState>,
-    /// Per tree, the farm slot of each leaf slot's server: checked against
-    /// the farm's id at that slot on every use, re-resolved on a mismatch.
-    gather_lanes: Vec<Vec<u32>>,
-    /// Where each server's supplies are budgeted, by farm slot.
-    enforce: EnforceLane,
+    /// Farm slots ↔ tree leaves.
+    lanes: Lanes,
     report: RoundReport,
     /// Whether `report` holds a completed round.
     valid: bool,
@@ -543,7 +538,6 @@ struct RoundContext {
 impl Default for RoundContext {
     fn default() -> Self {
         RoundContext {
-            snaps: SenseBuffer::new(),
             root_budgets: Vec::new(),
             tree_demands: Vec::new(),
             phase_members: Vec::new(),
@@ -551,8 +545,7 @@ impl Default for RoundContext {
             allocator: None,
             spo: SpoScratch::new(),
             plain_states: Vec::new(),
-            gather_lanes: Vec::new(),
-            enforce: EnforceLane::default(),
+            lanes: Lanes::default(),
             report: RoundReport::empty(),
             valid: false,
             last_gather: (0, 0),
@@ -562,66 +555,75 @@ impl Default for RoundContext {
 
 impl RoundContext {
     /// Drops the cached incremental allocation state (SPO routes, all
-    /// per-tree round states and the enforce lane) — required when the
-    /// tree set changes.
+    /// per-tree round states and demands, and the lanes) — required when
+    /// the tree set changes.
     fn invalidate_allocation_caches(&mut self) {
         self.spo.invalidate();
         for state in &mut self.plain_states {
             state.invalidate();
         }
-        self.enforce.layout = None;
+        self.tree_demands.clear();
+        self.lanes.layout = None;
     }
 }
 
-/// Where a server supply's budget lives: leaf slot `leaf` of tree `tree`.
+/// A server supply's place in the trees: leaf slot `leaf` of tree `tree`.
 #[derive(Debug, Clone, Copy)]
-struct BudgetedSupply {
+struct TreeLeaf {
     leaf: u32,
     tree: u16,
     supply: SupplyIndex,
+    /// Whether enforcement reads the supply's budget here: the first tree
+    /// covering the supply wins.
+    budgeted: bool,
 }
 
-/// The enforce pass's slot-indexed view of the round's allocations: per
-/// farm slot, where each of the server's supplies is budgeted, and the cap
-/// the server was last commanded. Rebuilt only when the farm layout or the
-/// tree set changes.
+/// The round's slot-indexed map between farm slots and tree leaves, both
+/// ways, and the cap each server was last commanded. Rebuilt only when the
+/// leaf table is re-laid or the tree set changes; in between, a farm slot
+/// costs no `Farm::index_of` search and a supply no hash probe.
 #[derive(Debug, Default)]
-struct EnforceLane {
-    /// The leaf-table layout the lane was built over; `None` until built
+struct Lanes {
+    /// The leaf-table layout the lanes were built over; `None` until built
     /// and after the tree set changed.
     layout: Option<u64>,
-    /// Server slot `i`'s supplies are `supplies[starts[i]..starts[i + 1]]`.
+    /// Per tree, the farm slot of each leaf slot's server.
+    gather: Vec<Vec<u32>>,
+    /// Server slot `i`'s tree leaves are `leaves[starts[i]..starts[i + 1]]`,
+    /// by supply index, then tree index.
     starts: Vec<u32>,
-    /// By server slot, then supply index; the first tree covering a supply
-    /// wins.
-    supplies: Vec<BudgetedSupply>,
+    leaves: Vec<TreeLeaf>,
     /// Per server slot, the cap in `RoundReport::dc_caps` (zero: none; a
     /// commanded cap is always positive).
     commanded: Vec<Watts>,
 }
 
-impl EnforceLane {
-    /// Rebuilds the lane over `servers` farm slots from the round's
-    /// (current) gather lanes.
-    fn rebuild(
-        &mut self,
-        layout: u64,
-        servers: usize,
-        trees: &[ControlTree],
-        gather_lanes: &[Vec<u32>],
-    ) {
-        let mut by_slot = Vec::with_capacity(gather_lanes.iter().map(Vec::len).sum());
-        for (t, (tree, lane)) in trees.iter().zip(gather_lanes).enumerate() {
+impl Lanes {
+    /// Rebuilds the lanes over `farm`'s slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tree names a server the farm does not hold.
+    fn rebuild(&mut self, layout: u64, farm: &Farm, trees: &[ControlTree]) {
+        self.gather.resize_with(trees.len(), Vec::new);
+        let mut by_slot = Vec::new();
+        for (t, (tree, lane)) in trees.iter().zip(&mut self.gather).enumerate() {
             let index = tree.arena().leaf_index();
             let tree = u16::try_from(t).expect("at most 65 536 control trees");
-            by_slot.extend(lane.iter().enumerate().map(|(leaf, &slot)| {
-                let (_, supply) = index.pair(leaf);
-                (slot, BudgetedSupply { leaf: leaf as u32, tree, supply })
-            }));
+            lane.clear();
+            for leaf in 0..index.len() {
+                let (server, supply) = index.pair(leaf);
+                let slot = farm
+                    .index_of(server)
+                    .unwrap_or_else(|| panic!("tree references unknown {server}"));
+                lane.push(slot as u32);
+                let at = TreeLeaf { leaf: leaf as u32, tree, supply, budgeted: false };
+                by_slot.push((slot as u32, at));
+            }
         }
         // Stable: among trees covering the same supply, the first stays first.
-        by_slot.sort_by_key(|&(slot, s)| (slot, s.supply));
-        by_slot.dedup_by_key(|&mut (slot, s)| (slot, s.supply));
+        by_slot.sort_by_key(|&(slot, at)| (slot, at.supply));
+        let servers = farm.len();
         self.starts.clear();
         self.starts.resize(servers + 1, 0);
         for &(slot, _) in &by_slot {
@@ -630,11 +632,20 @@ impl EnforceLane {
         for i in 0..servers {
             self.starts[i + 1] += self.starts[i];
         }
-        self.supplies.clear();
-        self.supplies.extend(by_slot.into_iter().map(|(_, s)| s));
+        self.leaves.clear();
+        let mut last = None;
+        self.leaves.extend(by_slot.into_iter().map(|(slot, at)| {
+            let budgeted = last.replace((slot, at.supply)) != Some((slot, at.supply));
+            TreeLeaf { budgeted, ..at }
+        }));
         self.commanded.clear();
         self.commanded.resize(servers, Watts::ZERO);
         self.layout = Some(layout);
+    }
+
+    /// Server slot `slot`'s tree leaves.
+    fn of(&self, slot: usize) -> &[TreeLeaf] {
+        &self.leaves[self.starts[slot] as usize..self.starts[slot + 1] as usize]
     }
 }
 
@@ -651,11 +662,12 @@ impl fmt::Debug for RoundContext {
 /// split across that phase's trees proportionally to their estimated
 /// demand (equal split when total demand is zero). `tree_demands` and
 /// `members` are caller-owned scratch so the round hot path allocates
-/// nothing.
+/// nothing; `tree_demands` also memoizes each tree's demand by its leaf
+/// generation, so it must be cleared when the tree set changes.
 fn resolve_root_budgets_into(
     trees: &[ControlTree],
     source: &BudgetSource,
-    tree_demands: &mut Vec<Watts>,
+    tree_demands: &mut Vec<(Option<u64>, Watts)>,
     members: &mut Vec<usize>,
     out: &mut Vec<Watts>,
 ) {
@@ -663,19 +675,23 @@ fn resolve_root_budgets_into(
     match source {
         BudgetSource::Fixed(budgets) => out.extend_from_slice(budgets),
         BudgetSource::SharedPerPhase(per_phase) => {
-            // Demand per tree = Σ leaf demand × share.
-            tree_demands.clear();
-            tree_demands.extend(trees.iter().map(|tree| {
-                let mut total = Watts::ZERO;
+            // Demand per tree = Σ leaf demand × share, re-summed only for
+            // a tree whose leaves changed since.
+            tree_demands.resize(trees.len(), (None, Watts::ZERO));
+            for (tree, (seen, total)) in trees.iter().zip(tree_demands.iter_mut()) {
+                if *seen == Some(tree.leaf_generation()) {
+                    continue;
+                }
+                *seen = Some(tree.leaf_generation());
+                *total = Watts::ZERO;
                 for idx in 0..tree.spec().len() {
                     if let (Some(input), true) =
                         (tree.input_at(idx), tree.spec().node(idx).is_leaf())
                     {
-                        total += input.demand * input.share;
+                        *total += input.demand * input.share;
                     }
                 }
-                total
-            }));
+            }
             out.resize(trees.len(), Watts::ZERO);
             for phase in capmaestro_topology::Phase::ALL {
                 members.clear();
@@ -689,10 +705,10 @@ fn resolve_root_budgets_into(
                 if members.is_empty() {
                     continue;
                 }
-                let total: Watts = members.iter().map(|&i| tree_demands[i]).sum();
+                let total: Watts = members.iter().map(|&i| tree_demands[i].1).sum();
                 for &i in members.iter() {
                     out[i] = if total > Watts::ZERO {
-                        *per_phase * (tree_demands[i] / total)
+                        *per_phase * (tree_demands[i].1 / total)
                     } else {
                         *per_phase / members.len() as f64
                     };
@@ -1008,15 +1024,51 @@ impl ControlPlane {
     }
 
     /// Records one per-second sensor sample for every server (throttle
-    /// level and total AC power), sensing through the farm's snapshot cache
-    /// into a plane-owned scratch buffer: quiescent servers are not
-    /// re-sensed and the steady state performs **no heap allocation** (the
-    /// `alloc --smoke` gate covers this path).
+    /// level and total AC power), read from the farm's snapshot cache:
+    /// quiescent servers are not re-sensed. Only leaves a reading could
+    /// change observe it; one whose estimator its unchanged reading already
+    /// saturates would only be marked fresh, which the leaf table records
+    /// for all of them at once. The steady state performs **no heap
+    /// allocation** (the `alloc --smoke` gate covers this path), and a
+    /// settled fleet visits no leaf.
+    ///
+    /// A plane manages one farm: the farm's layout and change generations
+    /// are what tell it which servers changed.
     pub fn sample(&mut self, farm: &mut Farm) {
-        let mut buf = std::mem::take(&mut self.ctx.snaps);
-        farm.sense_into(&mut buf);
-        self.record_snapshots(farm, buf.entries());
-        self.ctx.snaps = buf;
+        let recorder = Arc::clone(&self.config.recorder);
+        let _sense_timer = PhaseTimer::start(&*recorder, RoundPhase::Sense.metric_name());
+        self.absorb(farm);
+        let slab = &farm.slab;
+        self.leaves
+            .sweep(|slot| (slab.snapshot(slot), slab.view(slot).config().model()));
+    }
+
+    /// Brings the leaf table up to date with the farm: refreshes the
+    /// farm's snapshot cache, lays the table out over the farm's slots, and
+    /// tells it what became of every server that changed since the last
+    /// call. A server whose reading and shape held only had its cap set —
+    /// by its own leaf, unless the cap is not the one the leaf commanded.
+    fn absorb(&mut self, farm: &mut Farm) {
+        farm.slab.refresh();
+        let slab = &farm.slab;
+        let commanded = &self.ctx.lanes.commanded;
+        self.leaves.fit(slab.layout_generation(), farm.ids.iter().copied());
+        self.leaves.absorb(slab.generation(), |slot, since, leaf| {
+            if !slab.changed_since(slot, since) {
+                Moved::Nothing
+            } else if slab.reshaped_since(slot, since) || !leaf.holds(slab.snapshot(slot)) {
+                Moved::Server
+            } else {
+                let bits = |w: Watts| w.as_f64().to_bits();
+                let ours = commanded.get(slot).copied().unwrap_or(Watts::ZERO);
+                let cap = slab.view(slot).dc_cap();
+                if ours != Watts::ZERO && cap.map(bits) != Some(bits(ours)) {
+                    Moved::Cap
+                } else {
+                    Moved::Nothing
+                }
+            }
+        });
     }
 
     /// Feeds already-delivered sensor snapshots to the demand estimators —
@@ -1032,7 +1084,8 @@ impl ControlPlane {
     pub fn record_snapshots(&mut self, farm: &Farm, snaps: &[(ServerId, SensorSnapshot)]) {
         let recorder = Arc::clone(&self.config.recorder);
         let _sense_timer = PhaseTimer::start(&*recorder, RoundPhase::Sense.metric_name());
-        self.leaves.fit(farm.ids().iter().copied());
+        self.leaves
+            .fit(farm.slab.layout_generation(), farm.ids.iter().copied());
         // Readings come in id order, so a reading's slot is almost always
         // the one after its predecessor's; search only when it is not.
         let mut next = 0;
@@ -1046,7 +1099,7 @@ impl ControlPlane {
             };
             next = slot + 1;
             let model = farm.server_at(slot).config().model();
-            self.leaves.leaf_mut(slot).observe(snap, model);
+            self.leaves.observe(slot, snap, model);
         }
     }
 
@@ -1061,11 +1114,13 @@ impl ControlPlane {
     }
 
     /// Drops every reusable round buffer and cached incremental state, so
-    /// the next round recomputes everything from scratch. Differential
+    /// the next sample observes every reading and the next round visits
+    /// every leaf and recomputes everything from scratch. Differential
     /// tests use this to compare incremental rounds against full rounds;
     /// it is never required for correctness.
     pub fn reset_round_cache(&mut self) {
         self.ctx = RoundContext::default();
+        self.leaves.revisit_all();
     }
 
     /// Runs one control round — estimate → gather → allocate (→ SPO) →
@@ -1077,17 +1132,24 @@ impl ControlPlane {
     /// state is a dense slot-indexed table, and root budgets, the policy
     /// object, per-tree gather states (reused incrementally — only
     /// subtrees with a dirtied leaf are re-summarized and re-split), SPO
-    /// routes/overlays, the gather and enforce lanes, and the report
-    /// buffers all live in the plane's round context. Every phase runs on
-    /// the calling thread in id / tree-index order.
+    /// routes/overlays, the lanes, and the report buffers all live in the
+    /// plane's round context. Every phase runs on the calling thread in id
+    /// / tree-index order.
+    ///
+    /// The per-server phases visit only leaves whose inputs may have
+    /// changed: a server whose state moved, a leaf still absorbing readings
+    /// or still stepping its cap, every leaf after a round without a
+    /// sample, and — for enforcement — every leaf when a budget moved.
+    /// Any other leaf is settled, and each of its transitions would be the
+    /// identity (see `leaf.rs`), so skipping it changes no bit.
     ///
     /// When a [`Recorder`] is attached ([`PlaneConfig::with_recorder`] /
     /// [`ControlPlane::set_recorder`]), the round reports per-phase wall
     /// times, the stale-server gauge, fail-safe cap enforcements, the
-    /// stranded-watts-reclaimed gauge, and the gather dirty-tracking
-    /// counters. With the default [`crate::obs::NullRecorder`] none of
-    /// that is computed and the round is bit-identical to an
-    /// uninstrumented one.
+    /// stranded-watts-reclaimed gauge, the gather dirty-tracking counters,
+    /// and how many leaves it commanded. With the default
+    /// [`crate::obs::NullRecorder`] none of that is computed and the round
+    /// is bit-identical to an uninstrumented one.
     pub fn round(&mut self, farm: &mut Farm) -> &RoundReport {
         let recorder = Arc::clone(&self.config.recorder);
         let recorder: &dyn Recorder = &*recorder;
@@ -1095,40 +1157,53 @@ impl ControlPlane {
         let estimate_timer =
             PhaseTimer::start(recorder, RoundPhase::Estimate.metric_name());
 
-        // 0. Age every leaf one round (fresh → stale-hold → fail-safe) and
-        //    settle the demand each server is budgeted from: a stale
-        //    server's is its fail-safe value, not a frozen estimate.
+        // 0. Age each visited leaf one round (fresh → stale-hold →
+        //    fail-safe) and settle the demand its server is budgeted from:
+        //    a stale server's is its fail-safe value, not a frozen estimate.
         let StalenessConfig {
             stale_after_rounds,
             fail_safe_demand: fail_safe,
         } = self.config.staleness;
-        self.leaves.fit(farm.ids().iter().copied());
-        self.leaves.age(stale_after_rounds);
-        for (slot, (_, server)) in farm.iter().enumerate() {
+        self.absorb(farm);
+        self.leaves.age(stale_after_rounds, |slot, leaf| {
+            let server = farm.server_at(slot);
             let model = server.config().model();
-            self.leaves
-                .leaf_mut(slot)
-                .refresh_demand(model, fail_safe, || server.sense().total_ac);
-        }
+            leaf.refresh_demand(model, fail_safe, || server.sense().total_ac);
+        });
         drop(estimate_timer);
         if recorder.enabled() {
             recorder.gauge_set(names::STALE_SERVERS, self.leaves.stale_count() as f64);
         }
 
-        // 1. Refresh every tree's leaf inputs from those demands and the
-        //    servers' live PSU state. The refresh value-compares against
-        //    the tree's stored inputs, so unchanged leaves stay clean and
-        //    the gather below reuses their cached metrics.
+        // 1. Refresh the visited leaves' tree inputs — every leaf's when the
+        //    lanes were rebuilt — from those demands and the servers' live
+        //    PSU state. The refresh value-compares against the tree's
+        //    stored inputs, so unchanged leaves stay clean and the gather
+        //    below reuses their cached metrics.
         let gather_timer = PhaseTimer::start(recorder, RoundPhase::Gather.metric_name());
+        let relaid = self.ctx.lanes.layout != Some(self.leaves.layout());
+        if relaid {
+            self.ctx.lanes.rebuild(self.leaves.layout(), farm, &self.trees);
+            self.ctx.report.dc_caps.clear();
+        }
         {
             let overrides = &self.priority_overrides;
             let statics = &self.static_priorities;
             let farm_ref = &*farm;
             let leaves = &self.leaves;
-            let lanes = &mut self.ctx.gather_lanes;
-            lanes.resize_with(self.trees.len(), Vec::new);
-            for (tree, lane) in self.trees.iter_mut().zip(lanes) {
-                if !overrides.is_empty() {
+            let lanes = &self.ctx.lanes;
+            let input = |slot: usize, supply: SupplyIndex| {
+                let srv = farm_ref.server_at(slot);
+                let model = srv.config().model();
+                SupplyInput {
+                    demand: leaves.leaf(slot).demand,
+                    cap_min: model.cap_min(),
+                    cap_max: model.cap_max(),
+                    share: srv.bank().effective_share(supply.index()),
+                }
+            };
+            if !overrides.is_empty() {
+                for tree in &mut self.trees {
                     tree.set_priorities_with(|server| {
                         overrides.get(&server).copied().unwrap_or_else(|| {
                             statics
@@ -1138,24 +1213,18 @@ impl ControlPlane {
                         })
                     });
                 }
-                lane.resize(tree.arena().leaf_index().len(), u32::MAX);
-                tree.set_slot_inputs_with(|leaf, server, supply| {
-                    let mut slot = lane[leaf] as usize;
-                    if farm_ref.ids().get(slot) != Some(&server) {
-                        slot = farm_ref
-                            .index_of(server)
-                            .unwrap_or_else(|| panic!("tree references unknown {server}"));
-                        lane[leaf] = slot as u32;
+            }
+            if relaid {
+                for (tree, lane) in self.trees.iter_mut().zip(&lanes.gather) {
+                    tree.set_slot_inputs_with(|leaf, _, supply| input(lane[leaf] as usize, supply));
+                }
+            } else {
+                for slot in leaves.visiting() {
+                    for at in lanes.of(slot) {
+                        let tree = &mut self.trees[at.tree as usize];
+                        tree.set_slot_input(at.leaf as usize, input(slot, at.supply));
                     }
-                    let srv = farm_ref.server_at(slot);
-                    let model = srv.config().model();
-                    SupplyInput {
-                        demand: leaves.leaf(slot).demand,
-                        cap_min: model.cap_min(),
-                        cap_max: model.cap_max(),
-                        share: srv.bank().effective_share(supply.index()),
-                    }
-                });
+                }
             }
         }
         drop(gather_timer);
@@ -1171,12 +1240,10 @@ impl ControlPlane {
             allocator,
             spo,
             plain_states,
-            gather_lanes,
-            enforce,
+            lanes,
             report,
             valid,
             last_gather,
-            ..
         } = &mut self.ctx;
         resolve_root_budgets_into(
             trees,
@@ -1267,39 +1334,45 @@ impl ControlPlane {
         //    sensor read — faults must affect enforcement too) and steps
         //    its capping controller; a stale leaf's cap is clamped straight
         //    to the fail-safe demand. Servers outside every tree keep their
-        //    previous cap. Budgets are read through the enforce lane, and
+        //    previous cap. Budgets are read through the lanes, and
         //    `dc_caps` is written only where the commanded cap changed.
+        //    Unless a budget may have moved, only the visited leaves are
+        //    commanded: any other one's inputs are bit-equal and its last
+        //    command was a fixed point.
         let enforce_timer = PhaseTimer::start(recorder, RoundPhase::Enforce.metric_name());
+        let settled = if self.config.spo {
+            spo.settled()
+        } else {
+            plain_states.iter().all(TreeRoundState::settled)
+        };
         let RoundReport {
             allocations,
             dc_caps,
             ..
         } = report;
         let allocations = &*allocations;
-        let leaves = &mut self.leaves;
-        if enforce.layout != Some(leaves.layout()) {
-            enforce.rebuild(leaves.layout(), farm.len(), trees, gather_lanes);
-            dc_caps.clear();
-        }
-        let EnforceLane {
+        let Lanes {
+            gather,
             starts,
-            supplies,
+            leaves: tree_leaves,
             commanded,
             ..
-        } = enforce;
-        farm.for_each_mut(|slot, id, mut server| {
+        } = lanes;
+        let Farm { ids, slab } = farm;
+        let leaves = &mut self.leaves;
+        let commanded_leaves = leaves.enforce(relaid || !settled, |slot, leaf| {
+            let mut server = slab.view_mut(slot);
             let model = server.config().model();
             let bank = server.bank();
-            let own = &supplies[starts[slot] as usize..starts[slot + 1] as usize];
+            let own = &tree_leaves[starts[slot] as usize..starts[slot + 1] as usize];
             let budgets = own
                 .iter()
-                .filter(|s| bank.effective_share(s.supply.index()).as_f64() > 0.0)
-                .map(|s| {
-                    let budget = allocations[s.tree as usize].leaf_budget(s.leaf as usize);
-                    (s.supply.index(), budget)
+                .filter(|at| at.budgeted && bank.effective_share(at.supply.index()).as_f64() > 0.0)
+                .map(|at| {
+                    let budget = allocations[at.tree as usize].leaf_budget(at.leaf as usize);
+                    (at.supply.index(), budget)
                 });
-            let (leaf, efficiency) = (leaves.leaf_mut(slot), bank.efficiency());
-            let cap = leaf.command(model, efficiency, fail_safe, budgets, || server.sense());
+            let cap = leaf.command(model, bank.efficiency(), fail_safe, budgets, || server.sense());
             if let Some(cap) = cap {
                 server.set_dc_cap(cap);
             }
@@ -1307,12 +1380,15 @@ impl ControlPlane {
             if commanded[slot].as_f64().to_bits() != now.as_f64().to_bits() {
                 commanded[slot] = now;
                 match cap {
-                    Some(cap) => dc_caps.insert(id, cap),
-                    None => dc_caps.remove(&id),
+                    Some(cap) => dc_caps.insert(ids[slot], cap),
+                    None => dc_caps.remove(&ids[slot]),
                 };
             }
         });
         drop(enforce_timer);
+        if recorder.enabled() {
+            recorder.counter_add(names::LEAVES_COMMANDED_TOTAL, commanded_leaves as u64);
+        }
         let failsafe_caps = leaves.stale_count() as u64;
         if failsafe_caps > 0 || recorder.enabled() {
             recorder.counter_add(names::FAILSAFE_CAPS_TOTAL, failsafe_caps);
@@ -1349,7 +1425,7 @@ impl ControlPlane {
                 );
                 let index = tree.arena().leaf_index();
                 let mut measured = 0.0f64;
-                for (leaf, &slot) in gather_lanes[i].iter().enumerate() {
+                for (leaf, &slot) in gather[i].iter().enumerate() {
                     let (_, supply) = index.pair(leaf);
                     if let Some(snap) = &leaves.leaf(slot as usize).delivered {
                         measured += snap.supply_ac[supply.index()].as_f64();
@@ -1367,7 +1443,7 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capmaestro_server::ServerConfig;
+    use capmaestro_server::{ServerConfig, ServerPowerModel};
     use capmaestro_units::Ratio;
     use capmaestro_topology::presets::{figure2_feed, figure7a_rig};
     use capmaestro_topology::Topology;
@@ -1568,7 +1644,7 @@ mod tests {
     #[test]
     fn supply_budget_index_matches_linear_scan_across_trees() {
         // Fig. 7a rig: two trees with SC/SD present in BOTH (dual-corded),
-        // so the enforce lane must reproduce the first-tree-wins semantics
+        // so the lanes must reproduce the first-tree-wins semantics
         // of the linear scan — including after a feed failure reshapes the
         // tree set and forces a rebuild.
         let topo = figure7a_rig();
@@ -1598,12 +1674,12 @@ mod tests {
         // Servers are farm slots in id order, so `servers[slot]` is the
         // server whose supplies the lane holds at `slot`.
         let check = |plane: &ControlPlane, servers: &[ServerId], when: &str| {
-            let (report, lane) = (&plane.ctx.report, &plane.ctx.enforce);
+            let (report, lanes) = (&plane.ctx.report, &plane.ctx.lanes);
             let mut covered = 0usize;
             for (slot, &server) in servers.iter().enumerate() {
-                let own = &lane.supplies[lane.starts[slot] as usize..lane.starts[slot + 1] as usize];
+                let own = lanes.of(slot);
                 for supply in [SupplyIndex::FIRST, SupplyIndex::SECOND] {
-                    let laned = own.iter().find(|s| s.supply == supply).map(|s| {
+                    let laned = own.iter().find(|s| s.budgeted && s.supply == supply).map(|s| {
                         report.allocations[s.tree as usize].leaf_budget(s.leaf as usize)
                     });
                     let scanned = report
@@ -1639,6 +1715,88 @@ mod tests {
         plane.sample(&mut farm);
         plane.round(&mut farm);
         check(&plane, &servers, "post-failover round");
+    }
+
+    /// Rounds command only leaves whose inputs changed — none once the
+    /// fleet settles, some after a server moves, none once it settles
+    /// again — and decide exactly what a twin plane that observes every
+    /// reading and commands every leaf decides.
+    #[test]
+    fn a_settled_fleet_commands_no_leaf() {
+        use crate::obs::MetricsRegistry;
+        let (topo, mut farm, mut plane) = fig2_plane(PolicyKind::GlobalPriority);
+        let (_, mut twin_farm, mut twin) = fig2_plane(PolicyKind::GlobalPriority);
+        // 4 × 300 W fits under every limit: each server is budgeted its
+        // demand or more, so its controller rests at cap_max.
+        for f in [&mut farm, &mut twin_farm] {
+            f.for_each_mut(|_, _, mut server| {
+                server.set_offered_demand(Watts::new(300.0));
+                server.settle();
+            });
+        }
+        let registry = Arc::new(MetricsRegistry::new());
+        plane.set_recorder(registry.clone());
+        let commanded = || {
+            let counters = registry.snapshot().counters;
+            let found = counters.iter().find(|c| c.name == names::LEAVES_COMMANDED_TOTAL);
+            found.map_or(0, |c| c.value)
+        };
+        let mut run = |periods: usize, farm: &mut Farm, twin_farm: &mut Farm| {
+            let before = commanded();
+            for _ in 0..periods {
+                for _ in 0..8 {
+                    plane.sample(farm);
+                    twin.reset_round_cache();
+                    twin.sample(twin_farm);
+                    farm.step_all(Seconds::new(1.0));
+                    twin_farm.step_all(Seconds::new(1.0));
+                }
+                let caps = plane.round(farm).dc_caps.clone();
+                twin.reset_round_cache();
+                assert_eq!(twin.round(twin_farm).dc_caps, caps);
+                for ((_, a), (_, b)) in farm.iter().zip(twin_farm.iter()) {
+                    let bits = |s: ServerRef<'_>| s.dc_cap().map(|w| w.as_f64().to_bits());
+                    assert_eq!(bits(a), bits(b));
+                }
+                let (tree, twin_tree) = (&plane.trees()[0], &twin.trees()[0]);
+                for idx in 0..tree.spec().len() {
+                    assert_eq!(tree.input_at(idx), twin_tree.input_at(idx));
+                }
+            }
+            commanded() - before
+        };
+        // The first round builds every controller, the second finds every
+        // estimator saturated and every cap at rest.
+        assert_eq!(run(2, &mut farm, &mut twin_farm), 8);
+        assert_eq!(run(3, &mut farm, &mut twin_farm), 0);
+        let sb = topo.server_by_name("SB").unwrap();
+        for f in [&mut farm, &mut twin_farm] {
+            f.get_mut(sb).unwrap().set_offered_demand(Watts::new(310.0));
+        }
+        // SB's power ramps toward it, its estimate follows, the budgets
+        // move: every leaf is commanded until that settles.
+        let moving: Vec<u64> = (0..12).map(|_| run(1, &mut farm, &mut twin_farm)).collect();
+        assert_eq!(moving[0], 4, "{moving:?}");
+        assert_eq!(moving[9..], [0, 0, 0], "{moving:?}");
+
+        // A cap set from outside is commanded back, as every leaf's used
+        // to be; a server swapped for one with another envelope but the
+        // same reading is revisited whole.
+        let sa = topo.server_by_name("SA").unwrap();
+        for f in [&mut farm, &mut twin_farm] {
+            f.get_mut(sa).unwrap().set_dc_cap(Watts::new(300.0));
+        }
+        assert_eq!(run(1, &mut farm, &mut twin_farm), 1);
+        assert_eq!(run(1, &mut farm, &mut twin_farm), 0);
+        let narrower = ServerPowerModel::new(Watts::new(160.0), Watts::new(270.0), Watts::new(470.0));
+        for f in [&mut farm, &mut twin_farm] {
+            let config = ServerConfig::paper_default().single_corded().with_model(narrower);
+            let mut server = Server::new(config);
+            server.set_offered_demand(Watts::new(300.0));
+            server.settle();
+            f.insert(sa, server);
+        }
+        assert!(run(1, &mut farm, &mut twin_farm) > 0);
     }
 
     #[test]

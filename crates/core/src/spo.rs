@@ -347,6 +347,12 @@ impl SpoScratch {
             .fold((0, 0), |(s, k), (ds, dk)| (s + ds, k + dk))
     }
 
+    /// Whether the last round's second pass re-split nothing in any tree,
+    /// so every final leaf budget is the one of the round before.
+    pub(crate) fn settled(&self) -> bool {
+        self.states2.iter().all(TreeRoundState::settled)
+    }
+
     fn rebuild_routes(&mut self, trees: &[ControlTree]) {
         self.routes.clear();
         self.overlays.clear();
@@ -393,8 +399,8 @@ impl SpoScratch {
 ///
 /// When pass 1 changed nothing — no summary recomputed, no budget moved,
 /// in any tree — the strands are those of the last detection: detection is
-/// skipped, its overlays and total reused, and pass 2 runs through the
-/// budget memo.
+/// skipped, its overlays and total reused, and pass 2 skips its gather walk
+/// and runs through the budget memo.
 ///
 /// Bit-identical to [`optimize_stranded_power`] on the same inputs, where
 /// each `(server, supply)` is a leaf of at most one tree.
@@ -456,7 +462,11 @@ pub fn optimize_stranded_power_in(
     let spo_timer = PhaseTimer::start(recorder, RoundPhase::Spo.metric_name());
 
     let total = match scratch.detected {
-        Some(total) if settled => total,
+        Some(total) if settled => {
+            // The overlays stand, so pass 2 sees the last round's inputs.
+            scratch.states2.iter_mut().for_each(TreeRoundState::keep_overlay);
+            total
+        }
         _ => detect_strands_in(trees, scratch),
     };
     scratch.detected = Some(total);
@@ -704,8 +714,10 @@ mod tests {
             [Watts::new(650.0), Watts::new(720.0)],
             [Watts::new(650.0), Watts::new(720.0)],
             [Watts::new(820.0), Watts::new(600.0)],
+            [Watts::new(820.0), Watts::new(600.0)],
         ];
         for (round, budgets) in budget_rounds.iter().enumerate() {
+            let stats_before = scratch.gather_stats();
             if round == 2 {
                 for tree in &mut trees {
                     tree.set_inputs_with(|server, _| {
@@ -735,6 +747,15 @@ mod tests {
                 expected.total_stranded().as_f64().to_bits(),
                 "round {round} stranded totals differ"
             );
+            if round == 4 {
+                // A repeat of the round before: both passes find every
+                // node clean, and count each one skipped, walk or no walk.
+                let nodes: u64 = trees.iter().map(|t| t.spec().len() as u64).sum();
+                let (summarized, skipped) = scratch.gather_stats();
+                assert_eq!(summarized, stats_before.0);
+                assert_eq!(skipped - stats_before.1, 2 * nodes);
+                assert!(scratch.settled());
+            }
         }
     }
 

@@ -340,6 +340,12 @@ pub struct TreeRoundState {
     memo: Option<&'static str>,
     /// Whether the last `budget_in` re-split nothing.
     settled: bool,
+    /// The tree's leaf generation as of the last gather.
+    gathered: u64,
+    /// Whether the last gather ran with an overlay.
+    overlaid: bool,
+    /// Set by [`TreeRoundState::keep_overlay`] for the next gather only.
+    overlay_kept: bool,
     children_scratch: Vec<PriorityMetrics>,
     alloc_scratch: AllocScratch,
     split_budgets: Vec<Watts>,
@@ -369,6 +375,12 @@ impl TreeRoundState {
     /// so its allocation and every leaf input it covers are unchanged.
     pub(crate) fn settled(&self) -> bool {
         self.settled
+    }
+
+    /// Vouches that the overlay of the next gather is the one the last
+    /// gather saw, so that gather may skip its walk if nothing else moved.
+    pub(crate) fn keep_overlay(&mut self) {
+        self.overlay_kept = true;
     }
 
     /// Cumulative `(summarized, dirty_skipped)` node counts across every
@@ -516,8 +528,19 @@ impl ControlTree {
         for slot in 0..self.arena.leaf_index.len() {
             let (server, supply) = self.arena.leaf_index.pair(slot);
             let input = f(slot, server, supply);
-            self.set_input_at(self.arena.leaf_index.node(slot), input);
+            self.set_slot_input(slot, input);
         }
+    }
+
+    /// Sets the input of the leaf at `slot` (see [`LeafIndex`]).
+    pub(crate) fn set_slot_input(&mut self, slot: usize, input: SupplyInput) {
+        self.set_input_at(self.arena.leaf_index.node(slot), input);
+    }
+
+    /// Moves whenever a leaf's input or priority changes value: equal
+    /// values, equal leaves.
+    pub(crate) fn leaf_generation(&self) -> u64 {
+        self.generation
     }
 
     /// The input currently set for a leaf node index.
@@ -668,7 +691,9 @@ impl ControlTree {
     /// only subtrees with a dirtied descendant (generation-stamp or value
     /// change on a leaf input / priority, an `overlay` difference, or a
     /// re-pinned summary) are re-summarized; clean nodes reuse the
-    /// [`PriorityMetrics`] cached in `state`. Returns the root's summary.
+    /// [`PriorityMetrics`] cached in `state`. When nothing moved since the
+    /// state's last gather, the walk itself is skipped. Returns the root's
+    /// summary.
     ///
     /// `overlay`, when present, is a spec-indexed slice of per-leaf input
     /// replacements (used by the stranded-power optimizer's second pass):
@@ -707,6 +732,19 @@ impl ControlTree {
             state.seen_gens.resize(n, 0);
             state.last_leaves.clear();
             state.last_leaves.resize(n, None);
+        }
+
+        // Nothing moved since the last gather — no leaf input or priority
+        // (the tree's newest stamp is the one it saw), no pin, the same
+        // overlay — so the walk would find every node clean: count them
+        // skipped, as it would, and keep every summary.
+        let kept = std::mem::take(&mut state.overlay_kept);
+        let seen = std::mem::replace(&mut state.gathered, self.generation);
+        let overlaid = std::mem::replace(&mut state.overlaid, overlay.is_some());
+        let same_overlay = if overlay.is_some() { overlaid && kept } else { !overlaid };
+        if state.valid && state.pins.is_empty() && same_overlay && seen == self.generation {
+            state.skipped += n as u64;
+            return &state.metrics[self.spec.root()];
         }
 
         // Gather with dirty-tracking, children (higher indices) first. A

@@ -1187,8 +1187,9 @@ impl RackWorker {
         self.gathered = true;
         // Laid out by the first gather, not at construction: the caller's
         // rig-wide trees are freed by then, so the table fills their hole
-        // instead of raising the process's peak memory.
-        self.leaves.fit(self.servers.iter().map(|(id, _)| *id));
+        // instead of raising the process's peak memory. The server list
+        // never changes, so one key lays it out once.
+        self.leaves.fit(0, self.servers.iter().map(|(id, _)| *id));
         for (slot, (server, bound)) in self.servers.iter().enumerate() {
             let sensed = farm.get(*server).map(|srv| (srv, srv.sense()));
             for &(w, k, supply) in bound {

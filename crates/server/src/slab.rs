@@ -79,6 +79,9 @@ pub struct ServerSlab {
     snaps: Vec<SensorSnapshot>,
     /// Generation at which each cached snapshot last changed.
     changed_gen: Vec<u64>,
+    /// Refresh generation that first sees each server's last change of
+    /// shape: its configuration or its supply bank.
+    reshaped_gen: Vec<u64>,
     /// Monotone refresh generation (bumped by [`ServerSlab::refresh`]).
     generation: u64,
     /// Bumped whenever slots are added or shifted.
@@ -110,6 +113,7 @@ impl ServerSlab {
             snap_ok: Vec::new(),
             snaps: Vec::new(),
             changed_gen: Vec::new(),
+            reshaped_gen: Vec::new(),
             generation: 1,
             layout_gen: 1,
             last_dt: f64::NAN,
@@ -151,17 +155,17 @@ impl ServerSlab {
         self.changed_gen[idx] > gen
     }
 
+    /// Whether slot `idx`'s configuration or supply bank may have changed
+    /// after refresh generation `gen` — a change its cached snapshot need
+    /// not show (a dark server reads zero whatever its bank).
+    pub fn reshaped_since(&self, idx: usize, gen: u64) -> bool {
+        self.reshaped_gen[idx] > gen
+    }
+
     /// The cached snapshot of slot `idx`. Only meaningful after a refresh
     /// pass; use [`ServerRef::sense`] for an always-correct reading.
     pub fn snapshot(&self, idx: usize) -> &SensorSnapshot {
         &self.snaps[idx]
-    }
-
-    /// Appends a server, returning its slot index.
-    pub fn push(&mut self, server: Server) -> usize {
-        let idx = self.len();
-        self.insert(idx, server);
-        idx
     }
 
     /// Inserts a server at `pos`, shifting later slots up by one.
@@ -182,6 +186,7 @@ impl ServerSlab {
         self.powered.insert(pos, powered);
         self.snaps.insert(pos, SensorSnapshot::empty());
         self.changed_gen.insert(pos, 0);
+        self.reshaped_gen.insert(pos, 0);
         // Later bits shifted: rebuild the bitmaps conservatively.
         let words = self.len().div_ceil(WORD_BITS);
         self.active.clear();
@@ -207,7 +212,7 @@ impl ServerSlab {
         self.offered_ac[pos] = offered;
         self.achieved_ac[pos] = achieved;
         self.powered[pos] = powered;
-        self.touch(pos);
+        self.reshape(pos);
     }
 
     /// Borrows slot `idx` as a read view.
@@ -324,6 +329,13 @@ impl ServerSlab {
         clear_bit(&mut self.snap_ok, i);
     }
 
+    /// [`ServerSlab::touch`] for a change of shape, stamped with the
+    /// generation the next refresh takes.
+    fn reshape(&mut self, i: usize) {
+        self.touch(i);
+        self.reshaped_gen[i] = self.generation + 1;
+    }
+
     fn set_offered_demand(&mut self, i: usize, demand: Watts) {
         let v = physics::clamp_demand(self.configs[i].model(), demand);
         if v.as_f64().to_bits() != self.offered_ac[i].as_f64().to_bits() {
@@ -392,7 +404,7 @@ impl ServerSlab {
     fn bank_mut(&mut self, i: usize) -> &mut PsuBank {
         // Conservative: any bank mutation may move the target and changes
         // the sensed per-supply loads.
-        self.touch(i);
+        self.reshape(i);
         &mut self.banks[i]
     }
 }
@@ -605,7 +617,7 @@ mod tests {
         for i in 0..n {
             let mut server = Server::new(ServerConfig::paper_default());
             server.set_offered_demand(Watts::new(200.0 + i as f64));
-            slab.push(server);
+            slab.insert(slab.len(), server);
         }
         slab
     }
@@ -624,7 +636,7 @@ mod tests {
             .collect();
         let mut slab = ServerSlab::new();
         for s in &reference {
-            slab.push(s.clone());
+            slab.insert(slab.len(), s.clone());
         }
         let dt = Seconds::new(1.0);
         for _ in 0..40 {
