@@ -15,12 +15,6 @@ cargo clippy --workspace --all-targets -- -D warnings \
 cargo run --release -q -p capmaestro-bench --bin chaos -- \
     --seconds 300 --seed 7 --seeds 1 --out BENCH_chaos_smoke.json
 
-# Round-pipeline smoke: 60 incremental control rounds vs a from-scratch
-# twin plane — bit-identical caps and zero steady-state heap allocations,
-# or the bench exits non-zero.
-cargo run --release -q -p capmaestro-bench --bin alloc -- \
-    --smoke --out BENCH_alloc_smoke.json
-
 # Policy-arena smoke: every budget-split allocator (waterfall,
 # waterfilling, fair_share) races the same seeded diurnal / flash-crowd /
 # feed-failure scenarios; exits non-zero if any scored metric leaves its

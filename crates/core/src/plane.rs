@@ -133,29 +133,35 @@ impl Farm {
         self.slab.step(dt);
     }
 
-    /// Reads every server's sensors, in id order: refreshes the slab's
-    /// cached snapshots (only stale ones are recomputed) and syncs `buf` to
-    /// them, reusing its allocations — no steady-state allocation.
-    pub fn sense_into(&mut self, buf: &mut SenseBuffer) {
+    /// Reads every server's sensors into the farm's snapshot cache: only
+    /// the snapshots of servers that changed since the last refresh are
+    /// recomputed, in place, so the steady state allocates nothing.
+    pub fn refresh(&mut self) {
         self.slab.refresh();
-        self.sync_buffer(buf);
+    }
+
+    /// The cached snapshot of the server in slot `idx`, as of the last
+    /// refresh: [`Farm::refresh`], or a plane's sample or round, which
+    /// refresh first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn snapshot(&self, idx: usize) -> &SensorSnapshot {
+        self.slab.snapshot(idx)
     }
 
     /// Advances every server by `dt` and syncs `buf` to the refreshed
-    /// snapshots in the same sweep — the fused per-second hot path of the
-    /// simulation engine. Quiescent servers cost ~zero: no stepping
+    /// snapshots. Kept for the benchmark seam's slab rows; the engine
+    /// steps with [`Farm::step_all`] and reads the cache through
+    /// [`Farm::snapshot`]. Quiescent servers cost ~zero: no stepping
     /// arithmetic, no re-sensing, no buffer write.
     pub fn step_and_sense_into(&mut self, dt: Seconds, buf: &mut SenseBuffer) {
         self.slab.step(dt);
         self.slab.refresh();
-        self.sync_buffer(buf);
-    }
-
-    /// Syncs a [`SenseBuffer`] to the slab's (just-refreshed) snapshot
-    /// cache: a full rebuild when the farm's slot layout changed since the
-    /// buffer last synced, otherwise `clone_from` on exactly the entries
-    /// whose snapshots changed — allocation-free in the steady state.
-    fn sync_buffer(&self, buf: &mut SenseBuffer) {
+        // A full rebuild when the farm's slot layout changed since the
+        // buffer last synced, otherwise `clone_from` on exactly the entries
+        // whose snapshots changed — allocation-free in the steady state.
         let n = self.ids.len();
         if buf.layout_gen != self.slab.layout_generation() {
             buf.entries.clear();
@@ -174,9 +180,11 @@ impl Farm {
     }
 }
 
-/// A reusable sensing scratch buffer: `(id, snapshot)` entries in id
-/// order, kept in sync with one [`Farm`] by [`Farm::sense_into`] /
-/// [`Farm::step_and_sense_into`] with zero steady-state allocation.
+/// A copy of a farm's snapshot cache: `(id, snapshot)` entries in id
+/// order, kept in sync with one [`Farm`] by [`Farm::step_and_sense_into`]
+/// with zero steady-state allocation. Nothing in the product reads it —
+/// the engine and the plane read the farm's own cache — and it stays
+/// only because the benchmark seam's `server.slab.*` rows time it.
 ///
 /// A buffer belongs to the farm it was first synced against — syncing it
 /// against a different farm is a logic error (the change-tracking
@@ -199,14 +207,6 @@ impl SenseBuffer {
     /// The synced `(id, snapshot)` entries, in id order.
     pub fn entries(&self) -> &[(ServerId, SensorSnapshot)] {
         &self.entries
-    }
-
-    /// Mutable access to the entries, for callers that overwrite
-    /// individual readings after a sync (e.g. re-sensing breaker-trip
-    /// victims). Overwrites are transient: they survive until the
-    /// corresponding server next changes in the farm.
-    pub fn entries_mut(&mut self) -> &mut [(ServerId, SensorSnapshot)] {
-        &mut self.entries
     }
 }
 
@@ -1029,8 +1029,8 @@ impl ControlPlane {
     /// change observe it; one whose estimator its unchanged reading already
     /// saturates would only be marked fresh, which the leaf table records
     /// for all of them at once. The steady state performs **no heap
-    /// allocation** (the `alloc --smoke` gate covers this path), and a
-    /// settled fleet visits no leaf.
+    /// allocation** (`crates/sim/tests/zero_alloc.rs` covers this path),
+    /// and a settled fleet visits no leaf.
     ///
     /// A plane manages one farm: the farm's layout and change generations
     /// are what tell it which servers changed.
@@ -1484,12 +1484,14 @@ mod tests {
     /// The zero-alloc sense path: a buffer synced against a quiescent
     /// farm must not re-copy entries (no allocation, no writes), and a
     /// re-copy after a real change must reuse the entry's existing
-    /// heap allocations.
+    /// heap allocations. The fig. 2 servers start settled, so the step in
+    /// each sync moves nothing.
     #[test]
     fn sense_buffer_sync_is_incremental_and_reuses_allocations() {
         let (topo, mut farm, _) = fig2_plane(PolicyKind::GlobalPriority);
+        let dt = Seconds::new(1.0);
         let mut buf = SenseBuffer::new();
-        farm.sense_into(&mut buf);
+        farm.step_and_sense_into(dt, &mut buf);
         assert_eq!(buf.entries().len(), farm.len());
         for ((id, snap), (farm_id, server)) in buf.entries().iter().zip(farm.iter()) {
             assert_eq!((*id, snap), (farm_id, &server.sense()));
@@ -1499,8 +1501,8 @@ mod tests {
         // in the farm: the corruption must survive, proving the sync
         // skipped the (unchanged) entry instead of re-copying it.
         let sentinel = Watts::new(-12345.0);
-        buf.entries_mut()[0].1.total_ac = sentinel;
-        farm.sense_into(&mut buf);
+        buf.entries[0].1.total_ac = sentinel;
+        farm.step_and_sense_into(dt, &mut buf);
         assert_eq!(buf.entries()[0].1.total_ac, sentinel);
 
         // Change that server for real: the next sync re-copies its entry
@@ -1511,7 +1513,7 @@ mod tests {
         let ptr_before = buf.entries()[slot].1.supply_ac.as_ptr();
         farm.get_mut(sa).unwrap().set_offered_demand(Watts::new(260.0));
         farm.get_mut(sa).unwrap().settle();
-        farm.sense_into(&mut buf);
+        farm.step_and_sense_into(dt, &mut buf);
         assert_ne!(buf.entries()[slot].1.total_ac, sentinel);
         assert_eq!(
             buf.entries()[slot].1,
@@ -1525,17 +1527,16 @@ mod tests {
         );
     }
 
-    /// The fused per-second sweep is the separate calls, bit for bit:
-    /// `step_and_sense_into` ≡ `step_all` + `sense_into`, across seconds
-    /// in which servers are mid-transient, freshly capped, and quiescent.
+    /// The buffered sweep is the engine's, bit for bit:
+    /// `step_and_sense_into` ≡ `step_all` + `refresh`, across seconds in
+    /// which servers are mid-transient, freshly capped, and quiescent.
     #[test]
-    fn step_and_sense_into_matches_step_all_then_sense_into() {
+    fn step_and_sense_into_matches_step_all_then_refresh() {
         let (topo, mut fused, _) = fig2_plane(PolicyKind::GlobalPriority);
         let (_, mut separate, _) = fig2_plane(PolicyKind::GlobalPriority);
         let sa = topo.server_by_name("SA").unwrap();
         let sb = topo.server_by_name("SB").unwrap();
         let mut fused_buf = SenseBuffer::new();
-        let mut separate_buf = SenseBuffer::new();
         let dt = Seconds::new(1.0);
         for second in 0..24 {
             for farm in [&mut fused, &mut separate] {
@@ -1547,11 +1548,10 @@ mod tests {
             }
             fused.step_and_sense_into(dt, &mut fused_buf);
             separate.step_all(dt);
-            separate.sense_into(&mut separate_buf);
-            assert_eq!(fused_buf.entries().len(), separate_buf.entries().len());
-            for ((id_a, a), (id_b, b)) in
-                fused_buf.entries().iter().zip(separate_buf.entries())
-            {
+            separate.refresh();
+            assert_eq!(fused_buf.entries().len(), separate.len());
+            for (slot, (id_a, a)) in fused_buf.entries().iter().enumerate() {
+                let (id_b, b) = (&separate.ids()[slot], separate.snapshot(slot));
                 assert_eq!(id_a, id_b);
                 assert_eq!(a.total_ac.as_f64().to_bits(), b.total_ac.as_f64().to_bits());
                 assert_eq!(a.throttle.as_f64().to_bits(), b.throttle.as_f64().to_bits());
@@ -1903,17 +1903,15 @@ mod tests {
         let healthy_cap = farm.get(sb).unwrap().dc_cap().unwrap();
 
         // SB goes dark and SA's sensor reads 25× too high (screened out).
-        let mut sensed = SenseBuffer::new();
-        let mut faulty_period = |plane: &mut ControlPlane, farm: &mut Farm| {
+        let faulty_period = |plane: &mut ControlPlane, farm: &mut Farm| {
             for _ in 0..8 {
-                farm.sense_into(&mut sensed);
-                let snaps: Vec<(ServerId, SensorSnapshot)> = sensed
-                    .entries()
-                    .iter()
+                farm.refresh();
+                let snaps: Vec<(ServerId, SensorSnapshot)> = (0..farm.len())
+                    .map(|slot| (farm.ids()[slot], farm.snapshot(slot)))
                     .filter(|(id, _)| *id != sb)
-                    .map(|(id, snap)| match *id == sa {
-                        true => (*id, snap.scaled(25.0)),
-                        false => (*id, snap.clone()),
+                    .map(|(id, snap)| match id == sa {
+                        true => (id, snap.scaled(25.0)),
+                        false => (id, snap.clone()),
                     })
                     .collect();
                 plane.record_snapshots(farm, &snaps);

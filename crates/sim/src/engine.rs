@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use capmaestro_core::obs::{names, PhaseTimer};
 use capmaestro_core::oplog::ReconcilePlan;
-use capmaestro_core::plane::{ControlPlane, Farm, RoundReport, SenseBuffer};
+use capmaestro_core::plane::{ControlPlane, Farm, RoundReport};
 use capmaestro_server::{SenseInterposer, SensorSnapshot, ServerRef};
 use capmaestro_topology::{BreakerSim, BreakerState, FeedId, NodeId, Phase, ServerId, SupplyIndex, Topology};
 use capmaestro_units::{Seconds, Watts};
@@ -94,7 +94,7 @@ pub struct Trace {
     pub supply_power: HashMap<(ServerId, SupplyIndex), Vec<f64>>,
     /// Power-cap throttling level per server.
     pub throttle: HashMap<ServerId, Vec<f64>>,
-    /// DC cap commanded per server (carried forward between rounds).
+    /// The DC cap each server holds (NaN before its first cap).
     pub dc_cap: HashMap<ServerId, Vec<f64>>,
     /// Load at every limited distribution node, keyed by `(feed, node)`.
     pub node_load: HashMap<(FeedId, NodeId), Vec<f64>>,
@@ -219,18 +219,14 @@ impl LoadIndex {
     }
 
     /// Fills `loads` with this second's per-key load, indexed by slot:
-    /// the sum of supply powers at outlet descendants, kept per phase
-    /// because breaker ratings are per phase. Each key sums its
-    /// contributions in outlet order. `outlet_loads` is scratch.
-    fn fill_loads(
-        &self,
-        snaps: &[(ServerId, SensorSnapshot)],
-        outlet_loads: &mut Vec<Watts>,
-        loads: &mut Vec<Watts>,
-    ) {
+    /// the sum of supply powers at outlet descendants, read from the
+    /// farm's snapshot cache and kept per phase because breaker ratings
+    /// are per phase. Each key sums its contributions in outlet order.
+    /// `outlet_loads` is scratch.
+    fn fill_loads(&self, farm: &Farm, outlet_loads: &mut Vec<Watts>, loads: &mut Vec<Watts>) {
         outlet_loads.clear();
         outlet_loads.extend(self.outlets.iter().map(|&(slot, supply)| {
-            slot.and_then(|s| snaps[s as usize].1.supply_ac.get(supply as usize).copied())
+            slot.and_then(|s| farm.snapshot(s as usize).supply_ac.get(supply as usize).copied())
                 .unwrap_or(Watts::ZERO)
         }));
         loads.clear();
@@ -242,30 +238,16 @@ impl LoadIndex {
             total
         }));
     }
-
-    /// The load at a key this second, if any outlet feeds it.
-    fn load_at(
-        &self,
-        loads: &[Watts],
-        key: (FeedId, NodeId, Phase),
-    ) -> Option<Watts> {
-        self.slots.get(&key).map(|&slot| loads[slot])
-    }
 }
 
 /// Batched trace recording: per-second samples land in dense,
 /// slot-indexed append buffers (pure `Vec` pushes — no hashing on the
 /// per-second path), which are flushed into the [`Trace`] maps when a
 /// run returns; only [`Engine::run_observed`] feeds it. The slot layout
-/// mirrors the farm's snapshot sweep order and the topology's limited
-/// nodes, both of which are fixed for the engine's lifetime; if either
-/// ever changes the recorder flushes and relearns the layout, so series
-/// stay keyed correctly.
-#[derive(Debug, Default)]
+/// is the farm's slots and the topology's limited nodes, both fixed for
+/// the engine's lifetime.
+#[derive(Debug)]
 struct TraceRecorder {
-    ready: bool,
-    /// Server order of the snapshot sweep.
-    server_ids: Vec<ServerId>,
     /// Supplies per server (length of its `supply_ac`).
     supply_counts: Vec<usize>,
     /// Prefix offsets of each server's supplies in `supply_power`.
@@ -284,81 +266,67 @@ struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// Whether the cached layout still matches this second's sweep.
-    fn matches(&self, snaps: &[(ServerId, SensorSnapshot)]) -> bool {
-        self.ready
-            && self.server_ids.len() == snaps.len()
-            && snaps.iter().enumerate().all(|(i, (id, snap))| {
-                self.server_ids[i] == *id
-                    && self.supply_counts[i] == snap.supply_ac.len()
-            })
-    }
-
-    /// Relearns the slot layout from this second's sweep and the static
-    /// topology, registering node names on first touch exactly as the
-    /// unbatched path did.
-    fn rebuild(
-        &mut self,
-        snaps: &[(ServerId, SensorSnapshot)],
+    /// Lays the buffers out over the farm's sensed snapshots and the
+    /// static topology, registering node names on first touch.
+    fn new(
+        farm: &Farm,
         topology: &Topology,
         load_index: &LoadIndex,
         node_names: &mut HashMap<(FeedId, NodeId), String>,
-    ) {
-        self.server_ids.clear();
-        self.supply_counts.clear();
-        self.supply_offsets.clear();
+    ) -> Self {
+        let servers = farm.len();
+        let mut supply_counts = Vec::with_capacity(servers);
+        let mut supply_offsets = Vec::with_capacity(servers);
         let mut supplies_total = 0;
-        for (id, snap) in snaps {
-            self.server_ids.push(*id);
-            self.supply_counts.push(snap.supply_ac.len());
-            self.supply_offsets.push(supplies_total);
-            supplies_total += snap.supply_ac.len();
+        for slot in 0..servers {
+            let supplies = farm.snapshot(slot).supply_ac.len();
+            supply_counts.push(supplies);
+            supply_offsets.push(supplies_total);
+            supplies_total += supplies;
         }
-        self.server_power.resize_with(snaps.len(), Vec::new);
-        self.throttle.resize_with(snaps.len(), Vec::new);
-        self.dc_cap.resize_with(snaps.len(), Vec::new);
-        self.supply_power.resize_with(supplies_total, Vec::new);
-
-        self.node_keys.clear();
-        self.node_phase_slots.clear();
-        self.node_load.clear();
+        let mut node_keys = Vec::new();
+        let mut node_phase_slots = Vec::new();
         for graph in topology.feeds() {
             for node in graph.iter() {
                 if graph.device(node).effective_limit().is_none() {
                     continue;
                 }
                 let key = (graph.feed(), node);
-                self.node_keys.push(key);
-                self.node_phase_slots.push(
+                node_keys.push(key);
+                node_phase_slots.push(
                     Phase::ALL
                         .iter()
-                        .filter_map(|&p| {
-                            load_index.slots.get(&(key.0, key.1, p)).copied()
-                        })
+                        .filter_map(|&p| load_index.slots.get(&(key.0, key.1, p)).copied())
                         .collect(),
                 );
-                self.node_load.push(Vec::new());
                 node_names
                     .entry(key)
                     .or_insert_with(|| graph.device(node).name().to_string());
             }
         }
-        self.ready = true;
+        TraceRecorder {
+            supply_counts,
+            supply_offsets,
+            server_power: vec![Vec::new(); servers],
+            throttle: vec![Vec::new(); servers],
+            dc_cap: vec![Vec::new(); servers],
+            supply_power: vec![Vec::new(); supplies_total],
+            node_load: vec![Vec::new(); node_keys.len()],
+            node_keys,
+            node_phase_slots,
+        }
     }
 
-    /// Appends one second of samples. Nothing here hashes or allocates
-    /// beyond amortized series growth.
-    fn push_second(
-        &mut self,
-        snaps: &[(ServerId, SensorSnapshot)],
-        last_caps: &HashMap<ServerId, f64>,
-        loads: &[Watts],
-    ) {
-        for (slot, (id, snap)) in snaps.iter().enumerate() {
+    /// Appends one second of samples from the farm's snapshot cache and
+    /// live caps. Nothing here hashes or allocates beyond amortized series
+    /// growth.
+    fn push_second(&mut self, farm: &Farm, loads: &[Watts]) {
+        for slot in 0..farm.len() {
+            let snap = farm.snapshot(slot);
             self.server_power[slot].push(snap.total_ac.as_f64());
             self.throttle[slot].push(snap.throttle.as_f64());
-            self.dc_cap[slot]
-                .push(last_caps.get(id).copied().unwrap_or(f64::NAN));
+            let cap = farm.server_at(slot).dc_cap();
+            self.dc_cap[slot].push(cap.map_or(f64::NAN, Watts::as_f64));
             let base = self.supply_offsets[slot];
             for (i, p) in snap.supply_ac.iter().enumerate() {
                 self.supply_power[base + i].push(p.as_f64());
@@ -373,14 +341,12 @@ impl TraceRecorder {
         }
     }
 
-    /// Drains every pending buffer into the trace maps (append-only; a
-    /// key whose buffer is empty is left untouched, so flushing twice is
-    /// a no-op and no spurious empty series appear).
-    fn flush(&mut self, trace: &mut Trace) {
-        if !self.ready {
-            return;
-        }
-        for (slot, id) in self.server_ids.iter().enumerate() {
+    /// Drains every pending buffer into the trace maps, keying servers by
+    /// `ids` (the farm's, slot order). Append-only: a key whose buffer is
+    /// empty is left untouched, so flushing twice is a no-op and no
+    /// spurious empty series appear.
+    fn flush(&mut self, ids: &[ServerId], trace: &mut Trace) {
+        for (slot, id) in ids.iter().enumerate() {
             if !self.server_power[slot].is_empty() {
                 trace
                     .server_power
@@ -444,13 +410,14 @@ pub struct Engine {
     farm: Farm,
     plane: ControlPlane,
     config: EngineConfig,
-    breakers: Vec<((FeedId, NodeId, Phase), BreakerSim)>,
+    /// One thermal model per `(breaker, phase)` key, with the key's
+    /// [`LoadIndex`] slot.
+    breakers: Vec<((FeedId, NodeId, Phase), usize, BreakerSim)>,
     /// Pending events, sorted by second; same-second events keep their
     /// scheduling order.
     events: VecDeque<(u64, Event)>,
     time_s: u64,
     trace: Trace,
-    last_caps: HashMap<ServerId, f64>,
     load_index: LoadIndex,
     /// Per-outlet scratch for [`LoadIndex::fill_loads`].
     outlet_loads: Vec<Watts>,
@@ -460,7 +427,8 @@ pub struct Engine {
     /// Route sensing through the fault layer even when it is quiet
     /// (differential-test knob proving the slow path is a true no-op).
     force_interposition: bool,
-    recorder: TraceRecorder,
+    /// Laid out on the first recorded second.
+    recorder: Option<TraceRecorder>,
     /// The readings actually delivered to the control plane on the last
     /// interposed second (reusable buffer; see
     /// [`Engine::delivered_readings`]).
@@ -472,14 +440,6 @@ pub struct Engine {
     /// the next control-round boundary (the serving subsystem's
     /// `POST /v1/budget` path).
     staged_budgets: Option<Vec<Watts>>,
-    /// Reusable snapshot buffer for the per-second physics sweep.
-    /// Incrementally synced from the farm's slab, so a quiescent fleet
-    /// costs no snapshot copies and no allocations.
-    snaps_buf: SenseBuffer,
-    /// Reusable snapshot buffer for the interposed 1 Hz sense path
-    /// (kept separate from `snaps_buf` so each buffer tracks its own
-    /// sync generation against the slab).
-    sense_buf: SenseBuffer,
 }
 
 impl Engine {
@@ -496,31 +456,22 @@ impl Engine {
             plane,
         } = rig;
         // One thermal model per (breaker, phase) that actually carries
-        // outlets of that phase.
+        // outlets of that phase: exactly the breaker keys the load index
+        // holds.
+        let load_index = LoadIndex::build(&topology, &farm);
         let mut breakers = Vec::new();
         for graph in topology.feeds() {
-            // Phases present under each node.
-            let mut phases: HashMap<NodeId, [bool; 3]> = HashMap::new();
-            for (outlet_node, outlet) in graph.outlets() {
-                for node in graph.path_to_root(outlet_node) {
-                    phases.entry(node).or_default()[outlet.phase.index()] = true;
-                }
-            }
             for node in graph.iter() {
                 if let Some(cb) = graph.device(node).breaker() {
-                    let present = phases.get(&node).copied().unwrap_or_default();
                     for phase in Phase::ALL {
-                        if present[phase.index()] {
-                            breakers.push((
-                                (graph.feed(), node, phase),
-                                BreakerSim::new(*cb),
-                            ));
+                        let key = (graph.feed(), node, phase);
+                        if let Some(&slot) = load_index.slots.get(&key) {
+                            breakers.push((key, slot, BreakerSim::new(*cb)));
                         }
                     }
                 }
             }
         }
-        let load_index = LoadIndex::build(&topology, &farm);
         Engine {
             topology,
             farm,
@@ -530,18 +481,15 @@ impl Engine {
             events: VecDeque::new(),
             time_s: 0,
             trace: Trace::default(),
-            last_caps: HashMap::new(),
             load_index,
             outlet_loads: Vec::new(),
             loads: Vec::new(),
             faults: FaultLayer::new(0),
             force_interposition: false,
-            recorder: TraceRecorder::default(),
+            recorder: None,
             delivered: Vec::new(),
             delivered_valid: false,
             staged_budgets: None,
-            snaps_buf: SenseBuffer::new(),
-            sense_buf: SenseBuffer::new(),
         }
     }
 
@@ -668,7 +616,7 @@ impl Engine {
     /// daemon calls this periodically to bound the event logs; since
     /// [`Engine::step`] records no series, that costs only their drop.
     pub fn reset_trace(&mut self) {
-        self.recorder = TraceRecorder::default();
+        self.recorder = None;
         let seconds = self.time_s;
         self.trace = Trace::default();
         self.trace.seconds = seconds;
@@ -784,7 +732,7 @@ impl Engine {
                     }
                 }
                 // Breakers on the restored feed start cool and closed.
-                for ((f, _, _), sim) in &mut self.breakers {
+                for ((f, _, _), _, sim) in &mut self.breakers {
                     if *f == feed {
                         sim.reset();
                     }
@@ -819,23 +767,21 @@ impl Engine {
     }
 
     /// Appends the second just stepped to the series recorder, from the
-    /// sweep's snapshots and loads. Per-server and per-node series go into
-    /// dense append buffers — one plain push per sample, no hashing. The
-    /// displayed node load aggregates the phases (safety checks use the
-    /// per-phase values against the per-phase ratings).
+    /// farm's snapshots and caps and the sweep's loads. Per-server and
+    /// per-node series go into dense append buffers — one plain push per
+    /// sample, no hashing. The displayed node load aggregates the phases
+    /// (safety checks use the per-phase values against the per-phase
+    /// ratings).
     fn record_series(&mut self) {
-        let snaps = self.snaps_buf.entries();
-        if !self.recorder.matches(snaps) {
-            self.recorder.flush(&mut self.trace);
-            self.recorder.rebuild(
-                snaps,
+        let recorder = self.recorder.get_or_insert_with(|| {
+            TraceRecorder::new(
+                &self.farm,
                 &self.topology,
                 &self.load_index,
                 &mut self.trace.node_names,
-            );
-        }
-        self.recorder
-            .push_second(snaps, &self.last_caps, &self.loads);
+            )
+        });
+        recorder.push_second(&self.farm, &self.loads);
     }
 
     /// Runs the simulation for `seconds`, returning the accumulated trace
@@ -858,7 +804,9 @@ impl Engine {
             self.record_series();
             observer(self);
         }
-        self.recorder.flush(&mut self.trace);
+        if let Some(recorder) = &mut self.recorder {
+            recorder.flush(self.farm.ids(), &mut self.trace);
+        }
         self.trace.clone()
     }
 
@@ -874,8 +822,8 @@ impl Engine {
 
     /// Advances the world by one second: events, sensing (through the
     /// fault layer when it is active), control, physics, breakers, and
-    /// the event logs. Leaves the sweep's snapshots in `snaps_buf` and its
-    /// loads in `loads` for [`Engine::record_series`].
+    /// the event logs. Leaves the farm's snapshot cache current and the
+    /// sweep's loads in `loads` for [`Engine::record_series`].
     fn step_second(&mut self) {
         let recorder = Arc::clone(self.plane.recorder());
         // Publish the logical clock so trace events carry simulated (not
@@ -899,18 +847,15 @@ impl Engine {
             if self.faults.is_quiet() && !self.force_interposition {
                 self.plane.sample(&mut self.farm);
             } else {
-                let mut sensed = std::mem::take(&mut self.sense_buf);
-                self.farm.sense_into(&mut sensed);
+                self.farm.refresh();
+                let farm = &self.farm;
                 let faults = &mut self.faults;
                 let now_s = self.time_s;
-                self.delivered.extend(
-                    sensed.entries().iter().filter_map(|(id, raw)| {
-                        faults
-                            .intercept(now_s, *id, raw.clone())
-                            .map(|snap| (*id, snap))
-                    }),
-                );
-                self.sense_buf = sensed;
+                self.delivered.extend(farm.ids().iter().enumerate().filter_map(|(slot, &id)| {
+                    faults
+                        .intercept(now_s, id, farm.snapshot(slot).clone())
+                        .map(|snap| (id, snap))
+                }));
                 self.plane.record_snapshots(&self.farm, &self.delivered);
                 self.delivered_valid = true;
             }
@@ -921,33 +866,25 @@ impl Engine {
                     }
                 }
                 let report = self.plane.round(&mut self.farm);
-                for (id, cap) in &report.dc_caps {
-                    self.last_caps.insert(*id, cap.as_f64());
-                }
                 self.trace
                     .stranded
                     .push((self.time_s, report.stranded_reclaimed.as_f64()));
             }
 
-            // Physics. One fused sweep steps every server and reads its
-            // sensors; the snapshots feed the load accumulation, the
+            // Physics. The sweep steps every server and refreshes the
+            // farm's snapshot cache, which feeds the load accumulation, the
             // breaker models, and the series recorder without re-sensing.
             // Each breaker's thermal model runs on its own phase's load
-            // (ratings are per phase). The sweep writes into a persistent
-            // buffer that only re-copies snapshots of servers the slab
-            // marked changed — a converged fleet costs no copies.
-            let mut snaps = std::mem::take(&mut self.snaps_buf);
-            self.farm.step_and_sense_into(Seconds::new(1.0), &mut snaps);
+            // (ratings are per phase). Only servers the slab marked
+            // changed are re-sensed — a converged fleet costs no copies.
+            self.farm.step_all(Seconds::new(1.0));
+            self.farm.refresh();
             self.load_index
-                .fill_loads(snaps.entries(), &mut self.outlet_loads, &mut self.loads);
-            let mut tripped_now: Vec<(FeedId, NodeId, Phase)> = Vec::new();
-            for ((feed, node, phase), sim) in &mut self.breakers {
-                let load = self
-                    .load_index
-                    .load_at(&self.loads, (*feed, *node, *phase))
-                    .unwrap_or(Watts::ZERO);
+                .fill_loads(&self.farm, &mut self.outlet_loads, &mut self.loads);
+            let mut tripped_now: Vec<usize> = Vec::new();
+            for ((feed, node, phase), slot, sim) in &mut self.breakers {
                 let before = sim.state();
-                let after = sim.step(load, Seconds::new(1.0));
+                let after = sim.step(self.loads[*slot], Seconds::new(1.0));
                 if before == BreakerState::Closed && after == BreakerState::Tripped {
                     self.trace.trips.push((
                         self.time_s,
@@ -960,58 +897,37 @@ impl Engine {
                                 .unwrap_or_default()
                         ),
                     ));
-                    tripped_now.push((*feed, *node, *phase));
+                    tripped_now.push(*slot);
                 }
             }
             // A tripped breaker interrupts downstream delivery: every
-            // outlet of that phase beneath it loses its supply; a server
+            // outlet contributing to its load loses its supply; a server
             // whose last working supply died goes dark (§2.1's
             // "downstream power delivery is interrupted, potentially
             // causing server power outage").
-            let mut resensed: Vec<ServerId> = Vec::new();
-            for (feed, node, phase) in tripped_now.drain(..) {
-                let victims: Vec<(ServerId, SupplyIndex)> = self
-                    .topology
-                    .feed(feed)
-                    .map(|g| {
-                        g.outlets()
-                            .filter(|(outlet_node, o)| {
-                                o.phase == phase
-                                    && g.path_to_root(*outlet_node).contains(&node)
-                            })
-                            .map(|(_, o)| (o.server, o.supply))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                for (server, supply) in victims {
+            for &slot in &tripped_now {
+                for &outlet in &self.load_index.contributors[slot] {
+                    let (server_slot, supply) = self.load_index.outlets[outlet as usize];
+                    let Some(server) = server_slot.map(|s| self.farm.ids()[s as usize]) else {
+                        continue;
+                    };
                     if let Some(mut srv) = self.farm.get_mut(server) {
                         let bank = srv.bank_mut();
                         if bank.working_count() > 1 {
-                            bank.fail_supply(supply.index());
+                            bank.fail_supply(supply as usize);
                         } else {
                             srv.set_powered(false);
                             self.trace.lost_servers.push((self.time_s, server));
                         }
-                        if !resensed.contains(&server) {
-                            resensed.push(server);
-                        }
                     }
                 }
             }
-            // Trips changed the victims' PSU state after the sweep;
-            // refresh their snapshots so the series record post-trip
-            // sensor readings, exactly as a fresh sense would.
-            if !resensed.is_empty() {
-                for (id, snap) in snaps.entries_mut().iter_mut() {
-                    if resensed.contains(id) {
-                        if let Some(server) = self.farm.get(*id) {
-                            *snap = server.sense();
-                        }
-                    }
-                }
+            // Trips changed the victims' supplies after the sweep; the
+            // series record their post-trip readings.
+            if !tripped_now.is_empty() {
+                self.farm.refresh();
             }
 
-            self.snaps_buf = snaps;
             self.time_s += 1;
             self.trace.seconds = self.time_s;
         }
@@ -1482,6 +1398,28 @@ mod tests {
             logged.iter().all(|&n| n > 0),
             "every log saw an entry: {logged:?}"
         );
+    }
+
+    /// The `dc_cap` series records each server's live cap, so a manual
+    /// round's caps show up in the next recorded second.
+    #[test]
+    fn dc_cap_series_records_caps_of_a_manual_round() {
+        let rig = priority_rig(RigConfig::table2());
+        let ids: Vec<ServerId> = rig.farm.iter().map(|(id, _)| id).collect();
+        let mut engine = Engine::new(rig);
+        engine.run(121);
+        let cut = engine.plane().root_budgets_now().iter().map(|&b| b * 0.8).collect();
+        engine.plane_mut().set_root_budgets(cut);
+        let report = engine.run_control_round();
+        let trace = engine.run(1);
+        assert_eq!(ids.len(), 4);
+        for id in ids {
+            let cap = report.dc_caps[&id];
+            assert_eq!(engine.server(id).expect("farm server").dc_cap(), Some(cap));
+            let series = &trace.dc_cap[&id];
+            assert!(cap.as_f64() < series[120], "the cut lowers {id:?}'s cap");
+            assert_eq!(series[121].to_bits(), cap.as_f64().to_bits(), "{id:?}");
+        }
     }
 
     #[test]

@@ -9,13 +9,14 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 
+use capmaestro_core::plane::RoundReport;
 use capmaestro_sim::engine::{Engine, Event, Trace};
 use capmaestro_sim::faults::{ChaosConfig, ChaosPlan, FaultKind};
 use capmaestro_sim::scenarios::{
     datacenter_rig, priority_rig, DataCenterRigConfig, RigConfig,
 };
 use capmaestro_topology::presets::DataCenterParams;
-use capmaestro_topology::{FeedId, Priority, ServerId};
+use capmaestro_topology::{FeedId, Priority, ServerId, SupplyIndex};
 use capmaestro_units::Watts;
 use proptest::prelude::*;
 
@@ -49,6 +50,31 @@ fn assert_traces_identical(inc: &Trace, full: &Trace) {
     assert_eq!(inc.lost_servers, full.lost_servers);
     assert_eq!(inc.stranded, full.stranded);
     assert_eq!(inc.seconds, full.seconds);
+}
+
+/// Bitwise equality of two rounds' decisions: every commanded cap, the
+/// budget of every `(server, supply)` pair, and the stranded watts.
+fn assert_reports_identical(
+    inc: &RoundReport,
+    full: &RoundReport,
+    pairs: &[(ServerId, SupplyIndex)],
+    at: &str,
+) {
+    let bits = |w: Watts| w.as_f64().to_bits();
+    assert_eq!(inc.dc_caps.len(), full.dc_caps.len(), "{at}: cap count");
+    for (id, cap) in &inc.dc_caps {
+        let other = full.dc_caps[id];
+        assert_eq!(bits(*cap), bits(other), "{at}: dc cap for {id}: {cap} vs {other}");
+    }
+    for &(server, supply) in pairs {
+        let (a, b) = (inc.supply_budget(server, supply), full.supply_budget(server, supply));
+        assert_eq!(a.map(bits), b.map(bits), "{at}: budget of {server}/{supply:?}");
+    }
+    assert_eq!(
+        bits(inc.stranded_reclaimed),
+        bits(full.stranded_reclaimed),
+        "{at}: stranded watts"
+    );
 }
 
 /// Runs the engine second by second, discarding the plane's cached
@@ -142,24 +168,30 @@ fn incremental_rounds_match_full_rebuild_on_a_large_datacenter() {
         rebuilt.schedule(*at, event.clone());
     }
 
-    let trace_inc = incremental.run(48);
-    let trace_full = run_rebuilding_every_second(&mut rebuilt, 48);
-    assert_traces_identical(&trace_inc, &trace_full);
+    // Every round second, the incremental plane decides exactly what its
+    // twin decides from a rebuilt round context.
+    let pairs: Vec<(ServerId, SupplyIndex)> = ids
+        .iter()
+        .flat_map(|&s| [(s, SupplyIndex::FIRST), (s, SupplyIndex::SECOND)])
+        .collect();
+    let period = incremental.control_period_s();
+    let mut rounds = 0;
+    let trace_inc = incremental.run_observed(48, |inc| {
+        rebuilt.run(1);
+        let second = inc.now_s() - 1;
+        if second.is_multiple_of(period) {
+            let report_inc = inc.last_round_report().expect("a round ran");
+            let report_full = rebuilt.last_round_report().expect("a round ran");
+            assert_reports_identical(report_inc, report_full, &pairs, &format!("t={second}"));
+            rounds += 1;
+        }
+        rebuilt.plane_mut().reset_round_cache();
+    });
+    assert_eq!(rounds, 6);
+    assert_traces_identical(&trace_inc, rebuilt.trace());
 
     // The converged round decisions match bitwise as well.
     let report_inc = incremental.run_control_round();
     let report_full = rebuilt.run_control_round();
-    assert_eq!(report_inc.dc_caps.len(), report_full.dc_caps.len());
-    for (id, cap) in &report_inc.dc_caps {
-        let other = report_full.dc_caps[id];
-        assert_eq!(
-            cap.as_f64().to_bits(),
-            other.as_f64().to_bits(),
-            "dc cap for {id}: {cap} vs {other}"
-        );
-    }
-    assert_eq!(
-        report_inc.stranded_reclaimed.as_f64().to_bits(),
-        report_full.stranded_reclaimed.as_f64().to_bits()
-    );
+    assert_reports_identical(&report_inc, &report_full, &pairs, "manual round");
 }

@@ -10,10 +10,10 @@
 use capmaestro::core::policy::PolicyKind;
 use capmaestro::sim::engine::{Engine, EngineConfig, Event, Trace};
 use capmaestro::sim::scenarios::{datacenter_rig, DataCenterRigConfig};
-use capmaestro::topology::{FeedId, Priority};
+use capmaestro::topology::{FeedId, Priority, ServerId, SupplyIndex};
 use capmaestro::units::Watts;
 
-fn high_priority_ids(engine: &Engine) -> Vec<capmaestro::topology::ServerId> {
+fn high_priority_ids(engine: &Engine) -> Vec<ServerId> {
     engine
         .topology()
         .servers()
@@ -176,6 +176,23 @@ fn without_capping_the_same_failure_trips_breakers() {
         first_trip >= 40,
         "no breaker may trip before the failure at t=40 (got {first_trip})"
     );
+    // The exact outage: every CDU phase on the surviving feed trips in
+    // the same second and blacks out every server.
+    assert_eq!((trace.trips.len(), trace.lost_servers.len()), (54, 810));
+    let trip = |second: u64, name: &str| (second, FeedId::A, name.to_string());
+    assert_eq!(trace.trips.first(), Some(&trip(387, "X-CDU0.0.0 L1")));
+    assert_eq!(trace.trips.last(), Some(&trip(387, "X-CDU1.2.2 L3")));
+    assert_eq!(trace.lost_servers.first(), Some(&(387, ServerId(0))));
+    assert_eq!(trace.lost_servers.last(), Some(&(387, ServerId(809))));
+    // A lost server reads dark in the very second it was lost.
+    for &(second, server) in &trace.lost_servers {
+        let at = second as usize;
+        assert_eq!(trace.server_power[&server][at], 0.0, "{server:?} total at {second}");
+        for supply in [SupplyIndex::FIRST, SupplyIndex::SECOND] {
+            let load = trace.supply_power[&(server, supply)][at];
+            assert_eq!(load, 0.0, "{server:?} {supply:?} at {second}");
+        }
+    }
 
     // The contrast: the identical scenario WITH CapMaestro running caps
     // the CDU overload away and nothing trips.
