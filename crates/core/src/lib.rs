@@ -85,7 +85,6 @@ pub use plane::{
     BudgetSource, ControlPlane, Farm, PlaneConfig, RoundReport, StalenessConfig,
 };
 pub use policy::{CappingPolicy, GlobalPriority, LocalPriority, NoPriority, PolicyKind};
-pub use spo::{optimize_stranded_power, SpoOutcome};
 pub use tree::{Allocation, ControlTree, SupplyInput};
 pub use workers::{
     ChannelTransport, DeploymentConfig, DownMsg, RackAssignment, RackWorker, RoundOutcome,

@@ -25,7 +25,7 @@ use crate::leaf::{LeafTable, Moved};
 use crate::obs::{names, null_recorder, PhaseTimer, Recorder, RoundPhase};
 use crate::policy::{CappingPolicy, PolicyKind};
 use crate::spo::{optimize_stranded_power_in, SpoScratch};
-use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
+use crate::tree::{Allocation, ControlTree, SupplyInput};
 
 /// The population of servers under management, keyed by id.
 ///
@@ -35,11 +35,9 @@ use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 /// [`ServerRef`] / [`ServerMut`] views that mirror the old `&Server` /
 /// `&mut Server` surface; iteration order is id order, as before.
 ///
-/// Stepping is **event-driven** by default: servers at the exact `f64`
-/// fixed point of their settling filter are skipped (see [`ServerSlab`]),
-/// which is a bitwise no-op by construction. Results are bit-identical
-/// for event-driven on/off — servers are independent and all outputs stay
-/// in id order.
+/// Stepping is **event-driven**: servers at the exact `f64` fixed point of
+/// their settling filter are skipped (see [`ServerSlab`]), which is a
+/// bitwise no-op by construction.
 #[derive(Debug, Default)]
 pub struct Farm {
     /// Sorted server ids; position i maps to slab slot i.
@@ -51,14 +49,6 @@ impl Farm {
     /// Creates an empty farm.
     pub fn new() -> Self {
         Farm::default()
-    }
-
-    /// Enables or disables event-driven stepping (on by default).
-    /// Disabling forces every server to be stepped every tick — the
-    /// full-rebuild reference path the differential tests compare
-    /// against. Trajectories are bitwise identical either way.
-    pub fn set_event_driven(&mut self, enabled: bool) {
-        self.slab.set_event_driven(enabled);
     }
 
     /// Adds (or replaces) a server.
@@ -507,8 +497,9 @@ pub enum BudgetSource {
 
 /// Reusable buffers for the per-round hot path (the "RoundContext" of the
 /// round-pipeline design): resolved root budgets, the cached
-/// capping-policy object, per-tree round states for the plain allocation
-/// path, the SPO scratch, and the round report itself.
+/// capping-policy object, the SPO scratch (which holds every per-tree round
+/// state, with or without the stranded-power pass), and the round report
+/// itself.
 /// [`ControlPlane::round`] borrows these instead of allocating, so a
 /// steady-state sequential round performs no heap allocation.
 struct RoundContext {
@@ -523,8 +514,6 @@ struct RoundContext {
     /// changes.
     allocator: Option<(AllocatorKind, Box<dyn Allocator>)>,
     spo: SpoScratch,
-    /// Per-tree incremental gather state for the SPO-disabled path.
-    plain_states: Vec<TreeRoundState>,
     /// Farm slots ↔ tree leaves.
     lanes: Lanes,
     report: RoundReport,
@@ -544,7 +533,6 @@ impl Default for RoundContext {
             policy: None,
             allocator: None,
             spo: SpoScratch::new(),
-            plain_states: Vec::new(),
             lanes: Lanes::default(),
             report: RoundReport::empty(),
             valid: false,
@@ -559,9 +547,6 @@ impl RoundContext {
     /// the tree set changes.
     fn invalidate_allocation_caches(&mut self) {
         self.spo.invalidate();
-        for state in &mut self.plain_states {
-            state.invalidate();
-        }
         self.tree_demands.clear();
         self.lanes.layout = None;
     }
@@ -1115,9 +1100,9 @@ impl ControlPlane {
 
     /// Drops every reusable round buffer and cached incremental state, so
     /// the next sample observes every reading and the next round visits
-    /// every leaf and recomputes everything from scratch. Differential
-    /// tests use this to compare incremental rounds against full rounds;
-    /// it is never required for correctness.
+    /// every leaf and runs the one round path cold, as a fresh plane
+    /// would. Differential tests use this to compare warm rounds against
+    /// cold ones; it is never required for correctness.
     pub fn reset_round_cache(&mut self) {
         self.ctx = RoundContext::default();
         self.leaves.revisit_all();
@@ -1229,7 +1214,7 @@ impl ControlPlane {
         }
         drop(gather_timer);
 
-        // 2. Allocate (with or without the stranded-power pass), tree by
+        // 2. Allocate, with the stranded-power pass when it is on, tree by
         //    tree into the round context's reusable states.
         let trees = &self.trees;
         let RoundContext {
@@ -1239,7 +1224,6 @@ impl ControlPlane {
             policy,
             allocator,
             spo,
-            plain_states,
             lanes,
             report,
             valid,
@@ -1264,44 +1248,16 @@ impl ControlPlane {
             .expect("allocator cached above")
             .1
             .as_ref();
-        report.stranded_reclaimed = if self.config.spo {
-            optimize_stranded_power_in(
-                trees,
-                root_budgets,
-                policy_dyn,
-                allocator_dyn,
-                spo,
-                &mut report.allocations,
-                recorder,
-            )
-        } else {
-            let allocate_timer =
-                PhaseTimer::start(recorder, RoundPhase::Allocate.metric_name());
-            let n = trees.len();
-            if plain_states.len() != n {
-                plain_states.clear();
-                plain_states.resize_with(n, TreeRoundState::new);
-            }
-            if report.allocations.len() != n {
-                report.allocations.clear();
-                report.allocations.resize_with(n, Allocation::default);
-            }
-            for i in 0..n {
-                trees[i].allocate_in(
-                    root_budgets[i],
-                    policy_dyn,
-                    allocator_dyn,
-                    &mut plain_states[i],
-                    None,
-                    &mut report.allocations[i],
-                );
-            }
-            drop(allocate_timer);
-            // SPO is off: record an explicit zero so the phase series
-            // exists (and shows as idle) on every configuration.
-            recorder.observe(RoundPhase::Spo.metric_name(), 0.0);
-            Watts::ZERO
-        };
+        report.stranded_reclaimed = optimize_stranded_power_in(
+            trees,
+            root_budgets,
+            policy_dyn,
+            allocator_dyn,
+            self.config.spo,
+            spo,
+            &mut report.allocations,
+            recorder,
+        );
         if recorder.enabled() {
             recorder.gauge_set(
                 names::STRANDED_WATTS_RECLAIMED,
@@ -1310,14 +1266,7 @@ impl ControlPlane {
             // Dirty-tracking effectiveness: how many tree nodes the
             // incremental gather actually re-summarized vs skipped. The
             // states accumulate across rounds, so report deltas.
-            let (summarized, skipped) = if self.config.spo {
-                spo.gather_stats()
-            } else {
-                plain_states.iter().fold((0, 0), |acc, state| {
-                    let (s, k) = state.gather_stats();
-                    (acc.0 + s, acc.1 + k)
-                })
-            };
+            let (summarized, skipped) = spo.gather_stats();
             recorder.counter_add(
                 names::TREE_NODES_SUMMARIZED_TOTAL,
                 summarized.saturating_sub(last_gather.0),
@@ -1340,11 +1289,7 @@ impl ControlPlane {
         //    commanded: any other one's inputs are bit-equal and its last
         //    command was a fixed point.
         let enforce_timer = PhaseTimer::start(recorder, RoundPhase::Enforce.metric_name());
-        let settled = if self.config.spo {
-            spo.settled()
-        } else {
-            plain_states.iter().all(TreeRoundState::settled)
-        };
+        let settled = spo.settled();
         let RoundReport {
             allocations,
             dc_caps,

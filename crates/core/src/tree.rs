@@ -362,9 +362,8 @@ impl TreeRoundState {
     }
 
     /// Drops all cached metrics and the budget memo: the next round
-    /// recomputes every subtree and re-splits every node from scratch
-    /// (still bit-identical — used by differential tests and the
-    /// full-recompute benchmark mode).
+    /// recomputes every subtree and re-splits every node, as a fresh state
+    /// would (required when the tree set changes).
     pub fn invalidate(&mut self) {
         self.valid = false;
         self.memo = None;
@@ -564,54 +563,12 @@ impl ControlTree {
         }
     }
 
-    /// The metrics-gathering phase: per-node priority summaries, bottom-up,
-    /// with the policy deciding where levels collapse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any leaf lacks a [`SupplyInput`].
-    pub fn gather(&self, policy: &dyn CappingPolicy) -> Vec<PriorityMetrics> {
-        let n = self.spec.len();
-        let mut metrics: Vec<PriorityMetrics> = vec![PriorityMetrics::empty(); n];
-        for idx in (0..n).rev() {
-            let node = self.spec.node(idx);
-            if let Some(leaf) = &node.leaf {
-                let input = self.inputs[idx].unwrap_or_else(|| {
-                    panic!(
-                        "leaf {idx} ({}) has no supply input set",
-                        self.spec.node(idx).name
-                    )
-                });
-                metrics[idx] = PriorityMetrics::from_leaf(&LeafInput {
-                    demand: input.demand,
-                    cap_min: input.cap_min,
-                    cap_max: input.cap_max,
-                    share: input.share,
-                    priority: leaf.priority,
-                });
-            } else {
-                let visibility = policy.visibility(self.arena.context(idx));
-                let children: Vec<PriorityMetrics> = node
-                    .children
-                    .iter()
-                    .map(|&c| match visibility {
-                        PriorityVisibility::Full => metrics[c].clone(),
-                        PriorityVisibility::Blind => metrics[c].collapsed(),
-                    })
-                    .collect();
-                metrics[idx] = PriorityMetrics::aggregate(children.iter(), node.limit);
-            }
-        }
-        metrics
-    }
-
     /// Runs one full control round: gather metrics, then distribute
     /// `root_budget` down the tree under `policy` with the default
     /// [`WaterfallAllocator`] (the paper's §4.3.2 split).
     ///
-    /// This is the from-scratch path: every subtree is re-summarized and
-    /// the result is freshly allocated. The incremental equivalent is
-    /// [`ControlTree::allocate_in`]; both produce bit-identical budgets.
+    /// A cold [`ControlTree::allocate_in`]: a fresh [`TreeRoundState`]
+    /// re-summarizes every subtree and splits every node.
     ///
     /// The effective root budget is clamped by the root node's own limit.
     ///
@@ -1211,13 +1168,13 @@ mod tests {
     #[test]
     fn gather_reports_levels_per_policy() {
         let (_, tree) = fig2_tree();
-        let global = tree.gather(&GlobalPriority::new());
+        let root_levels = |policy: &dyn CappingPolicy| {
+            tree.gather_in(policy, &mut TreeRoundState::new(), None).level_count()
+        };
         // Root sees both priority levels under Global.
-        assert_eq!(global[0].level_count(), 2);
-        let local = tree.gather(&LocalPriority::new());
+        assert_eq!(root_levels(&GlobalPriority::new()), 2);
         // Root sees a single collapsed level under Local.
-        assert_eq!(local[0].level_count(), 1);
-        let nop = tree.gather(&NoPriority::new());
-        assert_eq!(nop[0].level_count(), 1);
+        assert_eq!(root_levels(&LocalPriority::new()), 1);
+        assert_eq!(root_levels(&NoPriority::new()), 1);
     }
 }

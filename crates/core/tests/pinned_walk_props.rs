@@ -1,10 +1,10 @@
 //! Property-based tests of the one §4.3 walk cut in two, the way the
 //! distributed deployment cuts it: for every capping policy and allocator,
 //!
-//! - pinning every leaf parent to the summary a full gather computed for
-//!   it budgets the upper tree bit-identically to the full walk — also on
-//!   a warm state after an input changed (re-pinned summaries dirty their
-//!   ancestors);
+//! - pinning every leaf parent to the summary the spec's cold gather
+//!   (`capmaestro_spec::gather`) computed for it budgets the upper tree
+//!   bit-identically to the full walk — also on a warm state after an
+//!   input changed (re-pinned summaries dirty their ancestors);
 //! - a deployment whose racks never report budgets every cut from its
 //!   fail-safe summary, which equals a full gather with every demand at
 //!   `cap_min`;
@@ -73,7 +73,7 @@ proptest! {
                         cap_max: Watts::new(490.0),
                         share: Ratio::ONE,
                     });
-                    let summaries = tree.gather(policy.as_ref());
+                    let summaries = capmaestro_spec::gather(&tree, policy.as_ref());
                     for (cut, summary) in summaries.iter().enumerate() {
                         if tree.arena().context(cut).is_leaf_parent {
                             tree.pin(&mut pinned, cut, summary);
@@ -183,7 +183,7 @@ proptest! {
                 2 => allocator = (allocator + 1 + pick % 2) % AllocatorKind::ALL.len(),
                 3 => {}
                 _ => {
-                    let summaries = tree.gather(policy);
+                    let summaries = capmaestro_spec::gather(&tree, policy);
                     let (cut, source) = (cuts[pick % cuts.len()], cuts[(pick / 2) % cuts.len()]);
                     tree.pin(&mut warm, cut, &summaries[source]);
                     pins.retain(|(c, _)| *c != cut);

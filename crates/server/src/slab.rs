@@ -90,7 +90,6 @@ pub struct ServerSlab {
     /// (the fixed point of the settling filter is only stable for a
     /// constant `dt`).
     last_dt: f64,
-    event_driven: bool,
 }
 
 impl Default for ServerSlab {
@@ -100,7 +99,7 @@ impl Default for ServerSlab {
 }
 
 impl ServerSlab {
-    /// Creates an empty slab with event-driven stepping enabled.
+    /// Creates an empty slab.
     pub fn new() -> Self {
         ServerSlab {
             configs: Vec::new(),
@@ -117,7 +116,6 @@ impl ServerSlab {
             generation: 1,
             layout_gen: 1,
             last_dt: f64::NAN,
-            event_driven: true,
         }
     }
 
@@ -129,15 +127,6 @@ impl ServerSlab {
     /// Whether the slab is empty.
     pub fn is_empty(&self) -> bool {
         self.offered_ac.is_empty()
-    }
-
-    /// Enables or disables event-driven stepping. When disabled every
-    /// server is stepped every tick (the sequential full-rebuild reference
-    /// path); the dirty bitmaps are still maintained, so re-enabling is
-    /// safe at any time. State trajectories are bitwise identical either
-    /// way — that is what the differential tests assert.
-    pub fn set_event_driven(&mut self, enabled: bool) {
-        self.event_driven = enabled;
     }
 
     /// The current refresh generation (see [`ServerSlab::changed_since`]).
@@ -235,8 +224,7 @@ impl ServerSlab {
         ServerMut { slab: self, idx }
     }
 
-    /// Steps every active server by `dt` (every server when event-driven
-    /// stepping is off). A server whose achieved power lands bit-identical
+    /// Steps every active server by `dt`. A server whose achieved power lands bit-identical
     /// to its previous value has reached the settling filter's fixed point
     /// and is deactivated; one whose power moved has its cached snapshot
     /// invalidated. A `dt` different from the previous step re-activates
@@ -248,11 +236,7 @@ impl ServerSlab {
         for wi in 0..self.active.len() {
             let lane_base = wi * WORD_BITS;
             let valid = word_mask(n - lane_base.min(n));
-            let mut pending = if self.event_driven {
-                self.active[wi] & valid
-            } else {
-                valid
-            };
+            let mut pending = self.active[wi] & valid;
             while pending != 0 {
                 let b = pending.trailing_zeros() as usize;
                 pending &= pending - 1;

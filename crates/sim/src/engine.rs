@@ -493,15 +493,6 @@ impl Engine {
         }
     }
 
-    /// Enables or disables the farm's event-driven stepping (on by
-    /// default). Disabling forces the full-rebuild sweep every second —
-    /// the differential-test baseline; trajectories are bit-identical
-    /// either way. See [`Farm::set_event_driven`].
-    pub fn set_event_driven(&mut self, enabled: bool) -> &mut Self {
-        self.farm.set_event_driven(enabled);
-        self
-    }
-
     /// Schedules an event at an absolute simulation second, after every
     /// event already scheduled for that second. An event scheduled in the
     /// past applies at the next step.

@@ -1,88 +1,61 @@
-//! Allocator-seam differentials: threading the budget-down pass through
-//! the [`Allocator`] trait must not move a single bit. An independent
-//! oracle reimplements the pre-seam budget-down walk from public API only
-//! (from-scratch [`ControlTree::gather`] + [`split_budget`] at every
-//! node), and both rigs run under seeded chaos so the comparison covers
-//! hundreds of distinct demand/priority/fault states, not one synthetic
-//! snapshot.
+//! The live control plane against the executable specification: at every
+//! round second, the round report's budgets must equal what
+//! `capmaestro_spec::round` computes from scratch over the same trees and
+//! root budgets, bit for bit. The plane runs warm the whole time, so the
+//! budget memo, the gather skip, the strand-detection skip and the
+//! settled-leaf skip are all compared against an independent reference,
+//! not against a cold run of themselves. Both rigs run under seeded chaos
+//! plus scripted demand and priority changes, for every capping policy
+//! and allocator (one engine per pair), so the comparison covers hundreds
+//! of distinct tree states, mid-fault and mid-recovery ones included. The
+//! Fig. 2 rig runs without SPO, so it also pins the first pass alone.
 
-use capmaestro_core::budget::split_budget;
-use capmaestro_core::metrics::PriorityMetrics;
-use capmaestro_core::policy::{CappingPolicy, PolicyKind, PriorityVisibility};
-use capmaestro_core::tree::ControlTree;
-use capmaestro_core::WaterfallAllocator;
+use capmaestro_core::policy::PolicyKind;
+use capmaestro_core::AllocatorKind;
 use capmaestro_sim::engine::{Engine, Event};
 use capmaestro_sim::faults::{ChaosConfig, ChaosPlan};
 use capmaestro_sim::scenarios::{priority_rig, stranded_rig, Rig, RigConfig};
-use capmaestro_topology::{FeedId, ServerId};
+use capmaestro_topology::{FeedId, Priority, ServerId};
 use capmaestro_units::Watts;
 
-/// The pre-seam §4.3 budget-down pass, reimplemented verbatim from public
-/// API: clamp the root budget at the root limit, then walk parents before
-/// children, selecting each node's child summaries under the policy's
-/// visibility and splitting with the paper's waterfall
-/// ([`split_budget`]). Returns per-node budgets and the unallocated
-/// remainder.
-fn oracle_allocate(
-    tree: &ControlTree,
-    root_budget: Watts,
-    policy: &dyn CappingPolicy,
-) -> (Vec<Watts>, Watts) {
-    let metrics = tree.gather(policy);
-    let arena = tree.arena();
-    let spec = tree.spec();
-    let n = spec.len();
-    let root = spec.root();
-    let mut node_budgets = vec![Watts::ZERO; n];
-    let root_limit = arena.limit(root).unwrap_or(root_budget);
-    node_budgets[root] = root_budget.min(root_limit);
-    let mut unallocated = root_budget - node_budgets[root];
-    for idx in 0..n {
-        let children = arena.children_of(idx);
-        if children.is_empty() {
-            continue;
-        }
-        let visibility = policy.visibility(arena.context(idx));
-        let child_metrics: Vec<PriorityMetrics> = children
-            .iter()
-            .map(|&c| match visibility {
-                PriorityVisibility::Full => metrics[c as usize].clone(),
-                PriorityVisibility::Blind => metrics[c as usize].collapsed(),
-            })
-            .collect();
-        let split = split_budget(node_budgets[idx], &child_metrics);
-        for (&c, b) in children.iter().zip(&split.budgets) {
-            node_budgets[c as usize] = *b;
-        }
-        if idx == root {
-            unallocated += split.unallocated;
-        }
-    }
-    (node_budgets, unallocated)
-}
-
-/// Compare the seam's waterfall against the oracle on every tree of a
-/// live plane, bit for bit.
-fn assert_seam_matches_oracle(engine: &Engine, policy: &dyn CappingPolicy, at: &str) {
+/// Every node budget, every leaf budget, every tree's unallocated
+/// remainder and the stranded watts reclaimed, bitwise.
+fn assert_report_matches_spec(engine: &Engine, at: &str) {
     let plane = engine.plane();
-    let budgets = plane.root_budgets_now();
-    for (t, (tree, &budget)) in plane.trees().iter().zip(&budgets).enumerate() {
-        let seam = tree.allocate_with(budget, policy, &WaterfallAllocator);
-        let (oracle_nodes, oracle_unallocated) = oracle_allocate(tree, budget, policy);
-        for (idx, want) in oracle_nodes.iter().enumerate() {
-            let got = seam.node_budget(idx);
-            assert_eq!(
-                got.as_f64().to_bits(),
-                want.as_f64().to_bits(),
-                "{at}: tree {t} node {idx} diverged: seam {got}, oracle {want}"
-            );
+    let config = plane.config();
+    let report = engine.last_round_report().expect("a round ran");
+    let (policy, allocator) = (config.policy.policy(), config.allocator.allocator());
+    let want = capmaestro_spec::round(
+        plane.trees(),
+        &plane.root_budgets_now(),
+        policy.as_ref(),
+        allocator.as_ref(),
+        config.spo,
+    );
+    let bits = |w: Watts| w.as_f64().to_bits();
+    assert_eq!(report.allocations.len(), want.trees.len(), "{at}: tree count");
+    let trees = plane.trees().iter().zip(&report.allocations).zip(&want.trees);
+    for (t, ((tree, got), want)) in trees.enumerate() {
+        for (idx, &w) in want.nodes.iter().enumerate() {
+            let g = got.node_budget(idx);
+            assert_eq!(bits(g), bits(w), "{at}: tree {t} node {idx}: plane {g}, spec {w}");
+        }
+        let index = tree.arena().leaf_index();
+        for slot in 0..index.len() {
+            let (g, w) = (got.leaf_budget(slot), want.nodes[index.node(slot)]);
+            assert_eq!(bits(g), bits(w), "{at}: tree {t} leaf {slot}: plane {g}, spec {w}");
         }
         assert_eq!(
-            seam.unallocated().as_f64().to_bits(),
-            oracle_unallocated.as_f64().to_bits(),
-            "{at}: tree {t} unallocated diverged"
+            bits(got.unallocated()),
+            bits(want.unallocated),
+            "{at}: tree {t} unallocated"
         );
     }
+    assert_eq!(
+        bits(report.stranded_reclaimed),
+        bits(want.stranded),
+        "{at}: stranded watts reclaimed"
+    );
 }
 
 /// A seeded chaos plan sized for a four-server rig run.
@@ -105,59 +78,69 @@ fn chaos_for(rig: &Rig, seconds: u64, seed: u64) -> ChaosPlan {
     )
 }
 
-/// Fig. 2 priority rig under seeded chaos plus scripted demand and
-/// priority changes: after every simulated second (hundreds of distinct
-/// tree states, including mid-fault and mid-recovery ones), the seam's
-/// [`WaterfallAllocator`] must reproduce the pre-refactor budget-down
-/// walk bit for bit. The engine's own incremental rounds keep running in
-/// between, so cached [`TreeRoundState`] reuse is exercised too.
-#[test]
-fn waterfall_seam_is_bit_identical_under_fig2_chaos() {
-    let seconds = 160;
-    let rig = priority_rig(RigConfig::table2());
-    let chaos = chaos_for(&rig, seconds, 0xA110C);
-    let mut engine = Engine::new(rig);
-    engine.schedule_chaos(&chaos);
-    let sa = engine.topology().server_by_name("SA").expect("SA");
-    let sb = engine.topology().server_by_name("SB").expect("SB");
-    engine.schedule(60, Event::SetDemand(sa, Watts::new(210.0)));
-    engine.schedule(
-        100,
-        Event::SetPriority(sb, capmaestro_topology::Priority::HIGH),
-    );
-
-    let policy = PolicyKind::GlobalPriority.policy();
-    for s in 0..seconds {
-        engine.step();
-        assert_seam_matches_oracle(&engine, policy.as_ref(), &format!("t={s}"));
+/// Runs `rig_for(policy, allocator)` for every policy and allocator under
+/// its chaos plan and the scripted events, comparing each round second's
+/// report against the spec.
+fn run_against_spec(
+    rig_for: impl Fn(PolicyKind, AllocatorKind) -> Rig,
+    seconds: u64,
+    seed: u64,
+    script: &[(u64, Event)],
+) {
+    for policy in PolicyKind::ALL {
+        for allocator in AllocatorKind::ALL {
+            let rig = rig_for(policy, allocator);
+            let chaos = chaos_for(&rig, seconds, seed);
+            let mut engine = Engine::new(rig);
+            engine.schedule_chaos(&chaos);
+            for (at, event) in script {
+                engine.schedule(*at, event.clone());
+            }
+            let mut rounds = 0;
+            for s in 0..seconds {
+                engine.step();
+                if engine.trace().stranded.len() > rounds {
+                    rounds = engine.trace().stranded.len();
+                    assert_report_matches_spec(&engine, &format!("{policy} {allocator:?} t={s}"));
+                }
+            }
+            assert!(rounds * 8 >= seconds as usize, "{rounds} rounds in {seconds} s");
+        }
     }
 }
 
-/// The dual-feed stranded-power rig (two trees, uneven supply splits,
-/// SPO on) under chaos, across all three capping policies — the
-/// visibility-collapse paths (Blind vs Full) must also survive the seam
-/// unchanged.
+/// The Fig. 2 priority rig (one tree, SPO off) under seeded chaos plus a
+/// demand drop and a priority promotion.
 #[test]
-fn waterfall_seam_is_bit_identical_on_the_stranded_rig() {
-    let seconds = 96;
-    let rig = stranded_rig(RigConfig::table3());
-    let chaos = chaos_for(&rig, seconds, 0x57A4D);
-    let mut engine = Engine::new(rig);
-    engine.schedule_chaos(&chaos);
-
-    let policies: Vec<Box<dyn CappingPolicy + Send + Sync>> = vec![
-        PolicyKind::GlobalPriority.policy(),
-        PolicyKind::LocalPriority.policy(),
-        PolicyKind::NoPriority.policy(),
+fn plane_matches_the_spec_under_fig2_chaos() {
+    let rig = priority_rig(RigConfig::table2());
+    let sa = rig.topology.server_by_name("SA").expect("SA");
+    let sb = rig.topology.server_by_name("SB").expect("SB");
+    let script = [
+        (60, Event::SetDemand(sa, Watts::new(210.0))),
+        (100, Event::SetPriority(sb, Priority::HIGH)),
     ];
-    for s in 0..seconds {
-        engine.step();
-        for policy in &policies {
-            assert_seam_matches_oracle(
-                &engine,
-                policy.as_ref(),
-                &format!("t={s} policy={}", policy.name()),
-            );
-        }
-    }
+    run_against_spec(
+        |policy, allocator| {
+            priority_rig(RigConfig::table2().with_policy(policy).with_allocator(allocator))
+        },
+        160,
+        0xA110C,
+        &script,
+    );
+}
+
+/// The dual-feed stranded-power rig (two trees, uneven supply splits, SPO
+/// on) under seeded chaos: the reclaim pass and its skip against the
+/// spec's from-scratch two passes.
+#[test]
+fn plane_matches_the_spec_on_the_stranded_rig() {
+    run_against_spec(
+        |policy, allocator| {
+            stranded_rig(RigConfig::table3().with_policy(policy).with_allocator(allocator))
+        },
+        96,
+        0x57A4D,
+        &[],
+    );
 }

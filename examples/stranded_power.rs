@@ -10,64 +10,66 @@
 //! cargo run --example stranded_power
 //! ```
 
-use capmaestro::core::alloc::WaterfallAllocator;
-use capmaestro::core::policy::GlobalPriority;
-use capmaestro::core::spo::optimize_stranded_power;
-use capmaestro::sim::scenarios::{stranded_rig, RigConfig, STRANDED_RIG_X_SHARES};
+use capmaestro::core::plane::RoundReport;
+use capmaestro::core::spo::STRAND_EPSILON;
+use capmaestro::sim::scenarios::{stranded_rig, Rig, RigConfig, STRANDED_RIG_X_SHARES};
 use capmaestro::topology::presets::RIG_SERVER_NAMES;
 use capmaestro::units::Watts;
 
+/// One control round of the Fig. 7a rig's plane (X and Y feeds with 700 W
+/// budgets each; SA on X only, SB on Y only, SC/SD on both with uneven
+/// splits), sensing the servers' settled, uncapped state.
+fn first_round(spo: bool) -> (Rig, RoundReport) {
+    let mut rig = stranded_rig(RigConfig::table3().with_spo(spo));
+    rig.plane.sample(&mut rig.farm);
+    let report = rig.plane.round(&mut rig.farm).clone();
+    (rig, report)
+}
+
 fn main() {
-    // Build the Fig. 7a rig: X and Y feeds with 700 W budgets each.
-    // SA runs on X only, SB on Y only, SC/SD on both with uneven splits.
-    let rig = stranded_rig(RigConfig::table3());
     println!("intrinsic X-side load shares: {STRANDED_RIG_X_SHARES:?}\n");
+    // The same round without SPO (the first pass alone) and with it.
+    let (rig, before) = first_round(false);
+    let (_, after) = first_round(true);
 
-    // Pull the plane's trees apart and run the SPO pipeline directly so
-    // both passes are visible.
-    let trees = rig.plane.trees().to_vec();
-    let mut trees = trees;
-    for tree in &mut trees {
-        // Seed leaf inputs from the servers' true state (the plane would
-        // normally estimate these online).
-        let farm = &rig.farm;
-        tree.set_inputs_with(|server, supply| {
-            let srv = farm.get(server).expect("rig server");
-            let model = srv.config().model();
-            let shares = srv.bank().effective_shares();
-            capmaestro::core::tree::SupplyInput {
-                demand: srv.offered_demand(),
-                cap_min: model.cap_min(),
-                cap_max: model.cap_max(),
-                share: shares[supply.index()],
-            }
-        });
-    }
-    let budgets = vec![Watts::new(700.0), Watts::new(700.0)];
-    let outcome = optimize_stranded_power(
-        &trees,
-        &budgets,
-        &GlobalPriority::new(),
-        &WaterfallAllocator,
-    );
-
+    // A server draws its demand, clamped by its most constrained supply
+    // (budget ÷ share); whatever else a supply was budgeted is stranded.
     println!("stranded power found in the first pass:");
-    for ((server, supply), watts) in &outcome.stranded {
-        let name = rig.topology.server(*server).expect("registered").name();
-        println!("  {name} {supply}: {watts:.0}");
+    for name in RIG_SERVER_NAMES {
+        let id = rig.server(name);
+        let server = rig.farm.get(id).expect("rig server");
+        let shares = server.bank().effective_shares();
+        let budgets: Vec<_> = rig
+            .topology
+            .supply_attachments(id)
+            .into_iter()
+            .map(|(_, _, o)| {
+                let budget = before.supply_budget(id, o.supply).unwrap_or(Watts::ZERO);
+                (o.supply, budget, shares[o.supply.index()].as_f64())
+            })
+            .collect();
+        let demand = server.offered_demand().max(server.config().model().cap_min());
+        let draw = budgets
+            .iter()
+            .filter(|&&(_, _, share)| share > 0.0)
+            .fold(demand, |draw, &(_, budget, share)| {
+                draw.min(Watts::new(budget.as_f64() / share))
+            });
+        for (supply, budget, share) in budgets {
+            let strand = budget.saturating_sub(draw * share);
+            if strand > STRAND_EPSILON {
+                println!("  {name} {supply}: {strand:.0}");
+            }
+        }
     }
-    println!("  total: {:.0}\n", outcome.total_stranded());
+    println!("  total: {:.0}\n", after.stranded_reclaimed);
 
     println!("per-supply budgets before -> after SPO:");
     for name in RIG_SERVER_NAMES {
-        let id = rig.topology.server_by_name(name).expect("preset server");
+        let id = rig.server(name);
         for (_, _, o) in rig.topology.supply_attachments(id) {
-            let before = outcome
-                .initial_supply_budget(id, o.supply)
-                .unwrap_or(Watts::ZERO);
-            let after = outcome
-                .final_supply_budget(id, o.supply)
-                .unwrap_or(Watts::ZERO);
+            let before = before.supply_budget(id, o.supply).unwrap_or(Watts::ZERO);
+            let after = after.supply_budget(id, o.supply).unwrap_or(Watts::ZERO);
             println!("  {name} {}: {before:.0} -> {after:.0}", o.supply);
         }
     }
