@@ -130,21 +130,19 @@ impl Farm {
         self.slab.refresh();
     }
 
-    /// The cached snapshot of the server in slot `idx`, as of the last
-    /// refresh: [`Farm::refresh`], or a plane's sample or round, which
-    /// refresh first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn snapshot(&self, idx: usize) -> &SensorSnapshot {
-        self.slab.snapshot(idx)
+    /// The slab behind the farm, slot-indexed like [`Farm::ids`]: its
+    /// snapshot cache ([`ServerSlab::snapshot`]) is current as of the last
+    /// refresh ([`Farm::refresh`], or a plane's sample or round, which
+    /// refresh first), and its generations
+    /// ([`ServerSlab::changed_since`]) name the slots a refresh re-sensed.
+    pub fn slab(&self) -> &ServerSlab {
+        &self.slab
     }
 
     /// Advances every server by `dt` and syncs `buf` to the refreshed
     /// snapshots. Kept for the benchmark seam's slab rows; the engine
     /// steps with [`Farm::step_all`] and reads the cache through
-    /// [`Farm::snapshot`]. Quiescent servers cost ~zero: no stepping
+    /// [`Farm::slab`]. Quiescent servers cost ~zero: no stepping
     /// arithmetic, no re-sensing, no buffer write.
     pub fn step_and_sense_into(&mut self, dt: Seconds, buf: &mut SenseBuffer) {
         self.slab.step(dt);
@@ -1496,7 +1494,7 @@ mod tests {
             separate.refresh();
             assert_eq!(fused_buf.entries().len(), separate.len());
             for (slot, (id_a, a)) in fused_buf.entries().iter().enumerate() {
-                let (id_b, b) = (&separate.ids()[slot], separate.snapshot(slot));
+                let (id_b, b) = (&separate.ids()[slot], separate.slab().snapshot(slot));
                 assert_eq!(id_a, id_b);
                 assert_eq!(a.total_ac.as_f64().to_bits(), b.total_ac.as_f64().to_bits());
                 assert_eq!(a.throttle.as_f64().to_bits(), b.throttle.as_f64().to_bits());
@@ -1852,7 +1850,7 @@ mod tests {
             for _ in 0..8 {
                 farm.refresh();
                 let snaps: Vec<(ServerId, SensorSnapshot)> = (0..farm.len())
-                    .map(|slot| (farm.ids()[slot], farm.snapshot(slot)))
+                    .map(|slot| (farm.ids()[slot], farm.slab().snapshot(slot)))
                     .filter(|(id, _)| *id != sb)
                     .map(|(id, snap)| match id == sa {
                         true => (id, snap.scaled(25.0)),

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use capmaestro_core::obs::{names, PhaseTimer};
 use capmaestro_core::oplog::ReconcilePlan;
 use capmaestro_core::plane::{ControlPlane, Farm, RoundReport};
-use capmaestro_server::{SenseInterposer, SensorSnapshot, ServerRef};
+use capmaestro_server::{SenseInterposer, SensorSnapshot, ServerRef, ServerSlab};
 use capmaestro_topology::{BreakerSim, BreakerState, FeedId, NodeId, Phase, ServerId, SupplyIndex, Topology};
 use capmaestro_units::{Seconds, Watts};
 
@@ -161,83 +161,225 @@ impl Trace {
     }
 }
 
-/// Static index of the per-second sense/accumulate hot path, built once
-/// at engine construction. The power topology and the farm's membership
-/// never change mid-run, so the outlet order, each outlet's position in
-/// the farm's snapshot sweep, the set of loaded `(feed, node, phase)`
-/// keys, and each key's contributing outlets are all precomputed —
-/// the per-second loop then does indexed sums instead of re-walking
-/// paths and re-hashing keys every simulated second.
+/// Marks a root key (one with no key above it) in [`LoadIndex::parent`].
+const NO_KEY: u32 = u32::MAX;
+
+/// The per-key breaker loads, kept current from one second to the next.
+///
+/// The power topology and the farm's slots never change under an engine,
+/// so the layout is built once: each outlet's server slot and supply, the
+/// loaded `(feed, node, phase)` keys, the key above each key, and each
+/// key's contributing outlets. Index lists are flat CSR arrays (one
+/// offsets array, one index array), not a `Vec` per key.
+///
+/// The loads themselves are incremental. A fill visits only the farm slots
+/// the slab re-sensed since the last fill (its `changed_gen` lane against
+/// the refresh generation), value-compares their outlets bit for bit, and
+/// re-sums only the keys above an outlet that moved. Every key sums its
+/// contributors in outlet order, so the loads stay bitwise identical to a
+/// from-scratch rebuild. The first fill is the same walk: it starts from
+/// all-zero loads with every slot unseen.
 #[derive(Debug)]
 struct LoadIndex {
-    /// Per outlet, feed-major in outlet order: the farm snapshot slot of
-    /// its server (`None` when the farm has no such server) and the
-    /// supply index.
+    /// Per outlet, feed-major in outlet order: the farm slot of its server
+    /// (`None` when the farm has no such server) and the supply index.
     outlets: Vec<(Option<u32>, u8)>,
-    /// Key → slot in each second's load vector, assigned in first-touch
-    /// order over the outlets.
+    /// Per outlet: its own key, the first on its path to the root.
+    outlet_key: Vec<u32>,
+    /// Farm slot `s`'s outlets are `slot_outlets[row(&slot_offsets, s)]`,
+    /// in outlet order.
+    slot_offsets: Vec<u32>,
+    slot_outlets: Vec<u32>,
+    /// Key → slot in the load vector, assigned in first-touch order over
+    /// the outlets.
     slots: HashMap<(FeedId, NodeId, Phase), usize>,
-    /// Per key: the contributing outlet indices, in outlet order. Each
-    /// key's loads are summed in exactly this order, which keeps the
-    /// accumulation bit-identical to the per-outlet push-up.
-    contributors: Vec<Vec<u32>>,
+    /// Per key: the key of the node above it on the same feed and phase
+    /// ([`NO_KEY`] at a root).
+    parent: Vec<u32>,
+    /// Key `k`'s contributing outlets are
+    /// `contributors[row(&contributor_offsets, k)]`, in outlet order.
+    contributor_offsets: Vec<u32>,
+    contributors: Vec<u32>,
+    /// Per outlet: its supply's load at the last fill.
+    outlet_loads: Vec<Watts>,
+    /// Per key: the load at the last fill.
+    loads: Vec<Watts>,
+    /// Keys awaiting a re-sum, each once (flagged in `stale`); its capacity
+    /// is the key count, so a fill that moves every key allocates nothing.
+    resum: Vec<u32>,
+    stale: Vec<bool>,
+    /// The slab refresh generation the last fill read (0 before the first).
+    seen_gen: u64,
 }
 
 impl LoadIndex {
     fn build(topology: &Topology, farm: &Farm) -> Self {
-        let server_slot: HashMap<ServerId, u32> = farm
-            .iter()
-            .enumerate()
-            .map(|(i, (id, _))| (id, i as u32))
-            .collect();
         let mut outlets = Vec::new();
+        let mut outlet_key = Vec::new();
         let mut slots = HashMap::new();
-        let mut contributors: Vec<Vec<u32>> = Vec::new();
+        let mut parent: Vec<u32> = Vec::new();
+        // Contributors per key, turned into offsets below.
+        let mut counts: Vec<u32> = Vec::new();
         for graph in topology.feeds() {
             for (outlet_node, outlet) in graph.outlets() {
-                let oi = outlets.len() as u32;
                 outlets.push((
-                    server_slot.get(&outlet.server).copied(),
+                    farm.index_of(outlet.server).map(|s| s as u32),
                     outlet.supply.index() as u8,
                 ));
-                for node in graph.path_to_root(outlet_node) {
-                    let key = (graph.feed(), node, outlet.phase);
-                    let next = contributors.len();
-                    let slot = *slots.entry(key).or_insert(next);
-                    if slot == next {
-                        contributors.push(Vec::new());
+                let mut below = NO_KEY;
+                let mut node = Some(outlet_node);
+                while let Some(n) = node {
+                    let next = counts.len();
+                    let key = *slots.entry((graph.feed(), n, outlet.phase)).or_insert(next);
+                    if key == next {
+                        counts.push(0);
+                        parent.push(NO_KEY);
                     }
-                    contributors[slot].push(oi);
+                    counts[key] += 1;
+                    match below {
+                        NO_KEY => outlet_key.push(key as u32),
+                        below => parent[below as usize] = key as u32,
+                    }
+                    below = key as u32;
+                    node = graph.parent(n);
                 }
             }
         }
+        let keys = counts.len();
+        let contributor_offsets = prefix_offsets(&counts);
+        let mut contributors = vec![0; contributor_offsets[keys] as usize];
+        // `counts` becomes each key's fill cursor; outlets are visited in
+        // order, so every key lists its contributors in outlet order.
+        counts.copy_from_slice(&contributor_offsets[..keys]);
+        for (oi, &leaf) in outlet_key.iter().enumerate() {
+            let mut key = leaf;
+            while key != NO_KEY {
+                contributors[counts[key as usize] as usize] = oi as u32;
+                counts[key as usize] += 1;
+                key = parent[key as usize];
+            }
+        }
+        let mut per_slot = vec![0; farm.len()];
+        for &(slot, _) in &outlets {
+            if let Some(s) = slot {
+                per_slot[s as usize] += 1;
+            }
+        }
+        let slot_offsets = prefix_offsets(&per_slot);
+        let mut slot_outlets = vec![0; slot_offsets[farm.len()] as usize];
+        per_slot.copy_from_slice(&slot_offsets[..farm.len()]);
+        for (oi, &(slot, _)) in outlets.iter().enumerate() {
+            if let Some(s) = slot {
+                slot_outlets[per_slot[s as usize] as usize] = oi as u32;
+                per_slot[s as usize] += 1;
+            }
+        }
         LoadIndex {
+            outlet_loads: vec![Watts::ZERO; outlets.len()],
             outlets,
+            outlet_key,
+            slot_offsets,
+            slot_outlets,
             slots,
+            parent,
+            contributor_offsets,
             contributors,
+            loads: vec![Watts::ZERO; keys],
+            resum: Vec::with_capacity(keys),
+            stale: vec![false; keys],
+            seen_gen: 0,
         }
     }
 
-    /// Fills `loads` with this second's per-key load, indexed by slot:
-    /// the sum of supply powers at outlet descendants, read from the
-    /// farm's snapshot cache and kept per phase because breaker ratings
-    /// are per phase. Each key sums its contributions in outlet order.
-    /// `outlet_loads` is scratch.
-    fn fill_loads(&self, farm: &Farm, outlet_loads: &mut Vec<Watts>, loads: &mut Vec<Watts>) {
-        outlet_loads.clear();
-        outlet_loads.extend(self.outlets.iter().map(|&(slot, supply)| {
-            slot.and_then(|s| farm.snapshot(s as usize).supply_ac.get(supply as usize).copied())
-                .unwrap_or(Watts::ZERO)
-        }));
-        loads.clear();
-        loads.extend(self.contributors.iter().map(|outlets| {
+    /// Key `key`'s contributing outlets, in outlet order.
+    fn contributors(&self, key: usize) -> &[u32] {
+        &self.contributors[row(&self.contributor_offsets, key)]
+    }
+
+    /// Brings the per-key loads up to the slab's snapshot cache: the sum of
+    /// supply powers at each key's outlet descendants, kept per phase
+    /// because breaker ratings are per phase. Only slots re-sensed since
+    /// the last fill are read, and only keys above a moved outlet re-sum.
+    fn fill_loads(&mut self, slab: &ServerSlab) {
+        for slot in 0..slab.len() {
+            if !slab.changed_since(slot, self.seen_gen) {
+                continue;
+            }
+            let supply_ac = &slab.snapshot(slot).supply_ac;
+            for &oi in &self.slot_outlets[row(&self.slot_offsets, slot)] {
+                let oi = oi as usize;
+                let supply = self.outlets[oi].1 as usize;
+                let load = supply_ac.get(supply).copied().unwrap_or(Watts::ZERO);
+                if load.as_f64().to_bits() == self.outlet_loads[oi].as_f64().to_bits() {
+                    continue;
+                }
+                self.outlet_loads[oi] = load;
+                // Mark the outlet's keys up to the first one already marked
+                // (whose own ancestors are marked with it).
+                let mut key = self.outlet_key[oi];
+                while key != NO_KEY && !self.stale[key as usize] {
+                    self.stale[key as usize] = true;
+                    self.resum.push(key);
+                    key = self.parent[key as usize];
+                }
+            }
+        }
+        for &key in &self.resum {
+            let key = key as usize;
             let mut total = Watts::ZERO;
-            for &oi in outlets {
+            for &oi in self.contributors(key) {
+                total += self.outlet_loads[oi as usize];
+            }
+            self.loads[key] = total;
+            self.stale[key] = false;
+        }
+        self.resum.clear();
+        self.seen_gen = slab.generation();
+    }
+
+    /// Asserts that the loads equal a from-scratch rebuild bitwise: every
+    /// outlet read from the slab's cache, every key summed in contributor
+    /// order. Every stepped second runs it under `cfg(test)`.
+    #[cfg(test)]
+    fn assert_matches_rebuild(&self, slab: &ServerSlab, second: u64) {
+        let outlet_loads: Vec<Watts> = self
+            .outlets
+            .iter()
+            .map(|&(slot, supply)| {
+                slot.and_then(|s| slab.snapshot(s as usize).supply_ac.get(supply as usize).copied())
+                    .unwrap_or(Watts::ZERO)
+            })
+            .collect();
+        for (key, load) in self.loads.iter().enumerate() {
+            let mut total = Watts::ZERO;
+            for &oi in self.contributors(key) {
                 total += outlet_loads[oi as usize];
             }
-            total
-        }));
+            assert_eq!(
+                load.as_f64().to_bits(),
+                total.as_f64().to_bits(),
+                "key {key}: incremental {load} against rebuilt {total} at second {second}"
+            );
+        }
     }
+}
+
+/// Row `i` of a CSR index array, given its offsets array.
+fn row(offsets: &[u32], i: usize) -> std::ops::Range<usize> {
+    offsets[i] as usize..offsets[i + 1] as usize
+}
+
+/// CSR offsets from per-row counts: `counts.len() + 1` entries, the last
+/// being the total.
+fn prefix_offsets(counts: &[u32]) -> Vec<u32> {
+    let mut offsets = Vec::with_capacity(counts.len() + 1);
+    let mut total = 0;
+    offsets.push(0);
+    for &c in counts {
+        total += c;
+        offsets.push(total);
+    }
+    offsets
 }
 
 /// Batched trace recording: per-second samples land in dense,
@@ -279,7 +421,7 @@ impl TraceRecorder {
         let mut supply_offsets = Vec::with_capacity(servers);
         let mut supplies_total = 0;
         for slot in 0..servers {
-            let supplies = farm.snapshot(slot).supply_ac.len();
+            let supplies = farm.slab().snapshot(slot).supply_ac.len();
             supply_counts.push(supplies);
             supply_offsets.push(supplies_total);
             supplies_total += supplies;
@@ -322,7 +464,7 @@ impl TraceRecorder {
     /// growth.
     fn push_second(&mut self, farm: &Farm, loads: &[Watts]) {
         for slot in 0..farm.len() {
-            let snap = farm.snapshot(slot);
+            let snap = farm.slab().snapshot(slot);
             self.server_power[slot].push(snap.total_ac.as_f64());
             self.throttle[slot].push(snap.throttle.as_f64());
             let cap = farm.server_at(slot).dc_cap();
@@ -418,11 +560,8 @@ pub struct Engine {
     events: VecDeque<(u64, Event)>,
     time_s: u64,
     trace: Trace,
+    /// The last stepped second's per-key loads and their layout.
     load_index: LoadIndex,
-    /// Per-outlet scratch for [`LoadIndex::fill_loads`].
-    outlet_loads: Vec<Watts>,
-    /// The last stepped second's per-key loads, by [`LoadIndex`] slot.
-    loads: Vec<Watts>,
     faults: FaultLayer,
     /// Route sensing through the fault layer even when it is quiet
     /// (differential-test knob proving the slow path is a true no-op).
@@ -482,8 +621,6 @@ impl Engine {
             time_s: 0,
             trace: Trace::default(),
             load_index,
-            outlet_loads: Vec::new(),
-            loads: Vec::new(),
             faults: FaultLayer::new(0),
             force_interposition: false,
             recorder: None,
@@ -772,7 +909,7 @@ impl Engine {
                 &mut self.trace.node_names,
             )
         });
-        recorder.push_second(&self.farm, &self.loads);
+        recorder.push_second(&self.farm, &self.load_index.loads);
     }
 
     /// Runs the simulation for `seconds`, returning the accumulated trace
@@ -844,7 +981,7 @@ impl Engine {
                 let now_s = self.time_s;
                 self.delivered.extend(farm.ids().iter().enumerate().filter_map(|(slot, &id)| {
                     faults
-                        .intercept(now_s, id, farm.snapshot(slot).clone())
+                        .intercept(now_s, id, farm.slab().snapshot(slot).clone())
                         .map(|snap| (id, snap))
                 }));
                 self.plane.record_snapshots(&self.farm, &self.delivered);
@@ -863,19 +1000,27 @@ impl Engine {
             }
 
             // Physics. The sweep steps every server and refreshes the
-            // farm's snapshot cache, which feeds the load accumulation, the
+            // farm's snapshot cache, which feeds the load index, the
             // breaker models, and the series recorder without re-sensing.
-            // Each breaker's thermal model runs on its own phase's load
-            // (ratings are per phase). Only servers the slab marked
-            // changed are re-sensed — a converged fleet costs no copies.
+            // Only servers the slab marked changed are re-sensed, only
+            // their outlets are re-read, and only keys above a moved outlet
+            // re-sum — a converged fleet costs no copies and no sums.
             self.farm.step_all(Seconds::new(1.0));
             self.farm.refresh();
-            self.load_index
-                .fill_loads(&self.farm, &mut self.outlet_loads, &mut self.loads);
+            self.load_index.fill_loads(self.farm.slab());
+            #[cfg(test)]
+            self.load_index.assert_matches_rebuild(self.farm.slab(), self.time_s);
+            // Each breaker's thermal model runs on its own phase's load
+            // (ratings are per phase). A breaker at rest under its load
+            // would step to itself, so it is skipped.
             let mut tripped_now: Vec<usize> = Vec::new();
             for ((feed, node, phase), slot, sim) in &mut self.breakers {
+                let load = self.load_index.loads[*slot];
+                if sim.at_rest(load) {
+                    continue;
+                }
                 let before = sim.state();
-                let after = sim.step(self.loads[*slot], Seconds::new(1.0));
+                let after = sim.step(load, Seconds::new(1.0));
                 if before == BreakerState::Closed && after == BreakerState::Tripped {
                     self.trace.trips.push((
                         self.time_s,
@@ -897,7 +1042,7 @@ impl Engine {
             // "downstream power delivery is interrupted, potentially
             // causing server power outage").
             for &slot in &tripped_now {
-                for &outlet in &self.load_index.contributors[slot] {
+                for &outlet in self.load_index.contributors(slot) {
                     let (server_slot, supply) = self.load_index.outlets[outlet as usize];
                     let Some(server) = server_slot.map(|s| self.farm.ids()[s as usize]) else {
                         continue;
@@ -1411,6 +1556,91 @@ mod tests {
             assert!(cap.as_f64() < series[120], "the cut lowers {id:?}'s cap");
             assert_eq!(series[121].to_bits(), cap.as_f64().to_bits(), "{id:?}");
         }
+    }
+
+    /// The incremental load index against a from-scratch rebuild. Every
+    /// stepped second asserts (under `cfg(test)`, inside
+    /// [`Engine::step`]) that the loads equal a rebuild bitwise
+    /// ([`LoadIndex::assert_matches_rebuild`]); this test drives a seeded schedule through every way a
+    /// supply load moves: demand steps, supply failures, standby, a feed
+    /// lost and restored, telemetry faults (the interposed sense path), and
+    /// uncapped breaker trips followed by a restore that re-closes them.
+    #[test]
+    fn incremental_loads_match_a_rebuild_every_second() {
+        use crate::scenarios::{datacenter_rig, DataCenterRigConfig};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x10AD);
+        let rig = datacenter_rig(&DataCenterRigConfig::small());
+        let ids: Vec<ServerId> = rig.farm.ids().to_vec();
+        let mut engine = Engine::new(rig);
+        // Standby needs both supplies working, so each server gets one
+        // kind of event: demand steps and telemetry faults, supply
+        // failures, or standby spells outside feed B's outage.
+        for _ in 0..60 {
+            let server = ids[rng.random_range(0..ids.len())];
+            let supply = SupplyIndex(rng.random_range(0..2));
+            let at = rng.random_range(1..300);
+            match server.0 % 3 {
+                0 => {
+                    let demand = Watts::new(rng.random_range(150.0..500.0));
+                    engine.schedule(at, Event::SetDemand(server, demand));
+                    let fault = FaultKind::NoisySensor { sigma_w: 5.0 };
+                    engine.schedule(at, Event::InjectFault(server, fault));
+                    engine.schedule(at + 10, Event::ClearFault(server));
+                }
+                1 => {
+                    engine.schedule(at, Event::FailSupply(server, supply));
+                }
+                _ => {
+                    let start = if at < 150 { at % 90 + 1 } else { at % 60 + 205 };
+                    engine.schedule(start, Event::SetStandby(server, supply, true));
+                    engine.schedule(start + 10, Event::SetStandby(server, supply, false));
+                }
+            }
+        }
+        engine.schedule(120, Event::FailFeed(FeedId::B));
+        engine.schedule(200, Event::RestoreFeed(FeedId::B));
+        let mut moved = 0;
+        let mut interposed = 0;
+        let mut last = engine.load_index.loads.clone();
+        for _ in 0..300 {
+            engine.step();
+            moved += usize::from(engine.load_index.loads != last);
+            interposed += usize::from(engine.delivered_readings().is_some());
+            last.clone_from(&engine.load_index.loads);
+        }
+        assert!(moved > 100, "loads moved in only {moved} seconds");
+        assert!(interposed > 0, "no second sensed through the fault layer");
+        assert!(!engine.trace().lost_servers.is_empty(), "the feed loss darkened no server");
+
+        // Uncapped and overloaded: feed A's loss trips every CDU phase on
+        // feed B (the mirror of `without_capping_the_same_failure_trips_
+        // breakers`). Restoring feed B re-closes its tripped breakers,
+        // whose loads did not move, and repowers the fleet onto them, so
+        // they must step again and trip a second time.
+        let mut config = DataCenterRigConfig::small();
+        config.utilization = 1.0;
+        config.jitter_std = 0.0;
+        config.params.servers_per_rack = 45;
+        let mut engine = Engine::with_config(
+            datacenter_rig(&config),
+            EngineConfig {
+                control_enabled: false,
+                ..EngineConfig::default()
+            },
+        );
+        engine.schedule(40, Event::FailFeed(FeedId::A));
+        engine.schedule(420, Event::RestoreFeed(FeedId::B));
+        for _ in 0..800 {
+            engine.step();
+        }
+        let trips = &engine.trace().trips;
+        let first = trips.iter().filter(|(t, _, _)| *t < 420).count();
+        assert!(first > 0, "the overload tripped nothing");
+        assert_eq!(trips.len(), 2 * first, "re-closed breakers trip again: {trips:?}");
+        assert!(trips.iter().all(|(_, feed, _)| *feed == FeedId::B));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! A second without a control round makes no heap allocation. A round
 //! second makes exactly one per growth of the `stranded` event log's
 //! capacity, the only thing a round appends to. Both hold with the default
-//! null recorder and with a live `MetricsRegistry` under each budget-split
-//! allocator. The counter is process-wide, so this file holds a single
-//! test.
+//! null recorder, through a fleet-wide demand step in a non-round second
+//! (every breaker load moves), and with a live `MetricsRegistry` under
+//! each budget-split allocator. The counter is process-wide, so this file
+//! holds a single test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +15,7 @@ use std::sync::Arc;
 
 use capmaestro_core::alloc::AllocatorKind;
 use capmaestro_core::obs::{MetricsRegistry, RoundPhase};
-use capmaestro_sim::engine::Engine;
+use capmaestro_sim::engine::{Engine, Event};
 use capmaestro_sim::scenarios::{datacenter_rig, DataCenterRigConfig};
 use capmaestro_topology::presets::DataCenterParams;
 use capmaestro_units::Watts;
@@ -100,6 +101,20 @@ fn warm_engine_seconds_allocate_only_event_log_growth() {
         engine.step();
     }
     assert_seconds_allocation_free(&mut engine, MEASURED_S, "null recorder");
+
+    // Every server's demand drops by a fifth in one non-round second,
+    // scheduled before the span: every server moves, so the load index
+    // re-sums every key for the seconds they take to settle.
+    let mut step_at = engine.now_s() + 3;
+    if step_at.is_multiple_of(period) {
+        step_at += 1;
+    }
+    let ids = engine.farm().ids().to_vec();
+    for id in ids {
+        let demand = engine.server(id).expect("farm server").offered_demand();
+        engine.schedule(step_at, Event::SetDemand(id, demand * 0.8));
+    }
+    assert_seconds_allocation_free(&mut engine, MEASURED_S, "fleet-wide demand step");
 
     let registry = Arc::new(MetricsRegistry::new());
     engine.plane_mut().set_recorder(registry.clone());

@@ -110,7 +110,7 @@ impl TripCurve {
     /// The breaker trips when accumulated stress reaches the thermal
     /// constant. Load at or below the rating *dissipates* stress at the same
     /// scale, modelling bimetal cooling.
-    pub fn stress_rate(&self, overload: Ratio) -> f64 {
+    fn stress_rate(&self, overload: Ratio) -> f64 {
         let r = overload.as_f64();
         r * r - 1.0
     }
@@ -333,6 +333,15 @@ impl BreakerSim {
         self.state
     }
 
+    /// Whether [`BreakerSim::step`] under `load` is the identity for every
+    /// `dt ≥ 0`: a tripped breaker stays tripped, and a closed breaker with
+    /// zero stress at or below its rating stays there, because the stress
+    /// rate `r² − 1` is at most 0 and stress is clamped at 0. A breaker at
+    /// rest need not be stepped.
+    pub fn at_rest(&self, load: Watts) -> bool {
+        self.state == BreakerState::Tripped || (self.stress == 0.0 && load <= self.breaker.rating)
+    }
+
     /// Re-closes a tripped breaker and clears thermal stress.
     pub fn reset(&mut self) {
         self.stress = 0.0;
@@ -471,6 +480,52 @@ mod tests {
         assert_eq!(sim.state(), BreakerState::Tripped);
         sim.reset();
         assert_eq!(sim.state(), BreakerState::Closed);
+    }
+
+    /// `at_rest` is exactly where `step` is the identity: a closed breaker
+    /// with zero stress at or below its rating keeps its state and stress
+    /// bit-identical, while stress above 0 or load above the rating moves
+    /// it.
+    #[test]
+    fn step_is_the_identity_exactly_at_rest() {
+        let cb = CircuitBreaker::with_default_derating(Watts::new(1000.0));
+        let bits = |sim: &BreakerSim| (sim.state(), sim.stress.to_bits());
+        for load in [0.0, 1.0, 600.0, 999.999, 1000.0] {
+            let mut sim = BreakerSim::new(cb);
+            assert!(sim.at_rest(Watts::new(load)), "{load} W");
+            for dt in [0.0, 1.0, 1e9] {
+                let before = bits(&sim);
+                sim.step(Watts::new(load), Seconds::new(dt));
+                assert_eq!(bits(&sim), before, "{load} W, dt {dt}");
+            }
+        }
+        // Above the rating, stress rises from 0.
+        for load in [1000.001, 1600.0] {
+            let mut sim = BreakerSim::new(cb);
+            assert!(!sim.at_rest(Watts::new(load)), "{load} W");
+            let before = bits(&sim);
+            sim.step(Watts::new(load), Seconds::new(1.0));
+            assert_ne!(bits(&sim), before, "{load} W");
+        }
+        // With stress above 0, even a light load cools it.
+        let mut sim = BreakerSim::new(cb);
+        sim.step(Watts::new(1600.0), Seconds::new(1.0));
+        assert!(sim.stress > 0.0);
+        assert!(!sim.at_rest(Watts::new(500.0)));
+        let before = bits(&sim);
+        sim.step(Watts::new(500.0), Seconds::new(1.0));
+        assert_ne!(bits(&sim), before);
+        // A tripped breaker is at rest under any load; a reset one is not
+        // at rest above its rating.
+        sim.step(Watts::new(20_000.0), Seconds::new(1.0));
+        assert_eq!(sim.state(), BreakerState::Tripped);
+        assert!(sim.at_rest(Watts::new(20_000.0)));
+        let before = bits(&sim);
+        sim.step(Watts::new(20_000.0), Seconds::new(1.0));
+        assert_eq!(bits(&sim), before);
+        sim.reset();
+        assert!(!sim.at_rest(Watts::new(1200.0)));
+        assert!(sim.at_rest(Watts::new(800.0)));
     }
 
     #[test]
