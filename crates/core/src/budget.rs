@@ -170,13 +170,19 @@ pub fn split_budget_into(
     if children.is_empty() {
         return budget;
     }
+    // Every per-child lane is sized now, not by the first split that takes
+    // the step using it: a split that first binds after a warm run of ones
+    // that did not allocates nothing.
+    for lane in [&mut *floors, wants, weights, rooms, grants] {
+        lane.clear();
+        lane.reserve(children.len());
+    }
 
     // Step 1: cap_min floors. A floor is additionally clamped at the
     // child's constraint — if a subtree's Σ cap_min exceeds its own power
     // limit the deployment is infeasible (excluded by construction in the
     // paper), but the allocator must still never assign a budget above a
     // limit.
-    floors.clear();
     floors.extend(
         children
             .iter()

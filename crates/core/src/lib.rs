@@ -82,7 +82,7 @@ pub use obs::{
     RoundPhase,
 };
 pub use plane::{
-    BudgetSource, ControlPlane, Farm, PlaneConfig, RoundReport, StalenessConfig,
+    BudgetSource, CapMap, ControlPlane, Farm, PlaneConfig, RoundReport, StalenessConfig,
 };
 pub use policy::{CappingPolicy, GlobalPriority, LocalPriority, NoPriority, PolicyKind};
 pub use tree::{Allocation, ControlTree, SupplyInput};

@@ -357,9 +357,9 @@ impl StalenessConfig {
 /// What one control round decided.
 ///
 /// The round pipeline keeps one report and rewrites it in place: the
-/// allocations' buffers are reused, and `dc_caps` is touched only for
-/// servers whose commanded cap changed, so a steady round writes nothing
-/// to it. The report keeps no index of its own: a `(server, supply)`
+/// allocations' buffers are reused, and `dc_caps` is a dense slot-indexed
+/// [`CapMap`], so commanding a leaf costs one store whether or not its cap
+/// moved. The report keeps no index of its own: a `(server, supply)`
 /// lookup probes each allocation's [`LeafIndex`](crate::tree::LeafIndex),
 /// and the enforce pass reads budgets through the plane's slot-indexed
 /// lanes.
@@ -370,7 +370,7 @@ pub struct RoundReport {
     /// Total stranded power reclaimed this round (zero when SPO is off).
     pub stranded_reclaimed: Watts,
     /// The DC cap commanded this round, per server commanded.
-    pub dc_caps: HashMap<ServerId, Watts>,
+    pub dc_caps: CapMap,
 }
 
 // Manual impl so `clone_from` is field-wise: a held copy refreshed every
@@ -392,13 +392,124 @@ impl Clone for RoundReport {
     }
 }
 
+/// A map from server id to the DC cap a round commanded it, laid out
+/// densely over a farm's sorted ids: slot `i` holds the cap of the farm's
+/// `i`-th server, zero when it was commanded none (a commanded cap is
+/// always positive). Reads go by id, as on a `HashMap<ServerId, Watts>`;
+/// the round writes by slot, so commanding a server costs one store and
+/// no hash. Iteration is in id order.
+#[derive(Default)]
+pub struct CapMap {
+    /// The farm's server ids, sorted: slot `i` is `ids[i]`'s.
+    ids: Vec<ServerId>,
+    /// Per slot, the commanded cap, or zero for none.
+    caps: Vec<Watts>,
+    /// How many slots hold a cap.
+    len: usize,
+}
+
+impl CapMap {
+    /// The cap commanded to `id`, if any. Tries slot `id.0` first (a farm
+    /// numbered from zero without gaps keeps every id there), then a
+    /// binary search.
+    pub fn get(&self, id: &ServerId) -> Option<&Watts> {
+        let slot = match self.ids.get(id.0 as usize) {
+            Some(at) if at == id => id.0 as usize,
+            _ => self.ids.binary_search(id).ok()?,
+        };
+        let cap = &self.caps[slot];
+        (*cap != Watts::ZERO).then_some(cap)
+    }
+
+    /// Every `(id, cap)` pair, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (&ServerId, &Watts)> + '_ {
+        self.ids
+            .iter()
+            .zip(&self.caps)
+            .filter(|(_, cap)| **cap != Watts::ZERO)
+    }
+
+    /// How many servers were commanded a cap.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no server was commanded a cap.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Lays the map out over the sorted `ids`, with no cap anywhere.
+    fn reset(&mut self, ids: &[ServerId]) {
+        self.ids.clear();
+        self.ids.extend_from_slice(ids);
+        self.caps.clear();
+        self.caps.resize(ids.len(), Watts::ZERO);
+        self.len = 0;
+    }
+
+    /// The cap in `slot`: zero for none, or for a slot the layout does not
+    /// have yet.
+    fn at(&self, slot: usize) -> Watts {
+        self.caps.get(slot).copied().unwrap_or(Watts::ZERO)
+    }
+
+    /// Stores `cap` in `slot`; zero removes it.
+    fn set(&mut self, slot: usize, cap: Watts) {
+        let was = std::mem::replace(&mut self.caps[slot], cap);
+        self.len = self.len + usize::from(cap != Watts::ZERO) - usize::from(was != Watts::ZERO);
+    }
+}
+
+// Manual impl so `clone_from` is field-wise and reuses both lanes.
+impl Clone for CapMap {
+    fn clone(&self) -> Self {
+        CapMap {
+            ids: self.ids.clone(),
+            caps: self.caps.clone(),
+            len: self.len,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.ids.clone_from(&source.ids);
+        self.caps.clone_from(&source.caps);
+        self.len = source.len;
+    }
+}
+
+/// Map equality: the same ids carry the same caps, whatever the layouts.
+impl PartialEq for CapMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl std::ops::Index<&ServerId> for CapMap {
+    type Output = Watts;
+
+    /// # Panics
+    ///
+    /// Panics if `id` was commanded no cap.
+    fn index(&self, id: &ServerId) -> &Watts {
+        self.get(id)
+            .unwrap_or_else(|| panic!("no DC cap commanded to {id}"))
+    }
+}
+
+impl fmt::Debug for CapMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 impl RoundReport {
     /// Empty report, ready to be filled by a round.
     fn empty() -> Self {
         RoundReport {
             allocations: Vec::new(),
             stranded_reclaimed: Watts::ZERO,
-            dc_caps: HashMap::new(),
+            dc_caps: CapMap::default(),
         }
     }
 
@@ -446,10 +557,7 @@ impl RoundReport {
         ];
 
         let mut gauges = Vec::with_capacity(self.dc_caps.len() + 2 * self.allocations.len() + 1);
-        let mut caps: Vec<(ServerId, Watts)> =
-            self.dc_caps.iter().map(|(&id, &w)| (id, w)).collect();
-        caps.sort_unstable_by_key(|(id, _)| *id);
-        for (id, cap) in caps {
+        for (id, cap) in self.dc_caps.iter() {
             gauges.push(GaugeSample {
                 name: format!("capmaestro_report_dc_cap_watts{{server=\"{}\"}}", id.0),
                 value: cap.as_f64(),
@@ -562,9 +670,9 @@ struct TreeLeaf {
 }
 
 /// The round's slot-indexed map between farm slots and tree leaves, both
-/// ways, and the cap each server was last commanded. Rebuilt only when the
-/// leaf table is re-laid or the tree set changes; in between, a farm slot
-/// costs no `Farm::index_of` search and a supply no hash probe.
+/// ways. Rebuilt only when the leaf table is re-laid or the tree set
+/// changes; in between, a farm slot costs no `Farm::index_of` search and a
+/// supply no hash probe.
 #[derive(Debug, Default)]
 struct Lanes {
     /// The leaf-table layout the lanes were built over; `None` until built
@@ -576,9 +684,6 @@ struct Lanes {
     /// by supply index, then tree index.
     starts: Vec<u32>,
     leaves: Vec<TreeLeaf>,
-    /// Per server slot, the cap in `RoundReport::dc_caps` (zero: none; a
-    /// commanded cap is always positive).
-    commanded: Vec<Watts>,
 }
 
 impl Lanes {
@@ -621,8 +726,6 @@ impl Lanes {
             let budgeted = last.replace((slot, at.supply)) != Some((slot, at.supply));
             TreeLeaf { budgeted, ..at }
         }));
-        self.commanded.clear();
-        self.commanded.resize(servers, Watts::ZERO);
         self.layout = Some(layout);
     }
 
@@ -1034,7 +1137,7 @@ impl ControlPlane {
     fn absorb(&mut self, farm: &mut Farm) {
         farm.slab.refresh();
         let slab = &farm.slab;
-        let commanded = &self.ctx.lanes.commanded;
+        let commanded = &self.ctx.report.dc_caps;
         self.leaves.fit(slab.layout_generation(), farm.ids.iter().copied());
         self.leaves.absorb(slab.generation(), |slot, since, leaf| {
             if !slab.changed_since(slot, since) {
@@ -1043,7 +1146,7 @@ impl ControlPlane {
                 Moved::Server
             } else {
                 let bits = |w: Watts| w.as_f64().to_bits();
-                let ours = commanded.get(slot).copied().unwrap_or(Watts::ZERO);
+                let ours = commanded.at(slot);
                 let cap = slab.view(slot).dc_cap();
                 if ours != Watts::ZERO && cap.map(bits) != Some(bits(ours)) {
                     Moved::Cap
@@ -1167,7 +1270,7 @@ impl ControlPlane {
         let relaid = self.ctx.lanes.layout != Some(self.leaves.layout());
         if relaid {
             self.ctx.lanes.rebuild(self.leaves.layout(), farm, &self.trees);
-            self.ctx.report.dc_caps.clear();
+            self.ctx.report.dc_caps.reset(farm.ids());
         }
         {
             let overrides = &self.priority_overrides;
@@ -1281,8 +1384,8 @@ impl ControlPlane {
         //    sensor read — faults must affect enforcement too) and steps
         //    its capping controller; a stale leaf's cap is clamped straight
         //    to the fail-safe demand. Servers outside every tree keep their
-        //    previous cap. Budgets are read through the lanes, and
-        //    `dc_caps` is written only where the commanded cap changed.
+        //    previous cap. Budgets are read through the lanes, and each
+        //    commanded leaf stores its cap in its `dc_caps` slot.
         //    Unless a budget may have moved, only the visited leaves are
         //    commanded: any other one's inputs are bit-equal and its last
         //    command was a fixed point.
@@ -1298,10 +1401,9 @@ impl ControlPlane {
             gather,
             starts,
             leaves: tree_leaves,
-            commanded,
             ..
         } = lanes;
-        let Farm { ids, slab } = farm;
+        let slab = &mut farm.slab;
         let leaves = &mut self.leaves;
         let commanded_leaves = leaves.enforce(relaid || !settled, |slot, leaf| {
             let mut server = slab.view_mut(slot);
@@ -1319,14 +1421,7 @@ impl ControlPlane {
             if let Some(cap) = cap {
                 server.set_dc_cap(cap);
             }
-            let now = cap.unwrap_or(Watts::ZERO);
-            if commanded[slot].as_f64().to_bits() != now.as_f64().to_bits() {
-                commanded[slot] = now;
-                match cap {
-                    Some(cap) => dc_caps.insert(ids[slot], cap),
-                    None => dc_caps.remove(&ids[slot]),
-                };
-            }
+            dc_caps.set(slot, cap.unwrap_or(Watts::ZERO));
         });
         drop(enforce_timer);
         if recorder.enabled() {
@@ -1582,6 +1677,121 @@ mod tests {
         assert!(report.server_budget(sa) > Watts::ZERO);
         assert_eq!(report.dc_caps.len(), 4);
         assert_eq!(report.stranded_reclaimed, Watts::ZERO); // SPO off
+    }
+
+    /// The `/v1/report` body of the Fig. 2 rig, byte for byte as the
+    /// report rendered it when `dc_caps` was a `HashMap` sorted by id
+    /// before rendering: after the first round, and after six, when the
+    /// low-priority caps have walked down.
+    #[test]
+    fn report_body_is_unchanged_on_the_fig2_rig() {
+        let caps = |a: &str, b: &str| {
+            format!(
+                r#"{{
+  "counters": [
+    {{"name": "capmaestro_report_servers_capped", "value": 4}},
+    {{"name": "capmaestro_report_trees", "value": 1}}
+  ],
+  "gauges": [
+    {{"name": "capmaestro_report_dc_cap_watts{{server=\"0\"}}", "value": 460.59999999999997}},
+    {{"name": "capmaestro_report_dc_cap_watts{{server=\"1\"}}", "value": {a}}},
+    {{"name": "capmaestro_report_dc_cap_watts{{server=\"2\"}}", "value": {b}}},
+    {{"name": "capmaestro_report_dc_cap_watts{{server=\"3\"}}", "value": {b}}},
+    {{"name": "capmaestro_report_stranded_watts_reclaimed", "value": 0}},
+    {{"name": "capmaestro_report_tree_leaf_watts{{tree=\"0\"}}", "value": 1240}},
+    {{"name": "capmaestro_report_tree_root_watts{{tree=\"0\"}}", "value": 1240}}
+  ],
+  "histograms": [
+  ]
+}}
+"#
+            )
+        };
+        let expected = [
+            (1, caps("322.73333333333335", "322.7333333333333")),
+            (6, caps("256.93344108059637", "256.93344108059637")),
+        ];
+        for (periods, want) in expected {
+            let (_, mut farm, mut plane) = fig2_plane(PolicyKind::GlobalPriority);
+            run_periods(&mut plane, &mut farm, periods);
+            let report = plane.last_report().expect("a round ran");
+            let body = crate::obs::json::snapshot(&report.metrics_snapshot());
+            assert_eq!(body, want, "after {periods} periods");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `CapMap` against a `HashMap` model under random sets, clears
+        /// and relayouts. A layout is `n` ids `stride` apart from
+        /// `first`: from zero without gaps every id sits in its own
+        /// slot, otherwise lookups fall back to the binary search. Each
+        /// op is `(kind, pick, watts)`: kind 0 sets slot `pick`'s cap,
+        /// 1 clears it, 2 lays the map out afresh from `pick`.
+        #[test]
+        fn cap_map_matches_a_hash_map(
+            ops in proptest::collection::vec((0usize..3, 0usize..4096, 1.0f64..600.0), 1..120),
+        ) {
+            let layout = |pick: usize| -> Vec<ServerId> {
+                let (n, stride, first) = (pick % 70, 1 + pick / 70 % 3, (pick / 210 % 3) as u32);
+                (0..n as u32).map(|i| ServerId(first + i * stride as u32)).collect()
+            };
+            let mut map = CapMap::default();
+            let mut model: HashMap<ServerId, Watts> = HashMap::new();
+            let mut ids: Vec<ServerId> = Vec::new();
+            for (kind, pick, watts) in ops {
+                match kind {
+                    2 => {
+                        ids = layout(pick);
+                        map.reset(&ids);
+                        model.clear();
+                    }
+                    _ if ids.is_empty() => continue,
+                    0 => {
+                        let slot = pick % ids.len();
+                        map.set(slot, Watts::new(watts));
+                        model.insert(ids[slot], Watts::new(watts));
+                    }
+                    _ => {
+                        let slot = pick % ids.len();
+                        map.set(slot, Watts::ZERO);
+                        model.remove(&ids[slot]);
+                    }
+                }
+                // Every id of the layout, and ids around and beyond it.
+                let probes = ids.iter().copied().chain((0..220).map(ServerId));
+                for id in probes {
+                    proptest::prop_assert_eq!(map.get(&id), model.get(&id), "get {}", id);
+                    if let Some(cap) = model.get(&id) {
+                        proptest::prop_assert_eq!(&map[&id], cap);
+                    }
+                }
+                let mut want: Vec<_> = model.iter().collect();
+                want.sort_unstable_by_key(|(id, _)| **id);
+                proptest::prop_assert_eq!(map.iter().collect::<Vec<_>>(), want);
+                proptest::prop_assert_eq!(map.len(), model.len());
+                proptest::prop_assert_eq!(map.is_empty(), model.is_empty());
+
+                // Equal to the model laid out over only its own ids, and
+                // to a field-wise copy; unequal once one cap moves.
+                let mut own: Vec<ServerId> = model.keys().copied().collect();
+                own.sort_unstable();
+                let mut twin = CapMap::default();
+                twin.reset(&own);
+                for (slot, id) in own.iter().enumerate() {
+                    twin.set(slot, model[id]);
+                }
+                proptest::prop_assert!(map == twin);
+                let mut copy = CapMap::default();
+                copy.clone_from(&map);
+                proptest::prop_assert!(copy == map);
+                if !own.is_empty() {
+                    twin.set(0, twin.at(0) * 2.0);
+                    proptest::prop_assert!(map != twin);
+                }
+            }
+        }
     }
 
     #[test]

@@ -102,12 +102,6 @@ impl HttpConfig {
         self
     }
 
-    /// Set the request-size bounds.
-    pub fn with_limits(mut self, limits: HttpLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
     /// Set the metrics recorder.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;

@@ -77,13 +77,6 @@ impl SocketTransportConfig {
         self.addr = addr.into();
         self
     }
-
-    /// Replaces the heartbeat-silence threshold.
-    #[must_use]
-    pub fn with_heartbeat_timeout(mut self, timeout: Duration) -> Self {
-        self.heartbeat_timeout = timeout;
-        self
-    }
 }
 
 /// One worker's connection slot. `generation` fences stale reader

@@ -15,7 +15,10 @@
 //!   costs zero arithmetic per tick; only its bitmap word is scanned.
 //!   Skipping is *bitwise exact*: the active bit is cleared only when
 //!   `approach(cur, target, dt)` returns `cur` bit-for-bit, and any
-//!   mutation that could move the target sets the bit again.
+//!   mutation that could move the target sets the bit again. A cap write
+//!   sets only the active bit: a reading depends on the power a cap lets
+//!   the server reach, never on the cap, and the step that moves that
+//!   power clears the snap-ok bit itself.
 //!
 //! The per-server arithmetic is shared with [`Server`] via
 //! `server::physics`, which is what makes the slab path provably
@@ -313,6 +316,16 @@ impl ServerSlab {
         clear_bit(&mut self.snap_ok, i);
     }
 
+    /// A cap write on slot `i`: the settling target may move, so the slot
+    /// steps again, but its cached snapshot holds — sensing reads no cap,
+    /// and a step that moves achieved power invalidates it there. Stamped
+    /// with the generation the next refresh takes, so a reader catching
+    /// up still sees the slot changed.
+    fn recap(&mut self, i: usize) {
+        set_bit(&mut self.active, i);
+        self.changed_gen[i] = self.generation + 1;
+    }
+
     /// [`ServerSlab::touch`] for a change of shape, stamped with the
     /// generation the next refresh takes.
     fn reshape(&mut self, i: usize) {
@@ -340,14 +353,14 @@ impl ServerSlab {
         let cur = self.node_managers[i].dc_cap();
         if cur.map(|w| w.as_f64().to_bits()) != Some(cap.as_f64().to_bits()) {
             self.node_managers[i].set_dc_cap(cap);
-            self.touch(i);
+            self.recap(i);
         }
     }
 
     fn clear_dc_cap(&mut self, i: usize) {
         if self.node_managers[i].dc_cap().is_some() {
             self.node_managers[i].clear_cap();
-            self.touch(i);
+            self.recap(i);
         }
     }
 
@@ -654,6 +667,85 @@ mod tests {
         slab.view_mut(69).set_offered_demand(Watts::new(400.0));
         assert!(get_bit(&slab.active, 69));
         assert_eq!(slab.active.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
+    }
+
+    /// A slab stepped to its fixed point and refreshed.
+    fn settled_slab(n: usize) -> ServerSlab {
+        let mut slab = slab_of(n);
+        for _ in 0..200 {
+            slab.step(Seconds::new(1.0));
+        }
+        slab.refresh();
+        assert!(slab.active.iter().all(|&w| w == 0), "fleet not quiescent");
+        slab
+    }
+
+    /// Whether some populated slot's snapshot is stale.
+    fn any_stale(slab: &ServerSlab) -> bool {
+        let n = slab.len();
+        slab.snap_ok
+            .iter()
+            .enumerate()
+            .any(|(wi, &w)| !w & word_mask(n - (wi * WORD_BITS).min(n)) != 0)
+    }
+
+    #[test]
+    fn a_cap_write_that_does_not_bind_re_senses_nothing() {
+        let bits = |w: Watts| w.as_f64().to_bits();
+        for write in [
+            |s: &mut ServerMut<'_>| s.set_dc_cap(Watts::new(400.0)),
+            |s: &mut ServerMut<'_>| s.clear_dc_cap(),
+        ] {
+            let mut slab = settled_slab(70);
+            slab.view_mut(66).set_dc_cap(Watts::new(450.0));
+            slab.step(Seconds::new(1.0));
+            slab.refresh();
+            let seen = slab.generation();
+            let achieved = slab.view(66).achieved_ac();
+            let before = slab.snapshot(66).clone();
+            write(&mut slab.view_mut(66));
+            // The slot steps again, but its snapshot stays current.
+            assert!(get_bit(&slab.active, 66));
+            assert!(!any_stale(&slab), "a cap write invalidated a snapshot");
+            slab.refresh();
+            assert_eq!(slab.snapshot(66), &before);
+            // Readers catching up still see the slot changed, and only it.
+            let changed: Vec<usize> = (0..slab.len())
+                .filter(|&i| slab.changed_since(i, seen))
+                .collect();
+            assert_eq!(changed, [66]);
+            slab.step(Seconds::new(1.0));
+            assert_eq!(bits(slab.view(66).achieved_ac()), bits(achieved));
+            assert!(
+                slab.active.iter().all(|&w| w == 0),
+                "the step did not settle"
+            );
+            assert!(!any_stale(&slab));
+        }
+    }
+
+    #[test]
+    fn a_cap_write_that_binds_moves_power_and_re_senses() {
+        let mut slab = settled_slab(70);
+        let seen = slab.generation();
+        let achieved = slab.view(60).achieved_ac();
+        // 260 W offered; a 200 W DC cap is ≈ 213 W at the wall.
+        slab.view_mut(60).set_dc_cap(Watts::new(200.0));
+        assert!(!any_stale(&slab));
+        slab.step(Seconds::new(1.0));
+        let throttled = slab.view(60).achieved_ac();
+        assert!(throttled < achieved, "{throttled} !< {achieved}");
+        assert!(
+            any_stale(&slab),
+            "the step that moved power kept the snapshot"
+        );
+        slab.refresh();
+        assert!(slab.changed_since(60, seen));
+        assert_eq!(
+            slab.snapshot(60).total_ac.as_f64().to_bits(),
+            throttled.as_f64().to_bits()
+        );
+        assert_eq!(slab.snapshot(60), &slab.view(60).sense());
     }
 
     #[test]

@@ -661,12 +661,6 @@ impl Engine {
         self
     }
 
-    /// Replaces the fault layer (e.g. to reseed its noise stream).
-    pub fn set_fault_layer(&mut self, layer: FaultLayer) -> &mut Self {
-        self.faults = layer;
-        self
-    }
-
     /// The fault layer, for inspection (active faults, injection totals).
     pub fn fault_layer(&self) -> &FaultLayer {
         &self.faults
@@ -837,7 +831,15 @@ impl Engine {
             }
             Event::SetStandby(server, supply, standby) => {
                 if let Some(mut srv) = self.farm.get_mut(server) {
-                    srv.bank_mut().set_standby(supply.index(), standby);
+                    // A failed supply keeps its state, and a server keeps
+                    // its last load-carrying supply: such an event is void.
+                    let bank = srv.bank();
+                    let state = bank.supply(supply.index()).state();
+                    let carrying = bank.supplies().iter().filter(|s| s.state().carries_load());
+                    let last = standby && state.carries_load() && carrying.count() == 1;
+                    if state.is_working() && !last {
+                        srv.bank_mut().set_standby(supply.index(), standby);
+                    }
                 }
             }
             Event::RestoreFeed(feed) => {
@@ -1096,6 +1098,7 @@ mod tests {
     use super::*;
     use crate::scenarios::{priority_rig, stranded_rig, RigConfig};
     use capmaestro_core::policy::PolicyKind;
+    use capmaestro_server::SupplyState;
     use std::collections::BTreeSet;
 
     /// Strict (bitwise for NaN-capable series) trace equality.
@@ -1377,6 +1380,37 @@ mod tests {
             .node_series_on(FeedId::B, "Y Top CB")
             .expect("Y top recorded");
         assert!(Trace::tail_mean(y_top, 20) <= 700.0 * 1.02);
+        assert!(trace.trips.is_empty());
+    }
+
+    #[test]
+    fn void_standby_events_are_ignored() {
+        // SC's X-side supply fails at t=60; standing it by (or waking it)
+        // afterwards is void, and so is standing by SC's Y-side supply,
+        // its last carrying one. SD stands its second supply by, then its
+        // first — its last carrying one — which is void too.
+        let rig = stranded_rig(RigConfig::table3());
+        let (sc, sd) = (rig.server("SC"), rig.server("SD"));
+        let mut engine = Engine::new(rig);
+        engine.schedule(60, Event::FailSupply(sc, SupplyIndex::FIRST));
+        engine.schedule(70, Event::SetStandby(sc, SupplyIndex::FIRST, true));
+        engine.schedule(71, Event::SetStandby(sc, SupplyIndex::FIRST, false));
+        engine.schedule(72, Event::SetStandby(sc, SupplyIndex::SECOND, true));
+        engine.schedule(80, Event::SetStandby(sd, SupplyIndex::SECOND, true));
+        engine.schedule(90, Event::SetStandby(sd, SupplyIndex::FIRST, true));
+        let trace = engine.run(160);
+        let state = |id, supply: SupplyIndex| {
+            engine.server(id).expect("farm server").bank().supply(supply.index()).state()
+        };
+        assert_eq!(state(sc, SupplyIndex::FIRST), SupplyState::Failed);
+        assert_eq!(state(sc, SupplyIndex::SECOND), SupplyState::Active);
+        assert_eq!(state(sd, SupplyIndex::FIRST), SupplyState::Active);
+        assert_eq!(state(sd, SupplyIndex::SECOND), SupplyState::Standby);
+        for id in [sc, sd] {
+            assert!(engine.server(id).expect("farm server").is_powered());
+        }
+        let sd_first = &trace.supply_power[&(sd, SupplyIndex::FIRST)];
+        assert!(sd_first[159] > 200.0, "SD's first supply carries it: {}", sd_first[159]);
         assert!(trace.trips.is_empty());
     }
 

@@ -175,11 +175,6 @@ impl FaultLayer {
         self.faults.is_empty() && self.flaps.is_empty()
     }
 
-    /// The fault active on a server, if any.
-    pub fn fault_on(&self, server: ServerId) -> Option<&FaultKind> {
-        self.faults.get(&server)
-    }
-
     /// Every server whose telemetry is currently subject to a fault: the
     /// per-server fault targets plus all members of flapping feeds
     /// (regardless of the flap's current phase). This is the exempt set

@@ -62,7 +62,7 @@ fn assert_reports_identical(
 ) {
     let bits = |w: Watts| w.as_f64().to_bits();
     assert_eq!(inc.dc_caps.len(), full.dc_caps.len(), "{at}: cap count");
-    for (id, cap) in &inc.dc_caps {
+    for (id, cap) in inc.dc_caps.iter() {
         let other = full.dc_caps[id];
         assert_eq!(bits(*cap), bits(other), "{at}: dc cap for {id}: {cap} vs {other}");
     }

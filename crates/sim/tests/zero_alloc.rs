@@ -5,9 +5,11 @@
 //! second makes exactly one per growth of the `stranded` event log's
 //! capacity, the only thing a round appends to. Both hold with the default
 //! null recorder, through a fleet-wide demand step in a non-round second
-//! (every breaker load moves), and with a live `MetricsRegistry` under
-//! each budget-split allocator. The counter is process-wide, so this file
-//! holds a single test.
+//! (every breaker load moves), through a root-budget cut that caps every
+//! server below its demand (power moves every period as the caps walk
+//! down), and with a live `MetricsRegistry` under each budget-split
+//! allocator. The counter is process-wide, so this file holds a single
+//! test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,8 +61,9 @@ const REWARM_ROUNDS: u64 = 2;
 /// Measured seconds per configuration: 20 control rounds.
 const MEASURED_S: u64 = 160;
 
-/// 128 servers (8 racks × 16) at 90 % utilization, so the trees bind and
-/// every round allocates budgets below demand.
+/// 128 servers (8 racks × 16) at 90 % utilization. The contractual
+/// budgets are about twice what the fleet draws, so no cap binds until
+/// the test cuts the root budgets.
 fn config() -> DataCenterRigConfig {
     DataCenterRigConfig {
         params: DataCenterParams {
@@ -75,6 +78,15 @@ fn config() -> DataCenterRigConfig {
         utilization: 0.9,
         ..DataCenterRigConfig::default()
     }
+}
+
+/// Every server's achieved power, as bits.
+fn fleet_power(engine: &Engine) -> Vec<u64> {
+    engine
+        .farm()
+        .iter()
+        .map(|(_, s)| s.achieved_ac().as_f64().to_bits())
+        .collect()
 }
 
 /// Steps `seconds` seconds, requiring each to allocate nothing beyond the
@@ -115,6 +127,39 @@ fn warm_engine_seconds_allocate_only_event_log_growth() {
         engine.schedule(step_at, Event::SetDemand(id, demand * 0.8));
     }
     assert_seconds_allocation_free(&mut engine, MEASURED_S, "fleet-wide demand step");
+
+    // Every root budget is cut, in a non-round second before the span, to
+    // 70 % of the fleet's present draw in proportion to the budgets. From
+    // the first round after it the caps bind; each later round commands
+    // caps that still move power.
+    let mut cut_at = engine.now_s() + 1;
+    if cut_at.is_multiple_of(period) {
+        cut_at += 1;
+    }
+    let load: Watts = engine.farm().iter().map(|(_, s)| s.achieved_ac()).sum();
+    let budgets = engine.plane().root_budgets_now();
+    let scale = 0.7 * (load / budgets.iter().copied().sum::<Watts>());
+    engine.schedule(
+        cut_at,
+        Event::SetRootBudgets(budgets.iter().map(|&b| b * scale).collect()),
+    );
+    let mut power = fleet_power(&engine);
+    for span in 0..MEASURED_S / period {
+        assert_seconds_allocation_free(&mut engine, period, "root-budget cut");
+        let now = fleet_power(&engine);
+        if span > 0 {
+            assert_ne!(now, power, "root-budget cut: period {span} moved no server");
+            let throttled = engine
+                .farm()
+                .iter()
+                .filter(|(_, s)| s.throttle().as_f64() > 0.0);
+            assert!(
+                throttled.count() > 0,
+                "root-budget cut: period {span} throttles nothing"
+            );
+        }
+        power = now;
+    }
 
     let registry = Arc::new(MetricsRegistry::new());
     engine.plane_mut().set_recorder(registry.clone());
