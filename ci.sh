@@ -19,8 +19,8 @@ cargo run --release -q -p capmaestro-bench --bin chaos -- \
 # waterfilling, fair_share) races the same seeded diurnal / flash-crowd /
 # feed-failure scenarios; exits non-zero if any scored metric leaves its
 # sane range.
-cargo run --release -q -p capmaestro-bench --bin policies -- \
-    --smoke --out BENCH_policies_smoke.json
+cargo run --release -q -p capmaestro-bench --bin repro -- \
+    policies --smoke --out BENCH_policies_smoke.json
 
 # Observability smoke: 20 instrumented rounds on the Fig. 2 rig, then
 # validate the Prometheus page against the exposition grammar, round-trip

@@ -22,13 +22,12 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use capmaestro_bench::{banner, Args};
+use capmaestro_bench::{banner, Args, Table};
 use capmaestro_core::obs::{names, MetricsRegistry, MetricsSnapshot};
 use capmaestro_core::plane::RoundReport;
 use capmaestro_sim::audit::{InvariantConfig, InvariantKind, InvariantTracker};
 use capmaestro_sim::engine::Engine;
 use capmaestro_sim::faults::{ChaosConfig, ChaosPlan};
-use capmaestro_sim::report::Table;
 use capmaestro_sim::scenarios::{
     datacenter_rig, priority_rig, DataCenterRigConfig, Rig, RigConfig,
 };

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use capmaestro_bench::{banner, Args};
+use capmaestro_bench::{banner, Args, Table};
 use capmaestro_core::obs::{names, MetricsRegistry, MetricsSnapshot};
 use capmaestro_core::workers::leaf_statics;
 use capmaestro_core::{DeploymentConfig, PolicyKind, WorkerDeployment};
@@ -37,7 +37,6 @@ use capmaestro_serve::rig::{build_farm, build_rig, rig_assignments, RigSpec};
 use capmaestro_serve::socket::{SocketTransport, SocketTransportConfig};
 use capmaestro_sim::audit::{InvariantConfig, InvariantKind, InvariantTracker};
 use capmaestro_sim::procchaos::{partition_plan, ProcFault};
-use capmaestro_sim::report::Table;
 
 /// Conservation tolerance: relative part and absolute slack in watts.
 const CONSERVE_REL: f64 = 1e-4;

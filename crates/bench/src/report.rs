@@ -1,8 +1,5 @@
-//! Table and time-series formatting shared by the experiment binaries.
-//!
-//! The harnesses in `capmaestro-bench` print the same rows/series the
-//! paper's tables and figures report; these helpers keep that output
-//! consistent and machine-diffable (aligned columns, CSV series).
+//! Table and time-series formatting: aligned columns, CSV series and
+//! sparklines, so every view prints in one machine-diffable style.
 
 use std::fmt::Write as _;
 
@@ -11,7 +8,7 @@ use std::fmt::Write as _;
 /// # Examples
 ///
 /// ```
-/// use capmaestro_sim::report::Table;
+/// use capmaestro_bench::Table;
 ///
 /// let mut t = Table::new(vec!["Server", "Budget (W)"]);
 /// t.row(vec!["SA".into(), "430".into()]);
@@ -47,16 +44,6 @@ impl Table {
         );
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table with aligned columns and a separator line.
@@ -118,27 +105,20 @@ pub fn series_csv(index_name: &str, series: &[(&str, &[f64])]) -> String {
     out
 }
 
-/// Downsamples a series by averaging every `stride` samples — keeps
-/// printed figures readable without hiding trends.
+/// Renders a compact ASCII sparkline (eight levels) of a series averaged
+/// over every `stride` samples, for at-a-glance shape checks in terminal
+/// output.
 ///
 /// # Panics
 ///
 /// Panics if `stride == 0`.
-pub fn downsample(series: &[f64], stride: usize) -> Vec<f64> {
+pub fn sparkline(series: &[f64], stride: usize) -> String {
+    const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     assert!(stride > 0, "stride must be positive");
-    series
+    let series: Vec<f64> = series
         .chunks(stride)
         .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-        .collect()
-}
-
-/// Renders a compact ASCII sparkline of a series (eight levels), for
-/// at-a-glance shape checks in terminal output.
-pub fn sparkline(series: &[f64]) -> String {
-    const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    if series.is_empty() {
-        return String::new();
-    }
+        .collect();
     let min = series.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = series.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let range = (max - min).max(1e-12);
@@ -165,8 +145,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("Server"));
         assert!(lines[1].chars().all(|c| c == '-'));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -196,18 +174,13 @@ mod tests {
     }
 
     #[test]
-    fn downsampling() {
-        let s = [1.0, 3.0, 5.0, 7.0, 9.0];
-        assert_eq!(downsample(&s, 2), vec![2.0, 6.0, 9.0]);
-        assert_eq!(downsample(&s, 1), s.to_vec());
-    }
-
-    #[test]
-    fn sparkline_shape() {
-        let s = sparkline(&[0.0, 0.5, 1.0]);
+    fn sparkline_shape_and_stride() {
+        let s = sparkline(&[0.0, 0.5, 1.0], 1);
         assert_eq!(s.chars().count(), 3);
         assert!(s.starts_with('▁'));
         assert!(s.ends_with('█'));
-        assert_eq!(sparkline(&[]), "");
+        assert_eq!(sparkline(&[], 1), "");
+        // Averages of 2: [2, 6, 9].
+        assert_eq!(sparkline(&[1.0, 3.0, 5.0, 7.0, 9.0], 2), "▁▅█");
     }
 }

@@ -166,7 +166,7 @@ impl fmt::Display for CappingController {
 /// split, one feed can be driven past its share of the budget while the
 /// total stays legal — exactly the overload scenario CapMaestro's
 /// [`CappingController`] prevents. Kept here for the ablation experiment
-/// (`ablation` binary in `capmaestro-bench`).
+/// (`repro ablation` in `capmaestro-bench`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CombinedBudgetController {
     cap_min_dc: Watts,

@@ -95,13 +95,6 @@ impl HttpConfig {
         self
     }
 
-    /// Set both per-connection I/O deadlines.
-    pub fn with_io_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout;
-        self.write_timeout = timeout;
-        self
-    }
-
     /// Set the metrics recorder.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;

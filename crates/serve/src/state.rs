@@ -258,6 +258,11 @@ impl PublishedReport {
     }
 }
 
+/// Inclusive per-tree budget bounds accepted by budget mutations, watts.
+const BUDGET_MIN_W: f64 = 1.0;
+/// See [`BUDGET_MIN_W`].
+const BUDGET_MAX_W: f64 = 10_000_000.0;
+
 /// Shared state published by the engine thread and read by handlers.
 #[derive(Debug)]
 pub struct ServeState {
@@ -269,10 +274,6 @@ pub struct ServeState {
     /// `/v1/healthz` flips unhealthy when no round completed within this
     /// wall-clock window.
     unhealthy_after: Duration,
-    /// Inclusive per-tree budget bounds accepted by budget mutations.
-    budget_min: Watts,
-    /// See `budget_min`.
-    budget_max: Watts,
     /// The active budget-split allocator's name; rendered as the
     /// `"policy"` field of `/v1/report`. Behind a lock because a
     /// `SetAllocator` event changes it at a round boundary.
@@ -304,8 +305,6 @@ impl ServeState {
             registry,
             control_period_s,
             unhealthy_after: Duration::from_secs(window_s),
-            budget_min: Watts::new(1.0),
-            budget_max: Watts::new(10_000_000.0),
             policy_label: Mutex::new(None),
             report: Mutex::new(None),
             health: Mutex::new(HealthInner::default()),
@@ -325,13 +324,6 @@ impl ServeState {
     /// allocator, as a proper top-level `"policy"` JSON field.
     pub fn with_policy_label(self, name: &'static str) -> Self {
         *self.policy_label.lock().unwrap_or_else(|p| p.into_inner()) = Some(name);
-        self
-    }
-
-    /// Override the inclusive bounds accepted by budget mutations.
-    pub fn with_budget_bounds(mut self, min: Watts, max: Watts) -> Self {
-        self.budget_min = min;
-        self.budget_max = max;
         self
     }
 
@@ -492,17 +484,17 @@ impl ServeState {
         prometheus::render(&self.registry.snapshot())
     }
 
-    /// Validate budget values against the configured bounds.
+    /// Validate budget values against [`BUDGET_MIN_W`]..=[`BUDGET_MAX_W`].
     fn check_budget_bounds(&self, budgets: &[f64]) -> Result<(), OpRejection> {
         for &w in budgets {
             if !w.is_finite() {
                 return Err(OpRejection::Budget(BudgetError::NotFinite));
             }
-            if w < self.budget_min.as_f64() || w > self.budget_max.as_f64() {
+            if !(BUDGET_MIN_W..=BUDGET_MAX_W).contains(&w) {
                 return Err(OpRejection::Budget(BudgetError::OutOfBounds {
                     value: w,
-                    min: self.budget_min.as_f64(),
-                    max: self.budget_max.as_f64(),
+                    min: BUDGET_MIN_W,
+                    max: BUDGET_MAX_W,
                 }));
             }
         }

@@ -4,8 +4,8 @@
 //! processor voltage/frequency until the server complies, within about six
 //! seconds (§5: "the node manager then ensures that the server power is
 //! within the cap in 6 seconds"). [`NodeManager`] models that interface: a
-//! commanded cap plus a first-order settling filter whose default time
-//! constant makes the output ~98 % settled after six seconds.
+//! commanded cap plus a first-order settling filter whose time constant
+//! makes the output ~98 % settled after six seconds.
 
 use core::fmt;
 
@@ -31,41 +31,17 @@ pub const DEFAULT_TAU: Seconds = Seconds::new(1.5);
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeManager {
     dc_cap: Option<Watts>,
-    tau: Seconds,
 }
 
 impl NodeManager {
-    /// Creates an uncapped node manager with the default settling constant.
+    /// Creates an uncapped node manager.
     pub fn new() -> Self {
-        NodeManager {
-            dc_cap: None,
-            tau: DEFAULT_TAU,
-        }
-    }
-
-    /// Overrides the settling time constant (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tau` is not positive.
-    #[must_use]
-    pub fn with_tau(mut self, tau: Seconds) -> Self {
-        assert!(
-            tau > Seconds::ZERO,
-            "node manager time constant must be positive"
-        );
-        self.tau = tau;
-        self
+        NodeManager { dc_cap: None }
     }
 
     /// The current DC cap, if one is set.
     pub fn dc_cap(&self) -> Option<Watts> {
         self.dc_cap
-    }
-
-    /// The settling time constant.
-    pub fn tau(&self) -> Seconds {
-        self.tau
     }
 
     /// Commands a DC power cap.
@@ -90,10 +66,11 @@ impl NodeManager {
         self.dc_cap.map(|c| c / efficiency)
     }
 
-    /// First-order approach of `current` toward `target` over `dt`: the
-    /// settling dynamic shared by capping and uncapping transients.
+    /// First-order approach of `current` toward `target` over `dt` with
+    /// time constant [`DEFAULT_TAU`]: the settling dynamic shared by
+    /// capping and uncapping transients.
     pub fn approach(&self, current: Watts, target: Watts, dt: Seconds) -> Watts {
-        let alpha = 1.0 - (-dt.as_f64() / self.tau.as_f64()).exp();
+        let alpha = 1.0 - (-dt.as_f64() / DEFAULT_TAU.as_f64()).exp();
         current + (target - current) * alpha
     }
 }
@@ -166,12 +143,6 @@ mod tests {
     #[should_panic(expected = "DC cap must be positive")]
     fn zero_cap_rejected() {
         NodeManager::new().set_dc_cap(Watts::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "time constant")]
-    fn zero_tau_rejected() {
-        let _ = NodeManager::new().with_tau(Seconds::ZERO);
     }
 
     #[test]

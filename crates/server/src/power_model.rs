@@ -91,24 +91,6 @@ impl ServerPowerModel {
         self
     }
 
-    /// Sets the DVFS performance exponent (builder-style): dynamic power ∝
-    /// performance^exponent. `1.0` makes performance track dynamic power
-    /// linearly; the default [`DEFAULT_PERF_EXPONENT`] models cubic f·V²
-    /// scaling.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the exponent is ≥ 1 and finite.
-    #[must_use]
-    pub fn with_perf_exponent(mut self, exponent: f64) -> Self {
-        assert!(
-            exponent.is_finite() && exponent >= 1.0,
-            "DVFS exponent must be finite and >= 1, got {exponent}"
-        );
-        self.perf_exponent = exponent;
-        self
-    }
-
     /// The DVFS performance exponent.
     pub fn perf_exponent(self) -> f64 {
         self.perf_exponent

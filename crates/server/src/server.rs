@@ -25,17 +25,12 @@ use crate::psu::PsuBank;
 pub struct ServerConfig {
     model: ServerPowerModel,
     bank: PsuBank,
-    node_manager: NodeManager,
 }
 
 impl ServerConfig {
     /// Creates a configuration.
     pub fn new(model: ServerPowerModel, bank: PsuBank) -> Self {
-        ServerConfig {
-            model,
-            bank,
-            node_manager: NodeManager::new(),
-        }
+        ServerConfig { model, bank }
     }
 
     /// The Table 4 server: paper power envelope, two equal supplies at
@@ -77,13 +72,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_bank(mut self, bank: PsuBank) -> Self {
         self.bank = bank;
-        self
-    }
-
-    /// Replaces the node manager (builder-style).
-    #[must_use]
-    pub fn with_node_manager(mut self, node_manager: NodeManager) -> Self {
-        self.node_manager = node_manager;
         self
     }
 
@@ -250,12 +238,11 @@ impl Server {
     /// Creates an idle server.
     pub fn new(config: ServerConfig) -> Self {
         let bank = config.bank().clone();
-        let node_manager = config.node_manager;
         let idle = config.model().idle();
         Server {
             config,
             bank,
-            node_manager,
+            node_manager: NodeManager::new(),
             offered_ac: idle,
             achieved_ac: idle,
             powered: true,

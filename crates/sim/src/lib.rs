@@ -16,9 +16,7 @@
 //! [`faults`] injects telemetry faults on the sense path (dropped, stuck,
 //! noisy, spiking readings; flapping feeds) for robustness scenarios and
 //! seeded chaos soaks. [`audit`] implements an active wiring audit (a §7
-//! open challenge) plus the chaos harness's invariant tracker, and
-//! [`report`] holds the table/series formatting shared by the experiment
-//! binaries in `capmaestro-bench`.
+//! open challenge) plus the chaos harness's invariant tracker.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -29,7 +27,6 @@ pub mod engine;
 pub mod faults;
 pub mod jobs;
 pub mod procchaos;
-pub mod report;
 pub mod scenarios;
 
 pub use audit::{

@@ -1,31 +1,18 @@
 //! Cross-crate integration tests: the paper's headline results, end to end.
+//! The rig runs come from `capmaestro_bench`, the same functions `repro`
+//! prints.
 
-use capmaestro::core::policy::{GlobalPriority, LocalPriority, PolicyKind};
-use capmaestro::core::tree::{ControlTree, SupplyInput};
+use capmaestro::core::policy::PolicyKind;
 use capmaestro::sim::capacity::{CapacityConfig, CapacityPlanner, Condition};
-use capmaestro::sim::engine::{Engine, Trace};
-use capmaestro::sim::scenarios::{priority_rig, stranded_rig, RigConfig};
-use capmaestro::topology::presets::{figure2_feed, DataCenterParams, RIG_SERVER_NAMES};
-use capmaestro::topology::SupplyIndex;
-use capmaestro::units::{Ratio, Watts};
-use capmaestro::workload::WebServerModel;
-
-const PAPER_INPUT: SupplyInput = SupplyInput {
-    demand: Watts::new(430.0),
-    cap_min: Watts::new(270.0),
-    cap_max: Watts::new(490.0),
-    share: Ratio::ONE,
-};
+use capmaestro::sim::engine::Trace;
+use capmaestro::topology::presets::{DataCenterParams, RIG_SERVER_NAMES};
+use capmaestro::units::Watts;
+use capmaestro_bench::{priority_run, stranded_run, table1};
 
 /// Table 1, reproduced exactly.
 #[test]
 fn table1_budgets_match_paper_exactly() {
-    let topo = figure2_feed();
-    let spec = topo.control_tree_specs().remove(0);
-    let tree = ControlTree::with_uniform(spec, PAPER_INPUT);
-
-    let global = tree.allocate(Watts::new(1240.0), &GlobalPriority::new());
-    let local = tree.allocate(Watts::new(1240.0), &LocalPriority::new());
+    let budgets = table1();
     let expectations = [
         ("SA", 430.0, 350.0),
         ("SB", 270.0, 270.0),
@@ -33,9 +20,8 @@ fn table1_budgets_match_paper_exactly() {
         ("SD", 270.0, 310.0),
     ];
     for (name, expect_global, expect_local) in expectations {
-        let id = topo.server_by_name(name).unwrap();
-        let g = global.supply_budget(id, SupplyIndex::FIRST).unwrap();
-        let l = local.supply_budget(id, SupplyIndex::FIRST).unwrap();
+        let i = RIG_SERVER_NAMES.iter().position(|n| *n == name).unwrap();
+        let (g, l) = (budgets.global[i], budgets.local[i]);
         assert!(
             g.approx_eq(Watts::new(expect_global), Watts::new(0.5)),
             "{name}: global {g} != {expect_global}"
@@ -51,16 +37,7 @@ fn table1_budgets_match_paper_exactly() {
 /// Fig. 6a throughput ordering.
 #[test]
 fn priority_rig_reproduces_fig6a_ordering() {
-    let apache = WebServerModel::new(1000.0, 5.0);
-    let mut sa_throughput = Vec::new();
-    for policy in PolicyKind::ALL {
-        let rig = priority_rig(RigConfig::table2().with_policy(policy));
-        let sa = rig.server("SA");
-        let mut engine = Engine::new(rig);
-        engine.run(150);
-        let perf = engine.server(sa).unwrap().performance_fraction();
-        sa_throughput.push(apache.at_performance(perf).normalized_throughput.as_f64());
-    }
+    let sa_throughput = PolicyKind::ALL.map(|policy| priority_run(policy, 150).throughput[0]);
     let (none, local, global) = (sa_throughput[0], sa_throughput[1], sa_throughput[2]);
     // Paper: 0.82 < 0.87 < 1.00.
     assert!(none < local && local < global, "{none} / {local} / {global}");
@@ -72,14 +49,7 @@ fn priority_rig_reproduces_fig6a_ordering() {
 /// §6.3: SPO recovers roughly the paper's ~67 W for SB.
 #[test]
 fn stranded_power_rig_reproduces_fig7() {
-    let mut sb_power = Vec::new();
-    for spo in [false, true] {
-        let rig = stranded_rig(RigConfig::table3().with_spo(spo));
-        let sb = rig.server("SB");
-        let mut engine = Engine::new(rig);
-        let trace = engine.run(150);
-        sb_power.push(Trace::tail_mean(&trace.server_power[&sb], 20));
-    }
+    let sb_power = [false, true].map(|spo| stranded_run(PolicyKind::GlobalPriority, spo).sb_steady_w);
     let gain = sb_power[1] - sb_power[0];
     assert!(
         (40.0..100.0).contains(&gain),
@@ -131,9 +101,7 @@ fn capacity_ordering_and_analytic_bound() {
 /// The whole §6.2 pipeline respects every breaker at every second.
 #[test]
 fn no_limit_violated_at_any_second() {
-    let rig = priority_rig(RigConfig::table2());
-    let mut engine = Engine::new(rig);
-    let trace = engine.run(200);
+    let trace = priority_run(PolicyKind::GlobalPriority, 200).trace;
     let top = trace.node_series("Top CB").unwrap();
     let left = trace.node_series("Left CB").unwrap();
     let right = trace.node_series("Right CB").unwrap();
@@ -152,12 +120,9 @@ fn no_limit_violated_at_any_second() {
 #[test]
 fn minimum_power_guaranteed_under_all_policies() {
     for policy in PolicyKind::ALL {
-        let rig = priority_rig(RigConfig::table2().with_policy(policy));
-        let ids: Vec<_> = RIG_SERVER_NAMES.iter().map(|n| rig.server(n)).collect();
-        let mut engine = Engine::new(rig);
-        let trace = engine.run(150);
-        for id in ids {
-            let steady = Trace::tail_mean(&trace.server_power[&id], 20);
+        let run = priority_run(policy, 150);
+        for id in run.ids {
+            let steady = Trace::tail_mean(&run.trace.server_power[&id], 20);
             assert!(
                 steady >= 265.0,
                 "{policy}: server {id} below Pcap_min at {steady:.1} W"
