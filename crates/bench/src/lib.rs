@@ -24,7 +24,9 @@ pub use report::{series_csv, sparkline, Table};
 pub use scale::{scale_sample, ScaleSample};
 
 /// Every `repro` subcommand and the flags it reads: `--name` is a switch,
-/// `--name VALUE` takes a value. `repro` rejects any other argument.
+/// `--name VALUE` takes a value of the kind `VALUE` names: `N`, `K` and
+/// `T` a whole number, `F` a number, `a|b|c` one of the alternatives,
+/// `PATH` anything. `repro` rejects any other argument or value.
 pub const COMMANDS: [(&str, &str); 21] = [
     ("table1", ""),
     ("table2", ""),
@@ -72,7 +74,8 @@ impl Args {
     }
 
     /// Parses a `repro` command line: a subcommand from [`COMMANDS`], then
-    /// only the flags it reads, each value flag followed by its value.
+    /// only the flags it reads, each value flag followed by a value of its
+    /// kind.
     ///
     /// # Errors
     ///
@@ -103,9 +106,12 @@ impl Args {
             else {
                 return reject(format!("unknown argument `{}`", raw[i]));
             };
-            if spec.get(at + 1).is_some_and(|s| !s.starts_with("--")) {
-                if i + 1 == raw.len() {
+            if let Some(kind) = spec.get(at + 1).filter(|s| !s.starts_with("--")) {
+                let Some(value) = raw.get(i + 1) else {
                     return reject(format!("`{}` needs a value", raw[i]));
+                };
+                if !admits(kind, value) {
+                    return reject(format!("`{}` takes {kind}, not `{value}`", raw[i]));
                 }
                 i += 1;
             }
@@ -124,7 +130,8 @@ impl Args {
     ///
     /// # Panics
     ///
-    /// Panics with a clear message if the value fails to parse.
+    /// Panics with a clear message if the value fails to parse, which
+    /// [`Args::parse`] rules out for `repro`.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T
     where
         T::Err: std::fmt::Display,
@@ -138,6 +145,16 @@ impl Args {
             }
         }
         default
+    }
+}
+
+/// Whether `value` is of the kind a flag spec names (see [`COMMANDS`]).
+fn admits(kind: &str, value: &str) -> bool {
+    match kind {
+        "N" | "K" | "T" => value.parse::<u64>().is_ok(),
+        "F" => value.parse::<f64>().is_ok(),
+        _ if kind.contains('|') => kind.split('|').any(|choice| choice == value),
+        _ => true,
     }
 }
 
@@ -167,10 +184,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid value")]
-    fn bad_value_panics() {
-        let (_, args) = parse("fig9 --reps abc").unwrap();
-        let _ = args.get("reps", 1usize);
+    fn a_bad_value_is_refused() {
+        let err = parse("fig9 --reps abc").unwrap_err();
+        assert!(err.contains("`--reps` takes N, not `abc`"), "{err}");
+        let err = parse("dcsim --policy nonsense").unwrap_err();
+        assert!(err.contains("takes none|local|global"), "{err}");
+        assert!(parse("dcsim --util 0.x").is_err());
+        assert!(parse("dcsim --seed -1").is_err());
+        let (_, args) = parse("dcsim --policy local --util 0.5 --fail-feed-at 120").unwrap();
+        assert_eq!(args.get("util", 0.9), 0.5);
+        assert!(parse("policies --out 3 --seeds 2").is_ok());
     }
 
     #[test]

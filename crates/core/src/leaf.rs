@@ -281,12 +281,19 @@ impl LeafTable {
     /// the owner names by `key` — the farm's layout generation for the
     /// plane. A no-op while `key` is the one laid out, so owners call it on
     /// every use; otherwise records move with their server, new servers
-    /// start fresh, and every leaf is revisited.
+    /// start fresh, and every leaf is revisited: the next sweep observes
+    /// every reading and the next round visits every leaf.
     pub(crate) fn fit(&mut self, key: u64, ids: impl IntoIterator<Item = ServerId>) {
         if self.fitted == Some(key) {
             return;
         }
-        self.keep_swept_fresh();
+        // Every leaf a sweep skipped since the last aging is fresh: say so
+        // while `observing`, laid out over the old slots, still tells which.
+        if self.swept {
+            for (slot, leaf) in self.leaves.iter_mut().enumerate() {
+                leaf.fresh |= !self.observing.contains(slot);
+            }
+        }
         let mut old: HashMap<ServerId, LeafControl> =
             self.ids.drain(..).zip(self.leaves.drain(..)).collect();
         self.ids.extend(ids);
@@ -295,23 +302,6 @@ impl LeafTable {
         self.stale = self.leaves.iter().filter(|leaf| leaf.stale).count();
         self.layout += 1;
         self.fitted = Some(key);
-        self.revisit_all();
-    }
-
-    /// Marks explicitly fresh every leaf a sweep since the last aging
-    /// skipped, before `observing` stops telling which those were.
-    fn keep_swept_fresh(&mut self) {
-        if self.swept {
-            for (slot, leaf) in self.leaves.iter_mut().enumerate() {
-                leaf.fresh |= !self.observing.contains(slot);
-            }
-        }
-    }
-
-    /// Puts every leaf back in `observing` and `dirty`: the next sweep
-    /// observes every reading and the next round visits every leaf.
-    pub(crate) fn revisit_all(&mut self) {
-        self.keep_swept_fresh();
         let n = self.leaves.len();
         self.observing.reset(n, true);
         self.dirty.reset(n, true);
@@ -621,6 +611,25 @@ mod tests {
         assert_eq!(table.leaf(1).delivered, Some(reading(420.0)));
         assert_eq!(table.stale_count(), 1);
         assert_eq!(table.stale_ids().collect::<Vec<_>>(), [ServerId(7)]);
+    }
+
+    /// Re-laying the table after a sweep marks fresh exactly the records
+    /// the sweep skipped: a newcomer that takes a settled leaf's slot has
+    /// read nothing, so its ladder starts at the next aging.
+    #[test]
+    fn a_newcomer_after_a_sweep_is_not_fresh() {
+        let mut table = LeafTable::default();
+        table.fit(1, (1..=4).map(ServerId));
+        let snap = reading(400.0);
+        for _ in 0..crate::estimator::DEFAULT_WINDOW {
+            table.sweep(|_| (&snap, model()));
+        }
+        table.fit(2, (0..=4).map(ServerId));
+        assert!(!table.leaf(0).fresh);
+        assert!((1..=4).all(|slot| table.leaf(slot).fresh));
+        table.age(STALE_AFTER, |_, _| {});
+        assert_eq!(table.leaf(0).stale_rounds, 1);
+        assert!((1..=4).all(|slot| table.leaf(slot).stale_rounds == 0));
     }
 
     /// Observing the reading that saturates a leaf again is the identity,

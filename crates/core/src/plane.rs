@@ -1189,24 +1189,13 @@ impl ControlPlane {
         }
     }
 
-    /// The report of the last completed round, if any round has run since
-    /// construction / [`ControlPlane::reset_round_cache`].
+    /// The report of the last completed round; `None` until a round ran.
     pub fn last_report(&self) -> Option<&RoundReport> {
         if self.ctx.valid {
             Some(&self.ctx.report)
         } else {
             None
         }
-    }
-
-    /// Drops every reusable round buffer and cached incremental state, so
-    /// the next sample observes every reading and the next round visits
-    /// every leaf and runs the one round path cold, as a fresh plane
-    /// would. Differential tests use this to compare warm rounds against
-    /// cold ones; it is never required for correctness.
-    pub fn reset_round_cache(&mut self) {
-        self.ctx = RoundContext::default();
-        self.leaves.revisit_all();
     }
 
     /// Runs one control round — estimate → gather → allocate (→ SPO) →
@@ -1481,7 +1470,7 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capmaestro_server::{ServerConfig, ServerPowerModel};
+    use capmaestro_server::ServerConfig;
     use capmaestro_units::Ratio;
     use capmaestro_topology::presets::{figure2_feed, figure7a_rig};
     use capmaestro_topology::Topology;
@@ -1868,88 +1857,6 @@ mod tests {
         plane.sample(&mut farm);
         plane.round(&mut farm);
         check(&plane, &servers, "post-failover round");
-    }
-
-    /// Rounds command only leaves whose inputs changed — none once the
-    /// fleet settles, some after a server moves, none once it settles
-    /// again — and decide exactly what a twin plane that observes every
-    /// reading and commands every leaf decides.
-    #[test]
-    fn a_settled_fleet_commands_no_leaf() {
-        use crate::obs::MetricsRegistry;
-        let (topo, mut farm, mut plane) = fig2_plane(PolicyKind::GlobalPriority);
-        let (_, mut twin_farm, mut twin) = fig2_plane(PolicyKind::GlobalPriority);
-        // 4 × 300 W fits under every limit: each server is budgeted its
-        // demand or more, so its controller rests at cap_max.
-        for f in [&mut farm, &mut twin_farm] {
-            f.for_each_mut(|_, _, mut server| {
-                server.set_offered_demand(Watts::new(300.0));
-                server.settle();
-            });
-        }
-        let registry = Arc::new(MetricsRegistry::new());
-        plane.set_recorder(registry.clone());
-        let commanded = || {
-            let counters = registry.snapshot().counters;
-            let found = counters.iter().find(|c| c.name == names::LEAVES_COMMANDED_TOTAL);
-            found.map_or(0, |c| c.value)
-        };
-        let mut run = |periods: usize, farm: &mut Farm, twin_farm: &mut Farm| {
-            let before = commanded();
-            for _ in 0..periods {
-                for _ in 0..8 {
-                    plane.sample(farm);
-                    twin.reset_round_cache();
-                    twin.sample(twin_farm);
-                    farm.step_all(Seconds::new(1.0));
-                    twin_farm.step_all(Seconds::new(1.0));
-                }
-                let caps = plane.round(farm).dc_caps.clone();
-                twin.reset_round_cache();
-                assert_eq!(twin.round(twin_farm).dc_caps, caps);
-                for ((_, a), (_, b)) in farm.iter().zip(twin_farm.iter()) {
-                    let bits = |s: ServerRef<'_>| s.dc_cap().map(|w| w.as_f64().to_bits());
-                    assert_eq!(bits(a), bits(b));
-                }
-                let (tree, twin_tree) = (&plane.trees()[0], &twin.trees()[0]);
-                for idx in 0..tree.spec().len() {
-                    assert_eq!(tree.input_at(idx), twin_tree.input_at(idx));
-                }
-            }
-            commanded() - before
-        };
-        // The first round builds every controller, the second finds every
-        // estimator saturated and every cap at rest.
-        assert_eq!(run(2, &mut farm, &mut twin_farm), 8);
-        assert_eq!(run(3, &mut farm, &mut twin_farm), 0);
-        let sb = topo.server_by_name("SB").unwrap();
-        for f in [&mut farm, &mut twin_farm] {
-            f.get_mut(sb).unwrap().set_offered_demand(Watts::new(310.0));
-        }
-        // SB's power ramps toward it, its estimate follows, the budgets
-        // move: every leaf is commanded until that settles.
-        let moving: Vec<u64> = (0..12).map(|_| run(1, &mut farm, &mut twin_farm)).collect();
-        assert_eq!(moving[0], 4, "{moving:?}");
-        assert_eq!(moving[9..], [0, 0, 0], "{moving:?}");
-
-        // A cap set from outside is commanded back, as every leaf's used
-        // to be; a server swapped for one with another envelope but the
-        // same reading is revisited whole.
-        let sa = topo.server_by_name("SA").unwrap();
-        for f in [&mut farm, &mut twin_farm] {
-            f.get_mut(sa).unwrap().set_dc_cap(Watts::new(300.0));
-        }
-        assert_eq!(run(1, &mut farm, &mut twin_farm), 1);
-        assert_eq!(run(1, &mut farm, &mut twin_farm), 0);
-        let narrower = ServerPowerModel::new(Watts::new(160.0), Watts::new(270.0), Watts::new(470.0));
-        for f in [&mut farm, &mut twin_farm] {
-            let config = ServerConfig::paper_default().single_corded().with_model(narrower);
-            let mut server = Server::new(config);
-            server.set_offered_demand(Watts::new(300.0));
-            server.settle();
-            f.insert(sa, server);
-        }
-        assert!(run(1, &mut farm, &mut twin_farm) > 0);
     }
 
     #[test]

@@ -1308,7 +1308,7 @@ mod tests {
     use super::*;
     use crate::plane::Farm;
     use capmaestro_server::{Server, ServerConfig};
-    use capmaestro_topology::presets::{figure2_feed, racks_feed};
+    use capmaestro_topology::presets::figure2_feed;
     use capmaestro_topology::Topology;
 
     /// A settled single-corded farm over `topo`, the `i`-th server offered
@@ -1409,64 +1409,6 @@ mod tests {
         assert!(farm.get(sb).unwrap().sense().total_ac < Watts::new(310.0));
         let total: Watts = farm.iter().map(|(_, s)| s.sense().total_ac).sum();
         assert!(total <= Watts::new(1240.0) * 1.02, "total {total}");
-    }
-
-    #[test]
-    fn distributed_matches_synchronous_budgets() {
-        // The same scenario through the threaded deployment and the
-        // synchronous plane (SPO off) is the same walk over the same
-        // inputs and the same leaf-control step under it: cut budgets and
-        // every server's commanded DC cap must agree to the bit, under
-        // every allocator, on the Fig. 2 rig and on a racks rig.
-        for topo in [figure2_feed(), racks_feed(5, 3)] {
-            let demand_of = |i: usize| 350.0 + 23.0 * (i % 6) as f64;
-            let root_budgets = vec![Watts::new(310.0 * topo.server_count() as f64)];
-            for kind in AllocatorKind::ALL {
-                let mut sync_farm = farm_over(&topo, demand_of);
-                let mut plane = crate::plane::ControlPlane::new(
-                    trees_of(&topo),
-                    root_budgets.clone(),
-                    crate::plane::PlaneConfig::default()
-                        .with_policy(PolicyKind::GlobalPriority)
-                        .with_allocator(kind)
-                        .with_spo(false)
-                        .with_control_period(Seconds::new(8.0)),
-                );
-                plane.sample(&mut sync_farm);
-                let report = plane.round(&mut sync_farm).clone();
-
-                let farm = shared_farm(farm_over(&topo, demand_of));
-                let mut deployment = WorkerDeployment::spawn(
-                    trees_of(&topo),
-                    root_budgets.clone(),
-                    PolicyKind::GlobalPriority,
-                    farm.clone(),
-                    2,
-                    DeploymentConfig::default(),
-                );
-                deployment.set_allocator(kind);
-                let outcome = deployment.run_round(0);
-                deployment.shutdown();
-
-                assert_eq!(report.dc_caps.len(), topo.server_count());
-                for (id, server) in farm.read().iter() {
-                    let cap = server.dc_cap().map(|w| w.as_f64().to_bits());
-                    let reference = report.dc_caps.get(&id).map(|w| w.as_f64().to_bits());
-                    assert_eq!(cap, reference, "{kind}, {id}: distributed vs sync DC cap");
-                }
-
-                assert!(outcome.failsafe_cuts.is_empty());
-                assert!(!outcome.cut_budgets.is_empty());
-                for ((t, cut), budget) in outcome.cut_budgets {
-                    let reference = report.allocations[t].node_budget(cut);
-                    assert_eq!(
-                        budget.as_f64().to_bits(),
-                        reference.as_f64().to_bits(),
-                        "{kind}, cut {cut}: distributed {budget} vs sync {reference}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl FrameReader {
 
     /// Pops a complete frame out of the internal buffer, if one is
     /// already there, without touching the stream.
-    pub fn pop_buffered(&mut self) -> Result<Option<Vec<u8>>, io::Error> {
+    fn pop_buffered(&mut self) -> Result<Option<Vec<u8>>, io::Error> {
         match split_frame(&self.buf) {
             Ok(Some((payload, consumed))) => {
                 let payload = payload.to_vec();

@@ -647,7 +647,7 @@ impl ServeState {
 
     /// Render `GET /v1/events?since=seq`: every event with a sequence
     /// number greater than `since`, oldest first, plus the head.
-    pub fn events_json(&self, since: u64) -> String {
+    pub(crate) fn events_json(&self, since: u64) -> String {
         let log = self.oplog.lock().unwrap_or_else(|p| p.into_inner());
         let mut out = String::new();
         let _ = write!(out, "{{\"head\":{},\"events\":[", log.head_seq());

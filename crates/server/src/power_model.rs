@@ -51,7 +51,6 @@ pub struct ServerPowerModel {
     cap_min: Watts,
     cap_max: Watts,
     curve: PowerCurve,
-    perf_exponent: f64,
 }
 
 impl ServerPowerModel {
@@ -75,7 +74,6 @@ impl ServerPowerModel {
             cap_min,
             cap_max,
             curve: PowerCurve::FanEtAl,
-            perf_exponent: DEFAULT_PERF_EXPONENT,
         }
     }
 
@@ -91,13 +89,8 @@ impl ServerPowerModel {
         self
     }
 
-    /// The DVFS performance exponent.
-    pub fn perf_exponent(self) -> f64 {
-        self.perf_exponent
-    }
-
     /// Application performance delivered when throttling leaves `ratio` of
-    /// the demanded *dynamic* power: `ratio^(1/exponent)`.
+    /// the demanded *dynamic* power: `ratio^(1/`[`DEFAULT_PERF_EXPONENT`]`)`.
     ///
     /// ```
     /// use capmaestro_server::ServerPowerModel;
@@ -110,7 +103,7 @@ impl ServerPowerModel {
     /// ```
     pub fn performance_at_dynamic_ratio(self, ratio: Ratio) -> Ratio {
         let r = ratio.clamp_fraction().as_f64();
-        Ratio::new(r.powf(1.0 / self.perf_exponent))
+        Ratio::new(r.powf(1.0 / DEFAULT_PERF_EXPONENT))
     }
 
     /// Power drawn with the CPU idle.

@@ -304,7 +304,7 @@ impl PsuBank {
     /// Writes the per-supply AC input powers into `out` without allocating
     /// (beyond growing `out` to the bank size once) — same values as
     /// [`PsuBank::ac_loads`], for callers on the per-second hot path.
-    pub fn ac_loads_into(&self, total_ac: Watts, out: &mut Vec<Watts>) {
+    pub(crate) fn ac_loads_into(&self, total_ac: Watts, out: &mut Vec<Watts>) {
         out.clear();
         out.extend(self.effective_shares_iter().map(|r| total_ac * r));
     }

@@ -370,10 +370,8 @@ impl Server {
     /// Achieved application performance as a fraction of uncapped
     /// performance — the quantity the paper's normalized-throughput plots
     /// report. Under DVFS, removing dynamic power costs less than
-    /// proportional performance (the model's
-    /// [`ServerPowerModel::perf_exponent`], cubic by default).
-    ///
-    /// [`ServerPowerModel::perf_exponent`]: crate::ServerPowerModel::perf_exponent
+    /// proportional performance (the cubic
+    /// [`DEFAULT_PERF_EXPONENT`](crate::power_model::DEFAULT_PERF_EXPONENT)).
     pub fn performance_fraction(&self) -> Ratio {
         self.config
             .model()

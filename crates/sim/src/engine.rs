@@ -768,9 +768,9 @@ impl Engine {
         &self.plane
     }
 
-    /// Mutable access to the control plane — the differential-test knob
-    /// that lets a harness drop the plane's incremental round caches
-    /// between manually stepped seconds.
+    /// Mutable access to the control plane, for what an operator or a
+    /// harness changes on it between seconds: the recorder, priorities,
+    /// the allocator, root budgets.
     pub fn plane_mut(&mut self) -> &mut ControlPlane {
         &mut self.plane
     }

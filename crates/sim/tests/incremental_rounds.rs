@@ -1,103 +1,213 @@
-//! Differential tests for the incremental round pipeline: an engine
-//! running the cached/dirty-tracked `ControlPlane::round` path every round
-//! must stay bit-identical to one whose `RoundContext` is thrown away
-//! and rebuilt from scratch every simulated second — on the Fig. 2 rig
-//! under seeded chaos plans, and on a 1024-server data center under a
-//! hand-written fault/priority/demand event storm.
+//! The incremental round pipeline against the executable specification:
+//! every control round of a warm plane must decide, bit for bit, what
+//! `capmaestro_spec` decides with every leaf stepped and every tree input
+//! recomputed — each tree node's input, each supply's budget, the stranded
+//! watts, the servers in fail-safe and every commanded cap. The spec is handed every reading the
+//! plane is delivered, so the harness drives the engine's second itself
+//! (events, sensing through the fault layer when it could act, a round
+//! every control period, physics; breakers play no part). It runs the
+//! Fig. 2 rig under seeded chaos plans, and a 1024-server data center
+//! under a hand-written fault/priority/demand event storm.
 
-use std::collections::HashMap;
-use std::fmt::Debug;
-use std::hash::Hash;
-
-use capmaestro_core::plane::RoundReport;
-use capmaestro_sim::engine::{Engine, Event, Trace};
-use capmaestro_sim::faults::{ChaosConfig, ChaosPlan, FaultKind};
+use capmaestro_core::plane::{BudgetSource, ControlPlane, Farm};
+use capmaestro_server::SenseInterposer;
+use capmaestro_sim::engine::Event;
+use capmaestro_sim::faults::{ChaosAction, ChaosConfig, ChaosPlan, FaultKind, FaultLayer};
 use capmaestro_sim::scenarios::{
-    datacenter_rig, priority_rig, DataCenterRigConfig, RigConfig,
+    datacenter_rig, priority_rig, DataCenterRigConfig, Rig, RigConfig,
 };
+use capmaestro_spec::Leaves;
 use capmaestro_topology::presets::DataCenterParams;
-use capmaestro_topology::{FeedId, Priority, ServerId, SupplyIndex};
-use capmaestro_units::Watts;
+use capmaestro_topology::{FeedId, Priority, ServerId, SupplyIndex, Topology};
+use capmaestro_units::{Seconds, Watts};
 use proptest::prelude::*;
 
-fn assert_series_identical<K: Hash + Eq + Debug>(
-    what: &str,
-    inc: &HashMap<K, Vec<f64>>,
-    full: &HashMap<K, Vec<f64>>,
-) {
-    assert_eq!(inc.len(), full.len(), "{what}: different key sets");
-    for (key, series_inc) in inc {
-        let series_full = full
-            .get(key)
-            .unwrap_or_else(|| panic!("{what}: rebuilt trace missing {key:?}"));
-        assert_eq!(series_inc.len(), series_full.len(), "{what} {key:?}: length");
-        for (i, (a, b)) in series_inc.iter().zip(series_full).enumerate() {
-            // Bit comparison (not ==) so NaN placeholders compare equal
-            // and -0.0 vs 0.0 would be caught.
-            assert_eq!(a.to_bits(), b.to_bits(), "{what} {key:?}[{i}]: {a} vs {b}");
+/// Seconds between control rounds, as the engine's default.
+const PERIOD: u64 = 8;
+
+/// A rig's plane and farm stepped second by second beside the spec.
+struct Harness {
+    topology: Topology,
+    farm: Farm,
+    plane: ControlPlane,
+    /// The rig's root budgets, as the spec resolves them.
+    budgets: BudgetSource,
+    faults: FaultLayer,
+    /// Due at their second, in scheduling order.
+    events: Vec<(u64, Event)>,
+    spec: Leaves,
+    now: u64,
+    rounds: usize,
+}
+
+impl Harness {
+    fn new(rig: Rig, budgets: BudgetSource, mut events: Vec<(u64, Event)>) -> Self {
+        events.sort_by_key(|&(at, _)| at);
+        let Rig {
+            topology,
+            farm,
+            plane,
+        } = rig;
+        Harness {
+            topology,
+            farm,
+            plane,
+            budgets,
+            faults: FaultLayer::new(0),
+            events,
+            spec: Leaves::default(),
+            now: 0,
+            rounds: 0,
+        }
+    }
+
+    /// One second as the engine steps it, its round checked against the spec.
+    fn second(&mut self) {
+        let due: Vec<Event> = self
+            .events
+            .iter()
+            .filter(|(at, _)| *at == self.now)
+            .map(|(_, e)| e.clone())
+            .collect();
+        for event in due {
+            self.apply(event);
+        }
+        self.faults.tick(self.now);
+        if self.faults.is_quiet() {
+            self.plane.sample(&mut self.farm);
+            self.observe_all();
+        } else {
+            self.farm.refresh();
+            let (farm, faults, now) = (&self.farm, &mut self.faults, self.now);
+            let delivered: Vec<_> = farm
+                .iter()
+                .filter_map(|(id, server)| {
+                    faults.intercept(now, id, server.sense()).map(|s| (id, s))
+                })
+                .collect();
+            self.plane.record_snapshots(farm, &delivered);
+            for (id, reading) in &delivered {
+                let model = farm
+                    .get(*id)
+                    .expect("delivered for a farm server")
+                    .config()
+                    .model();
+                self.spec.observe(*id, reading, model);
+            }
+        }
+        if self.now.is_multiple_of(PERIOD) {
+            self.round(&format!("t={}", self.now));
+        }
+        self.farm.step_all(Seconds::new(1.0));
+        self.farm.refresh();
+        self.now += 1;
+    }
+
+    /// A round outside the 1 Hz loop, after a clean sample of every server.
+    fn manual_round(&mut self) {
+        self.plane.sample(&mut self.farm);
+        self.observe_all();
+        self.round("manual round");
+    }
+
+    fn observe_all(&mut self) {
+        for (id, server) in self.farm.iter() {
+            self.spec
+                .observe(id, &server.sense(), server.config().model());
+        }
+    }
+
+    fn round(&mut self, at: &str) {
+        self.plane.round(&mut self.farm);
+        let want = self.spec.round(
+            &self.farm,
+            self.plane.trees(),
+            &self.budgets,
+            self.plane.config(),
+        );
+        want.assert_matches(&self.plane, &self.farm, at);
+        self.rounds += 1;
+    }
+
+    /// What `Engine::step` does with each event these scenarios schedule.
+    fn apply(&mut self, event: Event) {
+        let outlets = |feed: FeedId| -> Vec<(ServerId, SupplyIndex)> {
+            let graph = self.topology.feed(feed).expect("a feed of the rig");
+            graph.outlets().map(|(_, o)| (o.server, o.supply)).collect()
+        };
+        match event {
+            Event::InjectFault(server, kind) => self.faults.inject(server, kind),
+            Event::ClearFault(server) => self.faults.clear(server),
+            Event::FlapTelemetry(feed, spec) => {
+                let mut members: Vec<ServerId> =
+                    outlets(feed).into_iter().map(|(s, _)| s).collect();
+                members.sort_unstable();
+                members.dedup();
+                self.faults.start_flap(feed, members, spec, self.now);
+            }
+            Event::StopFlap(feed) => self.faults.stop_flap(feed),
+            Event::SetPriority(server, priority) => self.plane.set_priority(server, priority),
+            Event::SetDemand(server, demand) => {
+                self.farm
+                    .get_mut(server)
+                    .expect("a rig server")
+                    .set_offered_demand(demand);
+            }
+            Event::FailFeed(feed) => {
+                self.plane.fail_feed(feed);
+                for (server, supply) in outlets(feed) {
+                    let mut server = self.farm.get_mut(server).expect("a rig server");
+                    let bank = server.bank_mut();
+                    if bank.working_count() > 1 {
+                        bank.fail_supply(supply.index());
+                    } else {
+                        server.set_powered(false);
+                    }
+                }
+            }
+            Event::RestoreFeed(feed) => {
+                self.plane.restore_feed(feed);
+                for (server, supply) in outlets(feed) {
+                    let mut server = self.farm.get_mut(server).expect("a rig server");
+                    server.bank_mut().repair_supply(supply.index());
+                    if !server.is_powered() {
+                        server.set_powered(true);
+                    }
+                }
+            }
+            other => panic!("not scheduled by these scenarios: {other:?}"),
         }
     }
 }
 
-fn assert_traces_identical(inc: &Trace, full: &Trace) {
-    assert_series_identical("server_power", &inc.server_power, &full.server_power);
-    assert_series_identical("supply_power", &inc.supply_power, &full.supply_power);
-    assert_series_identical("throttle", &inc.throttle, &full.throttle);
-    assert_series_identical("dc_cap", &inc.dc_cap, &full.dc_cap);
-    assert_series_identical("node_load", &inc.node_load, &full.node_load);
-    assert_eq!(inc.node_names, full.node_names);
-    assert_eq!(inc.trips, full.trips);
-    assert_eq!(inc.lost_servers, full.lost_servers);
-    assert_eq!(inc.stranded, full.stranded);
-    assert_eq!(inc.seconds, full.seconds);
-}
-
-/// Bitwise equality of two rounds' decisions: every commanded cap, the
-/// budget of every `(server, supply)` pair, and the stranded watts.
-fn assert_reports_identical(
-    inc: &RoundReport,
-    full: &RoundReport,
-    pairs: &[(ServerId, SupplyIndex)],
-    at: &str,
-) {
-    let bits = |w: Watts| w.as_f64().to_bits();
-    assert_eq!(inc.dc_caps.len(), full.dc_caps.len(), "{at}: cap count");
-    for (id, cap) in inc.dc_caps.iter() {
-        let other = full.dc_caps[id];
-        assert_eq!(bits(*cap), bits(other), "{at}: dc cap for {id}: {cap} vs {other}");
+/// A chaos plan's episodes as the engine schedules them: inject/clear
+/// pairs and flap start/stop pairs.
+fn chaos_events(plan: &ChaosPlan) -> Vec<(u64, Event)> {
+    let mut events = Vec::new();
+    for episode in plan.episodes() {
+        let (start, end) = match &episode.action {
+            ChaosAction::Fault(server, kind) => (
+                Event::InjectFault(*server, kind.clone()),
+                Event::ClearFault(*server),
+            ),
+            ChaosAction::Flap(feed, spec) => {
+                (Event::FlapTelemetry(*feed, *spec), Event::StopFlap(*feed))
+            }
+        };
+        events.push((episode.start_s, start));
+        events.push((episode.end_s, end));
     }
-    for &(server, supply) in pairs {
-        let (a, b) = (inc.supply_budget(server, supply), full.supply_budget(server, supply));
-        assert_eq!(a.map(bits), b.map(bits), "{at}: budget of {server}/{supply:?}");
-    }
-    assert_eq!(
-        bits(inc.stranded_reclaimed),
-        bits(full.stranded_reclaimed),
-        "{at}: stranded watts"
-    );
-}
-
-/// Runs the engine second by second, discarding the plane's cached
-/// `RoundContext` (arena round state, reusable buffers, dirty stamps)
-/// after every second so each control round rebuilds from scratch. Each
-/// second goes through `run(1)`, the series-recording entry point, so the
-/// returned trace carries every series sample to compare.
-fn run_rebuilding_every_second(engine: &mut Engine, seconds: u64) -> Trace {
-    for _ in 0..seconds {
-        engine.run(1);
-        engine.plane_mut().reset_round_cache();
-    }
-    engine.trace().clone()
+    events
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Seeded chaos streams (dropped/stuck/noisy/spiking sensors and
-    /// telemetry flaps) on the Fig. 2 rig: incremental rounds must be
-    /// bit-identical to from-scratch rounds under fault injection.
+    /// telemetry flaps) on the Fig. 2 rig: every round under fault
+    /// injection decides what the spec decides.
     #[test]
-    fn incremental_rounds_match_full_rebuild_under_chaos(seed in 0u64..10_000) {
+    fn incremental_rounds_match_the_spec_under_chaos(seed in 0u64..10_000) {
         let config = ChaosConfig {
             seconds: 120,
             episodes: 4,
@@ -113,15 +223,12 @@ proptest! {
             rig.topology.feeds().iter().map(|g| g.feed()).collect();
         let plan = ChaosPlan::generate(&config, &servers, &feeds, seed);
 
-        let mut incremental = Engine::new(rig);
-        incremental.schedule_chaos(&plan);
-        let trace_inc = incremental.run(config.seconds);
-
-        let mut rebuilt = Engine::new(priority_rig(RigConfig::table2()));
-        rebuilt.schedule_chaos(&plan);
-        let trace_full = run_rebuilding_every_second(&mut rebuilt, config.seconds);
-
-        assert_traces_identical(&trace_inc, &trace_full);
+        let budgets = BudgetSource::Fixed(rig.plane.root_budgets_now());
+        let mut harness = Harness::new(rig, budgets, chaos_events(&plan));
+        for _ in 0..config.seconds {
+            harness.second();
+        }
+        prop_assert_eq!(harness.rounds, 15);
     }
 }
 
@@ -146,16 +253,18 @@ fn large_dc() -> DataCenterRigConfig {
 }
 
 #[test]
-fn incremental_rounds_match_full_rebuild_on_a_large_datacenter() {
+fn incremental_rounds_match_the_spec_on_a_large_datacenter() {
     let config = large_dc();
-    let mut incremental = Engine::new(datacenter_rig(&config));
-    let mut rebuilt = Engine::new(datacenter_rig(&config));
+    let rig = datacenter_rig(&config);
 
     // A storm touching every dirty-tracking entry point: sensor faults,
     // a feed failure and restoration, and priority/demand edits.
-    let ids: Vec<ServerId> = incremental.farm().iter().map(|(id, _)| id).collect();
+    let ids: Vec<ServerId> = rig.farm.iter().map(|(id, _)| id).collect();
     let events: Vec<(u64, Event)> = vec![
-        (10, Event::InjectFault(ids[0], FaultKind::Spike { factor: 1.5 })),
+        (
+            10,
+            Event::InjectFault(ids[0], FaultKind::Spike { factor: 1.5 }),
+        ),
         (12, Event::InjectFault(ids[17], FaultKind::DropReading)),
         (20, Event::FailFeed(FeedId::B)),
         (28, Event::ClearFault(ids[0])),
@@ -163,35 +272,13 @@ fn incremental_rounds_match_full_rebuild_on_a_large_datacenter() {
         (32, Event::SetDemand(ids[511], Watts::new(150.0))),
         (34, Event::RestoreFeed(FeedId::B)),
     ];
-    for (at, event) in &events {
-        incremental.schedule(*at, event.clone());
-        rebuilt.schedule(*at, event.clone());
+    let budgets = BudgetSource::SharedPerPhase(config.contractual_per_phase);
+    let mut harness = Harness::new(rig, budgets, events);
+    for _ in 0..48 {
+        harness.second();
     }
-
-    // Every round second, the incremental plane decides exactly what its
-    // twin decides from a rebuilt round context.
-    let pairs: Vec<(ServerId, SupplyIndex)> = ids
-        .iter()
-        .flat_map(|&s| [(s, SupplyIndex::FIRST), (s, SupplyIndex::SECOND)])
-        .collect();
-    let period = incremental.control_period_s();
-    let mut rounds = 0;
-    let trace_inc = incremental.run_observed(48, |inc| {
-        rebuilt.run(1);
-        let second = inc.now_s() - 1;
-        if second.is_multiple_of(period) {
-            let report_inc = inc.last_round_report().expect("a round ran");
-            let report_full = rebuilt.last_round_report().expect("a round ran");
-            assert_reports_identical(report_inc, report_full, &pairs, &format!("t={second}"));
-            rounds += 1;
-        }
-        rebuilt.plane_mut().reset_round_cache();
-    });
-    assert_eq!(rounds, 6);
-    assert_traces_identical(&trace_inc, rebuilt.trace());
+    assert_eq!(harness.rounds, 6);
 
     // The converged round decisions match bitwise as well.
-    let report_inc = incremental.run_control_round();
-    let report_full = rebuilt.run_control_round();
-    assert_reports_identical(&report_inc, &report_full, &pairs, "manual round");
+    harness.manual_round();
 }

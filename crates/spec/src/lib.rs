@@ -1,15 +1,20 @@
-//! An executable specification of the allocation half of one CapMaestro
-//! control round, written as plainly as the paper states it: gather every
-//! tree's priority metrics bottom-up (§4.3.1), split budgets top-down
-//! (§4.3.2), then reclaim stranded power with a second pass (§4.4).
+//! An executable specification of one whole CapMaestro control round,
+//! written as plainly as the paper states it.
 //!
-//! Nothing is cached here: no memo, generation stamp, pin or overlay.
-//! Every call recomputes everything from the trees' current inputs. The
-//! product's incremental round (`ControlPlane::round`, built on
-//! `spo::optimize_stranded_power_in`) must equal it bit for bit, and the
-//! differential suites compare the two. The spec keeps the product's
-//! summation orders (children in spec order, strands in
-//! `(server, supply)` order), which is what makes exact equality possible.
+//! - The allocation half ([`round`]) gathers every tree's priority metrics
+//!   bottom-up (§4.3.1), splits budgets top-down (§4.3.2), then reclaims
+//!   stranded power with a second pass (§4.4).
+//! - The leaf half ([`Leaves`]) is each server's controller (§4.2, §5):
+//!   screen readings into a demand estimator, age the stale-hold →
+//!   fail-safe ladder, settle the demand, step a PI capping controller.
+//!
+//! Nothing is cached: no memo, stamp, pin, overlay, bitset or lane; every
+//! leaf takes every step and every round recomputes everything. The
+//! product's incremental round (`ControlPlane::round`) and the rack
+//! workers must equal it bit for bit, and the differential suites compare
+//! them. Exact equality holds because the spec keeps the product's
+//! summation orders and reuses its public estimator, controller and
+//! allocators.
 //!
 //! Test-only: crates take it as a dev-dependency, never as a dependency
 //! (`tests/api_guidelines.rs` checks every manifest).
@@ -21,9 +26,12 @@ use std::collections::BTreeMap;
 
 use capmaestro_core::alloc::{AllocScratch, Allocator};
 use capmaestro_core::metrics::{LeafInput, PriorityMetrics};
+use capmaestro_core::plane::{BudgetSource, ControlPlane, Farm, PlaneConfig};
 use capmaestro_core::policy::{CappingPolicy, PriorityVisibility};
 use capmaestro_core::spo::STRAND_EPSILON;
 use capmaestro_core::tree::{ControlTree, SupplyInput};
+use capmaestro_core::{CappingController, DemandEstimator, SampleFate};
+use capmaestro_server::{SensorSnapshot, ServerPowerModel};
 use capmaestro_topology::{ServerId, SupplyIndex};
 use capmaestro_units::Watts;
 
@@ -273,4 +281,245 @@ fn shrink_stranded_inputs(tree: &mut ControlTree, strands: &Strands) {
             },
         );
     }
+}
+
+/// The leaf half of the round: one controller per server, kept in a plain
+/// map and stepped whole every round.
+#[derive(Debug, Default)]
+pub struct Leaves {
+    servers: BTreeMap<ServerId, Leaf>,
+}
+
+/// One server's controller.
+#[derive(Debug, Default)]
+struct Leaf {
+    estimator: DemandEstimator,
+    /// Built on the first commanded cap, from the server's envelope then.
+    controller: Option<CappingController>,
+    /// The last reading the estimator accepted.
+    held: Option<SensorSnapshot>,
+    /// Whether a reading was accepted since the last round.
+    fresh: bool,
+    /// Rounds in a row that found no accepted reading.
+    stale_rounds: u32,
+}
+
+/// A whole round: budgets over the spec's own tree inputs, and what each
+/// controller did with them.
+#[derive(Debug)]
+pub struct FullRound {
+    /// The trees, holding the inputs the allocation half budgeted.
+    pub trees: Vec<ControlTree>,
+    /// The allocation half.
+    pub allocation: Round,
+    /// Each `(server, supply)`'s final budget, from the first tree that
+    /// covers it.
+    pub budgets: BTreeMap<(ServerId, SupplyIndex), Watts>,
+    /// Per server of the farm, the DC cap its controller commanded; `None`
+    /// keeps the cap it has.
+    pub caps: BTreeMap<ServerId, Option<Watts>>,
+    /// The servers in fail-safe, in id order.
+    pub stale: Vec<ServerId>,
+}
+
+impl Leaves {
+    /// Takes one reading delivered for `server`, screened against its
+    /// envelope; the estimator's verdict decides whether it is held and
+    /// counts as fresh.
+    pub fn observe(&mut self, server: ServerId, reading: &SensorSnapshot, model: ServerPowerModel) {
+        let leaf = self.servers.entry(server).or_default();
+        let (power, idle, cap_max) = (reading.total_ac, model.idle(), model.cap_max());
+        let fate = leaf
+            .estimator
+            .push_screened(reading.throttle, power, idle, cap_max);
+        if fate == SampleFate::Accepted {
+            leaf.held = Some(reading.clone());
+            leaf.fresh = true;
+        }
+    }
+
+    /// One round over every server of `farm`, under `config`'s staleness,
+    /// policy, allocator and SPO switch. Each leaf ages one round and
+    /// settles its demand; `trees` (their structure and priorities: every
+    /// leaf input is replaced) are budgeted from those demands through
+    /// [`round`], from `source`; then every controller steps against its
+    /// supplies' budgets. The farm is only read, so the caps are not set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tree names a server the farm does not hold.
+    pub fn round(
+        &mut self,
+        farm: &Farm,
+        trees: &[ControlTree],
+        source: &BudgetSource,
+        config: &PlaneConfig,
+    ) -> FullRound {
+        let stale_after_rounds = config.staleness.stale_after_rounds;
+        let fail_safe = |model: ServerPowerModel| {
+            let demand = config.staleness.fail_safe_demand.unwrap_or(model.cap_min());
+            demand.clamp(model.cap_min(), model.cap_max())
+        };
+        // Stale-hold, then fail-safe: the estimator is cleared on the
+        // round that crosses the threshold.
+        let mut demands = BTreeMap::new();
+        for (id, server) in farm.iter() {
+            let leaf = self.servers.entry(id).or_default();
+            if std::mem::take(&mut leaf.fresh) {
+                leaf.stale_rounds = 0;
+            } else {
+                leaf.stale_rounds = leaf.stale_rounds.saturating_add(1);
+                if leaf.stale_rounds == stale_after_rounds {
+                    leaf.estimator.clear();
+                }
+            }
+            let model = server.config().model();
+            let demand = if leaf.stale_rounds >= stale_after_rounds {
+                fail_safe(model)
+            } else {
+                let estimate = leaf.estimator.estimate_with_idle(model.idle());
+                let held = leaf.held.as_ref().map(|reading| reading.total_ac);
+                let demand = estimate.or(held).unwrap_or_else(|| server.sense().total_ac);
+                demand.clamp(model.idle(), model.cap_max())
+            };
+            demands.insert(id, demand);
+        }
+
+        let mut trees = trees.to_vec();
+        for tree in &mut trees {
+            tree.set_inputs_with(|id, supply| {
+                let server = farm.get(id).expect("every tree server is in the farm");
+                let model = server.config().model();
+                SupplyInput {
+                    demand: demands[&id],
+                    cap_min: model.cap_min(),
+                    cap_max: model.cap_max(),
+                    share: server.bank().effective_share(supply.index()),
+                }
+            });
+        }
+        let roots = match source {
+            BudgetSource::Fixed(fixed) => fixed.clone(),
+            BudgetSource::SharedPerPhase(per_phase) => shared_per_phase(&trees, *per_phase),
+        };
+        let (policy, alloc) = (config.policy.policy(), config.allocator.allocator());
+        let allocation = round(&trees, &roots, policy.as_ref(), alloc.as_ref(), config.spo);
+        let mut budgets = BTreeMap::new();
+        for (tree, split) in trees.iter().zip(&allocation.trees) {
+            for (idx, leaf) in tree.spec().leaves() {
+                let key = (leaf.server, leaf.supply);
+                budgets.entry(key).or_insert(split.nodes[idx]);
+            }
+        }
+
+        // Each controller pairs its working supplies' budgets with its held
+        // reading, or its server's live one; a blind server's cap is forced
+        // to its fail-safe demand.
+        let (mut caps, mut stale) = (BTreeMap::new(), Vec::new());
+        for (id, server) in farm.iter() {
+            let leaf = self.servers.get_mut(&id).expect("aged above");
+            let (model, bank) = (server.config().model(), server.bank());
+            let blind = leaf.stale_rounds >= stale_after_rounds;
+            let pairs: Vec<(usize, Watts)> = budgets
+                .range((id, SupplyIndex::FIRST)..)
+                .take_while(|((of, _), _)| *of == id)
+                .filter(|((_, supply), _)| bank.effective_share(supply.index()).as_f64() > 0.0)
+                .map(|(&(_, supply), &budget)| (supply.index(), budget))
+                .collect();
+            let cap = (blind || !pairs.is_empty()).then(|| {
+                let controller = leaf.controller.get_or_insert_with(|| {
+                    CappingController::new(model.cap_min(), model.cap_max(), bank.efficiency())
+                });
+                if blind {
+                    controller.force_dc_cap(fail_safe(model) * bank.efficiency())
+                } else {
+                    let reading = leaf.held.clone().unwrap_or_else(|| server.sense());
+                    let measured = pairs.iter().map(|&(i, b)| (b, reading.supply_ac[i]));
+                    controller.update_pairs(measured)
+                }
+            });
+            caps.insert(id, cap);
+            stale.extend(blind.then_some(id));
+        }
+        FullRound {
+            trees,
+            allocation,
+            budgets,
+            caps,
+            stale,
+        }
+    }
+}
+
+impl FullRound {
+    /// Asserts that `plane`'s last round decided exactly this, bit for
+    /// bit: every tree node's input, every supply's budget, the stranded
+    /// watts, the servers in fail-safe, and every commanded cap, both in
+    /// the report and on `farm`'s servers. `at` labels a failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first difference, or if no round ran.
+    pub fn assert_matches(&self, plane: &ControlPlane, farm: &Farm, at: &str) {
+        let report = plane.last_report().expect("a round ran");
+        let bits = |w: Option<Watts>| w.map(|w| w.as_f64().to_bits());
+        let same = |what: String, got: Option<Watts>, want: Option<Watts>| {
+            assert_eq!(bits(got), bits(want), "{at}: {what}: {got:?} vs {want:?}");
+        };
+        let (n, got) = (self.trees.len(), plane.trees());
+        let counts = (report.allocations.len(), got.len());
+        assert_eq!(counts, (n, n), "{at}: tree count");
+        let input_bits = |i: &SupplyInput| {
+            let fields = [i.demand, i.cap_min, i.cap_max].map(|w| w.as_f64());
+            [fields[0], fields[1], fields[2], i.share.as_f64()].map(f64::to_bits)
+        };
+        for (t, (got, want)) in got.iter().zip(&self.trees).enumerate() {
+            for idx in 0..want.spec().len() {
+                let (got, want) = (got.input_at(idx), want.input_at(idx));
+                let (a, b) = (got.map(input_bits), want.map(input_bits));
+                assert_eq!(a, b, "{at}: tree {t} node {idx}: {got:?} vs {want:?}");
+            }
+        }
+        for (&(server, supply), &want) in &self.budgets {
+            let got = report.supply_budget(server, supply);
+            same(format!("budget of {server}/{supply}"), got, Some(want));
+        }
+        let stranded = (report.stranded_reclaimed, self.allocation.stranded);
+        same("stranded watts".into(), Some(stranded.0), Some(stranded.1));
+        assert_eq!(plane.stale_servers(), self.stale, "{at}: fail-safe");
+        let commanded = self.caps.values().flatten().count();
+        assert_eq!(report.dc_caps.len(), commanded, "{at}: cap count");
+        for (id, &want) in &self.caps {
+            let got = report.dc_caps.get(id).copied();
+            same(format!("cap of {id}"), got, want);
+            if want.is_some() {
+                let on = farm.get(*id).and_then(|server| server.dc_cap());
+                same(format!("cap on {id}"), on, want);
+            }
+        }
+    }
+}
+
+/// The root budgets of [`BudgetSource::SharedPerPhase`]: each phase's
+/// budget split over its trees in proportion to their demand (Σ demand ×
+/// share over leaves), evenly when they have none.
+fn shared_per_phase(trees: &[ControlTree], per_phase: Watts) -> Vec<Watts> {
+    let demand = |tree: &ControlTree| -> Watts {
+        let leaves = tree.spec().leaves().filter_map(|(i, _)| tree.input_at(i));
+        leaves.map(|input| input.demand * input.share).sum()
+    };
+    trees
+        .iter()
+        .map(|tree| {
+            let phase = tree.spec().phase();
+            let peers: Vec<&ControlTree> =
+                trees.iter().filter(|t| t.spec().phase() == phase).collect();
+            let total: Watts = peers.iter().map(|peer| demand(peer)).sum();
+            if total > Watts::ZERO {
+                per_phase * (demand(tree) / total)
+            } else {
+                per_phase / peers.len() as f64
+            }
+        })
+        .collect()
 }

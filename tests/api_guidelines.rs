@@ -177,7 +177,7 @@ fn display_messages_are_lowercase_without_trailing_punctuation() {
 /// and `src/`. The surface may shrink freely (lower the number when it
 /// does); growing it past the budget needs a deliberate edit here, so it
 /// cannot regrow silently.
-const PUB_FN_BUDGET: usize = 714;
+const PUB_FN_BUDGET: usize = 712;
 
 /// Calls `f(path, contents)` for every `.rs` file under `dir`.
 fn for_each_source(dir: &std::path::Path, f: &mut dyn FnMut(&std::path::Path, &str)) {
