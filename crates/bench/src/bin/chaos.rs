@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use capmaestro_bench::{banner, Args, Table};
+use capmaestro_bench::{banner, Args, Table, CHAOS_FLAGS};
 use capmaestro_core::obs::{names, MetricsRegistry, MetricsSnapshot};
 use capmaestro_core::plane::RoundReport;
 use capmaestro_sim::audit::{InvariantConfig, InvariantKind, InvariantTracker};
@@ -291,7 +291,11 @@ fn render_json(seconds: u64, seeds: &[u64], runs: &[RunResult]) -> String {
 }
 
 fn main() {
-    let args = Args::capture();
+    let args =
+        Args::parse_flags("chaos", CHAOS_FLAGS, std::env::args().skip(1)).unwrap_or_else(|usage| {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        });
     let seconds: u64 = args.get("seconds", 4000);
     let first_seed: u64 = args.get("seed", 1);
     let seed_count: u64 = args.get("seeds", 3);

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use capmaestro_bench::{banner, Args, Table};
+use capmaestro_bench::{banner, Args, Table, PARTITION_FLAGS};
 use capmaestro_core::obs::{names, MetricsRegistry, MetricsSnapshot};
 use capmaestro_core::workers::leaf_statics;
 use capmaestro_core::{DeploymentConfig, PolicyKind, WorkerDeployment};
@@ -381,7 +381,11 @@ fn render_json(agents: usize, rounds: u64, quiet_tail: u64, seeds: &[u64], runs:
 }
 
 fn main() {
-    let args = Args::capture();
+    let args = Args::parse_flags("partition", PARTITION_FLAGS, std::env::args().skip(1))
+        .unwrap_or_else(|usage| {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        });
     let smoke = args.flag("smoke");
     let agents: usize = args.get("agents", 4);
     let rounds: u64 = args.get("rounds", if smoke { 18 } else { 40 });

@@ -11,8 +11,6 @@
 
 #![warn(missing_docs)]
 
-use std::env;
-
 mod arena;
 mod paper;
 mod report;
@@ -58,6 +56,14 @@ pub const COMMANDS: [(&str, &str); 21] = [
     ),
 ];
 
+/// The flags the `chaos` soak binary reads, in the notation of [`COMMANDS`].
+pub const CHAOS_FLAGS: &str = "--seconds N --seed N --seeds K --out PATH";
+
+/// The flags the `partition` soak binary reads, in the notation of
+/// [`COMMANDS`].
+pub const PARTITION_FLAGS: &str =
+    "--smoke --agents N --rounds N --quiet-tail N --seed N --seeds K --out PATH";
+
 /// Simple `--key value` / `--flag` argument access for experiment
 /// binaries (no external CLI dependency needed for fixed harnesses).
 #[derive(Debug, Clone)]
@@ -66,13 +72,6 @@ pub struct Args {
 }
 
 impl Args {
-    /// Captures the process arguments, unchecked.
-    pub fn capture() -> Self {
-        Args {
-            raw: env::args().skip(1).collect(),
-        }
-    }
-
     /// Parses a `repro` command line: a subcommand from [`COMMANDS`], then
     /// only the flags it reads, each value flag followed by a value of its
     /// kind.
@@ -92,11 +91,27 @@ impl Args {
             }
             return Err(usage);
         };
+        let args = Args::parse_flags(&format!("repro {name}"), flags, raw)?;
+        Ok((name, args))
+    }
+
+    /// Parses the command line of `program`, which reads only `flags` (in
+    /// the notation of [`COMMANDS`]): each value flag followed by a value
+    /// of its kind.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message naming the accepted flags.
+    pub fn parse_flags(
+        program: &str,
+        flags: &str,
+        raw: impl Iterator<Item = String>,
+    ) -> Result<Args, String> {
         let raw: Vec<String> = raw.collect();
         let spec: Vec<&str> = flags.split_whitespace().collect();
         let reject = |why: String| {
             let accepted = if flags.is_empty() { "none" } else { flags };
-            Err(format!("repro {name}: {why}; accepted flags: {accepted}"))
+            Err(format!("{program}: {why}; accepted flags: {accepted}"))
         };
         let mut i = 0;
         while i < raw.len() {
@@ -117,7 +132,7 @@ impl Args {
             }
             i += 1;
         }
-        Ok((name, Args { raw }))
+        Ok(Args { raw })
     }
 
     /// Whether `--name` is present.
@@ -131,7 +146,7 @@ impl Args {
     /// # Panics
     ///
     /// Panics with a clear message if the value fails to parse, which
-    /// [`Args::parse`] rules out for `repro`.
+    /// [`Args::parse_flags`] rules out.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T
     where
         T::Err: std::fmt::Display,
@@ -194,6 +209,24 @@ mod tests {
         let (_, args) = parse("dcsim --policy local --util 0.5 --fail-feed-at 120").unwrap();
         assert_eq!(args.get("util", 0.9), 0.5);
         assert!(parse("policies --out 3 --seeds 2").is_ok());
+    }
+
+    #[test]
+    fn the_soak_binaries_refuse_bad_flags() {
+        let soak = |flags: &str, line: &str| {
+            Args::parse_flags("soak", flags, line.split_whitespace().map(String::from))
+        };
+        let err = soak(CHAOS_FLAGS, "--seconds abc").unwrap_err();
+        assert!(err.contains("`--seconds` takes N, not `abc`"), "{err}");
+        assert!(err.ends_with(CHAOS_FLAGS), "{err}");
+        let err = soak(CHAOS_FLAGS, "--second 300").unwrap_err();
+        assert!(err.contains("unknown argument `--second`"), "{err}");
+        let err = soak(PARTITION_FLAGS, "--agents").unwrap_err();
+        assert!(err.contains("`--agents` needs a value"), "{err}");
+        let args = soak(CHAOS_FLAGS, "--seconds 300 --seed 7 --seeds 1 --out x.json").unwrap();
+        assert_eq!(args.get("seconds", 0u64), 300);
+        let args = soak(PARTITION_FLAGS, "--smoke --out x.json").unwrap();
+        assert!(args.flag("smoke"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! scratch, and writes one budget per child. Three implementations ship:
 //!
 //! - [`WaterfallAllocator`] — the paper's four-step waterfall, delegating
-//!   verbatim to [`split_budget_into`] (bit-identical to the pre-seam
+//!   verbatim to `split_budget_into` (bit-identical to the pre-seam
 //!   plane by construction, and proven so by the differential suite);
 //! - [`WaterfillingAllocator`] — projected waterfilling in the nvPAX
 //!   spirit: one water level rises under per-child box constraints
@@ -86,7 +86,7 @@ pub struct AllocScratch {
 
 /// The paper's §4.3.2 waterfall behind the seam: floors, priority descent,
 /// proportional fill at the first partial level, surplus to constraints.
-/// Delegates verbatim to [`split_budget_into`], so its output is
+/// Delegates verbatim to `split_budget_into`, so its output is
 /// bit-identical to the pre-seam budget-down pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WaterfallAllocator;

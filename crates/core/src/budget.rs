@@ -30,7 +30,7 @@ pub struct BudgetSplit {
     pub unallocated: Watts,
 }
 
-/// Reusable scratch buffers for [`split_budget_into`], so steady-state
+/// Reusable scratch buffers for `split_budget_into`, so steady-state
 /// budget splits perform no heap allocation once warmed up.
 #[derive(Debug, Clone, Default)]
 pub struct SplitScratch {
@@ -152,7 +152,7 @@ pub fn split_budget(budget: Watts, children: &[PriorityMetrics]) -> BudgetSplit 
 /// `budgets` (aligned with `children`) using `scratch` for every
 /// intermediate vector, and returns the unallocated remainder. Performs no
 /// heap allocation once the scratch buffers are warm.
-pub fn split_budget_into(
+pub(crate) fn split_budget_into(
     budget: Watts,
     children: &[PriorityMetrics],
     scratch: &mut SplitScratch,

@@ -29,8 +29,9 @@ use capmaestro_units::{Ratio, Watts};
 ///     Watts::new(490.0), // Pcap_max (AC)
 ///     Ratio::new(0.94),  // PSU efficiency k
 /// );
-/// // Two supplies, PS2 over budget by 50 W: the cap comes down.
-/// let before = ctl.desired_dc_cap();
+/// // Two supplies, PS2 over budget by 50 W: the cap comes down from
+/// // the top of the range, where the integrator starts.
+/// let (_, before) = ctl.dc_range();
 /// let cap = ctl.update(
 ///     &[Watts::new(280.0), Watts::new(200.0)],
 ///     &[Watts::new(250.0), Watts::new(250.0)],
@@ -73,7 +74,7 @@ impl CappingController {
     }
 
     /// The current integrator value: the DC cap the controller wants.
-    pub fn desired_dc_cap(&self) -> Watts {
+    pub(crate) fn desired_dc_cap(&self) -> Watts {
         self.desired_dc
     }
 
@@ -191,11 +192,6 @@ impl CombinedBudgetController {
             efficiency,
             desired_dc: cap_max_dc,
         }
-    }
-
-    /// The current desired DC cap.
-    pub fn desired_dc_cap(&self) -> Watts {
-        self.desired_dc
     }
 
     /// One control iteration on the **summed** budget and measurement: the
@@ -428,7 +424,7 @@ mod tests {
         for _ in 0..20 {
             ctl.update(Watts::new(480.0), Watts::new(300.0));
         }
-        assert_eq!(ctl.desired_dc_cap(), Watts::new(490.0) * K);
+        assert_eq!(ctl.desired_dc, Watts::new(490.0) * K);
         assert!(ctl.to_string().contains("combined-budget"));
     }
 

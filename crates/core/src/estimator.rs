@@ -84,7 +84,7 @@ impl DemandEstimator {
     /// # Panics
     ///
     /// Panics if `capacity < 2` (regression needs at least two samples).
-    pub fn with_window(capacity: usize) -> Self {
+    pub(crate) fn with_window(capacity: usize) -> Self {
         assert!(capacity >= 2, "regression window needs at least 2 samples");
         DemandEstimator {
             window: VecDeque::with_capacity(capacity),
@@ -244,13 +244,6 @@ impl DemandEstimator {
         Some(Watts::new(intercept).max(max_measured))
     }
 
-    /// [`DemandEstimator::estimate`] with a fallback to the most recent
-    /// measured power when the estimate is unavailable.
-    pub fn estimate_or_last(&self) -> Option<Watts> {
-        self.estimate()
-            .or_else(|| self.window.back().map(|(_, p)| *p))
-    }
-
     /// Like [`DemandEstimator::estimate`], but when the regression is
     /// degenerate (constant non-zero throttle — a server pinned at a steady
     /// cap) falls back to single-point inversion using the server's known
@@ -286,7 +279,6 @@ mod tests {
     fn empty_window_estimates_nothing() {
         let est = DemandEstimator::new();
         assert_eq!(est.estimate(), None);
-        assert_eq!(est.estimate_or_last(), None);
         assert!(est.is_empty());
     }
 
@@ -318,8 +310,6 @@ mod tests {
             est.push(Ratio::new(0.4), Watts::new(322.0));
         }
         assert_eq!(est.estimate(), None);
-        // Fallback returns the last measurement.
-        assert_eq!(est.estimate_or_last(), Some(Watts::new(322.0)));
     }
 
     #[test]

@@ -24,6 +24,15 @@ use capmaestro_units::{Ratio, Watts};
 use crate::capping::CappingController;
 use crate::estimator::{DemandEstimator, SampleFate};
 
+/// Consecutive control rounds without a plausible reading before a server
+/// is declared stale. Rounds 1..N are the *stale-hold* bridge: the last
+/// good estimate keeps being used, riding out transient sensor drops.
+/// From round N on the server is in *fail-safe*: budgeted from, and
+/// capped to, its `Pcap_min`, the most conservative budget still
+/// guaranteed enforceable. Over-throttling a blind server is safe; a
+/// tripped breaker is not.
+pub const STALE_AFTER_ROUNDS: u32 = 3;
+
 /// One server's control state.
 #[derive(Debug, Default)]
 pub(crate) struct LeafControl {
@@ -78,33 +87,32 @@ impl LeafControl {
         self.fresh = true;
     }
 
-    /// Round boundary. Crossing `stale_after` clears the estimator:
-    /// whatever the window held predates the outage, and an empty window
-    /// rebuilds the demand from the first samples after recovery.
-    fn age(&mut self, stale_after: u32) {
+    /// Round boundary. Crossing [`STALE_AFTER_ROUNDS`] clears the
+    /// estimator: whatever the window held predates the outage, and an
+    /// empty window rebuilds the demand from the first samples after
+    /// recovery.
+    fn age(&mut self) {
         if std::mem::take(&mut self.fresh) {
             self.stale_rounds = 0;
         } else {
             self.stale_rounds = self.stale_rounds.saturating_add(1);
-            if self.stale_rounds == stale_after {
+            if self.stale_rounds == STALE_AFTER_ROUNDS {
                 self.estimator.clear();
             }
         }
-        self.stale = self.stale_rounds >= stale_after;
+        self.stale = self.stale_rounds >= STALE_AFTER_ROUNDS;
     }
 
     /// Settles the AC demand to budget the server from: the estimate, else
     /// the last delivered reading, else `live`, within `[idle, cap_max]` —
-    /// or, in fail-safe, `fail_safe` (default `cap_min`) within the
-    /// capping range.
+    /// or, in fail-safe, `cap_min`.
     pub(crate) fn refresh_demand(
         &mut self,
         model: ServerPowerModel,
-        fail_safe: Option<Watts>,
         live: impl FnOnce() -> Watts,
     ) -> Watts {
         self.demand = if self.stale {
-            fail_safe_demand(model, fail_safe)
+            model.cap_min()
         } else {
             self.estimator
                 .estimate_with_idle(model.idle())
@@ -118,13 +126,12 @@ impl LeafControl {
     /// Commands the DC cap for this round's `(supply index, AC budget)`
     /// pairs of the working supplies, measured against the last delivered
     /// snapshot (`live` when there is none). In fail-safe the feedback loop
-    /// is bypassed and the cap forced to the fail-safe demand. `None` —
+    /// is bypassed and the cap forced to `cap_min`. `None` —
     /// keep the previous cap — when not stale and nothing was budgeted.
     pub(crate) fn command(
         &mut self,
         model: ServerPowerModel,
         efficiency: Ratio,
-        fail_safe: Option<Watts>,
         budgets: impl Iterator<Item = (usize, Watts)>,
         live: impl FnOnce() -> SensorSnapshot,
     ) -> Option<Watts> {
@@ -138,7 +145,7 @@ impl LeafControl {
             CappingController::new(model.cap_min(), model.cap_max(), efficiency)
         });
         let cap = if self.stale {
-            controller.force_dc_cap(fail_safe_demand(model, fail_safe) * efficiency)
+            controller.force_dc_cap(model.cap_min() * efficiency)
         } else {
             let sensed;
             let snap = match &self.delivered {
@@ -184,13 +191,6 @@ pub(crate) enum Moved {
     Cap,
     /// Its reading or its shape (configuration, supply bank).
     Server,
-}
-
-/// The AC demand a blind server is budgeted from and capped to.
-fn fail_safe_demand(model: ServerPowerModel, fail_safe: Option<Watts>) -> Watts {
-    fail_safe
-        .unwrap_or_else(|| model.cap_min())
-        .clamp(model.cap_min(), model.cap_max())
 }
 
 /// A set of table slots, one bit each.
@@ -396,7 +396,7 @@ impl LeafTable {
     /// leaf when no sweep ran since the last aging, as then none is known
     /// fresh. A leaf it skips was fresh at its last aging and swept since,
     /// so aging keeps it fresh, and its demand is the same estimate.
-    pub(crate) fn age(&mut self, stale_after: u32, mut visit: impl FnMut(usize, &mut LeafControl)) {
+    pub(crate) fn age(&mut self, mut visit: impl FnMut(usize, &mut LeafControl)) {
         if !self.swept {
             self.dirty.reset(self.leaves.len(), true);
         }
@@ -405,7 +405,7 @@ impl LeafTable {
                 let leaf = &mut self.leaves[slot];
                 leaf.fresh |= self.swept && !self.observing.contains(slot);
                 self.stale -= usize::from(leaf.stale);
-                leaf.age(stale_after);
+                leaf.age();
                 self.stale += usize::from(leaf.stale);
                 if leaf.estimator.is_empty() {
                     // Cleared on entering fail-safe: no longer saturated.
@@ -468,8 +468,6 @@ impl LeafTable {
 mod tests {
     use super::*;
 
-    const STALE_AFTER: u32 = 3;
-
     /// idle 160 W, capping range 270–490 W.
     fn model() -> ServerPowerModel {
         ServerPowerModel::paper_default()
@@ -486,27 +484,18 @@ mod tests {
     }
 
     /// The demand of a leaf that has what it needs without a live read.
-    fn demand(leaf: &mut LeafControl, fail_safe: Option<Watts>) -> Watts {
-        leaf.refresh_demand(model(), fail_safe, || {
-            panic!("fell through to the live sensor")
-        })
+    fn demand(leaf: &mut LeafControl) -> Watts {
+        leaf.refresh_demand(model(), || panic!("fell through to the live sensor"))
     }
 
     /// The cap commanded for `budgets`, with no live sensor to fall back on.
     fn cap<const N: usize>(
         leaf: &mut LeafControl,
         eff: f64,
-        fail_safe: Option<Watts>,
         budgets: [(usize, Watts); N],
     ) -> Option<Watts> {
         let live = || panic!("fell through to the live sensor");
-        leaf.command(
-            model(),
-            Ratio::new(eff),
-            fail_safe,
-            budgets.into_iter(),
-            live,
-        )
+        leaf.command(model(), Ratio::new(eff), budgets.into_iter(), live)
     }
 
     #[test]
@@ -516,30 +505,27 @@ mod tests {
             assert_eq!(leaf.observe(&reading(420.0), model()), SampleFate::Accepted);
         }
         // Fresh, then silence: stale-hold keeps the last estimate for
-        // STALE_AFTER − 1 rounds…
-        for _ in 0..STALE_AFTER {
-            leaf.age(STALE_AFTER);
+        // STALE_AFTER_ROUNDS − 1 rounds…
+        for _ in 0..STALE_AFTER_ROUNDS {
+            leaf.age();
             assert!(!leaf.stale);
-            assert_eq!(demand(&mut leaf, None), Watts::new(420.0));
+            assert_eq!(demand(&mut leaf), Watts::new(420.0));
         }
         // …then fail-safe: cap_min demand, estimator cleared, cap forced
         // without consulting budgets or sensors.
-        leaf.age(STALE_AFTER);
+        leaf.age();
         assert!(leaf.stale && leaf.estimator.is_empty());
-        assert_eq!(demand(&mut leaf, None), model().cap_min());
-        assert_eq!(
-            cap(&mut leaf, 0.94, None, []),
-            Some(model().cap_min() * 0.94)
-        );
+        assert_eq!(demand(&mut leaf), model().cap_min());
+        assert_eq!(cap(&mut leaf, 0.94, []), Some(model().cap_min() * 0.94));
 
         // The first plausible reading recovers at the next round boundary,
         // the demand rebuilt from post-outage samples only, and the PI
         // step resumes from the forced cap: +50 W AC of headroom.
         leaf.observe(&reading(300.0), model());
-        leaf.age(STALE_AFTER);
+        leaf.age();
         assert!(!leaf.stale);
-        assert_eq!(demand(&mut leaf, None), Watts::new(300.0));
-        let stepped = cap(&mut leaf, 0.94, None, [(0, Watts::new(350.0))]);
+        assert_eq!(demand(&mut leaf), Watts::new(300.0));
+        let stepped = cap(&mut leaf, 0.94, [(0, Watts::new(350.0))]);
         assert_eq!(stepped, Some((model().cap_min() + Watts::new(50.0)) * 0.94));
     }
 
@@ -547,26 +533,14 @@ mod tests {
     fn implausible_reading_counts_as_missing() {
         let mut leaf = LeafControl::default();
         leaf.observe(&reading(420.0), model());
-        leaf.age(1);
-        assert!(!leaf.stale);
+        leaf.age();
+        assert_eq!(leaf.stale_rounds, 0);
         // 10 kW from a 490 W server: discarded, the held reading untouched.
         let fate = leaf.observe(&reading(10_000.0), model());
         assert_eq!(fate, SampleFate::RejectedImplausible);
         assert_eq!(leaf.delivered, Some(reading(420.0)));
-        leaf.age(1);
-        assert!(leaf.stale, "garbage must degrade like silence");
-    }
-
-    #[test]
-    fn fail_safe_demand_is_clamped_into_the_capping_range() {
-        let mut leaf = LeafControl::default();
-        leaf.age(1);
-        assert!(leaf.stale);
-        for (configured, expected) in [(100.0, 270.0), (300.0, 300.0), (9e3, 490.0)] {
-            let (fail_safe, expected) = (Some(Watts::new(configured)), Watts::new(expected));
-            assert_eq!(demand(&mut leaf, fail_safe), expected);
-            assert_eq!(cap(&mut leaf, 1.0, fail_safe, []), Some(expected));
-        }
+        leaf.age();
+        assert_eq!(leaf.stale_rounds, 1, "garbage must degrade like silence");
     }
 
     #[test]
@@ -583,15 +557,15 @@ mod tests {
     #[test]
     fn local_sensor_is_read_live_and_an_unbudgeted_leaf_keeps_its_cap() {
         let mut leaf = LeafControl::default();
-        let sensed = leaf.refresh_demand(model(), None, || Watts::new(333.0));
+        let sensed = leaf.refresh_demand(model(), || Watts::new(333.0));
         assert_eq!(sensed, Watts::new(333.0));
-        assert_eq!(cap(&mut leaf, 1.0, None, []), None);
+        assert_eq!(cap(&mut leaf, 1.0, []), None);
         // A rack's own sensor feeds the estimate but is never held.
         leaf.observe_local(&reading(420.0));
         assert_eq!(leaf.delivered, None);
-        assert_eq!(demand(&mut leaf, None), Watts::new(420.0));
+        assert_eq!(demand(&mut leaf), Watts::new(420.0));
         let budget = [(0, Watts::new(400.0))].into_iter();
-        let stepped = leaf.command(model(), Ratio::ONE, None, budget, || reading(420.0));
+        let stepped = leaf.command(model(), Ratio::ONE, budget, || reading(420.0));
         assert_eq!(stepped, Some(Watts::new(470.0)));
     }
 
@@ -600,7 +574,9 @@ mod tests {
         let mut table = LeafTable::default();
         table.fit(1, [ServerId(3), ServerId(7)]);
         table.observe(0, &reading(420.0), model());
-        table.age(1, |_, _| {});
+        for _ in 0..STALE_AFTER_ROUNDS {
+            table.age(|_, _| {});
+        }
         assert_eq!(table.stale_count(), 1);
         assert_eq!(table.stale_ids().collect::<Vec<_>>(), [ServerId(7)]);
         // The same key is the same layout, whatever ids come with it.
@@ -627,7 +603,7 @@ mod tests {
         table.fit(2, (0..=4).map(ServerId));
         assert!(!table.leaf(0).fresh);
         assert!((1..=4).all(|slot| table.leaf(slot).fresh));
-        table.age(STALE_AFTER, |_, _| {});
+        table.age(|_, _| {});
         assert_eq!(table.leaf(0).stale_rounds, 1);
         assert!((1..=4).all(|slot| table.leaf(slot).stale_rounds == 0));
     }
@@ -668,9 +644,9 @@ mod tests {
         let settle = |budget: f64, rounds: usize| {
             let mut leaf = LeafControl::default();
             leaf.observe(&reading(400.0), model());
-            leaf.age(STALE_AFTER);
+            leaf.age();
             let caps: Vec<_> = (0..rounds)
-                .map(|_| cap(&mut leaf, 0.94, None, [(0, Watts::new(budget))]))
+                .map(|_| cap(&mut leaf, 0.94, [(0, Watts::new(budget))]))
                 .collect();
             (leaf, caps)
         };
@@ -679,7 +655,7 @@ mod tests {
             let (mut leaf, caps) = settle(budget, rounds);
             assert!(leaf.fixed, "budget {budget}: {caps:?}");
             let before = format!("{leaf:?}");
-            assert_eq!(cap(&mut leaf, 0.94, None, [(0, Watts::new(budget))]), caps[rounds - 1]);
+            assert_eq!(cap(&mut leaf, 0.94, [(0, Watts::new(budget))]), caps[rounds - 1]);
             assert_eq!(format!("{leaf:?}"), before, "budget {budget}");
         }
         // The first command builds the controller, so it never counts as
@@ -688,7 +664,7 @@ mod tests {
         assert!(!settle(380.0, 3).0.fixed);
         // Nothing budgeted keeps the cap: trivially a fixed point.
         let (mut leaf, _) = settle(380.0, 3);
-        assert_eq!(cap(&mut leaf, 0.94, None, []), None);
+        assert_eq!(cap(&mut leaf, 0.94, []), None);
         assert!(leaf.fixed);
     }
 
@@ -781,16 +757,16 @@ mod tests {
             }
             let live = |slot: usize| readings[slot].total_ac;
             table.absorb(generation, moved);
-            table.age(STALE_AFTER, |slot, leaf| {
-                leaf.refresh_demand(model(), None, || live(slot));
+            table.age(|slot, leaf| {
+                leaf.refresh_demand(model(), || live(slot));
             });
             for (slot, leaf) in plain.iter_mut().enumerate() {
-                leaf.age(STALE_AFTER);
-                leaf.refresh_demand(model(), None, || live(slot));
+                leaf.age();
+                leaf.refresh_demand(model(), || live(slot));
             }
             let command = |slot: usize, leaf: &mut LeafControl| {
                 let budget = std::iter::once((0, budgets[slot]));
-                leaf.command(model(), Ratio::new(0.94), None, budget, || readings[slot].clone());
+                leaf.command(model(), Ratio::new(0.94), budget, || readings[slot].clone());
             };
             visited.push(table.enforce(budgets_moved, command));
             plain.iter_mut().enumerate().for_each(|(slot, leaf)| command(slot, leaf));

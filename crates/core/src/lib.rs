@@ -71,6 +71,7 @@ pub use alloc::{
 pub use budget::{split_budget, BudgetSplit};
 pub use capping::{CappingController, CombinedBudgetController};
 pub use estimator::{DemandEstimator, SampleFate};
+pub use leaf::STALE_AFTER_ROUNDS;
 pub use metrics::{LeafInput, MetricEntry, PriorityMetrics};
 pub use oplog::{
     plan as reconcile_plan, AppendOutcome, DesiredState, Envelope, Op, OpLog, OplogError,
@@ -82,7 +83,7 @@ pub use obs::{
     RoundPhase,
 };
 pub use plane::{
-    BudgetSource, CapMap, ControlPlane, Farm, PlaneConfig, RoundReport, StalenessConfig,
+    BudgetSource, CapMap, ControlPlane, Farm, PlaneConfig, RoundReport,
 };
 pub use policy::{CappingPolicy, GlobalPriority, LocalPriority, NoPriority, PolicyKind};
 pub use tree::{Allocation, ControlTree, SupplyInput};

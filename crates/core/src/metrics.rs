@@ -162,7 +162,7 @@ impl PriorityMetrics {
 
     /// In-place variant of [`PriorityMetrics::from_leaf`]: writes the leaf
     /// summary into `out`, reusing its level buffer.
-    pub fn from_leaf_into(input: &LeafInput, out: &mut PriorityMetrics) {
+    pub(crate) fn from_leaf_into(input: &LeafInput, out: &mut PriorityMetrics) {
         input.validate();
         let demand = input.share * input.demand.max(input.cap_min);
         let entry = MetricEntry {
@@ -177,7 +177,7 @@ impl PriorityMetrics {
 
     /// Overwrites `self` with a copy of `src`, reusing the level buffer
     /// (no allocation once `self` has enough capacity).
-    pub fn copy_from(&mut self, src: &PriorityMetrics) {
+    pub(crate) fn copy_from(&mut self, src: &PriorityMetrics) {
         self.levels.clear();
         self.levels.extend_from_slice(&src.levels);
         self.constraint = src.constraint;
@@ -204,7 +204,7 @@ impl PriorityMetrics {
     /// accumulation — the operation sequence is identical to collapsing
     /// every child and aggregating the collapsed copies, without
     /// materializing them.
-    pub fn aggregate_into<'a>(
+    pub(crate) fn aggregate_into<'a>(
         children: impl IntoIterator<Item = &'a PriorityMetrics>,
         limit: Option<Watts>,
         blind: bool,
@@ -275,7 +275,7 @@ impl PriorityMetrics {
 
     /// In-place variant of [`PriorityMetrics::collapsed`], writing into
     /// `out` (which must not alias `self`), reusing its level buffer.
-    pub fn collapsed_into(&self, out: &mut PriorityMetrics) {
+    pub(crate) fn collapsed_into(&self, out: &mut PriorityMetrics) {
         let mut merged = MetricEntry::default();
         for (_, entry) in &self.levels {
             merged.accumulate(entry);
@@ -321,11 +321,6 @@ impl PriorityMetrics {
     /// Total `P_request` across levels.
     pub fn total_request(&self) -> Watts {
         self.levels.iter().map(|(_, e)| e.request).sum()
-    }
-
-    /// Number of distinct priority levels summarized.
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
     }
 }
 
@@ -403,7 +398,7 @@ mod tests {
         let a = leaf(430.0, Priority::HIGH);
         let b = leaf(430.0, Priority::LOW);
         let m = PriorityMetrics::aggregate([&a, &b], Some(Watts::new(750.0)));
-        assert_eq!(m.level_count(), 2);
+        assert_eq!(m.levels().len(), 2);
         assert_eq!(m.total_cap_min(), Watts::new(540.0));
         assert_eq!(m.total_demand(), Watts::new(860.0));
         assert_eq!(m.constraint(), Watts::new(750.0));
@@ -476,7 +471,7 @@ mod tests {
         let b = leaf(430.0, Priority::LOW);
         let m = PriorityMetrics::aggregate([&a, &b], Some(Watts::new(750.0)));
         let c = m.collapsed();
-        assert_eq!(c.level_count(), 1);
+        assert_eq!(c.levels().len(), 1);
         assert_eq!(c.total_cap_min(), Watts::new(540.0));
         assert_eq!(c.total_demand(), Watts::new(860.0));
         // 430 + 320 = 750, already at the constraint.
@@ -487,7 +482,7 @@ mod tests {
     #[test]
     fn collapse_of_empty_is_empty() {
         let m = PriorityMetrics::empty();
-        assert_eq!(m.collapsed().level_count(), 0);
+        assert_eq!(m.collapsed().levels().len(), 0);
         assert_eq!(m.collapsed().constraint(), Watts::ZERO);
     }
 

@@ -103,7 +103,7 @@ impl MetricsRegistry {
 
     /// Empty registry whose histograms use `bounds` (finite, ascending)
     /// as bucket upper bounds; a `+Inf` overflow bucket is implicit.
-    pub fn with_buckets(bounds: &'static [f64]) -> Self {
+    pub(crate) fn with_buckets(bounds: &'static [f64]) -> Self {
         MetricsRegistry {
             bounds,
             counters: RwLock::new(BTreeMap::new()),

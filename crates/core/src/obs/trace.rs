@@ -16,9 +16,9 @@
 //!   ([`TraceBuffer`]) that drops oldest first and counts what it
 //!   dropped; a long-running daemon can never grow without bound.
 //! - **A tested contract.** [`parse`] is a strict validator (event
-//!   kinds, B/E nesting balance per track, monotonic timestamps, finite
-//!   counter values) that doubles as the golden/differential test oracle
-//!   and rejects hostile or torn input without panicking.
+//!   kinds, monotonic timestamps, finite counter values) that doubles as
+//!   the golden/differential test oracle and rejects hostile or torn
+//!   input without panicking.
 //!
 //! Timestamps are *simulated* microseconds (the engine publishes its
 //! logical clock via [`Recorder::trace_set_time_us`]), so a trace of a
@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use super::json::{write_str, Lexer};
 use super::{names, ParseError, Recorder, RoundPhase};
 
-/// The `Content-Type` an HTTP endpoint should declare for [`render`]ed
+/// The `Content-Type` an HTTP endpoint should declare for [`TraceRecorder::render`]ed
 /// traces.
 pub const CONTENT_TYPE: &str = "application/json";
 
@@ -86,10 +86,6 @@ pub enum EventKind {
         /// Slice duration in microseconds.
         dur_us: u64,
     },
-    /// `ph: "B"` — a slice begins on its `(pid, tid)` track.
-    Begin,
-    /// `ph: "E"` — the most recent open slice on the track ends.
-    End,
     /// `ph: "C"` — one sample of a counter track.
     Counter {
         /// The sampled value; always finite (non-finite samples are
@@ -287,11 +283,6 @@ impl TraceRecorder {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The current logical timestamp in microseconds.
-    pub fn now_us(&self) -> u64 {
-        self.locked().now_us
-    }
-
     /// Retained event count.
     pub fn len(&self) -> usize {
         self.locked().buffer.len()
@@ -310,32 +301,6 @@ impl TraceRecorder {
     /// Total events ever pushed into the ring.
     pub fn pushed_events(&self) -> u64 {
         self.locked().buffer.pushed()
-    }
-
-    /// Open a `B` slice on `(pid, tid)` at the current logical time.
-    pub fn begin_slice(&self, pid: u32, tid: u32, name: impl Into<Cow<'static, str>>) {
-        let mut inner = self.locked();
-        let ts_us = inner.now_us;
-        inner.buffer.push(TraceEvent {
-            name: name.into(),
-            pid,
-            tid,
-            ts_us,
-            kind: EventKind::Begin,
-        });
-    }
-
-    /// Close the most recent open slice on `(pid, tid)`.
-    pub fn end_slice(&self, pid: u32, tid: u32, name: impl Into<Cow<'static, str>>) {
-        let mut inner = self.locked();
-        let ts_us = inner.now_us;
-        inner.buffer.push(TraceEvent {
-            name: name.into(),
-            pid,
-            tid,
-            ts_us,
-            kind: EventKind::End,
-        });
     }
 
     /// Record a complete (`X`) slice on `(pid, tid)` at the current
@@ -492,50 +457,17 @@ impl Recorder for TraceRecorder {
 }
 
 /// Serialize the ring (optionally time-filtered) plus metadata as one
-/// canonical JSON trace document.
-///
-/// Eviction (or a `last_s` cut) can strand an `E` whose `B` is gone;
-/// such orphans are skipped here and counted as dropped, so the emitted
-/// document always keeps B/E nesting balanced per track and the
-/// `droppedEvents` tally stays honest: `dropped + emitted == pushed`
-/// for an unfiltered render.
+/// canonical JSON trace document. Events evicted from the ring or cut by
+/// the filter are counted as dropped, so the `droppedEvents` tally stays
+/// honest: `dropped + emitted == pushed`.
 fn render_document(
     buffer: &TraceBuffer,
     cutoff_us: Option<u64>,
     meta: &[MetaEvent],
 ) -> String {
-    // First pass: find orphaned `E` events (per-track depth going
-    // negative) among the events that survive the time filter.
     let survives = |e: &TraceEvent| cutoff_us.is_none_or(|cut| e.ts_us >= cut);
-    let mut depths: Vec<((u32, u32), i64)> = Vec::new();
-    let mut orphans = 0u64;
-    let mut filtered = 0u64;
-    for event in buffer.iter() {
-        if !survives(event) {
-            filtered += 1;
-            continue;
-        }
-        let delta = match event.kind {
-            EventKind::Begin => 1,
-            EventKind::End => -1,
-            _ => continue,
-        };
-        let key = (event.pid, event.tid);
-        let depth = match depths.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, d)) => d,
-            None => {
-                depths.push((key, 0));
-                &mut depths.last_mut().expect("just pushed").1
-            }
-        };
-        *depth += delta;
-        if *depth < 0 {
-            orphans += 1;
-            *depth = 0;
-        }
-    }
-
-    let dropped = buffer.dropped() + filtered + orphans;
+    let filtered = buffer.iter().filter(|e| !survives(e)).count() as u64;
+    let dropped = buffer.dropped() + filtered;
     let mut out = String::with_capacity(256 + buffer.len() * 96);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"otherData\":{\"droppedEvents\":\"");
     let _ = write!(out, "{dropped}");
@@ -570,37 +502,13 @@ fn render_document(
         write_str(&mut out, &m.name);
         out.push_str("}}");
     }
-    // Second pass: emit, skipping orphaned `E`s the same way.
-    depths.iter_mut().for_each(|(_, d)| *d = 0);
-    for event in buffer.iter() {
-        if !survives(event) {
-            continue;
-        }
-        if matches!(event.kind, EventKind::Begin | EventKind::End) {
-            let key = (event.pid, event.tid);
-            let depth = match depths.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, d)) => d,
-                None => unreachable!("track seen in first pass"),
-            };
-            match event.kind {
-                EventKind::Begin => *depth += 1,
-                EventKind::End => {
-                    if *depth == 0 {
-                        continue; // orphan, already counted
-                    }
-                    *depth -= 1;
-                }
-                _ => unreachable!(),
-            }
-        }
+    for event in buffer.iter().filter(|e| survives(e)) {
         sep(&mut out, &mut first);
         out.push_str("{\"name\":");
         write_str(&mut out, &event.name);
         out.push_str(",\"ph\":\"");
         out.push(match event.kind {
             EventKind::Complete { .. } => 'X',
-            EventKind::Begin => 'B',
-            EventKind::End => 'E',
             EventKind::Counter { .. } => 'C',
         });
         let _ = write!(out, "\",\"ts\":{}", event.ts_us);
@@ -649,14 +557,11 @@ impl ParsedTrace {
         tracks
     }
 
-    /// How many slice events (`X`/`B`) carry this name.
+    /// How many slice (`X`) events carry this name.
     pub fn slice_count(&self, name: &str) -> usize {
         self.events
             .iter()
-            .filter(|e| {
-                e.name == name
-                    && matches!(e.kind, EventKind::Complete { .. } | EventKind::Begin)
-            })
+            .filter(|e| e.name == name && matches!(e.kind, EventKind::Complete { .. }))
             .count()
     }
 }
@@ -732,11 +637,9 @@ const MAX_ID: u64 = u32::MAX as u64;
 /// Parse and strictly validate a JSON trace document.
 ///
 /// Beyond JSON well-formedness, this enforces the trace contract:
-/// known event kinds only (`X`/`B`/`E`/`C`/`M`), required fields per
-/// kind, finite counter values, non-decreasing timestamps in document
-/// order, and per-track B/E nesting balance (an `E` with no open `B` on
-/// its `(pid, tid)` track is an error; a still-open `B` at the end is
-/// legal — the trace was cut mid-slice). Hostile or torn input yields
+/// known event kinds only (`X`/`C`/`M`), required fields per kind,
+/// finite counter values, and non-decreasing timestamps in document
+/// order. Hostile or torn input yields
 /// `Err`, never a panic. The golden and differential tests use this as
 /// their oracle.
 pub fn parse(text: &str) -> Result<ParsedTrace, ParseError> {
@@ -832,8 +735,6 @@ fn ingest_event(
                 .dur
                 .ok_or_else(|| lex.err("X event missing dur"))?,
         },
-        "B" => EventKind::Begin,
-        "E" => EventKind::End,
         "C" => EventKind::Counter {
             value: raw
                 .value
@@ -857,11 +758,9 @@ fn ingest_event(
     Ok(())
 }
 
-/// Semantic validation over the parsed events: monotonic timestamps and
-/// per-track B/E balance.
+/// Semantic validation over the parsed events: monotonic timestamps.
 fn validate(events: &[TraceEvent]) -> Result<(), ParseError> {
     let mut last_ts = 0u64;
-    let mut stacks: Vec<((u32, u32), Vec<&str>)> = Vec::new();
     for (i, event) in events.iter().enumerate() {
         if event.ts_us < last_ts {
             return Err(ParseError::Json {
@@ -873,43 +772,6 @@ fn validate(events: &[TraceEvent]) -> Result<(), ParseError> {
             });
         }
         last_ts = event.ts_us;
-        let key = (event.pid, event.tid);
-        match event.kind {
-            EventKind::Begin => {
-                match stacks.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, stack)) => stack.push(&event.name),
-                    None => stacks.push((key, vec![&event.name])),
-                }
-            }
-            EventKind::End => {
-                let open = stacks
-                    .iter_mut()
-                    .find(|(k, _)| *k == key)
-                    .and_then(|(_, stack)| stack.pop());
-                match open {
-                    None => {
-                        return Err(ParseError::Json {
-                            offset: i,
-                            reason: format!(
-                                "E event {i} ({}) has no open B on track {key:?}",
-                                event.name
-                            ),
-                        })
-                    }
-                    Some(opened) if opened != event.name => {
-                        return Err(ParseError::Json {
-                            offset: i,
-                            reason: format!(
-                                "E event {i} ({}) crosses open slice {opened:?} on track {key:?}",
-                                event.name
-                            ),
-                        })
-                    }
-                    Some(_) => {}
-                }
-            }
-            _ => {}
-        }
     }
     Ok(())
 }
@@ -946,7 +808,7 @@ mod tests {
                 pid: 1,
                 tid: 1,
                 ts_us: i,
-                kind: EventKind::Begin,
+                kind: EventKind::Complete { dur_us: 0 },
             });
         }
         assert_eq!(ring.len(), 3);
@@ -995,25 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn orphaned_end_events_are_skipped_and_counted() {
-        let recorder = TraceRecorder::with_capacity(2);
-        recorder.begin_slice(1, 1, "a"); // evicted by the pushes below
-        recorder.trace_set_time_us(1);
-        recorder.end_slice(1, 1, "a"); // orphaned once "B a" is evicted
-        recorder.trace_set_time_us(2);
-        recorder.counter(1, "c", 5.0);
-        let text = recorder.render(None);
-        let parsed = parse(&text).expect("balanced after orphan skip");
-        assert_eq!(parsed.events.len(), 1, "only the counter survives");
-        // 1 evicted B + 1 orphaned E; everything pushed is accounted for.
-        assert_eq!(parsed.dropped, 2);
-        assert_eq!(
-            parsed.dropped + parsed.events.len() as u64,
-            recorder.pushed_events()
-        );
-    }
-
-    #[test]
     fn last_s_filters_by_logical_time() {
         let recorder = TraceRecorder::new();
         recorder.trace_set_time_us(0);
@@ -1028,13 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_unbalanced_and_backwards_documents() {
-        let orphan_e = "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"E\",\"ts\":0,\"pid\":1,\"tid\":1}]}";
-        assert!(parse(orphan_e).is_err());
-        let crossed = "{\"traceEvents\":[\
-            {\"name\":\"a\",\"ph\":\"B\",\"ts\":0,\"pid\":1,\"tid\":1},\
-            {\"name\":\"b\",\"ph\":\"E\",\"ts\":1,\"pid\":1,\"tid\":1}]}";
-        assert!(parse(crossed).is_err());
+    fn parse_rejects_backwards_documents_and_unknown_kinds() {
         let backwards = "{\"traceEvents\":[\
             {\"name\":\"a\",\"ph\":\"X\",\"ts\":5,\"dur\":0,\"pid\":1,\"tid\":1},\
             {\"name\":\"b\",\"ph\":\"X\",\"ts\":4,\"dur\":0,\"pid\":1,\"tid\":1}]}";
@@ -1042,17 +879,16 @@ mod tests {
         let unknown_kind =
             "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"Q\",\"ts\":0,\"pid\":1,\"tid\":1}]}";
         assert!(parse(unknown_kind).is_err());
-        // A still-open B at the cut is legal.
+        // Slices are complete (`X`): the recorder emits no `B`/`E` pairs.
         let open_b = "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"B\",\"ts\":0,\"pid\":1,\"tid\":1}]}";
-        assert!(parse(open_b).is_ok());
+        assert!(parse(open_b).is_err());
     }
 
     #[test]
     fn parse_survives_torn_and_hostile_input() {
         let recorder = TraceRecorder::new();
         recorder.trace_set_time_us(1);
-        recorder.begin_slice(1, 1, "a");
-        recorder.end_slice(1, 1, "a");
+        recorder.complete_slice(1, 1, "a", 2);
         recorder.counter(1, "c", 1.5);
         let text = recorder.render(None);
         assert!(parse(&text).is_ok());

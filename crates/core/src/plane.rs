@@ -201,17 +201,15 @@ impl SenseBuffer {
 /// Configuration of the control plane.
 ///
 /// Construct with [`PlaneConfig::default`] and the chained `with_*`
-/// builders (the same idiom as [`StalenessConfig`] and
-/// `DeploymentConfig`):
+/// builders (the same idiom as `DeploymentConfig`):
 ///
 /// ```
-/// use capmaestro_core::plane::{PlaneConfig, StalenessConfig};
+/// use capmaestro_core::plane::PlaneConfig;
 /// use capmaestro_core::policy::PolicyKind;
 ///
 /// let config = PlaneConfig::default()
 ///     .with_policy(PolicyKind::LocalPriority)
-///     .with_spo(false)
-///     .with_staleness(StalenessConfig::default().with_stale_after_rounds(5));
+///     .with_spo(false);
 /// assert!(!config.spo);
 /// ```
 #[derive(Debug, Clone)]
@@ -223,11 +221,6 @@ pub struct PlaneConfig {
     pub allocator: AllocatorKind,
     /// Whether to run the stranded-power optimization each round (§4.4).
     pub spo: bool,
-    /// The control period (8 s in the paper's deployment).
-    pub control_period: Seconds,
-    /// The staleness watchdog knobs, applied at plane construction
-    /// (reconfigure a live plane with [`ControlPlane::set_staleness`]).
-    pub staleness: StalenessConfig,
     /// Where instrumentation goes (phase timings, counters, gauges).
     /// Defaults to [`crate::obs::NullRecorder`], which keeps the hot
     /// path allocation-free and bit-identical; attach a
@@ -241,8 +234,6 @@ impl Default for PlaneConfig {
             policy: PolicyKind::GlobalPriority,
             allocator: AllocatorKind::Waterfall,
             spo: true,
-            control_period: Seconds::new(8.0),
-            staleness: StalenessConfig::default(),
             recorder: null_recorder(),
         }
     }
@@ -256,8 +247,6 @@ impl PartialEq for PlaneConfig {
         self.policy == other.policy
             && self.allocator == other.allocator
             && self.spo == other.spo
-            && self.control_period == other.control_period
-            && self.staleness == other.staleness
             && Arc::ptr_eq(&self.recorder, &other.recorder)
     }
 }
@@ -284,72 +273,10 @@ impl PlaneConfig {
         self
     }
 
-    /// Returns the config with the control period replaced.
-    #[must_use]
-    pub fn with_control_period(mut self, control_period: Seconds) -> Self {
-        self.control_period = control_period;
-        self
-    }
-
-    /// Returns the config with the staleness watchdog knobs replaced.
-    #[must_use]
-    pub fn with_staleness(mut self, staleness: StalenessConfig) -> Self {
-        self.staleness = staleness;
-        self
-    }
-
     /// Returns the config with the instrumentation sink replaced.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;
-        self
-    }
-}
-
-/// The staleness watchdog / fail-safe degradation knobs (paper §4.2's
-/// safety argument extended to telemetry faults).
-///
-/// Every control round, each managed server either refreshed its telemetry
-/// since the last round (at least one *plausible* sensor reading was
-/// delivered) or it did not. After `stale_after_rounds` consecutive rounds
-/// without a refresh the server is declared **stale**: instead of trusting
-/// a frozen demand estimate forever, the plane budgets it from a fail-safe
-/// demand and clamps its DC cap to match. Over-throttling a blind server
-/// is safe; a tripped breaker is not.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StalenessConfig {
-    /// Consecutive telemetry-free control rounds before a server is
-    /// declared stale. Rounds 1..N are the *stale-hold* bridge — the last
-    /// good estimate keeps being used, riding out transient sensor drops.
-    pub stale_after_rounds: u32,
-    /// The AC demand a stale server is budgeted from. `None` (the
-    /// default) means the server's own `Pcap_min` — the most conservative
-    /// budget that is still guaranteed enforceable.
-    pub fail_safe_demand: Option<Watts>,
-}
-
-impl Default for StalenessConfig {
-    fn default() -> Self {
-        StalenessConfig {
-            stale_after_rounds: 3,
-            fail_safe_demand: None,
-        }
-    }
-}
-
-impl StalenessConfig {
-    /// Returns the config with the stale-declaration threshold replaced.
-    #[must_use]
-    pub fn with_stale_after_rounds(mut self, rounds: u32) -> Self {
-        self.stale_after_rounds = rounds;
-        self
-    }
-
-    /// Returns the config with the fail-safe demand replaced (`None`
-    /// falls back to each server's `Pcap_min`).
-    #[must_use]
-    pub fn with_fail_safe_demand(mut self, demand: Option<Watts>) -> Self {
-        self.fail_safe_demand = demand;
         self
     }
 }
@@ -520,16 +447,6 @@ impl RoundReport {
         self.allocations
             .iter()
             .find_map(|a| a.supply_budget(server, supply))
-    }
-
-    /// The total budget a server received across its supplies.
-    pub fn server_budget(&self, server: ServerId) -> Watts {
-        self.allocations
-            .iter()
-            .flat_map(|a| a.supply_budgets())
-            .filter(|(s, _, _)| *s == server)
-            .map(|(_, _, w)| w)
-            .sum()
     }
 
     /// Encode the report as a [`MetricsSnapshot`](crate::obs::MetricsSnapshot)
@@ -815,6 +732,7 @@ fn resolve_root_budgets_into(
 /// use capmaestro_core::tree::ControlTree;
 /// use capmaestro_server::{Server, ServerConfig};
 /// use capmaestro_topology::presets::figure2_feed;
+/// use capmaestro_topology::SupplyIndex;
 /// use capmaestro_units::{Seconds, Watts};
 ///
 /// let topo = figure2_feed();
@@ -836,7 +754,8 @@ fn resolve_root_budgets_into(
 /// let report = plane.round(&mut farm);
 /// let sa = topo.server_by_name("SA").unwrap();
 /// // The high-priority server is budgeted its full demand.
-/// assert!(report.server_budget(sa) > Watts::new(420.0));
+/// let budget = report.supply_budget(sa, SupplyIndex::FIRST).unwrap();
+/// assert!(budget > Watts::new(420.0));
 /// ```
 #[derive(Debug)]
 pub struct ControlPlane {
@@ -876,10 +795,6 @@ impl ControlPlane {
     /// Creates a plane with an explicit [`BudgetSource`] — use
     /// [`BudgetSource::SharedPerPhase`] for the paper's contractual-budget
     /// arrangement with automatic failover.
-    /// # Panics
-    ///
-    /// Panics if `config.staleness.stale_after_rounds` is zero (see
-    /// [`ControlPlane::set_staleness`]).
     pub fn with_budget_source(
         trees: Vec<ControlTree>,
         budget_source: BudgetSource,
@@ -892,10 +807,6 @@ impl ControlPlane {
                 "one root budget per control tree is required"
             );
         }
-        assert!(
-            config.staleness.stale_after_rounds >= 1,
-            "stale_after_rounds must be at least 1"
-        );
         let mut static_priorities = HashMap::new();
         for tree in &trees {
             for (_, leaf) in tree.spec().leaves() {
@@ -914,21 +825,6 @@ impl ControlPlane {
         }
     }
 
-    /// Reconfigures the staleness watchdog (defaults:
-    /// [`StalenessConfig::default`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stale_after_rounds` is zero — every server would be
-    /// permanently stale.
-    pub fn set_staleness(&mut self, config: StalenessConfig) {
-        assert!(
-            config.stale_after_rounds >= 1,
-            "stale_after_rounds must be at least 1"
-        );
-        self.config.staleness = config;
-    }
-
     /// Replaces the instrumentation sink (e.g. attaching a
     /// [`crate::obs::MetricsRegistry`] to a plane built with the default
     /// [`crate::obs::NullRecorder`]).
@@ -942,7 +838,7 @@ impl ControlPlane {
     }
 
     /// Servers the last round declared stale (no plausible telemetry for
-    /// at least `stale_after_rounds` rounds), in id order.
+    /// at least [`crate::STALE_AFTER_ROUNDS`] rounds), in id order.
     pub fn stale_servers(&self) -> Vec<ServerId> {
         self.leaves.stale_ids().collect()
     }
@@ -1102,7 +998,7 @@ impl ControlPlane {
     /// The topology's static priority for a server, snapshotted at plane
     /// construction — the value [`ControlPlane::clear_priority`] falls
     /// back to. `None` for servers the plane has never heard of.
-    pub fn static_priority(
+    pub(crate) fn static_priority(
         &self,
         server: ServerId,
     ) -> Option<capmaestro_topology::Priority> {
@@ -1235,15 +1131,11 @@ impl ControlPlane {
         // 0. Age each visited leaf one round (fresh → stale-hold →
         //    fail-safe) and settle the demand its server is budgeted from:
         //    a stale server's is its fail-safe value, not a frozen estimate.
-        let StalenessConfig {
-            stale_after_rounds,
-            fail_safe_demand: fail_safe,
-        } = self.config.staleness;
         self.absorb(farm);
-        self.leaves.age(stale_after_rounds, |slot, leaf| {
+        self.leaves.age(|slot, leaf| {
             let server = farm.server_at(slot);
             let model = server.config().model();
-            leaf.refresh_demand(model, fail_safe, || server.sense().total_ac);
+            leaf.refresh_demand(model, || server.sense().total_ac);
         });
         drop(estimate_timer);
         if recorder.enabled() {
@@ -1406,7 +1298,7 @@ impl ControlPlane {
                     let budget = allocations[at.tree as usize].leaf_budget(at.leaf as usize);
                     (at.supply.index(), budget)
                 });
-            let cap = leaf.command(model, bank.efficiency(), fail_safe, budgets, || server.sense());
+            let cap = leaf.command(model, bank.efficiency(), budgets, || server.sense());
             if let Some(cap) = cap {
                 server.set_dc_cap(cap);
             }
@@ -1662,8 +1554,7 @@ mod tests {
         plane.sample(&mut farm);
         let report = plane.round(&mut farm).clone();
         let sa = topo.server_by_name("SA").unwrap();
-        assert!(report.supply_budget(sa, SupplyIndex::FIRST).is_some());
-        assert!(report.server_budget(sa) > Watts::ZERO);
+        assert!(report.supply_budget(sa, SupplyIndex::FIRST) > Some(Watts::ZERO));
         assert_eq!(report.dc_caps.len(), 4);
         assert_eq!(report.stranded_reclaimed, Watts::ZERO); // SPO off
     }
@@ -1946,7 +1837,7 @@ mod tests {
     }
 
     /// The ladder itself is unit-tested in `leaf`; this proves the plane
-    /// drives it: the configured threshold and fail-safe demand apply, a
+    /// drives it: the threshold and the `cap_min` fail-safe demand apply, a
     /// dropped reading and a garbage one both count as missing, the forced
     /// cap lands on the farm, and returning telemetry recovers.
     #[test]
@@ -1954,11 +1845,6 @@ mod tests {
         let (topo, mut farm, mut plane) = fig2_plane(PolicyKind::GlobalPriority);
         let sa = topo.server_by_name("SA").unwrap();
         let sb = topo.server_by_name("SB").unwrap();
-        plane.set_staleness(
-            StalenessConfig::default()
-                .with_stale_after_rounds(2)
-                .with_fail_safe_demand(Some(Watts::new(300.0))),
-        );
         run_periods(&mut plane, &mut farm, 4);
         let healthy_cap = farm.get(sb).unwrap().dc_cap().unwrap();
 
@@ -1979,12 +1865,15 @@ mod tests {
             }
             plane.round(farm);
         };
-        faulty_period(&mut plane, &mut farm);
-        assert_eq!(plane.stale_count(), 0, "stale-hold bridge, not yet stale");
+        for _ in 1..crate::STALE_AFTER_ROUNDS {
+            faulty_period(&mut plane, &mut farm);
+            assert_eq!(plane.stale_count(), 0, "stale-hold bridge, not yet stale");
+        }
         faulty_period(&mut plane, &mut farm);
         assert_eq!(plane.stale_servers(), vec![sa, sb]);
         assert_eq!(plane.stale_count(), 2);
-        let forced = Watts::new(300.0) * farm.get(sb).unwrap().bank().efficiency();
+        let sb_server = farm.get(sb).unwrap();
+        let forced = sb_server.config().model().cap_min() * sb_server.bank().efficiency();
         assert_eq!(farm.get(sb).unwrap().dc_cap(), Some(forced));
 
         // Telemetry returns: fresh at the next round, and the cleared
@@ -1996,16 +1885,6 @@ mod tests {
             (recovered_cap.as_f64() - healthy_cap.as_f64()).abs() < 0.02 * healthy_cap.as_f64(),
             "cap should recover within 2% of {healthy_cap}, got {recovered_cap}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_stale_after_rejected() {
-        let (_, _, mut plane) = fig2_plane(PolicyKind::GlobalPriority);
-        plane.set_staleness(StalenessConfig {
-            stale_after_rounds: 0,
-            fail_safe_demand: None,
-        });
     }
 
     #[test]

@@ -52,7 +52,6 @@ struct RouteServer {
 /// steady-state SPO then performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct SpoScratch {
-    routes_valid: bool,
     /// Sorted by server, each server's supplies by supply index: the
     /// `(server, supply)` order the stranded total is summed in.
     routes: Vec<RouteServer>,
@@ -76,8 +75,11 @@ impl SpoScratch {
     /// Invalidates the cached routes and round states. Must be called
     /// whenever the tree set changes (feed failure / restore): routes are
     /// keyed by tree index and leaf slot.
-    pub fn invalidate(&mut self) {
-        self.routes_valid = false;
+    pub(crate) fn invalidate(&mut self) {
+        // Cleared together: with every feed failed there are no trees, so
+        // no rebuild runs, and stale routes would index trees that are gone.
+        self.routes.clear();
+        self.overlays.clear();
         self.detected = None;
         for s in &mut self.states1 {
             s.invalidate();
@@ -135,7 +137,6 @@ impl SpoScratch {
         for route in &mut self.routes {
             route.supplies.sort_by_key(|s| s.supply);
         }
-        self.routes_valid = true;
         self.detected = None;
     }
 }
@@ -162,7 +163,7 @@ impl SpoScratch {
 /// walk and runs through the budget memo. Each `(server, supply)` must be
 /// a leaf of at most one tree.
 ///
-/// The caller must call [`SpoScratch::invalidate`] whenever the tree set
+/// The caller must call `SpoScratch::invalidate` whenever the tree set
 /// changes between rounds.
 ///
 /// # Examples
@@ -277,7 +278,7 @@ pub fn optimize_stranded_power_in(
         return Watts::ZERO;
     }
     let spo_timer = PhaseTimer::start(recorder, RoundPhase::Spo.metric_name());
-    if !scratch.routes_valid || scratch.overlays.len() != n {
+    if scratch.overlays.len() != n {
         scratch.rebuild_routes(trees);
     }
 

@@ -5,9 +5,9 @@
 //! flattened child lists, per-node contexts/limits, and a dense index of
 //! leaf slots ([`LeafIndex`]), so the per-round passes are branch-predictable
 //! array walks instead of pointer chases and map lookups. Rounds are made
-//! **incremental** by generation-stamped leaf inputs plus a reusable
-//! [`TreeRoundState`]: [`ControlTree::allocate_in`] re-summarizes only
-//! subtrees with a dirtied descendant, re-splits only nodes whose budget or
+//! **incremental** by a reusable [`TreeRoundState`] that value-compares
+//! each leaf's input and priority: [`ControlTree::allocate_in`]
+//! re-summarizes only subtrees with a dirtied descendant, re-splits only nodes whose budget or
 //! summary changed, and performs no heap allocation once its buffers are
 //! warm.
 
@@ -260,7 +260,7 @@ impl Allocation {
 
     /// Iterates `(server, supply, budget)` over all leaf budgets, in
     /// spec-leaf (slot) order.
-    pub fn supply_budgets(
+    pub(crate) fn supply_budgets(
         &self,
     ) -> impl Iterator<Item = (ServerId, SupplyIndex, Watts)> + '_ {
         self.leaf_index
@@ -302,9 +302,9 @@ enum Pin {
 }
 
 /// Reusable per-tree round state for [`ControlTree::allocate_in`]: the
-/// cached per-node [`PriorityMetrics`] with their dirty/generation
-/// bookkeeping, the budget-down memo, plus every scratch buffer the gather
-/// and budget-down passes need. Keep one per (tree, pass) and reuse it
+/// cached per-node [`PriorityMetrics`] with their dirty bookkeeping, the
+/// budget-down memo, plus every scratch buffer the gather and
+/// budget-down passes need. Keep one per (tree, pass) and reuse it
 /// across rounds; steady-state rounds then allocate nothing.
 ///
 /// Both halves of the walk are incremental. [`ControlTree::gather_in`]
@@ -314,7 +314,7 @@ enum Pin {
 /// summary was recomputed since the previous `budget_in` (however many
 /// gathers ran in between) — an unchanged node's subtree keeps its budgets.
 /// The memo is keyed by the allocator's name and dropped by
-/// [`TreeRoundState::invalidate`], a policy or tree-shape change, and a
+/// `TreeRoundState::invalidate`, a policy or tree-shape change, and a
 /// change of which nodes are pinned. The result is bit-identical to a fresh
 /// state: a split is a pure function of the node's budget, its children's
 /// summaries and the allocator.
@@ -326,7 +326,6 @@ pub struct TreeRoundState {
     /// Per-node [`Pin`]; empty (all free) until the first pin.
     pins: Vec<Pin>,
     dirty: Vec<bool>,
-    seen_gens: Vec<u64>,
     last_leaves: Vec<Option<(SupplyInput, Priority)>>,
     /// Node budgets as of the last `budget_in`: the memo.
     budgets: Vec<Watts>,
@@ -364,7 +363,7 @@ impl TreeRoundState {
     /// Drops all cached metrics and the budget memo: the next round
     /// recomputes every subtree and re-splits every node, as a fresh state
     /// would (required when the tree set changes).
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.valid = false;
         self.memo = None;
     }
@@ -437,10 +436,8 @@ pub struct ControlTree {
     spec: ControlTreeSpec,
     inputs: Vec<Option<SupplyInput>>,
     arena: TreeArena,
-    /// Per-node generation stamp, bumped when a leaf's input or priority
-    /// actually changes value. [`TreeRoundState`] compares stamps to skip
-    /// re-summarizing clean subtrees.
-    generations: Vec<u64>,
+    /// Bumped when a leaf's input or priority actually changes value.
+    /// [`TreeRoundState`] compares it to skip a gather where nothing moved.
     generation: u64,
 }
 
@@ -450,12 +447,10 @@ impl ControlTree {
     pub fn new(spec: ControlTreeSpec) -> Self {
         let arena = TreeArena::build(&spec);
         let inputs = vec![None; spec.len()];
-        let generations = vec![0u64; spec.len()];
         ControlTree {
             spec,
             inputs,
             arena,
-            generations,
             generation: 0,
         }
     }
@@ -482,16 +477,11 @@ impl ControlTree {
         &self.arena
     }
 
-    fn bump(&mut self, idx: usize) {
-        self.generation += 1;
-        self.generations[idx] = self.generation;
-    }
-
     /// Sets the input of the leaf at spec node `idx`.
     pub(crate) fn set_input_at(&mut self, idx: usize, input: SupplyInput) {
         if self.inputs[idx] != Some(input) {
             self.inputs[idx] = Some(input);
-            self.bump(idx);
+            self.generation += 1;
         }
     }
 
@@ -557,7 +547,6 @@ impl ControlTree {
                 if leaf.priority != priority {
                     leaf.priority = priority;
                     self.generation += 1;
-                    self.generations[idx] = self.generation;
                 }
             }
         }
@@ -645,8 +634,8 @@ impl ControlTree {
     }
 
     /// The gather-up half of a round (paper §4.3.1), with dirty-tracking:
-    /// only subtrees with a dirtied descendant (generation-stamp or value
-    /// change on a leaf input / priority, an `overlay` difference, or a
+    /// only subtrees with a dirtied descendant (a value change of a leaf
+    /// input / priority, an `overlay` difference, or a
     /// re-pinned summary) are re-summarized; clean nodes reuse the
     /// [`PriorityMetrics`] cached in `state`. When nothing moved since the
     /// state's last gather, the walk itself is skipped. Returns the root's
@@ -685,8 +674,6 @@ impl ControlTree {
             state.dirty.resize(n, true);
             state.resplit.clear();
             state.resplit.resize(n, true);
-            state.seen_gens.clear();
-            state.seen_gens.resize(n, 0);
             state.last_leaves.clear();
             state.last_leaves.resize(n, None);
         }
@@ -726,9 +713,7 @@ impl ControlTree {
                     None => base,
                 };
                 let current = effective.map(|input| (input, leaf.priority));
-                let dirty = !state.valid
-                    || state.seen_gens[idx] != self.generations[idx]
-                    || state.last_leaves[idx] != current;
+                let dirty = !state.valid || state.last_leaves[idx] != current;
                 state.dirty[idx] = dirty;
                 state.resplit[idx] |= dirty;
                 if dirty {
@@ -753,7 +738,6 @@ impl ControlTree {
                 } else {
                     state.skipped += 1;
                 }
-                state.seen_gens[idx] = self.generations[idx];
             } else {
                 let children = self.arena.children_of(idx);
                 let dirty =
@@ -1169,7 +1153,7 @@ mod tests {
     fn gather_reports_levels_per_policy() {
         let (_, tree) = fig2_tree();
         let root_levels = |policy: &dyn CappingPolicy| {
-            tree.gather_in(policy, &mut TreeRoundState::new(), None).level_count()
+            tree.gather_in(policy, &mut TreeRoundState::new(), None).levels().len()
         };
         // Root sees both priority levels under Global.
         assert_eq!(root_levels(&GlobalPriority::new()), 2);

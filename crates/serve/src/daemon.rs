@@ -69,7 +69,7 @@ pub struct DaemonConfig {
     /// the log in memory only.
     pub oplog: Option<std::path::PathBuf>,
     /// Write the Perfetto JSON trace to this file at run boundaries
-    /// (every [`TRACE_RESET_PERIOD`] steps and on shutdown). `None`
+    /// (every 3 600 steps and on shutdown). `None`
     /// keeps traces reachable via `GET /v1/trace` only.
     pub trace: Option<std::path::PathBuf>,
 }

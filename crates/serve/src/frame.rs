@@ -3,7 +3,7 @@
 //! Thin transport plumbing around the dependency-free wire codec in
 //! [`capmaestro_core::wire`]: a [`FrameReader`] that accumulates bytes
 //! until one length-prefixed frame is complete (tolerating arbitrary TCP
-//! segmentation), and [`write_frame`] which writes one frame under a
+//! segmentation), and `write_frame` which writes one frame under a
 //! write timeout. Both sides of the control plane — the room
 //! controller's [`crate::socket::SocketTransport`] and the
 //! [`crate::agent`] processes — speak through this module only.
@@ -61,7 +61,7 @@ impl FrameReader {
 
     /// Reads from `stream` until one complete frame is available or
     /// `deadline` passes. See the module docs for the error taxonomy.
-    pub fn read_frame(
+    pub(crate) fn read_frame(
         &mut self,
         stream: &mut TcpStream,
         deadline: Instant,
@@ -104,7 +104,11 @@ impl FrameReader {
 ///
 /// A short write, timeout, or I/O error all mean the connection can no
 /// longer carry whole frames and must be torn down by the caller.
-pub fn write_frame(stream: &mut TcpStream, payload: &[u8], timeout: Duration) -> io::Result<()> {
+pub(crate) fn write_frame(
+    stream: &mut TcpStream,
+    payload: &[u8],
+    timeout: Duration,
+) -> io::Result<()> {
     stream.set_write_timeout(Some(timeout.max(Duration::from_millis(1))))?;
     stream.write_all(&frame(payload))?;
     stream.flush()

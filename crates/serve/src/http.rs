@@ -72,7 +72,7 @@ impl Request {
     /// The first value of a query parameter (`?since=5&x=y` → `since` is
     /// `"5"`). Values are taken verbatim — no percent-decoding, which the
     /// numeric parameters this API uses never need.
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         let query = self.target.split_once('?')?.1;
         query.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
@@ -101,7 +101,7 @@ impl HttpError {
     }
 
     /// A `413 Payload Too Large` error.
-    pub fn too_large(reason: impl Into<String>) -> Self {
+    pub(crate) fn too_large(reason: impl Into<String>) -> Self {
         HttpError {
             status: 413,
             reason: reason.into(),
@@ -319,7 +319,7 @@ impl Response {
 
     /// Adds one extra response header. Values must already be valid
     /// header text (no CR/LF); everything this server emits is.
-    pub fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
+    pub(crate) fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
         self.extra_headers.push((name, value.into()));
         self
     }

@@ -69,9 +69,9 @@ pub mod socket;
 pub mod state;
 
 pub use agent::{run_agent, AgentConfig, AgentReport};
-pub use frame::{write_frame, FrameReader};
+pub use frame::FrameReader;
 pub use http::{HttpError, HttpLimits, Request, Response};
-pub use rig::{build_owned_farm, build_rig, rig_assignments, DistRig, RigSpec};
+pub use rig::{build_rig, rig_assignments, DistRig, RigSpec};
 pub use router::{ApiError, Router};
 pub use server::{Handler, HttpConfig, HttpServer, ShutdownHandle};
 pub use socket::{SocketTransport, SocketTransportConfig};

@@ -130,7 +130,7 @@ pub fn build_farm(topo: &Topology) -> Farm {
 
 /// Builds an agent's local farm: only the servers in `owned`, identical
 /// construction to [`build_farm`] so the two worlds start bit-identical.
-pub fn build_owned_farm(owned: &[ServerId]) -> Farm {
+pub(crate) fn build_owned_farm(owned: &[ServerId]) -> Farm {
     let mut farm = Farm::new();
     for &id in owned {
         farm.insert(id, rig_server());

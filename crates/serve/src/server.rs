@@ -115,7 +115,7 @@ impl ShutdownHandle {
     }
 
     /// Whether shutdown has been requested.
-    pub fn is_requested(&self) -> bool {
+    pub(crate) fn is_requested(&self) -> bool {
         self.0.load(Ordering::SeqCst)
     }
 }
@@ -205,7 +205,7 @@ impl HttpServer {
     }
 
     /// A handle that can request shutdown from another thread.
-    pub fn shutdown_handle(&self) -> ShutdownHandle {
+    pub(crate) fn shutdown_handle(&self) -> ShutdownHandle {
         self.shutdown.clone()
     }
 

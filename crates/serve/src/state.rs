@@ -480,7 +480,7 @@ impl ServeState {
     }
 
     /// Render the `/v1/metrics` Prometheus page from the live registry.
-    pub fn metrics_page(&self) -> String {
+    pub(crate) fn metrics_page(&self) -> String {
         prometheus::render(&self.registry.snapshot())
     }
 
@@ -504,7 +504,7 @@ impl ServeState {
     /// Validate and append a full root-budget vector (the legacy
     /// `POST /v1/budget` shape: raw watts, one per tree). The event is
     /// applied by the reconciler at the next round boundary.
-    pub fn stage_budgets(
+    pub(crate) fn stage_budgets(
         &self,
         budgets: &[f64],
         key: Option<&str>,
@@ -523,7 +523,7 @@ impl ServeState {
 
     /// Validate and append one tree's declared root budget
     /// (`PUT /v1/trees/{id}/budget`).
-    pub fn stage_tree_budget(
+    pub(crate) fn stage_tree_budget(
         &self,
         tree: u32,
         watts: f64,
@@ -545,7 +545,7 @@ impl ServeState {
 
     /// Validate and append a group priority band — `Some` declares it,
     /// `None` withdraws it (`PATCH /v1/groups/{tree}.{node}/priority`).
-    pub fn stage_group_priority(
+    pub(crate) fn stage_group_priority(
         &self,
         tree: u32,
         node: u32,
@@ -580,7 +580,7 @@ impl ServeState {
 
     /// Validate and append a server drain (`enabled: false`) or return
     /// to service (`POST /v1/servers/{id}:drain` / `:undrain`).
-    pub fn stage_server_enabled(
+    pub(crate) fn stage_server_enabled(
         &self,
         server: ServerId,
         enabled: bool,

@@ -11,11 +11,27 @@ use std::time::{Duration, Instant};
 
 use capmaestro_core::wire::{encode_up, frame};
 use capmaestro_core::workers::leaf_statics;
-use capmaestro_core::{AllocatorKind, DeploymentConfig, PolicyKind, UpMsg, WorkerDeployment};
+use capmaestro_core::{
+    AllocatorKind, DeploymentConfig, PolicyKind, RoundOutcome, UpMsg, WorkerDeployment,
+};
 use capmaestro_serve::agent::{run_agent, AgentConfig};
 use capmaestro_serve::rig::{build_farm, build_rig, rig_assignments, RigSpec};
 use capmaestro_serve::socket::{SocketTransport, SocketTransportConfig};
 use capmaestro_sim::procchaos::demand_at;
+
+/// A canonical one-line rendering of a round's outcome with exact f64 bit
+/// patterns: the comparison key of the socket-vs-channel differentials.
+fn wire_line(outcome: &RoundOutcome) -> String {
+    use std::fmt::Write as _;
+    let mut s = format!("round={}", outcome.round);
+    for ((t, c), b) in &outcome.cut_budgets {
+        let _ = write!(s, " {t}.{c}={:016x}", b.as_f64().to_bits());
+    }
+    for (t, c) in &outcome.failsafe_cuts {
+        let _ = write!(s, " failsafe={t}.{c}");
+    }
+    s
+}
 
 /// Builds a socket-backed deployment over `spec` with `workers` expected
 /// agents, returning the deployment and the controller address.
@@ -302,7 +318,7 @@ fn socket_matches_channel_bitwise(allocator: AllocatorKind) {
         deployment.set_allocator(allocator);
         let mut lines = Vec::new();
         for round in 0..rounds {
-            lines.push(deployment.run_round(round).wire_line());
+            lines.push(wire_line(&deployment.run_round(round)));
             {
                 let mut guard = farm.write();
                 let ids: Vec<_> = guard.ids().to_vec();
@@ -338,7 +354,7 @@ fn socket_matches_channel_bitwise(allocator: AllocatorKind) {
             outcome.failsafe_cuts.is_empty(),
             "fault-free run must never ride fail-safe (round {round})"
         );
-        lines.push(outcome.wire_line());
+        lines.push(wire_line(&outcome));
         assert!(deployment.advance(1), "advance must ack (round {round})");
     }
     assert_eq!(deployment.transport_violations(), 0);

@@ -37,18 +37,14 @@
 #![warn(missing_debug_implementations)]
 
 pub mod node_manager;
-pub mod partitions;
 pub mod power_model;
 pub mod psu;
 mod server;
 #[deny(clippy::large_stack_arrays, clippy::needless_collect)]
 pub mod slab;
-pub mod telemetry;
 
 pub use node_manager::NodeManager;
-pub use partitions::{PartitionSet, VirtualPartition};
 pub use power_model::{PowerCurve, ServerPowerModel};
 pub use psu::{PowerSupply, PsuBank, SupplyState};
 pub use server::{SensorSnapshot, Server, ServerConfig};
 pub use slab::{ServerMut, ServerRef, ServerSlab};
-pub use telemetry::{CleanSensePath, SenseInterposer};

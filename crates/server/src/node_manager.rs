@@ -49,20 +49,20 @@ impl NodeManager {
     /// # Panics
     ///
     /// Panics if `cap` is not positive (a zero cap cannot be enforced; use
-    /// [`NodeManager::clear_cap`] to uncap).
+    /// `NodeManager::clear_cap` to uncap).
     pub fn set_dc_cap(&mut self, cap: Watts) {
         assert!(cap > Watts::ZERO, "DC cap must be positive, got {cap}");
         self.dc_cap = Some(cap);
     }
 
     /// Removes the cap (full performance).
-    pub fn clear_cap(&mut self) {
+    pub(crate) fn clear_cap(&mut self) {
         self.dc_cap = None;
     }
 
     /// The cap translated to the AC domain given the PSU bank efficiency
     /// `k` (AC = DC / k).
-    pub fn ac_cap(&self, efficiency: Ratio) -> Option<Watts> {
+    pub(crate) fn ac_cap(&self, efficiency: Ratio) -> Option<Watts> {
         self.dc_cap.map(|c| c / efficiency)
     }
 

@@ -129,7 +129,7 @@ impl ServerPowerModel {
     }
 
     /// The dynamic range `Pcap_max − idle` that capping can modulate.
-    pub fn dynamic_range(self) -> Watts {
+    pub(crate) fn dynamic_range(self) -> Watts {
         self.cap_max - self.idle
     }
 
@@ -143,36 +143,6 @@ impl ServerPowerModel {
             PowerCurve::Linear => u,
         };
         self.idle + self.dynamic_range() * frac.clamp(0.0, 1.0)
-    }
-
-    /// Inverse of [`ServerPowerModel::power_at_utilization`]: the highest
-    /// utilization sustainable at power `p`. Clamps to `[0, 1]` outside the
-    /// envelope.
-    ///
-    /// The Fan et al. curve is strictly increasing on `[0, 1]`, so a short
-    /// bisection suffices.
-    pub fn utilization_at_power(self, p: Watts) -> Ratio {
-        if p <= self.idle {
-            return Ratio::ZERO;
-        }
-        if p >= self.cap_max {
-            return Ratio::ONE;
-        }
-        match self.curve {
-            PowerCurve::Linear => Ratio::new((p - self.idle) / self.dynamic_range()),
-            PowerCurve::FanEtAl => {
-                let (mut lo, mut hi) = (0.0f64, 1.0f64);
-                for _ in 0..60 {
-                    let mid = 0.5 * (lo + hi);
-                    if self.power_at_utilization(Ratio::new(mid)) < p {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                Ratio::new(0.5 * (lo + hi))
-            }
-        }
     }
 
     /// The *cap ratio* metric of §6.4: the fraction of dynamic power demand
@@ -234,35 +204,6 @@ mod tests {
         let m = ServerPowerModel::paper_default();
         assert_eq!(m.power_at_utilization(Ratio::new(1.5)), Watts::new(490.0));
         assert_eq!(m.power_at_utilization(Ratio::new(-0.5)), Watts::new(160.0));
-    }
-
-    #[test]
-    fn inverse_roundtrip_fan() {
-        let m = ServerPowerModel::paper_default();
-        for i in 1..10 {
-            let u = Ratio::new(i as f64 / 10.0);
-            let p = m.power_at_utilization(u);
-            let back = m.utilization_at_power(p);
-            assert!(
-                (back.as_f64() - u.as_f64()).abs() < 1e-9,
-                "roundtrip failed at u={u}"
-            );
-        }
-    }
-
-    #[test]
-    fn inverse_roundtrip_linear() {
-        let m = ServerPowerModel::paper_default().with_curve(PowerCurve::Linear);
-        let p = m.power_at_utilization(Ratio::new(0.4));
-        assert_eq!(p, Watts::new(160.0 + 0.4 * 330.0));
-        assert!((m.utilization_at_power(p).as_f64() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_clamps_envelope() {
-        let m = ServerPowerModel::paper_default();
-        assert_eq!(m.utilization_at_power(Watts::new(100.0)), Ratio::ZERO);
-        assert_eq!(m.utilization_at_power(Watts::new(600.0)), Ratio::ONE);
     }
 
     #[test]

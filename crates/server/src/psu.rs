@@ -267,7 +267,7 @@ impl PsuBank {
     /// Iterates the effective load shares in supply order without
     /// allocating — same values as [`PsuBank::effective_shares`], for
     /// callers on the per-round hot path.
-    pub fn effective_shares_iter(&self) -> impl Iterator<Item = Ratio> + '_ {
+    pub(crate) fn effective_shares_iter(&self) -> impl Iterator<Item = Ratio> + '_ {
         let total: f64 = self
             .supplies
             .iter()
@@ -329,11 +329,6 @@ impl PsuBank {
                 .map(|s| s.efficiency())
                 .unwrap_or(Ratio::ONE)
         }
-    }
-
-    /// Total AC drawn at the wall for a given DC load.
-    pub fn total_ac_for_dc(&self, dc: Watts) -> Watts {
-        dc / self.efficiency()
     }
 
     /// Total DC delivered for a given wall AC draw.
@@ -424,7 +419,7 @@ mod tests {
     fn ac_dc_roundtrip() {
         let bank = PsuBank::dual(0.65, K);
         let dc = Watts::new(400.0);
-        let ac = bank.total_ac_for_dc(dc);
+        let ac = dc / bank.efficiency();
         assert!(ac > dc); // conversion losses
         let dc_back = bank.dc_for_total_ac(ac);
         assert!(dc_back.approx_eq(dc, Watts::new(1e-9)));

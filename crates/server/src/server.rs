@@ -117,6 +117,42 @@ impl SensorSnapshot {
             throttle: Ratio::ZERO,
         }
     }
+
+    /// A copy of this reading with every power field scaled by `factor`
+    /// (throttle is left alone — it is a ratio, not a power). The building
+    /// block for spike and gain faults.
+    #[must_use]
+    pub fn scaled(&self, factor: f64) -> SensorSnapshot {
+        SensorSnapshot {
+            supply_ac: self.supply_ac.iter().map(|&w| w * factor).collect(),
+            total_ac: self.total_ac * factor,
+            dc_power: self.dc_power * factor,
+            throttle: self.throttle,
+        }
+    }
+
+    /// A copy of this reading with `delta` watts added to every power
+    /// field (the per-supply values each absorb a share-proportional part
+    /// so the reading stays internally consistent). The building block for
+    /// additive Gaussian sensor noise.
+    #[must_use]
+    pub fn offset(&self, delta: Watts) -> SensorSnapshot {
+        let total = self.total_ac.as_f64();
+        let supply_ac = if total.abs() > f64::EPSILON {
+            self.supply_ac
+                .iter()
+                .map(|&w| w + delta * (w.as_f64() / total))
+                .collect()
+        } else {
+            self.supply_ac.clone()
+        };
+        SensorSnapshot {
+            supply_ac,
+            total_ac: self.total_ac + delta,
+            dc_power: self.dc_power + delta,
+            throttle: self.throttle,
+        }
+    }
 }
 
 // Manual impl so `clone_from` reuses the `supply_ac` allocation — the
@@ -564,5 +600,34 @@ mod tests {
         s.set_offered_demand(Watts::new(430.0));
         s.settle();
         assert_eq!(s.to_string(), "server [demand 430 W, power 430 W, throttle 0.0%]");
+    }
+
+    #[test]
+    fn scaled_multiplies_all_power_fields() {
+        let mut server = server_with_split(0.6);
+        server.set_offered_demand(Watts::new(400.0));
+        server.settle();
+        let raw = server.sense();
+        let spiked = raw.scaled(2.0);
+        assert!((spiked.total_ac.as_f64() - 2.0 * raw.total_ac.as_f64()).abs() < 1e-9);
+        for (s, r) in spiked.supply_ac.iter().zip(&raw.supply_ac) {
+            assert!((s.as_f64() - 2.0 * r.as_f64()).abs() < 1e-9);
+        }
+        assert_eq!(spiked.throttle, raw.throttle);
+    }
+
+    #[test]
+    fn offset_preserves_supply_consistency() {
+        let mut server = server_with_split(0.6);
+        server.set_offered_demand(Watts::new(400.0));
+        server.settle();
+        let raw = server.sense();
+        let noisy = raw.offset(Watts::new(10.0));
+        assert!((noisy.total_ac.as_f64() - raw.total_ac.as_f64() - 10.0).abs() < 1e-9);
+        let supply_sum: f64 = noisy.supply_ac.iter().map(|w| w.as_f64()).sum();
+        assert!(
+            (supply_sum - noisy.total_ac.as_f64()).abs() < 1e-9,
+            "per-supply readings must still sum to the total"
+        );
     }
 }

@@ -34,7 +34,7 @@ use crate::engine::Engine;
 /// Per-(feed, node) load for a farm wired according to `topology`: outlet
 /// loads pushed up each ancestor path. This is what the infrastructure's
 /// meters would read.
-pub fn node_loads(topology: &Topology, farm: &Farm) -> HashMap<(FeedId, NodeId), Watts> {
+pub(crate) fn node_loads(topology: &Topology, farm: &Farm) -> HashMap<(FeedId, NodeId), Watts> {
     let mut loads: HashMap<(FeedId, NodeId), Watts> = HashMap::new();
     for graph in topology.feeds() {
         for (outlet_node, outlet) in graph.outlets() {
@@ -116,7 +116,7 @@ pub fn audit_wiring(declared: &Topology, actual: &Topology, farm: &mut Farm) -> 
 /// The probe sweep covers the union of the farm's servers and the
 /// declaration's attached servers, so a server that is declared but was
 /// never racked surfaces as a violation instead of silently passing.
-pub fn audit_wiring_tracked(
+pub(crate) fn audit_wiring_tracked(
     declared: &Topology,
     actual: &Topology,
     farm: &mut Farm,
@@ -360,7 +360,6 @@ pub struct InvariantTracker {
     out_of_range: HashSet<ServerId>,
     /// Trip entries of the engine trace already reported.
     trips_seen: usize,
-    seconds_observed: u64,
     /// Sink for the `capmaestro_invariant_violations_total` counter.
     recorder: Arc<dyn Recorder>,
 }
@@ -376,7 +375,6 @@ impl InvariantTracker {
             meter_gap_s: HashMap::new(),
             out_of_range: HashSet::new(),
             trips_seen: 0,
-            seconds_observed: 0,
             recorder: null_recorder(),
         }
     }
@@ -410,11 +408,6 @@ impl InvariantTracker {
         self.violations.is_empty()
     }
 
-    /// Seconds of simulation observed.
-    pub fn seconds_observed(&self) -> u64 {
-        self.seconds_observed
-    }
-
     /// Records an externally detected breach (the chaos harness uses this
     /// for the end-of-run recovery check, which needs cross-run context
     /// the per-second observer does not have).
@@ -431,7 +424,6 @@ impl InvariantTracker {
     /// Observes one simulated second. Call after the engine has stepped
     /// (e.g. from the `run_observed` observer).
     pub fn observe(&mut self, engine: &Engine) {
-        self.seconds_observed += 1;
         let violations_before = self.violations.len();
         let now = engine.now_s();
         let farm = engine.farm();
@@ -830,7 +822,6 @@ mod tests {
             "healthy rig must not violate invariants: {:?}",
             tracker.violations()
         );
-        assert_eq!(tracker.seconds_observed(), 400);
     }
 
     /// Two 420 W servers on an uncapped 700 W-rated breaker: a 20 %

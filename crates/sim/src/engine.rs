@@ -14,7 +14,7 @@ use std::sync::Arc;
 use capmaestro_core::obs::{names, PhaseTimer};
 use capmaestro_core::oplog::ReconcilePlan;
 use capmaestro_core::plane::{ControlPlane, Farm, RoundReport};
-use capmaestro_server::{SenseInterposer, SensorSnapshot, ServerRef, ServerSlab};
+use capmaestro_server::{SensorSnapshot, ServerRef, ServerSlab};
 use capmaestro_topology::{BreakerSim, BreakerState, FeedId, NodeId, Phase, ServerId, SupplyIndex, Topology};
 use capmaestro_units::{Seconds, Watts};
 
@@ -130,14 +130,6 @@ impl Trace {
             .find(|((f, _), n)| *f == feed && n.as_str() == name)?
             .0;
         self.node_load.get(key).map(|v| v.as_slice())
-    }
-
-    /// Energy one server consumed over the trace, in watt-hours.
-    pub fn server_energy_wh(&self, server: ServerId) -> f64 {
-        self.server_power
-            .get(&server)
-            .map(|s| s.iter().sum::<f64>() / 3600.0)
-            .unwrap_or(0.0)
     }
 
     /// Total energy the fleet consumed over the trace, in watt-hours.
@@ -754,7 +746,7 @@ impl Engine {
     /// the fault layer. `None` on quiet seconds (delivered ≡ physical, so
     /// cross-checking them is vacuous). The feed-level metering audit
     /// reconciles these against the physical farm state.
-    pub fn delivered_readings(&self) -> Option<&[(ServerId, SensorSnapshot)]> {
+    pub(crate) fn delivered_readings(&self) -> Option<&[(ServerId, SensorSnapshot)]> {
         self.delivered_valid.then_some(self.delivered.as_slice())
     }
 
@@ -980,12 +972,12 @@ impl Engine {
                 self.farm.refresh();
                 let farm = &self.farm;
                 let faults = &mut self.faults;
-                let now_s = self.time_s;
-                self.delivered.extend(farm.ids().iter().enumerate().filter_map(|(slot, &id)| {
-                    faults
-                        .intercept(now_s, id, farm.slab().snapshot(slot).clone())
-                        .map(|snap| (id, snap))
-                }));
+                self.delivered
+                    .extend(farm.ids().iter().enumerate().filter_map(|(slot, &id)| {
+                        faults
+                            .intercept(id, farm.slab().snapshot(slot).clone())
+                            .map(|snap| (id, snap))
+                    }));
                 self.plane.record_snapshots(&self.farm, &self.delivered);
                 self.delivered_valid = true;
             }
@@ -1691,11 +1683,10 @@ mod tests {
         let mut engine = Engine::new(rig);
         let trace = engine.run(3600); // one hour
         // SA runs at ~420 W all hour ⇒ ~420 Wh.
-        let sa_wh = trace.server_energy_wh(sa);
+        let sa_wh = trace.server_power[&sa].iter().sum::<f64>() / 3600.0;
         assert!((sa_wh - 420.0).abs() < 15.0, "SA energy {sa_wh:.0} Wh");
         // Fleet total ≤ budget × 1 h.
         let total = trace.total_energy_wh();
         assert!(total <= 1240.0 * 1.02, "total {total:.0} Wh");
-        assert_eq!(trace.server_energy_wh(ServerId(99)), 0.0);
     }
 }

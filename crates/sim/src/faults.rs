@@ -3,10 +3,8 @@
 //! CapMaestro's safety argument (paper §4.2–§4.3) assumes the control
 //! plane reacts correctly when sensing misbehaves: IPMI reads get dropped,
 //! sensors stick or go noisy, whole telemetry feeds flap. This module
-//! provides the fault-injecting implementation of the server crate's
-//! [`SenseInterposer`] seam — a [`FaultLayer`] that the simulation engine
-//! routes every sensor reading through before delivering it to the
-//! control plane.
+//! provides a [`FaultLayer`] that the simulation engine routes every
+//! sensor reading through before delivering it to the control plane.
 //!
 //! Two ways to drive it:
 //!
@@ -23,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use capmaestro_server::{SenseInterposer, SensorSnapshot};
+use capmaestro_server::SensorSnapshot;
 use capmaestro_topology::{FeedId, ServerId};
 use capmaestro_units::Watts;
 use rand::rngs::StdRng;
@@ -73,8 +71,8 @@ struct Flap {
     up: bool,
 }
 
-/// The fault-injecting [`SenseInterposer`]: holds the set of active
-/// per-server faults and flapping feeds, and corrupts readings
+/// The fault-injecting sense path: holds the set of active per-server
+/// faults and flapping feeds, and corrupts readings
 /// accordingly. Deterministic per seed — two layers constructed with the
 /// same seed and driven identically corrupt identically.
 #[derive(Debug)]
@@ -112,13 +110,6 @@ impl FaultLayer {
     pub fn clear(&mut self, server: ServerId) {
         self.faults.remove(&server);
         self.stuck.remove(&server);
-    }
-
-    /// Clears every per-server fault and stops every flap.
-    pub fn clear_all(&mut self) {
-        self.faults.clear();
-        self.stuck.clear();
-        self.flaps.clear();
     }
 
     /// Starts a flapping telemetry feed covering `members` (the servers
@@ -180,7 +171,7 @@ impl FaultLayer {
     /// (regardless of the flap's current phase). This is the exempt set
     /// for invariant auditing — a server being lied about cannot be held
     /// to healthy-path guarantees.
-    pub fn affected_servers(&self) -> Vec<ServerId> {
+    pub(crate) fn affected_servers(&self) -> Vec<ServerId> {
         let mut ids: Vec<ServerId> = self.faults.keys().copied().collect();
         for flap in self.flaps.values() {
             ids.extend(flap.members.iter().copied());
@@ -194,23 +185,11 @@ impl FaultLayer {
     pub fn injected_total(&self) -> u64 {
         self.injected_total
     }
-}
 
-/// One standard-normal draw via Box–Muller (the vendored `rand` has no
-/// distributions module).
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.random();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-impl SenseInterposer for FaultLayer {
-    fn intercept(
-        &mut self,
-        _now_s: u64,
-        server: ServerId,
-        raw: SensorSnapshot,
-    ) -> Option<SensorSnapshot> {
+    /// Filters one sensor reading of `server`: the reading unchanged, a
+    /// corrupted copy, or `None` for a dropped reading (the control plane
+    /// hears nothing from the server this second).
+    pub fn intercept(&mut self, server: ServerId, raw: SensorSnapshot) -> Option<SensorSnapshot> {
         // A flapping feed in its dropped phase silences every member,
         // taking precedence over per-server faults.
         for flap in self.flaps.values() {
@@ -231,6 +210,14 @@ impl SenseInterposer for FaultLayer {
             Some(FaultKind::Spike { factor }) => Some(raw.scaled(*factor)),
         }
     }
+}
+
+/// One standard-normal draw via Box–Muller (the vendored `rand` has no
+/// distributions module).
+fn standard_normal(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+    let u2: f64 = rng.random();
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// Knobs of [`ChaosPlan::generate`].
@@ -424,7 +411,7 @@ mod tests {
         let mut layer = FaultLayer::new(1);
         assert!(layer.is_quiet());
         let raw = snapshot(420.0);
-        assert_eq!(layer.intercept(0, ServerId(0), raw.clone()), Some(raw));
+        assert_eq!(layer.intercept(ServerId(0), raw.clone()), Some(raw));
     }
 
     #[test]
@@ -432,10 +419,10 @@ mod tests {
         let mut layer = FaultLayer::new(1);
         layer.inject(ServerId(0), FaultKind::DropReading);
         let raw = snapshot(420.0);
-        assert_eq!(layer.intercept(0, ServerId(0), raw.clone()), None);
-        assert_eq!(layer.intercept(0, ServerId(1), raw.clone()), Some(raw.clone()));
+        assert_eq!(layer.intercept(ServerId(0), raw.clone()), None);
+        assert_eq!(layer.intercept(ServerId(1), raw.clone()), Some(raw.clone()));
         layer.clear(ServerId(0));
-        assert_eq!(layer.intercept(1, ServerId(0), raw.clone()), Some(raw));
+        assert_eq!(layer.intercept(ServerId(0), raw.clone()), Some(raw));
         assert!(layer.is_quiet());
     }
 
@@ -446,17 +433,17 @@ mod tests {
         let first = snapshot(420.0);
         let later = snapshot(300.0);
         assert_eq!(
-            layer.intercept(0, ServerId(0), first.clone()),
+            layer.intercept(ServerId(0), first.clone()),
             Some(first.clone())
         );
         // The world moved on; the delivered reading did not.
         assert_eq!(
-            layer.intercept(1, ServerId(0), later.clone()),
+            layer.intercept(ServerId(0), later.clone()),
             Some(first.clone())
         );
         // Re-injection re-arms: the next reading becomes the new freeze.
         layer.inject(ServerId(0), FaultKind::StuckSensor);
-        assert_eq!(layer.intercept(2, ServerId(0), later.clone()), Some(later));
+        assert_eq!(layer.intercept(ServerId(0), later.clone()), Some(later));
     }
 
     #[test]
@@ -467,9 +454,9 @@ mod tests {
         a.inject(ServerId(0), FaultKind::NoisySensor { sigma_w: 25.0 });
         b.inject(ServerId(0), FaultKind::NoisySensor { sigma_w: 25.0 });
         let mut sum = 0.0;
-        for t in 0..2000 {
-            let x = a.intercept(t, ServerId(0), raw.clone()).unwrap();
-            let y = b.intercept(t, ServerId(0), raw.clone()).unwrap();
+        for _ in 0..2000 {
+            let x = a.intercept(ServerId(0), raw.clone()).unwrap();
+            let y = b.intercept(ServerId(0), raw.clone()).unwrap();
             assert_eq!(x, y, "same seed must corrupt identically");
             sum += x.total_ac.as_f64() - raw.total_ac.as_f64();
         }
@@ -482,10 +469,10 @@ mod tests {
         let mut layer = FaultLayer::new(1);
         layer.inject(ServerId(0), FaultKind::Spike { factor: 2.0 });
         let raw = snapshot(420.0);
-        let out = layer.intercept(0, ServerId(0), raw.clone()).unwrap();
+        let out = layer.intercept(ServerId(0), raw.clone()).unwrap();
         assert!((out.total_ac.as_f64() - 2.0 * raw.total_ac.as_f64()).abs() < 1e-9);
 
-        layer.clear_all();
+        layer.clear(ServerId(0));
         layer.start_flap(
             FeedId::A,
             vec![ServerId(0), ServerId(1)],
@@ -495,9 +482,9 @@ mod tests {
         let mut delivered = Vec::new();
         for t in 0..10 {
             layer.tick(t);
-            delivered.push(layer.intercept(t, ServerId(0), raw.clone()).is_some());
+            delivered.push(layer.intercept(ServerId(0), raw.clone()).is_some());
             // A non-member is untouched.
-            assert!(layer.intercept(t, ServerId(7), raw.clone()).is_some());
+            assert!(layer.intercept(ServerId(7), raw.clone()).is_some());
         }
         // 2 s up, 3 s down, cycling.
         assert_eq!(

@@ -64,7 +64,7 @@ impl Job {
     }
 
     /// Whether the job runs at time `t`.
-    pub fn active_at(&self, t: u64) -> bool {
+    pub(crate) fn active_at(&self, t: u64) -> bool {
         (self.start_s..self.end_s).contains(&t)
     }
 }
@@ -143,7 +143,7 @@ impl JobSchedule {
     /// The utilization and effective priority of a server at time `t`
     /// (sum of active jobs' utilization clamped to 1; maximum priority,
     /// `Priority::LOW` when idle).
-    pub fn server_state_at(&self, server: ServerId, t: u64) -> (f64, Priority) {
+    pub(crate) fn server_state_at(&self, server: ServerId, t: u64) -> (f64, Priority) {
         let mut utilization = 0.0;
         let mut priority = Priority::LOW;
         for (s, job) in &self.assignments {

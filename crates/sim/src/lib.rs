@@ -30,7 +30,7 @@ pub mod procchaos;
 pub mod scenarios;
 
 pub use audit::{
-    audit_wiring, audit_wiring_tracked, AuditReport, InvariantConfig, InvariantKind,
+    audit_wiring, AuditReport, InvariantConfig, InvariantKind,
     InvariantTracker,
     Violation, WiringMismatch,
 };

@@ -9,7 +9,7 @@ use capmaestro_topology::presets::{
     figure2_feed, figure7a_rig, table4_datacenter, DataCenterParams, RIG_SERVER_NAMES,
 };
 use capmaestro_topology::{Priority, ServerId, Topology};
-use capmaestro_units::{Ratio, Seconds, Watts};
+use capmaestro_units::{Ratio, Watts};
 use capmaestro_workload::NormalSampler;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -125,8 +125,7 @@ pub fn priority_rig(config: RigConfig) -> Rig {
         PlaneConfig::default()
             .with_policy(config.policy)
             .with_allocator(config.allocator)
-            .with_spo(config.spo)
-            .with_control_period(Seconds::new(8.0)),
+            .with_spo(config.spo),
     );
     Rig {
         topology,
@@ -172,8 +171,7 @@ pub fn stranded_rig(config: RigConfig) -> Rig {
         PlaneConfig::default()
             .with_policy(config.policy)
             .with_allocator(config.allocator)
-            .with_spo(config.spo)
-            .with_control_period(Seconds::new(8.0)),
+            .with_spo(config.spo),
     );
     Rig {
         topology,
@@ -379,8 +377,7 @@ pub fn datacenter_rig(config: &DataCenterRigConfig) -> Rig {
         PlaneConfig::default()
             .with_policy(config.policy)
             .with_allocator(config.allocator)
-            .with_spo(config.spo)
-            .with_control_period(Seconds::new(8.0)),
+            .with_spo(config.spo),
     );
     Rig {
         topology,

@@ -7,10 +7,9 @@
 //! (events, sensing through the fault layer when it could act, a round
 //! every control period, physics; breakers play no part). It runs the
 //! Fig. 2 rig under seeded chaos plans, and a 1024-server data center
-//! under a hand-written fault/priority/demand event storm.
+//! under a hand-written fault/supply/priority/demand event storm.
 
 use capmaestro_core::plane::{BudgetSource, ControlPlane, Farm};
-use capmaestro_server::SenseInterposer;
 use capmaestro_sim::engine::Event;
 use capmaestro_sim::faults::{ChaosAction, ChaosConfig, ChaosPlan, FaultKind, FaultLayer};
 use capmaestro_sim::scenarios::{
@@ -38,6 +37,12 @@ struct Harness {
     spec: Leaves,
     now: u64,
     rounds: usize,
+    /// Stranded watts reclaimed, summed over the checked rounds.
+    stranded: Watts,
+    /// Servers that left fail-safe at a checked round.
+    failsafe_exits: usize,
+    /// The servers in fail-safe after the last checked round.
+    stale: Vec<ServerId>,
 }
 
 impl Harness {
@@ -58,6 +63,9 @@ impl Harness {
             spec: Leaves::default(),
             now: 0,
             rounds: 0,
+            stranded: Watts::ZERO,
+            failsafe_exits: 0,
+            stale: Vec::new(),
         }
     }
 
@@ -78,12 +86,10 @@ impl Harness {
             self.observe_all();
         } else {
             self.farm.refresh();
-            let (farm, faults, now) = (&self.farm, &mut self.faults, self.now);
+            let (farm, faults) = (&self.farm, &mut self.faults);
             let delivered: Vec<_> = farm
                 .iter()
-                .filter_map(|(id, server)| {
-                    faults.intercept(now, id, server.sense()).map(|s| (id, s))
-                })
+                .filter_map(|(id, server)| faults.intercept(id, server.sense()).map(|s| (id, s)))
                 .collect();
             self.plane.record_snapshots(farm, &delivered);
             for (id, reading) in &delivered {
@@ -127,6 +133,11 @@ impl Harness {
         );
         want.assert_matches(&self.plane, &self.farm, at);
         self.rounds += 1;
+        let report = self.plane.last_report().expect("a round ran");
+        self.stranded += report.stranded_reclaimed;
+        let stale = self.plane.stale_servers();
+        self.failsafe_exits += self.stale.iter().filter(|id| !stale.contains(id)).count();
+        self.stale = stale;
     }
 
     /// What `Engine::step` does with each event these scenarios schedule.
@@ -147,6 +158,14 @@ impl Harness {
             }
             Event::StopFlap(feed) => self.faults.stop_flap(feed),
             Event::SetPriority(server, priority) => self.plane.set_priority(server, priority),
+            Event::FailSupply(server, supply) => {
+                let mut server = self.farm.get_mut(server).expect("a rig server");
+                if server.bank().working_count() > 1 {
+                    server.bank_mut().fail_supply(supply.index());
+                } else {
+                    server.set_powered(false);
+                }
+            }
             Event::SetDemand(server, demand) => {
                 self.farm
                     .get_mut(server)
@@ -257,27 +276,41 @@ fn incremental_rounds_match_the_spec_on_a_large_datacenter() {
     let config = large_dc();
     let rig = datacenter_rig(&config);
 
-    // A storm touching every dirty-tracking entry point: sensor faults,
-    // a feed failure and restoration, and priority/demand edits.
+    // A storm touching every dirty-tracking entry point: sensor faults
+    // (one server dark long enough to enter fail-safe and leave it), a
+    // feed failure and restoration, and priority/demand edits.
     let ids: Vec<ServerId> = rig.farm.iter().map(|(id, _)| id).collect();
-    let events: Vec<(u64, Event)> = vec![
+    let mut events: Vec<(u64, Event)> = vec![
+        (1, Event::InjectFault(ids[17], FaultKind::DropReading)),
         (
             10,
             Event::InjectFault(ids[0], FaultKind::Spike { factor: 1.5 }),
         ),
-        (12, Event::InjectFault(ids[17], FaultKind::DropReading)),
         (20, Event::FailFeed(FeedId::B)),
+        (26, Event::ClearFault(ids[17])),
         (28, Event::ClearFault(ids[0])),
         (30, Event::SetPriority(ids[100], Priority::HIGH)),
         (32, Event::SetDemand(ids[511], Watts::new(150.0))),
         (34, Event::RestoreFeed(FeedId::B)),
     ];
+    // Rack 6 loses its feed-A supplies: the feed imbalance, under the
+    // binding shared budget, strands power that SPO reclaims.
+    let rack6 = &ids[6 * 32..7 * 32];
+    events.extend(
+        rack6
+            .iter()
+            .map(|&id| (1, Event::FailSupply(id, SupplyIndex::FIRST))),
+    );
     let budgets = BudgetSource::SharedPerPhase(config.contractual_per_phase);
     let mut harness = Harness::new(rig, budgets, events);
     for _ in 0..48 {
         harness.second();
     }
     assert_eq!(harness.rounds, 6);
+    // Not vacuous: SPO had power to reclaim, and a server recovered from
+    // fail-safe, in rounds the spec checked.
+    assert!(harness.stranded > Watts::ZERO, "no power was stranded");
+    assert!(harness.failsafe_exits >= 1, "no server left fail-safe");
 
     // The converged round decisions match bitwise as well.
     harness.manual_round();

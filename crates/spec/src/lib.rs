@@ -30,7 +30,7 @@ use capmaestro_core::plane::{BudgetSource, ControlPlane, Farm, PlaneConfig};
 use capmaestro_core::policy::{CappingPolicy, PriorityVisibility};
 use capmaestro_core::spo::STRAND_EPSILON;
 use capmaestro_core::tree::{ControlTree, SupplyInput};
-use capmaestro_core::{CappingController, DemandEstimator, SampleFate};
+use capmaestro_core::{CappingController, DemandEstimator, SampleFate, STALE_AFTER_ROUNDS};
 use capmaestro_server::{SensorSnapshot, ServerPowerModel};
 use capmaestro_topology::{ServerId, SupplyIndex};
 use capmaestro_units::Watts;
@@ -338,9 +338,10 @@ impl Leaves {
         }
     }
 
-    /// One round over every server of `farm`, under `config`'s staleness,
-    /// policy, allocator and SPO switch. Each leaf ages one round and
-    /// settles its demand; `trees` (their structure and priorities: every
+    /// One round over every server of `farm`, under `config`'s policy,
+    /// allocator and SPO switch. Each leaf ages one round (fail-safe after
+    /// [`STALE_AFTER_ROUNDS`] rounds without a reading) and settles its
+    /// demand; `trees` (their structure and priorities: every
     /// leaf input is replaced) are budgeted from those demands through
     /// [`round`], from `source`; then every controller steps against its
     /// supplies' budgets. The farm is only read, so the caps are not set.
@@ -355,11 +356,6 @@ impl Leaves {
         source: &BudgetSource,
         config: &PlaneConfig,
     ) -> FullRound {
-        let stale_after_rounds = config.staleness.stale_after_rounds;
-        let fail_safe = |model: ServerPowerModel| {
-            let demand = config.staleness.fail_safe_demand.unwrap_or(model.cap_min());
-            demand.clamp(model.cap_min(), model.cap_max())
-        };
         // Stale-hold, then fail-safe: the estimator is cleared on the
         // round that crosses the threshold.
         let mut demands = BTreeMap::new();
@@ -369,13 +365,13 @@ impl Leaves {
                 leaf.stale_rounds = 0;
             } else {
                 leaf.stale_rounds = leaf.stale_rounds.saturating_add(1);
-                if leaf.stale_rounds == stale_after_rounds {
+                if leaf.stale_rounds == STALE_AFTER_ROUNDS {
                     leaf.estimator.clear();
                 }
             }
             let model = server.config().model();
-            let demand = if leaf.stale_rounds >= stale_after_rounds {
-                fail_safe(model)
+            let demand = if leaf.stale_rounds >= STALE_AFTER_ROUNDS {
+                model.cap_min()
             } else {
                 let estimate = leaf.estimator.estimate_with_idle(model.idle());
                 let held = leaf.held.as_ref().map(|reading| reading.total_ac);
@@ -419,7 +415,7 @@ impl Leaves {
         for (id, server) in farm.iter() {
             let leaf = self.servers.get_mut(&id).expect("aged above");
             let (model, bank) = (server.config().model(), server.bank());
-            let blind = leaf.stale_rounds >= stale_after_rounds;
+            let blind = leaf.stale_rounds >= STALE_AFTER_ROUNDS;
             let pairs: Vec<(usize, Watts)> = budgets
                 .range((id, SupplyIndex::FIRST)..)
                 .take_while(|((of, _), _)| *of == id)
@@ -431,7 +427,7 @@ impl Leaves {
                     CappingController::new(model.cap_min(), model.cap_max(), bank.efficiency())
                 });
                 if blind {
-                    controller.force_dc_cap(fail_safe(model) * bank.efficiency())
+                    controller.force_dc_cap(model.cap_min() * bank.efficiency())
                 } else {
                     let reading = leaf.held.clone().unwrap_or_else(|| server.sense());
                     let measured = pairs.iter().map(|&(i, b)| (b, reading.supply_ac[i]));

@@ -116,12 +116,12 @@ impl TripCurve {
     }
 
     /// The thermal constant `k` (trip threshold of the stress integral).
-    pub fn thermal_constant(&self) -> f64 {
+    pub(crate) fn thermal_constant(&self) -> f64 {
         self.thermal_constant
     }
 
     /// The overload ratio at which the magnetic element trips immediately.
-    pub fn instantaneous_ratio(&self) -> f64 {
+    pub(crate) fn instantaneous_ratio(&self) -> f64 {
         self.instantaneous_ratio
     }
 }
@@ -139,17 +139,6 @@ impl Default for TripCurve {
 /// converted via [`capmaestro_units::three_phase_power`]). The derated limit
 /// — rating × derating factor — is what power-capping budgets must respect
 /// under sustained load.
-///
-/// # Examples
-///
-/// ```
-/// use capmaestro_topology::CircuitBreaker;
-/// use capmaestro_units::Watts;
-///
-/// // Table 4: a CDU rated at 6.9 kW per phase, derated to 80 %.
-/// let cb = CircuitBreaker::with_default_derating(Watts::from_kilowatts(6.9));
-/// assert_eq!(cb.derated_limit(), Watts::new(5_520.0));
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CircuitBreaker {
     rating: Watts,
@@ -204,7 +193,7 @@ impl CircuitBreaker {
     }
 
     /// The maximum sustained load: rating × derating.
-    pub fn derated_limit(&self) -> Watts {
+    pub(crate) fn derated_limit(&self) -> Watts {
         self.rating * self.derating
     }
 
@@ -215,7 +204,7 @@ impl CircuitBreaker {
 
     /// Overload ratio of a given load relative to the *full rating* (the
     /// quantity the trip curve acts on — derating only affects budgeting).
-    pub fn overload_ratio(&self, load: Watts) -> Ratio {
+    pub(crate) fn overload_ratio(&self, load: Watts) -> Ratio {
         Ratio::new(load / self.rating)
     }
 
@@ -303,11 +292,6 @@ impl BreakerSim {
     /// Current state.
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// Accumulated thermal stress as a fraction of the trip threshold.
-    pub fn stress_fraction(&self) -> Ratio {
-        Ratio::new_clamped(self.stress / self.breaker.curve.thermal_constant())
     }
 
     /// Advances the simulation by `dt` under a constant `load`, returning
@@ -403,6 +387,9 @@ mod tests {
         assert_eq!(cb.derated_limit(), Watts::new(600.0));
         assert_eq!(cb.rating(), Watts::new(750.0));
         assert_eq!(cb.derating(), Ratio::new(0.8));
+        // Table 4: a CDU rated at 6.9 kW per phase, derated to 80 %.
+        let cdu = CircuitBreaker::with_default_derating(Watts::from_kilowatts(6.9));
+        assert_eq!(cdu.derated_limit(), Watts::new(5_520.0));
     }
 
     #[test]
@@ -449,8 +436,8 @@ mod tests {
             sim.step(Watts::new(800.0), Seconds::new(1.0));
         }
         assert_eq!(sim.state(), BreakerState::Closed);
-        // Cooling should have reduced the stress fraction to zero.
-        assert_eq!(sim.stress_fraction(), Ratio::ZERO);
+        // Cooling should have reduced the accumulated stress to zero.
+        assert_eq!(sim.stress, 0.0);
     }
 
     #[test]

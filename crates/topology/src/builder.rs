@@ -87,7 +87,7 @@ impl TopologyBuilder {
     ///
     /// # Errors
     ///
-    /// See [`Topology::attach_supply`].
+    /// See `Topology::attach_supply`.
     pub fn attach(
         &mut self,
         server: ServerId,
@@ -103,7 +103,7 @@ impl TopologyBuilder {
     ///
     /// # Errors
     ///
-    /// See [`Topology::attach_supply`].
+    /// See `Topology::attach_supply`.
     pub fn single_corded_server(
         &mut self,
         name: impl Into<String>,
@@ -123,7 +123,7 @@ impl TopologyBuilder {
     /// # Errors
     ///
     /// See [`Topology::attach_supply`].
-    pub fn dual_corded_server(
+    pub(crate) fn dual_corded_server(
         &mut self,
         name: impl Into<String>,
         priority: Priority,

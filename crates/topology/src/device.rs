@@ -222,11 +222,6 @@ impl PowerDevice {
         self.breaker.as_ref()
     }
 
-    /// The non-physical limit, if any.
-    pub fn extra_limit(&self) -> Option<Watts> {
-        self.extra_limit
-    }
-
     /// The budgeting limit at this point: the minimum of the breaker's
     /// derated limit and the extra limit. `None` means unconstrained.
     pub fn effective_limit(&self) -> Option<Watts> {

@@ -49,23 +49,10 @@ struct NodeSlot {
 
 /// One feed's power-distribution tree.
 ///
-/// Nodes are added top-down with [`PowerGraph::add_root`] /
-/// [`PowerGraph::add_child`]; outlets are attached to leaf nodes with
-/// [`PowerGraph::attach_outlet`]. The graph is append-only — removal is not
+/// Nodes are added top-down, outlets attached to leaf nodes, by a
+/// [`crate::TopologyBuilder`]. The graph is append-only — removal is not
 /// needed for modelling (equipment failure is simulated by the engine, not
 /// by mutating the topology).
-///
-/// # Examples
-///
-/// ```
-/// use capmaestro_topology::{DeviceKind, PowerDevice, PowerGraph, FeedId};
-///
-/// let mut g = PowerGraph::new(FeedId::A);
-/// let root = g.add_root(PowerDevice::new("utility", DeviceKind::UtilityFeed));
-/// let ups = g.add_child(root, PowerDevice::new("UPS-1", DeviceKind::Ups)).unwrap();
-/// assert_eq!(g.parent(ups), Some(root));
-/// assert_eq!(g.children(root), &[ups]);
-/// ```
 #[derive(Debug, Clone)]
 pub struct PowerGraph {
     feed: FeedId,
@@ -109,7 +96,7 @@ impl PowerGraph {
     ///
     /// Panics if a root already exists — each feed has exactly one entry
     /// point.
-    pub fn add_root(&mut self, device: PowerDevice) -> NodeId {
+    pub(crate) fn add_root(&mut self, device: PowerDevice) -> NodeId {
         assert!(
             self.root.is_none(),
             "feed {} already has a root node",
@@ -133,7 +120,7 @@ impl PowerGraph {
     /// Returns [`TopologyError::UnknownNode`] if `parent` does not exist and
     /// [`TopologyError::OutletNotLeaf`] if `parent` already carries an
     /// outlet.
-    pub fn add_child(
+    pub(crate) fn add_child(
         &mut self,
         parent: NodeId,
         device: PowerDevice,
@@ -166,7 +153,7 @@ impl PowerGraph {
     ///
     /// Returns [`TopologyError::UnknownNode`] if `under` does not exist, or
     /// [`TopologyError::OutletNotLeaf`] if `under` already has an outlet.
-    pub fn attach_outlet(
+    pub(crate) fn attach_outlet(
         &mut self,
         under: NodeId,
         outlet: OutletInfo,
@@ -248,7 +235,7 @@ impl PowerGraph {
     /// # Errors
     ///
     /// Returns [`TopologyError::UnboundedPath`] naming the offending leaf.
-    pub fn validate_bounded(&self) -> Result<(), TopologyError> {
+    pub(crate) fn validate_bounded(&self) -> Result<(), TopologyError> {
         for (leaf, _) in self.outlets() {
             let bounded = self
                 .path_to_root(leaf)

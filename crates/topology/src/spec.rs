@@ -148,15 +148,6 @@ impl ControlTreeSpec {
             .enumerate()
             .filter_map(|(i, n)| n.leaf.as_ref().map(|l| (i, l)))
     }
-
-    /// The distinct priority levels present, sorted descending (the order
-    /// the budgeting phase visits them).
-    pub fn priority_levels_desc(&self) -> Vec<Priority> {
-        let mut levels: Vec<Priority> = self.leaves().map(|(_, l)| l.priority).collect();
-        levels.sort_unstable_by(|a, b| b.cmp(a));
-        levels.dedup();
-        levels
-    }
 }
 
 impl fmt::Display for ControlTreeSpec {
@@ -224,15 +215,6 @@ mod tests {
         assert!(spec.node(2).is_leaf());
         assert_eq!(spec.node(2).parent, Some(1));
         assert_eq!(spec.node(1).children, vec![2, 3]);
-    }
-
-    #[test]
-    fn priority_levels_sorted_descending() {
-        let spec = sample_spec();
-        assert_eq!(
-            spec.priority_levels_desc(),
-            vec![Priority(1), Priority(0)]
-        );
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl Topology {
     }
 
     /// Mutable access to a feed's graph.
-    pub fn feed_mut(&mut self, feed: FeedId) -> Option<&mut PowerGraph> {
+    pub(crate) fn feed_mut(&mut self, feed: FeedId) -> Option<&mut PowerGraph> {
         self.feeds.iter_mut().find(|g| g.feed() == feed)
     }
 
@@ -182,7 +182,7 @@ impl Topology {
     ///
     /// Propagates graph errors and returns [`TopologyError::UnknownFeed`] /
     /// [`TopologyError::UnknownServer`] for dangling references.
-    pub fn attach_supply(
+    pub(crate) fn attach_supply(
         &mut self,
         server: ServerId,
         supply: SupplyIndex,

@@ -24,12 +24,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod energy;
 mod power;
 mod quantities;
 mod three_phase;
 
-pub use energy::Energy;
 pub use power::Watts;
 pub use quantities::{Amperes, InvalidFractionError, Ratio, Seconds, Volts};
 pub use three_phase::{line_current, three_phase_power, PHASE_VOLTAGE_V};

@@ -90,22 +90,10 @@ impl Ratio {
         Ok(Ratio(r))
     }
 
-    /// Creates a ratio from a percentage (e.g. `80.0` → `0.8`).
-    #[inline]
-    pub fn from_percent(pct: f64) -> Self {
-        Ratio::new(pct / 100.0)
-    }
-
     /// Returns the raw value.
     #[inline]
     pub fn as_f64(self) -> f64 {
         self.0
-    }
-
-    /// Returns the value as a percentage.
-    #[inline]
-    pub fn as_percent(self) -> f64 {
-        self.0 * 100.0
     }
 
     /// Returns the complement `1 − self`.
@@ -359,13 +347,6 @@ mod tests {
         assert_eq!(err.to_string(), "fraction must be within [0, 1]");
         let err = Ratio::try_new_fraction(f64::NAN).unwrap_err();
         assert_eq!(err.to_string(), "fraction must be finite");
-    }
-
-    #[test]
-    fn ratio_percent_roundtrip() {
-        let r = Ratio::from_percent(80.0);
-        assert_eq!(r.as_f64(), 0.8);
-        assert_eq!(r.as_percent(), 80.0);
     }
 
     #[test]

@@ -2,21 +2,18 @@
 //!
 //! The Fig. 8 distribution describes *how often* the fleet sits at each
 //! average utilization; a [`DiurnalPattern`] describes *when*: the classic
-//! interactive-service day curve — a sinusoid peaking in the afternoon —
-//! plus seeded noise. Long-horizon simulations (`dcsim`, the scheduler
+//! interactive-service day curve, a sinusoid peaking in the afternoon.
+//! Long-horizon simulations (`dcsim`, the scheduler
 //! study) use it to drive demand through realistic peaks where capping
 //! engages and troughs where it idles.
 
 use core::f64::consts::PI;
 
 use capmaestro_units::Ratio;
-use rand::Rng;
 
-use crate::sampler::NormalSampler;
-
-/// A sinusoidal day curve with noise:
+/// A sinusoidal day curve:
 /// `u(t) = base + amplitude · sin(2π (t − peak_offset + period/4) / period)`
-/// clamped to `[0, 1]`, with optional Gaussian noise per sample.
+/// clamped to `[0, 1]`.
 ///
 /// # Examples
 ///
@@ -36,11 +33,10 @@ pub struct DiurnalPattern {
     amplitude: f64,
     period_s: f64,
     peak_at_s: f64,
-    noise_std: f64,
 }
 
 impl DiurnalPattern {
-    /// Creates a noiseless pattern.
+    /// Creates a pattern.
     ///
     /// # Panics
     ///
@@ -58,78 +54,46 @@ impl DiurnalPattern {
             amplitude,
             period_s,
             peak_at_s,
-            noise_std: 0.0,
         }
     }
 
-    /// A typical interactive-service day: base 35 %, ±25 % swing, 24 h
-    /// period peaking at 15:00.
-    pub fn typical_day() -> Self {
-        DiurnalPattern::new(0.35, 0.25, 86_400.0, 15.0 * 3600.0)
-    }
-
-    /// Adds Gaussian noise (σ, in utilization units) to sampled values
-    /// (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std` is negative.
-    #[must_use]
-    pub fn with_noise(mut self, std: f64) -> Self {
-        assert!(std >= 0.0, "noise must be non-negative");
-        self.noise_std = std;
-        self
-    }
-
-    /// The noiseless fleet-average utilization at time `t` (seconds).
+    /// The fleet-average utilization at time `t` (seconds).
     pub fn utilization_at(&self, t_s: f64) -> Ratio {
         let phase = 2.0 * PI * (t_s - self.peak_at_s) / self.period_s;
         let u = self.base + self.amplitude * phase.cos();
         Ratio::new_clamped(u)
     }
 
-    /// A noisy sample at time `t`.
-    pub fn sample_at<R: Rng + ?Sized>(&self, t_s: f64, rng: &mut R) -> Ratio {
-        let clean = self.utilization_at(t_s).as_f64();
-        if self.noise_std == 0.0 {
-            return Ratio::new(clean);
-        }
-        let sampler = NormalSampler::new(clean, self.noise_std);
-        Ratio::new(sampler.sample_clamped(rng, 0.0, 1.0))
-    }
-
     /// The highest utilization the pattern reaches.
     pub fn peak(&self) -> Ratio {
         Ratio::new_clamped(self.base + self.amplitude)
-    }
-
-    /// The lowest utilization the pattern reaches.
-    pub fn trough(&self) -> Ratio {
-        Ratio::new_clamped(self.base - self.amplitude)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    /// A typical interactive-service day: base 35 %, ±25 % swing, 24 h
+    /// period peaking at 15:00.
+    fn typical_day() -> DiurnalPattern {
+        DiurnalPattern::new(0.35, 0.25, 86_400.0, 15.0 * 3600.0)
+    }
 
     #[test]
     fn peak_lands_at_the_configured_hour() {
-        let day = DiurnalPattern::typical_day();
+        let day = typical_day();
         let peak = day.utilization_at(15.0 * 3600.0);
         assert!((peak.as_f64() - 0.6).abs() < 1e-9);
         // Half a period later the pattern bottoms out.
         let trough = day.utilization_at(3.0 * 3600.0);
         assert!((trough.as_f64() - 0.1).abs() < 1e-9);
         assert_eq!(day.peak(), Ratio::new(0.6));
-        assert!((day.trough().as_f64() - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn periodicity() {
-        let day = DiurnalPattern::typical_day();
+        let day = typical_day();
         for hour in 0..24 {
             let t = hour as f64 * 3600.0;
             let a = day.utilization_at(t);
@@ -145,26 +109,6 @@ mod tests {
             let u = extreme.utilization_at(hour as f64 * 3600.0).as_f64();
             assert!((0.0..=1.0).contains(&u));
         }
-    }
-
-    #[test]
-    fn noisy_samples_track_the_curve() {
-        let day = DiurnalPattern::typical_day().with_noise(0.03);
-        let mut rng = StdRng::seed_from_u64(5);
-        let t = 15.0 * 3600.0;
-        let mean: f64 =
-            (0..2000).map(|_| day.sample_at(t, &mut rng).as_f64()).sum::<f64>() / 2000.0;
-        assert!((mean - 0.6).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn zero_noise_is_exact() {
-        let day = DiurnalPattern::typical_day();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(
-            day.sample_at(1234.0, &mut rng),
-            day.utilization_at(1234.0)
-        );
     }
 
     #[test]

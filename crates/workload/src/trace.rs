@@ -63,19 +63,6 @@ impl<T: Clone> Schedule<T> {
         }
         current.clone()
     }
-
-    /// The times at which the schedule changes.
-    pub fn change_points(&self) -> impl Iterator<Item = Seconds> + '_ {
-        self.steps.iter().map(|(t, _)| *t)
-    }
-
-    /// The final value the schedule settles on.
-    pub fn final_value(&self) -> T {
-        self.steps
-            .last()
-            .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| self.initial.clone())
-    }
 }
 
 #[cfg(test)]
@@ -88,8 +75,6 @@ mod tests {
         let s = Schedule::new(5u32);
         assert_eq!(s.value_at(Seconds::ZERO), 5);
         assert_eq!(s.value_at(Seconds::new(1e6)), 5);
-        assert_eq!(s.final_value(), 5);
-        assert_eq!(s.change_points().count(), 0);
     }
 
     #[test]
@@ -102,9 +87,6 @@ mod tests {
         assert_eq!(budget.value_at(Seconds::new(30.0)), Watts::new(200.0));
         assert_eq!(budget.value_at(Seconds::new(109.0)), Watts::new(200.0));
         assert_eq!(budget.value_at(Seconds::new(200.0)), Watts::new(150.0));
-        assert_eq!(budget.final_value(), Watts::new(150.0));
-        let points: Vec<f64> = budget.change_points().map(|s| s.as_f64()).collect();
-        assert_eq!(points, vec![30.0, 110.0]);
     }
 
     #[test]

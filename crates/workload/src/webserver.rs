@@ -64,16 +64,6 @@ impl WebServerModel {
         }
     }
 
-    /// Uncapped peak throughput (queries per second).
-    pub fn peak_qps(&self) -> f64 {
-        self.peak_qps
-    }
-
-    /// Uncapped mean latency (milliseconds).
-    pub fn base_latency_ms(&self) -> f64 {
-        self.base_latency_ms
-    }
-
     /// Performance at a given fraction of uncapped CPU performance (the
     /// server's `performance_fraction`, i.e. 1 − throttle).
     ///

@@ -11,9 +11,9 @@
 //! ```
 //!
 //! A trace passes only if it parses under the strict validator (known
-//! event kinds, balanced B/E nesting per track, monotonic timestamps,
-//! finite counter values), contains slices for all six round phases,
-//! and carries at least four distinct counter tracks. Exits nonzero
+//! event kinds, monotonic timestamps, finite counter values), contains
+//! slices for all six round phases, and carries at least four distinct
+//! counter tracks. Exits nonzero
 //! otherwise. `--out` writes the generated trace for loading into
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 

@@ -2,8 +2,11 @@
 //! workspace, and every `repro SUBCOMMAND` names an entry of
 //! `capmaestro_bench::COMMANDS`, the list `repro` dispatches on. Every
 //! backticked source, doc, JSON, script or manifest path in README.md,
-//! DESIGN.md and EXPERIMENTS.md names a file of the repository.
+//! DESIGN.md and EXPERIMENTS.md names a file of the repository, and every
+//! backticked `Type::member` there names a `fn`, field, const or variant
+//! declared on a type of that name in the workspace's sources.
 
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// The documents whose commands are checked, relative to the repository.
@@ -200,6 +203,235 @@ fn every_documented_file_path_exists() {
     assert!(
         stale.is_empty(),
         "docs name files that do not exist:\n{}",
+        stale.join("\n")
+    );
+}
+
+/// `Type::member` names the docs may use though no workspace type
+/// declares them.
+const UNDECLARED_MEMBERS: [&str; 3] = [
+    // Retired, and named as such by the prose that records their removal.
+    "ControlTree::gather",
+    "ControlPlane::reset_round_cache",
+    // The standard library's `hash_map::Entry`.
+    "Entry::Occupied",
+];
+
+/// The backticked `Type::member` names of `text` (a `Type::{a, b}` group
+/// names each member), with their 1-based line numbers. A type starts
+/// with an upper-case letter; a module path before it is ignored.
+fn backticked_members(text: &str) -> Vec<(usize, String)> {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut names = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        for span in line.split('`').skip(1).step_by(2) {
+            for (at, _) in span.match_indices("::") {
+                let ty_start = span[..at]
+                    .rfind(|c: char| !is_ident(c))
+                    .map_or(0, |i| i + 1);
+                let ty = &span[ty_start..at];
+                if !ty.starts_with(|c: char| c.is_ascii_uppercase()) {
+                    continue;
+                }
+                let rest = &span[at + 2..];
+                let members = match rest.strip_prefix('{') {
+                    Some(group) => group.split('}').next().unwrap_or_default(),
+                    None => &rest[..rest.find(|c: char| !is_ident(c)).unwrap_or(rest.len())],
+                };
+                for member in members.split(',').map(str::trim).filter(|m| !m.is_empty()) {
+                    names.push((n + 1, format!("{ty}::{member}")));
+                }
+            }
+        }
+    }
+    names
+}
+
+/// `text` with its `<…>` groups removed.
+fn without_generics(text: &str) -> String {
+    let mut depth = 0usize;
+    text.chars()
+        .filter(|&c| {
+            match c {
+                '<' => depth += 1,
+                '>' if depth > 0 => depth -= 1,
+                _ => return depth == 0,
+            }
+            false
+        })
+        .collect()
+}
+
+/// The type a block header declares or implements: `struct T`, `enum T`,
+/// `trait T`, or the self type of an `impl … [for] T`.
+fn header_type(header: &str) -> Option<String> {
+    let header = header.trim_start();
+    let header = ["pub(crate) ", "pub(super) ", "pub "]
+        .iter()
+        .find_map(|p| header.strip_prefix(p))
+        .unwrap_or(header);
+    let named = if let Some(rest) = header.strip_prefix("impl") {
+        let rest = without_generics(rest);
+        let rest = rest.split(" where").next().unwrap_or_default();
+        let self_type = rest.rsplit(" for ").next().unwrap_or_default().trim();
+        self_type
+            .rsplit("::")
+            .next()
+            .unwrap_or_default()
+            .to_string()
+    } else {
+        let rest = ["struct ", "enum ", "trait "]
+            .iter()
+            .find_map(|p| header.strip_prefix(p))?;
+        rest.to_string()
+    };
+    let name: String = named
+        .chars()
+        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+        .collect();
+    (!name.is_empty()).then_some(name)
+}
+
+/// The member a line of a type or impl block declares, if any: a `fn`,
+/// `const` or associated `type`, a field (`name: T`) or a variant.
+fn declared_member(line: &str) -> Option<&str> {
+    let line = line.trim_start();
+    let line = ["pub(crate) ", "pub(super) ", "pub "]
+        .iter()
+        .find_map(|p| line.strip_prefix(p))
+        .unwrap_or(line);
+    let ident_end = |s: &str| {
+        s.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(s.len())
+    };
+    for keyword in ["const fn ", "fn ", "const ", "type "] {
+        if let Some(rest) = line.strip_prefix(keyword) {
+            return Some(&rest[..ident_end(rest)]).filter(|name| !name.is_empty());
+        }
+    }
+    let name = &line[..ident_end(line)];
+    let after = &line[name.len()..];
+    let field = after.starts_with(':') && !after.starts_with("::");
+    let variant = name.starts_with(|c: char| c.is_ascii_uppercase())
+        && (after.is_empty() || after.starts_with([',', '(', ' ']));
+    (!name.is_empty() && (field || variant)).then_some(name)
+}
+
+/// The `{` and `}` of each line that are code: not in a string or char
+/// literal (strings may span lines) or a `//` comment.
+fn brace_deltas(lines: &[&str]) -> Vec<(i32, i32)> {
+    let mut in_string = false;
+    lines
+        .iter()
+        .map(|line| {
+            let (mut opens, mut closes) = (0, 0);
+            let mut chars = line.chars().peekable();
+            while let Some(c) = chars.next() {
+                match (in_string, c) {
+                    (true, '\\') => {
+                        chars.next();
+                    }
+                    (true, '"') | (false, '"') => in_string = !in_string,
+                    (true, _) => {}
+                    (false, '/') if chars.peek() == Some(&'/') => break,
+                    // A char literal: `'{'`, `'}'` or an escape; a lifetime
+                    // has no closing quote after one character.
+                    (false, '\'') => {
+                        let mut ahead = chars.clone();
+                        let first = ahead.next();
+                        if first == Some('\\') {
+                            ahead.next();
+                        }
+                        if ahead.next() == Some('\'') {
+                            chars = ahead;
+                        }
+                    }
+                    (false, '{') => opens += 1,
+                    (false, '}') => closes += 1,
+                    _ => {}
+                }
+            }
+            (opens, closes)
+        })
+        .collect()
+}
+
+/// Every member declared on each type under `crates/*/src` and `src/`:
+/// the lines of each `struct`, `enum`, `trait` and `impl` block, keyed
+/// by the block's type.
+fn declared_members(root: &Path) -> HashMap<String, HashSet<String>> {
+    let mut dirs = vec![root.join("src")];
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        dirs.push(krate.expect("dir entry").path().join("src"));
+    }
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for entry in entries {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                files.push(std::fs::read_to_string(&path).expect("readable source"));
+            }
+        }
+    }
+    let mut members: HashMap<String, HashSet<String>> = HashMap::new();
+    for source in &files {
+        let lines: Vec<&str> = source.lines().collect();
+        let depths = brace_deltas(&lines);
+        for (start, header) in lines.iter().enumerate() {
+            let Some(ty) = header_type(header) else {
+                continue;
+            };
+            // The block runs from its header until its braces balance.
+            let (mut depth, mut opened) = (0i32, false);
+            for (line, &(opens, closes)) in lines[start..].iter().zip(&depths[start..]) {
+                if opened && depth == 1 {
+                    if let Some(member) = declared_member(line) {
+                        members
+                            .entry(ty.clone())
+                            .or_default()
+                            .insert(member.to_string());
+                    }
+                }
+                depth += opens - closes;
+                opened |= opens > 0;
+                if (opened && depth <= 0) || (!opened && line.trim_end().ends_with(';')) {
+                    break;
+                }
+            }
+        }
+    }
+    members
+}
+
+#[test]
+fn every_documented_type_member_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let members = declared_members(root);
+    let (mut checked, mut stale) = (HashSet::new(), Vec::new());
+    for doc in PATH_DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).expect("readable doc");
+        for (line, name) in backticked_members(&text) {
+            let (ty, member) = name.split_once("::").expect("a Type::member name");
+            let declared = members.get(ty).is_some_and(|set| set.contains(member));
+            if !declared && !UNDECLARED_MEMBERS.contains(&name.as_str()) {
+                stale.push(format!("{doc}:{line}: {name}"));
+            }
+            checked.insert(name);
+        }
+    }
+    assert!(
+        checked.len() > 40,
+        "only {} names found: is the scan broken?",
+        checked.len()
+    );
+    assert!(
+        stale.is_empty(),
+        "docs name type members that no type declares:\n{}",
         stale.join("\n")
     );
 }
