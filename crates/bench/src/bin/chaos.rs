@@ -75,7 +75,6 @@ fn chaos_config(seconds: u64) -> ChaosConfig {
         max_duration_s,
         settle_s,
         quiesce_s,
-        ..defaults
     }
 }
 

@@ -21,7 +21,9 @@ use capmaestro_core::capping::{CappingController, CombinedBudgetController};
 use capmaestro_core::policy::{GlobalPriority, PolicyKind};
 use capmaestro_core::tree::{ControlTree, SupplyInput};
 use capmaestro_server::{Server, ServerConfig, ServerPowerModel};
-use capmaestro_sim::capacity::{CapacityConfig, CapacityPlanner, Condition};
+use capmaestro_sim::capacity::{
+    CapacityConfig, CapacityPlanner, Condition, CAP_RATIO_THRESHOLD, CONTRACTUAL_LOADING,
+};
 use capmaestro_sim::engine::{Engine, EngineConfig, Event, Trace};
 use capmaestro_sim::jobs::JobSchedule;
 use capmaestro_sim::scenarios::{datacenter_rig, stranded_rig, DataCenterRigConfig, RigConfig};
@@ -392,7 +394,7 @@ fn fig9(args: &Args) {
     // With no power management each CDU phase must carry peak demand
     // through a single feed (the paper's 8.4-servers arithmetic).
     let c = planner.config();
-    let per_cdu_phase = c.contractual_per_phase * c.contractual_loading / c.dc.racks as f64;
+    let per_cdu_phase = c.contractual_per_phase * CONTRACTUAL_LOADING / c.dc.racks as f64;
     let baseline = c.dc.racks * (per_cdu_phase / c.model.cap_max()).floor() as usize * 3;
     println!("no power capping baseline: {baseline} servers\n");
 
@@ -761,7 +763,7 @@ fn phase_imbalance(args: &Args) {
             format!("{l1}/{l2}/{l3}"),
             stats.servers.to_string(),
             format!("{:.4}", stats.cap_ratio_high),
-            if stats.cap_ratio_high < 0.01 {
+            if stats.cap_ratio_high < CAP_RATIO_THRESHOLD {
                 "yes"
             } else {
                 "no"

@@ -393,9 +393,9 @@ impl AllocatorKind {
         }
     }
 
-    /// Boxes the implementation. The control plane calls this once per
-    /// configuration change and caches the box, so allocator construction
-    /// is off the hot path.
+    /// Boxes the implementation. Every implementation is a zero-sized
+    /// type, so the box allocates nothing and the control plane calls this
+    /// every round.
     pub fn allocator(self) -> Box<dyn Allocator> {
         match self {
             AllocatorKind::Waterfall => Box::new(WaterfallAllocator),

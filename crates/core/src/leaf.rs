@@ -257,8 +257,6 @@ pub(crate) struct LeafTable {
     leaves: Vec<LeafControl>,
     /// Leaves in fail-safe as of the last [`LeafTable::age`].
     stale: usize,
-    /// How many times [`LeafTable::fit`] re-laid the table.
-    layout: u64,
     /// The owner's layout key the table is laid out for.
     fitted: Option<u64>,
     /// The owner's change generation the last [`LeafTable::absorb`] took.
@@ -300,7 +298,6 @@ impl LeafTable {
         let moved = self.ids.iter().map(|id| old.remove(id).unwrap_or_default());
         self.leaves.extend(moved);
         self.stale = self.leaves.iter().filter(|leaf| leaf.stale).count();
-        self.layout += 1;
         self.fitted = Some(key);
         let n = self.leaves.len();
         self.observing.reset(n, true);
@@ -373,11 +370,6 @@ impl LeafTable {
             }
         }
         self.swept = true;
-    }
-
-    /// Identifies the current slot layout: equal values, equal layouts.
-    pub(crate) fn layout(&self) -> u64 {
-        self.layout
     }
 
     /// The record in `slot`.
@@ -581,7 +573,7 @@ mod tests {
         assert_eq!(table.stale_ids().collect::<Vec<_>>(), [ServerId(7)]);
         // The same key is the same layout, whatever ids come with it.
         table.fit(1, []);
-        assert_eq!(table.layout(), 1);
+        assert_eq!(table.stale_ids().collect::<Vec<_>>(), [ServerId(7)]);
         // A server joins ahead of both: records follow their ids.
         table.fit(2, [ServerId(1), ServerId(3), ServerId(7)]);
         assert_eq!(table.leaf(1).delivered, Some(reading(420.0)));

@@ -20,10 +20,10 @@ use capmaestro_server::{SensorSnapshot, Server, ServerMut, ServerRef, ServerSlab
 use capmaestro_topology::{FeedId, ServerId, SupplyIndex};
 use capmaestro_units::{Seconds, Watts};
 
-use crate::alloc::{Allocator, AllocatorKind};
+use crate::alloc::AllocatorKind;
 use crate::leaf::{LeafTable, Moved};
 use crate::obs::{names, null_recorder, PhaseTimer, Recorder, RoundPhase};
-use crate::policy::{CappingPolicy, PolicyKind};
+use crate::policy::PolicyKind;
 use crate::spo::{optimize_stranded_power_in, SpoScratch};
 use crate::tree::{Allocation, ControlTree, SupplyInput};
 
@@ -519,10 +519,9 @@ pub enum BudgetSource {
 }
 
 /// Reusable buffers for the per-round hot path (the "RoundContext" of the
-/// round-pipeline design): resolved root budgets, the cached
-/// capping-policy object, the SPO scratch (which holds every per-tree round
-/// state, with or without the stranded-power pass), and the round report
-/// itself.
+/// round-pipeline design): resolved root budgets, the SPO scratch (which
+/// holds every per-tree round state, with or without the stranded-power
+/// pass), and the round report itself.
 /// [`ControlPlane::round`] borrows these instead of allocating, so a
 /// steady-state sequential round performs no heap allocation.
 struct RoundContext {
@@ -531,11 +530,6 @@ struct RoundContext {
     /// generation it was summed at.
     tree_demands: Vec<(Option<u64>, Watts)>,
     phase_members: Vec<usize>,
-    /// The policy object, rebuilt only when the configured kind changes.
-    policy: Option<(PolicyKind, Box<dyn CappingPolicy + Send + Sync>)>,
-    /// The budget-split allocator, rebuilt only when the configured kind
-    /// changes.
-    allocator: Option<(AllocatorKind, Box<dyn Allocator>)>,
     spo: SpoScratch,
     /// Farm slots ↔ tree leaves.
     lanes: Lanes,
@@ -553,8 +547,6 @@ impl Default for RoundContext {
             root_budgets: Vec::new(),
             tree_demands: Vec::new(),
             phase_members: Vec::new(),
-            policy: None,
-            allocator: None,
             spo: SpoScratch::new(),
             lanes: Lanes::default(),
             report: RoundReport::empty(),
@@ -587,13 +579,13 @@ struct TreeLeaf {
 }
 
 /// The round's slot-indexed map between farm slots and tree leaves, both
-/// ways. Rebuilt only when the leaf table is re-laid or the tree set
-/// changes; in between, a farm slot costs no `Farm::index_of` search and a
-/// supply no hash probe.
+/// ways. Rebuilt only when the farm's slot layout or the tree set changes;
+/// in between, a farm slot costs no `Farm::index_of` search and a supply
+/// no hash probe.
 #[derive(Debug, Default)]
 struct Lanes {
-    /// The leaf-table layout the lanes were built over; `None` until built
-    /// and after the tree set changed.
+    /// The farm's layout generation the lanes were built over; `None`
+    /// until built and after the tree set changed.
     layout: Option<u64>,
     /// Per tree, the farm slot of each leaf slot's server.
     gather: Vec<Vec<u32>>,
@@ -609,7 +601,7 @@ impl Lanes {
     /// # Panics
     ///
     /// Panics if a tree names a server the farm does not hold.
-    fn rebuild(&mut self, layout: u64, farm: &Farm, trees: &[ControlTree]) {
+    fn rebuild(&mut self, farm: &Farm, trees: &[ControlTree]) {
         self.gather.resize_with(trees.len(), Vec::new);
         let mut by_slot = Vec::new();
         for (t, (tree, lane)) in trees.iter().zip(&mut self.gather).enumerate() {
@@ -643,7 +635,7 @@ impl Lanes {
             let budgeted = last.replace((slot, at.supply)) != Some((slot, at.supply));
             TreeLeaf { budgeted, ..at }
         }));
-        self.layout = Some(layout);
+        self.layout = Some(farm.slab.layout_generation());
     }
 
     /// Server slot `slot`'s tree leaves.
@@ -1100,12 +1092,12 @@ impl ControlPlane {
     /// also available afterwards via [`ControlPlane::last_report`]).
     ///
     /// A steady-state round performs **no heap allocation**: per-server
-    /// state is a dense slot-indexed table, and root budgets, the policy
-    /// object, per-tree gather states (reused incrementally — only
-    /// subtrees with a dirtied leaf are re-summarized and re-split), SPO
-    /// routes/overlays, the lanes, and the report buffers all live in the
-    /// plane's round context. Every phase runs on the calling thread in id
-    /// / tree-index order.
+    /// state is a dense slot-indexed table, root budgets, per-tree gather
+    /// states (reused incrementally — only subtrees with a dirtied leaf
+    /// are re-summarized and re-split), SPO routes/overlays, the lanes,
+    /// and the report buffers all live in the plane's round context, and
+    /// the policy and allocator are boxed zero-sized types. Every phase
+    /// runs on the calling thread in id / tree-index order.
     ///
     /// The per-server phases visit only leaves whose inputs may have
     /// changed: a server whose state moved, a leaf still absorbing readings
@@ -1148,9 +1140,9 @@ impl ControlPlane {
         //    stored inputs, so unchanged leaves stay clean and the gather
         //    below reuses their cached metrics.
         let gather_timer = PhaseTimer::start(recorder, RoundPhase::Gather.metric_name());
-        let relaid = self.ctx.lanes.layout != Some(self.leaves.layout());
+        let relaid = self.ctx.lanes.layout != Some(farm.slab.layout_generation());
         if relaid {
-            self.ctx.lanes.rebuild(self.leaves.layout(), farm, &self.trees);
+            self.ctx.lanes.rebuild(farm, &self.trees);
             self.ctx.report.dc_caps.reset(farm.ids());
         }
         {
@@ -1203,8 +1195,6 @@ impl ControlPlane {
             root_budgets,
             tree_demands,
             phase_members,
-            policy,
-            allocator,
             spo,
             lanes,
             report,
@@ -1218,28 +1208,17 @@ impl ControlPlane {
             phase_members,
             root_budgets,
         );
-        if policy.as_ref().map(|(kind, _)| *kind) != Some(self.config.policy) {
-            *policy = Some((self.config.policy, self.config.policy.policy()));
-        }
-        let policy_dyn = policy.as_ref().expect("policy cached above").1.as_ref();
-        if allocator.as_ref().map(|(kind, _)| *kind) != Some(self.config.allocator) {
-            *allocator = Some((self.config.allocator, self.config.allocator.allocator()));
-        }
-        let allocator_dyn = allocator
-            .as_ref()
-            .expect("allocator cached above")
-            .1
-            .as_ref();
-        report.stranded_reclaimed = optimize_stranded_power_in(
+        let (stranded, settled) = optimize_stranded_power_in(
             trees,
             root_budgets,
-            policy_dyn,
-            allocator_dyn,
+            self.config.policy.policy().as_ref(),
+            self.config.allocator.allocator().as_ref(),
             self.config.spo,
             spo,
             &mut report.allocations,
             recorder,
         );
+        report.stranded_reclaimed = stranded;
         if recorder.enabled() {
             recorder.gauge_set(
                 names::STRANDED_WATTS_RECLAIMED,
@@ -1271,7 +1250,6 @@ impl ControlPlane {
         //    commanded: any other one's inputs are bit-equal and its last
         //    command was a fixed point.
         let enforce_timer = PhaseTimer::start(recorder, RoundPhase::Enforce.metric_name());
-        let settled = spo.settled();
         let RoundReport {
             allocations,
             dc_caps,

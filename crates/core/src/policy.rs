@@ -44,7 +44,7 @@ pub trait CappingPolicy {
     fn visibility(&self, ctx: NodeContext) -> PriorityVisibility;
 
     /// Short display name used in experiment tables.
-    fn name(&self) -> &str;
+    fn name(&self) -> &'static str;
 }
 
 /// CapMaestro's globally priority-aware policy (§4.3).
@@ -63,7 +63,7 @@ impl CappingPolicy for GlobalPriority {
         PriorityVisibility::Full
     }
 
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "Global Priority"
     }
 }
@@ -90,7 +90,7 @@ impl CappingPolicy for LocalPriority {
         }
     }
 
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "Local Priority"
     }
 }
@@ -111,7 +111,7 @@ impl CappingPolicy for NoPriority {
         PriorityVisibility::Blind
     }
 
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "No Priority"
     }
 }

@@ -62,8 +62,6 @@ pub struct SpoScratch {
     /// The stranded total of the detection `overlays` hold; `None` until
     /// one ran over the current routes.
     detected: Option<Watts>,
-    /// Whether the last round's final pass re-split nothing in any tree.
-    settled: bool,
 }
 
 impl SpoScratch {
@@ -97,13 +95,6 @@ impl SpoScratch {
             .chain(&self.states2)
             .map(TreeRoundState::gather_stats)
             .fold((0, 0), |(s, k), (ds, dk)| (s + ds, k + dk))
-    }
-
-    /// Whether the last round's final pass (pass 2, or pass 1 without
-    /// reclaim) re-split nothing in any tree, so every final leaf budget is
-    /// the one of the round before.
-    pub(crate) fn settled(&self) -> bool {
-        self.settled
     }
 
     fn rebuild_routes(&mut self, trees: &[ControlTree]) {
@@ -149,10 +140,12 @@ impl SpoScratch {
 /// cover the same control period (in a redundant data center, the
 /// per-feed trees of one phase). Writes the final allocations into `out`
 /// (buffers reused) and returns the stranded power detected after pass 1,
-/// summed in `(server, supply)` order.
+/// summed in `(server, supply)` order, beside whether the final pass
+/// (pass 2, or pass 1 without reclaim) re-split nothing in any tree, so
+/// that every final leaf budget is the one of the round before.
 ///
 /// Without `reclaim`, only pass 1 runs: its allocations go straight into
-/// `out`, the Spo phase records zero and the result is zero.
+/// `out`, the Spo phase records zero and the stranded power is zero.
 ///
 /// Both passes run through [`ControlTree::allocate_in`] with round states
 /// held in `scratch`, strand detection walks precomputed per-server
@@ -199,7 +192,7 @@ impl SpoScratch {
 ///     });
 /// }
 /// let mut out = Vec::new();
-/// let stranded = optimize_stranded_power_in(
+/// let (stranded, _) = optimize_stranded_power_in(
 ///     &trees,
 ///     &[Watts::new(700.0), Watts::new(700.0)],
 ///     &GlobalPriority::new(),
@@ -226,7 +219,7 @@ pub fn optimize_stranded_power_in(
     scratch: &mut SpoScratch,
     out: &mut Vec<Allocation>,
     recorder: &dyn Recorder,
-) -> Watts {
+) -> (Watts, bool) {
     assert_eq!(
         trees.len(),
         root_budgets.len(),
@@ -257,7 +250,7 @@ pub fn optimize_stranded_power_in(
         PhaseTimer::start(recorder, RoundPhase::Allocate.metric_name());
     let mut settled = true;
     for i in 0..n {
-        trees[i].allocate_in(
+        settled &= trees[i].allocate_in(
             root_budgets[i],
             policy,
             allocator,
@@ -265,7 +258,6 @@ pub fn optimize_stranded_power_in(
             None,
             &mut first[i],
         );
-        settled &= scratch.states1[i].settled();
     }
     drop(allocate_timer);
     if !reclaim {
@@ -274,8 +266,7 @@ pub fn optimize_stranded_power_in(
         // describes pass 1.
         recorder.observe(RoundPhase::Spo.metric_name(), 0.0);
         scratch.detected = None;
-        scratch.settled = settled;
-        return Watts::ZERO;
+        return (Watts::ZERO, settled);
     }
     let spo_timer = PhaseTimer::start(recorder, RoundPhase::Spo.metric_name());
     if scratch.overlays.len() != n {
@@ -293,8 +284,9 @@ pub fn optimize_stranded_power_in(
     scratch.detected = Some(total);
 
     // Pass 2: re-allocate with the shrunken inputs overlaid.
+    let mut settled = true;
     for i in 0..n {
-        trees[i].allocate_in(
+        settled &= trees[i].allocate_in(
             root_budgets[i],
             policy,
             allocator,
@@ -303,9 +295,8 @@ pub fn optimize_stranded_power_in(
             &mut out[i],
         );
     }
-    scratch.settled = scratch.states2.iter().all(TreeRoundState::settled);
     drop(spo_timer);
-    total
+    (total, settled)
 }
 
 /// Strand detection over the precomputed routes into `scratch.overlays`:
@@ -421,15 +412,16 @@ mod tests {
 
     const BUDGETS: [Watts; 2] = [Watts::new(700.0), Watts::new(700.0)];
 
-    /// One round through `scratch`: `(stranded, final allocations)`.
+    /// One round through `scratch`: `(stranded, final allocations,
+    /// settled)`.
     fn round_in(
         trees: &[ControlTree],
         budgets: &[Watts],
         reclaim: bool,
         scratch: &mut SpoScratch,
-    ) -> (Watts, Vec<Allocation>) {
+    ) -> (Watts, Vec<Allocation>, bool) {
         let mut out = Vec::new();
-        let stranded = optimize_stranded_power_in(
+        let (stranded, settled) = optimize_stranded_power_in(
             trees,
             budgets,
             &GlobalPriority::new(),
@@ -439,12 +431,13 @@ mod tests {
             &mut out,
             &crate::obs::NullRecorder,
         );
-        (stranded, out)
+        (stranded, out, settled)
     }
 
     /// A cold round with the stranded-power pass.
     fn spo(trees: &[ControlTree], budgets: &[Watts]) -> (Watts, Vec<Allocation>) {
-        round_in(trees, budgets, true, &mut SpoScratch::new())
+        let (stranded, out, _) = round_in(trees, budgets, true, &mut SpoScratch::new());
+        (stranded, out)
     }
 
     /// The allocation before SPO: every tree allocated on its own.
@@ -538,19 +531,19 @@ mod tests {
     fn without_reclaim_only_the_first_pass_runs() {
         let (_, trees) = fig7a_trees();
         let mut scratch = SpoScratch::new();
-        let (stranded, out) = round_in(&trees, &BUDGETS, false, &mut scratch);
+        let (stranded, out, settled) = round_in(&trees, &BUDGETS, false, &mut scratch);
         assert_eq!(stranded, Watts::ZERO);
         assert_eq!(out, before_spo(&trees, &BUDGETS));
-        assert!(!scratch.settled());
+        assert!(!settled);
         let nodes: u64 = trees.iter().map(|t| t.spec().len() as u64).sum();
         assert_eq!(scratch.gather_stats(), (nodes, 0));
 
         // A repeat finds every node clean and settles; turning the pass on
         // afterwards detects afresh.
-        round_in(&trees, &BUDGETS, false, &mut scratch);
+        let (.., settled) = round_in(&trees, &BUDGETS, false, &mut scratch);
         assert_eq!(scratch.gather_stats(), (nodes, nodes));
-        assert!(scratch.settled());
-        let (stranded, out) = round_in(&trees, &BUDGETS, true, &mut scratch);
+        assert!(settled);
+        let (stranded, out, _) = round_in(&trees, &BUDGETS, true, &mut scratch);
         assert_eq!((stranded, out), spo(&trees, &BUDGETS));
     }
 
@@ -558,15 +551,16 @@ mod tests {
     fn a_repeated_round_skips_every_node_and_settles() {
         let (_, trees) = fig7a_trees();
         let mut scratch = SpoScratch::new();
-        let first = round_in(&trees, &BUDGETS, true, &mut scratch);
-        assert!(!scratch.settled());
+        let (stranded, out, settled) = round_in(&trees, &BUDGETS, true, &mut scratch);
+        assert!(!settled);
         let (summarized, skipped) = scratch.gather_stats();
         // Both passes find every node clean, and count each one skipped,
         // walk or no walk.
-        assert_eq!(round_in(&trees, &BUDGETS, true, &mut scratch), first);
+        let (again, again_out, settled) = round_in(&trees, &BUDGETS, true, &mut scratch);
+        assert_eq!((again, again_out), (stranded, out));
         let nodes: u64 = trees.iter().map(|t| t.spec().len() as u64).sum();
         assert_eq!(scratch.gather_stats(), (summarized, skipped + 2 * nodes));
-        assert!(scratch.settled());
+        assert!(settled);
     }
 
     /// The AC power every server can draw under `allocations` with the

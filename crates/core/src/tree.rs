@@ -302,13 +302,14 @@ enum Pin {
 }
 
 /// Reusable per-tree round state for [`ControlTree::allocate_in`]: the
-/// cached per-node [`PriorityMetrics`] with their dirty bookkeeping, the
+/// cached per-node [`PriorityMetrics`] with their re-split flags, the
 /// budget-down memo, plus every scratch buffer the gather and
 /// budget-down passes need. Keep one per (tree, pass) and reuse it
 /// across rounds; steady-state rounds then allocate nothing.
 ///
 /// Both halves of the walk are incremental. [`ControlTree::gather_in`]
-/// re-summarizes only nodes with a dirtied descendant;
+/// re-summarizes only nodes with a flagged child: a leaf whose input
+/// moved, or a node re-summarized since the previous `budget_in`.
 /// [`ControlTree::budget_in`] remembers the node budgets it produced and
 /// re-splits a node only if its own budget changed bit-for-bit or its
 /// summary was recomputed since the previous `budget_in` (however many
@@ -320,25 +321,24 @@ enum Pin {
 /// summaries and the allocator.
 #[derive(Debug, Default)]
 pub struct TreeRoundState {
-    valid: bool,
-    policy_name: String,
+    policy_name: &'static str,
     metrics: Vec<PriorityMetrics>,
     /// Per-node [`Pin`]; empty (all free) until the first pin.
     pins: Vec<Pin>,
-    dirty: Vec<bool>,
+    /// Per leaf node, the input and priority its summary was computed
+    /// from. Laid out for the tree once gathered; empty until then.
     last_leaves: Vec<Option<(SupplyInput, Priority)>>,
     /// Node budgets as of the last `budget_in`: the memo.
     budgets: Vec<Watts>,
     /// Per node: re-split at the next `budget_in` — set when a gather
     /// recomputes the node's summary, and by the walk itself when the
-    /// node's budget changes.
+    /// node's budget changes. A gather re-summarizes a parent with a
+    /// flagged child; `budget_in` clears every flag.
     resplit: Vec<bool>,
     /// The root split's remainder as of the last `budget_in`.
     root_leftover: Watts,
     /// The allocator `budgets` were split with; `None` drops the memo.
     memo: Option<&'static str>,
-    /// Whether the last `budget_in` re-split nothing.
-    settled: bool,
     /// The tree's leaf generation as of the last gather.
     gathered: u64,
     /// Whether the last gather ran with an overlay.
@@ -364,15 +364,8 @@ impl TreeRoundState {
     /// recomputes every subtree and re-splits every node, as a fresh state
     /// would (required when the tree set changes).
     pub(crate) fn invalidate(&mut self) {
-        self.valid = false;
+        self.last_leaves.clear();
         self.memo = None;
-    }
-
-    /// Whether the last [`ControlTree::budget_in`] re-split nothing: no
-    /// summary was recomputed and no budget changed since the one before,
-    /// so its allocation and every leaf input it covers are unchanged.
-    pub(crate) fn settled(&self) -> bool {
-        self.settled
     }
 
     /// Vouches that the overlay of the next gather is the one the last
@@ -588,8 +581,8 @@ impl ControlTree {
 
     /// Incremental, allocation-free variant of [`ControlTree::allocate`]:
     /// [`ControlTree::gather_in`] then [`ControlTree::budget_in`] over the
-    /// same `state`. Performs no heap allocation once `state` and `out` are
-    /// warm.
+    /// same `state`, returning what `budget_in` returns. Performs no heap
+    /// allocation once `state` and `out` are warm.
     ///
     /// # Panics
     ///
@@ -602,9 +595,9 @@ impl ControlTree {
         state: &mut TreeRoundState,
         overlay: Option<&[Option<SupplyInput>]>,
         out: &mut Allocation,
-    ) {
+    ) -> bool {
         self.gather_in(policy, state, overlay);
-        self.budget_in(root_budget, policy, allocator, state, out);
+        self.budget_in(root_budget, policy, allocator, state, out)
     }
 
     /// Pins node `idx` to a summary supplied from outside (a rack's
@@ -635,8 +628,9 @@ impl ControlTree {
 
     /// The gather-up half of a round (paper §4.3.1), with dirty-tracking:
     /// only subtrees with a dirtied descendant (a value change of a leaf
-    /// input / priority, an `overlay` difference, or a
-    /// re-pinned summary) are re-summarized; clean nodes reuse the
+    /// input / priority, an `overlay` difference, a re-pinned summary, or
+    /// one re-summarized by a gather since the last
+    /// [`ControlTree::budget_in`]) are re-summarized; clean nodes reuse the
     /// [`PriorityMetrics`] cached in `state`. When nothing moved since the
     /// state's last gather, the walk itself is skipped. Returns the root's
     /// summary.
@@ -662,16 +656,15 @@ impl ControlTree {
         if let Some(o) = overlay {
             assert_eq!(o.len(), n, "overlay must be spec-indexed");
         }
-        // (Re)shape the state and invalidate on tree or policy change;
-        // pinned summaries survive (they are inputs, not results).
-        if state.dirty.len() != n || state.policy_name != policy.name() {
-            state.valid = false;
+        // (Re)shape the state and flag every node on the first gather,
+        // after an invalidation, or on a tree or policy change, so the
+        // walk recomputes every summary; pinned summaries survive (they
+        // are inputs, not results).
+        let reshaped = state.last_leaves.len() != n || state.policy_name != policy.name();
+        if reshaped {
             state.memo = None;
-            state.policy_name.clear();
-            state.policy_name.push_str(policy.name());
+            state.policy_name = policy.name();
             state.metrics.resize_with(n, PriorityMetrics::default);
-            state.dirty.clear();
-            state.dirty.resize(n, true);
             state.resplit.clear();
             state.resplit.resize(n, true);
             state.last_leaves.clear();
@@ -686,21 +679,19 @@ impl ControlTree {
         let seen = std::mem::replace(&mut state.gathered, self.generation);
         let overlaid = std::mem::replace(&mut state.overlaid, overlay.is_some());
         let same_overlay = if overlay.is_some() { overlaid && kept } else { !overlaid };
-        if state.valid && state.pins.is_empty() && same_overlay && seen == self.generation {
+        if !reshaped && state.pins.is_empty() && same_overlay && seen == self.generation {
             state.skipped += n as u64;
             return &state.metrics[self.spec.root()];
         }
 
-        // Gather with dirty-tracking, children (higher indices) first. A
-        // recomputed summary also flags its node for the next budget_in.
+        // Gather children (higher indices) first. A recomputed summary
+        // flags its node for the next budget_in, and so its parent here.
         for idx in (0..n).rev() {
             match state.pin_at(idx) {
                 Pin::Free => {}
                 Pin::Below => continue,
                 pin => {
-                    let dirty = !state.valid || pin == Pin::Changed;
-                    state.dirty[idx] = dirty;
-                    state.resplit[idx] |= dirty;
+                    state.resplit[idx] |= pin == Pin::Changed;
                     state.pins[idx] = Pin::Held;
                     continue;
                 }
@@ -713,10 +704,8 @@ impl ControlTree {
                     None => base,
                 };
                 let current = effective.map(|input| (input, leaf.priority));
-                let dirty = !state.valid || state.last_leaves[idx] != current;
-                state.dirty[idx] = dirty;
-                state.resplit[idx] |= dirty;
-                if dirty {
+                if current.is_none() || state.last_leaves[idx] != current {
+                    state.resplit[idx] = true;
                     state.summarized += 1;
                     let (input, priority) = current.unwrap_or_else(|| {
                         panic!(
@@ -740,11 +729,10 @@ impl ControlTree {
                 }
             } else {
                 let children = self.arena.children_of(idx);
-                let dirty =
-                    !state.valid || children.iter().any(|&c| state.dirty[c as usize]);
-                state.dirty[idx] = dirty;
-                state.resplit[idx] |= dirty;
-                if dirty {
+                // Flagged itself only after a reshape, or by a gather with
+                // no budget_in since: re-summarizing gives the same bits.
+                if state.resplit[idx] || children.iter().any(|&c| state.resplit[c as usize]) {
+                    state.resplit[idx] = true;
                     state.summarized += 1;
                     let blind = matches!(
                         policy.visibility(self.arena.context(idx)),
@@ -765,7 +753,6 @@ impl ControlTree {
                 }
             }
         }
-        state.valid = true;
         &state.metrics[self.spec.root()]
     }
 
@@ -777,6 +764,8 @@ impl ControlTree {
     /// Memoized against the previous `budget_in` on `state` (see
     /// [`TreeRoundState`]): only nodes whose budget or summary changed are
     /// re-split, so a round in which nothing changed splits nothing.
+    /// Returns whether it re-split nothing since the call before, so that
+    /// every budget in `out` is the one that call wrote.
     ///
     /// # Panics
     ///
@@ -788,10 +777,11 @@ impl ControlTree {
         allocator: &dyn Allocator,
         state: &mut TreeRoundState,
         out: &mut Allocation,
-    ) {
+    ) -> bool {
         let n = self.spec.len();
-        assert!(
-            state.valid && state.dirty.len() == n,
+        assert_eq!(
+            state.last_leaves.len(),
+            n,
             "budget_in needs a gathered state"
         );
         let root = self.spec.root();
@@ -802,7 +792,6 @@ impl ControlTree {
             resplit,
             root_leftover,
             memo,
-            settled,
             children_scratch,
             alloc_scratch,
             split_budgets,
@@ -824,8 +813,8 @@ impl ControlTree {
         // A recomputed summary dirties every ancestor up to the root, and a
         // changed budget flags the root or a re-split parent, so a clear
         // root flag means every flag is clear.
-        *settled = !resplit[root];
-        let walk = if *settled { 0..0 } else { 0..n };
+        let settled = !resplit[root];
+        let walk = if settled { 0..0 } else { 0..n };
         for idx in walk {
             if !std::mem::take(&mut resplit[idx]) || !splits(idx) {
                 continue;
@@ -882,6 +871,7 @@ impl ControlTree {
             out.leaf_index = Arc::clone(leaf_index);
         }
         out.unallocated = unallocated;
+        settled
     }
 }
 
@@ -1147,6 +1137,113 @@ mod tests {
         assert_eq!(counting.take(), ancestors);
         round(&tree);
         assert_eq!(counting.take(), 0);
+    }
+
+    /// Sets server `name`'s demand in the fig. 2 tree.
+    fn set_demand(topo: &Topology, tree: &mut ControlTree, name: &str, watts: f64) {
+        let id = topo.server_by_name(name).unwrap();
+        let input = SupplyInput {
+            demand: Watts::new(watts),
+            ..PAPER_INPUT
+        };
+        assert!(tree.set_supply_input(id, SupplyIndex::FIRST, input));
+    }
+
+    #[test]
+    fn a_moved_leaf_re_summarizes_its_path_and_unsettles_the_budget() {
+        let (topo, mut tree) = fig2_tree();
+        let (policy, budget) = (GlobalPriority::new(), Watts::new(1240.0));
+        let (mut state, mut out) = (TreeRoundState::new(), Allocation::default());
+        let allocator = &WaterfallAllocator;
+        assert!(!tree.allocate_in(budget, &policy, allocator, &mut state, None, &mut out));
+        assert!(tree.allocate_in(budget, &policy, allocator, &mut state, None, &mut out));
+
+        // SA moves: the gather re-summarizes SA, its CB and the root, and
+        // reuses the other four nodes.
+        set_demand(&topo, &mut tree, "SA", 420.0);
+        let (summarized, skipped) = state.gather_stats();
+        tree.gather_in(&policy, &mut state, None);
+        let nodes = tree.spec().len() as u64;
+        assert_eq!(state.gather_stats(), (summarized + 3, skipped + nodes - 3));
+        assert!(!tree.budget_in(budget, &policy, allocator, &mut state, &mut out));
+        assert_bitwise_eq(&out, &tree.allocate(budget, &policy));
+        assert!(tree.allocate_in(budget, &policy, allocator, &mut state, None, &mut out));
+    }
+
+    #[test]
+    fn two_gathers_without_a_budget_match_a_fresh_state() {
+        let (topo, mut tree) = fig2_tree();
+        let (policy, budget) = (GlobalPriority::new(), Watts::new(1240.0));
+        let (mut state, mut out) = (TreeRoundState::new(), Allocation::default());
+        tree.allocate_in(
+            budget,
+            &policy,
+            &WaterfallAllocator,
+            &mut state,
+            None,
+            &mut out,
+        );
+
+        // SA's path is re-summarized by the first gather, SC's by the
+        // second, and only then is a budget split.
+        set_demand(&topo, &mut tree, "SA", 420.0);
+        tree.gather_in(&policy, &mut state, None);
+        set_demand(&topo, &mut tree, "SC", 380.0);
+        let root = tree.gather_in(&policy, &mut state, None).clone();
+        assert_eq!(
+            root,
+            *tree.gather_in(&policy, &mut TreeRoundState::new(), None)
+        );
+        tree.budget_in(budget, &policy, &WaterfallAllocator, &mut state, &mut out);
+        assert_bitwise_eq(&out, &tree.allocate(budget, &policy));
+    }
+
+    #[test]
+    fn an_invalidated_state_serves_another_tree_afresh() {
+        // Two trees of one shape, inputs and leaf generation that differ
+        // only in a CB limit, as a tree set that changed under a state.
+        let mut spec = figure2_feed().control_tree_specs().remove(0);
+        spec.node_mut(1).limit = Some(Watts::new(600.0));
+        let narrow = ControlTree::with_uniform(spec, PAPER_INPUT);
+        let (_, wide) = fig2_tree();
+        let (policy, budget) = (GlobalPriority::new(), Watts::new(1240.0));
+        let (mut state, mut out) = (TreeRoundState::new(), Allocation::default());
+        wide.allocate_in(
+            budget,
+            &policy,
+            &WaterfallAllocator,
+            &mut state,
+            None,
+            &mut out,
+        );
+        state.invalidate();
+        narrow.allocate_in(
+            budget,
+            &policy,
+            &WaterfallAllocator,
+            &mut state,
+            None,
+            &mut out,
+        );
+        assert_bitwise_eq(&out, &narrow.allocate(budget, &policy));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a gathered state")]
+    fn budget_after_invalidate_panics() {
+        let (_, tree) = fig2_tree();
+        let (policy, budget) = (GlobalPriority::new(), Watts::new(1240.0));
+        let (mut state, mut out) = (TreeRoundState::new(), Allocation::default());
+        tree.allocate_in(
+            budget,
+            &policy,
+            &WaterfallAllocator,
+            &mut state,
+            None,
+            &mut out,
+        );
+        state.invalidate();
+        tree.budget_in(budget, &policy, &WaterfallAllocator, &mut state, &mut out);
     }
 
     #[test]

@@ -197,6 +197,32 @@ fn a_farm_that_grows_after_a_sweep_is_relaid() {
     }
 }
 
+/// Servers that join after a round re-lay the round's lanes as well as
+/// the leaf table: the rounds after the growth read budgets and store caps
+/// through lanes built over the new slots.
+#[test]
+fn a_farm_that_grows_after_a_round_is_relaid() {
+    let (_, mut farm, mut plane) = fig2_plane(420.0);
+    let mut spec = Leaves::default();
+    for second in 0..32 {
+        if second == 12 {
+            for id in 100..110 {
+                let mut server = Server::new(ServerConfig::paper_default().single_corded());
+                server.set_offered_demand(Watts::new(250.0));
+                server.settle();
+                farm.insert(ServerId(id), server);
+            }
+        }
+        plane.sample(&mut farm);
+        observe_all(&mut spec, &farm);
+        if second % 8 == 7 {
+            plane.round(&mut farm);
+            check_round(&mut spec, &plane, &farm, &format!("t={second}"));
+        }
+        farm.step_all(Seconds::new(1.0));
+    }
+}
+
 /// The threaded deployment (SPO off) runs the spec's walk over the spec's
 /// inputs and the same leaf step under it: cut budgets and every server's
 /// commanded DC cap agree to the bit, under every allocator, on the Fig. 2

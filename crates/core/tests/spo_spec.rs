@@ -105,7 +105,7 @@ fn warm_spo_is_bit_identical_to_the_spec() {
                         });
                     }
                 }
-                let stranded = optimize_stranded_power_in(
+                let (stranded, _) = optimize_stranded_power_in(
                     &trees,
                     budgets,
                     policy,
@@ -151,7 +151,7 @@ fn toggling_the_reclaim_pass_matches_the_spec() {
     ];
     for (round, &(reclaim, watts)) in rounds.iter().enumerate() {
         let budgets = [Watts::new(watts), Watts::new(700.0)];
-        let stranded = optimize_stranded_power_in(
+        let (stranded, _) = optimize_stranded_power_in(
             &trees,
             &budgets,
             policy,

@@ -282,6 +282,27 @@ pub struct Violation {
     pub detail: String,
 }
 
+/// Fractional overshoot a tree's physical load may carry over its root
+/// budget (the controller's own settling tolerance).
+const BUDGET_TOLERANCE: f64 = 0.02;
+/// Absolute slack added on top of [`BUDGET_TOLERANCE`].
+const BUDGET_SLACK: Watts = Watts::new(2.0);
+/// Throttle level above which a high-priority server counts as
+/// meaningfully capped.
+const HIGH_THROTTLE_EPS: f64 = 0.08;
+/// Watts of cap (and draw) above the floor a lower-priority server must
+/// hold for its headroom to count as reallocatable.
+const LOW_HEADROOM: Watts = Watts::new(8.0);
+/// Fractional gap between a tree's physical meter sum and its reported
+/// sum before the metering cross-check counts the second as
+/// under-reported. Deliberately coarser than [`BUDGET_TOLERANCE`]: the
+/// reported side lags the physical side by one settling step, and honest
+/// telemetry faults (frozen or noisy sensors) wobble the gap without the
+/// sustained, large, one-sided signature of a miscalibrated gain.
+const METER_TOLERANCE: f64 = 0.05;
+/// Absolute slack added on top of [`METER_TOLERANCE`].
+const METER_SLACK: Watts = Watts::new(10.0);
+
 /// Tunables for [`InvariantTracker`]. The defaults match the capping
 /// controller's convergence behaviour: budget breaches and priority
 /// inversions must persist for `sustain_s` seconds (four 8 s control
@@ -289,30 +310,9 @@ pub struct Violation {
 /// during fault onset/recovery are not misread as violations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InvariantConfig {
-    /// Fractional overshoot a tree's physical load may carry over its
-    /// root budget (the controller's own settling tolerance).
-    pub budget_tolerance: f64,
-    /// Absolute slack added on top of the fractional tolerance, watts.
-    pub budget_slack: Watts,
     /// Seconds a budget breach or priority inversion must persist
     /// continuously before it is recorded.
     pub sustain_s: u64,
-    /// Throttle level above which a high-priority server counts as
-    /// meaningfully capped.
-    pub high_throttle_eps: f64,
-    /// Watts of cap (and draw) above the floor a lower-priority server
-    /// must hold for its headroom to count as reallocatable.
-    pub low_headroom: Watts,
-    /// Fractional gap between a tree's physical meter sum and its
-    /// reported sum before the metering cross-check counts the second as
-    /// under-reported. Deliberately coarser than `budget_tolerance`: the
-    /// reported side lags the physical side by one settling step, and
-    /// honest telemetry faults (frozen or noisy sensors) wobble the gap
-    /// without the sustained, large, one-sided signature of a
-    /// miscalibrated gain.
-    pub meter_tolerance: f64,
-    /// Absolute slack added on top of `meter_tolerance`, watts.
-    pub meter_slack: Watts,
     /// Consecutive interposed seconds the under-reporting gap must
     /// persist before a [`InvariantKind::MeterMismatch`] is recorded.
     pub meter_sustain_s: u64,
@@ -321,13 +321,7 @@ pub struct InvariantConfig {
 impl Default for InvariantConfig {
     fn default() -> Self {
         InvariantConfig {
-            budget_tolerance: 0.02,
-            budget_slack: Watts::new(2.0),
             sustain_s: 32,
-            high_throttle_eps: 0.08,
-            low_headroom: Watts::new(8.0),
-            meter_tolerance: 0.05,
-            meter_slack: Watts::new(10.0),
             meter_sustain_s: 48,
         }
     }
@@ -504,8 +498,7 @@ impl InvariantTracker {
                     .copied()
                     .unwrap_or(Watts::ZERO);
             }
-            let limit = budget * (1.0 + self.config.budget_tolerance)
-                + self.config.budget_slack;
+            let limit = budget * (1.0 + BUDGET_TOLERANCE) + BUDGET_SLACK;
             let ctr = self.over_budget_s.entry(i).or_insert(0);
             if load.as_f64() > limit.as_f64() {
                 *ctr += 1;
@@ -549,10 +542,9 @@ impl InvariantTracker {
                 let floor_dc = model.cap_min() * eff;
                 let cap_headroom = server
                     .dc_cap()
-                    .map(|c| c > floor_dc + self.config.low_headroom)
+                    .map(|c| c > floor_dc + LOW_HEADROOM)
                     .unwrap_or(true);
-                let draw_headroom = server.sense().total_ac
-                    > model.cap_min() + self.config.low_headroom;
+                let draw_headroom = server.sense().total_ac > model.cap_min() + LOW_HEADROOM;
                 entries.push((
                     priority,
                     server.throttle().as_f64(),
@@ -560,7 +552,7 @@ impl InvariantTracker {
                 ));
             }
             let inverted = entries.iter().any(|&(ph, throttle, _)| {
-                throttle > self.config.high_throttle_eps
+                throttle > HIGH_THROTTLE_EPS
                     && entries
                         .iter()
                         .any(|&(pl, _, headroom)| pl < ph && headroom)
@@ -627,8 +619,7 @@ impl InvariantTracker {
                             .unwrap_or(Watts::ZERO);
                     }
                     let gap = physical.as_f64() - claimed.as_f64();
-                    let limit = self.config.meter_tolerance * physical.as_f64()
-                        + self.config.meter_slack.as_f64();
+                    let limit = METER_TOLERANCE * physical.as_f64() + METER_SLACK.as_f64();
                     let ctr = self.meter_gap_s.entry(i).or_insert(0);
                     if gap > limit {
                         *ctr += 1;

@@ -63,6 +63,14 @@ impl TrialStats {
     }
 }
 
+/// Loading fraction of the contractual budget the study plans against
+/// (95 %, a 5 % margin).
+pub const CONTRACTUAL_LOADING: f64 = 0.95;
+
+/// The acceptance threshold on the mean cap ratio: the paper's 1 %
+/// criterion (§6.4).
+pub const CAP_RATIO_THRESHOLD: f64 = 0.01;
+
 /// Configuration of the capacity study. Defaults reproduce Table 4 and the
 /// §6.4 methodology.
 #[derive(Debug, Clone)]
@@ -71,12 +79,9 @@ pub struct CapacityConfig {
     pub dc: DataCenterParams,
     /// Fraction of servers designated high priority (0.3 in the paper).
     pub high_priority_fraction: f64,
-    /// Contractual budget per phase across both feeds (700 kW).
+    /// Contractual budget per phase across both feeds (700 kW), before
+    /// [`CONTRACTUAL_LOADING`].
     pub contractual_per_phase: Watts,
-    /// Loading fraction of the contractual budget (95 %, 5 % margin).
-    pub contractual_loading: f64,
-    /// The acceptance threshold on the mean cap ratio (1 %).
-    pub cap_ratio_threshold: f64,
     /// Fleet-average utilization distribution (Fig. 8 substitute).
     pub profile: DiscreteDistribution,
     /// Standard deviation of per-server utilization jitter around the
@@ -98,8 +103,6 @@ impl Default for CapacityConfig {
             dc: DataCenterParams::default(),
             high_priority_fraction: 0.3,
             contractual_per_phase: Watts::from_kilowatts(700.0),
-            contractual_loading: 0.95,
-            cap_ratio_threshold: 0.01,
             profile: google_like_profile(),
             jitter_std: 0.05,
             typical_reps_per_bin: 3,
@@ -318,8 +321,7 @@ impl CapacityPlanner {
         );
         let model = self.config.model;
         // Contractual budget per phase, after the 5 % margin.
-        let contractual =
-            self.config.contractual_per_phase * self.config.contractual_loading;
+        let contractual = self.config.contractual_per_phase * CONTRACTUAL_LOADING;
 
         let (cap_all, cap_high) = match condition {
             Condition::WorstCase => {
@@ -405,25 +407,17 @@ impl CapacityPlanner {
     /// count, or 0 if even 6 per rack violates the criterion.
     pub fn max_deployable(&self, policy: PolicyKind, condition: Condition) -> usize {
         let (mut lo, mut hi) = (6usize, 45usize);
-        if self
-            .evaluate(lo, policy, condition)
-            .criterion(condition)
-            >= self.config.cap_ratio_threshold
-        {
+        if self.evaluate(lo, policy, condition).criterion(condition) >= CAP_RATIO_THRESHOLD {
             return 0;
         }
-        if self
-            .evaluate(hi, policy, condition)
-            .criterion(condition)
-            < self.config.cap_ratio_threshold
-        {
+        if self.evaluate(hi, policy, condition).criterion(condition) < CAP_RATIO_THRESHOLD {
             return hi * self.config.dc.racks;
         }
         // Invariant: lo passes, hi fails.
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
             let stats = self.evaluate(mid, policy, condition);
-            if stats.criterion(condition) < self.config.cap_ratio_threshold {
+            if stats.criterion(condition) < CAP_RATIO_THRESHOLD {
                 lo = mid;
             } else {
                 hi = mid;

@@ -220,6 +220,21 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
+/// Largest Gaussian σ a generated `NoisySensor` episode may carry, watts.
+const SIGMA_MAX_W: f64 = 60.0;
+/// Largest gain a generated `Spike` episode may carry (drawn from
+/// `[1.2, SPIKE_MAX_FACTOR]`). Generated plans only over-report: a
+/// persistent *under*-reporting gain is indistinguishable from a genuinely
+/// lighter load at the server-sensor level, so the controller uncaps the
+/// server and physical power can exceed the feed budget — defending
+/// against it needs feed-level metering (a §7 open problem), not
+/// server-side screening. Targeted tests can still construct
+/// `FaultKind::Spike { factor: <1.0 }` directly.
+const SPIKE_MAX_FACTOR: f64 = 3.0;
+/// Fraction of generated episodes that flap a whole telemetry feed instead
+/// of faulting one server.
+const FLAP_FRACTION: f64 = 0.2;
+
 /// Knobs of [`ChaosPlan::generate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
@@ -231,20 +246,6 @@ pub struct ChaosConfig {
     pub min_duration_s: u64,
     /// Longest episode, seconds.
     pub max_duration_s: u64,
-    /// Largest Gaussian σ a `NoisySensor` episode may carry, watts.
-    pub sigma_max_w: f64,
-    /// Largest gain a `Spike` episode may carry (drawn from
-    /// `[1.2, spike_max_factor]`). Generated plans only over-report: a
-    /// persistent *under*-reporting gain is indistinguishable from a
-    /// genuinely lighter load at the server-sensor level, so the
-    /// controller uncaps the server and physical power can exceed the
-    /// feed budget — defending against it needs feed-level metering
-    /// (a §7 open problem), not server-side screening. Targeted tests
-    /// can still construct `FaultKind::Spike { factor: <1.0 }` directly.
-    pub spike_max_factor: f64,
-    /// Fraction of episodes that flap a whole telemetry feed instead of
-    /// faulting one server.
-    pub flap_fraction: f64,
     /// No episode starts before this second — the rig settles to its
     /// healthy steady state first, giving recovery checks a baseline.
     pub settle_s: u64,
@@ -260,9 +261,6 @@ impl Default for ChaosConfig {
             episodes: 24,
             min_duration_s: 24,
             max_duration_s: 240,
-            sigma_max_w: 60.0,
-            spike_max_factor: 3.0,
-            flap_fraction: 0.2,
             settle_s: 120,
             quiesce_s: 400,
         }
@@ -349,7 +347,7 @@ impl ChaosPlan {
             let start_s = rng.random_range(config.settle_s..window_end);
             let duration =
                 rng.random_range(config.min_duration_s..=config.max_duration_s);
-            let flap = !feeds.is_empty() && rng.random::<f64>() < config.flap_fraction;
+            let flap = !feeds.is_empty() && rng.random::<f64>() < FLAP_FRACTION;
             let action = if flap {
                 let feed = feeds[rng.random_range(0..feeds.len())];
                 let up_s = rng.random_range(4u64..=16);
@@ -361,13 +359,11 @@ impl ChaosPlan {
                     0 => FaultKind::DropReading,
                     1 => FaultKind::StuckSensor,
                     2 => FaultKind::NoisySensor {
-                        sigma_w: rng.random_range(5.0..config.sigma_max_w),
+                        sigma_w: rng.random_range(5.0..SIGMA_MAX_W),
                     },
-                    _ => {
-                        let factor =
-                            rng.random_range(1.2..config.spike_max_factor.max(1.3));
-                        FaultKind::Spike { factor }
-                    }
+                    _ => FaultKind::Spike {
+                        factor: rng.random_range(1.2..SPIKE_MAX_FACTOR),
+                    },
                 };
                 ChaosAction::Fault(server, kind)
             };

@@ -267,6 +267,10 @@ mod tests {
     }
 }
 
+/// Half-width of a data-center rig's per-server PSU split imbalance:
+/// supply 0's share is drawn uniformly from `0.5 ± SPLIT_JITTER`.
+const SPLIT_JITTER: f64 = 0.1;
+
 /// Configuration of a full data-center rig (Table 4 style) for closed-loop
 /// simulation — smaller `params` make debug-mode tests fast.
 #[derive(Debug, Clone)]
@@ -279,9 +283,6 @@ pub struct DataCenterRigConfig {
     pub utilization: f64,
     /// Per-server utilization jitter (σ of a clamped normal).
     pub jitter_std: f64,
-    /// Half-width of the per-server PSU split imbalance: supply 0's share
-    /// is drawn uniformly from `0.5 ± split_jitter`.
-    pub split_jitter: f64,
     /// Capping policy.
     pub policy: PolicyKind,
     /// The budget-split allocator raced at every tree node.
@@ -302,7 +303,6 @@ impl Default for DataCenterRigConfig {
             high_priority_fraction: 0.3,
             utilization: 0.3,
             jitter_std: 0.05,
-            split_jitter: 0.1,
             policy: PolicyKind::GlobalPriority,
             allocator: AllocatorKind::Waterfall,
             spo: false,
@@ -361,8 +361,7 @@ pub fn datacenter_rig(config: &DataCenterRigConfig) -> Rig {
     let jitter = NormalSampler::new(config.utilization, config.jitter_std);
     let mut farm = Farm::new();
     for placement in &placements {
-        let split = 0.5
-            + config.split_jitter * (rng.random::<f64>() * 2.0 - 1.0);
+        let split = 0.5 + SPLIT_JITTER * (rng.random::<f64>() * 2.0 - 1.0);
         let cfg = ServerConfig::paper_default().with_split(split.clamp(0.05, 0.95));
         let mut server = Server::new(cfg);
         let u = jitter.sample_clamped(&mut rng, 0.0, 1.0);

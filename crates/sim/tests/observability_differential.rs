@@ -58,7 +58,6 @@ fn instrumented_rounds_are_bit_identical_to_uninstrumented() {
         max_duration_s: 24,
         settle_s: 16,
         quiesce_s: 32,
-        ..ChaosConfig::default()
     };
     let rig = priority_rig(RigConfig::table2().with_spo(true));
     let servers: Vec<ServerId> = rig.farm.iter().map(|(id, _)| id).collect();
@@ -117,7 +116,6 @@ fn scraped_engine_is_bit_identical_to_unscraped_twin() {
         max_duration_s: 8,
         settle_s: 8,
         quiesce_s: 16,
-        ..ChaosConfig::default()
     };
     let rig = priority_rig(RigConfig::table2().with_spo(true));
     let servers: Vec<ServerId> = rig.farm.iter().map(|(id, _)| id).collect();

@@ -70,7 +70,6 @@ fn chaos_for(rig: &Rig, seconds: u64, seed: u64) -> ChaosPlan {
             max_duration_s: 24,
             settle_s: 16,
             quiesce_s: 24,
-            ..ChaosConfig::default()
         },
         &servers,
         &feeds,

@@ -58,7 +58,6 @@ fn chaos_plan(rig: &capmaestro_sim::scenarios::Rig) -> ChaosPlan {
         max_duration_s: 24,
         settle_s: 16,
         quiesce_s: 32,
-        ..ChaosConfig::default()
     };
     let servers: Vec<ServerId> = rig.farm.iter().map(|(id, _)| id).collect();
     let feeds: Vec<FeedId> = rig.topology.feeds().iter().map(|g| g.feed()).collect();

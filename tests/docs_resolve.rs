@@ -4,7 +4,9 @@
 //! backticked source, doc, JSON, script or manifest path in README.md,
 //! DESIGN.md and EXPERIMENTS.md names a file of the repository, and every
 //! backticked `Type::member` there names a `fn`, field, const or variant
-//! declared on a type of that name in the workspace's sources.
+//! declared on a type of that name in the workspace's sources. Every
+//! backticked lower-case path (`crate::module::item`) names a module of a
+//! workspace crate and, last, a module, `fn` or `const` declared in it.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -432,6 +434,220 @@ fn every_documented_type_member_exists() {
     assert!(
         stale.is_empty(),
         "docs name type members that no type declares:\n{}",
+        stale.join("\n")
+    );
+}
+
+/// Lower-case paths the docs may use though nothing declares them.
+const UNDECLARED_PATHS: [&str; 1] = [
+    // Retired, and named as such by the prose that records its removal.
+    "spo::optimize_stranded_power",
+];
+
+/// First segments of paths into the standard library and its primitive
+/// types, which no workspace crate declares.
+const STD_ROOTS: [&str; 2] = ["std", "f64"];
+
+/// The backticked lower-case paths of `text`, with their 1-based line
+/// numbers: each `a::b…` not glued to a file name (`x.rs::test`), cut
+/// before its first segment that does not start lower-case, with at
+/// least two segments left and a first one outside [`STD_ROOTS`].
+fn backticked_module_paths(text: &str) -> Vec<(usize, String)> {
+    let in_path = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+    let mut paths = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        for span in line.split('`').skip(1).step_by(2) {
+            let mut start = None;
+            for (at, c) in span.char_indices().chain([(span.len(), ' ')]) {
+                if in_path(c) {
+                    start.get_or_insert(at);
+                    continue;
+                }
+                let Some(from) = start.take() else {
+                    continue;
+                };
+                if span[..from].ends_with('.') {
+                    continue;
+                }
+                let segments: Vec<&str> = span[from..at]
+                    .split("::")
+                    .take_while(|seg| seg.starts_with(|c: char| c.is_ascii_lowercase()))
+                    .collect();
+                if segments.len() >= 2
+                    && !STD_ROOTS.contains(&segments[0])
+                    && segments.iter().all(|seg| !seg.contains(':'))
+                {
+                    paths.push((n + 1, segments.join("::")));
+                }
+            }
+        }
+    }
+    paths
+}
+
+/// A module: the source file that holds it, the lines of its body in
+/// that file, and the directory its file submodules live in.
+struct Module {
+    lines: Vec<String>,
+    body: std::ops::Range<usize>,
+    dir: PathBuf,
+}
+
+impl Module {
+    /// The module a file holds; `x.rs` keeps its submodules in `x/`, a
+    /// `lib.rs` or `mod.rs` beside itself.
+    fn file(path: &Path) -> Option<Module> {
+        let text = std::fs::read_to_string(path).ok()?;
+        let lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let parent = path.parent()?;
+        let stem = path.file_stem()?.to_string_lossy();
+        let dir = match stem.as_ref() {
+            "lib" | "mod" => parent.to_path_buf(),
+            _ => parent.join(stem.as_ref()),
+        };
+        Some(Module {
+            body: 0..lines.len(),
+            lines,
+            dir,
+        })
+    }
+
+    /// The items declared at the module's top level: `(keyword, name,
+    /// line)` for each `fn`, `const` and `mod`.
+    fn items(&self) -> Vec<(&'static str, String, usize)> {
+        let lines: Vec<&str> = self.lines.iter().map(String::as_str).collect();
+        let deltas = brace_deltas(&lines);
+        let mut items = Vec::new();
+        let mut depth = 0;
+        for at in self.body.clone() {
+            if depth == 0 {
+                let line = lines[at].trim_start();
+                let line = ["pub(crate) ", "pub(super) ", "pub "]
+                    .iter()
+                    .find_map(|p| line.strip_prefix(p))
+                    .unwrap_or(line);
+                for (prefix, keyword) in [
+                    ("const fn ", "fn"),
+                    ("fn ", "fn"),
+                    ("const ", "const"),
+                    ("mod ", "mod"),
+                ] {
+                    if let Some(rest) = line.strip_prefix(prefix) {
+                        let end = rest
+                            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                            .unwrap_or(rest.len());
+                        items.push((keyword, rest[..end].to_string(), at));
+                        break;
+                    }
+                }
+            }
+            depth += deltas[at].0 - deltas[at].1;
+        }
+        items
+    }
+
+    /// Submodule `name`: a file `name.rs` or `name/mod.rs` in the module's
+    /// directory, or an inline `mod name { … }`.
+    fn submodule(&self, name: &str) -> Option<Module> {
+        let file = [format!("{name}.rs"), format!("{name}/mod.rs")]
+            .into_iter()
+            .map(|file| self.dir.join(file))
+            .find(|path| path.is_file());
+        if let Some(path) = file {
+            return Module::file(&path);
+        }
+        let (_, _, at) = self.items().into_iter().find(|(keyword, item, at)| {
+            *keyword == "mod" && item == name && self.lines[*at].contains('{')
+        })?;
+        let lines: Vec<&str> = self.lines.iter().map(String::as_str).collect();
+        let deltas = brace_deltas(&lines);
+        let mut depth = 0;
+        let end = (at..self.body.end).find(|&line| {
+            depth += deltas[line].0 - deltas[line].1;
+            depth <= 0
+        })?;
+        Some(Module {
+            lines: self.lines.clone(),
+            body: at + 1..end,
+            dir: self.dir.join(name),
+        })
+    }
+
+    /// Whether `segments` name a chain of submodules below this one, the
+    /// last of which may instead be a `fn`, `const` or `mod` declared in
+    /// the module before it.
+    fn resolves(&self, segments: &[&str]) -> bool {
+        let Some((first, rest)) = segments.split_first() else {
+            return true;
+        };
+        if let Some(module) = self.submodule(first) {
+            if module.resolves(rest) {
+                return true;
+            }
+        }
+        rest.is_empty() && self.items().iter().any(|(_, item, _)| item == first)
+    }
+}
+
+/// The modules a path's first segment may name: crate `<c>`'s root for
+/// `capmaestro_<c>` or `<c>`, otherwise every `<seg>.rs` or
+/// `<seg>/mod.rs` under a crate's `src`.
+fn root_modules(root: &Path, first: &str) -> Vec<Module> {
+    let krate = first.strip_prefix("capmaestro_").unwrap_or(first);
+    let lib = root.join("crates").join(krate).join("src/lib.rs");
+    if let Some(module) = Module::file(&lib) {
+        return vec![module];
+    }
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("crates dir")
+        .map(|krate| krate.expect("dir entry").path().join("src"))
+        .collect();
+    let mut modules = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for entry in entries {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().expect("file name").to_string_lossy();
+            if path.is_dir() {
+                if name == first {
+                    modules.extend(Module::file(&path.join("mod.rs")));
+                }
+                dirs.push(path);
+            } else if name == format!("{first}.rs") {
+                modules.extend(Module::file(&path));
+            }
+        }
+    }
+    modules
+}
+
+#[test]
+fn every_documented_module_path_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut checked, mut stale) = (HashSet::new(), Vec::new());
+    for doc in PATH_DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).expect("readable doc");
+        for (line, path) in backticked_module_paths(&text) {
+            let segments: Vec<&str> = path.split("::").collect();
+            let resolved = root_modules(root, segments[0])
+                .iter()
+                .any(|module| module.resolves(&segments[1..]));
+            if !resolved && !UNDECLARED_PATHS.contains(&path.as_str()) {
+                stale.push(format!("{doc}:{line}: {path}"));
+            }
+            checked.insert(path);
+        }
+    }
+    assert!(
+        checked.len() > 25,
+        "only {} paths found: is the scan broken?",
+        checked.len()
+    );
+    assert!(
+        stale.is_empty(),
+        "docs name module paths that do not resolve:\n{}",
         stale.join("\n")
     );
 }
