@@ -105,14 +105,9 @@ fn spawn_agent(bin: &PathBuf, addr: &str, worker: usize, agents: usize, spec: Ri
             "30",
         ])
         .stdout(Stdio::null())
-        .stderr(if trace() { Stdio::inherit() } else { Stdio::null() })
+        .stderr(Stdio::null())
         .spawn()
         .expect("spawn capmaestro-agent")
-}
-
-/// Per-round diagnostics on stderr when `CAPM_PARTITION_TRACE=1`.
-fn trace() -> bool {
-    std::env::var("CAPM_PARTITION_TRACE").is_ok_and(|v| v == "1")
 }
 
 /// Sends a named signal (e.g. `-STOP`, `-CONT`) to a process.
@@ -172,7 +167,6 @@ fn run_one(seed: u64, agents: usize, rounds: u64, quiet_tail: u64) -> RunResult 
         Box::new(transport),
         DeploymentConfig::default()
             .with_gather_timeout(Duration::from_millis(400))
-            .with_stale_after_rounds(2)
             .with_recorder(registry.clone()),
     );
 
@@ -258,31 +252,6 @@ fn run_one(seed: u64, agents: usize, rounds: u64, quiet_tail: u64) -> RunResult 
         if !outcome.failsafe_cuts.is_empty() {
             failsafe_rounds += 1;
             last_failsafe_round = Some(round);
-        }
-        if trace() {
-            let alive: Vec<bool> = (0..agents).map(|w| deployment.is_worker_alive(w)).collect();
-            let procs: Vec<String> = children
-                .iter_mut()
-                .map(|c| match c {
-                    None => "killed".to_string(),
-                    Some(child) => match child.try_wait() {
-                        Ok(Some(st)) => format!("exited({st})"),
-                        Ok(None) => format!("pid {}", child.id()),
-                        Err(_) => "?".to_string(),
-                    },
-                })
-                .collect();
-            let listener = match std::net::TcpStream::connect_timeout(
-                &addr.parse().expect("listener addr"),
-                Duration::from_millis(100),
-            ) {
-                Ok(_) => "up",
-                Err(_) => "DOWN",
-            };
-            eprintln!(
-                "[trace] round {round}: alive={alive:?} listener={listener} procs={procs:?} failsafe_cuts={:?}",
-                outcome.failsafe_cuts
-            );
         }
     }
 

@@ -699,4 +699,35 @@ mod tests {
         check(Waterfilling, 840.0, &children, &[470.0, 370.0, 0.0]);
         check(FairShare, 840.0, &children, &[420.0, 420.0, 0.0]);
     }
+
+    /// A decoded summary may carry any finite watts at any level. Weights
+    /// of `1e300 · 2^255` overflow f64; with one or two such children
+    /// beside an honest leaf, every allocator still emits finite,
+    /// non-negative budgets, conserves the node's budget and hands out no
+    /// more than it.
+    #[test]
+    fn overflowing_weights_never_overspend() {
+        let huge = Watts::new(1e300);
+        let entry = MetricEntry {
+            cap_min: Watts::ZERO,
+            demand: huge,
+            request: huge,
+        };
+        let hostile = PriorityMetrics::from_raw_parts(vec![(Priority(255), entry)], huge).unwrap();
+        let honest = PriorityMetrics::aggregate([leaf(470.0, Priority(0))].iter(), None);
+        let (budget, tol) = (Watts::new(1000.0), Watts::new(1e-6));
+        let (mut scratch, mut budgets) = (AllocScratch::default(), Vec::new());
+        for hostiles in 1..=2 {
+            let mut children = vec![hostile.clone(); hostiles];
+            children.push(honest.clone());
+            for kind in AllocatorKind::ALL {
+                let alloc = kind.allocator();
+                let leftover = alloc.split(budget, &children, &mut scratch, &mut budgets);
+                let granted: Watts = budgets.iter().sum();
+                let sane = budgets.iter().all(|b| b.is_finite() && *b >= Watts::ZERO);
+                assert!(sane && granted <= budget + tol, "{kind}: {budgets:?}");
+                assert!((granted + leftover).approx_eq(budget, tol), "{kind} leaks");
+            }
+        }
+    }
 }

@@ -21,8 +21,9 @@ use capmaestro_units::Watts;
 use crate::metrics::PriorityMetrics;
 
 /// Result of splitting a budget among child nodes.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
-pub struct BudgetSplit {
+pub(crate) struct BudgetSplit {
     /// Budget per child, aligned with the input slice.
     pub budgets: Vec<Watts>,
     /// Budget that could not be allocated (children saturated at their
@@ -138,7 +139,8 @@ pub(crate) fn waterfill_into(
 /// If `budget` does not even cover the children's combined `P_cap_min` —
 /// an infeasible deployment the paper excludes by construction — the floors
 /// themselves are scaled proportionally so the split remains total.
-pub fn split_budget(budget: Watts, children: &[PriorityMetrics]) -> BudgetSplit {
+#[cfg(test)]
+pub(crate) fn split_budget(budget: Watts, children: &[PriorityMetrics]) -> BudgetSplit {
     let mut scratch = SplitScratch::default();
     let mut budgets = Vec::new();
     let unallocated = split_budget_into(budget, children, &mut scratch, &mut budgets);
@@ -279,6 +281,55 @@ mod tests {
     use super::*;
     use crate::metrics::LeafInput;
     use capmaestro_units::Ratio;
+    use proptest::prelude::*;
+
+    const CAP_MIN: f64 = 270.0;
+    const EPS: f64 = 1e-6;
+
+    /// A strategy for a set of leaf (demand, priority) pairs.
+    fn leaves_strategy(max: usize) -> impl Strategy<Value = Vec<(f64, u8)>> {
+        prop::collection::vec((CAP_MIN..490.0, 0u8..4), 1..max)
+    }
+
+    proptest! {
+        /// split_budget conserves power for arbitrary children and budgets.
+        #[test]
+        fn split_budget_conserves(
+            leaves in leaves_strategy(12),
+            budget in 0.0f64..12_000.0,
+        ) {
+            let children: Vec<PriorityMetrics> = leaves
+                .iter()
+                .map(|&(d, p)| leaf(d, Priority(p)))
+                .collect();
+            let split = split_budget(Watts::new(budget), &children);
+            let total: Watts = split.budgets.iter().sum();
+            prop_assert!(total + split.unallocated <= Watts::new(budget + EPS));
+            prop_assert!(total + split.unallocated >= Watts::new(budget - EPS));
+            for b in &split.budgets {
+                prop_assert!(*b >= Watts::ZERO);
+            }
+        }
+
+        /// With a feasible budget, every child receives at least its cap_min
+        /// and never more than its constraint.
+        #[test]
+        fn split_budget_floor_and_ceiling(
+            leaves in leaves_strategy(10),
+            extra in 0.0f64..5_000.0,
+        ) {
+            let children: Vec<PriorityMetrics> = leaves
+                .iter()
+                .map(|&(d, p)| leaf(d, Priority(p)))
+                .collect();
+            let floor: f64 = leaves.len() as f64 * CAP_MIN;
+            let split = split_budget(Watts::new(floor + extra), &children);
+            for (b, c) in split.budgets.iter().zip(&children) {
+                prop_assert!(*b >= c.total_cap_min() - Watts::new(EPS));
+                prop_assert!(*b <= c.constraint() + Watts::new(EPS));
+            }
+        }
+    }
 
     fn leaf(demand: f64, priority: Priority) -> PriorityMetrics {
         PriorityMetrics::from_leaf(&LeafInput {

@@ -30,8 +30,9 @@ use capmaestro_units::{Ratio, Watts};
 ///     Ratio::new(0.94),  // PSU efficiency k
 /// );
 /// // Two supplies, PS2 over budget by 50 W: the cap comes down from
-/// // the top of the range, where the integrator starts.
-/// let (_, before) = ctl.dc_range();
+/// // the top of the range (Pcap_max × k in DC), where the integrator
+/// // starts.
+/// let before = Watts::new(490.0) * Ratio::new(0.94);
 /// let cap = ctl.update(
 ///     &[Watts::new(280.0), Watts::new(200.0)],
 ///     &[Watts::new(250.0), Watts::new(250.0)],
@@ -79,7 +80,7 @@ impl CappingController {
     }
 
     /// The DC controllable range.
-    pub fn dc_range(&self) -> (Watts, Watts) {
+    pub(crate) fn dc_range(&self) -> (Watts, Watts) {
         (self.cap_min_dc, self.cap_max_dc)
     }
 
@@ -219,6 +220,27 @@ mod tests {
     use super::*;
     use capmaestro_server::{Server, ServerConfig};
     use capmaestro_units::Seconds;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The capping controller's output always stays inside the DC
+        /// controllable range, whatever the inputs.
+        #[test]
+        fn controller_output_clipped(
+            steps in prop::collection::vec((0.0f64..600.0, 0.0f64..600.0), 1..50),
+        ) {
+            let mut ctl = CappingController::new(
+                Watts::new(270.0),
+                Watts::new(490.0),
+                Ratio::new(0.94),
+            );
+            let (lo, hi) = ctl.dc_range();
+            for (budget, measured) in steps {
+                let cap = ctl.update(&[Watts::new(budget)], &[Watts::new(measured)]);
+                prop_assert!(cap >= lo && cap <= hi);
+            }
+        }
+    }
 
     const K: Ratio = Ratio::new(0.94);
 

@@ -68,7 +68,6 @@ pub use alloc::{
     AllocScratch, Allocator, AllocatorKind, FairShareAllocator, WaterfallAllocator,
     WaterfillingAllocator,
 };
-pub use budget::{split_budget, BudgetSplit};
 pub use capping::{CappingController, CombinedBudgetController};
 pub use estimator::{DemandEstimator, SampleFate};
 pub use leaf::STALE_AFTER_ROUNDS;

@@ -95,7 +95,7 @@ impl LeafInput {
 ///     priority: Priority::HIGH,
 /// };
 /// let m = PriorityMetrics::from_leaf(&leaf);
-/// assert_eq!(m.total_request(), Watts::new(430.0));
+/// assert_eq!(m.total_demand(), Watts::new(430.0));
 /// assert_eq!(m.constraint(), Watts::new(490.0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -121,7 +121,7 @@ impl PriorityMetrics {
     /// # Errors
     ///
     /// Returns a static description of the first violated invariant.
-    pub fn from_raw_parts(
+    pub(crate) fn from_raw_parts(
         levels: Vec<(Priority, MetricEntry)>,
         constraint: Watts,
     ) -> Result<Self, &'static str> {
@@ -309,7 +309,7 @@ impl PriorityMetrics {
     }
 
     /// Total `P_cap_min` across levels.
-    pub fn total_cap_min(&self) -> Watts {
+    pub(crate) fn total_cap_min(&self) -> Watts {
         self.levels.iter().map(|(_, e)| e.cap_min).sum()
     }
 
@@ -319,7 +319,7 @@ impl PriorityMetrics {
     }
 
     /// Total `P_request` across levels.
-    pub fn total_request(&self) -> Watts {
+    pub(crate) fn total_request(&self) -> Watts {
         self.levels.iter().map(|(_, e)| e.request).sum()
     }
 }

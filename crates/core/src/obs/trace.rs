@@ -298,14 +298,9 @@ impl TraceRecorder {
         self.locked().buffer.dropped()
     }
 
-    /// Total events ever pushed into the ring.
-    pub fn pushed_events(&self) -> u64 {
-        self.locked().buffer.pushed()
-    }
-
     /// Record a complete (`X`) slice on `(pid, tid)` at the current
     /// logical time.
-    pub fn complete_slice(
+    pub(crate) fn complete_slice(
         &self,
         pid: u32,
         tid: u32,
@@ -343,7 +338,7 @@ impl TraceRecorder {
     /// Name process `pid` (`tid: None`) or thread `(pid, tid)`. First
     /// name wins; repeats are deduplicated, so emitters may re-announce
     /// every round.
-    pub fn name_track(&self, pid: u32, tid: Option<u32>, name: &str) {
+    pub(crate) fn name_track(&self, pid: u32, tid: Option<u32>, name: &str) {
         let mut inner = self.locked();
         if inner.meta.iter().any(|m| m.pid == pid && m.tid == tid) {
             return;
@@ -794,6 +789,9 @@ pub fn normalize(text: &str) -> Result<String, ParseError> {
     // unfiltered renders, so the canonical form pins it to zero.
     Ok(render_document(&buffer, None, &parsed.meta))
 }
+
+#[cfg(test)]
+mod props;
 
 #[cfg(test)]
 mod tests {

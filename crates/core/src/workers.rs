@@ -43,7 +43,7 @@ use capmaestro_topology::{ControlTreeSpec, Priority, ServerId, SpecNode, SupplyI
 use capmaestro_units::{Ratio, Seconds, Watts};
 
 use crate::alloc::AllocatorKind;
-use crate::leaf::LeafTable;
+use crate::leaf::{LeafTable, STALE_AFTER_ROUNDS};
 use crate::metrics::PriorityMetrics;
 use crate::obs::{names, null_recorder, Recorder};
 use crate::policy::{CappingPolicy, PolicyKind};
@@ -52,29 +52,27 @@ use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 /// Identifies a cut node: `(tree index, spec node index)`.
 pub type CutId = (usize, usize);
 
+/// Base delay between [`WorkerDeployment::respawn_worker`] attempts for
+/// the same worker; doubles per consecutive attempt (capped at
+/// `base × 2⁶`) until the worker reports again.
+const RESPAWN_BACKOFF: Duration = Duration::from_millis(500);
+
+/// How long [`WorkerDeployment::advance`] waits for the transport to
+/// finish stepping the simulated world. Irrelevant for the in-process
+/// transport (stepping is synchronous); bounds the wait for
+/// [`UpMsg::Advanced`] acks over sockets.
+const ADVANCE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Tunables of the distributed deployment, passed to
-/// [`WorkerDeployment::spawn`]. Real deployments tune these against their
-/// control period; tests shrink them to keep fault scenarios fast.
+/// [`WorkerDeployment::spawn`]. A cut node that misses
+/// [`STALE_AFTER_ROUNDS`] rounds of reports is budgeted from fail-safe
+/// metrics, the same ladder a leaf walks.
 #[derive(Debug, Clone)]
 pub struct DeploymentConfig {
     /// How long the room worker waits for rack metrics each round before
     /// budgeting from stale data. Also bounds the wait for
     /// [`UpMsg::Enforced`] acks after budgets go out.
     pub gather_timeout: Duration,
-    /// Base delay between [`WorkerDeployment::respawn_worker`] attempts
-    /// for the same worker; doubles per consecutive attempt (capped at
-    /// `base × 2⁶`) until the worker reports again.
-    pub respawn_backoff: Duration,
-    /// Consecutive rounds a cut node may miss reporting before the room
-    /// worker stops trusting its frozen metrics and budgets it from
-    /// fail-safe metrics (every leaf at its `cap_min`) instead. Rounds
-    /// 1..N are the stale-hold bridge.
-    pub stale_after_rounds: u64,
-    /// How long [`WorkerDeployment::advance`] waits for the transport to
-    /// finish stepping the simulated world. Irrelevant for the in-process
-    /// transport (stepping is synchronous); bounds the wait for
-    /// [`UpMsg::Advanced`] acks over sockets.
-    pub advance_timeout: Duration,
     /// Where the deployment reports its respawn / gather-timeout counters
     /// and fail-safe-cut gauge. Defaults to [`NullRecorder`]
     /// (no-op); attach a [`MetricsRegistry`] to export.
@@ -88,9 +86,6 @@ impl Default for DeploymentConfig {
     fn default() -> Self {
         DeploymentConfig {
             gather_timeout: Duration::from_millis(500),
-            respawn_backoff: Duration::from_millis(500),
-            stale_after_rounds: 3,
-            advance_timeout: Duration::from_secs(5),
             recorder: null_recorder(),
         }
     }
@@ -98,11 +93,7 @@ impl Default for DeploymentConfig {
 
 impl PartialEq for DeploymentConfig {
     fn eq(&self, other: &Self) -> bool {
-        self.gather_timeout == other.gather_timeout
-            && self.respawn_backoff == other.respawn_backoff
-            && self.stale_after_rounds == other.stale_after_rounds
-            && self.advance_timeout == other.advance_timeout
-            && Arc::ptr_eq(&self.recorder, &other.recorder)
+        self.gather_timeout == other.gather_timeout && Arc::ptr_eq(&self.recorder, &other.recorder)
     }
 }
 
@@ -111,13 +102,6 @@ impl DeploymentConfig {
     #[must_use]
     pub fn with_gather_timeout(mut self, timeout: Duration) -> Self {
         self.gather_timeout = timeout;
-        self
-    }
-
-    /// Returns the config with the stale-hold round budget replaced.
-    #[must_use]
-    pub fn with_stale_after_rounds(mut self, rounds: u64) -> Self {
-        self.stale_after_rounds = rounds;
         self
     }
 
@@ -874,7 +858,7 @@ impl WorkerDeployment {
     ///
     /// **Fault tolerance — the degradation ladder.** A rack worker that
     /// does not answer within the configured gather timeout is skipped for
-    /// the round; for up to `stale_after_rounds` rounds the room worker
+    /// the round; for up to [`STALE_AFTER_ROUNDS`] rounds the room worker
     /// budgets its cut nodes from the *last metrics it reported*
     /// (stale-hold), so one sick VM cannot stall capping for the whole
     /// data center. Beyond that, the frozen metrics can no longer be
@@ -902,7 +886,7 @@ impl WorkerDeployment {
 
         // Phase 2: the room walks each tree's upper part, every cut node
         // pinned to the metrics the room trusts for it this round: the
-        // freshest report while within `stale_after_rounds`, the fail-safe
+        // freshest report while within `STALE_AFTER_ROUNDS`, the fail-safe
         // summary beyond — a dead worker's frozen report is
         // indistinguishable from a stuck sensor, so after the bridge the
         // room stops believing it.
@@ -910,7 +894,7 @@ impl WorkerDeployment {
         for cut in &self.cuts {
             let fresh = cut
                 .last_round
-                .is_some_and(|r| round.saturating_sub(r) < self.config.stale_after_rounds);
+                .is_some_and(|r| round.saturating_sub(r) < u64::from(STALE_AFTER_ROUNDS));
             if !fresh {
                 failsafe_cuts.push(cut.id);
             }
@@ -1031,7 +1015,7 @@ impl WorkerDeployment {
     /// Restarts a dead rack worker with the assignment it held. Returns
     /// `false` without side effects when the worker is still alive, the
     /// index is out of range, or the exponential backoff since the last
-    /// attempt has not elapsed yet (`respawn_backoff × 2^attempts`,
+    /// attempt has not elapsed yet (`RESPAWN_BACKOFF × 2^attempts`,
     /// attempts capped at 6 and reset when the worker reports).
     ///
     /// The respawned worker starts with empty estimators and controllers —
@@ -1048,7 +1032,7 @@ impl WorkerDeployment {
             return false;
         }
         let attempts = self.respawn_attempts[worker];
-        let backoff = self.config.respawn_backoff * 2u32.saturating_pow(attempts.min(6));
+        let backoff = RESPAWN_BACKOFF * 2u32.saturating_pow(attempts.min(6));
         self.respawn_not_before[worker] = now + backoff;
         self.respawn_attempts[worker] = attempts.saturating_add(1);
 
@@ -1076,7 +1060,7 @@ impl WorkerDeployment {
     /// to step their owned servers over sockets). Returns `false` if a
     /// live worker failed to confirm within the advance timeout.
     pub fn advance(&mut self, seconds: u32) -> bool {
-        let deadline = Instant::now() + self.config.advance_timeout;
+        let deadline = Instant::now() + ADVANCE_TIMEOUT;
         self.transport.advance(seconds, deadline)
     }
 
@@ -1497,14 +1481,11 @@ mod tests {
     /// The combined stuck-sensor + dead-worker acceptance scenario: a dead
     /// worker's frozen metrics ARE a stuck sensor from the room's point of
     /// view. The affected cut must be stale-held first, clamped to
-    /// fail-safe (Σ cap_min) after `stale_after_rounds`, and rejoin normal
+    /// fail-safe (Σ cap_min) after `STALE_AFTER_ROUNDS`, and rejoin normal
     /// budgeting within 2 rounds of `respawn_worker`.
     #[test]
     fn stuck_metrics_degrade_to_fail_safe_and_recover_on_respawn() {
-        let (_, farm, mut deployment) = fig2_deployment(DeploymentConfig {
-            respawn_backoff: Duration::from_millis(1),
-            ..DeploymentConfig::default()
-        });
+        let (_, farm, mut deployment) = fig2_deployment(DeploymentConfig::default());
         // Healthy rounds: estimators converge, budgets settle.
         let mut round = 0u64;
         let mut healthy = None;
@@ -1532,7 +1513,7 @@ mod tests {
         }
 
         // Stale-hold bridge: budgets stay at the frozen (healthy) values.
-        for _ in 0..deployment.config.stale_after_rounds - 1 {
+        for _ in 0..STALE_AFTER_ROUNDS - 1 {
             let held = deployment.run_round(round);
             deployment.advance(8);
             round += 1;
@@ -1612,10 +1593,7 @@ mod tests {
 
     #[test]
     fn respawn_respects_backoff_and_aliveness() {
-        let (_, _, mut deployment) = fig2_deployment(DeploymentConfig {
-            respawn_backoff: Duration::from_secs(3600),
-            ..DeploymentConfig::default()
-        });
+        let (_, _, mut deployment) = fig2_deployment(DeploymentConfig::default());
         // Alive workers cannot be respawned; out-of-range is rejected.
         assert!(!deployment.respawn_worker(0));
         assert!(!deployment.respawn_worker(99));
@@ -1624,7 +1602,8 @@ mod tests {
         // First attempt goes through immediately…
         assert!(deployment.respawn_worker(0));
         deployment.kill_worker(0);
-        // …the second is throttled by the (here: huge) backoff.
+        // …the second, microseconds later, is throttled by the 500 ms
+        // backoff.
         assert!(
             !deployment.respawn_worker(0),
             "second respawn must wait out the backoff"

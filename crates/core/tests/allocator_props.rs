@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 
 use capmaestro_core::alloc::{AllocScratch, AllocatorKind};
-use capmaestro_core::metrics::{LeafInput, MetricEntry, PriorityMetrics};
+use capmaestro_core::metrics::{LeafInput, PriorityMetrics};
 use capmaestro_topology::Priority;
 use capmaestro_units::{Ratio, Watts};
 
@@ -64,7 +64,8 @@ fn children_strategy(max_children: usize) -> impl Strategy<Value = Vec<ChildSpec
 /// sum, clamped at its constraint (a limit below the floor caps what the
 /// child may ever receive).
 fn clamped_floor(child: &PriorityMetrics) -> Watts {
-    child.total_cap_min().min(child.constraint())
+    let cap_min: Watts = child.levels().iter().map(|(_, e)| e.cap_min).sum();
+    cap_min.min(child.constraint())
 }
 
 /// A solver child's box and fill: strictly inside `(floor, ub)` the child
@@ -87,7 +88,7 @@ fn solver_fills(kind: AllocatorKind, children: &[PriorityMetrics]) -> Vec<Fill> 
             let floor = clamped_floor(c).as_f64();
             let (upper, rate, offset) = match kind {
                 AllocatorKind::Waterfilling => (
-                    c.total_request(),
+                    c.levels().iter().map(|(_, e)| e.request).sum(),
                     c.levels()
                         .iter()
                         .map(|(p, e)| {
@@ -296,35 +297,6 @@ proptest! {
                     f.ub
                 );
             }
-        }
-    }
-}
-
-/// A decoded summary may carry any finite watts at any level. Weights of
-/// `1e300 · 2^255` overflow f64; with one or two such children beside an
-/// honest leaf, every allocator still emits finite, non-negative budgets,
-/// conserves the node's budget and hands out no more than it.
-#[test]
-fn overflowing_weights_never_overspend() {
-    let huge = Watts::new(1e300);
-    let entry = MetricEntry {
-        cap_min: Watts::ZERO,
-        demand: huge,
-        request: huge,
-    };
-    let hostile = PriorityMetrics::from_raw_parts(vec![(Priority(255), entry)], huge).unwrap();
-    let (budget, tol) = (Watts::new(1000.0), Watts::new(EPS));
-    let (mut scratch, mut budgets) = (AllocScratch::default(), Vec::new());
-    for hostiles in 1..=2 {
-        let mut children = vec![hostile.clone(); hostiles];
-        children.push(child_metrics(&(vec![(470.0, 0)], 0.0)));
-        for kind in AllocatorKind::ALL {
-            let alloc = kind.allocator();
-            let leftover = alloc.split(budget, &children, &mut scratch, &mut budgets);
-            let granted: Watts = budgets.iter().sum();
-            let sane = budgets.iter().all(|b| b.is_finite() && *b >= Watts::ZERO);
-            assert!(sane && granted <= budget + tol, "{kind}: {budgets:?}");
-            assert!((granted + leftover).approx_eq(budget, tol), "{kind} leaks");
         }
     }
 }

@@ -13,11 +13,11 @@ use capmaestro_core::plane::{BudgetSource, ControlPlane, Farm, PlaneConfig};
 use capmaestro_core::tree::ControlTree;
 use capmaestro_core::workers::shared_farm;
 use capmaestro_core::{AllocatorKind, DeploymentConfig, PolicyKind, WorkerDeployment};
-use capmaestro_server::{Server, ServerConfig, ServerPowerModel};
+use capmaestro_server::{PsuBank, Server, ServerConfig, ServerPowerModel};
 use capmaestro_spec::Leaves;
 use capmaestro_topology::presets::{figure2_feed, racks_feed};
 use capmaestro_topology::{ServerId, Topology};
-use capmaestro_units::{Seconds, Watts};
+use capmaestro_units::{Ratio, Seconds, Watts};
 
 /// A settled single-corded farm over `topo`, the `i`-th server offered
 /// `demand_of(i)` watts.
@@ -118,11 +118,10 @@ fn a_settled_fleet_commands_no_leaf() {
     assert_eq!(run(1, &mut farm), 1);
     assert_eq!(run(1, &mut farm), 0);
     let narrower = ServerPowerModel::new(Watts::new(160.0), Watts::new(270.0), Watts::new(470.0));
-    let mut server = Server::new(
-        ServerConfig::paper_default()
-            .single_corded()
-            .with_model(narrower),
-    );
+    let mut server = Server::new(ServerConfig::new(
+        narrower,
+        PsuBank::balanced(1, Ratio::new(0.94)),
+    ));
     server.set_offered_demand(Watts::new(300.0));
     server.settle();
     farm.insert(sa, server);

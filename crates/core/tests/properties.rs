@@ -10,11 +10,8 @@
 
 use proptest::prelude::*;
 
-use capmaestro_core::budget::split_budget;
-use capmaestro_core::metrics::{LeafInput, PriorityMetrics};
 use capmaestro_core::policy::{GlobalPriority, LocalPriority, NoPriority};
 use capmaestro_core::tree::{ControlTree, SupplyInput};
-use capmaestro_core::CappingController;
 use capmaestro_topology::{
     ControlTreeSpec, FeedId, Phase, Priority, ServerId, SpecLeaf, SpecNode, SupplyIndex,
 };
@@ -23,16 +20,6 @@ use capmaestro_units::{Ratio, Watts};
 const CAP_MIN: f64 = 270.0;
 const CAP_MAX: f64 = 490.0;
 const EPS: f64 = 1e-6;
-
-fn leaf_metrics(demand: f64, priority: u8) -> PriorityMetrics {
-    PriorityMetrics::from_leaf(&LeafInput {
-        demand: Watts::new(demand),
-        cap_min: Watts::new(CAP_MIN),
-        cap_max: Watts::new(CAP_MAX),
-        share: Ratio::ONE,
-        priority: Priority(priority),
-    })
-}
 
 /// A strategy for a set of leaf (demand, priority) pairs.
 fn leaves_strategy(max: usize) -> impl Strategy<Value = Vec<(f64, u8)>> {
@@ -122,44 +109,6 @@ fn grouped_tree(groups: &[Vec<(f64, u8)>], group_limit: f64, root_limit: f64) ->
 }
 
 proptest! {
-    /// split_budget conserves power for arbitrary children and budgets.
-    #[test]
-    fn split_budget_conserves(
-        leaves in leaves_strategy(12),
-        budget in 0.0f64..12_000.0,
-    ) {
-        let children: Vec<PriorityMetrics> = leaves
-            .iter()
-            .map(|&(d, p)| leaf_metrics(d, p))
-            .collect();
-        let split = split_budget(Watts::new(budget), &children);
-        let total: Watts = split.budgets.iter().sum();
-        prop_assert!(total + split.unallocated <= Watts::new(budget + EPS));
-        prop_assert!(total + split.unallocated >= Watts::new(budget - EPS));
-        for b in &split.budgets {
-            prop_assert!(*b >= Watts::ZERO);
-        }
-    }
-
-    /// With a feasible budget, every child receives at least its cap_min
-    /// and never more than its constraint.
-    #[test]
-    fn split_budget_floor_and_ceiling(
-        leaves in leaves_strategy(10),
-        extra in 0.0f64..5_000.0,
-    ) {
-        let children: Vec<PriorityMetrics> = leaves
-            .iter()
-            .map(|&(d, p)| leaf_metrics(d, p))
-            .collect();
-        let floor: f64 = leaves.len() as f64 * CAP_MIN;
-        let split = split_budget(Watts::new(floor + extra), &children);
-        for (b, c) in split.budgets.iter().zip(&children) {
-            prop_assert!(*b >= c.total_cap_min() - Watts::new(EPS));
-            prop_assert!(*b <= c.constraint() + Watts::new(EPS));
-        }
-    }
-
     /// Tree allocation never hands a node more than its limit and never
     /// hands leaves more than the root received, under every policy.
     #[test]
@@ -268,24 +217,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// The capping controller's output always stays inside the DC
-    /// controllable range, whatever the inputs.
-    #[test]
-    fn controller_output_clipped(
-        steps in prop::collection::vec((0.0f64..600.0, 0.0f64..600.0), 1..50),
-    ) {
-        let mut ctl = CappingController::new(
-            Watts::new(CAP_MIN),
-            Watts::new(CAP_MAX),
-            Ratio::new(0.94),
-        );
-        let (lo, hi) = ctl.dc_range();
-        for (budget, measured) in steps {
-            let cap = ctl.update(&[Watts::new(budget)], &[Watts::new(measured)]);
-            prop_assert!(cap >= lo && cap <= hi);
         }
     }
 

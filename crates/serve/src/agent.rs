@@ -39,12 +39,6 @@ pub struct AgentConfig {
     pub workers_total: usize,
     /// The rig both sides build.
     pub rig: RigSpec,
-    /// Liveness probe period.
-    pub heartbeat_interval: Duration,
-    /// First reconnect backoff; doubles per failure.
-    pub reconnect_base: Duration,
-    /// Backoff ceiling.
-    pub reconnect_cap: Duration,
     /// Consecutive failed connection attempts before giving up; `None`
     /// retries forever (the daemon default — a partitioned agent's job
     /// is to keep trying).
@@ -59,17 +53,13 @@ pub struct AgentConfig {
 
 impl AgentConfig {
     /// An agent for worker `worker` of `workers_total`, connecting to
-    /// `addr`, with test/bench-friendly defaults (100 ms heartbeats,
-    /// 50 ms–1 s backoff, unlimited retries).
+    /// `addr`: unlimited retries, constant demand, no metrics sink.
     pub fn new(addr: impl Into<String>, worker: usize, workers_total: usize, rig: RigSpec) -> Self {
         AgentConfig {
             addr: addr.into(),
             worker,
             workers_total,
             rig,
-            heartbeat_interval: Duration::from_millis(100),
-            reconnect_base: Duration::from_millis(50),
-            reconnect_cap: Duration::from_secs(1),
             max_connect_attempts: None,
             demand_seed: None,
             recorder: null_recorder(),
@@ -91,6 +81,12 @@ pub struct AgentReport {
     /// losing an established one.
     pub reconnects: u64,
 }
+
+/// First reconnect backoff; doubles per failed attempt.
+const RECONNECT_BASE: Duration = Duration::from_millis(50);
+
+/// Reconnect backoff ceiling.
+const RECONNECT_CAP: Duration = Duration::from_secs(1);
 
 /// Runs the agent until the controller says [`DownMsg::Shutdown`] or the
 /// connection budget runs out.
@@ -118,7 +114,7 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, String> {
     let mut session = SessionState::default();
     let mut established_once = false;
     let mut attempts = 0u64;
-    let mut backoff = config.reconnect_base;
+    let mut backoff = RECONNECT_BASE;
     loop {
         match connect(config) {
             Ok(stream) => {
@@ -128,7 +124,7 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, String> {
                 }
                 established_once = true;
                 attempts = 0;
-                backoff = config.reconnect_base;
+                backoff = RECONNECT_BASE;
                 match serve_connection(stream, config, &mut worker, &mut farm, &mut report, &mut session) {
                     SessionEnd::Shutdown => return Ok(report),
                     SessionEnd::ConnectionLost => {}
@@ -146,7 +142,7 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, String> {
             }
         }
         std::thread::sleep(jittered(backoff, config.worker as u64, attempts));
-        backoff = (backoff * 2).min(config.reconnect_cap);
+        backoff = (backoff * 2).min(RECONNECT_CAP);
     }
 }
 
@@ -183,6 +179,10 @@ fn connect(config: &AgentConfig) -> Result<TcpStream, String> {
     Ok(stream)
 }
 
+/// Period of the liveness probe an established agent sends upstream,
+/// well inside the controller's heartbeat timeout.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
+
 /// Pumps one established connection: handshake, then frames until the
 /// connection dies or the controller says shutdown.
 fn serve_connection(
@@ -216,7 +216,7 @@ fn serve_connection(
         Ok(Some(_)) | Ok(None) | Err(_) => return SessionEnd::ConnectionLost,
     }
 
-    let mut next_heartbeat = Instant::now() + config.heartbeat_interval;
+    let mut next_heartbeat = Instant::now() + HEARTBEAT_INTERVAL;
     // nonce -> send time of the heartbeat in flight.
     let mut in_flight: Option<(u64, Instant)> = None;
     loop {
@@ -292,7 +292,7 @@ fn serve_connection(
                 return SessionEnd::ConnectionLost;
             }
             in_flight = Some((nonce, Instant::now()));
-            next_heartbeat = Instant::now() + config.heartbeat_interval;
+            next_heartbeat = Instant::now() + HEARTBEAT_INTERVAL;
         }
     }
 }
@@ -396,7 +396,6 @@ mod tests {
         };
         let mut config = AgentConfig::new(addr, 0, 1, RigSpec::Fig2);
         config.max_connect_attempts = Some(2);
-        config.reconnect_base = Duration::from_millis(1);
         let err = run_agent(&config).expect_err("nothing to connect to");
         assert!(err.contains("gave up"), "{err}");
     }

@@ -7,7 +7,6 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 use capmaestro_core::obs::{names, MetricsRegistry};
 use capmaestro_serve::agent::{run_agent, AgentConfig};
@@ -19,7 +18,7 @@ capmaestro-agent — CapMaestro rack agent process
 USAGE:
     capmaestro-agent --connect HOST:PORT --worker N --workers-total M
                      [--rig fig2|racks:R:S] [--demand-seed SEED]
-                     [--heartbeat-ms N] [--max-connect-attempts N]
+                     [--max-connect-attempts N]
 
 OPTIONS:
     --connect HOST:PORT        room controller address (required)
@@ -27,7 +26,6 @@ OPTIONS:
     --workers-total M          fleet size; must match the controller (required)
     --rig SPEC                 rig to build: fig2 (default) or racks:R:S
     --demand-seed SEED         apply the seeded demand schedule while advancing
-    --heartbeat-ms N           liveness probe period (default 100)
     --max-connect-attempts N   give up after N failed connects (default: never)
 ";
 
@@ -41,7 +39,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut workers_total: Option<usize> = None;
     let mut rig = RigSpec::Fig2;
     let mut demand_seed: Option<u64> = None;
-    let mut heartbeat = Duration::from_millis(100);
     let mut max_attempts: Option<u64> = None;
 
     let mut iter = args.iter();
@@ -75,15 +72,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                         .map_err(|_| "--demand-seed needs a non-negative integer".to_string())?,
                 );
             }
-            "--heartbeat-ms" => {
-                let ms: u64 = value_for("--heartbeat-ms")?
-                    .parse()
-                    .map_err(|_| "--heartbeat-ms needs a positive integer".to_string())?;
-                if ms == 0 {
-                    return Err("--heartbeat-ms must be positive".to_string());
-                }
-                heartbeat = Duration::from_millis(ms);
-            }
             "--max-connect-attempts" => {
                 max_attempts = Some(
                     value_for("--max-connect-attempts")?
@@ -100,7 +88,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let worker = worker.ok_or("--worker is required")?;
     let workers_total = workers_total.ok_or("--workers-total is required")?;
     let mut config = AgentConfig::new(connect, worker, workers_total, rig);
-    config.heartbeat_interval = heartbeat;
     config.demand_seed = demand_seed;
     config.max_connect_attempts = max_attempts;
     Ok(Args { config })

@@ -161,16 +161,6 @@ pub fn put(
     request(addr, "PUT", path, headers, body)
 }
 
-/// Blocking `PATCH path` with a body and optional headers.
-pub fn patch(
-    addr: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: &[u8],
-) -> Result<HttpResponse, String> {
-    request(addr, "PATCH", path, headers, body)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,12 +27,16 @@ pub struct HttpLimits {
     pub max_body_bytes: usize,
 }
 
+/// The bounds the server reads every request under: an 8 KiB head and a
+/// 64 KiB body. Also [`HttpLimits::default`].
+pub(crate) const SERVER_LIMITS: HttpLimits = HttpLimits {
+    max_head_bytes: 8 * 1024,
+    max_body_bytes: 64 * 1024,
+};
+
 impl Default for HttpLimits {
     fn default() -> Self {
-        HttpLimits {
-            max_head_bytes: 8 * 1024,
-            max_body_bytes: 64 * 1024,
-        }
+        SERVER_LIMITS
     }
 }
 
@@ -93,7 +97,7 @@ pub struct HttpError {
 
 impl HttpError {
     /// A `400 Bad Request` error.
-    pub fn bad_request(reason: impl Into<String>) -> Self {
+    pub(crate) fn bad_request(reason: impl Into<String>) -> Self {
         HttpError {
             status: 400,
             reason: reason.into(),
@@ -111,7 +115,7 @@ impl HttpError {
     /// The response announcing this error, in the same JSON error
     /// envelope the router's `ApiError` uses. The reason strings are all
     /// static lowercase ASCII, so no escaping is needed.
-    pub fn to_response(&self) -> Response {
+    pub(crate) fn to_response(&self) -> Response {
         let code = match self.status {
             400 => "bad_request",
             405 => "method_not_allowed",
@@ -342,7 +346,7 @@ impl Response {
 
     /// Serialize the full response (status line, headers, body) to wire
     /// bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n",
             self.status,
@@ -368,6 +372,9 @@ impl Response {
         bytes
     }
 }
+
+#[cfg(test)]
+mod fuzz;
 
 #[cfg(test)]
 mod tests {

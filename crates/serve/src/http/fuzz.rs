@@ -17,8 +17,8 @@
 
 use proptest::prelude::*;
 
-use capmaestro_serve::client;
-use capmaestro_serve::http::{parse_request, HttpLimits, ParseOutcome, Response};
+use super::{parse_request, HttpLimits, ParseOutcome, Response};
+use crate::client;
 
 /// Limits small enough for the fuzzer to reach both 413 paths.
 fn tight_limits() -> HttpLimits {
@@ -196,7 +196,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Promoted regressions (see `http_parser_fuzz.proptest-regressions`).
+// Promoted regressions (see `fuzz.proptest-regressions`).
 // The vendored proptest generates fresh cases only, so inputs that once
 // failed are pinned here verbatim.
 // ---------------------------------------------------------------------

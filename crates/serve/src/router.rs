@@ -65,17 +65,17 @@ impl ApiError {
     }
 
     /// `400 bad_request`.
-    pub fn bad_request(message: impl Into<String>) -> Self {
+    pub(crate) fn bad_request(message: impl Into<String>) -> Self {
         ApiError::new(400, "bad_request", message)
     }
 
     /// `404 not_found`.
-    pub fn not_found(message: impl Into<String>) -> Self {
+    pub(crate) fn not_found(message: impl Into<String>) -> Self {
         ApiError::new(404, "not_found", message)
     }
 
     /// `405 method_not_allowed`.
-    pub fn method_not_allowed() -> Self {
+    pub(crate) fn method_not_allowed() -> Self {
         ApiError::new(
             405,
             "method_not_allowed",
@@ -100,7 +100,7 @@ impl ApiError {
     }
 
     /// The HTTP response announcing this error.
-    pub fn to_response(&self) -> Response {
+    pub(crate) fn to_response(&self) -> Response {
         Response::new(self.status, json::CONTENT_TYPE, self.to_json())
     }
 }

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use capmaestro_core::obs::{self, names, Recorder};
 
-use crate::http::{parse_request, HttpError, HttpLimits, Request, Response};
+use crate::http::{parse_request, HttpError, Request, Response, SERVER_LIMITS};
 
 /// A request handler. Implementations must be shareable across worker
 /// threads; panics are tolerated (the worker is respawned) but cost the
@@ -52,6 +52,12 @@ where
     }
 }
 
+/// Per-connection read deadline, for the whole request.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Per-connection write deadline.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Configuration for [`HttpServer::bind`].
 #[derive(Debug, Clone)]
 pub struct HttpConfig {
@@ -59,12 +65,6 @@ pub struct HttpConfig {
     pub addr: String,
     /// Worker threads handling connections.
     pub workers: usize,
-    /// Per-connection read deadline.
-    pub read_timeout: Duration,
-    /// Per-connection write deadline.
-    pub write_timeout: Duration,
-    /// Request-size bounds.
-    pub limits: HttpLimits,
     /// Sink for server metrics (requests, client errors, respawns).
     pub recorder: Arc<dyn Recorder>,
 }
@@ -74,9 +74,6 @@ impl Default for HttpConfig {
         HttpConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            limits: HttpLimits::default(),
             recorder: obs::null_recorder(),
         }
     }
@@ -141,12 +138,6 @@ struct WorkerContext {
     rx: Arc<Mutex<Receiver<TcpStream>>>,
     /// The request handler.
     handler: Arc<dyn Handler>,
-    /// Per-connection read deadline.
-    read_timeout: Duration,
-    /// Per-connection write deadline.
-    write_timeout: Duration,
-    /// Request-size bounds.
-    limits: HttpLimits,
     /// Metrics sink.
     recorder: Arc<dyn Recorder>,
 }
@@ -310,9 +301,6 @@ fn spawn_worker(
     let ctx = WorkerContext {
         rx: Arc::clone(conn_rx),
         handler: Arc::clone(handler),
-        read_timeout: config.read_timeout,
-        write_timeout: config.write_timeout,
-        limits: config.limits,
         recorder: Arc::clone(&config.recorder),
     };
     std::thread::Builder::new()
@@ -343,10 +331,10 @@ fn worker_loop(ctx: &WorkerContext) {
 
 /// Read one request, dispatch it, write the response.
 fn handle_connection(ctx: &WorkerContext, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(ctx.read_timeout));
-    let _ = stream.set_write_timeout(Some(ctx.write_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
 
-    let response = match read_request(ctx, &mut stream) {
+    let response = match read_request(&mut stream) {
         Ok(Some(request)) => {
             ctx.recorder.counter_add(names::SERVE_REQUESTS_TOTAL, 1);
             ctx.handler.handle(&request)
@@ -367,12 +355,12 @@ fn handle_connection(ctx: &WorkerContext, mut stream: TcpStream) {
 ///
 /// Returns `Ok(None)` when the peer closes the connection before sending
 /// any bytes (a health-check connect-and-drop, not an error).
-fn read_request(ctx: &WorkerContext, stream: &mut TcpStream) -> Result<Option<Request>, HttpError> {
+fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, HttpError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
-    let deadline = Instant::now() + ctx.read_timeout;
+    let deadline = Instant::now() + READ_TIMEOUT;
     loop {
-        match parse_request(&buf, &ctx.limits) {
+        match parse_request(&buf, &SERVER_LIMITS) {
             crate::http::ParseOutcome::Complete { request, .. } => {
                 return Ok(Some(request));
             }

@@ -16,7 +16,7 @@
 //! - a torn frame, EOF, or write failure kills the connection
 //!   immediately — `send` starts returning `false` and the deployment
 //!   treats the worker as partitioned;
-//! - heartbeat silence past [`SocketTransportConfig::heartbeat_timeout`]
+//! - heartbeat silence past [`HEARTBEAT_TIMEOUT`]
 //!   does the same for a *frozen* peer (SIGSTOP, network blackhole)
 //!   whose socket is still open;
 //! - recovery is agent-driven: a reconnecting agent re-handshakes and
@@ -42,6 +42,16 @@ use crate::server::{accept_until, wake_acceptor};
 /// How long a reader thread waits per poll before re-checking shutdown.
 const READER_SLICE: Duration = Duration::from_millis(100);
 
+/// Deadline for a fresh connection to complete its Hello.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Silence (no frame of any kind) after which a worker is declared dead
+/// even though its socket is open — the frozen-peer detector.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Per-frame write deadline toward an agent.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Tuning knobs for a [`SocketTransport`].
 #[derive(Debug, Clone)]
 pub struct SocketTransportConfig {
@@ -49,25 +59,15 @@ pub struct SocketTransportConfig {
     pub addr: String,
     /// Number of rack workers expected to connect.
     pub worker_count: usize,
-    /// Deadline for a fresh connection to complete its Hello.
-    pub handshake_timeout: Duration,
-    /// Silence (no frame of any kind) after which a worker is declared
-    /// dead even though its socket is open — the frozen-peer detector.
-    pub heartbeat_timeout: Duration,
-    /// Per-frame write deadline toward an agent.
-    pub write_timeout: Duration,
 }
 
 impl SocketTransportConfig {
-    /// Defaults tuned for tests and benches: localhost ephemeral port,
-    /// 5 s handshake, 1 s heartbeat silence, 1 s writes.
+    /// A listener for `worker_count` agents on a localhost ephemeral
+    /// port.
     pub fn new(worker_count: usize) -> Self {
         SocketTransportConfig {
             addr: "127.0.0.1:0".to_string(),
             worker_count,
-            handshake_timeout: Duration::from_secs(5),
-            heartbeat_timeout: Duration::from_secs(1),
-            write_timeout: Duration::from_secs(1),
         }
     }
 
@@ -108,8 +108,6 @@ struct Shared {
     slots: Vec<Mutex<ConnSlot>>,
     up_tx: Sender<UpMsg>,
     shutdown: AtomicBool,
-    heartbeat_timeout: Duration,
-    write_timeout: Duration,
 }
 
 impl Shared {
@@ -119,7 +117,7 @@ impl Shared {
             return false;
         };
         let guard = slot.lock().expect("slot lock");
-        guard.stream.is_some() && guard.last_seen.elapsed() <= self.heartbeat_timeout
+        guard.stream.is_some() && guard.last_seen.elapsed() <= HEARTBEAT_TIMEOUT
     }
 
     /// Drops `worker`'s connection (if it is still generation `gen`;
@@ -174,17 +172,14 @@ impl SocketTransport {
                 .collect(),
             up_tx,
             shutdown: AtomicBool::new(false),
-            heartbeat_timeout: config.heartbeat_timeout,
-            write_timeout: config.write_timeout,
         });
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_handle = {
             let shared = Arc::clone(&shared);
             let readers = Arc::clone(&readers);
-            let handshake_timeout = config.handshake_timeout;
             thread::Builder::new()
                 .name("socket-accept".to_string())
-                .spawn(move || accept_loop(listener, shared, readers, handshake_timeout))
+                .spawn(move || accept_loop(listener, shared, readers))
                 .expect("spawn socket-accept thread")
         };
         Ok(SocketTransport {
@@ -225,7 +220,7 @@ impl SocketTransport {
         };
         let payload = encode_down(msg);
         let mut guard = slot.lock().expect("slot lock");
-        if guard.last_seen.elapsed() > self.shared.heartbeat_timeout {
+        if guard.last_seen.elapsed() > HEARTBEAT_TIMEOUT {
             // Frozen peer: declare it dead rather than queueing bytes
             // into a black hole.
             guard.stream = None;
@@ -235,7 +230,7 @@ impl SocketTransport {
         let Some(stream) = guard.stream.as_mut() else {
             return false;
         };
-        if write_frame(stream, &payload, self.shared.write_timeout).is_ok() {
+        if write_frame(stream, &payload, WRITE_TIMEOUT).is_ok() {
             true
         } else {
             guard.stream = None;
@@ -344,7 +339,6 @@ fn accept_loop(
     listener: TcpListener,
     shared: Arc<Shared>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    handshake_timeout: Duration,
 ) {
     let mut conn_seq = 0u64;
     accept_until(&listener, &shared.shutdown, |stream| {
@@ -352,7 +346,7 @@ fn accept_loop(
         let shared = Arc::clone(&shared);
         let handle = thread::Builder::new()
             .name(format!("socket-agent-{conn_seq}"))
-            .spawn(move || reader_loop(stream, shared, handshake_timeout))
+            .spawn(move || reader_loop(stream, shared))
             .expect("spawn socket reader thread");
         readers.lock().expect("readers lock").push(handle);
     });
@@ -360,12 +354,12 @@ fn accept_loop(
 
 /// Handshakes one inbound connection, registers it, then pumps frames
 /// until the connection dies, the slot is superseded, or shutdown.
-fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>, handshake_timeout: Duration) {
+fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let mut reader = FrameReader::new();
 
     // Handshake: first frame must be a valid Hello for this fleet.
-    let deadline = Instant::now() + handshake_timeout;
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     let hello = match reader.read_frame(&mut stream, deadline) {
         Ok(Some(payload)) => payload,
         Ok(None) | Err(_) => return, // too slow, closed, or garbage
@@ -383,7 +377,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>, handshake_timeout: Du
     // operator error, and the second connection is refused.
     let my_gen = {
         let mut guard = shared.slots[worker].lock().expect("slot lock");
-        if guard.stream.is_some() && guard.last_seen.elapsed() <= shared.heartbeat_timeout {
+        if guard.stream.is_some() && guard.last_seen.elapsed() <= HEARTBEAT_TIMEOUT {
             return;
         }
         let Ok(write_half) = stream.try_clone() else {
@@ -402,7 +396,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>, handshake_timeout: Du
     let welcome = encode_down(&DownMsg::Welcome {
         workers_total: shared.worker_count,
     });
-    if write_frame(&mut stream, &welcome, shared.write_timeout).is_err() {
+    if write_frame(&mut stream, &welcome, WRITE_TIMEOUT).is_err() {
         shared.drop_conn(worker, Some(my_gen));
         return;
     }
@@ -450,7 +444,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>, handshake_timeout: Du
                             return;
                         }
                         if let Some(ws) = guard.stream.as_mut() {
-                            if write_frame(ws, &ack, shared.write_timeout).is_err() {
+                            if write_frame(ws, &ack, WRITE_TIMEOUT).is_err() {
                                 guard.stream = None;
                                 guard.generation += 1;
                                 return;

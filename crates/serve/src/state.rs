@@ -314,12 +314,6 @@ impl ServeState {
         }
     }
 
-    /// Override the staleness window for `/v1/healthz`.
-    pub fn with_unhealthy_after(mut self, window: Duration) -> Self {
-        self.unhealthy_after = window;
-        self
-    }
-
     /// Label `/v1/report` payloads with the active budget-split
     /// allocator, as a proper top-level `"policy"` JSON field.
     pub fn with_policy_label(self, name: &'static str) -> Self {
@@ -474,7 +468,7 @@ impl ServeState {
     /// The latest `/v1/report` JSON payload, if any round has completed.
     /// The first call after a round renders it (outside any lock the
     /// engine thread takes) and caches it for the rest of that round.
-    pub fn report_json(&self) -> Option<String> {
+    pub(crate) fn report_json(&self) -> Option<String> {
         let published = self.report_lock().clone()?;
         Some(published.body().to_owned())
     }
@@ -599,7 +593,7 @@ impl ServeState {
     }
 
     /// Validate and append an allocator selection (`PUT /v1/allocator`).
-    pub fn stage_allocator(
+    pub(crate) fn stage_allocator(
         &self,
         kind: capmaestro_core::AllocatorKind,
         key: Option<&str>,
@@ -794,4 +788,32 @@ fn envelope_json(out: &mut String, envelope: &Envelope) {
         }
     }
     out.push('}');
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::drive_second;
+    use capmaestro_sim::scenarios::{priority_rig, RigConfig};
+
+    /// `/v1/healthz` flips to unhealthy once rounds stall past the
+    /// staleness window, shortened here from its 3 s floor so the test
+    /// sees the flip quickly.
+    #[test]
+    fn health_flips_unhealthy_when_rounds_stall() {
+        let mut engine = Engine::new(priority_rig(RigConfig::table2()));
+        let registry = Arc::new(MetricsRegistry::new());
+        engine.plane_mut().set_recorder(registry.clone());
+        let mut state = ServeState::new(registry, engine.control_period_s());
+        state.unhealthy_after = Duration::from_millis(150);
+        assert!(!state.health().healthy, "no round yet");
+        for _ in 0..9 {
+            drive_second(&mut engine, &state);
+        }
+        assert!(state.health().healthy);
+        std::thread::sleep(Duration::from_millis(400));
+        let stalled = state.health();
+        assert!(!stalled.healthy, "rounds stalled past the window");
+        assert_eq!(stalled.rounds_total, 2);
+    }
 }

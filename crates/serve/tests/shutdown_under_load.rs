@@ -227,12 +227,9 @@ fn deployment_worker_respawn_path_survives_kill_and_shutdown() {
         PolicyKind::GlobalPriority,
         shared,
         2,
-        DeploymentConfig {
-            gather_timeout: Duration::from_millis(200),
-            respawn_backoff: Duration::from_millis(1),
-            recorder: registry.clone(),
-            ..DeploymentConfig::default()
-        },
+        DeploymentConfig::default()
+            .with_gather_timeout(Duration::from_millis(200))
+            .with_recorder(registry.clone()),
     );
 
     deployment.run_round(0);
@@ -243,7 +240,7 @@ fn deployment_worker_respawn_path_survives_kill_and_shutdown() {
     // Degraded round: gather budgets from the stale-hold bridge.
     deployment.run_round(1);
 
-    std::thread::sleep(Duration::from_millis(5)); // clear the backoff
+    // The first attempt is never held back by the backoff.
     assert!(deployment.respawn_worker(0), "respawn must be permitted");
     assert!(deployment.is_worker_alive(0));
     assert!(

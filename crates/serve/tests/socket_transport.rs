@@ -198,9 +198,7 @@ fn shutdown_rack_degrades_to_failsafe_and_recovers_on_reconnect() {
         servers_per_rack: 2,
     };
     let workers = 2;
-    let config = DeploymentConfig::default()
-        .with_gather_timeout(Duration::from_millis(300))
-        .with_stale_after_rounds(2);
+    let config = DeploymentConfig::default().with_gather_timeout(Duration::from_millis(300));
     let (mut deployment, addr) = socket_deployment(spec, workers, config);
     let a0 = thread_agent(&addr, 0, workers, spec);
     let a1 = thread_agent(&addr, 1, workers, spec);

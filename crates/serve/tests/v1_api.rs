@@ -223,8 +223,9 @@ fn group_priority_patch_drives_every_server_under_the_node_and_null_reverts() {
         Some(Priority::LOW)
     );
 
-    let raise = client::patch(
+    let raise = client::request(
         &addr,
+        "PATCH",
         "/v1/groups/0.2/priority",
         &[],
         b"{\"priority\": 1}",
@@ -256,8 +257,14 @@ fn group_priority_patch_drives_every_server_under_the_node_and_null_reverts() {
     );
 
     // null withdraws the band: covered servers revert to static.
-    let clear = client::patch(&addr, "/v1/groups/0.2/priority", &[], b"{\"priority\": null}")
-        .expect("clear group priority");
+    let clear = client::request(
+        &addr,
+        "PATCH",
+        "/v1/groups/0.2/priority",
+        &[],
+        b"{\"priority\": null}",
+    )
+    .expect("clear group priority");
     assert_eq!(clear.status, 200);
     stack.drive(8);
     assert_eq!(

@@ -48,16 +48,10 @@ impl NodeManager {
     ///
     /// # Panics
     ///
-    /// Panics if `cap` is not positive (a zero cap cannot be enforced; use
-    /// `NodeManager::clear_cap` to uncap).
+    /// Panics if `cap` is not positive (a zero cap cannot be enforced).
     pub fn set_dc_cap(&mut self, cap: Watts) {
         assert!(cap > Watts::ZERO, "DC cap must be positive, got {cap}");
         self.dc_cap = Some(cap);
-    }
-
-    /// Removes the cap (full performance).
-    pub(crate) fn clear_cap(&mut self) {
-        self.dc_cap = None;
     }
 
     /// The cap translated to the AC domain given the PSU bank efficiency
@@ -100,8 +94,6 @@ mod tests {
         assert_eq!(nm.dc_cap(), None);
         nm.set_dc_cap(Watts::new(400.0));
         assert_eq!(nm.dc_cap(), Some(Watts::new(400.0)));
-        nm.clear_cap();
-        assert_eq!(nm.dc_cap(), None);
     }
 
     #[test]

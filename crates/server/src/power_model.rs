@@ -91,17 +91,7 @@ impl ServerPowerModel {
 
     /// Application performance delivered when throttling leaves `ratio` of
     /// the demanded *dynamic* power: `ratio^(1/`[`DEFAULT_PERF_EXPONENT`]`)`.
-    ///
-    /// ```
-    /// use capmaestro_server::ServerPowerModel;
-    /// use capmaestro_units::Ratio;
-    ///
-    /// let m = ServerPowerModel::paper_default();
-    /// // 58 % of dynamic power still delivers ~83 % throughput (Fig. 6a).
-    /// let perf = m.performance_at_dynamic_ratio(Ratio::new(0.577));
-    /// assert!((perf.as_f64() - 0.832).abs() < 0.005);
-    /// ```
-    pub fn performance_at_dynamic_ratio(self, ratio: Ratio) -> Ratio {
+    pub(crate) fn performance_at_dynamic_ratio(self, ratio: Ratio) -> Ratio {
         let r = ratio.clamp_fraction().as_f64();
         Ratio::new(r.powf(1.0 / DEFAULT_PERF_EXPONENT))
     }
@@ -172,6 +162,27 @@ impl fmt::Display for ServerPowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// DVFS performance never falls below the dynamic-power ratio and both
+        /// are fractions.
+        #[test]
+        fn perf_exponent_softens_capping(ratio in 0.0f64..1.0) {
+            let m = ServerPowerModel::paper_default();
+            let perf = m.performance_at_dynamic_ratio(Ratio::new(ratio));
+            prop_assert!(perf.as_f64() >= ratio - 1e-12);
+            prop_assert!(perf >= Ratio::ZERO && perf <= Ratio::ONE);
+        }
+    }
+
+    #[test]
+    fn fig6a_dynamic_power_to_throughput() {
+        let m = ServerPowerModel::paper_default();
+        // 58 % of dynamic power still delivers ~83 % throughput (Fig. 6a).
+        let perf = m.performance_at_dynamic_ratio(Ratio::new(0.577));
+        assert!((perf.as_f64() - 0.832).abs() < 0.005);
+    }
 
     #[test]
     fn envelope_endpoints() {

@@ -108,9 +108,10 @@ impl PowerSupply {
 ///
 /// // The paper's measured worst case: a 65/35 split.
 /// let bank = PsuBank::dual(0.65, Ratio::new(0.94));
-/// let loads = bank.ac_loads(Watts::new(470.0)); // 470 W AC at the wall
-/// assert!((loads[0].as_f64() - 305.5).abs() < 1e-9);
-/// assert!((loads[1].as_f64() - 164.5).abs() < 1e-9);
+/// let shares = bank.effective_shares();
+/// let wall = Watts::new(470.0); // 470 W AC at the wall
+/// assert!(((wall * shares[0]).as_f64() - 305.5).abs() < 1e-9);
+/// assert!(((wall * shares[1]).as_f64() - 164.5).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PsuBank {
@@ -294,7 +295,7 @@ impl PsuBank {
 
     /// Per-supply AC input power when the server draws `total_ac` at the
     /// wall.
-    pub fn ac_loads(&self, total_ac: Watts) -> Vec<Watts> {
+    pub(crate) fn ac_loads(&self, total_ac: Watts) -> Vec<Watts> {
         self.effective_shares()
             .into_iter()
             .map(|r| total_ac * r)
@@ -332,7 +333,7 @@ impl PsuBank {
     }
 
     /// Total DC delivered for a given wall AC draw.
-    pub fn dc_for_total_ac(&self, ac: Watts) -> Watts {
+    pub(crate) fn dc_for_total_ac(&self, ac: Watts) -> Watts {
         ac * self.efficiency()
     }
 }
@@ -340,6 +341,28 @@ impl PsuBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// AC loads split the wall power exactly.
+        #[test]
+        fn ac_loads_partition_total(split in 0.05f64..0.95, total in 0.0f64..2_000.0) {
+            let bank = PsuBank::dual(split, Ratio::new(0.94));
+            let loads = bank.ac_loads(Watts::new(total));
+            let sum: Watts = loads.iter().sum();
+            prop_assert!(sum.approx_eq(Watts::new(total), Watts::new(1e-6)));
+        }
+
+        /// AC↔DC conversion roundtrips through the bank efficiency.
+        #[test]
+        fn ac_dc_roundtrips_at_any_efficiency(dc in 1.0f64..2_000.0, eff in 0.5f64..1.0) {
+            let bank = PsuBank::dual(0.6, Ratio::new(eff));
+            let ac = Watts::new(dc) / bank.efficiency();
+            prop_assert!(ac >= Watts::new(dc)); // losses
+            let back = bank.dc_for_total_ac(ac);
+            prop_assert!(back.approx_eq(Watts::new(dc), Watts::new(1e-6)));
+        }
+    }
 
     const K: Ratio = Ratio::new(0.94);
 

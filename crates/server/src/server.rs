@@ -61,13 +61,6 @@ impl ServerConfig {
         self
     }
 
-    /// Replaces the power model (builder-style).
-    #[must_use]
-    pub fn with_model(mut self, model: ServerPowerModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Replaces the PSU bank (builder-style).
     #[must_use]
     pub fn with_bank(mut self, bank: PsuBank) -> Self {
@@ -189,6 +182,10 @@ pub(crate) mod physics {
     }
 
     /// The lowest AC power throttling can reach for a given offered demand.
+    ///
+    /// Throttling scales *dynamic* power by at most the model's
+    /// `(Pcap_min − idle) / (Pcap_max − idle)`; lighter workloads bottom
+    /// out proportionally higher than `Pcap_min` only in dynamic terms.
     pub(crate) fn min_achievable_ac(model: ServerPowerModel, demand: Watts) -> Watts {
         let dyn_demand = (demand - model.idle()).clamp_non_negative();
         let floor_scale =
@@ -327,23 +324,9 @@ impl Server {
         self.node_manager.set_dc_cap(cap);
     }
 
-    /// Removes the DC cap.
-    pub fn clear_dc_cap(&mut self) {
-        self.node_manager.clear_cap();
-    }
-
     /// The commanded DC cap, if any.
     pub fn dc_cap(&self) -> Option<Watts> {
         self.node_manager.dc_cap()
-    }
-
-    /// The lowest AC power throttling can reach for a given offered demand.
-    ///
-    /// Throttling scales *dynamic* power by at most the model's
-    /// `(Pcap_min − idle) / (Pcap_max − idle)`; lighter workloads bottom
-    /// out proportionally higher than `Pcap_min` only in dynamic terms.
-    pub fn min_achievable_ac(&self, demand: Watts) -> Watts {
-        physics::min_achievable_ac(self.config.model(), demand)
     }
 
     /// The AC power the node manager steers toward under the current cap
@@ -456,6 +439,41 @@ impl fmt::Display for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Wherever the cap and demand land, a stepped server's power converges
+        /// into the envelope and under the enforceable target.
+        #[test]
+        fn server_converges_to_enforceable_power(
+            demand in 160.0f64..490.0,
+            cap_dc in 50.0f64..600.0,
+        ) {
+            let mut server = Server::new(ServerConfig::paper_default());
+            server.set_offered_demand(Watts::new(demand));
+            server.set_dc_cap(Watts::new(cap_dc));
+            for _ in 0..60 {
+                server.step(Seconds::new(1.0));
+            }
+            let power = server.sense().total_ac;
+            let m = server.config().model();
+            prop_assert!(power >= m.idle() - Watts::new(1e-6));
+            prop_assert!(power <= m.cap_max() + Watts::new(1e-6));
+            // Power never exceeds demand.
+            prop_assert!(power <= Watts::new(demand) + Watts::new(0.5));
+            // If the cap binds, power tracks the enforceable target within 2 %.
+            let cap_ac = Watts::new(cap_dc) / server.bank().efficiency();
+            let target = if Watts::new(demand) <= cap_ac {
+                Watts::new(demand)
+            } else {
+                cap_ac.max(physics::min_achievable_ac(m, Watts::new(demand)))
+            };
+            prop_assert!(
+                power.approx_eq(target, Watts::new(0.02 * 490.0)),
+                "power {power} vs target {target}"
+            );
+        }
+    }
 
     fn server_with_split(split: f64) -> Server {
         Server::new(ServerConfig::paper_default().with_split(split))
@@ -524,20 +542,15 @@ mod tests {
 
     #[test]
     fn min_achievable_scales_with_demand() {
-        let s = server_with_split(0.5);
+        let model = server_with_split(0.5).config().model();
+        let floor = |demand| physics::min_achievable_ac(model, Watts::new(demand));
         // Full-power workload floors at Pcap_min.
-        assert!(s
-            .min_achievable_ac(Watts::new(490.0))
-            .approx_eq(Watts::new(270.0), Watts::new(1e-9)));
+        assert!(floor(490.0).approx_eq(Watts::new(270.0), Watts::new(1e-9)));
         // A workload demanding 325 W (half dynamic range) floors halfway
         // between idle and Pcap_min.
-        assert!(s
-            .min_achievable_ac(Watts::new(325.0))
-            .approx_eq(Watts::new(215.0), Watts::new(1e-9)));
+        assert!(floor(325.0).approx_eq(Watts::new(215.0), Watts::new(1e-9)));
         // An idle server floors at idle.
-        assert!(s
-            .min_achievable_ac(Watts::new(160.0))
-            .approx_eq(Watts::new(160.0), Watts::new(1e-9)));
+        assert!(floor(160.0).approx_eq(Watts::new(160.0), Watts::new(1e-9)));
     }
 
     #[test]
@@ -578,20 +591,6 @@ mod tests {
         let snap = s.sense();
         assert_eq!(snap.supply_ac[0], Watts::ZERO);
         assert!(snap.supply_ac[1].approx_eq(Watts::new(400.0), Watts::new(1e-9)));
-    }
-
-    #[test]
-    fn clear_cap_restores_performance() {
-        let mut s = server_with_split(0.5);
-        s.set_offered_demand(Watts::new(450.0));
-        let k = s.config().efficiency();
-        s.set_dc_cap(Watts::new(280.0) * k);
-        s.settle();
-        assert!(s.throttle().as_f64() > 0.3);
-        s.clear_dc_cap();
-        s.settle();
-        assert_eq!(s.throttle(), Ratio::ZERO);
-        assert!(s.sense().total_ac.approx_eq(Watts::new(450.0), Watts::new(1e-9)));
     }
 
     #[test]

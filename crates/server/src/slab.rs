@@ -357,13 +357,6 @@ impl ServerSlab {
         }
     }
 
-    fn clear_dc_cap(&mut self, i: usize) {
-        if self.node_managers[i].dc_cap().is_some() {
-            self.node_managers[i].clear_cap();
-            self.recap(i);
-        }
-    }
-
     fn set_powered(&mut self, i: usize, powered: bool) {
         let old_powered = self.powered[i];
         let old_achieved = self.achieved_ac[i];
@@ -444,12 +437,6 @@ impl<'a> ServerRef<'a> {
     /// Whether the server currently has input power.
     pub fn is_powered(self) -> bool {
         self.slab.powered[self.idx]
-    }
-
-    /// The lowest AC power throttling can reach for a given offered
-    /// demand (see [`Server::min_achievable_ac`]).
-    pub fn min_achievable_ac(self, demand: Watts) -> Watts {
-        physics::min_achievable_ac(self.config().model(), demand)
     }
 
     /// Reads the sensors. Returns the cached snapshot when it is current;
@@ -560,12 +547,6 @@ impl ServerMut<'_> {
         self.as_ref().performance_fraction()
     }
 
-    /// The lowest AC power throttling can reach for a given offered
-    /// demand.
-    pub fn min_achievable_ac(&self, demand: Watts) -> Watts {
-        self.as_ref().min_achievable_ac(demand)
-    }
-
     /// Sets the offered AC power demand, clamped into the model envelope
     /// (see [`Server::set_offered_demand`]).
     pub fn set_offered_demand(&mut self, demand: Watts) {
@@ -584,11 +565,6 @@ impl ServerMut<'_> {
     /// Panics if `cap` is not positive.
     pub fn set_dc_cap(&mut self, cap: Watts) {
         self.slab.set_dc_cap(self.idx, cap);
-    }
-
-    /// Removes the DC cap.
-    pub fn clear_dc_cap(&mut self) {
-        self.slab.clear_dc_cap(self.idx);
     }
 
     /// Connects or disconnects input power entirely (see
@@ -694,7 +670,7 @@ mod tests {
         let bits = |w: Watts| w.as_f64().to_bits();
         for write in [
             |s: &mut ServerMut<'_>| s.set_dc_cap(Watts::new(400.0)),
-            |s: &mut ServerMut<'_>| s.clear_dc_cap(),
+            |s: &mut ServerMut<'_>| s.set_dc_cap(Watts::new(500.0)),
         ] {
             let mut slab = settled_slab(70);
             slab.view_mut(66).set_dc_cap(Watts::new(450.0));

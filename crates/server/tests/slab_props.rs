@@ -71,15 +71,15 @@ fn assert_twins(slab: &ServerSlab, reference: &[Server], at: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Each op is `(kind, pick, watts)`: kinds 0–6 are the `ServerMut`
-    /// mutators (demand, utilization, cap, uncap, power, settle, bank) on
-    /// slot `pick`; 7 changes `dt`; 8 inserts and 9 replaces a server; 10
-    /// and above step the fleet `pick % 48 + 1` times.
+    /// Each op is `(kind, pick, watts)`: kinds 0–5 are the `ServerMut`
+    /// mutators (demand, utilization, cap, power, settle, bank) on slot
+    /// `pick`; 6 changes `dt`; 7 inserts and 8 replaces a server; 9 and
+    /// above step the fleet `pick % 48 + 1` times.
     #[test]
     fn slab_matches_a_vec_of_servers(
         n in 130usize..200,
         demands in prop::collection::vec(100.0f64..520.0, 8),
-        ops in prop::collection::vec((0usize..14, 0usize..4096, 100.0f64..520.0), 1..40),
+        ops in prop::collection::vec((0usize..13, 0usize..4096, 100.0f64..520.0), 1..40),
     ) {
         let mut reference: Vec<Server> =
             (0..n).map(|i| server(i, demands[i % demands.len()])).collect();
@@ -93,7 +93,7 @@ proptest! {
         for (step, &(kind, pick, watts)) in ops.iter().enumerate() {
             let pos = pick % reference.len();
             match kind {
-                0..=5 => {
+                0..=4 => {
                     let (twin, mut view) = (&mut reference[pos], slab.view_mut(pos));
                     match kind {
                         0 => {
@@ -110,10 +110,6 @@ proptest! {
                             view.set_dc_cap(Watts::new(watts));
                         }
                         3 => {
-                            twin.clear_dc_cap();
-                            view.clear_dc_cap();
-                        }
-                        4 => {
                             twin.set_powered(pick % 3 != 0);
                             view.set_powered(pick % 3 != 0);
                         }
@@ -123,15 +119,15 @@ proptest! {
                         }
                     }
                 }
-                6 => bank_op(&mut reference[pos], &mut slab, pos, pick),
-                7 => dt = Seconds::new([1.0, 0.5, 2.0][pick % 3]),
-                8 => {
+                5 => bank_op(&mut reference[pos], &mut slab, pos, pick),
+                6 => dt = Seconds::new([1.0, 0.5, 2.0][pick % 3]),
+                7 => {
                     let at = pick % (reference.len() + 1);
                     let fresh = server(pick, watts);
                     reference.insert(at, fresh.clone());
                     slab.insert(at, fresh);
                 }
-                9 => {
+                8 => {
                     let fresh = server(pick / 7, watts);
                     reference[pos] = fresh.clone();
                     slab.replace(pos, fresh);

@@ -77,13 +77,6 @@ pub struct AuditReport {
     pub mismatches: Vec<WiringMismatch>,
 }
 
-impl AuditReport {
-    /// Whether the declared topology survived the audit unchallenged.
-    pub fn is_clean(&self) -> bool {
-        self.mismatches.is_empty()
-    }
-}
-
 /// Load change below this is measurement noise, not a response.
 const RESPONSE_THRESHOLD: Watts = Watts::new(5.0);
 
@@ -397,11 +390,6 @@ impl InvariantTracker {
         &self.violations
     }
 
-    /// Whether no invariant has been breached.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
     /// Records an externally detected breach (the chaos harness uses this
     /// for the end-of-run recovery check, which needs cross-run context
     /// the per-second observer does not have).
@@ -673,7 +661,11 @@ mod tests {
         let declared = rig.topology.clone();
         let mut farm = rig.farm;
         let report = audit_wiring(&declared, &declared, &mut farm);
-        assert!(report.is_clean(), "mismatches: {:?}", report.mismatches);
+        assert!(
+            report.mismatches.is_empty(),
+            "mismatches: {:?}",
+            report.mismatches
+        );
         assert_eq!(report.verified.len(), 4);
     }
 
@@ -771,7 +763,7 @@ mod tests {
 
         assert_eq!(report.verified.len(), 3, "{report:?}");
         assert!(!report.verified.contains(&sd));
-        assert!(report.is_clean(), "{:?}", report.mismatches);
+        assert!(report.mismatches.is_empty(), "{:?}", report.mismatches);
         let probe_violations: Vec<_> = tracker
             .violations()
             .iter()
@@ -809,7 +801,7 @@ mod tests {
         let mut tracker = InvariantTracker::new(InvariantConfig::default());
         engine.run_observed(400, |e| tracker.observe(e));
         assert!(
-            tracker.is_clean(),
+            tracker.violations.is_empty(),
             "healthy rig must not violate invariants: {:?}",
             tracker.violations()
         );
@@ -873,7 +865,7 @@ mod tests {
             strict.violations()
         );
         assert!(
-            lenient.is_clean(),
+            lenient.violations.is_empty(),
             "default sustain must absorb controller convergence: {:?}",
             lenient.violations()
         );

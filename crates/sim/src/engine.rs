@@ -674,7 +674,7 @@ impl Engine {
     /// before the boundary replaces the staged set. Staged budgets whose
     /// count no longer matches the plane's live trees (a feed failed in
     /// between) are discarded rather than applied.
-    pub fn stage_root_budgets(&mut self, budgets: Vec<Watts>) -> &mut Self {
+    pub(crate) fn stage_root_budgets(&mut self, budgets: Vec<Watts>) -> &mut Self {
         self.staged_budgets = Some(budgets);
         self
     }
@@ -683,7 +683,7 @@ impl Engine {
     /// the operator drain/undrain seam. Value-compared, so repeating the
     /// same state is free under event-driven stepping. Returns `false`
     /// for servers the farm does not hold.
-    pub fn set_server_powered(&mut self, server: ServerId, powered: bool) -> bool {
+    pub(crate) fn set_server_powered(&mut self, server: ServerId, powered: bool) -> bool {
         match self.farm.get_mut(server) {
             Some(mut srv) => {
                 srv.set_powered(powered);
@@ -1084,6 +1084,9 @@ impl Engine {
         self.farm.get(id)
     }
 }
+
+#[cfg(test)]
+mod incremental_rounds;
 
 #[cfg(test)]
 mod tests {

@@ -9,12 +9,10 @@
 //! Fig. 2 rig under seeded chaos plans, and a 1024-server data center
 //! under a hand-written fault/supply/priority/demand event storm.
 
+use crate::engine::Event;
+use crate::faults::{ChaosAction, ChaosConfig, ChaosPlan, FaultKind, FaultLayer};
+use crate::scenarios::{datacenter_rig, priority_rig, DataCenterRigConfig, Rig, RigConfig};
 use capmaestro_core::plane::{BudgetSource, ControlPlane, Farm};
-use capmaestro_sim::engine::Event;
-use capmaestro_sim::faults::{ChaosAction, ChaosConfig, ChaosPlan, FaultKind, FaultLayer};
-use capmaestro_sim::scenarios::{
-    datacenter_rig, priority_rig, DataCenterRigConfig, Rig, RigConfig,
-};
 use capmaestro_spec::Leaves;
 use capmaestro_topology::presets::DataCenterParams;
 use capmaestro_topology::{FeedId, Priority, ServerId, SupplyIndex, Topology};
@@ -284,18 +282,23 @@ fn incremental_rounds_match_the_spec_on_a_large_datacenter() {
     let config = large_dc();
     let rig = datacenter_rig(&config);
 
-    // A storm touching every dirty-tracking entry point: sensor faults
-    // (one server dark long enough to enter fail-safe and leave it), a
-    // feed failure and restoration, and priority/demand edits.
+    // A storm touching every dirty-tracking entry point: sensor faults, a
+    // feed failure and restoration, and priority/demand edits. Server 17
+    // reports for a whole control period (nine samples), goes dark long
+    // enough to enter fail-safe at t=32 and leave it at t=40, and its
+    // demand drops while nobody hears it: a leaf that kept its pre-outage
+    // window through fail-safe would estimate from stale samples the spec
+    // has cleared.
     let ids: Vec<ServerId> = rig.farm.iter().map(|(id, _)| id).collect();
     let mut events: Vec<(u64, Event)> = vec![
-        (1, Event::InjectFault(ids[17], FaultKind::DropReading)),
+        (9, Event::InjectFault(ids[17], FaultKind::DropReading)),
         (
             10,
             Event::InjectFault(ids[0], FaultKind::Spike { factor: 1.5 }),
         ),
+        (18, Event::SetDemand(ids[17], Watts::new(250.0))),
         (20, Event::FailFeed(FeedId::B)),
-        (26, Event::ClearFault(ids[17])),
+        (33, Event::ClearFault(ids[17])),
         (28, Event::ClearFault(ids[0])),
         (30, Event::SetPriority(ids[100], Priority::HIGH)),
         (32, Event::SetDemand(ids[511], Watts::new(150.0))),

@@ -98,7 +98,7 @@ impl FaultLayer {
     }
 
     /// Injects (or replaces) a fault on one server's sense path.
-    pub fn inject(&mut self, server: ServerId, kind: FaultKind) {
+    pub(crate) fn inject(&mut self, server: ServerId, kind: FaultKind) {
         // Re-injection re-arms a stuck sensor: it freezes the *next*
         // reading, not one captured during a previous episode.
         self.stuck.remove(&server);
@@ -115,7 +115,7 @@ impl FaultLayer {
     /// Starts a flapping telemetry feed covering `members` (the servers
     /// whose readings travel over it), beginning in the delivered phase at
     /// `now_s`. Restarting an already-flapping feed resets its cycle.
-    pub fn start_flap(
+    pub(crate) fn start_flap(
         &mut self,
         feed: FeedId,
         members: Vec<ServerId>,
@@ -139,7 +139,7 @@ impl FaultLayer {
     }
 
     /// Stops a flapping feed; its members' readings flow clean again.
-    pub fn stop_flap(&mut self, feed: FeedId) {
+    pub(crate) fn stop_flap(&mut self, feed: FeedId) {
         self.flaps.remove(&feed);
     }
 
@@ -162,7 +162,7 @@ impl FaultLayer {
     /// Whether the layer is currently a guaranteed no-op (no faults, no
     /// flaps). Lets the engine skip interception entirely on the healthy
     /// path.
-    pub fn is_quiet(&self) -> bool {
+    pub(crate) fn is_quiet(&self) -> bool {
         self.faults.is_empty() && self.flaps.is_empty()
     }
 

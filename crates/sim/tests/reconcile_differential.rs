@@ -18,7 +18,7 @@
 //! fold the log, plan, apply, step — without the HTTP layer, so the
 //! convergence property is pinned at the engine seam it rests on.
 
-use capmaestro_core::oplog::{plan, DesiredState, Op, OpLog};
+use capmaestro_core::oplog::{plan, DesiredState, Op, OpLog, ReconcilePlan};
 use capmaestro_core::AllocatorKind;
 use capmaestro_sim::audit::{InvariantConfig, InvariantTracker};
 use capmaestro_sim::scenarios::{priority_rig, RigConfig};
@@ -193,10 +193,12 @@ fn chaos_divergence_converges_within_three_round_boundaries_without_violations()
     assert_eq!(declared.allocator, AllocatorKind::Waterfilling);
 
     // Chaos: diverge every reconciled surface behind the loop's back.
-    engine.stage_root_budgets(vec![Watts::new(900.0)]); // lands inside the t=16 round
-    engine.set_server_powered(sd, false); // someone pulled the plug
-    engine.plane_mut().set_priority(sc, Priority::LOW); // band overridden
-    engine.plane_mut().set_allocator(AllocatorKind::FairShare);
+    engine.apply_reconcile_plan(&ReconcilePlan {
+        root_budgets: Some(vec![Watts::new(900.0)]), // lands inside the t=16 round
+        power: vec![(sd, false)],                    // someone pulled the plug
+        priorities: vec![(sc, Some(Priority::LOW))], // band overridden
+        allocator: Some(AllocatorKind::FairShare),
+    });
 
     // Three round boundaries: t=16, t=24, t=32.
     for boundary in 0..3 {
@@ -218,7 +220,7 @@ fn chaos_divergence_converges_within_three_round_boundaries_without_violations()
         "the reconciler must converge the chaos away"
     );
     assert!(
-        tracker.is_clean(),
+        tracker.violations().is_empty(),
         "convergence must not trip invariants: {:?}",
         tracker.violations()
     );

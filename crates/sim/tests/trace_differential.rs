@@ -141,7 +141,7 @@ fn ring_overflow_keeps_nesting_balanced_and_the_drop_counter_honest() {
     );
     assert_eq!(
         parsed.dropped + parsed.events.len() as u64,
-        recorder.pushed_events(),
+        recorder.dropped_events() + recorder.len() as u64,
         "declared drops + kept events must equal everything pushed"
     );
     // Rendering is non-destructive and stable.

@@ -37,18 +37,6 @@ pub const UL489_160PCT_TRIP_SECONDS: f64 = 30.0;
 /// instantaneous-trip threshold above which the breaker opens immediately
 /// (the magnetic element). The default constant is calibrated to the UL 489
 /// datum the paper uses: 30 s at 160 % load.
-///
-/// # Examples
-///
-/// ```
-/// use capmaestro_topology::TripCurve;
-/// use capmaestro_units::Ratio;
-///
-/// let curve = TripCurve::ul489();
-/// let t = curve.time_to_trip(Ratio::new(1.6)).unwrap();
-/// assert!((t.as_f64() - 30.0).abs() < 1e-9);
-/// assert!(curve.time_to_trip(Ratio::new(1.0)).is_none()); // never trips at rating
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TripCurve {
     thermal_constant: f64,
@@ -58,7 +46,7 @@ pub struct TripCurve {
 impl TripCurve {
     /// A UL-489-calibrated curve: 30 s at 160 % load, instantaneous trip at
     /// 10× rating.
-    pub fn ul489() -> Self {
+    pub(crate) fn ul489() -> Self {
         // k / (1.6² − 1) = 30  ⇒  k = 30 × 1.56 = 46.8
         let k = UL489_160PCT_TRIP_SECONDS * (1.6 * 1.6 - 1.0);
         TripCurve {
@@ -87,22 +75,6 @@ impl TripCurve {
             thermal_constant,
             instantaneous_ratio,
         }
-    }
-
-    /// Time the breaker sustains a constant overload before tripping.
-    ///
-    /// Returns `None` when `overload ≤ 1` (the breaker holds indefinitely at
-    /// or below its rating) and `Some(Seconds::ZERO)` at or above the
-    /// instantaneous-trip ratio.
-    pub fn time_to_trip(&self, overload: Ratio) -> Option<Seconds> {
-        let r = overload.as_f64();
-        if r <= 1.0 {
-            return None;
-        }
-        if r >= self.instantaneous_ratio {
-            return Some(Seconds::ZERO);
-        }
-        Some(Seconds::new(self.thermal_constant / (r * r - 1.0)))
     }
 
     /// Thermal stress accumulated per second at the given overload ratio.
@@ -206,11 +178,6 @@ impl CircuitBreaker {
     /// quantity the trip curve acts on — derating only affects budgeting).
     pub(crate) fn overload_ratio(&self, load: Watts) -> Ratio {
         Ratio::new(load / self.rating)
-    }
-
-    /// Time the breaker carries `load` before tripping, `None` if it holds.
-    pub fn time_to_trip(&self, load: Watts) -> Option<Seconds> {
-        self.curve.time_to_trip(self.overload_ratio(load))
     }
 }
 
@@ -336,6 +303,70 @@ impl BreakerSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The analytic trip times the thermal integrator is checked against.
+    impl TripCurve {
+        /// Time the breaker sustains a constant overload before tripping:
+        /// `None` when `overload ≤ 1` (the breaker holds indefinitely at or
+        /// below its rating), `Some(Seconds::ZERO)` at or above the
+        /// instantaneous-trip ratio, `k / (r² − 1)` between.
+        fn time_to_trip(&self, overload: Ratio) -> Option<Seconds> {
+            let r = overload.as_f64();
+            if r <= 1.0 {
+                return None;
+            }
+            if r >= self.instantaneous_ratio {
+                return Some(Seconds::ZERO);
+            }
+            Some(Seconds::new(self.thermal_constant / (r * r - 1.0)))
+        }
+    }
+
+    impl CircuitBreaker {
+        /// Time the breaker carries `load` before tripping, `None` if it holds.
+        fn time_to_trip(&self, load: Watts) -> Option<Seconds> {
+            self.curve.time_to_trip(self.overload_ratio(load))
+        }
+    }
+
+    proptest! {
+        /// Trip time is strictly decreasing in overload (inverse-time curve).
+        #[test]
+        fn trip_time_monotone(r1 in 1.01f64..9.9, delta in 0.01f64..2.0) {
+            let curve = TripCurve::ul489();
+            let r2 = (r1 + delta).min(9.99);
+            let t1 = curve.time_to_trip(Ratio::new(r1)).unwrap();
+            let t2 = curve.time_to_trip(Ratio::new(r2)).unwrap();
+            prop_assert!(t2 <= t1, "trip({r2}) = {t2} > trip({r1}) = {t1}");
+        }
+
+        /// The thermal integrator agrees with the analytic trip time for
+        /// constant overloads: the sim trips within one step of the curve.
+        #[test]
+        fn sim_matches_curve(overload in 1.2f64..5.0) {
+            let cb = CircuitBreaker::with_default_derating(Watts::new(1000.0));
+            let analytic = cb
+                .curve()
+                .time_to_trip(Ratio::new(overload))
+                .unwrap()
+                .as_f64();
+            let mut sim = BreakerSim::new(cb);
+            let mut tripped_at = None;
+            for s in 0..10_000 {
+                let state = sim.step(Watts::new(1000.0 * overload), Seconds::new(1.0));
+                if state == BreakerState::Tripped {
+                    tripped_at = Some((s + 1) as f64);
+                    break;
+                }
+            }
+            let t = tripped_at.expect("must trip under sustained overload");
+            prop_assert!(
+                (t - analytic).abs() <= 1.0 + 1e-9,
+                "sim tripped at {t}s, curve says {analytic}s"
+            );
+        }
+    }
 
     #[test]
     fn ul489_calibration() {

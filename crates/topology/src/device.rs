@@ -94,13 +94,7 @@ impl Phase {
 
     /// Assigns index `i` to a phase round-robin, the conventional way racks
     /// balance servers across phases.
-    ///
-    /// ```
-    /// use capmaestro_topology::Phase;
-    /// assert_eq!(Phase::round_robin(0), Phase::L1);
-    /// assert_eq!(Phase::round_robin(4), Phase::L2);
-    /// ```
-    pub fn round_robin(i: usize) -> Phase {
+    pub(crate) fn round_robin(i: usize) -> Phase {
         Phase::ALL[i % 3]
     }
 
@@ -248,6 +242,20 @@ impl fmt::Display for PowerDevice {
 mod tests {
     use super::*;
     use capmaestro_units::Ratio;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Round-robin phase assignment balances any multiple-of-three count.
+        #[test]
+        fn round_robin_balances(groups in 1usize..60) {
+            let n = groups * 3;
+            let mut counts = [0usize; 3];
+            for i in 0..n {
+                counts[Phase::round_robin(i).index()] += 1;
+            }
+            prop_assert_eq!(counts, [groups, groups, groups]);
+        }
+    }
 
     #[test]
     fn round_robin_phases() {

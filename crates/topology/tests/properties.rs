@@ -3,22 +3,10 @@
 use proptest::prelude::*;
 
 use capmaestro_topology::presets::{table4_datacenter, DataCenterParams};
-use capmaestro_topology::{
-    BreakerSim, BreakerState, CircuitBreaker, Phase, Priority, TripCurve,
-};
-use capmaestro_units::{Ratio, Seconds, Watts};
+use capmaestro_topology::{BreakerSim, BreakerState, CircuitBreaker, Priority};
+use capmaestro_units::{Seconds, Watts};
 
 proptest! {
-    /// Trip time is strictly decreasing in overload (inverse-time curve).
-    #[test]
-    fn trip_time_monotone(r1 in 1.01f64..9.9, delta in 0.01f64..2.0) {
-        let curve = TripCurve::ul489();
-        let r2 = (r1 + delta).min(9.99);
-        let t1 = curve.time_to_trip(Ratio::new(r1)).unwrap();
-        let t2 = curve.time_to_trip(Ratio::new(r2)).unwrap();
-        prop_assert!(t2 <= t1, "trip({r2}) = {t2} > trip({r1}) = {t1}");
-    }
-
     /// A breaker never trips while held at or below its rating.
     #[test]
     fn no_trip_at_or_below_rating(load_frac in 0.0f64..1.0, seconds in 1u32..10_000) {
@@ -28,43 +16,6 @@ proptest! {
             sim.step(Watts::new(1000.0 * load_frac), Seconds::new(1.0));
         }
         prop_assert_eq!(sim.state(), BreakerState::Closed);
-    }
-
-    /// The thermal integrator agrees with the analytic trip time for
-    /// constant overloads: the sim trips within one step of the curve.
-    #[test]
-    fn sim_matches_curve(overload in 1.2f64..5.0) {
-        let cb = CircuitBreaker::with_default_derating(Watts::new(1000.0));
-        let analytic = cb
-            .curve()
-            .time_to_trip(Ratio::new(overload))
-            .unwrap()
-            .as_f64();
-        let mut sim = BreakerSim::new(cb);
-        let mut tripped_at = None;
-        for s in 0..10_000 {
-            let state = sim.step(Watts::new(1000.0 * overload), Seconds::new(1.0));
-            if state == BreakerState::Tripped {
-                tripped_at = Some((s + 1) as f64);
-                break;
-            }
-        }
-        let t = tripped_at.expect("must trip under sustained overload");
-        prop_assert!(
-            (t - analytic).abs() <= 1.0 + 1e-9,
-            "sim tripped at {t}s, curve says {analytic}s"
-        );
-    }
-
-    /// Round-robin phase assignment balances any multiple-of-three count.
-    #[test]
-    fn round_robin_balances(groups in 1usize..60) {
-        let n = groups * 3;
-        let mut counts = [0usize; 3];
-        for i in 0..n {
-            counts[Phase::round_robin(i).index()] += 1;
-        }
-        prop_assert_eq!(counts, [groups, groups, groups]);
     }
 
     /// The Table 4 generator always produces a valid topology whose six

@@ -30,4 +30,4 @@ mod three_phase;
 
 pub use power::Watts;
 pub use quantities::{Amperes, InvalidFractionError, Ratio, Seconds, Volts};
-pub use three_phase::{line_current, three_phase_power, PHASE_VOLTAGE_V};
+pub use three_phase::{three_phase_power, PHASE_VOLTAGE_V};

@@ -17,7 +17,7 @@ pub const PHASE_VOLTAGE_V: Volts = Volts::new(230.0);
 /// at the given phase voltage (unity power factor).
 ///
 /// ```
-/// use capmaestro_units::{line_current, three_phase_power, PHASE_VOLTAGE_V, Amperes};
+/// use capmaestro_units::{three_phase_power, PHASE_VOLTAGE_V, Amperes};
 ///
 /// // A 30 A phase at 230 V carries 6.9 kW — the CDU rating in Table 4.
 /// let p = three_phase_power(Amperes::new(30.0), PHASE_VOLTAGE_V);
@@ -27,15 +27,26 @@ pub fn three_phase_power(phase_current: Amperes, phase_voltage: Volts) -> Watts 
     Watts::new(phase_current.as_f64() * phase_voltage.as_f64())
 }
 
-/// Converts a per-phase power into the line current drawn at the given phase
-/// voltage (unity power factor). Inverse of [`three_phase_power`].
-pub fn line_current(phase_power: Watts, phase_voltage: Volts) -> Amperes {
-    Amperes::new(phase_power.as_f64() / phase_voltage.as_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Converts a per-phase power into the line current drawn at the given
+    /// phase voltage (unity power factor): the inverse the round trips
+    /// check [`three_phase_power`] against.
+    fn line_current(phase_power: Watts, phase_voltage: Volts) -> Amperes {
+        Amperes::new(phase_power.as_f64() / phase_voltage.as_f64())
+    }
+
+    proptest! {
+        #[test]
+        fn three_phase_roundtrip(w in 1.0f64..1e6) {
+            let i = line_current(Watts::new(w), PHASE_VOLTAGE_V);
+            let back = three_phase_power(i, PHASE_VOLTAGE_V);
+            prop_assert!(back.approx_eq(Watts::new(w), Watts::new(1e-6 * w)));
+        }
+    }
 
     #[test]
     fn cdu_rating_matches_table4() {

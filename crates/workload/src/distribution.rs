@@ -131,7 +131,7 @@ impl DiscreteDistribution {
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile level must be in [0, 1]");
         let idx = self
             .cumulative
@@ -173,7 +173,7 @@ fn beta_pdf(a: f64, b: f64, x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `bins == 0` or the shape parameters are not positive.
-pub fn beta_histogram(alpha: f64, beta: f64, bins: usize) -> DiscreteDistribution {
+pub(crate) fn beta_histogram(alpha: f64, beta: f64, bins: usize) -> DiscreteDistribution {
     assert!(bins > 0, "histogram needs at least one bin");
     assert!(
         alpha > 0.0 && beta > 0.0,
@@ -206,8 +206,35 @@ pub fn google_like_profile() -> DiscreteDistribution {
 mod tests {
     use super::*;
     use capmaestro_units::Ratio;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    proptest! {
+        /// Quantiles are monotone in the level.
+        #[test]
+        fn quantile_monotone(
+            bins in prop::collection::vec((0.0f64..1.0, 0.01f64..10.0), 1..20),
+            q1 in 0.0f64..1.0,
+            dq in 0.0f64..1.0,
+        ) {
+            let d = DiscreteDistribution::new(bins).unwrap();
+            let q2 = (q1 + dq).min(1.0);
+            prop_assert!(d.quantile(q2) >= d.quantile(q1));
+        }
+
+        /// Beta histograms have means near α/(α+β) for reasonable shapes.
+        #[test]
+        fn beta_mean_matches(alpha in 2.0f64..10.0, beta in 2.0f64..30.0) {
+            let d = beta_histogram(alpha, beta, 200);
+            let analytic = alpha / (alpha + beta);
+            prop_assert!(
+                (d.mean() - analytic).abs() < 0.02,
+                "mean {} vs analytic {analytic}",
+                d.mean()
+            );
+        }
+    }
 
     #[test]
     fn validates_bins() {

@@ -5,23 +5,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use capmaestro_units::Seconds;
-use capmaestro_workload::distribution::beta_histogram;
 use capmaestro_workload::{DiscreteDistribution, NormalSampler, Schedule, WebServerModel};
 use capmaestro_units::Ratio;
 
 proptest! {
-    /// Quantiles are monotone in the level.
-    #[test]
-    fn quantile_monotone(
-        bins in prop::collection::vec((0.0f64..1.0, 0.01f64..10.0), 1..20),
-        q1 in 0.0f64..1.0,
-        dq in 0.0f64..1.0,
-    ) {
-        let d = DiscreteDistribution::new(bins).unwrap();
-        let q2 = (q1 + dq).min(1.0);
-        prop_assert!(d.quantile(q2) >= d.quantile(q1));
-    }
-
     /// Samples always come from the support.
     #[test]
     fn samples_in_support(
@@ -45,18 +32,6 @@ proptest! {
         let total: f64 = d.probabilities().iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-9);
         prop_assert!((d.expect(|_| 1.0) - 1.0).abs() < 1e-9);
-    }
-
-    /// Beta histograms have means near α/(α+β) for reasonable shapes.
-    #[test]
-    fn beta_mean_matches(alpha in 2.0f64..10.0, beta in 2.0f64..30.0) {
-        let d = beta_histogram(alpha, beta, 200);
-        let analytic = alpha / (alpha + beta);
-        prop_assert!(
-            (d.mean() - analytic).abs() < 0.02,
-            "mean {} vs analytic {analytic}",
-            d.mean()
-        );
     }
 
     /// Clamped normal samples always respect the bounds.

@@ -150,7 +150,10 @@ fn display_messages_are_lowercase_without_trailing_punctuation() {
     assert!(msg.chars().next().unwrap().is_lowercase());
     assert!(!msg.ends_with('.'));
 
-    let err = capmaestro::serve::HttpError::bad_request("malformed request line");
+    let err = capmaestro::serve::HttpError {
+        status: 400,
+        reason: "malformed request line".to_string(),
+    };
     let msg = err.to_string();
     assert!(msg.chars().next().unwrap().is_lowercase());
     assert!(!msg.ends_with('.'));
@@ -175,7 +178,7 @@ fn display_messages_are_lowercase_without_trailing_punctuation() {
 /// and `src/`. The surface may shrink freely (lower the number when it
 /// does); growing it past the budget needs a deliberate edit here, so it
 /// cannot regrow silently.
-const PUB_FN_BUDGET: usize = 613;
+const PUB_FN_BUDGET: usize = 569;
 
 /// Calls `f(path, contents)` for every `.rs` file under `dir`.
 fn for_each_source(dir: &std::path::Path, f: &mut dyn FnMut(&std::path::Path, &str)) {
@@ -218,27 +221,103 @@ fn public_fn_count_stays_within_budget() {
     );
 }
 
-/// `pub fn`s no other crate names, each with the reason it stays public.
-/// Empty: a function only its own crate's `src` calls is `pub(crate)`.
-const UNCALLED_PUB_FNS: &[(&str, &str)] = &[];
+/// `pub fn`s no product code outside their crate names, each kept public
+/// for the cross-crate test or harness named beside it.
+const UNCALLED_PUB_FNS: &[(&str, &str)] = &[
+    ("assert_matches", "the spec's round comparison, run by core's leaf_spec.rs and sim's incremental rounds"),
+    ("gather_in", "pinned_walk_props.rs holds the gather walk to capmaestro_spec"),
+    ("budget_in", "pinned_walk_props.rs holds the budget walk to capmaestro_spec"),
+    ("allocate_in", "pinned_walk_props.rs holds the pinned walk to capmaestro_spec"),
+    ("allocate_with", "pinned_walk_props.rs holds the cold walk to capmaestro_spec"),
+    ("leaf_budget", "spo_spec.rs, pinned_walk_props.rs and policy_differential.rs compare leaf budgets with the spec"),
+    ("gather_stats", "spo_spec.rs checks the SPO and tree walks' skip counts against the spec"),
+    ("optimize_stranded_power_in", "spo_spec.rs holds SPO to capmaestro_spec"),
+    ("normalize", "sim's trace_golden.rs compares traces after normalizing them"),
+    ("encode_envelope", "oplog_props.rs round-trips envelopes and writes torn files frame by frame"),
+    ("decode_envelope", "oplog_props.rs checks the envelope decoder is total"),
+    ("kill_worker", "the fault hook serve's socket_transport.rs and shutdown_under_load.rs drive"),
+    ("respawn_worker", "the fault hook shutdown_under_load.rs drives, with its backoff"),
+    ("body_str", "the strict client oracle serve's socket-level suites read responses with"),
+    ("parse_response", "the strict client oracle shutdown_under_load.rs parses torn responses with"),
+    ("send_raw", "the strict client oracle v1_api.rs sends hand-written requests with"),
+    ("approx_eq", "the watt tolerance core's and server's unit tests and end_to_end.rs compare with"),
+    ("try_new_fraction", "the root api_guidelines.rs checks the message of the error it returns"),
+];
 
-/// Every identifier in the `.rs` files under `dir`.
+/// A source file without its `#[cfg(test)] mod … { … }` blocks (each
+/// closed by the first unindented `}` after it, as rustfmt lays it out).
+fn product_part(source: &str) -> String {
+    let mut product = String::with_capacity(source.len());
+    let mut lines = source.lines().peekable();
+    while let Some(line) = lines.next() {
+        let opens_tests = lines
+            .peek()
+            .is_some_and(|next| next.trim_start().starts_with("mod ") && next.contains('{'));
+        if line.trim() == "#[cfg(test)]" && opens_tests {
+            lines.by_ref().find(|l| *l == "}");
+            continue;
+        }
+        product.push_str(line);
+        product.push('\n');
+    }
+    product
+}
+
+/// The files of the test-only modules declared under `dir` with
+/// `#[cfg(test)] mod name;`, and their submodule directories.
+fn test_module_paths(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut paths = Vec::new();
+    for_each_source(dir, &mut |path, source| {
+        let mut lines = source.lines();
+        while let Some(line) = lines.next() {
+            if line.trim() != "#[cfg(test)]" {
+                continue;
+            }
+            let Some(name) = lines.next().and_then(|l| l.trim().strip_prefix("mod ")) else {
+                continue;
+            };
+            let Some(name) = name.strip_suffix(';') else {
+                continue;
+            };
+            let parent = path.parent().expect("a source file has a directory");
+            // `foo.rs` declares `foo/name.rs`; `lib.rs` and `mod.rs` declare `name.rs`.
+            let stem = path.file_stem().unwrap_or_default();
+            let home = if stem == "lib" || stem == "mod" {
+                parent.to_path_buf()
+            } else {
+                parent.join(stem)
+            };
+            paths.push(home.join(format!("{name}.rs")));
+            paths.push(home.join(name));
+        }
+    });
+    paths
+}
+
+/// Every identifier in the product code of the `.rs` files under `dir`:
+/// test-only modules and `#[cfg(test)] mod` blocks are not callers.
 fn identifiers_under(dir: &std::path::Path, out: &mut std::collections::HashSet<String>) {
     if !dir.is_dir() {
         return;
     }
-    for_each_source(dir, &mut |_, source| {
-        let words = source.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+    let tests = test_module_paths(dir);
+    for_each_source(dir, &mut |path, source| {
+        if tests.iter().any(|test| path.starts_with(test)) {
+            return;
+        }
+        let product = product_part(source);
+        let words = product.split(|c: char| !(c.is_alphanumeric() || c == '_'));
         out.extend(words.filter(|w| !w.is_empty()).map(str::to_string));
     });
 }
 
-/// Public means called from outside: every `pub fn` in a crate's library
-/// source is named somewhere outside that source, by another crate's
-/// `src` (binaries included), the facade's `src`, `examples/`,
-/// `benchmark/src`, or any `tests/`, or it is on [`UNCALLED_PUB_FNS`].
-/// The match is by name, so a common name (`new`, `len`) always passes;
-/// the check catches the distinctive ones nothing calls.
+/// Public means a product caller: every `pub fn` in a crate's library
+/// source is named by product code outside that source — another crate's
+/// `src` (binaries included), the facade's `src`, `examples/` or
+/// `benchmark/src` — or it is on [`UNCALLED_PUB_FNS`]. Tests are not
+/// callers: a function only tests reach is `pub(crate)` and tested in its
+/// own module. The match is by name, so a common name (`new`, `len`)
+/// always passes; the check catches the distinctive ones.
 #[test]
 fn every_public_fn_is_named_outside_its_crate() {
     use std::collections::HashSet;
@@ -249,11 +328,8 @@ fn every_public_fn_is_named_outside_its_crate() {
         .filter(|krate| krate.join("src").is_dir())
         .collect();
     let mut shared = HashSet::new();
-    for dir in ["src", "examples", "tests", "benchmark/src"] {
+    for dir in ["src", "examples", "benchmark/src"] {
         identifiers_under(&root.join(dir), &mut shared);
-    }
-    for krate in &crates {
-        identifiers_under(&krate.join("tests"), &mut shared);
     }
     let mut unnamed = Vec::new();
     for krate in &crates {
@@ -285,7 +361,7 @@ fn every_public_fn_is_named_outside_its_crate() {
     }
     assert!(
         unnamed.is_empty(),
-        "`pub fn`s no other crate, example, benchmark or test names: make each \
+        "`pub fn`s no other crate, example or benchmark names: make each \
          `pub(crate)` (or delete it), or list it in UNCALLED_PUB_FNS with a reason:\n{}",
         unnamed.join("\n")
     );

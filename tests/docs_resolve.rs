@@ -7,6 +7,8 @@
 //! declared on a type of that name in the workspace's sources. Every
 //! backticked lower-case path (`crate::module::item`) names a module of a
 //! workspace crate and, last, a module, `fn` or `const` declared in it.
+//! Every bare backticked `snake_case` name is declared somewhere in the
+//! product's sources, or spelled in one of their string literals.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -648,6 +650,172 @@ fn every_documented_module_path_exists() {
     assert!(
         stale.is_empty(),
         "docs name module paths that do not resolve:\n{}",
+        stale.join("\n")
+    );
+}
+
+/// Bare names the docs may use though no product source declares them.
+const UNDECLARED_NAMES: [&str; 4] = [
+    // The crate the workspace avoids depending on (DESIGN.md).
+    "rand_distr",
+    // Formula symbols of the solver allocators: child i's weight, upper
+    // bound and demand, as `core::alloc`'s rustdoc writes them.
+    "w_i",
+    "ub_i",
+    "d_i",
+];
+
+/// The bare backticked names of `text` — a whole span that is one
+/// lower-case identifier with an `_` — with their 1-based line numbers.
+fn backticked_bare_names(text: &str) -> Vec<(usize, &str)> {
+    let mut names = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        for span in line.split('`').skip(1).step_by(2) {
+            let ident = span
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+            if ident && span.contains('_') && span.starts_with(|c: char| c.is_ascii_lowercase()) {
+                names.push((n + 1, span));
+            }
+        }
+    }
+    names
+}
+
+/// The contents of the string literals of `source` (raw strings
+/// included), outside `//` comments and char literals.
+fn string_literals(source: &str) -> Vec<String> {
+    let mut literals = Vec::new();
+    let mut chars = source.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '/' if chars.peek() == Some(&'/') => {
+                chars.by_ref().find(|&c| c == '\n');
+            }
+            // A char literal (`'"'`, `'\''`); a lifetime has no closing quote.
+            '\'' => {
+                let mut ahead = chars.clone();
+                if ahead.next() == Some('\\') {
+                    ahead.next();
+                }
+                if ahead.next() == Some('\'') {
+                    chars = ahead;
+                }
+            }
+            'r' if matches!(chars.peek(), Some('#' | '"')) => {
+                let hashes = std::iter::from_fn(|| chars.next_if_eq(&'#')).count();
+                if chars.next_if_eq(&'"').is_none() {
+                    continue;
+                }
+                let close = format!("\"{}", "#".repeat(hashes));
+                let mut literal = String::new();
+                for c in chars.by_ref() {
+                    literal.push(c);
+                    if literal.ends_with(&close) {
+                        literal.truncate(literal.len() - close.len());
+                        break;
+                    }
+                }
+                literals.push(literal);
+            }
+            '"' => {
+                let mut literal = String::new();
+                while let Some(c) = chars.next() {
+                    match c {
+                        '\\' => literal.extend(chars.next()),
+                        '"' => break,
+                        c => literal.push(c),
+                    }
+                }
+                literals.push(literal);
+            }
+            _ => {}
+        }
+    }
+    literals
+}
+
+/// What the product's sources (`crates/*/src`, `src`, `examples` and
+/// `benchmark/src`) declare — every `fn`, field, `const`, `static` and
+/// `mod`, and the name of every example and binary — and the contents of
+/// their string literals.
+fn product_names(root: &Path) -> (HashSet<String>, Vec<String>) {
+    let mut dirs = vec![
+        root.join("src"),
+        root.join("examples"),
+        root.join("benchmark/src"),
+    ];
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        dirs.push(krate.expect("dir entry").path().join("src"));
+    }
+    let (mut declared, mut literals) = (HashSet::new(), Vec::new());
+    while let Some(dir) = dirs.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for entry in entries {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            if path.extension().is_none_or(|ext| ext != "rs") {
+                continue;
+            }
+            if dir.ends_with("examples") || dir.ends_with("bin") {
+                declared.insert(
+                    path.file_stem()
+                        .expect("file name")
+                        .to_string_lossy()
+                        .into_owned(),
+                );
+            }
+            let source = std::fs::read_to_string(&path).expect("readable source");
+            for line in source.lines() {
+                let item = ["pub(crate) ", "pub(super) ", "pub "]
+                    .iter()
+                    .find_map(|p| line.trim_start().strip_prefix(p))
+                    .unwrap_or(line.trim_start());
+                let module = ["mod ", "static "]
+                    .iter()
+                    .find_map(|p| item.strip_prefix(p));
+                let name = match module {
+                    Some(rest) => rest
+                        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                        .next(),
+                    None => declared_member(line),
+                };
+                declared.extend(name.filter(|n| !n.is_empty()).map(str::to_owned));
+            }
+            literals.extend(string_literals(&source));
+        }
+    }
+    (declared, literals)
+}
+
+#[test]
+fn every_documented_bare_name_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (declared, literals) = product_names(root);
+    let (mut checked, mut stale) = (HashSet::new(), Vec::new());
+    for doc in PATH_DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).expect("readable doc");
+        for (line, name) in backticked_bare_names(&text) {
+            let resolved = declared.contains(name) || literals.iter().any(|l| l.contains(name));
+            if !resolved && !UNDECLARED_NAMES.contains(&name) {
+                stale.push(format!("{doc}:{line}: {name}"));
+            }
+            checked.insert(name.to_owned());
+        }
+    }
+    assert!(
+        checked.len() > 60,
+        "only {} names found: is the scan broken?",
+        checked.len()
+    );
+    assert!(
+        stale.is_empty(),
+        "docs name identifiers the product neither declares nor spells:\n{}",
         stale.join("\n")
     );
 }
