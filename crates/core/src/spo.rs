@@ -14,8 +14,6 @@
 //! path, with or without SPO. Its reference is the test-only
 //! `capmaestro-spec` crate, which runs both passes from scratch.
 
-use std::collections::HashMap;
-
 use capmaestro_topology::{ServerId, SupplyIndex};
 use capmaestro_units::Watts;
 
@@ -28,21 +26,16 @@ use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 /// real deployment; numerical noise here).
 pub const STRAND_EPSILON: Watts = Watts::new(0.5);
 
-/// One supply's position in the precomputed SPO routing table.
-#[derive(Debug, Clone)]
-struct RouteSupply {
+/// One supply's row in the precomputed SPO routing table: where its leaf
+/// sits, so strand detection walks one flat list instead of rebuilding
+/// hash-keyed views every round.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    server: ServerId,
+    supply: SupplyIndex,
     tree: u32,
     node: u32,
     slot: u32,
-    supply: SupplyIndex,
-}
-
-/// A server's supplies across all trees, precomputed so strand detection
-/// walks flat lists instead of rebuilding hash-keyed views every round.
-#[derive(Debug, Clone)]
-struct RouteServer {
-    server: ServerId,
-    supplies: Vec<RouteSupply>,
 }
 
 /// Reusable buffers for [`optimize_stranded_power_in`]: precomputed
@@ -52,9 +45,9 @@ struct RouteServer {
 /// steady-state SPO then performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct SpoScratch {
-    /// Sorted by server, each server's supplies by supply index: the
-    /// `(server, supply)` order the stranded total is summed in.
-    routes: Vec<RouteServer>,
+    /// One row per supply, sorted by `(server, supply)`: each server's
+    /// supplies form one run, in the order the stranded total is summed in.
+    routes: Vec<Route>,
     states1: Vec<TreeRoundState>,
     states2: Vec<TreeRoundState>,
     first: Vec<Allocation>,
@@ -100,34 +93,21 @@ impl SpoScratch {
     fn rebuild_routes(&mut self, trees: &[ControlTree]) {
         self.routes.clear();
         self.overlays.clear();
-        let mut by_server: HashMap<ServerId, usize> = HashMap::new();
         for (t, tree) in trees.iter().enumerate() {
             self.overlays.push(vec![None; tree.spec().len()]);
             let leaf_index = tree.arena().leaf_index();
             for slot in 0..leaf_index.len() {
-                let idx = leaf_index.node(slot);
-                let Some(leaf) = tree.spec().node(idx).leaf else {
-                    continue;
-                };
-                let entry = *by_server.entry(leaf.server).or_insert_with(|| {
-                    self.routes.push(RouteServer {
-                        server: leaf.server,
-                        supplies: Vec::new(),
-                    });
-                    self.routes.len() - 1
-                });
-                self.routes[entry].supplies.push(RouteSupply {
+                let (server, supply) = leaf_index.pair(slot);
+                self.routes.push(Route {
+                    server,
+                    supply,
                     tree: t as u32,
-                    node: idx as u32,
+                    node: leaf_index.node(slot) as u32,
                     slot: slot as u32,
-                    supply: leaf.supply,
                 });
             }
         }
-        self.routes.sort_unstable_by_key(|route| route.server);
-        for route in &mut self.routes {
-            route.supplies.sort_by_key(|s| s.supply);
-        }
+        self.routes.sort_unstable_by_key(|r| (r.server, r.supply, r.tree));
         self.detected = None;
     }
 }
@@ -299,22 +279,22 @@ pub fn optimize_stranded_power_in(
     (total, settled)
 }
 
-/// Strand detection over the precomputed routes into `scratch.overlays`:
-/// per server, its demand clamped by its most constrained supply (budget
-/// ÷ share); per supply, the budget above that share of it. Returns the
-/// stranded total, summed in route order, which is `(server, supply)`
-/// order.
+/// Strand detection over the precomputed routes into `scratch.overlays`,
+/// one server's run of routes at a time: per server, its demand clamped by
+/// its most constrained supply (budget ÷ share); per supply, the budget
+/// above that share of it. Returns the stranded total, summed in route
+/// order, which is `(server, supply)` order.
 fn detect_strands_in(trees: &[ControlTree], scratch: &mut SpoScratch) -> Watts {
     for overlay in &mut scratch.overlays {
         overlay.iter_mut().for_each(|o| *o = None);
     }
     let mut total = Watts::ZERO;
-    for rs in &scratch.routes {
+    for supplies in scratch.routes.chunk_by(|a, b| a.server == b.server) {
         let mut demand = Watts::ZERO;
         let mut cap_min = Watts::ZERO;
         let mut limit = f64::INFINITY;
         let mut any_input = false;
-        for s in &rs.supplies {
+        for s in supplies {
             let Some(input) = trees[s.tree as usize].input_at(s.node as usize) else {
                 continue;
             };
@@ -336,7 +316,7 @@ fn detect_strands_in(trees: &[ControlTree], scratch: &mut SpoScratch) -> Watts {
         } else {
             demand
         };
-        for s in &rs.supplies {
+        for s in supplies {
             let Some(&input) = trees[s.tree as usize].input_at(s.node as usize) else {
                 continue;
             };
@@ -358,6 +338,8 @@ fn detect_strands_in(trees: &[ControlTree], scratch: &mut SpoScratch) -> Watts {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::alloc::WaterfallAllocator;
     use crate::policy::GlobalPriority;

@@ -6,10 +6,10 @@
 //! leaf slots ([`LeafIndex`]), so the per-round passes are branch-predictable
 //! array walks instead of pointer chases and map lookups. Rounds are made
 //! **incremental** by a reusable [`TreeRoundState`] that value-compares
-//! each leaf's input and priority: [`ControlTree::allocate_in`]
-//! re-summarizes only subtrees with a dirtied descendant, re-splits only nodes whose budget or
-//! summary changed, and performs no heap allocation once its buffers are
-//! warm.
+//! each leaf's summary, rebuilt from its input, with the stored one:
+//! [`ControlTree::allocate_in`] re-summarizes only subtrees with a changed
+//! leaf summary, re-splits only nodes whose budget or summary changed, and
+//! performs no heap allocation once its buffers are warm.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -308,8 +308,12 @@ enum Pin {
 /// across rounds; steady-state rounds then allocate nothing.
 ///
 /// Both halves of the walk are incremental. [`ControlTree::gather_in`]
-/// re-summarizes only nodes with a flagged child: a leaf whose input
-/// moved, or a node re-summarized since the previous `budget_in`.
+/// re-summarizes only nodes with a flagged child: a leaf whose summary
+/// changed value, or a node re-summarized since the previous `budget_in`.
+/// A leaf's stored summary is its own change witness: the gather rewrites
+/// it from the leaf's current input and learns whether its value moved,
+/// so a leaf whose input moved without moving its summary (demand below
+/// `cap_min`) dirties nothing.
 /// [`ControlTree::budget_in`] remembers the node budgets it produced and
 /// re-splits a node only if its own budget changed bit-for-bit or its
 /// summary was recomputed since the previous `budget_in` (however many
@@ -321,13 +325,14 @@ enum Pin {
 /// summaries and the allocator.
 #[derive(Debug, Default)]
 pub struct TreeRoundState {
+    /// The policy `metrics` were gathered under; empty until the first
+    /// gather and after `TreeRoundState::invalidate`. The state counts as
+    /// gathered when it is the policy's and `metrics` is laid out for the
+    /// tree.
     policy_name: &'static str,
     metrics: Vec<PriorityMetrics>,
     /// Per-node [`Pin`]; empty (all free) until the first pin.
     pins: Vec<Pin>,
-    /// Per leaf node, the input and priority its summary was computed
-    /// from. Laid out for the tree once gathered; empty until then.
-    last_leaves: Vec<Option<(SupplyInput, Priority)>>,
     /// Node budgets as of the last `budget_in`: the memo.
     budgets: Vec<Watts>,
     /// Per node: re-split at the next `budget_in` — set when a gather
@@ -364,8 +369,9 @@ impl TreeRoundState {
     /// recomputes every subtree and re-splits every node, as a fresh state
     /// would (required when the tree set changes).
     pub(crate) fn invalidate(&mut self) {
-        self.last_leaves.clear();
-        self.memo = None;
+        // The next gather reshapes, which drops the memo; pinned summaries
+        // survive it.
+        self.policy_name = "";
     }
 
     /// Vouches that the overlay of the next gather is the one the last
@@ -627,10 +633,11 @@ impl ControlTree {
     }
 
     /// The gather-up half of a round (paper §4.3.1), with dirty-tracking:
-    /// only subtrees with a dirtied descendant (a value change of a leaf
-    /// input / priority, an `overlay` difference, a re-pinned summary, or
-    /// one re-summarized by a gather since the last
-    /// [`ControlTree::budget_in`]) are re-summarized; clean nodes reuse the
+    /// only subtrees with a dirtied descendant (a leaf whose summary, built
+    /// afresh from its input, `overlay` and priority, differs in value from
+    /// the stored one, a re-pinned summary, or one re-summarized by a
+    /// gather since the last [`ControlTree::budget_in`]) are
+    /// re-summarized; clean nodes reuse the
     /// [`PriorityMetrics`] cached in `state`. When nothing moved since the
     /// state's last gather, the walk itself is skipped. Returns the root's
     /// summary.
@@ -660,15 +667,13 @@ impl ControlTree {
         // after an invalidation, or on a tree or policy change, so the
         // walk recomputes every summary; pinned summaries survive (they
         // are inputs, not results).
-        let reshaped = state.last_leaves.len() != n || state.policy_name != policy.name();
+        let reshaped = state.metrics.len() != n || state.policy_name != policy.name();
         if reshaped {
             state.memo = None;
             state.policy_name = policy.name();
             state.metrics.resize_with(n, PriorityMetrics::default);
             state.resplit.clear();
             state.resplit.resize(n, true);
-            state.last_leaves.clear();
-            state.last_leaves.resize(n, None);
         }
 
         // Nothing moved since the last gather — no leaf input or priority
@@ -703,27 +708,24 @@ impl ControlTree {
                     Some(o) => o[idx].or(base),
                     None => base,
                 };
-                let current = effective.map(|input| (input, leaf.priority));
-                if current.is_none() || state.last_leaves[idx] != current {
+                let input = effective.unwrap_or_else(|| {
+                    panic!("leaf {idx} ({}) has no supply input set", node.name)
+                });
+                // The stored summary is the change witness: rewriting it
+                // from the current input reports whether its value moved.
+                let changed = PriorityMetrics::from_leaf_into(
+                    &LeafInput {
+                        demand: input.demand,
+                        cap_min: input.cap_min,
+                        cap_max: input.cap_max,
+                        share: input.share,
+                        priority: leaf.priority,
+                    },
+                    &mut state.metrics[idx],
+                );
+                if reshaped || changed {
                     state.resplit[idx] = true;
                     state.summarized += 1;
-                    let (input, priority) = current.unwrap_or_else(|| {
-                        panic!(
-                            "leaf {idx} ({}) has no supply input set",
-                            self.spec.node(idx).name
-                        )
-                    });
-                    PriorityMetrics::from_leaf_into(
-                        &LeafInput {
-                            demand: input.demand,
-                            cap_min: input.cap_min,
-                            cap_max: input.cap_max,
-                            share: input.share,
-                            priority,
-                        },
-                        &mut state.metrics[idx],
-                    );
-                    state.last_leaves[idx] = current;
                 } else {
                     state.skipped += 1;
                 }
@@ -779,9 +781,8 @@ impl ControlTree {
         out: &mut Allocation,
     ) -> bool {
         let n = self.spec.len();
-        assert_eq!(
-            state.last_leaves.len(),
-            n,
+        assert!(
+            state.metrics.len() == n && state.policy_name == policy.name(),
             "budget_in needs a gathered state"
         );
         let root = self.spec.root();
@@ -1168,6 +1169,53 @@ mod tests {
         assert!(!tree.budget_in(budget, &policy, allocator, &mut state, &mut out));
         assert_bitwise_eq(&out, &tree.allocate(budget, &policy));
         assert!(tree.allocate_in(budget, &policy, allocator, &mut state, None, &mut out));
+    }
+
+    #[test]
+    fn a_leaf_whose_summary_holds_dirties_nothing() {
+        // SB's demand is below its 270 W cap_min before and after the
+        // move, so its summary (demand floored at cap_min) is unchanged.
+        let (topo, mut tree) = fig2_tree();
+        set_demand(&topo, &mut tree, "SB", 200.0);
+        let (policy, budget, counting) =
+            (GlobalPriority::new(), Watts::new(1240.0), CountingAllocator::default());
+        let (mut state, mut out) = (TreeRoundState::new(), Allocation::default());
+        tree.allocate_in(budget, &policy, &counting, &mut state, None, &mut out);
+        counting.take();
+
+        set_demand(&topo, &mut tree, "SB", 180.0);
+        let (summarized, skipped) = state.gather_stats();
+        tree.gather_in(&policy, &mut state, None);
+        let nodes = tree.spec().len() as u64;
+        assert_eq!(state.gather_stats(), (summarized, skipped + nodes));
+        assert!(tree.budget_in(budget, &policy, &counting, &mut state, &mut out));
+        assert_eq!(counting.take(), 0, "an unchanged summary re-splits nothing");
+        assert_bitwise_eq(&out, &tree.allocate(budget, &policy));
+    }
+
+    #[test]
+    fn a_priority_change_re_summarizes_exactly_its_path() {
+        let (topo, mut tree) = fig2_tree();
+        let (policy, budget, counting) =
+            (GlobalPriority::new(), Watts::new(1240.0), CountingAllocator::default());
+        let (mut state, mut out) = (TreeRoundState::new(), Allocation::default());
+        tree.allocate_in(budget, &policy, &counting, &mut state, None, &mut out);
+        counting.take();
+
+        // SB turns high priority with its input unchanged: SB, its CB and
+        // the root are re-summarized, and both of SB's ancestors re-split.
+        let sb = topo.server_by_name("SB").unwrap();
+        let priorities: HashMap<ServerId, Priority> =
+            tree.spec().leaves().map(|(_, leaf)| (leaf.server, leaf.priority)).collect();
+        assert_eq!(priorities[&sb], Priority::LOW);
+        tree.set_priorities_with(|id| if id == sb { Priority::HIGH } else { priorities[&id] });
+        let (summarized, skipped) = state.gather_stats();
+        tree.gather_in(&policy, &mut state, None);
+        let nodes = tree.spec().len() as u64;
+        assert_eq!(state.gather_stats(), (summarized + 3, skipped + nodes - 3));
+        assert!(!tree.budget_in(budget, &policy, &counting, &mut state, &mut out));
+        assert_eq!(counting.take(), 2);
+        assert_bitwise_eq(&out, &tree.allocate(budget, &policy));
     }
 
     #[test]

@@ -29,5 +29,5 @@ mod quantities;
 mod three_phase;
 
 pub use power::Watts;
-pub use quantities::{Amperes, InvalidFractionError, Ratio, Seconds, Volts};
+pub use quantities::{Amperes, Ratio, Seconds, Volts};
 pub use three_phase::{three_phase_power, PHASE_VOLTAGE_V};

@@ -6,46 +6,21 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub};
 /// A dimensionless ratio or fraction (efficiency, derating factor, load
 /// split share, throttle level, CPU utilization).
 ///
-/// Most call sites want a value in `[0, 1]`; use [`Ratio::new_clamped`] or
-/// [`Ratio::try_new_fraction`] to enforce that. Plain [`Ratio::new`] permits
-/// any finite value (e.g. a 1.6 overload ratio on a breaker).
+/// Most call sites want a value in `[0, 1]`; use [`Ratio::new_clamped`] to
+/// enforce that. Plain [`Ratio::new`] permits any finite value (e.g. a 1.6
+/// overload ratio on a breaker).
 ///
 /// # Examples
 ///
 /// ```
 /// use capmaestro_units::Ratio;
 ///
-/// let efficiency = Ratio::try_new_fraction(0.94).unwrap();
+/// let efficiency = Ratio::new_clamped(0.94);
 /// let overload = Ratio::new(1.6); // 160 % of rating — fine for Ratio::new
 /// assert!(overload.as_f64() > efficiency.as_f64());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Ratio(f64);
-
-/// Error returned when a fraction is outside `[0, 1]` or not finite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvalidFractionError {
-    kind: FractionErrorKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FractionErrorKind {
-    NotFinite,
-    OutOfRange,
-}
-
-impl fmt::Display for InvalidFractionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            FractionErrorKind::NotFinite => write!(f, "fraction must be finite"),
-            FractionErrorKind::OutOfRange => {
-                write!(f, "fraction must be within [0, 1]")
-            }
-        }
-    }
-}
-
-impl std::error::Error for InvalidFractionError {}
 
 impl Ratio {
     /// The ratio 0.
@@ -68,26 +43,6 @@ impl Ratio {
     #[inline]
     pub fn new_clamped(r: f64) -> Self {
         Ratio(r.clamp(0.0, 1.0))
-    }
-
-    /// Creates a ratio, requiring it to be a valid fraction in `[0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidFractionError`] if `r` is not finite or outside
-    /// `[0, 1]`.
-    pub fn try_new_fraction(r: f64) -> Result<Self, InvalidFractionError> {
-        if !r.is_finite() {
-            return Err(InvalidFractionError {
-                kind: FractionErrorKind::NotFinite,
-            });
-        }
-        if !(0.0..=1.0).contains(&r) {
-            return Err(InvalidFractionError {
-                kind: FractionErrorKind::OutOfRange,
-            });
-        }
-        Ok(Ratio(r))
     }
 
     /// Returns the raw value.
@@ -330,24 +285,6 @@ impl fmt::Display for Volts {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ratio_fraction_validation() {
-        assert!(Ratio::try_new_fraction(0.0).is_ok());
-        assert!(Ratio::try_new_fraction(1.0).is_ok());
-        assert!(Ratio::try_new_fraction(-0.01).is_err());
-        assert!(Ratio::try_new_fraction(1.01).is_err());
-        assert!(Ratio::try_new_fraction(f64::NAN).is_err());
-        assert!(Ratio::try_new_fraction(f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn ratio_error_messages() {
-        let err = Ratio::try_new_fraction(2.0).unwrap_err();
-        assert_eq!(err.to_string(), "fraction must be within [0, 1]");
-        let err = Ratio::try_new_fraction(f64::NAN).unwrap_err();
-        assert_eq!(err.to_string(), "fraction must be finite");
-    }
 
     #[test]
     fn ratio_complement_and_clamp() {

@@ -60,12 +60,6 @@ proptest! {
     }
 
     #[test]
-    fn ratio_fraction_validation_matches_range(r in -2.0f64..3.0) {
-        let ok = Ratio::try_new_fraction(r).is_ok();
-        prop_assert_eq!(ok, (0.0..=1.0).contains(&r));
-    }
-
-    #[test]
     fn clamped_ratio_is_fraction(r in -10.0f64..10.0) {
         let c = Ratio::new_clamped(r);
         prop_assert!(c >= Ratio::ZERO && c <= Ratio::ONE);
