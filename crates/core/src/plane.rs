@@ -679,10 +679,9 @@ fn resolve_root_budgets_into(
                 }
                 *seen = Some(tree.leaf_generation());
                 *total = Watts::ZERO;
-                for idx in 0..tree.spec().len() {
-                    if let (Some(input), true) =
-                        (tree.input_at(idx), tree.spec().node(idx).is_leaf())
-                    {
+                let index = tree.arena().leaf_index();
+                for slot in 0..index.len() {
+                    if let Some(input) = tree.input_at(index.node(slot)) {
                         *total += input.demand * input.share;
                     }
                 }
@@ -694,7 +693,7 @@ fn resolve_root_budgets_into(
                     trees
                         .iter()
                         .enumerate()
-                        .filter(|(_, t)| t.spec().phase() == phase)
+                        .filter(|(_, t)| t.arena().phase() == phase)
                         .map(|(i, _)| i),
                 );
                 if members.is_empty() {
@@ -801,7 +800,7 @@ impl ControlPlane {
         }
         let mut static_priorities = HashMap::new();
         for tree in &trees {
-            for (_, leaf) in tree.spec().leaves() {
+            for (_, leaf) in tree.arena().leaves() {
                 static_priorities.insert(leaf.server, leaf.priority);
             }
         }
@@ -908,7 +907,7 @@ impl ControlPlane {
             BudgetSource::SharedPerPhase(_) => None,
         };
         for (i, tree) in self.trees.drain(..).enumerate() {
-            if tree.spec().feed() == feed {
+            if tree.arena().feed() == feed {
                 removed += 1;
                 self.parked
                     .push((tree, fixed.as_ref().map(|f| f[i])));
@@ -937,7 +936,7 @@ impl ControlPlane {
         let mut restored = 0;
         let mut still_parked = Vec::new();
         for (tree, budget) in self.parked.drain(..) {
-            if tree.spec().feed() == feed {
+            if tree.arena().feed() == feed {
                 if let BudgetSource::Fixed(budgets) = &mut self.budget_source {
                     budgets.push(budget.unwrap_or(Watts::ZERO));
                 }
@@ -1300,15 +1299,9 @@ impl ControlPlane {
         if recorder.trace_enabled() {
             for (i, tree) in trees.iter().enumerate() {
                 let tree_id = i as u32;
-                let spec = tree.spec();
-                let root = spec.node(0);
-                recorder.trace_tree_meta(tree_id, None, &format!("{spec}"));
-                for (lane, &child) in root.children.iter().enumerate() {
-                    recorder.trace_tree_meta(
-                        tree_id,
-                        Some(lane as u32 + 1),
-                        &spec.node(child).name,
-                    );
+                recorder.trace_tree_meta(tree_id, None, &format!("{tree}"));
+                for (lane, name) in tree.arena().lanes().iter().enumerate() {
+                    recorder.trace_tree_meta(tree_id, Some(lane as u32 + 1), name);
                 }
                 recorder.trace_tree_counter(
                     tree_id,

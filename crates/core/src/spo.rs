@@ -50,7 +50,12 @@ pub struct SpoScratch {
     routes: Vec<Route>,
     states1: Vec<TreeRoundState>,
     states2: Vec<TreeRoundState>,
+    /// The `gather_stats` of the round states dropped when the tree set
+    /// shrank, so that the cumulative counts never fall.
+    retired: (u64, u64),
     first: Vec<Allocation>,
+    /// One node-indexed overlay per tree. Never shortened: a tree set that
+    /// shrinks and grows back refills the vectors it had.
     overlays: Vec<Vec<Option<SupplyInput>>>,
     /// The stranded total of the detection `overlays` hold; `None` until
     /// one ran over the current routes.
@@ -67,10 +72,8 @@ impl SpoScratch {
     /// whenever the tree set changes (feed failure / restore): routes are
     /// keyed by tree index and leaf slot.
     pub(crate) fn invalidate(&mut self) {
-        // Cleared together: with every feed failed there are no trees, so
-        // no rebuild runs, and stale routes would index trees that are gone.
+        // Empty routes are rebuilt before the next detection.
         self.routes.clear();
-        self.overlays.clear();
         self.detected = None;
         for s in &mut self.states1 {
             s.invalidate();
@@ -81,20 +84,37 @@ impl SpoScratch {
     }
 
     /// Cumulative `(summarized, dirty_skipped)` gather counts summed over
-    /// both passes' round states.
+    /// both passes' round states, those dropped with a shrinking tree set
+    /// included: every round's work counts.
     pub fn gather_stats(&self) -> (u64, u64) {
         self.states1
             .iter()
             .chain(&self.states2)
             .map(TreeRoundState::gather_stats)
-            .fold((0, 0), |(s, k), (ds, dk)| (s + ds, k + dk))
+            .fold(self.retired, |(s, k), (ds, dk)| (s + ds, k + dk))
+    }
+
+    /// One round state per tree and pass, banking the counts of those a
+    /// shrinking tree set drops.
+    fn fit_states(&mut self, n: usize) {
+        for states in [&mut self.states1, &mut self.states2] {
+            for dropped in states.drain(n.min(states.len())..) {
+                let (summarized, skipped) = dropped.gather_stats();
+                self.retired.0 += summarized;
+                self.retired.1 += skipped;
+            }
+            states.resize_with(n, TreeRoundState::new);
+        }
     }
 
     fn rebuild_routes(&mut self, trees: &[ControlTree]) {
         self.routes.clear();
-        self.overlays.clear();
-        for (t, tree) in trees.iter().enumerate() {
-            self.overlays.push(vec![None; tree.spec().len()]);
+        if self.overlays.len() < trees.len() {
+            self.overlays.resize_with(trees.len(), Vec::new);
+        }
+        for (t, (tree, overlay)) in trees.iter().zip(&mut self.overlays).enumerate() {
+            overlay.clear();
+            overlay.resize(tree.arena().len(), None);
             let leaf_index = tree.arena().leaf_index();
             for slot in 0..leaf_index.len() {
                 let (server, supply) = leaf_index.pair(slot);
@@ -207,8 +227,7 @@ pub fn optimize_stranded_power_in(
     );
     let n = trees.len();
     if scratch.states1.len() != n {
-        scratch.states1.resize_with(n, TreeRoundState::new);
-        scratch.states2.resize_with(n, TreeRoundState::new);
+        scratch.fit_states(n);
     }
     let shape = |allocations: &mut Vec<Allocation>| {
         if allocations.len() != n {
@@ -249,7 +268,9 @@ pub fn optimize_stranded_power_in(
         return (Watts::ZERO, settled);
     }
     let spo_timer = PhaseTimer::start(recorder, RoundPhase::Spo.metric_name());
-    if scratch.overlays.len() != n {
+    // A tree set without leaves rebuilds its empty routes every round,
+    // which costs nothing.
+    if scratch.routes.is_empty() {
         scratch.rebuild_routes(trees);
     }
 
@@ -285,7 +306,7 @@ pub fn optimize_stranded_power_in(
 /// above that share of it. Returns the stranded total, summed in route
 /// order, which is `(server, supply)` order.
 fn detect_strands_in(trees: &[ControlTree], scratch: &mut SpoScratch) -> Watts {
-    for overlay in &mut scratch.overlays {
+    for overlay in &mut scratch.overlays[..trees.len()] {
         overlay.iter_mut().for_each(|o| *o = None);
     }
     let mut total = Watts::ZERO;
@@ -517,7 +538,7 @@ mod tests {
         assert_eq!(stranded, Watts::ZERO);
         assert_eq!(out, before_spo(&trees, &BUDGETS));
         assert!(!settled);
-        let nodes: u64 = trees.iter().map(|t| t.spec().len() as u64).sum();
+        let nodes: u64 = trees.iter().map(|t| t.arena().len() as u64).sum();
         assert_eq!(scratch.gather_stats(), (nodes, 0));
 
         // A repeat finds every node clean and settles; turning the pass on
@@ -540,7 +561,7 @@ mod tests {
         // walk or no walk.
         let (again, again_out, settled) = round_in(&trees, &BUDGETS, true, &mut scratch);
         assert_eq!((again, again_out), (stranded, out));
-        let nodes: u64 = trees.iter().map(|t| t.spec().len() as u64).sum();
+        let nodes: u64 = trees.iter().map(|t| t.arena().len() as u64).sum();
         assert_eq!(scratch.gather_stats(), (summarized, skipped + 2 * nodes));
         assert!(settled);
     }

@@ -1,20 +1,24 @@
 //! The runtime control tree: shifting controllers mirroring the power
 //! topology, with gather-up and budget-down passes (paper §4.1/§4.3).
 //!
-//! Internally the tree is backed by a flat **arena** ([`TreeArena`]):
-//! flattened child lists, per-node contexts/limits, and a dense index of
-//! leaf slots ([`LeafIndex`]), so the per-round passes are branch-predictable
-//! array walks instead of pointer chases and map lookups. Rounds are made
-//! **incremental** by a reusable [`TreeRoundState`] that value-compares
-//! each leaf's summary, rebuilt from its input, with the stored one:
-//! [`ControlTree::allocate_in`] re-summarizes only subtrees with a changed
-//! leaf summary, re-splits only nodes whose budget or summary changed, and
-//! performs no heap allocation once its buffers are warm.
+//! The tree is a flat **arena** ([`TreeArena`]) and nothing else: it is
+//! built from a [`ControlTreeSpec`], which is then dropped. The arena holds
+//! flattened child lists, per-node contexts, limits and leaf priorities,
+//! and a dense index of leaf slots ([`LeafIndex`]), so the per-round passes
+//! are branch-predictable array walks instead of pointer chases and map
+//! lookups. Rounds are made **incremental** by a reusable
+//! [`TreeRoundState`] that value-compares each leaf's summary, rebuilt from
+//! its input, with the stored one: [`ControlTree::allocate_in`]
+//! re-summarizes only subtrees with a changed leaf summary, re-splits only
+//! nodes whose budget or summary changed, and performs no heap allocation
+//! once its buffers are warm.
 
-use std::collections::HashMap;
+use core::fmt;
 use std::sync::Arc;
 
-use capmaestro_topology::{ControlTreeSpec, Priority, ServerId, SupplyIndex};
+use capmaestro_topology::{
+    ControlTreeSpec, FeedId, Phase, Priority, ServerId, SpecLeaf, SupplyIndex,
+};
 use capmaestro_units::{Ratio, Watts};
 
 use crate::alloc::{AllocScratch, Allocator, WaterfallAllocator};
@@ -22,7 +26,7 @@ use crate::metrics::{LeafInput, PriorityMetrics};
 use crate::policy::{CappingPolicy, NodeContext, PriorityVisibility};
 
 /// Runtime power information for one server supply, fed into its capping
-/// controller's metrics (priority comes from the tree spec).
+/// controller's metrics (priority comes from the tree).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupplyInput {
     /// Estimated server power demand at full performance (total AC).
@@ -36,36 +40,37 @@ pub struct SupplyInput {
 }
 
 /// Dense index of a control tree's leaves: maps `(server, supply)` pairs to
-/// contiguous **leaf slots** in spec-leaf order. One instance is built per
+/// contiguous **leaf slots** in node order. One instance is built per
 /// tree and shared (via [`Arc`]) with every [`Allocation`] the tree
 /// produces, so leaf budgets live in a flat slot-indexed vector instead of
 /// a per-round hash map.
 #[derive(Debug, Default)]
 pub struct LeafIndex {
-    /// `(server, supply)` per slot, in spec-leaf order.
+    /// `(server, supply)` per slot, in node order.
     pairs: Vec<(ServerId, SupplyIndex)>,
-    /// Spec node index per slot.
+    /// Arena node index per slot, ascending.
     nodes: Vec<u32>,
-    /// Slots sorted by `(server, supply)` — the deterministic order for
-    /// order-sensitive f64 sums.
+    /// Slots sorted by `(server, supply)`: the deterministic order for
+    /// order-sensitive f64 sums, and the reverse lookup's search order.
     sorted_slots: Vec<u32>,
-    /// Reverse lookup from a pair to its slot.
-    map: HashMap<(ServerId, SupplyIndex), u32>,
 }
 
 impl LeafIndex {
     fn build(spec: &ControlTreeSpec) -> Self {
-        let mut index = LeafIndex::default();
+        let len = spec.leaves().count();
+        let mut pairs = Vec::with_capacity(len);
+        let mut nodes = Vec::with_capacity(len);
         for (idx, leaf) in spec.leaves() {
-            let slot = index.pairs.len() as u32;
-            index.pairs.push((leaf.server, leaf.supply));
-            index.nodes.push(idx as u32);
-            index.map.insert((leaf.server, leaf.supply), slot);
+            pairs.push((leaf.server, leaf.supply));
+            nodes.push(idx as u32);
         }
-        let mut sorted: Vec<u32> = (0..index.pairs.len() as u32).collect();
-        sorted.sort_unstable_by_key(|&s| index.pairs[s as usize]);
-        index.sorted_slots = sorted;
-        index
+        let mut sorted_slots: Vec<u32> = (0..len as u32).collect();
+        sorted_slots.sort_unstable_by_key(|&s| pairs[s as usize]);
+        LeafIndex {
+            pairs,
+            nodes,
+            sorted_slots,
+        }
     }
 
     /// Number of leaf slots.
@@ -78,12 +83,17 @@ impl LeafIndex {
         self.pairs.is_empty()
     }
 
-    /// The slot for a `(server, supply)` pair, if that supply is a leaf.
+    /// The slot for a `(server, supply)` pair, if that supply is a leaf: a
+    /// binary search of the slots in `(server, supply)` order.
     pub fn slot(&self, server: ServerId, supply: SupplyIndex) -> Option<usize> {
-        self.map.get(&(server, supply)).map(|&s| s as usize)
+        let at = self
+            .sorted_slots
+            .binary_search_by_key(&(server, supply), |&s| self.pairs[s as usize])
+            .ok()?;
+        Some(self.sorted_slots[at] as usize)
     }
 
-    /// The spec node index backing a slot.
+    /// The arena node index backing a slot.
     pub fn node(&self, slot: usize) -> usize {
         self.nodes[slot] as usize
     }
@@ -94,63 +104,93 @@ impl LeafIndex {
     }
 }
 
-/// Flat, level-free arena view of a [`ControlTreeSpec`]: flattened child
-/// lists with per-node ranges, precomputed [`NodeContext`]s and limits, and
-/// the shared [`LeafIndex`]. Built once per tree so the per-round passes
-/// never chase spec pointers or consult maps.
+/// The root's node index.
+const ROOT: usize = 0;
+
+/// A control tree's one representation, built once from its
+/// [`ControlTreeSpec`]: flattened child lists with per-node offsets,
+/// precomputed [`NodeContext`]s, limits and leaf priorities, the shared
+/// [`LeafIndex`], the tree's feed and phase, and the names of the root's
+/// children (the trace's lane names). The per-round passes never chase
+/// spec pointers or consult maps. Node 0 is the root, and every child has
+/// a higher index than its parent.
 #[derive(Debug, Clone)]
 pub struct TreeArena {
     /// All child indices, flattened in node order.
     children: Vec<u32>,
-    /// `(start, end)` into `children` per node.
-    child_range: Vec<(u32, u32)>,
+    /// Where each node's children start in `children`, and then where the
+    /// last node's end: one more entry than there are nodes.
+    child_start: Vec<u32>,
     /// Policy context (leaf-parent flag) per node.
     ctx: Vec<NodeContext>,
-    /// Shifting-controller power limit per node.
-    limits: Vec<Option<Watts>>,
+    /// Shifting-controller power limit per node, NaN where unconstrained
+    /// (a limit is never NaN), which halves the lane `Option` would take.
+    limits: Vec<f64>,
+    /// Per node: the server's priority at a leaf, `None` elsewhere.
+    priorities: Vec<Option<Priority>>,
     /// The dense leaf slot index, shared with allocations.
     leaf_index: Arc<LeafIndex>,
+    feed: FeedId,
+    phase: Phase,
+    /// The names of the root's children, in child order.
+    lanes: Vec<String>,
 }
 
 impl TreeArena {
     fn build(spec: &ControlTreeSpec) -> Self {
-        let n = spec.len();
-        let mut children = Vec::new();
-        let mut child_range = Vec::with_capacity(n);
-        let mut ctx = Vec::with_capacity(n);
-        let mut limits = Vec::with_capacity(n);
-        for idx in 0..n {
-            let node = spec.node(idx);
-            let start = children.len() as u32;
+        let nodes = spec.nodes();
+        let mut children = Vec::with_capacity(nodes.iter().map(|n| n.children.len()).sum());
+        let mut child_start = Vec::with_capacity(nodes.len() + 1);
+        child_start.push(0);
+        for node in nodes {
             children.extend(node.children.iter().map(|&c| c as u32));
-            child_range.push((start, children.len() as u32));
-            let is_leaf_parent = !node.children.is_empty()
-                && node.children.iter().all(|&c| spec.node(c).is_leaf());
-            ctx.push(NodeContext { is_leaf_parent });
-            limits.push(node.limit);
+            child_start.push(children.len() as u32);
         }
+        let ctx = nodes
+            .iter()
+            .map(|node| NodeContext {
+                is_leaf_parent: !node.children.is_empty()
+                    && node.children.iter().all(|&c| nodes[c].leaf.is_some()),
+            })
+            .collect();
+        let lanes = nodes.first().map_or_else(Vec::new, |root| {
+            root.children
+                .iter()
+                .map(|&c| nodes[c].name.clone())
+                .collect()
+        });
         TreeArena {
             children,
-            child_range,
+            child_start,
             ctx,
-            limits,
+            limits: nodes
+                .iter()
+                .map(|node| node.limit.map_or(f64::NAN, Watts::as_f64))
+                .collect(),
+            priorities: nodes
+                .iter()
+                .map(|node| node.leaf.map(|l| l.priority))
+                .collect(),
             leaf_index: Arc::new(LeafIndex::build(spec)),
+            feed: spec.feed(),
+            phase: spec.phase(),
+            lanes,
         }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.child_range.len()
+        self.ctx.len()
     }
 
     /// Whether the arena has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.child_range.is_empty()
+        self.ctx.is_empty()
     }
 
     /// The children of a node, as arena indices.
     pub fn children_of(&self, idx: usize) -> &[u32] {
-        let (start, end) = self.child_range[idx];
+        let (start, end) = (self.child_start[idx], self.child_start[idx + 1]);
         &self.children[start as usize..end as usize]
     }
 
@@ -161,21 +201,74 @@ impl TreeArena {
 
     /// The power limit of a node, if constrained.
     pub fn limit(&self, idx: usize) -> Option<Watts> {
-        self.limits[idx]
+        let limit = self.limits[idx];
+        (!limit.is_nan()).then(|| Watts::new(limit))
+    }
+
+    /// Iterates `(node, leaf)` over every leaf in slot order, which is node
+    /// order: the supply it governs and its server's priority.
+    pub fn leaves(&self) -> impl Iterator<Item = (usize, SpecLeaf)> + '_ {
+        let index = &self.leaf_index;
+        index
+            .pairs
+            .iter()
+            .zip(&index.nodes)
+            .map(|(&(server, supply), &node)| {
+                let priority = self.priorities[node as usize].expect("a slot's node is a leaf");
+                let leaf = SpecLeaf {
+                    server,
+                    supply,
+                    priority,
+                };
+                (node as usize, leaf)
+            })
+    }
+
+    /// The leaf at node `idx`, if it is one: a binary search of the slots.
+    pub(crate) fn leaf(&self, idx: usize) -> Option<SpecLeaf> {
+        let slot = self.leaf_index.nodes.binary_search(&(idx as u32)).ok()?;
+        let (server, supply) = self.leaf_index.pairs[slot];
+        let priority = self.priorities[idx]?;
+        Some(SpecLeaf {
+            server,
+            supply,
+            priority,
+        })
+    }
+
+    /// Whether node `idx` is a leaf.
+    pub(crate) fn is_leaf(&self, idx: usize) -> bool {
+        self.priorities[idx].is_some()
     }
 
     /// The shared leaf slot index.
     pub fn leaf_index(&self) -> &Arc<LeafIndex> {
         &self.leaf_index
     }
+
+    /// The feed this tree protects.
+    pub fn feed(&self) -> FeedId {
+        self.feed
+    }
+
+    /// The phase this tree protects.
+    pub fn phase(&self) -> Phase {
+        self.phase
+    }
+
+    /// The names of the root's children, in child order: one trace lane
+    /// each.
+    pub(crate) fn lanes(&self) -> &[String] {
+        &self.lanes
+    }
 }
 
 /// The outcome of one allocation pass over a control tree.
 ///
-/// Node budgets are indexed by spec/arena node index; leaf budgets live in
+/// Node budgets are indexed by node index; leaf budgets live in
 /// a dense slot-indexed vector keyed by the tree's shared [`LeafIndex`], so
-/// lookups by `(server, supply)` are one hash probe into a prebuilt map
-/// rather than a per-round-built one.
+/// a lookup by `(server, supply)` is one binary search of a prebuilt index
+/// rather than a probe into a per-round-built map.
 #[derive(Debug)]
 pub struct Allocation {
     node_budgets: Vec<Watts>,
@@ -227,7 +320,7 @@ impl PartialEq for Allocation {
 }
 
 impl Allocation {
-    /// The budget assigned to a tree node (by spec index).
+    /// The budget assigned to a tree node (by node index).
     ///
     /// # Panics
     ///
@@ -259,7 +352,7 @@ impl Allocation {
     }
 
     /// Iterates `(server, supply, budget)` over all leaf budgets, in
-    /// spec-leaf (slot) order.
+    /// slot order.
     pub(crate) fn supply_budgets(
         &self,
     ) -> impl Iterator<Item = (ServerId, SupplyIndex, Watts)> + '_ {
@@ -404,6 +497,7 @@ fn set_budget(budgets: &mut [Watts], resplit: &mut [bool], idx: usize, budget: W
 
 /// A control tree instantiated from a [`ControlTreeSpec`]: one shifting
 /// controller per internal node, one capping-controller binding per leaf.
+/// The tree keeps its [`TreeArena`] and its leaves' inputs, not the spec.
 ///
 /// # Examples
 ///
@@ -432,7 +526,7 @@ fn set_budget(budgets: &mut [Watts], resplit: &mut [bool], idx: usize, budget: W
 /// ```
 #[derive(Debug, Clone)]
 pub struct ControlTree {
-    spec: ControlTreeSpec,
+    /// Per node; set at leaves only.
     inputs: Vec<Option<SupplyInput>>,
     arena: TreeArena,
     /// Bumped when a leaf's input or priority actually changes value.
@@ -442,14 +536,12 @@ pub struct ControlTree {
 
 impl ControlTree {
     /// Creates a tree with no supply inputs set; every leaf must receive a
-    /// [`SupplyInput`] before [`ControlTree::allocate`].
+    /// [`SupplyInput`] before [`ControlTree::allocate`]. The spec is
+    /// dropped once the arena is built from it.
     pub fn new(spec: ControlTreeSpec) -> Self {
-        let arena = TreeArena::build(&spec);
-        let inputs = vec![None; spec.len()];
         ControlTree {
-            spec,
-            inputs,
-            arena,
+            inputs: vec![None; spec.len()],
+            arena: TreeArena::build(&spec),
             generation: 0,
         }
     }
@@ -458,17 +550,8 @@ impl ControlTree {
     /// for homogeneous test rigs.
     pub fn with_uniform(spec: ControlTreeSpec, input: SupplyInput) -> Self {
         let mut tree = ControlTree::new(spec);
-        for idx in 0..tree.spec.len() {
-            if tree.spec.node(idx).is_leaf() {
-                tree.set_input_at(idx, input);
-            }
-        }
+        tree.set_slot_inputs_with(|_, _, _| input);
         tree
-    }
-
-    /// The underlying spec.
-    pub fn spec(&self) -> &ControlTreeSpec {
-        &self.spec
     }
 
     /// The flat arena view of this tree.
@@ -476,7 +559,7 @@ impl ControlTree {
         &self.arena
     }
 
-    /// Sets the input of the leaf at spec node `idx`.
+    /// Sets the input of the leaf at node `idx`.
     pub(crate) fn set_input_at(&mut self, idx: usize, input: SupplyInput) {
         if self.inputs[idx] != Some(input) {
             self.inputs[idx] = Some(input);
@@ -540,13 +623,16 @@ impl ControlTree {
     /// this to re-randomize the high-priority placement without rebuilding
     /// the topology.
     pub fn set_priorities_with(&mut self, mut f: impl FnMut(ServerId) -> Priority) {
-        for idx in 0..self.spec.len() {
-            if let Some(leaf) = self.spec.node_mut(idx).leaf.as_mut() {
-                let priority = f(leaf.server);
-                if leaf.priority != priority {
-                    leaf.priority = priority;
-                    self.generation += 1;
-                }
+        let TreeArena {
+            priorities,
+            leaf_index,
+            ..
+        } = &mut self.arena;
+        for (&(server, _), &node) in leaf_index.pairs.iter().zip(&leaf_index.nodes) {
+            let priority = Some(f(server));
+            if priorities[node as usize] != priority {
+                priorities[node as usize] = priority;
+                self.generation += 1;
             }
         }
     }
@@ -615,7 +701,7 @@ impl ControlTree {
     /// at the next gather; pinning a node that was not pinned drops the
     /// budget memo.
     pub fn pin(&self, state: &mut TreeRoundState, idx: usize, summary: &PriorityMetrics) {
-        let n = self.spec.len();
+        let n = self.arena.len();
         state.metrics.resize_with(n, PriorityMetrics::default);
         state.pins.resize(n, Pin::Free);
         if matches!(state.pins[idx], Pin::Free | Pin::Below) {
@@ -642,7 +728,7 @@ impl ControlTree {
     /// state's last gather, the walk itself is skipped. Returns the root's
     /// summary.
     ///
-    /// `overlay`, when present, is a spec-indexed slice of per-leaf input
+    /// `overlay`, when present, is a node-indexed slice of per-leaf input
     /// replacements (used by the stranded-power optimizer's second pass):
     /// `Some(input)` at a leaf overrides the tree's stored input for this
     /// call only, without touching the tree.
@@ -651,17 +737,17 @@ impl ControlTree {
     ///
     /// Panics if the tree is empty, any leaf the walk reaches lacks an
     /// input, or `overlay` is present with a length other than
-    /// `spec().len()`.
+    /// `arena().len()`.
     pub fn gather_in<'s>(
         &self,
         policy: &dyn CappingPolicy,
         state: &'s mut TreeRoundState,
         overlay: Option<&[Option<SupplyInput>]>,
     ) -> &'s PriorityMetrics {
-        assert!(!self.spec.is_empty(), "cannot allocate over an empty tree");
-        let n = self.spec.len();
+        assert!(!self.arena.is_empty(), "cannot allocate over an empty tree");
+        let n = self.arena.len();
         if let Some(o) = overlay {
-            assert_eq!(o.len(), n, "overlay must be spec-indexed");
+            assert_eq!(o.len(), n, "overlay must be node-indexed");
         }
         // (Re)shape the state and flag every node on the first gather,
         // after an invalidation, or on a tree or policy change, so the
@@ -686,7 +772,7 @@ impl ControlTree {
         let same_overlay = if overlay.is_some() { overlaid && kept } else { !overlaid };
         if !reshaped && state.pins.is_empty() && same_overlay && seen == self.generation {
             state.skipped += n as u64;
-            return &state.metrics[self.spec.root()];
+            return &state.metrics[ROOT];
         }
 
         // Gather children (higher indices) first. A recomputed summary
@@ -701,16 +787,13 @@ impl ControlTree {
                     continue;
                 }
             }
-            let node = self.spec.node(idx);
-            if let Some(leaf) = &node.leaf {
+            if let Some(priority) = self.arena.priorities[idx] {
                 let base = self.inputs[idx];
                 let effective = match overlay {
                     Some(o) => o[idx].or(base),
                     None => base,
                 };
-                let input = effective.unwrap_or_else(|| {
-                    panic!("leaf {idx} ({}) has no supply input set", node.name)
-                });
+                let input = effective.unwrap_or_else(|| self.missing_input(idx));
                 // The stored summary is the change witness: rewriting it
                 // from the current input reports whether its value moved.
                 let changed = PriorityMetrics::from_leaf_into(
@@ -719,7 +802,7 @@ impl ControlTree {
                         cap_min: input.cap_min,
                         cap_max: input.cap_max,
                         share: input.share,
-                        priority: leaf.priority,
+                        priority,
                     },
                     &mut state.metrics[idx],
                 );
@@ -740,7 +823,7 @@ impl ControlTree {
                         policy.visibility(self.arena.context(idx)),
                         PriorityVisibility::Blind
                     );
-                    // Children always have higher spec indices than their
+                    // Children always have higher indices than their
                     // parent (topological push order), so a split borrow
                     // separates the output node from its children.
                     let (head, tail) = state.metrics.split_at_mut(idx + 1);
@@ -755,7 +838,18 @@ impl ControlTree {
                 }
             }
         }
-        &state.metrics[self.spec.root()]
+        &state.metrics[ROOT]
+    }
+
+    /// The gather's panic for a leaf that has no input, naming it by server
+    /// and supply.
+    #[cold]
+    fn missing_input(&self, idx: usize) -> ! {
+        let leaf = self.arena.leaf(idx).expect("only leaves take inputs");
+        panic!(
+            "leaf {idx} ({} {}) has no supply input set",
+            leaf.server, leaf.supply
+        )
     }
 
     /// The budget-down half of a round (paper §4.3.2): distributes
@@ -780,12 +874,12 @@ impl ControlTree {
         state: &mut TreeRoundState,
         out: &mut Allocation,
     ) -> bool {
-        let n = self.spec.len();
+        let n = self.arena.len();
         assert!(
             state.metrics.len() == n && state.policy_name == policy.name(),
             "budget_in needs a gathered state"
         );
-        let root = self.spec.root();
+        let root = ROOT;
         let TreeRoundState {
             metrics,
             pins,
@@ -876,8 +970,25 @@ impl ControlTree {
     }
 }
 
+/// `control tree feed A L1 (7 nodes, 4 leaves)`: the tree's name in traces.
+impl fmt::Display for ControlTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let arena = &self.arena;
+        write!(
+            f,
+            "control tree {} {} ({} nodes, {} leaves)",
+            arena.feed,
+            arena.phase,
+            arena.len(),
+            arena.leaf_index.len()
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::policy::{GlobalPriority, LocalPriority, NoPriority};
     use capmaestro_topology::presets::figure2_feed;
@@ -1063,6 +1174,20 @@ mod tests {
         let _ = tree.allocate(Watts::new(1240.0), &GlobalPriority::new());
     }
 
+    #[test]
+    #[should_panic(expected = "(server#1 PS1) has no supply input set")]
+    fn a_missing_input_panics_naming_the_leaf_by_server_and_supply() {
+        let topo = figure2_feed();
+        let mut tree = ControlTree::new(topo.control_tree_specs().remove(0));
+        let sb = topo.server_by_name("SB").unwrap();
+        assert_eq!(sb, ServerId(1));
+        for name in ["SA", "SC", "SD"] {
+            let id = topo.server_by_name(name).unwrap();
+            assert!(tree.set_supply_input(id, SupplyIndex::FIRST, PAPER_INPUT));
+        }
+        let _ = tree.allocate(Watts::new(1240.0), &GlobalPriority::new());
+    }
+
     /// The waterfall, counting the splits it is asked for.
     #[derive(Debug, Default)]
     struct CountingAllocator(std::sync::atomic::AtomicUsize);
@@ -1129,9 +1254,10 @@ mod tests {
             demand: Watts::new(320.0),
             ..input
         });
-        let index = tree.arena().leaf_index();
+        let (arena, index) = (tree.arena(), tree.arena().leaf_index());
         let leaf = index.node(index.slot(sa, SupplyIndex::FIRST).unwrap());
-        let parent_of = |idx: usize| tree.spec().node(idx).parent;
+        let parent_of =
+            |idx: usize| (0..idx).find(|&p| arena.children_of(p).contains(&(idx as u32)));
         let ancestors = std::iter::successors(parent_of(leaf), |&p| parent_of(p)).count();
         assert_eq!(ancestors, 2);
         round(&tree);
@@ -1164,7 +1290,7 @@ mod tests {
         set_demand(&topo, &mut tree, "SA", 420.0);
         let (summarized, skipped) = state.gather_stats();
         tree.gather_in(&policy, &mut state, None);
-        let nodes = tree.spec().len() as u64;
+        let nodes = tree.arena().len() as u64;
         assert_eq!(state.gather_stats(), (summarized + 3, skipped + nodes - 3));
         assert!(!tree.budget_in(budget, &policy, allocator, &mut state, &mut out));
         assert_bitwise_eq(&out, &tree.allocate(budget, &policy));
@@ -1186,7 +1312,7 @@ mod tests {
         set_demand(&topo, &mut tree, "SB", 180.0);
         let (summarized, skipped) = state.gather_stats();
         tree.gather_in(&policy, &mut state, None);
-        let nodes = tree.spec().len() as u64;
+        let nodes = tree.arena().len() as u64;
         assert_eq!(state.gather_stats(), (summarized, skipped + nodes));
         assert!(tree.budget_in(budget, &policy, &counting, &mut state, &mut out));
         assert_eq!(counting.take(), 0, "an unchanged summary re-splits nothing");
@@ -1205,13 +1331,16 @@ mod tests {
         // SB turns high priority with its input unchanged: SB, its CB and
         // the root are re-summarized, and both of SB's ancestors re-split.
         let sb = topo.server_by_name("SB").unwrap();
-        let priorities: HashMap<ServerId, Priority> =
-            tree.spec().leaves().map(|(_, leaf)| (leaf.server, leaf.priority)).collect();
+        let arena = tree.arena();
+        let priorities: HashMap<ServerId, Priority> = arena
+            .leaves()
+            .map(|(_, leaf)| (leaf.server, leaf.priority))
+            .collect();
         assert_eq!(priorities[&sb], Priority::LOW);
         tree.set_priorities_with(|id| if id == sb { Priority::HIGH } else { priorities[&id] });
         let (summarized, skipped) = state.gather_stats();
         tree.gather_in(&policy, &mut state, None);
-        let nodes = tree.spec().len() as u64;
+        let nodes = tree.arena().len() as u64;
         assert_eq!(state.gather_stats(), (summarized + 3, skipped + nodes - 3));
         assert!(!tree.budget_in(budget, &policy, &counting, &mut state, &mut out));
         assert_eq!(counting.take(), 2);

@@ -49,7 +49,7 @@ use crate::obs::{names, null_recorder, Recorder};
 use crate::policy::{CappingPolicy, PolicyKind};
 use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 
-/// Identifies a cut node: `(tree index, spec node index)`.
+/// Identifies a cut node: `(tree index, node index)`.
 pub type CutId = (usize, usize);
 
 /// Base delay between [`WorkerDeployment::respawn_worker`] attempts for
@@ -231,7 +231,7 @@ pub enum DownMsg {
     Shutdown,
 }
 
-/// A leaf binding beneath a cut node: `(leaf spec index, server, supply)`.
+/// A leaf binding beneath a cut node: `(leaf node index, server, supply)`.
 pub type LeafBinding = (usize, ServerId, SupplyIndex);
 
 /// Static description of one rack worker's responsibility: a set of cut
@@ -266,13 +266,13 @@ pub fn rack_assignments(trees: &[ControlTree], worker_count: usize) -> Vec<RackA
     let mut claimed: HashSet<ServerId> = HashSet::new();
     let mut rr = 0usize;
     for (t, tree) in trees.iter().enumerate() {
-        let spec = tree.spec();
-        for cut in (0..spec.len()).filter(|&i| tree.arena().context(i).is_leaf_parent) {
+        let arena = tree.arena();
+        for cut in (0..arena.len()).filter(|&i| arena.context(i).is_leaf_parent) {
             let worker = rr % worker_count;
             let mut leaves: Vec<LeafBinding> = Vec::new();
-            for &c in &spec.node(cut).children {
-                let leaf = spec.node(c).leaf.expect("cut children are leaves");
-                leaves.push((c, leaf.server, leaf.supply));
+            for &c in arena.children_of(cut) {
+                let leaf = arena.leaf(c as usize).expect("cut children are leaves");
+                leaves.push((c as usize, leaf.server, leaf.supply));
                 if claimed.insert(leaf.server) {
                     assignments[worker].owned.push(leaf.server);
                 }
@@ -329,9 +329,9 @@ pub fn leaf_statics(
     for assignment in assignments {
         for (cut, leaves) in &assignment.cuts {
             let (t, _) = *cut;
-            let spec = trees[t].spec();
+            let arena = trees[t].arena();
             for &(leaf_idx, server, supply) in leaves {
-                let leaf = spec.node(leaf_idx).leaf.expect("cut children are leaves");
+                let leaf = arena.leaf(leaf_idx).expect("cut children are leaves");
                 let Some(srv) = farm.get(server) else {
                     continue;
                 };
@@ -570,7 +570,7 @@ impl Transport for ChannelTransport {
 }
 
 /// The subtree under one cut as a control tree of its own — the cut node
-/// (keeping its limit) at index 0 over its leaves, leaf `k` at spec index
+/// (keeping its limit) at index 0 over its leaves, leaf `k` at node index
 /// `k + 1` and leaf slot `k` — with the warm state of its walk. Racks
 /// gather and split through it every round; the room gathers it once, over
 /// [`LeafStatic`] inputs, for the cut's fail-safe summary.
@@ -587,19 +587,24 @@ struct CutWalk {
 }
 
 impl CutWalk {
-    /// Lifts `cut` and the leaves bound under it out of `tree`.
+    /// Lifts `cut` and the leaves bound under it out of `tree`, unnamed.
     fn new(tree: &ControlTree, cut: usize, leaves: &[LeafBinding]) -> Self {
-        let spec = tree.spec();
-        let mut sub = ControlTreeSpec::new(spec.feed(), spec.phase());
+        let arena = tree.arena();
+        let mut sub = ControlTreeSpec::new(arena.feed(), arena.phase());
         sub.push_node(SpecNode {
+            name: String::new(),
+            limit: arena.limit(cut),
             parent: None,
             children: (1..=leaves.len()).collect(),
-            ..spec.node(cut).clone()
+            leaf: None,
         });
         for &(leaf_idx, _, _) in leaves {
             sub.push_node(SpecNode {
+                name: String::new(),
+                limit: arena.limit(leaf_idx),
                 parent: Some(0),
-                ..spec.node(leaf_idx).clone()
+                children: Vec::new(),
+                leaf: arena.leaf(leaf_idx),
             });
         }
         CutWalk {
@@ -754,23 +759,26 @@ impl WorkerDeployment {
         let mut walks = Vec::with_capacity(trees.len());
         for (t, tree) in trees.iter().enumerate() {
             let mut state = TreeRoundState::new();
-            let is_cut = |i: usize| tree.arena().context(i).is_leaf_parent;
-            for idx in 0..tree.spec().len() {
-                if is_cut(idx) {
-                    cuts.push(CutSlot {
-                        id: (t, idx),
-                        failsafe: PriorityMetrics::empty(),
-                        last: PriorityMetrics::empty(),
-                        last_round: None,
-                    });
-                } else if tree.spec().node(idx).is_leaf()
-                    && !tree.spec().node(idx).parent.is_some_and(is_cut)
-                {
-                    // A leaf directly under the upper tree (no CDU level)
-                    // has no rack to report it: it is budgeted nothing —
-                    // deployments should avoid this, but stay total.
-                    tree.pin(&mut state, idx, &PriorityMetrics::empty());
-                }
+            let arena = tree.arena();
+            let is_cut = |i: usize| arena.context(i).is_leaf_parent;
+            for idx in (0..arena.len()).filter(|&i| is_cut(i)) {
+                cuts.push(CutSlot {
+                    id: (t, idx),
+                    failsafe: PriorityMetrics::empty(),
+                    last: PriorityMetrics::empty(),
+                    last_round: None,
+                });
+            }
+            // A leaf directly under the upper tree (no CDU level), or a
+            // lone root, has no rack to report it: it is budgeted nothing —
+            // deployments should avoid this, but stay total.
+            let uncut = (0..arena.len()).filter(|&i| !is_cut(i));
+            let loose = uncut
+                .flat_map(|i| arena.children_of(i))
+                .map(|&c| c as usize);
+            let root = (!arena.is_empty()).then_some(0);
+            for idx in loose.chain(root).filter(|&i| arena.is_leaf(i)) {
+                tree.pin(&mut state, idx, &PriorityMetrics::empty());
             }
             walks.push((state, Allocation::default()));
         }

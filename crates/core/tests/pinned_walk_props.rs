@@ -45,7 +45,7 @@ fn leaf_input(demand: f64) -> SupplyInput {
 /// bits.
 fn budget_bits(tree: &ControlTree, alloc: &Allocation) -> (Vec<u64>, Vec<u64>, u64) {
     let bits = |w: Watts| w.as_f64().to_bits();
-    let nodes = (0..tree.spec().len()).map(|i| bits(alloc.node_budget(i)));
+    let nodes = (0..tree.arena().len()).map(|i| bits(alloc.node_budget(i)));
     let leaves = (0..alloc.leaf_index().len()).map(|s| bits(alloc.leaf_budget(s)));
     (nodes.collect(), leaves.collect(), bits(alloc.unallocated()))
 }
@@ -87,7 +87,8 @@ proptest! {
                         tree.gather_in(p, &mut full, None),
                         "re-pinned cuts must dirty the root"
                     );
-                    for idx in (0..tree.spec().len()).filter(|&i| !tree.spec().node(i).is_leaf()) {
+                    let arena = tree.arena();
+                    for idx in (0..arena.len()).filter(|&i| !arena.children_of(i).is_empty()) {
                         let (w, g) = (want.node_budget(idx), got.node_budget(idx));
                         prop_assert_eq!(w.as_f64().to_bits(), g.as_f64().to_bits(), "node {}", idx);
                     }
@@ -159,7 +160,7 @@ proptest! {
         let mut allocator = 0;
         let mut root_budget = Watts::new(per_server_budget * servers as f64);
         tree.set_inputs_with(|server, _| leaf_input(demands[server.index() % demands.len()]));
-        let cuts: Vec<usize> = (0..tree.spec().len())
+        let cuts: Vec<usize> = (0..tree.arena().len())
             .filter(|&i| tree.arena().context(i).is_leaf_parent)
             .collect();
         let mut pins: Vec<(usize, PriorityMetrics)> = Vec::new();

@@ -124,9 +124,9 @@ proptest! {
             &NoPriority::new(),
         ] {
             let alloc = tree.allocate(Watts::new(budget), policy);
-            let spec = tree.spec();
-            for idx in 0..spec.len() {
-                if let Some(limit) = spec.node(idx).limit {
+            let arena = tree.arena();
+            for idx in 0..arena.len() {
+                if let Some(limit) = arena.limit(idx) {
                     prop_assert!(
                         alloc.node_budget(idx) <= limit + Watts::new(EPS),
                         "node {idx} exceeds its limit under {}",
@@ -296,9 +296,9 @@ fn regression_group_limit_caps_infeasible_floors() {
         &NoPriority::new(),
     ] {
         let alloc = tree.allocate(Watts::new(budget), policy);
-        let spec = tree.spec();
-        for idx in 0..spec.len() {
-            if let Some(limit) = spec.node(idx).limit {
+        let arena = tree.arena();
+        for idx in 0..arena.len() {
+            if let Some(limit) = arena.limit(idx) {
                 assert!(
                     alloc.node_budget(idx) <= limit + Watts::new(EPS),
                     "node {idx} budget {} exceeds its limit {limit} under {}",

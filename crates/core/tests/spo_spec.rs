@@ -119,7 +119,7 @@ fn warm_spo_is_bit_identical_to_the_spec() {
                 let at = format!("{} {} round {round}", policy.name(), allocator.name());
                 assert_matches_spec(&trees, &out, stranded, &want, &at);
                 if round == 4 {
-                    let nodes: u64 = trees.iter().map(|t| t.spec().len() as u64).sum();
+                    let nodes: u64 = trees.iter().map(|t| t.arena().len() as u64).sum();
                     let (summarized, skipped) = scratch.gather_stats();
                     assert_eq!(summarized, stats_before.0, "{at}");
                     assert_eq!(skipped - stats_before.1, 2 * nodes, "{at}");

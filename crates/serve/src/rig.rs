@@ -105,7 +105,7 @@ pub fn build_rig(spec: RigSpec) -> DistRig {
         .map(|t| match per_server_budget {
             // Fig. 2 uses the paper's 1240 W contractual budget.
             None => Watts::new(1240.0),
-            Some(per) => Watts::new(per.as_f64() * t.spec().leaves().count() as f64),
+            Some(per) => Watts::new(per.as_f64() * t.arena().leaf_index().len() as f64),
         })
         .collect();
     DistRig {

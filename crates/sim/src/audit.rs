@@ -465,14 +465,14 @@ impl InvariantTracker {
         for (i, (tree, budget)) in
             plane.trees().iter().zip(budgets).enumerate()
         {
-            let spec = tree.spec();
+            let arena = tree.arena();
 
             // Feed budget: physical non-exempt load vs the root budget.
             // Exempt leaves are excluded from the sum rather than the
             // budget being shrunk: the allocator still reserves budget
             // for them, so this is the conservative direction.
             let mut load = Watts::ZERO;
-            for (_, leaf) in spec.leaves() {
+            for (_, leaf) in arena.leaves() {
                 if exempt.contains(&leaf.server) {
                     continue;
                 }
@@ -497,8 +497,8 @@ impl InvariantTracker {
                         detail: format!(
                             "tree {i} ({} {:?}): load {load} > budget {budget} \
                              for {} s",
-                            spec.feed(),
-                            spec.phase(),
+                            arena.feed(),
+                            arena.phase(),
                             self.config.sustain_s
                         ),
                     });
@@ -515,7 +515,7 @@ impl InvariantTracker {
             // holds.
             let mut entries: Vec<(Priority, f64, bool)> = Vec::new();
             seen.clear();
-            for (_, leaf) in spec.leaves() {
+            for (_, leaf) in arena.leaves() {
                 if exempt.contains(&leaf.server) || !seen.insert(leaf.server) {
                     continue;
                 }
@@ -556,8 +556,8 @@ impl InvariantTracker {
                             "tree {i} ({} {:?}): higher-priority server \
                              throttled while lower-priority headroom remained \
                              for {} s",
-                            spec.feed(),
-                            spec.phase(),
+                            arena.feed(),
+                            arena.phase(),
                             self.config.sustain_s
                         ),
                     });
@@ -583,10 +583,10 @@ impl InvariantTracker {
                 let reported: HashMap<ServerId, &_> =
                     delivered.iter().map(|(id, snap)| (*id, snap)).collect();
                 for (i, tree) in plane.trees().iter().enumerate() {
-                    let spec = tree.spec();
+                    let arena = tree.arena();
                     let mut physical = Watts::ZERO;
                     let mut claimed = Watts::ZERO;
-                    for (_, leaf) in spec.leaves() {
+                    for (_, leaf) in arena.leaves() {
                         let Some(snap) = reported.get(&leaf.server) else {
                             continue;
                         };
@@ -620,8 +620,8 @@ impl InvariantTracker {
                                      {physical} but servers reported \
                                      {claimed} for {} s — under-reporting \
                                      telemetry",
-                                    spec.feed(),
-                                    spec.phase(),
+                                    arena.feed(),
+                                    arena.phase(),
                                     self.config.meter_sustain_s
                                 ),
                             });

@@ -235,14 +235,13 @@ impl CapacityPlanner {
                 share: Ratio::new(share),
             });
             let alloc = tree.allocate(root_budget, policy_impl.as_ref());
-            // Iterate leaves in spec order (not HashMap order) so the
+            // Iterate leaves in slot order (not HashMap order) so the
             // floating-point accumulation — and therefore the whole
             // planner — is bit-for-bit deterministic.
-            for (_, leaf) in tree.spec().leaves() {
-                let server = leaf.server;
-                let Some(budget) = alloc.supply_budget(server, leaf.supply) else {
-                    continue;
-                };
+            let index = tree.arena().leaf_index();
+            for slot in 0..index.len() {
+                let (server, _) = index.pair(slot);
+                let budget = alloc.leaf_budget(slot);
                 let demand = demands[server.index()];
                 let total_budget = budget * budget_scale;
                 let ratio = model.cap_ratio(demand, total_budget).as_f64();
@@ -276,27 +275,28 @@ impl CapacityPlanner {
         root_budget: Watts,
     ) -> bool {
         let model = self.config.model;
-        for tree in &prepared.trees {
-            let spec = tree.spec();
-            let n = spec.len();
-            let mut sums = vec![Watts::ZERO; n];
-            for idx in (0..n).rev() {
-                let node = spec.node(idx);
-                if let Some(leaf) = &node.leaf {
-                    sums[idx] =
-                        demands[leaf.server.index()].max(model.cap_min()) * share;
+        for arena in prepared.trees.iter().map(ControlTree::arena) {
+            let index = arena.leaf_index();
+            let mut sums = vec![Watts::ZERO; arena.len()];
+            for slot in 0..index.len() {
+                let (server, _) = index.pair(slot);
+                sums[index.node(slot)] = demands[server.index()].max(model.cap_min()) * share;
+            }
+            // Children have higher indices than their parent; each sum adds
+            // them last child first.
+            for idx in (0..arena.len()).rev() {
+                let children = arena.children_of(idx);
+                if !children.is_empty() {
+                    sums[idx] = children
+                        .iter()
+                        .rev()
+                        .fold(Watts::ZERO, |sum, &c| sum + sums[c as usize]);
                 }
-                if let Some(p) = node.parent {
-                    let s = sums[idx];
-                    sums[p] += s;
-                }
-                if let Some(limit) = node.limit {
-                    if sums[idx] > limit {
-                        return false;
-                    }
+                if arena.limit(idx).is_some_and(|limit| sums[idx] > limit) {
+                    return false;
                 }
             }
-            if sums[spec.root()] > root_budget {
+            if sums.first().is_some_and(|&root| root > root_budget) {
                 return false;
             }
         }

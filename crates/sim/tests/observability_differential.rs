@@ -8,10 +8,10 @@ use std::fmt::Debug;
 use std::hash::Hash;
 use std::sync::Arc;
 
-use capmaestro_core::obs::{MetricsRegistry, RoundPhase};
-use capmaestro_sim::engine::{Engine, Trace};
+use capmaestro_core::obs::{names, MetricsRegistry, RoundPhase};
+use capmaestro_sim::engine::{Engine, Event, Trace};
 use capmaestro_sim::faults::{ChaosConfig, ChaosPlan};
-use capmaestro_sim::scenarios::{priority_rig, RigConfig};
+use capmaestro_sim::scenarios::{datacenter_rig, priority_rig, DataCenterRigConfig, RigConfig};
 use capmaestro_topology::{FeedId, ServerId};
 
 fn assert_series_identical<K: Hash + Eq + Debug>(
@@ -192,4 +192,60 @@ fn scraped_engine_is_bit_identical_to_unscraped_twin() {
         SECONDS.div_ceil(period), // rounds fire at t = 0, 8, …, 56
         "every round must have been published to the serving state"
     );
+}
+
+/// The gather counters count every round's work, a round that reshapes
+/// the tree set included. After a feed fails, the surviving trees'
+/// states are invalidated, so both SPO passes re-summarize every one of
+/// their nodes; after it returns, both passes re-summarize every node of
+/// every tree. The dropped trees' states take their counts with them,
+/// which must not make the cumulative total fall.
+#[test]
+fn a_feed_failure_round_counts_the_nodes_it_re_summarizes() {
+    let config = DataCenterRigConfig {
+        spo: true,
+        ..DataCenterRigConfig::small()
+    };
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut engine = Engine::new(datacenter_rig(&config));
+    engine.plane_mut().set_recorder(registry.clone());
+    let summarized = || {
+        let snap = registry.snapshot();
+        let counter = snap
+            .counters
+            .iter()
+            .find(|c| c.name == names::TREE_NODES_SUMMARIZED_TOTAL);
+        counter.map_or(0, |c| c.value)
+    };
+    let nodes = |engine: &Engine| -> u64 {
+        engine
+            .plane()
+            .trees()
+            .iter()
+            .map(|t| t.arena().len() as u64)
+            .sum()
+    };
+    let period = engine.control_period_s();
+    // Steps into the next round but one with `event` applied the second
+    // before it; returns the nodes that round re-summarized.
+    let round_after = |engine: &mut Engine, event: Event| {
+        let round_at = engine.now_s().next_multiple_of(period) + period;
+        engine.schedule(round_at - 1, event);
+        while engine.now_s() < round_at {
+            engine.step();
+        }
+        let before = summarized();
+        engine.step();
+        summarized() - before
+    };
+    for _ in 0..4 * period {
+        engine.step();
+    }
+    let all = nodes(&engine);
+    let failed = round_after(&mut engine, Event::FailFeed(FeedId::B));
+    let surviving = nodes(&engine);
+    assert!(0 < surviving && surviving < all);
+    assert_eq!(failed, 2 * surviving, "the feed-failure round");
+    let restored = round_after(&mut engine, Event::RestoreFeed(FeedId::B));
+    assert_eq!(restored, 2 * all, "the feed-restore round");
 }

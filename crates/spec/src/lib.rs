@@ -32,7 +32,7 @@ use capmaestro_core::spo::STRAND_EPSILON;
 use capmaestro_core::tree::{ControlTree, SupplyInput};
 use capmaestro_core::{CappingController, DemandEstimator, SampleFate, STALE_AFTER_ROUNDS};
 use capmaestro_server::{SensorSnapshot, ServerPowerModel};
-use capmaestro_topology::{ServerId, SupplyIndex};
+use capmaestro_topology::{ServerId, SpecLeaf, SupplyIndex};
 use capmaestro_units::Watts;
 
 /// One tree's budgets from a round.
@@ -61,15 +61,16 @@ pub struct Round {
 ///
 /// Panics if any leaf lacks a [`SupplyInput`].
 pub fn gather(tree: &ControlTree, policy: &dyn CappingPolicy) -> Vec<PriorityMetrics> {
-    let spec = tree.spec();
-    let n = spec.len();
+    let arena = tree.arena();
+    let n = arena.len();
+    let leaves: BTreeMap<usize, SpecLeaf> = arena.leaves().collect();
     let mut metrics: Vec<PriorityMetrics> = vec![PriorityMetrics::empty(); n];
     for idx in (0..n).rev() {
-        let node = spec.node(idx);
-        if let Some(leaf) = &node.leaf {
-            let input = tree
-                .input_at(idx)
-                .unwrap_or_else(|| panic!("leaf {idx} ({}) has no supply input set", node.name));
+        if let Some(leaf) = leaves.get(&idx) {
+            let input = tree.input_at(idx).unwrap_or_else(|| {
+                let (server, supply) = (leaf.server, leaf.supply);
+                panic!("leaf {idx} ({server} {supply}) has no supply input set")
+            });
             metrics[idx] = PriorityMetrics::from_leaf(&LeafInput {
                 demand: input.demand,
                 cap_min: input.cap_min,
@@ -78,13 +79,13 @@ pub fn gather(tree: &ControlTree, policy: &dyn CappingPolicy) -> Vec<PriorityMet
                 priority: leaf.priority,
             });
         } else {
-            let visibility = policy.visibility(tree.arena().context(idx));
-            let children: Vec<PriorityMetrics> = node
-                .children
+            let visibility = policy.visibility(arena.context(idx));
+            let children: Vec<PriorityMetrics> = arena
+                .children_of(idx)
                 .iter()
-                .map(|&c| seen(&metrics[c], visibility))
+                .map(|&c| seen(&metrics[c as usize], visibility))
                 .collect();
-            metrics[idx] = PriorityMetrics::aggregate(children.iter(), node.limit);
+            metrics[idx] = PriorityMetrics::aggregate(children.iter(), arena.limit(idx));
         }
     }
     metrics
@@ -157,8 +158,8 @@ fn budget_down(
 ) -> TreeBudgets {
     let metrics = gather(tree, policy);
     let arena = tree.arena();
-    let root = tree.spec().root();
-    let mut nodes = vec![Watts::ZERO; tree.spec().len()];
+    let root = 0;
+    let mut nodes = vec![Watts::ZERO; arena.len()];
     nodes[root] = root_budget.min(arena.limit(root).unwrap_or(root_budget));
     let mut unallocated = root_budget - nodes[root];
     for idx in 0..nodes.len() {
@@ -207,10 +208,7 @@ fn collect_server_views(
 ) -> BTreeMap<ServerId, ServerView> {
     let mut views: BTreeMap<ServerId, ServerView> = BTreeMap::new();
     for (tree, budgets) in trees.iter().zip(budgets) {
-        for idx in 0..tree.spec().len() {
-            let Some(leaf) = tree.spec().node(idx).leaf else {
-                continue;
-            };
+        for (idx, leaf) in tree.arena().leaves() {
             let Some(input) = tree.input_at(idx) else {
                 continue;
             };
@@ -261,10 +259,7 @@ fn detect_strands(trees: &[ControlTree], first: &[TreeBudgets]) -> Strands {
 /// Shrinks a tree's stranded leaves' demand and constraint to their
 /// server's achievable consumption: the second pass's inputs.
 fn shrink_stranded_inputs(tree: &mut ControlTree, strands: &Strands) {
-    for idx in 0..tree.spec().len() {
-        let Some(leaf) = tree.spec().node(idx).leaf else {
-            continue;
-        };
+    for (idx, leaf) in tree.arena().leaves().collect::<Vec<_>>() {
         let Some(&(_, actual)) = strands.get(&(leaf.server, leaf.supply)) else {
             continue;
         };
@@ -402,7 +397,7 @@ impl Leaves {
         let allocation = round(&trees, &roots, policy.as_ref(), alloc.as_ref(), config.spo);
         let mut budgets = BTreeMap::new();
         for (tree, split) in trees.iter().zip(&allocation.trees) {
-            for (idx, leaf) in tree.spec().leaves() {
+            for (idx, leaf) in tree.arena().leaves() {
                 let key = (leaf.server, leaf.supply);
                 budgets.entry(key).or_insert(split.nodes[idx]);
             }
@@ -470,7 +465,7 @@ impl FullRound {
             [fields[0], fields[1], fields[2], i.share.as_f64()].map(f64::to_bits)
         };
         for (t, (got, want)) in got.iter().zip(&self.trees).enumerate() {
-            for idx in 0..want.spec().len() {
+            for idx in 0..want.arena().len() {
                 let (got, want) = (got.input_at(idx), want.input_at(idx));
                 let (a, b) = (got.map(input_bits), want.map(input_bits));
                 assert_eq!(a, b, "{at}: tree {t} node {idx}: {got:?} vs {want:?}");
@@ -501,15 +496,17 @@ impl FullRound {
 /// share over leaves), evenly when they have none.
 fn shared_per_phase(trees: &[ControlTree], per_phase: Watts) -> Vec<Watts> {
     let demand = |tree: &ControlTree| -> Watts {
-        let leaves = tree.spec().leaves().filter_map(|(i, _)| tree.input_at(i));
-        leaves.map(|input| input.demand * input.share).sum()
+        let inputs = tree.arena().leaves().filter_map(|(i, _)| tree.input_at(i));
+        inputs.map(|input| input.demand * input.share).sum()
     };
     trees
         .iter()
         .map(|tree| {
-            let phase = tree.spec().phase();
-            let peers: Vec<&ControlTree> =
-                trees.iter().filter(|t| t.spec().phase() == phase).collect();
+            let phase = tree.arena().phase();
+            let peers: Vec<&ControlTree> = trees
+                .iter()
+                .filter(|t| t.arena().phase() == phase)
+                .collect();
             let total: Watts = peers.iter().map(|peer| demand(peer)).sum();
             if total > Watts::ZERO {
                 per_phase * (demand(tree) / total)

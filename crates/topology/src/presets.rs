@@ -319,9 +319,9 @@ mod tests {
         assert_eq!(specs.len(), 1);
         let spec = &specs[0];
         assert_eq!(spec.leaves().count(), 4);
-        assert_eq!(spec.node(spec.root()).limit, Some(Watts::new(1400.0)));
+        assert_eq!(spec.node(0).limit, Some(Watts::new(1400.0)));
         // Two internal children of the root, 750 W each.
-        let root_children = &spec.node(spec.root()).children;
+        let root_children = &spec.node(0).children;
         assert_eq!(root_children.len(), 2);
         for &c in root_children {
             assert_eq!(spec.node(c).limit, Some(Watts::new(750.0)));
@@ -363,8 +363,8 @@ mod tests {
         assert_eq!(specs.len(), 1);
         let spec = &specs[0];
         // Root carries the room limit, each rack node carries 360 W/server.
-        assert_eq!(spec.node(spec.root()).limit, Some(Watts::new(330.0 * 24.0)));
-        let racks = &spec.node(spec.root()).children;
+        assert_eq!(spec.node(0).limit, Some(Watts::new(330.0 * 24.0)));
+        let racks = &spec.node(0).children;
         assert_eq!(racks.len(), 4);
         for &r in racks {
             assert_eq!(spec.node(r).limit, Some(Watts::new(360.0 * 6.0)));

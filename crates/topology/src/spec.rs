@@ -6,8 +6,6 @@
 //! one shifting controller per internal spec node and one capping-controller
 //! binding per leaf (paper §4.1).
 
-use core::fmt;
-
 use capmaestro_units::Watts;
 
 use crate::device::{FeedId, Phase, SupplyIndex};
@@ -37,13 +35,6 @@ pub struct SpecNode {
     pub children: Vec<usize>,
     /// Set when this node is a leaf governing a server power supply.
     pub leaf: Option<SpecLeaf>,
-}
-
-impl SpecNode {
-    /// Whether this node is a leaf (governs a supply).
-    pub fn is_leaf(&self) -> bool {
-        self.leaf.is_some()
-    }
 }
 
 /// A flattened control tree for one (feed, phase) pair.
@@ -113,11 +104,6 @@ impl ControlTreeSpec {
         self.nodes.is_empty()
     }
 
-    /// The root index (always 0 for non-empty specs).
-    pub fn root(&self) -> usize {
-        0
-    }
-
     /// Borrow a node by index.
     ///
     /// # Panics
@@ -147,19 +133,6 @@ impl ControlTreeSpec {
             .iter()
             .enumerate()
             .filter_map(|(i, n)| n.leaf.as_ref().map(|l| (i, l)))
-    }
-}
-
-impl fmt::Display for ControlTreeSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "control tree {} {} ({} nodes, {} leaves)",
-            self.feed,
-            self.phase,
-            self.len(),
-            self.leaves().count()
-        )
     }
 }
 
@@ -209,10 +182,9 @@ mod tests {
     fn construction_and_queries() {
         let spec = sample_spec();
         assert_eq!(spec.len(), 4);
-        assert_eq!(spec.root(), 0);
         assert_eq!(spec.leaves().count(), 2);
-        assert!(!spec.node(0).is_leaf());
-        assert!(spec.node(2).is_leaf());
+        assert!(spec.node(0).leaf.is_none());
+        assert!(spec.node(2).leaf.is_some());
         assert_eq!(spec.node(2).parent, Some(1));
         assert_eq!(spec.node(1).children, vec![2, 3]);
     }
@@ -255,14 +227,5 @@ mod tests {
             children: vec![],
             leaf: None,
         });
-    }
-
-    #[test]
-    fn display() {
-        let spec = sample_spec();
-        assert_eq!(
-            spec.to_string(),
-            "control tree feed A L1 (4 nodes, 2 leaves)"
-        );
     }
 }
