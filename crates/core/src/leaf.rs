@@ -7,6 +7,11 @@
 //! slot-indexed [`LeafTable`]; nothing on the warm path allocates.
 //! DESIGN.md ("Leaf control") has the state diagram.
 //!
+//! Which tree leaves a server's supplies are, and so which budgets become
+//! its cap, is one [`RouteTable`]: the plane's lanes, SPO's strand
+//! detection and a rack's bound leaves all read it, and build and enforce
+//! through [`LeafControl::input`] and [`LeafControl::enforce`].
+//!
 //! The table also knows which leaves a transition could change. A leaf
 //! whose estimator is saturated with its server's reading, which is fresh
 //! and whose last command was a fixed point, is *settled*: on bit-equal
@@ -17,12 +22,13 @@
 
 use std::collections::HashMap;
 
-use capmaestro_server::{SensorSnapshot, ServerPowerModel};
-use capmaestro_topology::ServerId;
+use capmaestro_server::{SensorSnapshot, ServerMut, ServerPowerModel, ServerRef};
+use capmaestro_topology::{ServerId, SupplyIndex};
 use capmaestro_units::{Ratio, Watts};
 
 use crate::capping::CappingController;
 use crate::estimator::{DemandEstimator, SampleFate};
+use crate::tree::{ControlTree, SupplyInput};
 
 /// Consecutive control rounds without a plausible reading before a server
 /// is declared stale. Rounds 1..N are the *stale-hold* bridge: the last
@@ -128,7 +134,7 @@ impl LeafControl {
     /// snapshot (`live` when there is none). In fail-safe the feedback loop
     /// is bypassed and the cap forced to `cap_min`. `None` —
     /// keep the previous cap — when not stale and nothing was budgeted.
-    pub(crate) fn command(
+    fn command(
         &mut self,
         model: ServerPowerModel,
         efficiency: Ratio,
@@ -163,6 +169,49 @@ impl LeafControl {
         Some(cap)
     }
 
+    /// The tree input of supply `supply` of `server`: the demand the last
+    /// [`LeafControl::refresh_demand`] settled on, the server's envelope
+    /// and the supply's share of its load.
+    pub(crate) fn input(&self, server: ServerRef<'_>, supply: SupplyIndex) -> SupplyInput {
+        let model = server.config().model();
+        SupplyInput {
+            demand: self.demand,
+            cap_min: model.cap_min(),
+            cap_max: model.cap_max(),
+            share: server.bank().effective_share(supply.index()),
+        }
+    }
+
+    /// Commands `server`'s cap (see [`LeafControl::command`]) from its run
+    /// of [`RouteTable`] rows: each working supply pairs with its budget
+    /// from the first of its rows (its lowest tree) for which `budget` is
+    /// `Some` (`None`: that tree budgeted nothing this round), and the cap
+    /// lands on the server. Returns the cap commanded.
+    pub(crate) fn enforce(
+        &mut self,
+        server: &mut ServerMut<'_>,
+        run: &[Route],
+        budget: impl Fn(&Route) -> Option<Watts>,
+    ) -> Option<Watts> {
+        let model = server.config().model();
+        let bank = server.bank();
+        let mut paired = None;
+        let budgets = run.iter().filter_map(|row| {
+            if paired == Some(row.supply) {
+                return None;
+            }
+            let watts = budget(row)?;
+            paired = Some(row.supply);
+            let working = bank.effective_share(row.supply.index()).as_f64() > 0.0;
+            working.then_some((row.supply.index(), watts))
+        });
+        let cap = self.command(model, bank.efficiency(), budgets, || server.sense());
+        if let Some(cap) = cap {
+            server.set_dc_cap(cap);
+        }
+        cap
+    }
+
     /// Right after observing `snap` came to `fate`: whether observing it
     /// again would change nothing but the fresh flag — it was accepted (so
     /// it is the held snapshot) and it saturates the estimator.
@@ -179,6 +228,50 @@ impl LeafControl {
                 && bits(&held.dc_power) == bits(&snap.dc_power)
                 && held.throttle.as_f64().to_bits() == snap.throttle.as_f64().to_bits()
         })
+    }
+}
+
+/// One leaf of a tree set: supply `supply` of `server` is leaf slot `slot`
+/// of tree `tree`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Route {
+    pub(crate) server: ServerId,
+    pub(crate) slot: u32,
+    pub(crate) tree: u16,
+    pub(crate) supply: SupplyIndex,
+}
+
+/// Every leaf of a tree set, one [`Route`] each, sorted by `(server,
+/// supply, tree)`: each server's rows form one run, in the order its
+/// budgets pair, its strands sum and its inputs refresh, and a supply's
+/// rows run in tree order, so its first tree to budget it commands it.
+#[derive(Debug, Default)]
+pub(crate) struct RouteTable(Vec<Route>);
+
+impl RouteTable {
+    /// Refills the table with the leaves of `trees`, tree `t` the `t`-th.
+    pub(crate) fn fit<'a>(&mut self, trees: impl IntoIterator<Item = &'a ControlTree>) {
+        let rows = &mut self.0;
+        rows.clear();
+        for (t, tree) in trees.into_iter().enumerate() {
+            let index = tree.arena().leaf_index();
+            let tree = u16::try_from(t).expect("at most 65 536 control trees");
+            rows.extend((0..index.len()).map(|slot| {
+                let (server, supply) = index.pair(slot);
+                Route { server, tree, slot: slot as u32, supply }
+            }));
+        }
+        rows.sort_unstable_by_key(|r| (r.server, r.supply, r.tree, r.slot));
+    }
+
+    /// Every row, in table order.
+    pub(crate) fn rows(&self) -> &[Route] {
+        &self.0
+    }
+
+    /// Each server's run of rows, in server order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = &[Route]> + '_ {
+        self.0.chunk_by(|a, b| a.server == b.server)
     }
 }
 
@@ -238,8 +331,8 @@ fn slots_of(w: usize, mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// One [`LeafControl`] per server slot of its owner: a farm's id-ordered
-/// slots for the plane, a rack's first-bound order for a worker.
+/// One [`LeafControl`] per server slot of its owner, in id order: a farm's
+/// slots for the plane, its [`RouteTable`]'s runs for a rack.
 ///
 /// For the plane it also tracks which leaves are not settled. A leaf out of
 /// `observing` holds its server's current reading, accepted, and its
@@ -658,6 +751,131 @@ mod tests {
         let (mut leaf, _) = settle(380.0, 3);
         assert_eq!(cap(&mut leaf, 0.94, []), None);
         assert!(leaf.fixed);
+    }
+
+    /// A one-level tree over `leaves`, `(server, supply)` each.
+    fn tree_over(leaves: &[(u32, u8)]) -> ControlTree {
+        use capmaestro_topology::{ControlTreeSpec, FeedId, Phase, Priority, SpecLeaf, SpecNode};
+        let mut spec = ControlTreeSpec::new(FeedId::A, Phase::L1);
+        let node = |parent, children, leaf| SpecNode {
+            name: String::new(),
+            limit: None,
+            parent,
+            children,
+            leaf,
+        };
+        spec.push_node(node(None, (1..=leaves.len()).collect(), None));
+        for &(server, supply) in leaves {
+            let (server, supply) = (ServerId(server), SupplyIndex(supply));
+            let leaf = SpecLeaf { server, supply, priority: Priority::LOW };
+            spec.push_node(node(Some(0), Vec::new(), Some(leaf)));
+        }
+        ControlTree::new(spec)
+    }
+
+    proptest::proptest! {
+        /// The route table over random tree sets, each with a tree without
+        /// leaves and a supply under two trees: its rows are exactly the
+        /// trees' leaves, sorted by `(server, supply, tree)`, and each
+        /// supply's first row, the one enforce tries first, is its first
+        /// tree's.
+        #[test]
+        fn the_route_table_holds_every_leaf_in_server_order(
+            sets in proptest::collection::vec(
+                proptest::collection::vec((0u32..12, 0u8..2), 1..10),
+                1..5,
+            ),
+            empty_at in 0usize..5,
+            twin_at in 0usize..6,
+        ) {
+            // A tree holds each supply once, in the order drawn.
+            let mut sets = sets;
+            for set in &mut sets {
+                let mut seen = std::collections::HashSet::new();
+                set.retain(|&leaf| seen.insert(leaf));
+            }
+            let shared = sets[0][0];
+            sets.insert(empty_at.min(sets.len()), Vec::new());
+            sets.insert(twin_at.min(sets.len()), vec![shared]);
+            let trees: Vec<ControlTree> = sets.iter().map(|set| tree_over(set)).collect();
+            let mut table = RouteTable::default();
+            table.fit(&trees);
+            let rows = table.rows();
+
+            let mut want: Vec<(ServerId, SupplyIndex, u16, u32)> = Vec::new();
+            for (t, set) in sets.iter().enumerate() {
+                for (slot, &(server, supply)) in set.iter().enumerate() {
+                    want.push((ServerId(server), SupplyIndex(supply), t as u16, slot as u32));
+                }
+            }
+            let key = |r: &Route| (r.server, r.supply, r.tree, r.slot);
+            let mut got: Vec<_> = rows.iter().map(key).collect();
+            proptest::prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "{:?}", got);
+            got.sort_unstable();
+            want.sort_unstable();
+            proptest::prop_assert_eq!(got, want);
+            for (i, row) in rows.iter().enumerate() {
+                let supply = |r: &Route| (r.server, r.supply);
+                if i > 0 && supply(&rows[i - 1]) == supply(row) {
+                    continue;
+                }
+                let first = rows.iter().filter(|r| supply(r) == supply(row)).map(|r| r.tree).min();
+                proptest::prop_assert_eq!(first, Some(row.tree), "{:?}", row);
+            }
+            let twins = rows.iter().filter(|r| (r.server.0, r.supply.0) == shared).count();
+            proptest::prop_assert!(twins >= 2);
+            let runs: Vec<ServerId> = table.runs().map(|run| run[0].server).collect();
+            proptest::prop_assert!(runs.windows(2).all(|w| w[0] < w[1]), "{:?}", runs);
+            proptest::prop_assert!(table.runs().all(|run| run.iter().all(|r| r.server == run[0].server)));
+        }
+    }
+
+    /// A supply under two trees takes its budget from the first tree that
+    /// budgeted it this round: the lower tree's when it did, else the next
+    /// one's, and a supply no tree budgeted pairs with nothing.
+    #[test]
+    fn enforce_pairs_each_supply_with_its_first_tree_that_budgeted_it() {
+        use crate::plane::Farm;
+        use capmaestro_server::{PsuBank, Server, ServerConfig};
+
+        // Supply 0 of server 1 is under both trees, supply 1 under tree 1.
+        let trees = [tree_over(&[(1, 0)]), tree_over(&[(1, 0), (1, 1)])];
+        let mut table = RouteTable::default();
+        table.fit(&trees);
+        let run = table.rows();
+        assert_eq!(run.len(), 3);
+        let id = ServerId(1);
+        let mut farm = Farm::new();
+        let bank = PsuBank::dual(0.5, Ratio::new(0.94));
+        let mut server = Server::new(ServerConfig::paper_default().with_bank(bank));
+        server.set_offered_demand(Watts::new(420.0));
+        server.settle();
+        farm.insert(id, server);
+
+        let (w, bits) = (Watts::new, |w: Option<Watts>| w.map(|w| w.as_f64().to_bits()));
+        for (tree0, want) in [
+            (Some(w(250.0)), vec![(0, w(250.0)), (1, w(200.0))]),
+            (None, vec![(0, w(300.0)), (1, w(200.0))]),
+        ] {
+            let budget = |row: &Route| match (row.tree, row.slot) {
+                (0, _) => tree0,
+                (_, 0) => Some(w(300.0)),
+                _ => Some(w(200.0)),
+            };
+            let expected = {
+                let server = farm.get(id).expect("inserted");
+                let live = || server.sense();
+                let efficiency = server.bank().efficiency();
+                LeafControl::default().command(model(), efficiency, want.into_iter(), live)
+            };
+            let mut server = farm.get_mut(id).expect("inserted");
+            let cap = LeafControl::default().enforce(&mut server, run, budget);
+            assert!(cap.is_some());
+            assert_eq!(bits(cap), bits(expected));
+            assert_eq!(bits(farm.get(id).expect("inserted").dc_cap()), bits(cap));
+        }
+        let mut server = farm.get_mut(id).expect("inserted");
+        assert_eq!(LeafControl::default().enforce(&mut server, run, |_| None), None);
     }
 
     /// The table against a plain vector of records put through every

@@ -60,25 +60,27 @@ pub const MAX_KEY_BYTES: usize = 128;
 // Operations and envelopes
 // ---------------------------------------------------------------------------
 
-/// One operator mutation. Ids are positional against the live plane
-/// (tree = index into [`ControlPlane::trees`], node = level-order index
-/// into that tree's arena, server = topology [`ServerId`]); an id that
-/// does not resolve at reconciliation time is skipped, not an error —
-/// the log outlives topology changes such as feed failures.
+/// One operator mutation. Ids are positional (tree = position in the tree
+/// set the plane was built with, which a feed outage does not shift; node
+/// = level-order index into that tree's arena; server = topology
+/// [`ServerId`]); an id that does not resolve at reconciliation time (a
+/// parked tree) is skipped, not an error — the log outlives topology
+/// changes such as feed failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Declare one tree's root budget.
     SetTreeBudget {
-        /// Index of the tree in the live plane.
+        /// The tree's position in the plane's built tree set.
         tree: u32,
         /// The declared root budget.
         watts: Watts,
     },
     /// Declare every tree's root budget at once (the legacy
     /// `POST /v1/budget` surface; equivalent to one [`Op::SetTreeBudget`]
-    /// per element).
+    /// per element, element `i` naming tree `i`).
     SetRootBudgets(
-        /// Per-tree budgets, in tree order.
+        /// Per-tree budgets, one per tree the plane was built with, in
+        /// tree-id order.
         Vec<Watts>,
     ),
     /// Declare a priority band for every server under one control-tree
@@ -86,7 +88,7 @@ pub enum Op {
     /// nodes are applied after shallower ones, so the most specific
     /// declared group wins.
     SetGroupPriority {
-        /// Index of the tree in the live plane.
+        /// The tree's position in the plane's built tree set.
         tree: u32,
         /// Level-order arena index of the group's root node.
         node: u32,
@@ -97,7 +99,7 @@ pub enum Op {
     /// (and no other declared group covers) revert to their static
     /// topology priority.
     ClearGroupPriority {
-        /// Index of the tree in the live plane.
+        /// The tree's position in the plane's built tree set.
         tree: u32,
         /// Level-order arena index of the group's root node.
         node: u32,
@@ -293,8 +295,8 @@ pub fn decode_envelope(payload: &[u8]) -> Result<Envelope, WireError> {
 /// every reconciliation plan built from this state) is deterministic.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DesiredState {
-    /// Declared per-tree root budgets (tree index → watts). Trees with
-    /// no entry keep their live budget.
+    /// Declared per-tree root budgets (tree position → watts; see
+    /// [`Op`]). Trees with no entry keep their live budget.
     pub tree_budgets: BTreeMap<u32, Watts>,
     /// Declared group priority bands, `(tree, node)` → band. `Some` is
     /// an active band; `None` records an explicit clear (servers under
@@ -691,9 +693,12 @@ fn servers_under(arena: &TreeArena, node: usize) -> BTreeSet<ServerId> {
 
 /// Diffs declared state against the live plane and farm.
 ///
-/// Ids that no longer resolve (a parked tree, an out-of-range node, a
-/// server the farm never had) are skipped — the declared state simply
-/// has nothing to act on until the topology returns. Group bands are
+/// Tree ids resolve through the positions the plane's trees were built
+/// at, so a feed outage shifts no declared budget or band onto another
+/// feed's tree. Ids that no longer resolve (a parked tree, an
+/// out-of-range node, a server the farm never had) are skipped — the
+/// declared state simply has nothing to act on until the topology
+/// returns. Group bands are
 /// applied in ascending `(tree, node)` order; arenas are level-ordered,
 /// so a deeper (more specific) declared group overrides a shallower one
 /// for the servers both cover.
@@ -705,8 +710,8 @@ pub fn plan(desired: &DesiredState, plane: &ControlPlane, farm: &Farm) -> Reconc
         let live = plane.root_budgets_now();
         let mut target = live.clone();
         for (&tree, &watts) in &desired.tree_budgets {
-            if let Some(slot) = target.get_mut(tree as usize) {
-                *slot = watts;
+            if let Some(live) = plane.live_tree(tree) {
+                target[live] = watts;
             }
         }
         let differs = live
@@ -722,9 +727,10 @@ pub fn plan(desired: &DesiredState, plane: &ControlPlane, farm: &Farm) -> Reconc
     // against what the next round would actually use.
     let mut target: BTreeMap<ServerId, Option<Priority>> = BTreeMap::new();
     for (&(tree, node), &band) in &desired.group_priorities {
-        let Some(control_tree) = plane.trees().get(tree as usize) else {
+        let Some(live) = plane.live_tree(tree) else {
             continue;
         };
+        let control_tree = &plane.trees()[live];
         let arena = control_tree.arena();
         if node as usize >= arena.len() {
             continue;

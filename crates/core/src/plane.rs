@@ -21,11 +21,11 @@ use capmaestro_topology::{FeedId, ServerId, SupplyIndex};
 use capmaestro_units::{Seconds, Watts};
 
 use crate::alloc::AllocatorKind;
-use crate::leaf::{LeafTable, Moved};
+use crate::leaf::{LeafTable, Moved, Route};
 use crate::obs::{names, null_recorder, PhaseTimer, Recorder, RoundPhase};
 use crate::policy::PolicyKind;
 use crate::spo::{optimize_stranded_power_in, SpoScratch};
-use crate::tree::{Allocation, ControlTree, SupplyInput};
+use crate::tree::{Allocation, ControlTree};
 
 /// The population of servers under management, keyed by id.
 ///
@@ -290,10 +290,13 @@ impl PlaneConfig {
 /// lookup probes each allocation's [`LeafIndex`](crate::tree::LeafIndex),
 /// and the enforce pass reads budgets through the plane's slot-indexed
 /// lanes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RoundReport {
     /// Final allocation per tree (post-SPO when enabled).
     pub allocations: Vec<Allocation>,
+    /// Per allocation, its tree's id ([`ControlPlane::built_trees`]): a
+    /// feed outage shifts no id.
+    pub trees: Vec<u32>,
     /// Total stranded power reclaimed this round (zero when SPO is off).
     pub stranded_reclaimed: Watts,
     /// The DC cap commanded this round, per server commanded.
@@ -307,6 +310,7 @@ impl Clone for RoundReport {
     fn clone(&self) -> Self {
         RoundReport {
             allocations: self.allocations.clone(),
+            trees: self.trees.clone(),
             stranded_reclaimed: self.stranded_reclaimed,
             dc_caps: self.dc_caps.clone(),
         }
@@ -314,6 +318,7 @@ impl Clone for RoundReport {
 
     fn clone_from(&mut self, source: &Self) {
         self.allocations.clone_from(&source.allocations);
+        self.trees.clone_from(&source.trees);
         self.stranded_reclaimed = source.stranded_reclaimed;
         self.dc_caps.clone_from(&source.dc_caps);
     }
@@ -431,15 +436,6 @@ impl fmt::Debug for CapMap {
 }
 
 impl RoundReport {
-    /// Empty report, ready to be filled by a round.
-    fn empty() -> Self {
-        RoundReport {
-            allocations: Vec::new(),
-            stranded_reclaimed: Watts::ZERO,
-            dc_caps: CapMap::default(),
-        }
-    }
-
     /// The final budget assigned to a supply, if any tree covers it (the
     /// first such tree, in tree order): at most one leaf-index probe per
     /// tree.
@@ -484,7 +480,7 @@ impl RoundReport {
             name: "capmaestro_report_stranded_watts_reclaimed".to_string(),
             value: self.stranded_reclaimed.as_f64(),
         });
-        for (tree, allocation) in self.allocations.iter().enumerate() {
+        for (tree, allocation) in self.trees.iter().zip(&self.allocations) {
             gauges.push(GaugeSample {
                 name: format!("capmaestro_report_tree_leaf_watts{{tree=\"{tree}\"}}"),
                 value: allocation.total_leaf_budget().as_f64(),
@@ -524,6 +520,7 @@ pub enum BudgetSource {
 /// pass), and the round report itself.
 /// [`ControlPlane::round`] borrows these instead of allocating, so a
 /// steady-state sequential round performs no heap allocation.
+#[derive(Default)]
 struct RoundContext {
     root_budgets: Vec<Watts>,
     /// Per tree, the [`BudgetSource::SharedPerPhase`] demand and the leaf
@@ -541,21 +538,6 @@ struct RoundContext {
     last_gather: (u64, u64),
 }
 
-impl Default for RoundContext {
-    fn default() -> Self {
-        RoundContext {
-            root_budgets: Vec::new(),
-            tree_demands: Vec::new(),
-            phase_members: Vec::new(),
-            spo: SpoScratch::new(),
-            lanes: Lanes::default(),
-            report: RoundReport::empty(),
-            valid: false,
-            last_gather: (0, 0),
-        }
-    }
-}
-
 impl RoundContext {
     /// Drops the cached incremental allocation state (SPO routes, all
     /// per-tree round states and demands, and the lanes) — required when
@@ -567,21 +549,10 @@ impl RoundContext {
     }
 }
 
-/// A server supply's place in the trees: leaf slot `leaf` of tree `tree`.
-#[derive(Debug, Clone, Copy)]
-struct TreeLeaf {
-    leaf: u32,
-    tree: u16,
-    supply: SupplyIndex,
-    /// Whether enforcement reads the supply's budget here: the first tree
-    /// covering the supply wins.
-    budgeted: bool,
-}
-
 /// The round's slot-indexed map between farm slots and tree leaves, both
-/// ways. Rebuilt only when the farm's slot layout or the tree set changes;
-/// in between, a farm slot costs no `Farm::index_of` search and a supply
-/// no hash probe.
+/// ways, over the SPO scratch's route table. Rebuilt only when the farm's
+/// slot layout or the tree set changes; in between, a farm slot costs no
+/// `Farm::index_of` search and a supply no hash probe.
 #[derive(Debug, Default)]
 struct Lanes {
     /// The farm's layout generation the lanes were built over; `None`
@@ -589,58 +560,49 @@ struct Lanes {
     layout: Option<u64>,
     /// Per tree, the farm slot of each leaf slot's server.
     gather: Vec<Vec<u32>>,
-    /// Server slot `i`'s tree leaves are `leaves[starts[i]..starts[i + 1]]`,
-    /// by supply index, then tree index.
+    /// Server slot `i`'s rows of the route table are
+    /// `rows[starts[i]..starts[i + 1]]`.
     starts: Vec<u32>,
-    leaves: Vec<TreeLeaf>,
 }
 
 impl Lanes {
-    /// Rebuilds the lanes over `farm`'s slots.
+    /// Refits `spo`'s route table over `trees` and rebuilds the lanes over
+    /// `farm`'s slots.
     ///
     /// # Panics
     ///
     /// Panics if a tree names a server the farm does not hold.
-    fn rebuild(&mut self, farm: &Farm, trees: &[ControlTree]) {
+    fn rebuild(&mut self, farm: &Farm, trees: &[ControlTree], spo: &mut SpoScratch) {
+        spo.fit_routes(trees);
         self.gather.resize_with(trees.len(), Vec::new);
-        let mut by_slot = Vec::new();
-        for (t, (tree, lane)) in trees.iter().zip(&mut self.gather).enumerate() {
-            let index = tree.arena().leaf_index();
-            let tree = u16::try_from(t).expect("at most 65 536 control trees");
+        for (lane, tree) in self.gather.iter_mut().zip(trees) {
             lane.clear();
-            for leaf in 0..index.len() {
-                let (server, supply) = index.pair(leaf);
-                let slot = farm
-                    .index_of(server)
-                    .unwrap_or_else(|| panic!("tree references unknown {server}"));
-                lane.push(slot as u32);
-                let at = TreeLeaf { leaf: leaf as u32, tree, supply, budgeted: false };
-                by_slot.push((slot as u32, at));
-            }
+            lane.resize(tree.arena().leaf_index().len(), 0);
         }
-        // Stable: among trees covering the same supply, the first stays first.
-        by_slot.sort_by_key(|&(slot, at)| (slot, at.supply));
-        let servers = farm.len();
         self.starts.clear();
-        self.starts.resize(servers + 1, 0);
-        for &(slot, _) in &by_slot {
-            self.starts[slot as usize + 1] += 1;
+        self.starts.resize(farm.len() + 1, 0);
+        // Rows and farm slots are both in id order: one cursor finds each
+        // row's slot.
+        let mut slot = 0;
+        for row in spo.routes().rows() {
+            while farm.ids.get(slot).is_some_and(|&id| id < row.server) {
+                slot += 1;
+            }
+            if farm.ids.get(slot) != Some(&row.server) {
+                panic!("tree references unknown {}", row.server);
+            }
+            self.gather[row.tree as usize][row.slot as usize] = slot as u32;
+            self.starts[slot + 1] += 1;
         }
-        for i in 0..servers {
+        for i in 0..farm.len() {
             self.starts[i + 1] += self.starts[i];
         }
-        self.leaves.clear();
-        let mut last = None;
-        self.leaves.extend(by_slot.into_iter().map(|(slot, at)| {
-            let budgeted = last.replace((slot, at.supply)) != Some((slot, at.supply));
-            TreeLeaf { budgeted, ..at }
-        }));
         self.layout = Some(farm.slab.layout_generation());
     }
 
-    /// Server slot `slot`'s tree leaves.
-    fn of(&self, slot: usize) -> &[TreeLeaf] {
-        &self.leaves[self.starts[slot] as usize..self.starts[slot + 1] as usize]
+    /// Server slot `slot`'s run of the route table's `rows`.
+    fn of<'r>(&self, rows: &'r [Route], slot: usize) -> &'r [Route] {
+        &rows[self.starts[slot] as usize..self.starts[slot + 1] as usize]
     }
 }
 
@@ -679,9 +641,8 @@ fn resolve_root_budgets_into(
                 }
                 *seen = Some(tree.leaf_generation());
                 *total = Watts::ZERO;
-                let index = tree.arena().leaf_index();
-                for slot in 0..index.len() {
-                    if let Some(input) = tree.input_at(index.node(slot)) {
+                for slot in 0..tree.arena().leaf_index().len() {
+                    if let Some(input) = tree.slot_input(slot) {
                         *total += input.demand * input.share;
                     }
                 }
@@ -751,6 +712,9 @@ fn resolve_root_budgets_into(
 #[derive(Debug)]
 pub struct ControlPlane {
     trees: Vec<ControlTree>,
+    /// Per live tree, ascending, its position in the tree set the plane
+    /// was built with: a feed outage shifts the live list, not this.
+    homes: Vec<u32>,
     budget_source: BudgetSource,
     config: PlaneConfig,
     /// Per-server control state, indexed by the farm's server slot.
@@ -758,9 +722,10 @@ pub struct ControlPlane {
     /// Dynamic priority overrides, e.g. from a job scheduler (§7's
     /// "coordination of job scheduling with power management").
     priority_overrides: HashMap<ServerId, capmaestro_topology::Priority>,
-    /// Trees parked by [`ControlPlane::fail_feed`], with their fixed
-    /// budgets where applicable, awaiting [`ControlPlane::restore_feed`].
-    parked: Vec<(ControlTree, Option<Watts>)>,
+    /// Trees parked by [`ControlPlane::fail_feed`], with their homes and
+    /// their fixed budgets where applicable, awaiting
+    /// [`ControlPlane::restore_feed`].
+    parked: Vec<(u32, ControlTree, Option<Watts>)>,
     /// The topology's static priorities, snapshotted at construction so
     /// cleared overrides fall back correctly.
     static_priorities: HashMap<ServerId, capmaestro_topology::Priority>,
@@ -805,6 +770,7 @@ impl ControlPlane {
             }
         }
         ControlPlane {
+            homes: (0..trees.len() as u32).collect(),
             trees,
             budget_source,
             config,
@@ -844,12 +810,6 @@ impl ControlPlane {
     /// budgets, or the demand-proportional split of a shared phase
     /// budget). Exposed for invariant auditing.
     pub fn root_budgets_now(&self) -> Vec<Watts> {
-        self.resolve_root_budgets()
-    }
-
-    /// Resolves the per-tree root budgets for this round (see
-    /// [`resolve_root_budgets_into`]).
-    fn resolve_root_budgets(&self) -> Vec<Watts> {
         let mut out = Vec::new();
         let (mut demands, mut members) = (Vec::new(), Vec::new());
         resolve_root_budgets_into(
@@ -891,6 +851,24 @@ impl ControlPlane {
         self.budget_source = BudgetSource::Fixed(budgets);
     }
 
+    /// The live index of the tree at position `home` of the tree set the
+    /// plane was built with; `None` while its feed is failed.
+    pub(crate) fn live_tree(&self, home: u32) -> Option<usize> {
+        self.homes.binary_search(&home).ok()
+    }
+
+    /// Every tree the plane was built with, parked ones included, in the
+    /// order it was built with them: a tree's position here is its id
+    /// (the one operator requests and [`RoundReport::trees`] name), which
+    /// a feed outage does not shift.
+    pub fn built_trees(&self) -> impl Iterator<Item = &ControlTree> + '_ {
+        let parked = |home| self.parked.iter().find(|p| p.0 == home).map(|p| &p.1);
+        let built = (self.trees.len() + self.parked.len()) as u32;
+        (0..built).filter_map(move |h| {
+            self.live_tree(h).map(|i| &self.trees[i]).or_else(|| parked(h))
+        })
+    }
+
     /// Parks all trees of a failed feed; returns how many were parked.
     /// With [`BudgetSource::Fixed`], callers must also
     /// [`ControlPlane::set_root_budgets`] for the remaining trees and mark
@@ -899,54 +877,43 @@ impl ControlPlane {
     /// budget automatically. [`ControlPlane::restore_feed`] reverses this
     /// after the repair.
     pub fn fail_feed(&mut self, feed: FeedId) -> usize {
-        let mut removed = 0;
-        let mut kept_trees = Vec::new();
-        let mut kept_budgets = Vec::new();
-        let fixed = match &mut self.budget_source {
-            BudgetSource::Fixed(budgets) => Some(std::mem::take(budgets)),
+        let parked = self.parked.len();
+        let mut fixed = match &mut self.budget_source {
+            BudgetSource::Fixed(budgets) => Some(budgets),
             BudgetSource::SharedPerPhase(_) => None,
         };
-        for (i, tree) in self.trees.drain(..).enumerate() {
-            if tree.arena().feed() == feed {
-                removed += 1;
-                self.parked
-                    .push((tree, fixed.as_ref().map(|f| f[i])));
+        let mut i = 0;
+        while i < self.trees.len() {
+            if self.trees[i].arena().feed() == feed {
+                let budget = fixed.as_mut().map(|budgets| budgets.remove(i));
+                self.parked.push((self.homes.remove(i), self.trees.remove(i), budget));
             } else {
-                if let Some(fixed) = &fixed {
-                    kept_budgets.push(fixed[i]);
-                }
-                kept_trees.push(tree);
+                i += 1;
             }
-        }
-        self.trees = kept_trees;
-        if fixed.is_some() {
-            self.budget_source = BudgetSource::Fixed(kept_budgets);
         }
         // Tree indices shifted: the cached routes and incremental gather
         // states no longer line up with the tree list.
         self.ctx.invalidate_allocation_caches();
-        removed
+        self.parked.len() - parked
     }
 
-    /// Returns a repaired feed's parked trees to service; returns how many
-    /// were restored. With [`BudgetSource::Fixed`], each restored tree
-    /// resumes the budget it held when parked (adjust afterwards via
+    /// Returns a repaired feed's parked trees to service, each at the
+    /// position it held among the trees the plane was built with; returns
+    /// how many were restored. With [`BudgetSource::Fixed`], each restored
+    /// tree resumes the budget it held when parked (adjust afterwards via
     /// [`ControlPlane::set_root_budgets`] if the operator re-splits).
     pub fn restore_feed(&mut self, feed: FeedId) -> usize {
         let mut restored = 0;
-        let mut still_parked = Vec::new();
-        for (tree, budget) in self.parked.drain(..) {
-            if tree.arena().feed() == feed {
-                if let BudgetSource::Fixed(budgets) = &mut self.budget_source {
-                    budgets.push(budget.unwrap_or(Watts::ZERO));
-                }
-                self.trees.push(tree);
-                restored += 1;
-            } else {
-                still_parked.push((tree, budget));
+        let returning = self.parked.extract_if(.., |(_, tree, _)| tree.arena().feed() == feed);
+        for (home, tree, budget) in returning {
+            let at = self.homes.partition_point(|&h| h < home);
+            if let BudgetSource::Fixed(budgets) = &mut self.budget_source {
+                budgets.insert(at, budget.unwrap_or(Watts::ZERO));
             }
+            self.trees.insert(at, tree);
+            self.homes.insert(at, home);
+            restored += 1;
         }
-        self.parked = still_parked;
         if restored > 0 {
             self.ctx.invalidate_allocation_caches();
         }
@@ -954,20 +921,18 @@ impl ControlPlane {
     }
 
     /// Overrides a server's priority from now on — the hook a job
-    /// scheduler uses to communicate dynamic priorities (paper §7). Takes
-    /// effect at the next control round.
+    /// scheduler uses to communicate dynamic priorities (paper §7) — or,
+    /// with `None`, removes the override, restoring the topology's static
+    /// priority. Takes effect at the next control round.
     pub fn set_priority(
         &mut self,
         server: ServerId,
-        priority: capmaestro_topology::Priority,
+        priority: Option<capmaestro_topology::Priority>,
     ) {
-        self.priority_overrides.insert(server, priority);
-    }
-
-    /// Removes a dynamic priority override, restoring the topology's
-    /// static priority.
-    pub fn clear_priority(&mut self, server: ServerId) {
-        self.priority_overrides.remove(&server);
+        match priority {
+            Some(priority) => self.priority_overrides.insert(server, priority),
+            None => self.priority_overrides.remove(&server),
+        };
     }
 
     /// The priority the next control round will allocate this server at:
@@ -987,7 +952,7 @@ impl ControlPlane {
     }
 
     /// The topology's static priority for a server, snapshotted at plane
-    /// construction — the value [`ControlPlane::clear_priority`] falls
+    /// construction — what [`ControlPlane::set_priority`] with `None` falls
     /// back to. `None` for servers the plane has never heard of.
     pub(crate) fn static_priority(
         &self,
@@ -1141,48 +1106,36 @@ impl ControlPlane {
         let gather_timer = PhaseTimer::start(recorder, RoundPhase::Gather.metric_name());
         let relaid = self.ctx.lanes.layout != Some(farm.slab.layout_generation());
         if relaid {
-            self.ctx.lanes.rebuild(farm, &self.trees);
+            self.ctx.lanes.rebuild(farm, &self.trees, &mut self.ctx.spo);
             self.ctx.report.dc_caps.reset(farm.ids());
         }
+        if !self.priority_overrides.is_empty() {
+            let (overrides, statics) = (&self.priority_overrides, &self.static_priorities);
+            for tree in &mut self.trees {
+                tree.set_priorities_with(|server| {
+                    overrides.get(&server).copied().unwrap_or_else(|| {
+                        statics
+                            .get(&server)
+                            .copied()
+                            .unwrap_or(capmaestro_topology::Priority::LOW)
+                    })
+                });
+            }
+        }
         {
-            let overrides = &self.priority_overrides;
-            let statics = &self.static_priorities;
-            let farm_ref = &*farm;
-            let leaves = &self.leaves;
-            let lanes = &self.ctx.lanes;
-            let input = |slot: usize, supply: SupplyIndex| {
-                let srv = farm_ref.server_at(slot);
-                let model = srv.config().model();
-                SupplyInput {
-                    demand: leaves.leaf(slot).demand,
-                    cap_min: model.cap_min(),
-                    cap_max: model.cap_max(),
-                    share: srv.bank().effective_share(supply.index()),
+            let (trees, leaves, lanes) = (&mut self.trees, &self.leaves, &self.ctx.lanes);
+            let rows = self.ctx.spo.routes().rows();
+            let mut refresh = |slot: usize| {
+                let leaf = leaves.leaf(slot);
+                for row in lanes.of(rows, slot) {
+                    let input = leaf.input(farm.server_at(slot), row.supply);
+                    trees[row.tree as usize].set_slot_input(row.slot as usize, input);
                 }
             };
-            if !overrides.is_empty() {
-                for tree in &mut self.trees {
-                    tree.set_priorities_with(|server| {
-                        overrides.get(&server).copied().unwrap_or_else(|| {
-                            statics
-                                .get(&server)
-                                .copied()
-                                .unwrap_or(capmaestro_topology::Priority::LOW)
-                        })
-                    });
-                }
-            }
             if relaid {
-                for (tree, lane) in self.trees.iter_mut().zip(&lanes.gather) {
-                    tree.set_slot_inputs_with(|leaf, _, supply| input(lane[leaf] as usize, supply));
-                }
+                (0..farm.len()).for_each(&mut refresh);
             } else {
-                for slot in leaves.visiting() {
-                    for at in lanes.of(slot) {
-                        let tree = &mut self.trees[at.tree as usize];
-                        tree.set_slot_input(at.leaf as usize, input(slot, at.supply));
-                    }
-                }
+                leaves.visiting().for_each(refresh);
             }
         }
         drop(gather_timer);
@@ -1218,6 +1171,7 @@ impl ControlPlane {
             recorder,
         );
         report.stranded_reclaimed = stranded;
+        report.trees.clone_from(&self.homes);
         if recorder.enabled() {
             recorder.gauge_set(
                 names::STRANDED_WATTS_RECLAIMED,
@@ -1243,8 +1197,8 @@ impl ControlPlane {
         //    sensor read — faults must affect enforcement too) and steps
         //    its capping controller; a stale leaf's cap is clamped straight
         //    to the fail-safe demand. Servers outside every tree keep their
-        //    previous cap. Budgets are read through the lanes, and each
-        //    commanded leaf stores its cap in its `dc_caps` slot.
+        //    previous cap. Budgets are read through the route table, and
+        //    each commanded leaf stores its cap in its `dc_caps` slot.
         //    Unless a budget may have moved, only the visited leaves are
         //    commanded: any other one's inputs are bit-equal and its last
         //    command was a fixed point.
@@ -1255,30 +1209,14 @@ impl ControlPlane {
             ..
         } = report;
         let allocations = &*allocations;
-        let Lanes {
-            gather,
-            starts,
-            leaves: tree_leaves,
-            ..
-        } = lanes;
+        let rows = spo.routes().rows();
         let slab = &mut farm.slab;
         let leaves = &mut self.leaves;
         let commanded_leaves = leaves.enforce(relaid || !settled, |slot, leaf| {
-            let mut server = slab.view_mut(slot);
-            let model = server.config().model();
-            let bank = server.bank();
-            let own = &tree_leaves[starts[slot] as usize..starts[slot + 1] as usize];
-            let budgets = own
-                .iter()
-                .filter(|at| at.budgeted && bank.effective_share(at.supply.index()).as_f64() > 0.0)
-                .map(|at| {
-                    let budget = allocations[at.tree as usize].leaf_budget(at.leaf as usize);
-                    (at.supply.index(), budget)
-                });
-            let cap = leaf.command(model, bank.efficiency(), budgets, || server.sense());
-            if let Some(cap) = cap {
-                server.set_dc_cap(cap);
-            }
+            let budget = |row: &Route| {
+                Some(allocations[row.tree as usize].leaf_budget(row.slot as usize))
+            };
+            let cap = leaf.enforce(&mut slab.view_mut(slot), lanes.of(rows, slot), budget);
             dc_caps.set(slot, cap.unwrap_or(Watts::ZERO));
         });
         drop(enforce_timer);
@@ -1293,12 +1231,13 @@ impl ControlPlane {
         // 4. Trace: per-tree counter tracks (root budget, allocated
         //    budget, measured power) plus tree/rack naming, gated behind
         //    `trace_enabled()` so metrics-only and null recorders never
-        //    pay for the tree walk. Iteration order is fixed (trees in
-        //    index order, leaves in slot order), keeping traces of
-        //    deterministic runs deterministic.
+        //    pay for the tree walk. Each tree's tracks carry its id (its
+        //    built position), so a feed outage renames no track. Iteration
+        //    order is fixed (trees in live order, leaves in slot order),
+        //    keeping traces of deterministic runs deterministic.
         if recorder.trace_enabled() {
             for (i, tree) in trees.iter().enumerate() {
-                let tree_id = i as u32;
+                let tree_id = self.homes[i];
                 recorder.trace_tree_meta(tree_id, None, &format!("{tree}"));
                 for (lane, name) in tree.arena().lanes().iter().enumerate() {
                     recorder.trace_tree_meta(tree_id, Some(lane as u32 + 1), name);
@@ -1315,7 +1254,7 @@ impl ControlPlane {
                 );
                 let index = tree.arena().leaf_index();
                 let mut measured = 0.0f64;
-                for (leaf, &slot) in gather[i].iter().enumerate() {
+                for (leaf, &slot) in lanes.gather[i].iter().enumerate() {
                     let (_, supply) = index.pair(leaf);
                     if let Some(snap) = &leaves.leaf(slot as usize).delivered {
                         measured += snap.supply_ac[supply.index()].as_f64();
@@ -1681,10 +1620,10 @@ mod tests {
             let (report, lanes) = (&plane.ctx.report, &plane.ctx.lanes);
             let mut covered = 0usize;
             for (slot, &server) in servers.iter().enumerate() {
-                let own = lanes.of(slot);
+                let own = lanes.of(plane.ctx.spo.routes().rows(), slot);
                 for supply in [SupplyIndex::FIRST, SupplyIndex::SECOND] {
-                    let laned = own.iter().find(|s| s.budgeted && s.supply == supply).map(|s| {
-                        report.allocations[s.tree as usize].leaf_budget(s.leaf as usize)
+                    let laned = own.iter().find(|s| s.supply == supply).map(|s| {
+                        report.allocations[s.tree as usize].leaf_budget(s.slot as usize)
                     });
                     let scanned = report
                         .allocations
@@ -1856,6 +1795,18 @@ mod tests {
             (recovered_cap.as_f64() - healthy_cap.as_f64()).abs() < 0.02 * healthy_cap.as_f64(),
             "cap should recover within 2% of {healthy_cap}, got {recovered_cap}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "tree references unknown server#2")]
+    fn a_tree_naming_a_server_the_farm_lacks_panics() {
+        let (topo, _, mut plane) = fig2_plane(PolicyKind::GlobalPriority);
+        let mut farm = Farm::new();
+        for (id, _) in topo.servers().filter(|(id, _)| *id != ServerId(2)) {
+            farm.insert(id, Server::new(ServerConfig::paper_default().single_corded()));
+        }
+        plane.sample(&mut farm);
+        plane.round(&mut farm);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! path, with or without SPO. Its reference is the test-only
 //! `capmaestro-spec` crate, which runs both passes from scratch.
 
-use capmaestro_topology::{ServerId, SupplyIndex};
 use capmaestro_units::Watts;
 
 use crate::alloc::Allocator;
+use crate::leaf::{Route, RouteTable};
 use crate::obs::{PhaseTimer, Recorder, RoundPhase};
 use crate::policy::CappingPolicy;
 use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
@@ -26,36 +26,26 @@ use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 /// real deployment; numerical noise here).
 pub const STRAND_EPSILON: Watts = Watts::new(0.5);
 
-/// One supply's row in the precomputed SPO routing table: where its leaf
-/// sits, so strand detection walks one flat list instead of rebuilding
-/// hash-keyed views every round.
-#[derive(Debug, Clone, Copy)]
-struct Route {
-    server: ServerId,
-    supply: SupplyIndex,
-    tree: u32,
-    node: u32,
-    slot: u32,
-}
-
-/// Reusable buffers for [`optimize_stranded_power_in`]: precomputed
-/// per-server supply routes, per-tree [`TreeRoundState`]s for both passes,
-/// pass-1 allocations, per-tree input overlays, and the last detection's
+/// Reusable buffers for [`optimize_stranded_power_in`]: the trees' route
+/// table, per-tree [`TreeRoundState`]s for both passes, pass-1
+/// allocations, per-tree input overlays, and the last detection's
 /// stranded total. Keep one per control plane and reuse it across rounds;
 /// steady-state SPO then performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct SpoScratch {
-    /// One row per supply, sorted by `(server, supply)`: each server's
-    /// supplies form one run, in the order the stranded total is summed in.
-    routes: Vec<Route>,
+    /// One row per tree leaf: detection walks one server's run of rows at a
+    /// time and sums the strands in table order. The control plane refits
+    /// it with its lanes and enforces through it.
+    routes: RouteTable,
     states1: Vec<TreeRoundState>,
     states2: Vec<TreeRoundState>,
     /// The `gather_stats` of the round states dropped when the tree set
     /// shrank, so that the cumulative counts never fall.
     retired: (u64, u64),
     first: Vec<Allocation>,
-    /// One node-indexed overlay per tree. Never shortened: a tree set that
-    /// shrinks and grows back refills the vectors it had.
+    /// One slot-indexed overlay per tree, laid out by each detection.
+    /// Never shortened: a tree set that shrinks and grows back refills the
+    /// vectors it had.
     overlays: Vec<Vec<Option<SupplyInput>>>,
     /// The stranded total of the detection `overlays` hold; `None` until
     /// one ran over the current routes.
@@ -72,9 +62,8 @@ impl SpoScratch {
     /// whenever the tree set changes (feed failure / restore): routes are
     /// keyed by tree index and leaf slot.
     pub(crate) fn invalidate(&mut self) {
-        // Empty routes are rebuilt before the next detection.
-        self.routes.clear();
-        self.detected = None;
+        // An empty table is refitted before the next detection.
+        self.fit_routes(&[]);
         for s in &mut self.states1 {
             s.invalidate();
         }
@@ -107,28 +96,16 @@ impl SpoScratch {
         }
     }
 
-    fn rebuild_routes(&mut self, trees: &[ControlTree]) {
-        self.routes.clear();
-        if self.overlays.len() < trees.len() {
-            self.overlays.resize_with(trees.len(), Vec::new);
-        }
-        for (t, (tree, overlay)) in trees.iter().zip(&mut self.overlays).enumerate() {
-            overlay.clear();
-            overlay.resize(tree.arena().len(), None);
-            let leaf_index = tree.arena().leaf_index();
-            for slot in 0..leaf_index.len() {
-                let (server, supply) = leaf_index.pair(slot);
-                self.routes.push(Route {
-                    server,
-                    supply,
-                    tree: t as u32,
-                    node: leaf_index.node(slot) as u32,
-                    slot: slot as u32,
-                });
-            }
-        }
-        self.routes.sort_unstable_by_key(|r| (r.server, r.supply, r.tree));
+    /// Refits the route table over `trees`; the next SPO pass detects
+    /// afresh.
+    pub(crate) fn fit_routes(&mut self, trees: &[ControlTree]) {
+        self.routes.fit(trees);
         self.detected = None;
+    }
+
+    /// The route table over the trees of the last round.
+    pub(crate) fn routes(&self) -> &RouteTable {
+        &self.routes
     }
 }
 
@@ -140,7 +117,7 @@ impl SpoScratch {
 /// cover the same control period (in a redundant data center, the
 /// per-feed trees of one phase). Writes the final allocations into `out`
 /// (buffers reused) and returns the stranded power detected after pass 1,
-/// summed in `(server, supply)` order, beside whether the final pass
+/// summed in `(server, supply, tree)` order, beside whether the final pass
 /// (pass 2, or pass 1 without reclaim) re-split nothing in any tree, so
 /// that every final leaf budget is the one of the round before.
 ///
@@ -148,8 +125,9 @@ impl SpoScratch {
 /// `out`, the Spo phase records zero and the stranded power is zero.
 ///
 /// Both passes run through [`ControlTree::allocate_in`] with round states
-/// held in `scratch`, strand detection walks precomputed per-server
-/// routes, and the pass-2 input shrink is an overlay on the trees. When
+/// held in `scratch`, strand detection walks the trees' route table one
+/// server at a time, and the pass-2 input shrink is an overlay on the
+/// trees. When
 /// pass 1 changed nothing — no summary recomputed, no budget moved, in
 /// any tree — the strands are those of the last detection: detection is
 /// skipped, its overlays and total reused, and pass 2 skips its gather
@@ -270,8 +248,8 @@ pub fn optimize_stranded_power_in(
     let spo_timer = PhaseTimer::start(recorder, RoundPhase::Spo.metric_name());
     // A tree set without leaves rebuilds its empty routes every round,
     // which costs nothing.
-    if scratch.routes.is_empty() {
-        scratch.rebuild_routes(trees);
+    if scratch.routes.rows().is_empty() {
+        scratch.fit_routes(trees);
     }
 
     let total = match scratch.detected {
@@ -300,23 +278,30 @@ pub fn optimize_stranded_power_in(
     (total, settled)
 }
 
-/// Strand detection over the precomputed routes into `scratch.overlays`,
-/// one server's run of routes at a time: per server, its demand clamped by
-/// its most constrained supply (budget ÷ share); per supply, the budget
-/// above that share of it. Returns the stranded total, summed in route
-/// order, which is `(server, supply)` order.
+/// Strand detection over the route table into `scratch.overlays`, one
+/// server's run of rows at a time: per server, its demand clamped by its
+/// most constrained supply (budget ÷ share); per supply, the budget above
+/// that share of it. Returns the stranded total, summed in table order,
+/// which is `(server, supply, tree)` order.
 fn detect_strands_in(trees: &[ControlTree], scratch: &mut SpoScratch) -> Watts {
-    for overlay in &mut scratch.overlays[..trees.len()] {
-        overlay.iter_mut().for_each(|o| *o = None);
+    let SpoScratch { routes, first, overlays, .. } = scratch;
+    if overlays.len() < trees.len() {
+        overlays.resize_with(trees.len(), Vec::new);
     }
+    for (tree, overlay) in trees.iter().zip(overlays.iter_mut()) {
+        overlay.clear();
+        overlay.resize(tree.arena().leaf_index().len(), None);
+    }
+    let input = |r: &Route| trees[r.tree as usize].slot_input(r.slot as usize);
+    let budget = |r: &Route| first[r.tree as usize].leaf_budget(r.slot as usize);
     let mut total = Watts::ZERO;
-    for supplies in scratch.routes.chunk_by(|a, b| a.server == b.server) {
+    for supplies in routes.runs() {
         let mut demand = Watts::ZERO;
         let mut cap_min = Watts::ZERO;
         let mut limit = f64::INFINITY;
         let mut any_input = false;
         for s in supplies {
-            let Some(input) = trees[s.tree as usize].input_at(s.node as usize) else {
+            let Some(input) = input(s) else {
                 continue;
             };
             any_input = true;
@@ -324,8 +309,7 @@ fn detect_strands_in(trees: &[ControlTree], scratch: &mut SpoScratch) -> Watts {
             cap_min = cap_min.max(input.cap_min);
             let share = input.share.as_f64();
             if share > 0.0 {
-                let budget = scratch.first[s.tree as usize].leaf_budget(s.slot as usize);
-                limit = limit.min(budget.as_f64() / share);
+                limit = limit.min(budget(s).as_f64() / share);
             }
         }
         if !any_input {
@@ -338,15 +322,14 @@ fn detect_strands_in(trees: &[ControlTree], scratch: &mut SpoScratch) -> Watts {
             demand
         };
         for s in supplies {
-            let Some(&input) = trees[s.tree as usize].input_at(s.node as usize) else {
+            let Some(&input) = input(s) else {
                 continue;
             };
-            let budget = scratch.first[s.tree as usize].leaf_budget(s.slot as usize);
             let usable = actual * input.share.as_f64();
-            let strand = budget.saturating_sub(usable);
+            let strand = budget(s).saturating_sub(usable);
             if strand > STRAND_EPSILON {
                 total += strand;
-                scratch.overlays[s.tree as usize][s.node as usize] = Some(SupplyInput {
+                overlays[s.tree as usize][s.slot as usize] = Some(SupplyInput {
                     demand: actual,
                     cap_max: actual.max(input.cap_min),
                     ..input
@@ -363,6 +346,7 @@ mod tests {
 
     use super::*;
     use crate::alloc::WaterfallAllocator;
+    use capmaestro_topology::{ServerId, SupplyIndex};
     use crate::policy::GlobalPriority;
     use capmaestro_topology::presets::figure7a_rig;
     use capmaestro_topology::Topology;
@@ -574,7 +558,7 @@ mod tests {
         for (tree, alloc) in trees.iter().zip(allocations) {
             let index = tree.arena().leaf_index();
             for slot in 0..index.len() {
-                let input = tree.input_at(index.node(slot)).unwrap();
+                let input = tree.slot_input(slot).unwrap();
                 let (demand, limit) = servers
                     .entry(index.pair(slot).0)
                     .or_insert((Watts::ZERO, f64::INFINITY));

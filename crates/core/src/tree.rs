@@ -526,7 +526,7 @@ fn set_budget(budgets: &mut [Watts], resplit: &mut [bool], idx: usize, budget: W
 /// ```
 #[derive(Debug, Clone)]
 pub struct ControlTree {
-    /// Per node; set at leaves only.
+    /// Per leaf slot (see [`LeafIndex`]).
     inputs: Vec<Option<SupplyInput>>,
     arena: TreeArena,
     /// Bumped when a leaf's input or priority actually changes value.
@@ -539,9 +539,10 @@ impl ControlTree {
     /// [`SupplyInput`] before [`ControlTree::allocate`]. The spec is
     /// dropped once the arena is built from it.
     pub fn new(spec: ControlTreeSpec) -> Self {
+        let arena = TreeArena::build(&spec);
         ControlTree {
-            inputs: vec![None; spec.len()],
-            arena: TreeArena::build(&spec),
+            inputs: vec![None; arena.leaf_index.len()],
+            arena,
             generation: 0,
         }
     }
@@ -550,21 +551,13 @@ impl ControlTree {
     /// for homogeneous test rigs.
     pub fn with_uniform(spec: ControlTreeSpec, input: SupplyInput) -> Self {
         let mut tree = ControlTree::new(spec);
-        tree.set_slot_inputs_with(|_, _, _| input);
+        tree.set_inputs_with(|_, _| input);
         tree
     }
 
     /// The flat arena view of this tree.
     pub fn arena(&self) -> &TreeArena {
         &self.arena
-    }
-
-    /// Sets the input of the leaf at node `idx`.
-    pub(crate) fn set_input_at(&mut self, idx: usize, input: SupplyInput) {
-        if self.inputs[idx] != Some(input) {
-            self.inputs[idx] = Some(input);
-            self.generation += 1;
-        }
     }
 
     /// Sets the input for a server supply. Returns `false` if the supply is
@@ -577,35 +570,28 @@ impl ControlTree {
     ) -> bool {
         match self.arena.leaf_index.slot(server, supply) {
             Some(slot) => {
-                let idx = self.arena.leaf_index.node(slot);
-                self.set_input_at(idx, input);
+                self.set_slot_input(slot, input);
                 true
             }
             None => false,
         }
     }
 
-    /// Sets inputs for all leaves from a callback.
+    /// Sets inputs for all leaves from a callback, in slot order.
     pub fn set_inputs_with(&mut self, mut f: impl FnMut(ServerId, SupplyIndex) -> SupplyInput) {
-        self.set_slot_inputs_with(|_, server, supply| f(server, supply));
-    }
-
-    /// Sets inputs for all leaves from a callback given each leaf's slot
-    /// (see [`LeafIndex`]), in slot order.
-    pub(crate) fn set_slot_inputs_with(
-        &mut self,
-        mut f: impl FnMut(usize, ServerId, SupplyIndex) -> SupplyInput,
-    ) {
         for slot in 0..self.arena.leaf_index.len() {
             let (server, supply) = self.arena.leaf_index.pair(slot);
-            let input = f(slot, server, supply);
-            self.set_slot_input(slot, input);
+            self.set_slot_input(slot, f(server, supply));
         }
     }
 
-    /// Sets the input of the leaf at `slot` (see [`LeafIndex`]).
+    /// Sets the input of the leaf at `slot` (see [`LeafIndex`]): the one
+    /// writer of the tree's inputs.
     pub(crate) fn set_slot_input(&mut self, slot: usize, input: SupplyInput) {
-        self.set_input_at(self.arena.leaf_index.node(slot), input);
+        if self.inputs[slot] != Some(input) {
+            self.inputs[slot] = Some(input);
+            self.generation += 1;
+        }
     }
 
     /// Moves whenever a leaf's input or priority changes value: equal
@@ -614,9 +600,9 @@ impl ControlTree {
         self.generation
     }
 
-    /// The input currently set for a leaf node index.
-    pub fn input_at(&self, idx: usize) -> Option<&SupplyInput> {
-        self.inputs.get(idx).and_then(|i| i.as_ref())
+    /// The input currently set for the leaf at `slot` (see [`LeafIndex`]).
+    pub fn slot_input(&self, slot: usize) -> Option<&SupplyInput> {
+        self.inputs.get(slot).and_then(|i| i.as_ref())
     }
 
     /// Overrides leaf priorities in place. Monte-Carlo capacity trials use
@@ -728,16 +714,16 @@ impl ControlTree {
     /// state's last gather, the walk itself is skipped. Returns the root's
     /// summary.
     ///
-    /// `overlay`, when present, is a node-indexed slice of per-leaf input
+    /// `overlay`, when present, is a slot-indexed slice of per-leaf input
     /// replacements (used by the stranded-power optimizer's second pass):
-    /// `Some(input)` at a leaf overrides the tree's stored input for this
-    /// call only, without touching the tree.
+    /// `Some(input)` at a leaf slot overrides the tree's stored input for
+    /// this call only, without touching the tree.
     ///
     /// # Panics
     ///
     /// Panics if the tree is empty, any leaf the walk reaches lacks an
-    /// input, or `overlay` is present with a length other than
-    /// `arena().len()`.
+    /// input, or `overlay` is present with a length other than the leaf
+    /// count.
     pub fn gather_in<'s>(
         &self,
         policy: &dyn CappingPolicy,
@@ -747,7 +733,7 @@ impl ControlTree {
         assert!(!self.arena.is_empty(), "cannot allocate over an empty tree");
         let n = self.arena.len();
         if let Some(o) = overlay {
-            assert_eq!(o.len(), n, "overlay must be node-indexed");
+            assert_eq!(o.len(), self.inputs.len(), "overlay must be slot-indexed");
         }
         // (Re)shape the state and flag every node on the first gather,
         // after an invalidation, or on a tree or policy change, so the
@@ -777,7 +763,13 @@ impl ControlTree {
 
         // Gather children (higher indices) first. A recomputed summary
         // flags its node for the next budget_in, and so its parent here.
+        // Slots are in node order, so the reverse walk meets the leaves in
+        // descending slot order, pinned and `Below` ones included: `slot`
+        // is the cursor that follows it.
+        let mut slot = self.inputs.len();
         for idx in (0..n).rev() {
+            let priority = self.arena.priorities[idx];
+            slot -= usize::from(priority.is_some());
             match state.pin_at(idx) {
                 Pin::Free => {}
                 Pin::Below => continue,
@@ -787,13 +779,13 @@ impl ControlTree {
                     continue;
                 }
             }
-            if let Some(priority) = self.arena.priorities[idx] {
-                let base = self.inputs[idx];
+            if let Some(priority) = priority {
+                let base = self.inputs[slot];
                 let effective = match overlay {
-                    Some(o) => o[idx].or(base),
+                    Some(o) => o[slot].or(base),
                     None => base,
                 };
-                let input = effective.unwrap_or_else(|| self.missing_input(idx));
+                let input = effective.unwrap_or_else(|| self.missing_input(slot));
                 // The stored summary is the change witness: rewriting it
                 // from the current input reports whether its value moved.
                 let changed = PriorityMetrics::from_leaf_into(
@@ -841,15 +833,13 @@ impl ControlTree {
         &state.metrics[ROOT]
     }
 
-    /// The gather's panic for a leaf that has no input, naming it by server
-    /// and supply.
+    /// The gather's panic for the leaf at `slot`, which has no input,
+    /// naming it by node, server and supply.
     #[cold]
-    fn missing_input(&self, idx: usize) -> ! {
-        let leaf = self.arena.leaf(idx).expect("only leaves take inputs");
-        panic!(
-            "leaf {idx} ({} {}) has no supply input set",
-            leaf.server, leaf.supply
-        )
+    fn missing_input(&self, slot: usize) -> ! {
+        let index = &self.arena.leaf_index;
+        let (server, supply) = index.pair(slot);
+        panic!("leaf {} ({server} {supply}) has no supply input set", index.node(slot))
     }
 
     /// The budget-down half of a round (paper §4.3.2): distributes

@@ -43,7 +43,7 @@ use capmaestro_topology::{ControlTreeSpec, Priority, ServerId, SpecNode, SupplyI
 use capmaestro_units::{Ratio, Seconds, Watts};
 
 use crate::alloc::AllocatorKind;
-use crate::leaf::{LeafTable, STALE_AFTER_ROUNDS};
+use crate::leaf::{LeafTable, Route, RouteTable, STALE_AFTER_ROUNDS};
 use crate::metrics::PriorityMetrics;
 use crate::obs::{names, null_recorder, Recorder};
 use crate::policy::{CappingPolicy, PolicyKind};
@@ -619,7 +619,7 @@ impl CutWalk {
     /// about the leaf) pins it to an empty summary, and no budget, for good.
     fn set_leaf(&mut self, k: usize, input: Option<SupplyInput>) {
         match input {
-            Some(input) => self.tree.set_input_at(k + 1, input),
+            Some(input) => self.tree.set_slot_input(k, input),
             None => self.tree.pin(&mut self.state, k + 1, &PriorityMetrics::empty()),
         }
     }
@@ -1088,9 +1088,6 @@ impl WorkerDeployment {
     }
 }
 
-/// One of a server's leaves under a rack's cuts: `(walk, leaf slot, supply)`.
-type BoundLeaf = (usize, usize, SupplyIndex);
-
 /// The rack-side controller state, shared verbatim by the in-process
 /// worker threads and the out-of-process agent binary — the transports can
 /// only differ in *when* messages arrive, never in what a gather or an
@@ -1106,11 +1103,14 @@ pub struct RackWorker {
     allocator: AllocatorKind,
     /// One subtree walk per owned cut, aligned with `assignment.cuts`.
     walks: Vec<CutWalk>,
-    /// Every server bound under an owned cut with its leaves, in
-    /// first-bound order; a server's position is its slot.
-    servers: Vec<(ServerId, Vec<BoundLeaf>)>,
-    /// Per-server control state, by slot, laid out by the first gather:
-    /// read from the rack's own sensors, so never screened and never stale.
+    /// The walks' leaves: a server's run of rows is its slot's bound
+    /// leaves, tree `w` the `w`-th walk. Cuts ascend ([`rack_assignments`]),
+    /// so a supply under two trees takes the lower one's budget, as in the
+    /// plane.
+    routes: RouteTable,
+    /// Per-server control state, one slot per run of `routes`, laid out by
+    /// the first gather: read from the rack's own sensors, so never
+    /// screened and never stale.
     leaves: LeafTable,
     /// Whether any gather has run: budgets can only be split over
     /// gathered metrics.
@@ -1128,25 +1128,20 @@ impl RackWorker {
         policy: PolicyKind,
     ) -> Self {
         let trees = trees.as_ref();
-        let mut walks = Vec::with_capacity(assignment.cuts.len());
-        let mut servers: Vec<(ServerId, Vec<BoundLeaf>)> = Vec::new();
-        let mut server_slot: HashMap<ServerId, usize> = HashMap::new();
-        for (w, ((t, cut), leaves)) in assignment.cuts.iter().enumerate() {
-            walks.push(CutWalk::new(&trees[*t], *cut, leaves));
-            for (k, &(_, server, supply)) in leaves.iter().enumerate() {
-                let slot = *server_slot.entry(server).or_insert_with(|| {
-                    servers.push((server, Vec::new()));
-                    servers.len() - 1
-                });
-                servers[slot].1.push((w, k, supply));
-            }
-        }
+        debug_assert!(assignment.cuts.is_sorted_by_key(|(cut, _)| *cut));
+        let walks: Vec<CutWalk> = assignment
+            .cuts
+            .iter()
+            .map(|((t, cut), leaves)| CutWalk::new(&trees[*t], *cut, leaves))
+            .collect();
+        let mut routes = RouteTable::default();
+        routes.fit(walks.iter().map(|walk| &walk.tree));
         RackWorker {
             assignment,
             policy,
             allocator: AllocatorKind::default(),
             walks,
-            servers,
+            routes,
             leaves: LeafTable::default(),
             gathered: false,
         }
@@ -1167,24 +1162,20 @@ impl RackWorker {
         // rig-wide trees are freed by then, so the table fills their hole
         // instead of raising the process's peak memory. The server list
         // never changes, so one key lays it out once.
-        self.leaves.fit(0, self.servers.iter().map(|(id, _)| *id));
-        for (slot, (server, bound)) in self.servers.iter().enumerate() {
-            let sensed = farm.get(*server).map(|srv| (srv, srv.sense()));
-            for &(w, k, supply) in bound {
+        let RackWorker { routes, leaves, walks, .. } = self;
+        leaves.fit(0, routes.runs().map(|run| run[0].server));
+        for (slot, run) in routes.runs().enumerate() {
+            let sensed = farm.get(run[0].server).map(|srv| (srv, srv.sense()));
+            for row in run {
                 // One observation per bound leaf: a server dual-corded
                 // under this rack advances its window twice a gather.
-                let input = sensed.as_ref().map(|(srv, snap)| {
-                    let model = srv.config().model();
-                    let leaf = self.leaves.leaf_mut(slot);
+                let input = sensed.as_ref().map(|&(srv, ref snap)| {
+                    let leaf = leaves.leaf_mut(slot);
                     leaf.observe_local(snap);
-                    SupplyInput {
-                        demand: leaf.refresh_demand(model, || snap.total_ac),
-                        cap_min: model.cap_min(),
-                        cap_max: model.cap_max(),
-                        share: srv.bank().effective_share(supply.index()),
-                    }
+                    leaf.refresh_demand(srv.config().model(), || snap.total_ac);
+                    leaf.input(srv, row.supply)
                 });
-                self.walks[w].set_leaf(k, input);
+                walks[row.tree as usize].set_leaf(row.slot as usize, input);
             }
         }
         let policy = self.policy.policy();
@@ -1213,21 +1204,13 @@ impl RackWorker {
         }
         // Enforce caps on our servers.
         let walks = &self.walks;
-        for (slot, (server, bound)) in self.servers.iter().enumerate() {
-            let Some(mut srv) = farm.get_mut(*server) else {
-                continue;
-            };
-            let bank = srv.bank();
-            let budgets = bound
-                .iter()
-                .filter(|&&(w, _, supply)| {
-                    walks[w].budgeted && bank.effective_share(supply.index()).as_f64() > 0.0
-                })
-                .map(|&(w, k, supply)| (supply.index(), walks[w].out.leaf_budget(k)));
-            let (leaf, model) = (self.leaves.leaf_mut(slot), srv.config().model());
-            let cap = leaf.command(model, bank.efficiency(), budgets, || srv.sense());
-            if let Some(cap) = cap {
-                srv.set_dc_cap(cap);
+        let budget = |row: &Route| {
+            let walk = &walks[row.tree as usize];
+            walk.budgeted.then(|| walk.out.leaf_budget(row.slot as usize))
+        };
+        for (slot, run) in self.routes.runs().enumerate() {
+            if let Some(mut srv) = farm.get_mut(run[0].server) {
+                self.leaves.leaf_mut(slot).enforce(&mut srv, run, budget);
             }
         }
     }

@@ -20,6 +20,11 @@
 //! key and the same body answers the original event's sequence number
 //! without appending; the same key with a *different* body is a `409`.
 //!
+//! A tree id (`{id}`, `{tree}`, and an entry's position in the
+//! `/v1/budget` array) is the tree's position in the set the plane was
+//! built with: a feed outage parks trees but shifts no id, and
+//! `/v1/report` labels its trees by the same ids.
+//!
 //! Every endpoint lives under `/v1`; any other path answers `404`. Known
 //! paths with the wrong method answer `405` with an `Allow` header naming
 //! the accepted method.

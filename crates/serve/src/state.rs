@@ -43,7 +43,8 @@ struct HealthInner {
     /// Rack workers currently budgeted from fail-safe metrics
     /// (distributed deployments only; always 0 for an in-process engine).
     stale_racks: usize,
-    /// Number of control trees (the expected budget arity).
+    /// Number of control trees the plane was built with, parked ones
+    /// included: the tree-id range and the expected budget arity.
     trees: usize,
     /// Sequence number of the newest oplog event.
     oplog_head: u64,
@@ -73,7 +74,8 @@ pub struct HealthSnapshot {
     /// Count of rack workers riding fail-safe budgets (partitioned or
     /// silent agents in a distributed deployment).
     pub stale_racks: usize,
-    /// Number of control trees.
+    /// Number of control trees the plane was built with (parked trees
+    /// included): tree ids run `0..trees`.
     pub trees: usize,
     /// Sequence number of the newest operator event.
     pub oplog_head: u64,
@@ -152,7 +154,7 @@ pub enum OpRejection {
         /// The specific budget failure.
         BudgetError,
     ),
-    /// The tree index does not exist in the live plane.
+    /// The tree id names no tree the plane was built with.
     UnknownTree {
         /// The requested tree index.
         tree: u32,
@@ -226,7 +228,8 @@ impl Error for OpRejection {}
 /// thread so handlers can reject impossible mutations synchronously.
 #[derive(Debug, Default)]
 struct OperatorCaps {
-    /// Per-tree arena node counts (group addressing bounds).
+    /// Per-tree arena node counts (group addressing bounds), by tree id:
+    /// every tree the plane was built with, parked ones included.
     group_nodes: Vec<usize>,
     /// Sorted server ids in the farm (drain addressing).
     servers: Vec<ServerId>,
@@ -373,7 +376,7 @@ impl ServeState {
             let mut health = self.health_lock();
             health.sim_seconds = engine.now_s();
             health.stale_servers = engine.plane().stale_count();
-            health.trees = engine.plane().trees().len();
+            health.trees = engine.plane().built_trees().count();
             if round_ran {
                 health.rounds_total += 1;
                 health.last_round = Some(Instant::now());
@@ -382,15 +385,10 @@ impl ServeState {
         if round_ran {
             {
                 let mut caps = self.caps.write().unwrap_or_else(|p| p.into_inner());
-                let trees = engine.plane().trees();
-                if caps.group_nodes.len() != trees.len()
-                    || caps
-                        .group_nodes
-                        .iter()
-                        .zip(trees)
-                        .any(|(&n, t)| n != t.arena().len())
-                {
-                    caps.group_nodes = trees.iter().map(|t| t.arena().len()).collect();
+                // The built tree set is fixed after construction.
+                if caps.group_nodes.is_empty() {
+                    let trees = engine.plane().built_trees();
+                    caps.group_nodes = trees.map(|t| t.arena().len()).collect();
                 }
                 // Farm membership is fixed after construction.
                 if caps.servers.len() != engine.farm().ids().len() {
@@ -496,8 +494,9 @@ impl ServeState {
     }
 
     /// Validate and append a full root-budget vector (the legacy
-    /// `POST /v1/budget` shape: raw watts, one per tree). The event is
-    /// applied by the reconciler at the next round boundary.
+    /// `POST /v1/budget` shape: raw watts, one per tree id, so a parked
+    /// tree's entry waits for its feed to return). The event is applied
+    /// by the reconciler at the next round boundary.
     pub(crate) fn stage_budgets(
         &self,
         budgets: &[f64],

@@ -11,8 +11,9 @@ use capmaestro_serve::client;
 use capmaestro_serve::daemon::drive_second;
 use capmaestro_serve::{HttpConfig, HttpServer, Router, ServeState};
 use capmaestro_sim::scenarios::{priority_rig, stranded_rig, RigConfig};
-use capmaestro_sim::Engine;
-use capmaestro_topology::Priority;
+use capmaestro_sim::{Engine, Event};
+use capmaestro_topology::{FeedId, Priority};
+use capmaestro_units::Watts;
 
 /// An engine + serve stack on an ephemeral port, as in http_endpoints.rs.
 struct Stack {
@@ -125,6 +126,44 @@ fn tree_budget_put_lands_at_the_next_round_boundary_and_only_on_that_tree() {
     let after = stack.engine.plane().root_budgets_now();
     assert_eq!(after[0].as_f64(), 700.0);
     assert_eq!(after[1].as_f64(), 640.0);
+}
+
+/// Tree ids name a tree's position in the set the plane was built with
+/// on every surface, so a feed outage moves no budget onto another feed's
+/// tree: `POST /v1/budget` still takes one entry per tree, the parked
+/// tree's entry waits for its feed, `PUT /v1/trees/1/budget` still
+/// addresses feed B's tree, and `/v1/report` labels that tree `1`.
+#[test]
+fn budgets_posted_during_a_feed_outage_land_on_the_trees_they_name() {
+    let mut stack = Stack::stranded();
+    stack.engine.schedule(1, Event::FailFeed(FeedId::A));
+    stack.drive(9); // rounds at t=0 and t=8; feed A fails at t=1
+    assert_eq!(stack.engine.plane().root_budgets_now(), [Watts::new(700.0)]);
+    assert_eq!(stack.state.health().trees, 2);
+    let addr = stack.addr();
+
+    let short = client::post(&addr, "/v1/budget", b"[650]").expect("one-entry budget");
+    assert_eq!(short.status, 400, "one entry per built tree is required");
+    let posted = client::post(&addr, "/v1/budget", b"[600, 650]").expect("post budgets");
+    assert_eq!(posted.status, 200, "{:?}", posted.body_str());
+    stack.drive(8); // reconciled at t=16
+    assert_eq!(stack.engine.plane().root_budgets_now(), [Watts::new(650.0)]);
+
+    let put = client::put(&addr, "/v1/trees/1/budget", &[], b"640").expect("put tree 1");
+    assert_eq!(put.status, 200, "{:?}", put.body_str());
+    stack.drive(8); // reconciled at t=24
+    assert_eq!(stack.engine.plane().root_budgets_now(), [Watts::new(640.0)]);
+    let report = client::get(&addr, "/v1/report").expect("report");
+    let report = report.body_str().expect("utf-8");
+    assert!(report.contains(r#"tree_root_watts{tree=\"1\"}", "value": 640}"#), "{report}");
+    assert!(!report.contains(r#"{tree=\"0\"}"#), "{report}");
+
+    stack.engine.schedule(26, Event::RestoreFeed(FeedId::A));
+    stack.drive(8); // feed A back at t=26, reconciled at t=32
+    assert_eq!(
+        stack.engine.plane().root_budgets_now(),
+        [Watts::new(600.0), Watts::new(640.0)]
+    );
 }
 
 #[test]

@@ -707,10 +707,7 @@ impl Engine {
             applied += 1;
         }
         for &(server, priority) in &plan.priorities {
-            match priority {
-                Some(p) => self.plane.set_priority(server, p),
-                None => self.plane.clear_priority(server),
-            }
+            self.plane.set_priority(server, priority);
             applied += 1;
         }
         for &(server, powered) in &plan.power {
@@ -808,7 +805,7 @@ impl Engine {
                 }
             }
             Event::SetPriority(server, priority) => {
-                self.plane.set_priority(server, priority);
+                self.plane.set_priority(server, Some(priority));
             }
             Event::FailSupply(server, supply) => {
                 if let Some(mut srv) = self.farm.get_mut(server) {

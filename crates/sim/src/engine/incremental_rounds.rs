@@ -155,7 +155,9 @@ impl Harness {
                 self.faults.start_flap(feed, members, spec, self.now);
             }
             Event::StopFlap(feed) => self.faults.stop_flap(feed),
-            Event::SetPriority(server, priority) => self.plane.set_priority(server, priority),
+            Event::SetPriority(server, priority) => {
+                self.plane.set_priority(server, Some(priority))
+            }
             Event::FailSupply(server, supply) => {
                 let mut server = self.farm.get_mut(server).expect("a rig server");
                 if server.bank().working_count() > 1 {

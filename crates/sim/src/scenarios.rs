@@ -250,6 +250,33 @@ mod tests {
         assert!((shares[0].as_f64() - 0.53).abs() < 1e-12);
     }
 
+    /// A declared tree budget stays on its tree through a feed outage:
+    /// while the tree is parked it is skipped, not pinned on the tree that
+    /// takes its live index, and after the restore both trees are back at
+    /// their positions.
+    #[test]
+    fn a_declared_tree_budget_follows_its_tree_through_a_feed_outage() {
+        use capmaestro_core::oplog::{plan, DesiredState};
+
+        let mut rig = stranded_rig(RigConfig::table3());
+        let mut desired = DesiredState::default();
+        desired.tree_budgets.insert(0, Watts::new(500.0));
+        let planned = |rig: &Rig| plan(&desired, &rig.plane, &rig.farm).root_budgets;
+        let declared = Some(vec![Watts::new(500.0), Watts::new(700.0)]);
+        assert_eq!(planned(&rig), declared);
+
+        let feeds: Vec<_> = rig.plane.trees().iter().map(|t| t.arena().feed()).collect();
+        assert_eq!(rig.plane.fail_feed(feeds[0]), 1);
+        assert_eq!(rig.plane.root_budgets_now(), [Watts::new(700.0)]);
+        assert_eq!(planned(&rig), None, "the parked tree's budget lands nowhere");
+
+        assert_eq!(rig.plane.restore_feed(feeds[0]), 1);
+        let live: Vec<_> = rig.plane.trees().iter().map(|t| t.arena().feed()).collect();
+        assert_eq!(live, feeds);
+        assert_eq!(rig.plane.root_budgets_now(), [Watts::new(700.0); 2]);
+        assert_eq!(planned(&rig), declared);
+    }
+
     #[test]
     #[should_panic(expected = "no server named")]
     fn unknown_server_panics() {

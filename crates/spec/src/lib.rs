@@ -63,11 +63,15 @@ pub struct Round {
 pub fn gather(tree: &ControlTree, policy: &dyn CappingPolicy) -> Vec<PriorityMetrics> {
     let arena = tree.arena();
     let n = arena.len();
-    let leaves: BTreeMap<usize, SpecLeaf> = arena.leaves().collect();
+    let leaves: BTreeMap<usize, (usize, SpecLeaf)> = arena
+        .leaves()
+        .enumerate()
+        .map(|(slot, (idx, leaf))| (idx, (slot, leaf)))
+        .collect();
     let mut metrics: Vec<PriorityMetrics> = vec![PriorityMetrics::empty(); n];
     for idx in (0..n).rev() {
-        if let Some(leaf) = leaves.get(&idx) {
-            let input = tree.input_at(idx).unwrap_or_else(|| {
+        if let Some(&(slot, leaf)) = leaves.get(&idx) {
+            let input = tree.slot_input(slot).unwrap_or_else(|| {
                 let (server, supply) = (leaf.server, leaf.supply);
                 panic!("leaf {idx} ({server} {supply}) has no supply input set")
             });
@@ -208,8 +212,8 @@ fn collect_server_views(
 ) -> BTreeMap<ServerId, ServerView> {
     let mut views: BTreeMap<ServerId, ServerView> = BTreeMap::new();
     for (tree, budgets) in trees.iter().zip(budgets) {
-        for (idx, leaf) in tree.arena().leaves() {
-            let Some(input) = tree.input_at(idx) else {
+        for (slot, (idx, leaf)) in tree.arena().leaves().enumerate() {
+            let Some(input) = tree.slot_input(slot) else {
                 continue;
             };
             let view = views.entry(leaf.server).or_default();
@@ -259,16 +263,17 @@ fn detect_strands(trees: &[ControlTree], first: &[TreeBudgets]) -> Strands {
 /// Shrinks a tree's stranded leaves' demand and constraint to their
 /// server's achievable consumption: the second pass's inputs.
 fn shrink_stranded_inputs(tree: &mut ControlTree, strands: &Strands) {
-    for (idx, leaf) in tree.arena().leaves().collect::<Vec<_>>() {
-        let Some(&(_, actual)) = strands.get(&(leaf.server, leaf.supply)) else {
+    for slot in 0..tree.arena().leaf_index().len() {
+        let (server, supply) = tree.arena().leaf_index().pair(slot);
+        let Some(&(_, actual)) = strands.get(&(server, supply)) else {
             continue;
         };
-        let Some(&input) = tree.input_at(idx) else {
+        let Some(&input) = tree.slot_input(slot) else {
             continue;
         };
         tree.set_supply_input(
-            leaf.server,
-            leaf.supply,
+            server,
+            supply,
             SupplyInput {
                 demand: actual,
                 cap_max: actual.max(input.cap_min),
@@ -465,8 +470,8 @@ impl FullRound {
             [fields[0], fields[1], fields[2], i.share.as_f64()].map(f64::to_bits)
         };
         for (t, (got, want)) in got.iter().zip(&self.trees).enumerate() {
-            for idx in 0..want.arena().len() {
-                let (got, want) = (got.input_at(idx), want.input_at(idx));
+            for (slot, (idx, _)) in want.arena().leaves().enumerate() {
+                let (got, want) = (got.slot_input(slot), want.slot_input(slot));
                 let (a, b) = (got.map(input_bits), want.map(input_bits));
                 assert_eq!(a, b, "{at}: tree {t} node {idx}: {got:?} vs {want:?}");
             }
@@ -496,7 +501,8 @@ impl FullRound {
 /// share over leaves), evenly when they have none.
 fn shared_per_phase(trees: &[ControlTree], per_phase: Watts) -> Vec<Watts> {
     let demand = |tree: &ControlTree| -> Watts {
-        let inputs = tree.arena().leaves().filter_map(|(i, _)| tree.input_at(i));
+        let slots = 0..tree.arena().leaf_index().len();
+        let inputs = slots.filter_map(|slot| tree.slot_input(slot));
         inputs.map(|input| input.demand * input.share).sum()
     };
     trees

@@ -240,7 +240,7 @@ const UNCALLED_PUB_FNS: &[(&str, &str)] = &[
     ("update_pairs", "called only by the executable spec (ROADMAP item 2)"),
     ("force_dc_cap", "called only by the executable spec (ROADMAP item 2)"),
     ("set_supply_input", "called only by the executable spec (ROADMAP item 2)"),
-    ("input_at", "called only by the executable spec (ROADMAP item 2)"),
+    ("slot_input", "called only by the executable spec (ROADMAP item 2)"),
 ];
 
 /// A source file without its `#[cfg(test)] mod … { … }` blocks (each
@@ -421,17 +421,19 @@ fn the_spec_crate_is_only_a_dev_dependency() {
 /// The leaf-control ladder (sense → estimate → stale-hold → fail-safe →
 /// PI-cap) has one home, `core::leaf`, which both round loops drive.
 /// Outside comments and `#[cfg(test)]`, nothing else under
-/// `crates/core/src` may name the estimator or the capping controller —
-/// only their defining modules and the crate-root re-exports — so a third
-/// copy of the ladder cannot grow back unnoticed.
+/// `crates/core/src` may name the estimator or the capping controller, or
+/// command a server's cap — only their defining modules and the
+/// crate-root re-exports — so a third copy of the ladder or of the
+/// enforce step cannot grow back unnoticed.
 #[test]
 fn only_leaf_rs_drives_the_estimator_and_capping_controller() {
-    const NAMES: [&str; 5] = [
+    const NAMES: [&str; 6] = [
         "DemandEstimator",
         "CappingController",
         "push_screened",
         "update_pairs",
         "force_dc_cap",
+        "set_dc_cap",
     ];
     const HOMES: [&str; 4] = ["leaf.rs", "estimator.rs", "capping.rs", "lib.rs"];
     let core_src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src");
