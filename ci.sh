@@ -10,6 +10,11 @@ cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings \
     -D clippy::large_stack_arrays -D clippy::needless_collect
 
+# Rustdoc lane: every intra-doc link in the workspace's own packages
+# (`capmaestro` and `capmaestro-*`, not the vendored stand-ins) must
+# resolve, so a deleted or private name leaves no dead link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p 'capmaestro*'
+
 # Deterministic chaos smoke: seeded telemetry faults against both rigs,
 # invariant-checked every simulated second; exits non-zero on violation.
 cargo run --release -q -p capmaestro-bench --bin chaos -- \

@@ -2,7 +2,8 @@
 //! controller in this process, real `capmaestro-agent` rack processes,
 //! and a seeded kill/freeze schedule against them.
 //!
-//! Each run builds a [`PartitionPlan`]: SIGKILL (torn connection,
+//! Each run builds a
+//! [`PartitionPlan`](capmaestro_sim::procchaos::PartitionPlan): SIGKILL (torn connection,
 //! process restart) and SIGSTOP/SIGCONT (open-but-silent socket, the
 //! heartbeat-timeout path) faults against the agent fleet, with
 //! recovery slack between faults and a fault-free quiet tail. Every

@@ -25,7 +25,7 @@ use crate::leaf::{LeafTable, Moved, Route};
 use crate::obs::{names, null_recorder, PhaseTimer, Recorder, RoundPhase};
 use crate::policy::PolicyKind;
 use crate::spo::{optimize_stranded_power_in, SpoScratch};
-use crate::tree::{Allocation, ControlTree};
+use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 
 /// The population of servers under management, keyed by id.
 ///
@@ -515,17 +515,14 @@ pub enum BudgetSource {
 }
 
 /// Reusable buffers for the per-round hot path (the "RoundContext" of the
-/// round-pipeline design): resolved root budgets, the SPO scratch (which
-/// holds every per-tree round state, with or without the stranded-power
-/// pass), and the round report itself.
-/// [`ControlPlane::round`] borrows these instead of allocating, so a
-/// steady-state sequential round performs no heap allocation.
+/// round-pipeline design): resolved root budgets, the SPO scratch (the
+/// route table and the last strand detection), the lanes, and the round
+/// report itself. [`ControlPlane::round`] borrows these, and the trees'
+/// rows, instead of allocating, so a steady-state sequential round
+/// performs no heap allocation.
 #[derive(Default)]
 struct RoundContext {
     root_budgets: Vec<Watts>,
-    /// Per tree, the [`BudgetSource::SharedPerPhase`] demand and the leaf
-    /// generation it was summed at.
-    tree_demands: Vec<(Option<u64>, Watts)>,
     phase_members: Vec<usize>,
     spo: SpoScratch,
     /// Farm slots ↔ tree leaves.
@@ -538,14 +535,37 @@ struct RoundContext {
     last_gather: (u64, u64),
 }
 
-impl RoundContext {
-    /// Drops the cached incremental allocation state (SPO routes, all
-    /// per-tree round states and demands, and the lanes) — required when
-    /// the tree set changes.
-    fn invalidate_allocation_caches(&mut self) {
-        self.spo.invalidate();
-        self.tree_demands.clear();
-        self.lanes.layout = None;
+/// One control tree's round data, kept beside its tree for as long as the
+/// tree lives: its id, both SPO passes' round states, the pass-1
+/// allocation, the pass-2 slot overlay, the shared-per-phase demand memo
+/// and the root budget the tree last resolved to. A feed outage parks the
+/// row with its tree and brings it back whole, so a row never serves
+/// another tree and the returning tree's walk resumes warm.
+#[derive(Debug, Default)]
+pub struct TreeRow {
+    /// The tree's position in the set the plane was built with.
+    id: u32,
+    pub(crate) pass1: TreeRoundState,
+    pub(crate) pass2: TreeRoundState,
+    /// Pass 1's allocation, when pass 2 follows it.
+    pub(crate) first: Allocation,
+    /// Per leaf slot, pass 2's shrunken input, laid out by each detection.
+    pub(crate) overlay: Vec<Option<SupplyInput>>,
+    /// The [`BudgetSource::SharedPerPhase`] demand and the leaf generation
+    /// it was summed at.
+    demand: (Option<u64>, Watts),
+    /// The root budget the tree last resolved to: under fixed budgets, its
+    /// fixed budget.
+    budget: Watts,
+}
+
+impl TreeRow {
+    /// Cumulative `(summarized, dirty_skipped)` gather counts of both
+    /// passes' round states.
+    pub fn gather_stats(&self) -> (u64, u64) {
+        let (s1, k1) = self.pass1.gather_stats();
+        let (s2, k2) = self.pass2.gather_stats();
+        (s1 + s2, k1 + k2)
     }
 }
 
@@ -614,61 +634,45 @@ impl fmt::Debug for RoundContext {
     }
 }
 
-/// Resolves the per-tree root budgets into `out`. For
-/// [`BudgetSource::SharedPerPhase`], each phase's contractual budget is
-/// split across that phase's trees proportionally to their estimated
-/// demand (equal split when total demand is zero). `tree_demands` and
-/// `members` are caller-owned scratch so the round hot path allocates
-/// nothing; `tree_demands` also memoizes each tree's demand by its leaf
-/// generation, so it must be cleared when the tree set changes.
-fn resolve_root_budgets_into(
+/// A tree's demand on its phase: Σ leaf demand × share.
+fn tree_demand(tree: &ControlTree) -> Watts {
+    (0..tree.arena().leaf_index().len())
+        .filter_map(|slot| tree.slot_input(slot))
+        .map(|input| input.demand * input.share)
+        .sum()
+}
+
+/// Splits each phase's contractual budget `per_phase` across that phase's
+/// trees proportionally to `demand(i)` of tree `i` (equal split when total
+/// demand is zero), into `out`. `members` is caller-owned scratch.
+fn split_phase_budget(
     trees: &[ControlTree],
-    source: &BudgetSource,
-    tree_demands: &mut Vec<(Option<u64>, Watts)>,
+    per_phase: Watts,
+    demand: impl Fn(usize) -> Watts,
     members: &mut Vec<usize>,
     out: &mut Vec<Watts>,
 ) {
     out.clear();
-    match source {
-        BudgetSource::Fixed(budgets) => out.extend_from_slice(budgets),
-        BudgetSource::SharedPerPhase(per_phase) => {
-            // Demand per tree = Σ leaf demand × share, re-summed only for
-            // a tree whose leaves changed since.
-            tree_demands.resize(trees.len(), (None, Watts::ZERO));
-            for (tree, (seen, total)) in trees.iter().zip(tree_demands.iter_mut()) {
-                if *seen == Some(tree.leaf_generation()) {
-                    continue;
-                }
-                *seen = Some(tree.leaf_generation());
-                *total = Watts::ZERO;
-                for slot in 0..tree.arena().leaf_index().len() {
-                    if let Some(input) = tree.slot_input(slot) {
-                        *total += input.demand * input.share;
-                    }
-                }
-            }
-            out.resize(trees.len(), Watts::ZERO);
-            for phase in capmaestro_topology::Phase::ALL {
-                members.clear();
-                members.extend(
-                    trees
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| t.arena().phase() == phase)
-                        .map(|(i, _)| i),
-                );
-                if members.is_empty() {
-                    continue;
-                }
-                let total: Watts = members.iter().map(|&i| tree_demands[i].1).sum();
-                for &i in members.iter() {
-                    out[i] = if total > Watts::ZERO {
-                        *per_phase * (tree_demands[i].1 / total)
-                    } else {
-                        *per_phase / members.len() as f64
-                    };
-                }
-            }
+    out.resize(trees.len(), Watts::ZERO);
+    for phase in capmaestro_topology::Phase::ALL {
+        members.clear();
+        members.extend(
+            trees
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.arena().phase() == phase)
+                .map(|(i, _)| i),
+        );
+        if members.is_empty() {
+            continue;
+        }
+        let total: Watts = members.iter().map(|&i| demand(i)).sum();
+        for &i in members.iter() {
+            out[i] = if total > Watts::ZERO {
+                per_phase * (demand(i) / total)
+            } else {
+                per_phase / members.len() as f64
+            };
         }
     }
 }
@@ -712,20 +716,20 @@ fn resolve_root_budgets_into(
 #[derive(Debug)]
 pub struct ControlPlane {
     trees: Vec<ControlTree>,
-    /// Per live tree, ascending, its position in the tree set the plane
-    /// was built with: a feed outage shifts the live list, not this.
-    homes: Vec<u32>,
-    budget_source: BudgetSource,
+    /// Per live tree, in the same order, its row; ids ascend.
+    rows: Vec<TreeRow>,
+    /// The contractual budget each phase's trees share, split by demand
+    /// every round; `None` under fixed budgets, which the rows hold.
+    phase_budget: Option<Watts>,
     config: PlaneConfig,
     /// Per-server control state, indexed by the farm's server slot.
     leaves: LeafTable,
     /// Dynamic priority overrides, e.g. from a job scheduler (§7's
     /// "coordination of job scheduling with power management").
     priority_overrides: HashMap<ServerId, capmaestro_topology::Priority>,
-    /// Trees parked by [`ControlPlane::fail_feed`], with their homes and
-    /// their fixed budgets where applicable, awaiting
-    /// [`ControlPlane::restore_feed`].
-    parked: Vec<(u32, ControlTree, Option<Watts>)>,
+    /// Trees parked by [`ControlPlane::fail_feed`], each with its row,
+    /// awaiting [`ControlPlane::restore_feed`].
+    parked: Vec<(ControlTree, TreeRow)>,
     /// The topology's static priorities, snapshotted at construction so
     /// cleared overrides fall back correctly.
     static_priorities: HashMap<ServerId, capmaestro_topology::Priority>,
@@ -756,13 +760,24 @@ impl ControlPlane {
         budget_source: BudgetSource,
         config: PlaneConfig,
     ) -> Self {
-        if let BudgetSource::Fixed(budgets) = &budget_source {
-            assert_eq!(
-                trees.len(),
-                budgets.len(),
-                "one root budget per control tree is required"
-            );
-        }
+        let (budgets, phase_budget) = match budget_source {
+            BudgetSource::Fixed(budgets) => {
+                assert_eq!(
+                    trees.len(),
+                    budgets.len(),
+                    "one root budget per control tree is required"
+                );
+                (budgets, None)
+            }
+            BudgetSource::SharedPerPhase(per_phase) => (Vec::new(), Some(per_phase)),
+        };
+        let rows = (0..trees.len())
+            .map(|id| TreeRow {
+                id: id as u32,
+                budget: budgets.get(id).copied().unwrap_or(Watts::ZERO),
+                ..TreeRow::default()
+            })
+            .collect();
         let mut static_priorities = HashMap::new();
         for tree in &trees {
             for (_, leaf) in tree.arena().leaves() {
@@ -770,9 +785,9 @@ impl ControlPlane {
             }
         }
         ControlPlane {
-            homes: (0..trees.len() as u32).collect(),
             trees,
-            budget_source,
+            rows,
+            phase_budget,
             config,
             leaves: LeafTable::default(),
             priority_overrides: HashMap::new(),
@@ -810,16 +825,37 @@ impl ControlPlane {
     /// budgets, or the demand-proportional split of a shared phase
     /// budget). Exposed for invariant auditing.
     pub fn root_budgets_now(&self) -> Vec<Watts> {
+        let Some(per_phase) = self.phase_budget else {
+            return self.rows.iter().map(|row| row.budget).collect();
+        };
+        let demands: Vec<Watts> = self.trees.iter().map(tree_demand).collect();
         let mut out = Vec::new();
-        let (mut demands, mut members) = (Vec::new(), Vec::new());
-        resolve_root_budgets_into(
-            &self.trees,
-            &self.budget_source,
-            &mut demands,
-            &mut members,
-            &mut out,
-        );
+        split_phase_budget(&self.trees, per_phase, |i| demands[i], &mut Vec::new(), &mut out);
         out
+    }
+
+    /// Resolves every live tree's root budget into its row and into the
+    /// round context's `root_budgets`. A shared phase budget is split by
+    /// each tree's demand, re-summed only for a tree whose leaves changed
+    /// since.
+    fn resolve_root_budgets(&mut self) {
+        let RoundContext { root_budgets, phase_members, .. } = &mut self.ctx;
+        let Some(per_phase) = self.phase_budget else {
+            root_budgets.clear();
+            root_budgets.extend(self.rows.iter().map(|row| row.budget));
+            return;
+        };
+        for (tree, row) in self.trees.iter().zip(&mut self.rows) {
+            if row.demand.0 != Some(tree.leaf_generation()) {
+                row.demand = (Some(tree.leaf_generation()), tree_demand(tree));
+            }
+        }
+        let rows = &self.rows;
+        let demand = |i: usize| rows[i].demand.1;
+        split_phase_budget(&self.trees, per_phase, demand, phase_members, root_budgets);
+        for (row, &budget) in self.rows.iter_mut().zip(root_budgets.iter()) {
+            row.budget = budget;
+        }
     }
 
     /// The configuration.
@@ -848,13 +884,16 @@ impl ControlPlane {
     /// Panics if the count differs from the tree count.
     pub fn set_root_budgets(&mut self, budgets: Vec<Watts>) {
         assert_eq!(budgets.len(), self.trees.len());
-        self.budget_source = BudgetSource::Fixed(budgets);
+        for (row, budget) in self.rows.iter_mut().zip(budgets) {
+            row.budget = budget;
+        }
+        self.phase_budget = None;
     }
 
-    /// The live index of the tree at position `home` of the tree set the
-    /// plane was built with; `None` while its feed is failed.
-    pub(crate) fn live_tree(&self, home: u32) -> Option<usize> {
-        self.homes.binary_search(&home).ok()
+    /// The live index of the tree with id `id` (its position in the tree
+    /// set the plane was built with); `None` while its feed is failed.
+    pub(crate) fn live_tree(&self, id: u32) -> Option<usize> {
+        self.rows.binary_search_by_key(&id, |row| row.id).ok()
     }
 
     /// Every tree the plane was built with, parked ones included, in the
@@ -862,60 +901,54 @@ impl ControlPlane {
     /// (the one operator requests and [`RoundReport::trees`] name), which
     /// a feed outage does not shift.
     pub fn built_trees(&self) -> impl Iterator<Item = &ControlTree> + '_ {
-        let parked = |home| self.parked.iter().find(|p| p.0 == home).map(|p| &p.1);
+        let parked = |id| self.parked.iter().find(|p| p.1.id == id).map(|p| &p.0);
         let built = (self.trees.len() + self.parked.len()) as u32;
-        (0..built).filter_map(move |h| {
-            self.live_tree(h).map(|i| &self.trees[i]).or_else(|| parked(h))
+        (0..built).filter_map(move |id| {
+            self.live_tree(id).map(|i| &self.trees[i]).or_else(|| parked(id))
         })
     }
 
-    /// Parks all trees of a failed feed; returns how many were parked.
-    /// With [`BudgetSource::Fixed`], callers must also
+    /// Parks all trees of a failed feed, each with its row, holding the
+    /// root budget it resolves to now; returns how many were parked. With
+    /// [`BudgetSource::Fixed`], callers must also
     /// [`ControlPlane::set_root_budgets`] for the remaining trees and mark
     /// the affected server supplies failed; with
     /// [`BudgetSource::SharedPerPhase`] the survivor inherits the phase
     /// budget automatically. [`ControlPlane::restore_feed`] reverses this
     /// after the repair.
     pub fn fail_feed(&mut self, feed: FeedId) -> usize {
+        self.resolve_root_budgets();
         let parked = self.parked.len();
-        let mut fixed = match &mut self.budget_source {
-            BudgetSource::Fixed(budgets) => Some(budgets),
-            BudgetSource::SharedPerPhase(_) => None,
-        };
         let mut i = 0;
         while i < self.trees.len() {
             if self.trees[i].arena().feed() == feed {
-                let budget = fixed.as_mut().map(|budgets| budgets.remove(i));
-                self.parked.push((self.homes.remove(i), self.trees.remove(i), budget));
+                self.parked.push((self.trees.remove(i), self.rows.remove(i)));
             } else {
                 i += 1;
             }
         }
-        // Tree indices shifted: the cached routes and incremental gather
-        // states no longer line up with the tree list.
-        self.ctx.invalidate_allocation_caches();
+        // Live positions shifted: the route table and lanes refit.
+        self.ctx.lanes.layout = None;
         self.parked.len() - parked
     }
 
-    /// Returns a repaired feed's parked trees to service, each at the
-    /// position it held among the trees the plane was built with; returns
-    /// how many were restored. With [`BudgetSource::Fixed`], each restored
-    /// tree resumes the budget it held when parked (adjust afterwards via
+    /// Returns a repaired feed's parked trees to service, each with its
+    /// row, at the position its id names among the trees the plane was
+    /// built with; returns how many were restored. Each restored tree
+    /// resumes the root budget it held when parked until the next round
+    /// resolves it, and keeps it under fixed budgets (adjust afterwards via
     /// [`ControlPlane::set_root_budgets`] if the operator re-splits).
     pub fn restore_feed(&mut self, feed: FeedId) -> usize {
         let mut restored = 0;
-        let returning = self.parked.extract_if(.., |(_, tree, _)| tree.arena().feed() == feed);
-        for (home, tree, budget) in returning {
-            let at = self.homes.partition_point(|&h| h < home);
-            if let BudgetSource::Fixed(budgets) = &mut self.budget_source {
-                budgets.insert(at, budget.unwrap_or(Watts::ZERO));
-            }
+        let returning = self.parked.extract_if(.., |(tree, _)| tree.arena().feed() == feed);
+        for (tree, row) in returning {
+            let at = self.rows.partition_point(|r| r.id < row.id);
             self.trees.insert(at, tree);
-            self.homes.insert(at, home);
+            self.rows.insert(at, row);
             restored += 1;
         }
         if restored > 0 {
-            self.ctx.invalidate_allocation_caches();
+            self.ctx.lanes.layout = None;
         }
         restored
     }
@@ -1141,37 +1174,32 @@ impl ControlPlane {
         drop(gather_timer);
 
         // 2. Allocate, with the stranded-power pass when it is on, tree by
-        //    tree into the round context's reusable states.
+        //    tree through each tree's row.
+        self.resolve_root_budgets();
         let trees = &self.trees;
         let RoundContext {
             root_budgets,
-            tree_demands,
-            phase_members,
             spo,
             lanes,
             report,
             valid,
             last_gather,
+            ..
         } = &mut self.ctx;
-        resolve_root_budgets_into(
-            trees,
-            &self.budget_source,
-            tree_demands,
-            phase_members,
-            root_budgets,
-        );
         let (stranded, settled) = optimize_stranded_power_in(
             trees,
             root_budgets,
             self.config.policy.policy().as_ref(),
             self.config.allocator.allocator().as_ref(),
             self.config.spo,
+            &mut self.rows,
             spo,
             &mut report.allocations,
             recorder,
         );
         report.stranded_reclaimed = stranded;
-        report.trees.clone_from(&self.homes);
+        report.trees.clear();
+        report.trees.extend(self.rows.iter().map(|row| row.id));
         if recorder.enabled() {
             recorder.gauge_set(
                 names::STRANDED_WATTS_RECLAIMED,
@@ -1179,15 +1207,22 @@ impl ControlPlane {
             );
             // Dirty-tracking effectiveness: how many tree nodes the
             // incremental gather actually re-summarized vs skipped. The
-            // states accumulate across rounds, so report deltas.
-            let (summarized, skipped) = spo.gather_stats();
+            // rows accumulate across rounds, parked ones included, so
+            // report deltas.
+            let parked = self.parked.iter().map(|(_, row)| row);
+            let (summarized, skipped) = self
+                .rows
+                .iter()
+                .chain(parked)
+                .map(TreeRow::gather_stats)
+                .fold((0, 0), |(s, k), (ds, dk)| (s + ds, k + dk));
             recorder.counter_add(
                 names::TREE_NODES_SUMMARIZED_TOTAL,
-                summarized.saturating_sub(last_gather.0),
+                summarized - last_gather.0,
             );
             recorder.counter_add(
                 names::TREE_NODES_DIRTY_SKIPPED_TOTAL,
-                skipped.saturating_sub(last_gather.1),
+                skipped - last_gather.1,
             );
             *last_gather = (summarized, skipped);
         }
@@ -1237,7 +1272,7 @@ impl ControlPlane {
         //    keeping traces of deterministic runs deterministic.
         if recorder.trace_enabled() {
             for (i, tree) in trees.iter().enumerate() {
-                let tree_id = self.homes[i];
+                let tree_id = self.rows[i].id;
                 recorder.trace_tree_meta(tree_id, None, &format!("{tree}"));
                 for (lane, name) in tree.arena().lanes().iter().enumerate() {
                     recorder.trace_tree_meta(tree_id, Some(lane as u32 + 1), name);
@@ -1584,6 +1619,23 @@ mod tests {
         }
     }
 
+    /// The Fig. 7a rig's farm: SA and SB single-corded, SC and SD split
+    /// evenly over both feeds, every server settled at 420 W.
+    fn fig7a_farm(topo: &Topology) -> Farm {
+        let mut farm = Farm::new();
+        for (id, info) in topo.servers() {
+            let bank = match info.name() {
+                "SA" | "SB" => capmaestro_server::PsuBank::balanced(1, Ratio::new(0.94)),
+                _ => capmaestro_server::PsuBank::dual(0.5, Ratio::new(0.94)),
+            };
+            let mut server = Server::new(ServerConfig::paper_default().with_bank(bank));
+            server.set_offered_demand(Watts::new(420.0));
+            server.settle();
+            farm.insert(id, server);
+        }
+        farm
+    }
+
     #[test]
     fn supply_budget_index_matches_linear_scan_across_trees() {
         // Fig. 7a rig: two trees with SC/SD present in BOTH (dual-corded),
@@ -1596,17 +1648,7 @@ mod tests {
             .into_iter()
             .map(ControlTree::new)
             .collect();
-        let mut farm = Farm::new();
-        for (id, info) in topo.servers() {
-            let bank = match info.name() {
-                "SA" | "SB" => capmaestro_server::PsuBank::balanced(1, Ratio::new(0.94)),
-                _ => capmaestro_server::PsuBank::dual(0.5, Ratio::new(0.94)),
-            };
-            let mut server = Server::new(ServerConfig::paper_default().with_bank(bank));
-            server.set_offered_demand(Watts::new(420.0));
-            server.settle();
-            farm.insert(id, server);
-        }
+        let mut farm = fig7a_farm(&topo);
         let servers: Vec<ServerId> = farm.iter().map(|(id, _)| id).collect();
         let mut plane = ControlPlane::new(
             trees,
@@ -1686,22 +1728,7 @@ mod tests {
             .into_iter()
             .map(ControlTree::new)
             .collect();
-        let mut farm = Farm::new();
-        for (id, info) in topo.servers() {
-            let split = match info.name() {
-                "SA" | "SB" => 1.0,
-                _ => 0.5,
-            };
-            let bank = if split == 1.0 {
-                capmaestro_server::PsuBank::balanced(1, Ratio::new(0.94))
-            } else {
-                capmaestro_server::PsuBank::dual(0.5, Ratio::new(0.94))
-            };
-            let mut server = Server::new(ServerConfig::paper_default().with_bank(bank));
-            server.set_offered_demand(Watts::new(420.0));
-            server.settle();
-            farm.insert(id, server);
-        }
+        let mut farm = fig7a_farm(&topo);
         let mut plane = ControlPlane::with_budget_source(
             trees,
             BudgetSource::SharedPerPhase(Watts::new(1400.0)),
@@ -1744,6 +1771,42 @@ mod tests {
             total_after > Watts::new(1200.0),
             "survivor should inherit the shared budget, got {total_after}"
         );
+    }
+
+    /// A tree parked under a shared phase budget comes back with the root
+    /// budget it held when parked, even when a budget write during the
+    /// outage switched the plane to fixed budgets (an operator `PUT` for a
+    /// live tree stages `set_root_budgets` for every live tree).
+    #[test]
+    fn a_tree_restored_after_a_mid_outage_budget_write_resumes_its_budget() {
+        let topo = figure7a_rig();
+        let trees: Vec<ControlTree> = topo
+            .control_tree_specs()
+            .into_iter()
+            .map(ControlTree::new)
+            .collect();
+        let mut farm = fig7a_farm(&topo);
+        let mut plane = ControlPlane::with_budget_source(
+            trees,
+            BudgetSource::SharedPerPhase(Watts::new(1400.0)),
+            PlaneConfig::default().with_spo(false),
+        );
+        let sb = topo.server_by_name("SB").unwrap();
+        let sb_budget = |report: &RoundReport| report.supply_budget(sb, SupplyIndex::FIRST);
+        plane.sample(&mut farm);
+        let before = sb_budget(plane.round(&mut farm));
+        let held = plane.root_budgets_now();
+        assert!(held[1] > Watts::new(600.0), "feed B's share {}", held[1]);
+
+        plane.fail_feed(FeedId::B);
+        plane.set_root_budgets(plane.root_budgets_now());
+        assert_eq!(plane.root_budgets_now(), vec![Watts::new(1400.0)]);
+        plane.restore_feed(FeedId::B);
+        assert_eq!(plane.root_budgets_now(), vec![Watts::new(1400.0), held[1]]);
+
+        // SB, single-corded on feed B, gets the budget it had before.
+        plane.sample(&mut farm);
+        assert_eq!(sb_budget(plane.round(&mut farm)), before);
     }
 
     /// The ladder itself is unit-tested in `leaf`; this proves the plane

@@ -19,17 +19,17 @@ use capmaestro_units::Watts;
 use crate::alloc::Allocator;
 use crate::leaf::{Route, RouteTable};
 use crate::obs::{PhaseTimer, Recorder, RoundPhase};
+use crate::plane::TreeRow;
 use crate::policy::CappingPolicy;
-use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
+use crate::tree::{Allocation, ControlTree, SupplyInput};
 
 /// Stranded power below this threshold is ignored (measurement noise in a
 /// real deployment; numerical noise here).
 pub const STRAND_EPSILON: Watts = Watts::new(0.5);
 
-/// Reusable buffers for [`optimize_stranded_power_in`]: the trees' route
-/// table, per-tree [`TreeRoundState`]s for both passes, pass-1
-/// allocations, per-tree input overlays, and the last detection's
-/// stranded total. Keep one per control plane and reuse it across rounds;
+/// The cross-tree buffers of [`optimize_stranded_power_in`]: the trees'
+/// route table and the last detection's stranded total. Keep one per
+/// control plane and reuse it across rounds; with warm [`TreeRow`]s,
 /// steady-state SPO then performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct SpoScratch {
@@ -37,65 +37,12 @@ pub struct SpoScratch {
     /// time and sums the strands in table order. The control plane refits
     /// it with its lanes and enforces through it.
     routes: RouteTable,
-    states1: Vec<TreeRoundState>,
-    states2: Vec<TreeRoundState>,
-    /// The `gather_stats` of the round states dropped when the tree set
-    /// shrank, so that the cumulative counts never fall.
-    retired: (u64, u64),
-    first: Vec<Allocation>,
-    /// One slot-indexed overlay per tree, laid out by each detection.
-    /// Never shortened: a tree set that shrinks and grows back refills the
-    /// vectors it had.
-    overlays: Vec<Vec<Option<SupplyInput>>>,
-    /// The stranded total of the detection `overlays` hold; `None` until
-    /// one ran over the current routes.
+    /// The stranded total of the detection the rows' overlays hold; `None`
+    /// until one ran over the current routes.
     detected: Option<Watts>,
 }
 
 impl SpoScratch {
-    /// Creates an empty scratch; the first round shapes it.
-    pub fn new() -> Self {
-        SpoScratch::default()
-    }
-
-    /// Invalidates the cached routes and round states. Must be called
-    /// whenever the tree set changes (feed failure / restore): routes are
-    /// keyed by tree index and leaf slot.
-    pub(crate) fn invalidate(&mut self) {
-        // An empty table is refitted before the next detection.
-        self.fit_routes(&[]);
-        for s in &mut self.states1 {
-            s.invalidate();
-        }
-        for s in &mut self.states2 {
-            s.invalidate();
-        }
-    }
-
-    /// Cumulative `(summarized, dirty_skipped)` gather counts summed over
-    /// both passes' round states, those dropped with a shrinking tree set
-    /// included: every round's work counts.
-    pub fn gather_stats(&self) -> (u64, u64) {
-        self.states1
-            .iter()
-            .chain(&self.states2)
-            .map(TreeRoundState::gather_stats)
-            .fold(self.retired, |(s, k), (ds, dk)| (s + ds, k + dk))
-    }
-
-    /// One round state per tree and pass, banking the counts of those a
-    /// shrinking tree set drops.
-    fn fit_states(&mut self, n: usize) {
-        for states in [&mut self.states1, &mut self.states2] {
-            for dropped in states.drain(n.min(states.len())..) {
-                let (summarized, skipped) = dropped.gather_stats();
-                self.retired.0 += summarized;
-                self.retired.1 += skipped;
-            }
-            states.resize_with(n, TreeRoundState::new);
-        }
-    }
-
     /// Refits the route table over `trees`; the next SPO pass detects
     /// afresh.
     pub(crate) fn fit_routes(&mut self, trees: &[ControlTree]) {
@@ -113,8 +60,10 @@ impl SpoScratch {
 /// pass 1 allocates every tree, strand detection finds the budget each
 /// supply cannot use given its server's split, and pass 2 re-allocates
 /// with every stranded supply's demand shrunk to what its server can
-/// draw. Tree `i` allocates `root_budgets[i]` with `allocator`; all trees
-/// cover the same control period (in a redundant data center, the
+/// draw. Tree `i` allocates `root_budgets[i]` with `allocator` through
+/// `rows[i]`, which must serve tree `i` and no other for as long as it
+/// lives (a [`TreeRow`] per tree, as the control plane keeps them); all
+/// trees cover the same control period (in a redundant data center, the
 /// per-feed trees of one phase). Writes the final allocations into `out`
 /// (buffers reused) and returns the stranded power detected after pass 1,
 /// summed in `(server, supply, tree)` order, beside whether the final pass
@@ -124,18 +73,18 @@ impl SpoScratch {
 /// Without `reclaim`, only pass 1 runs: its allocations go straight into
 /// `out`, the Spo phase records zero and the stranded power is zero.
 ///
-/// Both passes run through [`ControlTree::allocate_in`] with round states
-/// held in `scratch`, strand detection walks the trees' route table one
-/// server at a time, and the pass-2 input shrink is an overlay on the
-/// trees. When
-/// pass 1 changed nothing — no summary recomputed, no budget moved, in
-/// any tree — the strands are those of the last detection: detection is
-/// skipped, its overlays and total reused, and pass 2 skips its gather
-/// walk and runs through the budget memo. Each `(server, supply)` must be
-/// a leaf of at most one tree.
+/// Both passes run through [`ControlTree::allocate_in`] with the round
+/// states each row holds, strand detection walks `scratch`'s route table
+/// one server at a time, and the pass-2 input shrink is each row's overlay
+/// on its tree. When pass 1 changed nothing — no summary recomputed, no
+/// budget moved, in any tree — the strands are those of the last
+/// detection: detection is skipped, its overlays and total reused, and
+/// pass 2 skips its gather walk and runs through the budget memo. Each
+/// `(server, supply)` must be a leaf of at most one tree.
 ///
-/// The caller must call `SpoScratch::invalidate` whenever the tree set
-/// changes between rounds.
+/// `scratch` fits its route table to `trees` when it is empty; a caller
+/// whose tree set changes between rounds refits it (the control plane
+/// does so with its lanes).
 ///
 /// # Examples
 ///
@@ -143,6 +92,7 @@ impl SpoScratch {
 /// use capmaestro_core::alloc::WaterfallAllocator;
 /// use capmaestro_core::obs::NullRecorder;
 /// use capmaestro_core::policy::GlobalPriority;
+/// use capmaestro_core::plane::TreeRow;
 /// use capmaestro_core::spo::{optimize_stranded_power_in, SpoScratch};
 /// use capmaestro_core::tree::{ControlTree, SupplyInput};
 /// use capmaestro_topology::presets::figure7a_rig;
@@ -176,7 +126,8 @@ impl SpoScratch {
 ///     &GlobalPriority::new(),
 ///     &WaterfallAllocator,
 ///     true,
-///     &mut SpoScratch::new(),
+///     &mut [TreeRow::default(), TreeRow::default()],
+///     &mut SpoScratch::default(),
 ///     &mut out,
 ///     &NullRecorder,
 /// );
@@ -186,7 +137,7 @@ impl SpoScratch {
 ///
 /// # Panics
 ///
-/// Panics if the slices have different lengths.
+/// Panics if the tree, budget and row counts differ.
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_stranded_power_in(
     trees: &[ControlTree],
@@ -194,47 +145,27 @@ pub fn optimize_stranded_power_in(
     policy: &dyn CappingPolicy,
     allocator: &dyn Allocator,
     reclaim: bool,
+    rows: &mut [TreeRow],
     scratch: &mut SpoScratch,
     out: &mut Vec<Allocation>,
     recorder: &dyn Recorder,
 ) -> (Watts, bool) {
-    assert_eq!(
-        trees.len(),
-        root_budgets.len(),
-        "one root budget per tree is required"
+    assert!(
+        trees.len() == root_budgets.len() && trees.len() == rows.len(),
+        "one root budget and one row per tree is required"
     );
-    let n = trees.len();
-    if scratch.states1.len() != n {
-        scratch.fit_states(n);
-    }
-    let shape = |allocations: &mut Vec<Allocation>| {
-        if allocations.len() != n {
-            allocations.clear();
-            allocations.resize_with(n, Allocation::default);
-        }
-    };
-    shape(out);
-    let first = if reclaim {
-        shape(&mut scratch.first);
-        &mut scratch.first
-    } else {
-        &mut *out
-    };
+    // Every allocation is rewritten whole, so a reshaped report reuses
+    // the buffers it had.
+    out.resize_with(trees.len(), Allocation::default);
 
     // Pass 1: plain allocation (incremental per tree). Attributed to the
     // Allocate phase; strand detection and pass 2 below are the Spo phase.
     let allocate_timer =
         PhaseTimer::start(recorder, RoundPhase::Allocate.metric_name());
     let mut settled = true;
-    for i in 0..n {
-        settled &= trees[i].allocate_in(
-            root_budgets[i],
-            policy,
-            allocator,
-            &mut scratch.states1[i],
-            None,
-            &mut first[i],
-        );
+    for (i, (tree, row)) in trees.iter().zip(rows.iter_mut()).enumerate() {
+        let (state, first) = (&mut row.pass1, if reclaim { &mut row.first } else { &mut out[i] });
+        settled &= tree.allocate_in(root_budgets[i], policy, allocator, state, None, first);
     }
     drop(allocate_timer);
     if !reclaim {
@@ -255,45 +186,36 @@ pub fn optimize_stranded_power_in(
     let total = match scratch.detected {
         Some(total) if settled => {
             // The overlays stand, so pass 2 sees the last round's inputs.
-            scratch.states2.iter_mut().for_each(TreeRoundState::keep_overlay);
+            rows.iter_mut().for_each(|row| row.pass2.keep_overlay());
             total
         }
-        _ => detect_strands_in(trees, scratch),
+        _ => detect_strands_in(trees, rows, &scratch.routes),
     };
     scratch.detected = Some(total);
 
     // Pass 2: re-allocate with the shrunken inputs overlaid.
     let mut settled = true;
-    for i in 0..n {
-        settled &= trees[i].allocate_in(
-            root_budgets[i],
-            policy,
-            allocator,
-            &mut scratch.states2[i],
-            Some(&scratch.overlays[i]),
-            &mut out[i],
-        );
+    for (i, (tree, row)) in trees.iter().zip(rows.iter_mut()).enumerate() {
+        let (state, overlay, last) = (&mut row.pass2, Some(&row.overlay[..]), &mut out[i]);
+        settled &= tree.allocate_in(root_budgets[i], policy, allocator, state, overlay, last);
     }
     drop(spo_timer);
     (total, settled)
 }
 
-/// Strand detection over the route table into `scratch.overlays`, one
+/// Strand detection over the route table into the rows' overlays, one
 /// server's run of rows at a time: per server, its demand clamped by its
 /// most constrained supply (budget ÷ share); per supply, the budget above
 /// that share of it. Returns the stranded total, summed in table order,
 /// which is `(server, supply, tree)` order.
-fn detect_strands_in(trees: &[ControlTree], scratch: &mut SpoScratch) -> Watts {
-    let SpoScratch { routes, first, overlays, .. } = scratch;
-    if overlays.len() < trees.len() {
-        overlays.resize_with(trees.len(), Vec::new);
-    }
-    for (tree, overlay) in trees.iter().zip(overlays.iter_mut()) {
-        overlay.clear();
-        overlay.resize(tree.arena().leaf_index().len(), None);
+fn detect_strands_in(trees: &[ControlTree], rows: &mut [TreeRow], routes: &RouteTable) -> Watts {
+    for (tree, row) in trees.iter().zip(rows.iter_mut()) {
+        row.overlay.clear();
+        row.overlay.resize(tree.arena().leaf_index().len(), None);
     }
     let input = |r: &Route| trees[r.tree as usize].slot_input(r.slot as usize);
-    let budget = |r: &Route| first[r.tree as usize].leaf_budget(r.slot as usize);
+    let budget =
+        |rows: &[TreeRow], r: &Route| rows[r.tree as usize].first.leaf_budget(r.slot as usize);
     let mut total = Watts::ZERO;
     for supplies in routes.runs() {
         let mut demand = Watts::ZERO;
@@ -309,7 +231,7 @@ fn detect_strands_in(trees: &[ControlTree], scratch: &mut SpoScratch) -> Watts {
             cap_min = cap_min.max(input.cap_min);
             let share = input.share.as_f64();
             if share > 0.0 {
-                limit = limit.min(budget(s).as_f64() / share);
+                limit = limit.min(budget(rows, s).as_f64() / share);
             }
         }
         if !any_input {
@@ -326,10 +248,10 @@ fn detect_strands_in(trees: &[ControlTree], scratch: &mut SpoScratch) -> Watts {
                 continue;
             };
             let usable = actual * input.share.as_f64();
-            let strand = budget(s).saturating_sub(usable);
+            let strand = budget(rows, s).saturating_sub(usable);
             if strand > STRAND_EPSILON {
                 total += strand;
-                overlays[s.tree as usize][s.slot as usize] = Some(SupplyInput {
+                rows[s.tree as usize].overlay[s.slot as usize] = Some(SupplyInput {
                     demand: actual,
                     cap_max: actual.max(input.cap_min),
                     ..input
@@ -399,13 +321,27 @@ mod tests {
 
     const BUDGETS: [Watts; 2] = [Watts::new(700.0), Watts::new(700.0)];
 
-    /// One round through `scratch`: `(stranded, final allocations,
+    /// One row per tree of the Fig. 7a rig, and the scratch beside them.
+    #[derive(Default)]
+    struct Walk {
+        rows: [TreeRow; 2],
+        scratch: SpoScratch,
+    }
+
+    impl Walk {
+        fn gather_stats(&self) -> (u64, u64) {
+            let [(s1, k1), (s2, k2)] = self.rows.each_ref().map(TreeRow::gather_stats);
+            (s1 + s2, k1 + k2)
+        }
+    }
+
+    /// One round through `walk`: `(stranded, final allocations,
     /// settled)`.
     fn round_in(
         trees: &[ControlTree],
         budgets: &[Watts],
         reclaim: bool,
-        scratch: &mut SpoScratch,
+        walk: &mut Walk,
     ) -> (Watts, Vec<Allocation>, bool) {
         let mut out = Vec::new();
         let (stranded, settled) = optimize_stranded_power_in(
@@ -414,7 +350,8 @@ mod tests {
             &GlobalPriority::new(),
             &WaterfallAllocator,
             reclaim,
-            scratch,
+            &mut walk.rows[..trees.len()],
+            &mut walk.scratch,
             &mut out,
             &crate::obs::NullRecorder,
         );
@@ -423,7 +360,7 @@ mod tests {
 
     /// A cold round with the stranded-power pass.
     fn spo(trees: &[ControlTree], budgets: &[Watts]) -> (Watts, Vec<Allocation>) {
-        let (stranded, out, _) = round_in(trees, budgets, true, &mut SpoScratch::new());
+        let (stranded, out, _) = round_in(trees, budgets, true, &mut Walk::default());
         (stranded, out)
     }
 
@@ -508,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one root budget per tree")]
+    #[should_panic(expected = "one root budget and one row per tree")]
     fn mismatched_lengths_panic() {
         let (_, trees) = fig7a_trees();
         let _ = spo(&trees, &[Watts::new(700.0)]);
@@ -517,36 +454,36 @@ mod tests {
     #[test]
     fn without_reclaim_only_the_first_pass_runs() {
         let (_, trees) = fig7a_trees();
-        let mut scratch = SpoScratch::new();
-        let (stranded, out, settled) = round_in(&trees, &BUDGETS, false, &mut scratch);
+        let mut walk = Walk::default();
+        let (stranded, out, settled) = round_in(&trees, &BUDGETS, false, &mut walk);
         assert_eq!(stranded, Watts::ZERO);
         assert_eq!(out, before_spo(&trees, &BUDGETS));
         assert!(!settled);
         let nodes: u64 = trees.iter().map(|t| t.arena().len() as u64).sum();
-        assert_eq!(scratch.gather_stats(), (nodes, 0));
+        assert_eq!(walk.gather_stats(), (nodes, 0));
 
         // A repeat finds every node clean and settles; turning the pass on
         // afterwards detects afresh.
-        let (.., settled) = round_in(&trees, &BUDGETS, false, &mut scratch);
-        assert_eq!(scratch.gather_stats(), (nodes, nodes));
+        let (.., settled) = round_in(&trees, &BUDGETS, false, &mut walk);
+        assert_eq!(walk.gather_stats(), (nodes, nodes));
         assert!(settled);
-        let (stranded, out, _) = round_in(&trees, &BUDGETS, true, &mut scratch);
+        let (stranded, out, _) = round_in(&trees, &BUDGETS, true, &mut walk);
         assert_eq!((stranded, out), spo(&trees, &BUDGETS));
     }
 
     #[test]
     fn a_repeated_round_skips_every_node_and_settles() {
         let (_, trees) = fig7a_trees();
-        let mut scratch = SpoScratch::new();
-        let (stranded, out, settled) = round_in(&trees, &BUDGETS, true, &mut scratch);
+        let mut walk = Walk::default();
+        let (stranded, out, settled) = round_in(&trees, &BUDGETS, true, &mut walk);
         assert!(!settled);
-        let (summarized, skipped) = scratch.gather_stats();
+        let (summarized, skipped) = walk.gather_stats();
         // Both passes find every node clean, and count each one skipped,
         // walk or no walk.
-        let (again, again_out, settled) = round_in(&trees, &BUDGETS, true, &mut scratch);
+        let (again, again_out, settled) = round_in(&trees, &BUDGETS, true, &mut walk);
         assert_eq!((again, again_out), (stranded, out));
         let nodes: u64 = trees.iter().map(|t| t.arena().len() as u64).sum();
-        assert_eq!(scratch.gather_stats(), (summarized, skipped + 2 * nodes));
+        assert_eq!(walk.gather_stats(), (summarized, skipped + 2 * nodes));
         assert!(settled);
     }
 

@@ -411,17 +411,17 @@ enum Pin {
 /// re-splits a node only if its own budget changed bit-for-bit or its
 /// summary was recomputed since the previous `budget_in` (however many
 /// gathers ran in between) — an unchanged node's subtree keeps its budgets.
-/// The memo is keyed by the allocator's name and dropped by
-/// `TreeRoundState::invalidate`, a policy or tree-shape change, and a
-/// change of which nodes are pinned. The result is bit-identical to a fresh
+/// The memo is keyed by the allocator's name and dropped by a policy or
+/// tree-shape change and a change of which nodes are pinned. A state
+/// serves one tree for as long as it lives (the control plane keeps it in
+/// the tree's row). The result is bit-identical to a fresh
 /// state: a split is a pure function of the node's budget, its children's
 /// summaries and the allocator.
 #[derive(Debug, Default)]
 pub struct TreeRoundState {
     /// The policy `metrics` were gathered under; empty until the first
-    /// gather and after `TreeRoundState::invalidate`. The state counts as
-    /// gathered when it is the policy's and `metrics` is laid out for the
-    /// tree.
+    /// gather. The state counts as gathered when it is the policy's and
+    /// `metrics` is laid out for the tree.
     policy_name: &'static str,
     metrics: Vec<PriorityMetrics>,
     /// Per-node [`Pin`]; empty (all free) until the first pin.
@@ -456,15 +456,6 @@ impl TreeRoundState {
     /// Creates an empty state; the first `allocate_in` call shapes it.
     pub fn new() -> Self {
         TreeRoundState::default()
-    }
-
-    /// Drops all cached metrics and the budget memo: the next round
-    /// recomputes every subtree and re-splits every node, as a fresh state
-    /// would (required when the tree set changes).
-    pub(crate) fn invalidate(&mut self) {
-        // The next gather reshapes, which drops the memo; pinned summaries
-        // survive it.
-        self.policy_name = "";
     }
 
     /// Vouches that the overlay of the next gather is the one the last
@@ -735,10 +726,9 @@ impl ControlTree {
         if let Some(o) = overlay {
             assert_eq!(o.len(), self.inputs.len(), "overlay must be slot-indexed");
         }
-        // (Re)shape the state and flag every node on the first gather,
-        // after an invalidation, or on a tree or policy change, so the
-        // walk recomputes every summary; pinned summaries survive (they
-        // are inputs, not results).
+        // (Re)shape the state and flag every node on the first gather or
+        // on a tree or policy change, so the walk recomputes every
+        // summary; pinned summaries survive (they are inputs, not results).
         let reshaped = state.metrics.len() != n || state.policy_name != policy.name();
         if reshaped {
             state.memo = None;
@@ -1363,54 +1353,6 @@ mod tests {
         );
         tree.budget_in(budget, &policy, &WaterfallAllocator, &mut state, &mut out);
         assert_bitwise_eq(&out, &tree.allocate(budget, &policy));
-    }
-
-    #[test]
-    fn an_invalidated_state_serves_another_tree_afresh() {
-        // Two trees of one shape, inputs and leaf generation that differ
-        // only in a CB limit, as a tree set that changed under a state.
-        let mut spec = figure2_feed().control_tree_specs().remove(0);
-        spec.node_mut(1).limit = Some(Watts::new(600.0));
-        let narrow = ControlTree::with_uniform(spec, PAPER_INPUT);
-        let (_, wide) = fig2_tree();
-        let (policy, budget) = (GlobalPriority::new(), Watts::new(1240.0));
-        let (mut state, mut out) = (TreeRoundState::new(), Allocation::default());
-        wide.allocate_in(
-            budget,
-            &policy,
-            &WaterfallAllocator,
-            &mut state,
-            None,
-            &mut out,
-        );
-        state.invalidate();
-        narrow.allocate_in(
-            budget,
-            &policy,
-            &WaterfallAllocator,
-            &mut state,
-            None,
-            &mut out,
-        );
-        assert_bitwise_eq(&out, &narrow.allocate(budget, &policy));
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a gathered state")]
-    fn budget_after_invalidate_panics() {
-        let (_, tree) = fig2_tree();
-        let (policy, budget) = (GlobalPriority::new(), Watts::new(1240.0));
-        let (mut state, mut out) = (TreeRoundState::new(), Allocation::default());
-        tree.allocate_in(
-            budget,
-            &policy,
-            &WaterfallAllocator,
-            &mut state,
-            None,
-            &mut out,
-        );
-        state.invalidate();
-        tree.budget_in(budget, &policy, &WaterfallAllocator, &mut state, &mut out);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The product's stranded-power path against the executable
-//! specification: `optimize_stranded_power_in`, reusing one `SpoScratch`
-//! across rounds (so the gather skip, the budget memo and the strand
-//! detection skip all run warm), must budget every node and leaf and find
-//! the stranded total bit for bit as `capmaestro_spec::round` does from
-//! scratch.
+//! specification: `optimize_stranded_power_in`, reusing one `TreeRow` per
+//! tree and one `SpoScratch` across rounds (so the gather skip, the budget
+//! memo and the strand detection skip all run warm), must budget every
+//! node and leaf and find the stranded total bit for bit as
+//! `capmaestro_spec::round` does from scratch.
 
 use capmaestro_core::obs::NullRecorder;
+use capmaestro_core::plane::TreeRow;
 use capmaestro_core::spo::{optimize_stranded_power_in, SpoScratch};
 use capmaestro_core::tree::{Allocation, ControlTree, SupplyInput};
 use capmaestro_core::{AllocatorKind, PolicyKind};
@@ -46,6 +47,18 @@ fn fig7a_trees() -> Vec<ControlTree> {
     trees
 }
 
+/// One fresh row per tree.
+fn rows_for(trees: &[ControlTree]) -> Vec<TreeRow> {
+    trees.iter().map(|_| TreeRow::default()).collect()
+}
+
+/// The rows' cumulative `(summarized, dirty_skipped)` gather counts.
+fn gather_stats(rows: &[TreeRow]) -> (u64, u64) {
+    rows.iter()
+        .map(TreeRow::gather_stats)
+        .fold((0, 0), |(s, k), (ds, dk)| (s + ds, k + dk))
+}
+
 /// Every node budget, every leaf budget, every unallocated remainder and
 /// the stranded total, bitwise.
 fn assert_matches_spec(
@@ -72,8 +85,8 @@ fn assert_matches_spec(
 }
 
 /// Several rounds with different budgets and a demand change in the
-/// middle, reusing the scratch throughout, under every policy and
-/// allocator: every round must match the spec bit for bit. A repeat of the
+/// middle, reusing the rows and scratch throughout, under every policy
+/// and allocator: every round must match the spec bit for bit. A repeat of the
 /// round before finds every node clean in both passes.
 #[test]
 fn warm_spo_is_bit_identical_to_the_spec() {
@@ -88,10 +101,11 @@ fn warm_spo_is_bit_identical_to_the_spec() {
         for allocator in AllocatorKind::ALL.map(AllocatorKind::allocator) {
             let (policy, allocator) = (policy.as_ref(), allocator.as_ref());
             let mut trees = fig7a_trees();
-            let mut scratch = SpoScratch::new();
+            let mut rows = rows_for(&trees);
+            let mut scratch = SpoScratch::default();
             let mut out = Vec::new();
             for (round, budgets) in budget_rounds.iter().enumerate() {
-                let stats_before = scratch.gather_stats();
+                let stats_before = gather_stats(&rows);
                 if round == 2 {
                     for tree in &mut trees {
                         tree.set_inputs_with(|server, _| {
@@ -111,6 +125,7 @@ fn warm_spo_is_bit_identical_to_the_spec() {
                     policy,
                     allocator,
                     true,
+                    &mut rows,
                     &mut scratch,
                     &mut out,
                     &NullRecorder,
@@ -120,7 +135,7 @@ fn warm_spo_is_bit_identical_to_the_spec() {
                 assert_matches_spec(&trees, &out, stranded, &want, &at);
                 if round == 4 {
                     let nodes: u64 = trees.iter().map(|t| t.arena().len() as u64).sum();
-                    let (summarized, skipped) = scratch.gather_stats();
+                    let (summarized, skipped) = gather_stats(&rows);
                     assert_eq!(summarized, stats_before.0, "{at}");
                     assert_eq!(skipped - stats_before.1, 2 * nodes, "{at}");
                 }
@@ -129,16 +144,17 @@ fn warm_spo_is_bit_identical_to_the_spec() {
     }
 }
 
-/// The same scratch switched between rounds with and without the reclaim
-/// pass: each round equals the spec's, and the rounds without it are the
-/// first pass alone with nothing stranded.
+/// The same rows and scratch switched between rounds with and without the
+/// reclaim pass: each round equals the spec's, and the rounds without it
+/// are the first pass alone with nothing stranded.
 #[test]
 fn toggling_the_reclaim_pass_matches_the_spec() {
     let trees = fig7a_trees();
     let policy = PolicyKind::GlobalPriority.policy();
     let allocator = AllocatorKind::Waterfall.allocator();
     let (policy, allocator) = (policy.as_ref(), allocator.as_ref());
-    let mut scratch = SpoScratch::new();
+    let mut rows = rows_for(&trees);
+    let mut scratch = SpoScratch::default();
     let mut out = Vec::new();
     let rounds = [
         (true, 700.0),
@@ -157,6 +173,7 @@ fn toggling_the_reclaim_pass_matches_the_spec() {
             policy,
             allocator,
             reclaim,
+            &mut rows,
             &mut scratch,
             &mut out,
             &NullRecorder,

@@ -1,9 +1,10 @@
 //! The rack agent: one rack worker as its own OS process.
 //!
 //! An agent builds the same rig as its room controller (see
-//! [`crate::rig`]), claims its [`RackAssignment`] by worker index, and
-//! owns a *local* farm of exactly the servers assigned to it — the
-//! process boundary is also the simulation boundary, which is what the
+//! [`crate::rig`]), claims its
+//! [`RackAssignment`](capmaestro_core::workers::RackAssignment) by worker
+//! index, and owns a *local* farm of exactly the servers assigned to it —
+//! the process boundary is also the simulation boundary, which is what the
 //! server-disjointness of
 //! [`rack_assignments`](capmaestro_core::workers::rack_assignments)
 //! guarantees is safe.

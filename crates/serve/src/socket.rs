@@ -16,7 +16,7 @@
 //! - a torn frame, EOF, or write failure kills the connection
 //!   immediately — `send` starts returning `false` and the deployment
 //!   treats the worker as partitioned;
-//! - heartbeat silence past [`HEARTBEAT_TIMEOUT`]
+//! - heartbeat silence past the one-second heartbeat timeout
 //!   does the same for a *frozen* peer (SIGSTOP, network blackhole)
 //!   whose socket is still open;
 //! - recovery is agent-driven: a reconnecting agent re-handshakes and
@@ -148,9 +148,9 @@ pub struct SocketTransport {
 
 impl SocketTransport {
     /// Binds the listener and starts accepting agents. Workers are *not*
-    /// connected yet on return — use [`wait_for_workers`]
-    /// (`Self::wait_for_workers`) before the first round for a clean
-    /// start, or let early rounds ride the fail-safe path.
+    /// connected yet on return — use [`Self::wait_for_workers`] before
+    /// the first round for a clean start, or let early rounds ride the
+    /// fail-safe path.
     pub fn bind(config: SocketTransportConfig) -> io::Result<Self> {
         assert!(config.worker_count > 0, "at least one rack worker is required");
         let listener = TcpListener::bind(&config.addr)?;

@@ -15,7 +15,7 @@
 //!
 //! The module's second half is the **invariant tracker** behind the chaos
 //! soak harness: an [`InvariantTracker`] observes a live
-//! [`Engine`](crate::engine::Engine) once per simulated second and checks
+//! [`Engine`] once per simulated second and checks
 //! the safety properties that must survive telemetry faults — per-tree
 //! budgets respected by the *physical* load, DC caps inside the
 //! controllable range, priority ordering preserved, and no breaker trips,

@@ -6,8 +6,9 @@
 //! plane is delivered, so the harness drives the engine's second itself
 //! (events, sensing through the fault layer when it could act, a round
 //! every control period, physics; breakers play no part). It runs the
-//! Fig. 2 rig under seeded chaos plans, and a 1024-server data center
-//! under a hand-written fault/supply/priority/demand event storm.
+//! Fig. 2 rig under seeded chaos plans, a 1024-server data center under a
+//! hand-written fault/supply/priority/demand event storm, and a one-rack
+//! center whose trees of a feed are alike through a feed outage.
 
 use crate::engine::Event;
 use crate::faults::{ChaosAction, ChaosConfig, ChaosPlan, FaultKind, FaultLayer};
@@ -327,4 +328,46 @@ fn incremental_rounds_match_the_spec_on_a_large_datacenter() {
 
     // The converged round decisions match bitwise as well.
     harness.manual_round();
+}
+
+/// A feed outage on a rig whose three trees per feed are alike: one rack
+/// of three dual-corded servers, one per phase, so each tree is one leaf
+/// under the same chain of breakers and every tree of a feed sees its
+/// input move in the same rounds. Only the servers' demands tell the trees
+/// apart. Every round through the outage and the return, a returning tree
+/// must decide what the spec decides: a round state that served another
+/// tree of the feed would hold that tree's summaries at the same leaf
+/// generation, and its whole-walk skip would budget from them.
+#[test]
+fn a_returning_tree_resumes_its_own_walk() {
+    let config = DataCenterRigConfig {
+        params: DataCenterParams {
+            racks: 1,
+            transformers_per_feed: 1,
+            rpps_per_transformer: 1,
+            cdus_per_rpp: 1,
+            servers_per_rack: 3,
+            ..DataCenterParams::default()
+        },
+        high_priority_fraction: 0.0,
+        contractual_per_phase: Watts::new(1000.0),
+        ..DataCenterRigConfig::default()
+    };
+    let mut rig = datacenter_rig(&config);
+    assert_eq!(rig.plane.trees().len(), 6);
+    let demands = [420.0, 300.0, 360.0];
+    rig.farm.for_each_mut(|slot, _, mut server| {
+        server.set_offered_demand(Watts::new(demands[slot]));
+        server.settle();
+    });
+    let events = vec![
+        (20, Event::FailFeed(FeedId::B)),
+        (34, Event::RestoreFeed(FeedId::B)),
+    ];
+    let budgets = BudgetSource::SharedPerPhase(config.contractual_per_phase);
+    let mut harness = Harness::new(rig, budgets, events);
+    for _ in 0..56 {
+        harness.second();
+    }
+    assert_eq!(harness.rounds, 7);
 }

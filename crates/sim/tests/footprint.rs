@@ -95,22 +95,25 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const TREE_BYTES_PER_NODE: f64 = 64.0;
 
 /// The most live bytes per tree leaf the first round may leave behind:
-/// both SPO passes' round states (one 48 B summary per node each, the
-/// budget memo and flags), the pass-1 allocations, the slot-indexed
-/// overlays, the route table and lanes, the leaf table with its
-/// estimators, and the report. Measured at 600.2 on this rig (634.1 with
-/// node-indexed overlays and a route table of SPO's own); the bound leaves
-/// 1 %.
+/// what the trees' rows hold (both SPO passes' round states, with one 48 B
+/// summary per node each, the budget memo and flags; the pass-1
+/// allocations; the slot-indexed overlays), the route table and lanes,
+/// the leaf table with its estimators, and the report. Measured at 584.1
+/// on this rig (634.1 with node-indexed overlays and a route table of
+/// SPO's own); the rows' fixed part is built with the plane, before the
+/// first round.
 const ROUND_STATE_BYTES_PER_LEAF: f64 = 607.0;
 
 /// The most allocations the round after a feed fails may make. Measured
-/// at 18; the round state of the surviving trees is reshaped in place.
-const FEED_FAILURE_ROUND_ALLOCS: u64 = 18;
+/// at 0: the parked trees take their rows along, and every surviving
+/// tree's row keeps serving it.
+const FEED_FAILURE_ROUND_ALLOCS: u64 = 0;
 
 /// The most allocations the round after the feed returns may make.
-/// Measured at 254: the returning trees' round states are built afresh,
-/// and the SPO overlays they had are refilled.
-const FEED_RESTORE_ROUND_ALLOCS: u64 = 254;
+/// Measured at 13: the returning trees bring their rows back warm, so
+/// only their gather lanes and report allocations are laid out again (12),
+/// beside one by the engine.
+const FEED_RESTORE_ROUND_ALLOCS: u64 = 13;
 
 /// Rounds that fill the estimator windows before the warm round.
 const WARMUP_ROUNDS: u64 = 12;
